@@ -1,8 +1,8 @@
-"""Hot-path serving benchmark: cold vs. warm vs. batch vs. parallel.
+"""Hot-path serving benchmark: cold vs. warm vs. batch.
 
 Serves a skewed, repetitive query log (Zipf-weighted repeats of a small
-unique pool — the shape of real keyword traffic) through four
-configurations of the same engine:
+unique pool — the shape of real keyword traffic) through three
+configurations of the same engine, plus a planner comparison:
 
 * **cold** — result caching disabled; every request pays the full
   inverted-list scan + DP + ranking cost;
@@ -12,14 +12,6 @@ configurations of the same engine:
   engine (chunked so per-request latency percentiles exist; the LRU
   carries deduplication across chunks, so the executed work is the
   same as one whole-log call);
-* **cold_parallel** — result caching disabled, cache-miss evaluation
-  sharded over a persistent worker pool at 1/2/4 workers (pinned to
-  the partition algorithm so the sweep always measures the sharded
-  path).  Each level serves one untimed warmup pass first (pool
-  spin-up plus the per-process column/memo state the pool amortizes
-  across requests — the steady-state miss path a long-lived server
-  sees), then reports the per-request element-wise minimum of two
-  timed passes;
 * **planner** — ``algorithm="auto"`` against every fixed algorithm on
   the same cache-disabled log, bucketed into refinement-needing vs
   direct-hit requests.  Reports p50/p95/p99 per bucket, the planner's
@@ -55,17 +47,14 @@ A separate **startup** section measures process-boot cost: time from a
 stored artifact to the first answered query for (a) a fresh
 ``build_document_index`` over the XML, (b) ``load_index`` over a saved
 store directory, and (c) a frozen-snapshot mmap open
-(``repro.index.frozen``); plus RSS before/after each path and the
-shared-memory publish time from a built vs a frozen index.  On full
+(``repro.index.frozen``); plus RSS before/after each path.  On full
 runs the frozen path must reach its first answer >= 5x faster than the
 build path, and ``load_index`` must stay well under a fresh build.
 
 Every section reports p50/p95/p99 per-request latency alongside the
 mean.  Writes ``BENCH_hotpath.json`` (repo root by default) so later
 PRs have a perf trajectory to compare against, and exits non-zero when
-the warm-over-cold speedup drops below the 3x acceptance floor or — on
-full (non-smoke) runs — when the best worker level's parallel speedup
-over the 1-worker serial path drops below 1.15x.
+the warm-over-cold speedup drops below the 3x acceptance floor.
 
 Usage::
 
@@ -98,28 +87,15 @@ from repro import XRefine, build_document_index  # noqa: E402
 from repro.datasets import generate_dblp  # noqa: E402
 from repro.index import (  # noqa: E402
     freeze_index,
-    load_frozen_index,
     load_index,
     save_index,
 )
-from repro.shard.shm import SharedPostingBlob  # noqa: E402
 from repro.workload import WorkloadGenerator  # noqa: E402
 from repro.xmltree.parser import parse_file  # noqa: E402
 from repro.xmltree.serialize import write_file  # noqa: E402
 
 #: Minimum acceptable warm-over-cold speedup on the skewed log.
 SPEEDUP_FLOOR = 3.0
-
-#: Minimum acceptable cold speedup of the best worker level over the
-#: 1-worker serial path (full runs only; the smoke corpus is too small
-#: for fan-out to amortize).  Recalibrated twice as the serial path
-#: sped up under it: from 1.8 to 1.15 when the kernels gained
-#: early-termination skips, and to 1.0 when the columnar scan kernels
-#: cut the serial reference by a further ~2.4x — on a single-CPU CI
-#: host (cpu_count=1, where this is measured) fan-out can at best
-#: match serial, so the floor now only guards the sharded path
-#: against becoming an outright slowdown, not a missing win.
-PARALLEL_FLOOR = 1.0
 
 #: Full-run kernel gate: the batch scan kernels are accountable for
 #: the cold (cache-disabled) p95 headline.  Either the sub-millisecond
@@ -143,9 +119,6 @@ STARTUP_FROZEN_FLOOR = 5.0
 
 #: load_index must stay well under a fresh build (full runs only).
 STARTUP_LOAD_FLOOR = 1.3
-
-#: Worker counts swept by the cold_parallel section.
-PARALLEL_WORKERS = (1, 2, 4)
 
 #: Routing accuracy: a query counts as correctly routed when auto's
 #: median latency is within this factor (plus the absolute slack) of
@@ -300,7 +273,6 @@ def bench_startup(tree, index, query, args):
             engine.search(query, k=args.k, algorithm=args.algorithm)
             elapsed = time.perf_counter() - began
             rss_after = _rss_kb()
-            engine.close()
             entry = {
                 "seconds_to_first_answer": elapsed,
                 "rss_before_kb": rss_before,
@@ -330,23 +302,6 @@ def bench_startup(tree, index, query, args):
             section[name]["speedup_vs_build"] = (
                 build_seconds / elapsed if elapsed else float("inf")
             )
-
-        # Shared-memory publication: per-key gather from the built
-        # store vs the frozen snapshot's single-buffer region copy.
-        frozen_index = load_frozen_index(frozen_path)
-        for label, inverted in (
-            ("publish_built_seconds", index.inverted),
-            ("publish_frozen_seconds", frozen_index.inverted),
-        ):
-            began = time.perf_counter()
-            blob = SharedPostingBlob.publish(inverted, version=0)
-            section[label] = time.perf_counter() - began
-            blob.close()
-        print(
-            f"  startup shard publish: built "
-            f"{section['publish_built_seconds'] * 1000:.1f} ms, frozen "
-            f"{section['publish_frozen_seconds'] * 1000:.1f} ms"
-        )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     return section
@@ -376,29 +331,23 @@ def bench_planner(index, pool, log, k):
     is Top-1 only and therefore only a valid competitor on direct hits.
     """
     probe = XRefine(index, cache_size=0)
-    try:
-        bucket_of = {}
-        for query in pool:
-            response = probe.search(query, k=k, algorithm="partition")
-            bucket_of[tuple(query)] = (
-                "refine" if response.needs_refinement else "direct"
-            )
-    finally:
-        probe.close()
+    bucket_of = {}
+    for query in pool:
+        response = probe.search(query, k=k, algorithm="partition")
+        bucket_of[tuple(query)] = (
+            "refine" if response.needs_refinement else "direct"
+        )
     request_buckets = [bucket_of[tuple(query)] for query in log]
 
     latencies = {}
     planner_stats = None
     for algorithm in ("auto", "partition", "sle", "stack"):
         engine = XRefine(index, cache_size=0)
-        try:
-            serve(engine, log, k, algorithm)  # warmup pass
-            passes = [serve(engine, log, k, algorithm) for _ in range(3)]
-            latencies[algorithm] = [min(best) for best in zip(*passes)]
-            if algorithm == "auto":
-                planner_stats = engine.cache_stats()["planner"]
-        finally:
-            engine.close()
+        serve(engine, log, k, algorithm)  # warmup pass
+        passes = [serve(engine, log, k, algorithm) for _ in range(3)]
+        latencies[algorithm] = [min(best) for best in zip(*passes)]
+        if algorithm == "auto":
+            planner_stats = engine.cache_stats()["planner"]
 
     # Routing accuracy is judged per unique query on median latencies
     # (the planner routes per query signature, so every repeat of a
@@ -596,27 +545,24 @@ def bench_scoring(index, pool, k):
     model = full_model()
     jobs = []
     candidates_total = 0
-    try:
-        for query in pool:
-            terms = query_terms(query)
-            rules = engine.mine_rules(terms)
-            context = QueryContext(index, terms, rules)
-            present = {
-                keyword
-                for keyword in context.keyword_space
-                if len(context.lists[keyword]) > 0
-            }
-            if not present:
-                continue
-            candidates = get_top_optimal_rqs(
-                context.query, present, rules, max(2 * k, 2)
-            )
-            if not candidates:
-                continue
-            jobs.append((context, candidates))
-            candidates_total += len(candidates)
-    finally:
-        engine.close()
+    for query in pool:
+        terms = query_terms(query)
+        rules = engine.mine_rules(terms)
+        context = QueryContext(index, terms, rules)
+        present = {
+            keyword
+            for keyword in context.keyword_space
+            if len(context.lists[keyword]) > 0
+        }
+        if not present:
+            continue
+        candidates = get_top_optimal_rqs(
+            context.query, present, rules, max(2 * k, 2)
+        )
+        if not candidates:
+            continue
+        jobs.append((context, candidates))
+        candidates_total += len(candidates)
 
     def run_batch_score():
         for context, candidates in jobs:
@@ -749,34 +695,6 @@ def run(args):
         lambda: serve_batched(batch_engine, log, args.k, args.algorithm),
     )
 
-    # Parallel cold path: persistent pool, warmed, best of two passes.
-    # Pinned to "partition": the sweep measures the sharded kernel, and
-    # with "auto" the planner may (correctly) keep small queries serial.
-    print(f"  cold_parallel sweep (workers {list(PARALLEL_WORKERS)}):")
-    parallel_sections = {}
-    serial_reference = None
-    for workers in PARALLEL_WORKERS:
-        engine = XRefine(index, cache_size=0, parallelism=workers)
-        try:
-            serve(engine, log, args.k, "partition")  # warmup pass
-            passes = [
-                serve(engine, log, args.k, "partition")
-                for _ in range(2)
-            ]
-        finally:
-            engine.close()
-        best = [min(pair) for pair in zip(*passes)]
-        summary = timed_section(f"  workers={workers}", lambda: best)
-        if serial_reference is None:
-            serial_reference = summary["per_request_ms"]
-        summary["workers"] = workers
-        summary["speedup_vs_serial"] = (
-            serial_reference / summary["per_request_ms"]
-            if summary["per_request_ms"]
-            else float("inf")
-        )
-        parallel_sections[str(workers)] = summary
-
     # Planner: auto vs every fixed algorithm, bucketed refine/direct.
     planner = bench_planner(index, pool, log, args.k)
 
@@ -824,7 +742,6 @@ def run(args):
         "warm_fill": warm_fill,
         "warm": warm,
         "batch": batch,
-        "cold_parallel": parallel_sections,
         "planner": planner,
         "kernels": kernels,
         "scoring": scoring,
@@ -839,15 +756,6 @@ def run(args):
     print(
         f"speedups over cold: warm x{warm_speedup:.1f}, "
         f"fill x{fill_speedup:.1f}, batch x{batch_speedup:.1f}"
-    )
-    top = max(
-        parallel_sections.values(),
-        key=lambda summary: summary["speedup_vs_serial"],
-    )
-    print(
-        f"parallel speedup vs serial cold path: "
-        f"x{top['speedup_vs_serial']:.2f} at {top['workers']} workers "
-        f"(host cpu_count={os.cpu_count()})"
     )
     print(
         f"startup speedups vs fresh build: "
@@ -908,19 +816,6 @@ def run(args):
             f"spread (limit x{paging['rss_growth_limit']:.2f})"
         )
     if not args.smoke:
-        if top["speedup_vs_serial"] < PARALLEL_FLOOR:
-            print(
-                f"FAIL: parallel speedup x{top['speedup_vs_serial']:.2f} at "
-                f"{top['workers']} workers is below the x{PARALLEL_FLOOR} "
-                f"floor",
-                file=sys.stderr,
-            )
-            status = 1
-        else:
-            print(
-                f"OK: parallel speedup meets the x{PARALLEL_FLOOR} floor "
-                f"at {top['workers']} workers"
-            )
         frozen_speedup = startup["frozen"]["speedup_vs_build"]
         if frozen_speedup < STARTUP_FROZEN_FLOOR:
             print(

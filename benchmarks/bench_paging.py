@@ -180,7 +180,6 @@ def run_child(snapshot, queries_path, k, rss_cap_mb):
         "partitions_total": index.partition_count(),
         "rss_cap_mb": rss_cap_mb or None,
     }
-    engine.close()
     json.dump(report, sys.stdout)
     sys.stdout.write("\n")
     return 0

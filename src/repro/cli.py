@@ -11,7 +11,7 @@ Usage (``python -m repro <command> ...``)::
     repro slca corpus.idx database 2003 --algorithm scan
     repro specialize corpus.idx query -k 3
     repro stats corpus.idx
-    repro serve corpus.frz --port 8391 --parallelism 2
+    repro serve corpus.frz --port 8391
 
 ``search``/``slca``/``specialize``/``stats`` accept a saved index
 directory (from ``repro index``), a frozen snapshot file (from
@@ -103,18 +103,9 @@ def _cmd_compact(args, out):
 
 def _cmd_search(args, out):
     engine = _load_engine(args.source)
-    try:
-        return _print_search(engine, args, out)
-    finally:
-        # Releases the shard pool + shared-memory segment when
-        # --parallel was used; a no-op otherwise.
-        engine.close()
-
-
-def _print_search(engine, args, out):
     response = engine.search(
         args.keywords, k=args.k, algorithm=args.algorithm,
-        parallelism=args.parallel, explain=args.explain,
+        explain=args.explain,
     )
     if args.explain:
         if response.plan is not None:
@@ -234,17 +225,11 @@ def _cmd_repl(args, out, lines=None):
 def _cmd_serve(args, out):
     """Run the always-on serving daemon until SIGTERM/SIGINT."""
     from .serve.server import run_server
-    from .shard.shm import install_signal_cleanup
-
-    # Belt-and-braces /dev/shm cleanup for any teardown path that
-    # bypasses the daemon's graceful drain (e.g. a signal delivered
-    # before the event loop installs its own handlers).
-    install_signal_cleanup()
 
     def ready(server):
         print(
             f"serving {args.source} on http://{server.host}:{server.port} "
-            f"(pid={os.getpid()}, parallelism={args.parallelism})",
+            f"(pid={os.getpid()})",
             file=out,
             flush=True,
         )
@@ -258,7 +243,6 @@ def _cmd_serve(args, out):
         cache_ttl=args.cache_ttl,
         subresult_size=args.subresult_size,
         plan_cache_size=args.plan_cache_size,
-        parallelism=args.parallelism,
         max_inflight=args.max_inflight,
         ready_callback=ready,
     )
@@ -299,19 +283,16 @@ def _cmd_bench(args, out):
     )
     for algorithm in algorithms:
         engine = XRefine(index, cache_size=0)
-        try:
-            for query in log:  # warmup: calibration, plan + memo state
-                engine.search(query, k=args.k, algorithm=algorithm)
-            latencies = []
-            if args.profile:
-                profiling.start()
-            for query in log:
-                began = time.perf_counter()
-                engine.search(query, k=args.k, algorithm=algorithm)
-                latencies.append(time.perf_counter() - began)
-            profile = profiling.stop()
-        finally:
-            engine.close()
+        for query in log:  # warmup: calibration, plan + memo state
+            engine.search(query, k=args.k, algorithm=algorithm)
+        latencies = []
+        if args.profile:
+            profiling.start()
+        for query in log:
+            began = time.perf_counter()
+            engine.search(query, k=args.k, algorithm=algorithm)
+            latencies.append(time.perf_counter() - began)
+        profile = profiling.stop()
         ordered = sorted(latencies)
         print(
             f"  {algorithm:<10} p50 {percentile(ordered, 0.50) * 1000:7.3f}"
@@ -459,11 +440,6 @@ def build_parser():
         "answers are identical for every choice",
     )
     search.add_argument(
-        "--parallel", type=int, default=1, metavar="N",
-        help="evaluate the query over N shard workers "
-        "('auto'/'partition' algorithms only; answers are identical)",
-    )
-    search.add_argument(
         "--explain", action="store_true",
         help="print the planner's QueryPlan (chosen route, cost "
         "estimates, extracted features) before the results",
@@ -501,10 +477,6 @@ def build_parser():
     serve.add_argument(
         "--port", type=int, default=8391,
         help="TCP port (0 binds an ephemeral port, printed on startup)",
-    )
-    serve.add_argument(
-        "--parallelism", type=int, default=1, metavar="N",
-        help="shard workers for cache-miss evaluation (1 = serial)",
     )
     serve.add_argument(
         "--cache-size", type=int, default=512,

@@ -111,17 +111,6 @@ class SwapWarmup:
         )
 
 
-def _validate_parallelism(parallelism):
-    """Worker-count validation mirroring :func:`_validate_k`."""
-    if isinstance(parallelism, bool) or not isinstance(parallelism, int):
-        raise QueryError(
-            f"parallelism must be an integer >= 1, got {parallelism!r}"
-        )
-    if parallelism < 1:
-        raise QueryError(f"parallelism must be >= 1, got {parallelism}")
-    return parallelism
-
-
 def _validate_k(k):
     """Reject non-integral or non-positive Top-K requests up front.
 
@@ -180,20 +169,11 @@ class XRefine:
         (LRU); ``None`` keeps the engine default.  Size it at or above
         the distinct-query working set when replaying large logs —
         re-mining is the dominant repeated-miss cost.
-    parallelism:
-        Default worker count for cache-miss evaluation of
-        ``algorithm="partition"`` queries (``repro.shard``).  ``1``
-        (default) keeps the serial path; ``N > 1`` publishes the
-        posting lists into shared memory and fans each miss out over a
-        persistent ``N``-process pool, returning byte-identical
-        answers.  Call :meth:`close` (or use the engine as a context
-        manager) to release the pool and its shared-memory segment.
     """
 
     def __init__(self, index, model=None, miner=None,
-                 cache_size=DEFAULT_CAPACITY, parallelism=1,
-                 cache_policy="tinylfu", cache_ttl=None,
-                 subresult_size=None, plan_cache_size=None,
+                 cache_size=DEFAULT_CAPACITY, cache_policy="tinylfu",
+                 cache_ttl=None, subresult_size=None, plan_cache_size=None,
                  rules_memo_size=None):
         self.index = index
         self.model = model if model is not None else full_model()
@@ -218,9 +198,6 @@ class XRefine:
         self.subresult_cache = SubResultCache(subresult_size)
         #: Plan-cache capacity override (None = planner default).
         self._plan_cache_size = plan_cache_size
-        #: Default shard fan-out for cache misses (repro.shard).
-        self.parallelism = _validate_parallelism(parallelism)
-        self._shard_runtime = None
         #: Auto-mined rule sets per query (pure function of the miner),
         #: LRU-bounded — evicting one stale entry at a time instead of
         #: the old wholesale clear, which re-mined the entire hot set
@@ -329,32 +306,12 @@ class XRefine:
             self._planner = planner
         return planner
 
-    # ------------------------------------------------------------------
-    # Parallel execution plumbing (repro.shard)
-    # ------------------------------------------------------------------
-    def _shard_runtime_for(self, workers):
-        """The persistent shard runtime, (re)built to ``workers``."""
-        from ..shard.pool import ShardRuntime
-
-        runtime = self._shard_runtime
-        if runtime is not None and runtime.workers != workers:
-            runtime.close()
-            runtime = None
-        if runtime is None:
-            runtime = ShardRuntime(self.index, workers)
-            self._shard_runtime = runtime
-        return runtime
-
     def close(self):
-        """Release the worker pool and its shared-memory segment.
+        """Nothing to release: the engine owns no process, segment or file.
 
-        Idempotent; a no-op for engines that never ran in parallel.
-        The engine stays usable afterwards — the next parallel query
-        transparently rebuilds the pool.
+        Kept because ``benchmarks/e2e`` calls it; whoever opened a
+        frozen snapshot closes that through ``index.frozen_snapshot``.
         """
-        if self._shard_runtime is not None:
-            self._shard_runtime.close()
-            self._shard_runtime = None
 
     # ------------------------------------------------------------------
     # Snapshot hot-swap (repro.serve)
@@ -440,7 +397,7 @@ class XRefine:
         (:mod:`repro.serve`): one long-lived engine keeps serving while
         a newer snapshot is loaded elsewhere, then flips to it here.
         Returns the previous :class:`~repro.index.builder.DocumentIndex`
-        so the caller can release its resources (mmap, shm) once the
+        so the caller can release its resources (the mmap) once the
         last in-flight reader of the old generation has exited.
 
         What the flip guarantees:
@@ -456,8 +413,6 @@ class XRefine:
         * The planner drops its per-version plan-cache entries and the
           drift corrections learned on the old corpus
           (:meth:`~repro.plan.planner.QueryPlanner.on_index_swap`).
-        * The shard runtime is handed the new index and its old
-          executor (workers + shared-memory segment) is closed.
 
         The caller must ensure no query is *executing* on this engine
         during the flip (the daemon runs it on its single query thread,
@@ -503,16 +458,7 @@ class XRefine:
             self._rules_memo.update(warmup.rules_memo)
         if self._planner is not None:
             self._planner.on_index_swap(new_index, packed=new_packed)
-        if self._shard_runtime is not None:
-            self._shard_runtime.swap(new_index)
         return old_index
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-        return False
 
     # ------------------------------------------------------------------
     # Search
@@ -544,7 +490,7 @@ class XRefine:
         return rules
 
     def search(self, query, k=1, algorithm="auto", rules=None,
-               rank_results=False, parallelism=None, explain=False):
+               rank_results=False, explain=False):
         """Automatic refinement search (Issues 1–4 of the introduction).
 
         Parameters
@@ -566,13 +512,6 @@ class XRefine:
         rank_results:
             When True, each result list is reordered by the XML TF*IDF
             result ranking of [6] instead of document order.
-        parallelism:
-            Worker count for this call; defaults to the engine's
-            ``parallelism``.  Values above 1 evaluate cache misses on
-            the shard pool (``repro.shard``) and require ``"auto"``
-            (the planner chooses serial vs. sharded) or
-            ``"partition"``; answers (and therefore the result cache)
-            are identical at every level.
         explain:
             When True, attach the recorded
             :class:`~repro.plan.planner.QueryPlan` to
@@ -585,19 +524,10 @@ class XRefine:
         RefinementResponse
         """
         k = _validate_k(k)
-        parallelism = (
-            self.parallelism if parallelism is None
-            else _validate_parallelism(parallelism)
-        )
         if algorithm not in ALGORITHMS:
             raise QueryError(
                 f"unknown refinement algorithm {algorithm!r}; "
                 f"expected one of {ALGORITHMS}"
-            )
-        if parallelism > 1 and algorithm not in ("auto", "partition"):
-            raise QueryError(
-                "parallel execution is only implemented for the "
-                f"'auto' and 'partition' algorithms, not {algorithm!r}"
             )
         terms = tuple(query_terms(query))
         if not terms:
@@ -606,11 +536,11 @@ class XRefine:
                 "normalization)"
             )
         return self._search_validated(
-            terms, k, algorithm, rules, rank_results, parallelism, explain
+            terms, k, algorithm, rules, rank_results, explain
         )
 
     def _search_validated(self, terms, k, algorithm, rules, rank_results,
-                          parallelism, explain):
+                          explain):
         """Cache lookup + dispatch for pre-validated arguments."""
         # Repeated-query fast path: answers are cached only for engine-
         # mined rules (a caller-supplied RuleSet is part of the answer
@@ -665,17 +595,9 @@ class XRefine:
                 return response
         plan = None
         if algorithm == "auto":
-            plan = self.planner.plan(terms, rules, k, parallelism)
+            plan = self.planner.plan(terms, rules, k)
             response = self._execute_plan(plan, terms, rules, k)
             self.planner.record(plan, response)
-        elif algorithm == "partition" and parallelism > 1:
-            from ..shard.refine import sharded_partition_refine
-
-            response = sharded_partition_refine(
-                self.index, terms, rules=rules, model=self.model, k=k,
-                shards=parallelism,
-                executor=self._shard_runtime_for(parallelism),
-            )
         else:
             memos = self.planner.dp_memos(terms, rules, max(2 * k, 2))
             if algorithm == "partition":
@@ -697,9 +619,7 @@ class XRefine:
             # Fixed algorithm: record a forced plan for observability
             # (estimates are not computed; the executed route and the
             # kernel's elapsed time are).
-            plan = self.planner.plan(
-                terms, rules, k, parallelism, force=algorithm
-            )
+            plan = self.planner.plan(terms, rules, k, force=algorithm)
             plan.executed = algorithm
             plan.actual_seconds = response.stats.elapsed_seconds
         if plan is not None:
@@ -800,17 +720,7 @@ class XRefine:
                 return response
             plan.fallback = "stack->partition"
             route = "partition"
-        if route == "partition" and plan.parallel:
-            from ..shard.refine import sharded_partition_refine
-
-            response = sharded_partition_refine(
-                self.index, terms, rules=rules, model=self.model, k=k,
-                shards=plan.parallelism,
-                executor=self._shard_runtime_for(plan.parallelism),
-                initial_bound=plan.bound_seed,
-            )
-            plan.executed = "partition"
-        elif route == "partition":
+        if route == "partition":
             response = partition_refine(
                 self.index, terms, rules=rules, model=self.model, k=k,
                 dp_memos=memos[:2],
@@ -825,7 +735,7 @@ class XRefine:
         return response
 
     def search_many(self, queries, k=1, algorithm="auto",
-                    rank_results=False, parallelism=None):
+                    rank_results=False):
         """Batch refinement search: one response per input query.
 
         The hot-path batch API: per-keyword decoded lists (packed
@@ -837,24 +747,15 @@ class XRefine:
         (:meth:`RefinementResponse.copy`) of the one evaluated
         response, so a caller sorting or truncating one answer's lists
         can never corrupt another position's answer.
-        ``k``/``algorithm``/``parallelism`` are validated **once** for
-        the whole batch (not per unique query); dispatch goes straight
-        to the post-validation path.
+        ``k``/``algorithm`` are validated **once** for the whole batch
+        (not per unique query); dispatch goes straight to the
+        post-validation path.
         """
         k = _validate_k(k)
-        parallelism = (
-            self.parallelism if parallelism is None
-            else _validate_parallelism(parallelism)
-        )
         if algorithm not in ALGORITHMS:
             raise QueryError(
                 f"unknown refinement algorithm {algorithm!r}; "
                 f"expected one of {ALGORITHMS}"
-            )
-        if parallelism > 1 and algorithm not in ("auto", "partition"):
-            raise QueryError(
-                "parallel execution is only implemented for the "
-                f"'auto' and 'partition' algorithms, not {algorithm!r}"
             )
         self._refresh_miner()
         responses = []
@@ -869,8 +770,7 @@ class XRefine:
             response = batch.get(terms)
             if response is None:
                 response = self._search_validated(
-                    terms, k, algorithm, None, rank_results, parallelism,
-                    False,
+                    terms, k, algorithm, None, rank_results, False,
                 )
                 batch[terms] = response
                 responses.append(response)

@@ -61,9 +61,8 @@ def partition_refine(index, query, rules=None, model=None, k=1,
     ``dp_memos`` is an optional ``(probe_memo, beam_memo)`` pair of
     dicts keyed on the present-keyword frozenset — the DP is a pure
     function of ``(query, present, rules, limit)``, so the planner
-    shares them across calls (the serial analogue of the shard
-    workers' ``dp_cache``); memoized hits still count in
-    ``stats.dp_invocations``, matching the sharded kernel.
+    shares them across calls; memoized hits still count in
+    ``stats.dp_invocations``.
     """
     from .ranking.model import full_model
 

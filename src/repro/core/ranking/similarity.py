@@ -58,12 +58,18 @@ def keyword_importance(index, keyword, node_type):
 
 
 def _guideline2_domain(rq_keywords, original_keywords, domain):
+    """The distinct keywords Formula 4 sums over, in sorted order.
+
+    Both consumers (:func:`similarity_for_type` and
+    ``kernels.scoring.batch_similarity``) add floats in the order this
+    returns, so it must not depend on ``PYTHONHASHSEED``: a set's
+    iteration order would move the score's last ulp between processes.
+    """
     rq_set = set(rq_keywords)
-    original = set(original_keywords)
     if domain == "rq":
-        return rq_set
+        return tuple(sorted(rq_set))
     if domain == "sym_diff":
-        return rq_set ^ original
+        return tuple(sorted(rq_set ^ set(original_keywords)))
     raise ValueError(f"unknown Guideline-2 domain {domain!r}")
 
 

@@ -31,9 +31,7 @@ body), the tree is rebuilt, and the two big keyword-keyed sections
 become :class:`~repro.storage.CowKVStore` bases — reads go straight to
 the mapped bytes, while mutations (``append_partition`` /
 ``remove_partition``) copy the affected records into a private overlay
-so the snapshot file on disk is never modified.  Because the value
-region of section 0 is contiguous, shared-memory publication of the
-posting blob (``repro.shard.shm``) degenerates to a single buffer copy.
+so the snapshot file on disk is never modified.
 """
 
 from __future__ import annotations

@@ -88,8 +88,8 @@ class InvertedList:
     def dewey_keys(self):
         """Dewey component tuples, parallel to :attr:`postings`.
 
-        Shared (not copied) with consumers like ``perf.packed`` and the
-        shard workers; treat as immutable.
+        Shared (not copied) with consumers like ``perf.packed``; treat
+        as immutable.
         """
         return self._dewey_keys
 
@@ -213,10 +213,7 @@ def decode_posting_payload(keyword, raw, type_table):
 
     ``raw`` is the value stored under ``(keyword,)`` by
     :meth:`InvertedIndex.add_postings`; ``type_table`` maps interned
-    type ids back to node-type tuples.  Shared between the index's own
-    lazy decode and the shard workers (``repro.shard``), which attach
-    to the raw payload bytes over shared memory and decode lists
-    locally without re-pickling postings.
+    type ids back to node-type tuples.
     """
     count, pos = decode_uvarint(raw)
     postings = []
@@ -376,11 +373,7 @@ class InvertedIndex:
         return decode_posting_payload(keyword, raw, self._type_table)
 
     def raw_payload(self, keyword):
-        """Packed posting payload bytes for ``keyword`` (None if absent).
-
-        Used by the shard layer to publish posting lists into shared
-        memory without a decode/re-encode round trip.
-        """
+        """Packed posting payload bytes for ``keyword`` (None if absent)."""
         return self._store.get(encode_key((keyword,)))
 
     # ------------------------------------------------------------------
@@ -418,32 +411,6 @@ class InvertedIndex:
             )
             if keyword != self._TYPES_KEY
         ]
-
-    def posting_region(self):
-        """``(buffer, layout)`` covering every payload in one span.
-
-        Available only when the backing store exposes a contiguous
-        value region (a pristine frozen snapshot); returns None
-        otherwise.  ``buffer`` is a memoryview over all stored values
-        back to back and ``layout`` maps keyword -> (offset, length)
-        within it — exactly the shared-memory blob layout, so
-        publication becomes a single buffer copy.  The node-type
-        metadata record's bytes sit inside the buffer but are omitted
-        from the layout.
-        """
-        contiguous = getattr(self._store, "contiguous_region", None)
-        if contiguous is None:
-            return None
-        region = contiguous()
-        if region is None:
-            return None
-        buffer, spans = region
-        layout = {}
-        for key, offset, length in spans:
-            keyword = decode_key(key)[0]
-            if keyword != self._TYPES_KEY:
-                layout[keyword] = (offset, length)
-        return buffer, layout
 
     def vocabulary_size(self):
         total = len(self._store)

@@ -12,9 +12,13 @@ through cffi's ABI mode.  Selection happens once at import time:
    into a per-source-hash cache directory under the platform temp dir
    (one ~50 ms compile per machine, reused afterwards) and loaded via
    ``ffi.dlopen``.  ABI mode needs no Python headers — only ``cc``.
-3. Any failure — no cffi, no compiler, sandboxed temp dir, dlopen
-   error — silently degrades to pure Python.  The compiled path is a
-   speedup, never a dependency.
+3. Without cffi installed there is nothing to build and the
+   pure-Python path is selected quietly.  A build or dlopen that was
+   attempted and failed — no compiler, sandboxed temp dir, dlopen
+   error — logs one WARNING carrying the exception and degrades to
+   pure Python.  The compiled path is a speedup, never a dependency;
+   :func:`backend_name` (on ``/healthz`` and ``/stats``) says which
+   one is serving.
 
 The library works exclusively on flat ``int64`` component arrays plus
 offset tables (see :mod:`.columns`), the columnar layout shared by all
@@ -25,9 +29,12 @@ casts through ``ffi.from_buffer``.
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import subprocess
 import tempfile
+
+logger = logging.getLogger(__name__)
 
 #: Environment flag forcing the pure-Python fallback.
 NO_COMPILED_ENV = "REPRO_NO_COMPILED_KERNELS"
@@ -334,7 +341,7 @@ void repro_partition_presence(const int64_t *a_pids, int64_t a_count,
 
 
 def _build_library():
-    """Compile and dlopen the C kernels; None on any failure."""
+    """Compile and dlopen the C kernels; None (and a WARNING) on failure."""
     if os.environ.get(NO_COMPILED_ENV, "").strip() not in ("", "0"):
         return None
     try:
@@ -366,7 +373,11 @@ def _build_library():
         ffi = FFI()
         ffi.cdef(_CDEF)
         return _CompiledKernels(ffi, ffi.dlopen(library))
-    except Exception:
+    except Exception as exc:
+        logger.warning(
+            "compiled scan kernels unavailable, serving with the "
+            "pure-Python backend: %r", exc,
+        )
         return None
 
 

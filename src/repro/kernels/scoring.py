@@ -240,8 +240,8 @@ def batch_similarity(table, index, model, rq, original_keywords, search_for):
     """Formulas 2-6 over the lookup columns — byte-identical floats.
 
     Term-for-term replay of :func:`repro.core.ranking.similarity.
-    similarity`: same summation order (including the Guideline-2
-    domain set's own iteration order), same association, same
+    similarity`: same summation order (the Guideline-2 domain comes
+    sorted from the one shared helper), same association, same
     special cases; only the ``f_k^T`` / ``tf`` store reads go through
     the memo columns.
     """

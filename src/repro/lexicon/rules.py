@@ -145,8 +145,8 @@ class RuleSet:
         """Hashable identity of the rule set, including rule order.
 
         Two rule sets with equal fingerprints drive the refinement DP
-        identically, so pure-function caches (e.g. the shard workers'
-        cross-request beam memo) can key on it.  Order is part of the
+        identically, so pure-function caches (e.g. the planner's DP
+        memos) can key on it.  Order is part of the
         identity: at equal cost the DP keeps the first derivation seen.
         """
         return (self.deletion_cost, tuple(self._rules))

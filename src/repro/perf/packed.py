@@ -95,12 +95,11 @@ class PackedPostings:
         """Distinct document partitions among this list's postings.
 
         Computed lazily with partition-to-partition binary-search jumps
-        over the shared component column (the :mod:`repro.shard`
-        enumeration pattern) and cached for the packed object's
-        lifetime — i.e. exactly one index version, since the store
-        rebuilds the pack when the source list changes.  Root postings
-        (single-component labels sorting before ``(0, 0)``) are
-        excluded, matching the kernels' root-match skip.
+        over the shared component column and cached for the packed
+        object's lifetime — i.e. exactly one index version, since the
+        store rebuilds the pack when the source list changes.  Root
+        postings (single-component labels sorting before ``(0, 0)``)
+        are excluded, matching the kernels' root-match skip.
         """
         count = self._partition_count
         if count is None:

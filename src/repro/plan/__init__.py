@@ -5,8 +5,8 @@ algorithms without changing any answer: a per-machine calibrated cost
 model (:mod:`repro.plan.cost_model`) weighs per-query operation counts
 (:mod:`repro.plan.features`) and :class:`~repro.plan.planner.QueryPlanner`
 routes each query to the predicted cheapest algorithm, with a plan
-cache, cross-run bound seeding for the sharded path, and a recorded
-:class:`~repro.plan.planner.QueryPlan` surfaced by ``explain=True``.
+cache and a recorded :class:`~repro.plan.planner.QueryPlan` surfaced by
+``explain=True``.
 """
 
 from .cost_model import (

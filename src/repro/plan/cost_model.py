@@ -44,7 +44,7 @@ _FIELDS = (
     "slca_posting",     # columnar batch SLCA kernel, per posting
     "partition_visit",  # per-partition work over the masked view
     "stack_posting",    # LCP-run merged scan (stack route), per posting
-    "dispatch",         # per-worker scatter/gather overhead (sharded path)
+    "dispatch",         # reserved: a record-v3 slot that nothing reads
     "stack_push_pop",   # one stack frame push+pop pair (stack route)
     "batch_score",      # batch ranking (Formulas 2-9), per candidate
 )

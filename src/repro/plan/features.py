@@ -3,7 +3,7 @@
 Everything the cost model consumes is derived from data structures
 PRs 1–4 already maintain — inverted-list lengths, the per-keyword
 partition breakdown (one bisect-jumping pass over the packed component
-columns, shared with :mod:`repro.shard`), the frequent table
+columns), the frequent table
 ``f_k^T`` / ``N_T`` behind the search-for cache — so extracting
 features never scans a posting list.
 

@@ -8,7 +8,7 @@ query to the predicted winner.  The decision is recorded as a
 estimates, estimated vs. actual seconds, plan-cache provenance) which
 the engine attaches to the response for ``explain=True``.
 
-Three properties the rest of the system depends on:
+Two properties the rest of the system depends on:
 
 * **Routing never changes answers.**  Partition and SLE are mutually
   byte-identical for every query; stack-refine is chosen only when a
@@ -17,18 +17,9 @@ Three properties the rest of the system depends on:
   so the response is byte-identical to every fixed algorithm no matter
   how wrong the cost model is.  The differential oracle enforces this.
 * **Plans are cached.**  The :class:`PlanCache` LRU is keyed on
-  ``(terms, rules fingerprint, k, parallelism, index version)`` —
-  the index version inside the key makes ``append_partition`` /
+  ``(terms, rules fingerprint, k, index version)`` — the index
+  version inside the key makes ``append_partition`` /
   ``remove_partition`` invalidate every cached plan implicitly.
-* **Bounds carry across runs.**  After an execution whose Top-2K list
-  filled, the worst kept dissimilarity is recorded in the plan-cache
-  entry; the next *sharded* run of the same plan key seeds the
-  coordinator's cross-shard skip bound with it (the
-  ``initial_bound`` of :func:`repro.shard.refine.sharded_partition_refine`),
-  pruning from the first partition onward.  The bound is the converged
-  answer's own 2K-th dissimilarity for an identical (query, rules, k,
-  version) tuple, so seeding it is answer-preserving by the same
-  argument as the PR 3 cross-shard broadcast.
 """
 
 from __future__ import annotations
@@ -36,14 +27,13 @@ from __future__ import annotations
 import statistics
 from collections import OrderedDict
 
+from ..perf.packed import PackedListStore
 from .cost_model import calibration_for, dp_cost
 from .features import extract_features
 
 #: Routes the planner chooses between, in deterministic tie-break order.
 FIXED_ROUTES = ("partition", "sle", "stack")
 _ROUTE_ORDER = {name: position for position, name in enumerate(FIXED_ROUTES)}
-#: Estimate key for the sharded Partition route.
-PARALLEL_ROUTE = "partition:parallel"
 
 
 class QueryPlan:
@@ -52,33 +42,27 @@ class QueryPlan:
     __slots__ = (
         "query",
         "k",
-        "parallelism",
         "chosen",
         "executed",
-        "parallel",
         "forced",
         "estimates",
         "estimated_seconds",
         "actual_seconds",
         "fallback",
         "cached",
-        "bound_seed",
         "index_version",
         "features",
         "cache_key",
     )
 
-    def __init__(self, query, k, parallelism, index_version):
+    def __init__(self, query, k, index_version):
         self.query = tuple(query)
         self.k = k
-        self.parallelism = parallelism
         #: The route the cost model picked ("partition"/"sle"/"stack").
         self.chosen = None
         #: The route that actually produced the response (differs from
         #: ``chosen`` only via the stack→partition fallback).
         self.executed = None
-        #: True when the partition route runs sharded.
-        self.parallel = False
         #: Set when the caller forced a fixed algorithm (explain mode).
         self.forced = None
         #: Per-route estimated seconds (absent routes were ineligible).
@@ -89,8 +73,6 @@ class QueryPlan:
         self.fallback = None
         #: True when the decision came from the plan cache.
         self.cached = False
-        #: Cross-run skip-bound seed for the sharded route (or None).
-        self.bound_seed = None
         self.index_version = index_version
         #: Compact feature summary (see ``QueryFeatures.summary``).
         self.features = {}
@@ -101,10 +83,8 @@ class QueryPlan:
         return {
             "query": list(self.query),
             "k": self.k,
-            "parallelism": self.parallelism,
             "chosen": self.chosen,
             "executed": self.executed,
-            "parallel": self.parallel,
             "forced": self.forced,
             "estimates_ms": {
                 name: round(seconds * 1e3, 4)
@@ -120,7 +100,6 @@ class QueryPlan:
             ),
             "fallback": self.fallback,
             "cached": self.cached,
-            "bound_seed": self.bound_seed,
             "index_version": self.index_version,
             "features": dict(self.features),
         }
@@ -131,12 +110,10 @@ class QueryPlan:
             return "n/a" if seconds is None else f"{seconds * 1e3:.3f} ms"
 
         executed = self.executed or self.chosen
-        mode = "sharded x%d" % self.parallelism if self.parallel else "serial"
         lines = [
-            "plan: algorithm=%s (%s, %s)%s" % (
+            "plan: algorithm=%s (%s)%s" % (
                 executed,
                 "forced" if self.forced else "auto",
-                mode,
                 " via fallback %s" % self.fallback if self.fallback else "",
             ),
             "  estimated %s, actual %s%s" % (
@@ -165,8 +142,6 @@ class QueryPlan:
                     feats.get("expected_direct_results"),
                 )
             )
-        if self.bound_seed is not None:
-            lines.append("  bound seed: %.3f" % self.bound_seed)
         return "\n".join(lines)
 
     def __repr__(self):
@@ -306,9 +281,10 @@ class QueryPlanner:
     def __init__(self, index, packed=None, calibration=None,
                  plan_cache_size=None):
         self.index = index
-        #: Optional PackedListStore — shares decoded columns with the
-        #: engine's SLCA path and stays version-coherent by identity.
-        self.packed = packed
+        #: PackedListStore — the engine passes its own so decoded
+        #: columns are shared with the SLCA path; version-coherent by
+        #: identity.
+        self.packed = packed if packed is not None else PackedListStore(index)
         self._calibration = calibration
         #: Plan cache, capacity tunable from replay measurements (size
         #: it at or above the distinct-query working set; ``None``
@@ -356,8 +332,7 @@ class QueryPlanner:
         monitoring state for the whole engine lifetime and survive.
         """
         self.index = index
-        if packed is not None:
-            self.packed = packed
+        self.packed = packed if packed is not None else PackedListStore(index)
         self._calibration = None
         self.cache.purge_stale(getattr(index, "version", 0))
         self._partition_counts.clear()
@@ -386,14 +361,7 @@ class QueryPlanner:
             self._counts_version = version
         count = self._partition_counts.get(keyword)
         if count is None:
-            if self.packed is not None:
-                count = self.packed.get(keyword).partition_count()
-            else:
-                from ..shard.worker import partition_ids
-
-                count = len(
-                    partition_ids(self.index.inverted_list(keyword).dewey_keys)
-                )
+            count = self.packed.get(keyword).partition_count()
             self._partition_counts[keyword] = count
         return count
 
@@ -403,8 +371,7 @@ class QueryPlanner:
         The refinement DP is a pure function of
         ``(query, present keywords, rules, limit)`` — posting data never
         enters it — so the memos survive index-version bumps and are
-        shared by every route the engine executes for this identity
-        (the serial-kernel analogue of the shard workers' ``dp_cache``).
+        shared by every route the engine executes for this identity.
         """
         identity = (tuple(terms), rules.fingerprint(), capacity)
         memos = self._dp_memos.get(identity)
@@ -418,7 +385,7 @@ class QueryPlanner:
     # ------------------------------------------------------------------
     # Cost model
     # ------------------------------------------------------------------
-    def estimate_routes(self, features, k, parallelism):
+    def estimate_routes(self, features, k):
         """Per-route estimated seconds; ineligible routes are absent."""
         cal = self.calibration
         beam = max(2 * k, 2)
@@ -432,7 +399,7 @@ class QueryPlanner:
         # steady-state bound on how many such improvements remain.
         full_beams = min(partitions, 2 * beam)
 
-        # Every serial route finishes with one batch-ranking pass over
+        # Every route finishes with one batch-ranking pass over
         # the kept candidates (at most the list capacity).
         ranking = cal.batch_score * beam
 
@@ -494,11 +461,6 @@ class QueryPlanner:
                 + ranking
             )
 
-        if parallelism > 1:
-            estimates[PARALLEL_ROUTE] = (
-                cal.dispatch * parallelism
-                + partition * (0.35 + 0.65 / parallelism)
-            )
         return estimates
 
     @staticmethod
@@ -523,7 +485,7 @@ class QueryPlanner:
         return estimate if factor is None else estimate * factor
 
     def _choose_serial(self, estimates, direct_hit=False):
-        """``(chosen, corrected seconds)`` over eligible serial routes."""
+        """``(chosen, corrected seconds)`` over the eligible routes."""
         corrected = {
             name: self._corrected(name, estimates[name], direct_hit)
             for name in FIXED_ROUTES
@@ -551,16 +513,15 @@ class QueryPlanner:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def _cache_key(self, terms, rules, k, parallelism):
+    def _cache_key(self, terms, rules, k):
         return (
             tuple(terms),
             rules.fingerprint(),
             k,
-            parallelism,
             getattr(self.index, "version", 0),
         )
 
-    def plan(self, terms, rules, k, parallelism=1, force=None):
+    def plan(self, terms, rules, k, force=None):
         """Build the :class:`QueryPlan` for one query.
 
         ``force`` pins the route to a fixed algorithm (used by
@@ -569,54 +530,41 @@ class QueryPlanner:
         plans bypass the plan cache.
         """
         version = getattr(self.index, "version", 0)
-        plan = QueryPlan(terms, k, parallelism, version)
+        plan = QueryPlan(terms, k, version)
         self.planned += 1
 
         if force is not None:
             plan.forced = force
             plan.chosen = force
-            plan.parallel = force == "partition" and parallelism > 1
             return plan
 
-        key = self._cache_key(terms, rules, k, parallelism)
+        key = self._cache_key(terms, rules, k)
         plan.cache_key = key
         entry = self.cache.get(key)
         if entry is not None:
             plan.cached = True
             plan.chosen = entry["chosen"]
-            plan.parallel = entry["parallel"]
             plan.estimates = entry["estimates"]
             plan.estimated_seconds = entry["estimated_seconds"]
             plan.features = entry["features"]
-            plan.bound_seed = entry.get("bound")
             return plan
 
         features = extract_features(
             self.index, terms, rules, self.partition_count
         )
-        estimates = self.estimate_routes(features, k, parallelism)
+        estimates = self.estimate_routes(features, k)
         chosen, estimated = self._choose_serial(
             estimates, features.direct_hit_predicted
         )
-        parallel = False
-        parallel_estimate = estimates.get(PARALLEL_ROUTE)
-        if parallel_estimate is not None and parallel_estimate < estimated:
-            chosen = "partition"
-            parallel = True
-            estimated = parallel_estimate
-
         plan.chosen = chosen
-        plan.parallel = parallel
         plan.estimates = estimates
         plan.estimated_seconds = estimated
         plan.features = features.summary()
         self.cache.put(key, {
             "chosen": chosen,
-            "parallel": parallel,
             "estimates": estimates,
             "estimated_seconds": estimated,
             "features": plan.features,
-            "bound": None,
         })
         return plan
 
@@ -632,9 +580,7 @@ class QueryPlanner:
             self.fallbacks += 1
         raw = None
         if plan.estimates:
-            raw = plan.estimates.get(
-                PARALLEL_ROUTE if plan.parallel else executed
-            )
+            raw = plan.estimates.get(executed)
         direct_hit = bool(
             (plan.features or {}).get("direct_hit_predicted")
         )
@@ -645,11 +591,7 @@ class QueryPlanner:
             self.cost_ratios.append((executed, round(ratio, 3)))
             del self.cost_ratios[: -self.RATIO_WINDOW]
             bucket = self._bucket_key(executed, direct_hit)
-            if (
-                not plan.parallel
-                and not plan.fallback
-                and bucket in self._route_ratios
-            ):
+            if not plan.fallback and bucket in self._route_ratios:
                 samples = self._route_ratios[bucket]
                 samples.append(ratio)
                 del samples[: -self.CORRECTION_WINDOW]
@@ -660,7 +602,7 @@ class QueryPlanner:
             if plan.cache_key is not None
             else None
         )
-        if entry is not None and not entry["parallel"]:
+        if entry is not None:
             # Re-score the cached route with the latest corrections so
             # identities planned before a drift was learned migrate to
             # the corrected winner without re-extracting features.
@@ -670,18 +612,6 @@ class QueryPlanner:
             )
             entry["chosen"] = chosen
             entry["estimated_seconds"] = estimated
-        # Record the converged Top-2K bound for cross-run seeding of
-        # the sharded route (sound: an identical plan key reproduces
-        # the identical answer, whose worst kept dissimilarity this is).
-        if response.needs_refinement and plan.cache_key is not None:
-            capacity = max(2 * plan.k, 2)
-            if len(response.candidates) == capacity:
-                bound = max(
-                    candidate.rq.dissimilarity
-                    for candidate in response.candidates
-                )
-                if entry is not None:
-                    entry["bound"] = bound
 
     def stats(self):
         """Monitoring snapshot for ``XRefine.cache_stats()``."""

@@ -6,8 +6,8 @@ interactive refinement loop assumes — a user's failed query is refined
 against a **live** index, immediately.
 
 ``repro.serve`` is an asyncio TCP/HTTP server that owns a single
-:class:`~repro.XRefine` (optionally with a ``parallelism=N`` shard
-runtime) and layers the production concerns on top of it:
+:class:`~repro.XRefine` and layers the production concerns on top of
+it:
 
 * **Endpoints** — ``POST /search``, ``POST /search_many``,
   ``POST /explain``, ``POST /reload``, ``POST /shutdown``,
@@ -16,8 +16,8 @@ runtime) and layers the production concerns on top of it:
 * **Zero-downtime hot-swap** — ``/reload`` loads a newer frozen
   snapshot in the background, drains in-flight requests against the
   old version stamp, atomically flips the engine, and releases the old
-  snapshot's mmap and shared-memory segments only after the last
-  reader exits (:mod:`repro.serve.lifecycle`).
+  snapshot's mmap only after the last reader exits
+  (:mod:`repro.serve.lifecycle`).
 * **Singleflight** — identical in-flight queries are coalesced onto
   one evaluation keyed on the result-cache key
   (:mod:`repro.serve.singleflight`).
@@ -27,7 +27,7 @@ runtime) and layers the production concerns on top of it:
 
 Quickstart::
 
-    python -m repro serve corpus.frz --port 8391 --parallelism 2
+    python -m repro serve corpus.frz --port 8391
 
     >>> from repro.serve import ServeClient
     >>> client = ServeClient("127.0.0.1", 8391)

@@ -69,7 +69,7 @@ class BackgroundServer:
         self._ready.set()
 
     def stop(self, timeout=30.0):
-        """Graceful shutdown (drain, close pool, release snapshot)."""
+        """Graceful shutdown (drain, release snapshot)."""
         server = self.server
         if server is not None and server.loop is not None:
             server.loop.call_soon_threadsafe(server.request_shutdown)

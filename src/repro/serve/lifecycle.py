@@ -17,10 +17,6 @@ owns that lifetime:
   :meth:`~SnapshotManager.flip` (fast, runs on the query thread so it
   is serialized behind every in-flight evaluation — the drain — and
   calls :meth:`repro.XRefine.swap_index` for the atomic pointer flip).
-
-The shard runtime's shared-memory segment is handled inside
-``swap_index`` (the old pool is closed on the flip, after the drain);
-the handle only needs to care about the mmap.
 """
 
 from __future__ import annotations
@@ -104,13 +100,13 @@ class SnapshotManager:
     """The engine plus its current (and draining) snapshot generations."""
 
     def __init__(self, source, model=None, cache_size=DEFAULT_CAPACITY,
-                 parallelism=1, cache_policy="tinylfu", cache_ttl=None,
+                 cache_policy="tinylfu", cache_ttl=None,
                  subresult_size=None, plan_cache_size=None):
         index = open_index_source(source)
         self.engine = XRefine(
             index, model=model, cache_size=cache_size,
-            parallelism=parallelism, cache_policy=cache_policy,
-            cache_ttl=cache_ttl, subresult_size=subresult_size,
+            cache_policy=cache_policy, cache_ttl=cache_ttl,
+            subresult_size=subresult_size,
             plan_cache_size=plan_cache_size,
         )
         self._lock = threading.Lock()
@@ -196,21 +192,8 @@ class SnapshotManager:
             "prewarmed": warmup.queries if warmup is not None else 0,
         }
 
-    def prewarm(self):
-        """Spin up the shard pool ahead of the first parallel query.
-
-        The runtime builds its worker pool (and publishes the shared-
-        memory segment) lazily on first use; forcing it here moves the
-        fork + publish cost to daemon startup instead of the first
-        parallel request's latency.
-        """
-        engine = self.engine
-        if engine.parallelism > 1:
-            engine._shard_runtime_for(engine.parallelism).executor()
-
     def close(self):
-        """Release the engine's pool and the current generation."""
-        self.engine.close()
+        """Release the current generation."""
         with self._lock:
             self._current.retire()
 

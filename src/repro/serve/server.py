@@ -56,6 +56,7 @@ from ..errors import (
     ServerOverloadedError,
 )
 from ..index.tokenize_text import query_terms
+from ..kernels.backend import backend_name
 from ..perf.result_cache import DEFAULT_CAPACITY
 from .admission import DEFAULT_MAX_INFLIGHT, AdmissionController
 from .http import HttpError, read_request, render_response
@@ -90,14 +91,14 @@ class RefineServer:
     SWAP_SEED_LIMIT = 8
 
     def __init__(self, source, host="127.0.0.1", port=0, model=None,
-                 cache_size=DEFAULT_CAPACITY, parallelism=1,
+                 cache_size=DEFAULT_CAPACITY,
                  max_inflight=DEFAULT_MAX_INFLIGHT,
                  cache_policy="tinylfu", cache_ttl=None,
                  subresult_size=None, plan_cache_size=None):
         self.manager = SnapshotManager(
             source, model=model, cache_size=cache_size,
-            parallelism=parallelism, cache_policy=cache_policy,
-            cache_ttl=cache_ttl, subresult_size=subresult_size,
+            cache_policy=cache_policy, cache_ttl=cache_ttl,
+            subresult_size=subresult_size,
             plan_cache_size=plan_cache_size,
         )
         self.host = host
@@ -133,7 +134,6 @@ class RefineServer:
         """Bind and start accepting (use port 0 for an ephemeral port)."""
         self.loop = asyncio.get_running_loop()
         self._stopping = asyncio.Event()
-        self.manager.prewarm()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -153,7 +153,7 @@ class RefineServer:
 
     async def _shutdown_resources(self):
         # The single-worker pools drain their queues on shutdown, so
-        # in-flight evaluations complete before the engine closes.
+        # in-flight evaluations complete before the snapshot closes.
         await self.loop.run_in_executor(None, self._query_pool.shutdown)
         await self.loop.run_in_executor(None, self._reload_pool.shutdown)
         self.manager.close()
@@ -221,6 +221,7 @@ class RefineServer:
                     "ok": True,
                     "generation": self.manager.generation,
                     "uptime_seconds": round(self.uptime_seconds, 3),
+                    "kernels": backend_name(),
                 }, ()
             if route == ("GET", "/stats"):
                 return 200, await self._stats(), ()
@@ -417,6 +418,7 @@ class RefineServer:
             "source": str(manager.current_source),
             "swaps": manager.swaps,
             "reloads": self.reloads,
+            "kernels": backend_name(),
             "engine": engine_stats,
             "admission": self.admission.stats(),
             "singleflight": self.singleflight.stats(),
@@ -424,7 +426,6 @@ class RefineServer:
                 "requests": self.requests,
                 "errors": self.errors,
                 "uptime_seconds": round(self.uptime_seconds, 3),
-                "parallelism": manager.engine.parallelism,
             },
         }
 
@@ -451,7 +452,7 @@ async def _amain(server, ready_callback, handle_signals):
 
 
 def run_server(source, host="127.0.0.1", port=DEFAULT_PORT, *,
-               model=None, cache_size=DEFAULT_CAPACITY, parallelism=1,
+               model=None, cache_size=DEFAULT_CAPACITY,
                max_inflight=DEFAULT_MAX_INFLIGHT, ready_callback=None,
                handle_signals=True, cache_policy="tinylfu",
                cache_ttl=None, subresult_size=None,
@@ -462,14 +463,13 @@ def run_server(source, host="127.0.0.1", port=DEFAULT_PORT, *,
     prints the port; the test harness grabs ``server.loop`` to stop it
     from another thread).  With ``handle_signals`` (the default),
     SIGTERM/SIGINT trigger the same graceful path as ``/shutdown`` —
-    drain, close the engine's pool, release the snapshot.
+    drain, release the snapshot.
     """
     server = RefineServer(
         source, host=host, port=port, model=model,
-        cache_size=cache_size, parallelism=parallelism,
-        max_inflight=max_inflight, cache_policy=cache_policy,
-        cache_ttl=cache_ttl, subresult_size=subresult_size,
-        plan_cache_size=plan_cache_size,
+        cache_size=cache_size, max_inflight=max_inflight,
+        cache_policy=cache_policy, cache_ttl=cache_ttl,
+        subresult_size=subresult_size, plan_cache_size=plan_cache_size,
     )
     asyncio.run(_amain(server, ready_callback, handle_signals))
     return server

@@ -206,9 +206,7 @@ def decode_dewey_list(data):
 # The two offset columns make every key and value addressable without
 # decoding anything else, so a reader over an mmap can binary-search
 # the key column and slice one value lazily — the access pattern of a
-# frozen inverted index.  Keeping the value blob contiguous (one value
-# per key, in key order) is what lets the shard layer publish the
-# whole posting region into shared memory with a single buffer copy.
+# frozen inverted index.
 
 _BLOCK_COUNT = struct.Struct("<Q")
 _BLOCK_OFFSET = struct.Struct("<Q")

@@ -162,23 +162,6 @@ class CowKVStore(KVStore):
         """True while no write has diverged from the base block."""
         return not self._deleted and len(self._tree) == 0
 
-    def contiguous_region(self):
-        """``(value_region, value_spans)`` of the base when pristine.
-
-        Returns None once any write lands — callers needing the
-        single-buffer fast path (shared-memory publication) must then
-        fall back to per-key copies.  Layered bases
-        (:class:`StackedKVBase`) have no single contiguous region and
-        also return None.
-        """
-        self._check_open()
-        if not self.is_pristine():
-            return None
-        value_region = getattr(self._base, "value_region", None)
-        if value_region is None:
-            return None
-        return value_region(), self._base.value_spans()
-
     def base_view(self, key):
         """Zero-copy view of ``key``'s *unmodified base* value.
 
@@ -327,10 +310,7 @@ class StackedKVBase:
 
     The stack is the *base* of a :class:`CowKVStore` — new writes land
     in the store's own overlay, which :mod:`repro.index.delta` can
-    export as the next layer of the chain.  There is deliberately no
-    ``value_region``: the values of a chain are scattered across
-    files, so zero-copy single-buffer publication falls back to
-    per-key copies (``CowKVStore.contiguous_region`` returns None).
+    export as the next layer of the chain.
     """
 
     __slots__ = ("_bottom", "_layers", "_count")

@@ -14,16 +14,12 @@ path that must agree:
   byte-identical :class:`~repro.core.result.RefinementResponse`
   fingerprints (stats excluded); ``stack`` (Top-1) must agree on the
   refinement flag, the original results and the optimal dissimilarity;
-  the partition skip bound must not change answers; a warm
-  (result-cached) engine must answer exactly like a cold one; and the
-  sharded scatter–gather execution (``repro.shard``) must be
-  byte-identical to serial Algorithm 2 at every ``(shards, rounds)``
-  combination tried — including a multi-round run that exercises the
-  cross-shard skip-bound broadcast.
+  the partition skip bound must not change answers; and a warm
+  (result-cached) engine must answer exactly like a cold one.
 * **Frozen snapshot layer** — the index is frozen to an mmap-served
   columnar snapshot (:mod:`repro.index.frozen`), loaded back, and the
-  plain SLCA path, all three refinement algorithms, and a sharded
-  fan-out are each diffed byte-for-byte against the built index.
+  plain SLCA path and all three refinement algorithms are each diffed
+  byte-for-byte against the built index.
 * **Delta-chain layer** — the document's last partition is peeled off
   into a base snapshot and re-added through a delta file
   (:mod:`repro.index.delta`); the merged base+delta view must answer
@@ -76,7 +72,6 @@ from ..kernels import (
     partition_view,
     slca_ranges,
 )
-from ..shard.refine import sharded_partition_refine
 from ..index.builder import build_document_index
 from ..index.tokenize_text import query_terms
 from ..slca.elca import elca
@@ -343,29 +338,6 @@ class DocumentOracle:
                 )
             )
 
-        # Sharded execution must be byte-identical to serial Algorithm 2
-        # at every fan-out; the (4, 2) run exercises the cross-round
-        # skip-bound broadcast.  The in-process executor runs the exact
-        # worker kernel with pickled transport; the real process pool
-        # is covered by tests/shard (forking here would dominate the
-        # sweep's runtime).
-        for shards, rounds in ((2, 1), (4, 1), (4, 2)):
-            sharded = sharded_partition_refine(
-                self.index, terms, rules=rules, model=model, k=k,
-                shards=shards, rounds=rounds,
-            )
-            if response_fingerprint(sharded) != fingerprints["partition"]:
-                divergences.append(
-                    Divergence(
-                        f"refine:sharded-vs-serial:{shards}x{rounds}",
-                        f"sharded run (shards={shards}, rounds={rounds}) "
-                        "differs from serial Algorithm 2",
-                        self.spec, query,
-                        fingerprints["partition"],
-                        response_fingerprint(sharded),
-                    )
-                )
-
         # Warm path: second engine.search must hit the result cache and
         # equal the cold direct call byte for byte.
         for algorithm in ("partition", "sle", "stack"):
@@ -398,10 +370,9 @@ class DocumentOracle:
         """The cost-based planner must never change an answer.
 
         ``algorithm="auto"`` is diffed against fixed Algorithm 2 cold
-        and warm; the forced-stack route (the planner's direct-hit bet,
-        including its partition fallback on a misprediction) and a
-        sharded run seeded with the plan cache's recorded bound are
-        both diffed too — the four ways a planner bug could corrupt an
+        and warm, and the forced-stack route (the planner's direct-hit
+        bet, including its partition fallback on a misprediction) is
+        diffed too — the three ways a planner bug could corrupt an
         answer.
         """
         divergences = []
@@ -442,7 +413,7 @@ class DocumentOracle:
         # direct-hit prediction: on a refinement query this exercises
         # the stack->partition fallback, which must restore the exact
         # Algorithm 2 answer.
-        plan = engine.planner.plan(terms, rules, k, 1, force="stack")
+        plan = engine.planner.plan(terms, rules, k, force="stack")
         forced = engine._execute_plan(plan, terms, rules, k)
         if response_fingerprint(forced) != reference:
             divergences.append(
@@ -455,26 +426,6 @@ class DocumentOracle:
                 )
             )
 
-        # A converged Top-2K bound seeded into a sharded run's first
-        # round must prune work, never answers.
-        capacity = max(2 * k, 2)
-        bound = None
-        if auto.needs_refinement and len(auto.candidates) == capacity:
-            bound = max(c.rq.dissimilarity for c in auto.candidates)
-        sharded = sharded_partition_refine(
-            self.index, terms, rules=rules, model=engine.model, k=k,
-            shards=3, rounds=2, initial_bound=bound,
-        )
-        if response_fingerprint(sharded) != reference:
-            divergences.append(
-                Divergence(
-                    "auto:sharded-bound",
-                    f"sharded run seeded with bound={bound} differs "
-                    "from serial Algorithm 2",
-                    self.spec, query, reference,
-                    response_fingerprint(sharded),
-                )
-            )
         return divergences
 
     # ------------------------------------------------------------------
@@ -484,8 +435,8 @@ class DocumentOracle:
         """A frozen-loaded engine must answer byte-identically.
 
         The index is frozen to a snapshot file, mmapped back, and every
-        refinement algorithm — plus a sharded fan-out and the plain
-        SLCA path — is diffed against the built index, proving the
+        refinement algorithm — plus the plain SLCA path — is diffed
+        against the built index, proving the
         columnar round trip (dictionary binary search, lazy payload
         decode, tree/statistics sections) loses nothing.
         """
@@ -528,23 +479,6 @@ class DocumentOracle:
                     )
                 )
 
-        sharded = sharded_partition_refine(
-            engine.index, terms, rules=engine.mine_rules(terms),
-            model=engine.model, k=k, shards=2, rounds=1,
-        )
-        built = response_fingerprint(
-            self.engine.search(terms, k=k, algorithm="partition")
-        )
-        if response_fingerprint(sharded) != built:
-            divergences.append(
-                Divergence(
-                    "frozen:sharded",
-                    "sharded execution over the frozen snapshot differs "
-                    "from serial Algorithm 2 on the built index",
-                    self.spec, query, built,
-                    response_fingerprint(sharded),
-                )
-            )
         return divergences
 
     # ------------------------------------------------------------------

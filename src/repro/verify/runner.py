@@ -74,18 +74,17 @@ def _check_document(oracle, queries, report):
         divergences += check_invariants(oracle, query)
         # Each query exercises every SLCA variant x {cold, packed,
         # warm}, the ELCA adjacency laws, the three refinement
-        # algorithms x {cold, warm}, the skip ablation, three
-        # sharded-vs-serial fan-outs, the five metamorphic
-        # invariants, the planner layer (auto cold/warm, the forced
-        # stack route, the seeded sharded bound), the frozen-snapshot
-        # layer (SLCA, four refinement algorithms, one sharded
-        # fan-out), the kernel layer (batch SLCA, LCP table,
-        # partition view, presence bound vs per-node recomputation),
+        # algorithms x {cold, warm}, the skip ablation, the five
+        # metamorphic invariants, the planner layer (auto cold/warm,
+        # the forced stack route), the frozen-snapshot layer (SLCA,
+        # four refinement algorithms), the kernel layer (batch SLCA,
+        # LCP table, partition view, presence bound vs per-node
+        # recomputation),
         # and the cache layer (the query and each of its refinements
         # re-issued through sub-result assembly and diffed against a
         # cache-disabled engine — counted at its one-comparison
         # floor; refinable queries contribute several more).
-        report.checks += 48
+        report.checks += 43
         found.extend(divergences)
     return found
 

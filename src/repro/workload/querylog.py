@@ -61,7 +61,7 @@ class QueryLog:
         return [dirty for dirty, _ in self.rewrite_pairs()]
 
 
-def replay(engine, log, k=1, algorithm="auto", parallelism=None):
+def replay(engine, log, k=1, algorithm="auto"):
     """Replay a :class:`QueryLog` through an engine, planner-routed.
 
     Feeds every logged submission (initial queries *and* rewrites, in
@@ -76,7 +76,6 @@ def replay(engine, log, k=1, algorithm="auto", parallelism=None):
         [entry.query for entry in log],
         k=k,
         algorithm=algorithm,
-        parallelism=parallelism,
     )
 
 

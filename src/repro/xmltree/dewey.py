@@ -180,10 +180,9 @@ class Dewey:
         return self._hash
 
     def __reduce__(self):
-        # Labels cross process boundaries in the sharded execution
-        # layer (repro.shard); the default slot-based pickling would
-        # trip over the immutability guard in ``__setattr__``, so
-        # rebuild through the trusted constructor instead.
+        # The default slot-based pickling would trip over the
+        # immutability guard in ``__setattr__``, so rebuild through
+        # the trusted constructor instead.
         return (_from_components, (self.components,))
 
     def __len__(self):

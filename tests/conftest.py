@@ -56,22 +56,6 @@ FIGURE1_XML = """<bib>
 </bib>"""
 
 
-@pytest.fixture(autouse=True, scope="session")
-def no_leaked_shard_segments():
-    """The suite must not leave shared-memory segments behind.
-
-    Every :class:`repro.shard.shm.SharedPostingBlob` lives in /dev/shm
-    under a recognizable prefix; any segment that outlives the session
-    is a lifecycle bug (a pool that closed without unlinking).
-    """
-    from repro.shard.shm import live_segments
-
-    before = set(live_segments())
-    yield
-    leaked = [name for name in live_segments() if name not in before]
-    assert not leaked, f"leaked shared-memory segments: {leaked}"
-
-
 @pytest.fixture(scope="session")
 def figure1_tree():
     return parse(FIGURE1_XML)

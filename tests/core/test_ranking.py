@@ -1,6 +1,9 @@
 """Tests for the ranking model (Formulas 2-10) and its variants."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -222,3 +225,44 @@ class TestVariants:
     def test_invalid_variant_index(self):
         with pytest.raises(ValueError):
             variant_without_guideline(5)
+
+
+_SCORES_SCRIPT = """
+from repro import XRefine
+from repro.datasets import generate_dblp
+from repro.index.builder import build_document_index
+from repro.workload import WorkloadGenerator
+
+index = build_document_index(generate_dblp(num_authors=40, seed=7))
+generator = WorkloadGenerator(index, seed=23)
+engine = XRefine(index, cache_size=0)
+for _ in range(12):
+    response = engine.search(generator.refinable_query().query, k=3)
+    print([
+        (r.rq.keywords, repr(r.rank_score), repr(r.similarity_score))
+        for r in response.refinements
+    ])
+"""
+
+
+class TestDeterminism:
+    def test_scores_are_identical_across_hash_seeds(self):
+        """Formula 4 must not add floats in set-iteration order.
+
+        The Guideline-2 domain used to be a ``set`` of keyword strings
+        that both scorers summed over, so ranked scores moved in the
+        last ulp from one interpreter to the next.  Two interpreters
+        with different hash seeds must print the same ``repr()``.
+        """
+        outputs = []
+        for hash_seed in ("101", "202"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+            env["PYTHONPATH"] = os.path.abspath(src)
+            result = subprocess.run(
+                [sys.executable, "-c", _SCORES_SCRIPT],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            outputs.append(result.stdout)
+        assert "(" in outputs[0], "no refinement was scored"
+        assert outputs[0] == outputs[1]

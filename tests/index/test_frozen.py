@@ -1,9 +1,9 @@
-"""Frozen columnar snapshot tests: round trip, corruption, CoW, shm.
+"""Frozen columnar snapshot tests: round trip, corruption, CoW.
 
 A frozen snapshot must serve byte-identical answers to the index it
 was frozen from, reject corrupt files with typed errors instead of
-undefined behaviour, accept mutations without touching the mapped
-file, and publish its posting section to shared memory as one copy.
+undefined behaviour, and accept mutations without touching the mapped
+file.
 """
 
 import struct
@@ -34,7 +34,6 @@ from repro.index.frozen import (
     MAGIC,
 )
 from repro.storage import encode_uvarint
-from repro.shard import SharedPostingBlob, sharded_partition_refine
 from repro.xmltree import Dewey, parse, serialize
 
 QUERIES = ("on line data base", "database publication", "xml twig")
@@ -100,25 +99,6 @@ class TestRoundTrip:
                     r.rq.key for r in b.refinements
                 ]
                 assert a.original_results == b.original_results
-
-    def test_sharded_matches_serial_built(self, loaded, figure1_index):
-        built = XRefine(figure1_index)
-        frozen = XRefine(loaded)
-        for query in QUERIES:
-            serial = built.search(query, k=2, algorithm="partition")
-            sharded = sharded_partition_refine(
-                frozen.index,
-                query,
-                rules=frozen.mine_rules(query),
-                model=frozen.model,
-                k=2,
-                shards=2,
-                rounds=1,
-            )
-            assert sharded.needs_refinement == serial.needs_refinement
-            assert [r.rq.key for r in sharded.refinements] == [
-                r.rq.key for r in serial.refinements
-            ]
 
     def test_snapshot_handle_attached(self, loaded):
         assert loaded.frozen_snapshot is not None
@@ -504,42 +484,3 @@ class TestCopyOnWrite:
         assert [r.rq.key for r in a.refinements] == [
             r.rq.key for r in b.refinements
         ]
-
-
-class TestSharedMemory:
-    def test_posting_region_only_while_pristine(self, loaded):
-        assert loaded.inverted.posting_region() is not None
-        append_partition(loaded, author_spec("frank", ["late arrival"]))
-        assert loaded.inverted.posting_region() is None
-
-    def test_publish_byte_identity(self, loaded, figure1_index):
-        blob = SharedPostingBlob.publish(loaded.inverted, loaded.version)
-        try:
-            for keyword in figure1_index.inverted.keywords():
-                assert blob.payload(
-                    keyword
-                ) == figure1_index.inverted.raw_payload(keyword), keyword
-            assert blob.payload("never-indexed") is None
-        finally:
-            blob.close()
-
-    def test_publish_after_mutation_falls_back(self, loaded):
-        append_partition(loaded, author_spec("grace", ["hash joins"]))
-        blob = SharedPostingBlob.publish(loaded.inverted, loaded.version)
-        try:
-            assert blob.payload("joins") == loaded.inverted.raw_payload(
-                "joins"
-            )
-        finally:
-            blob.close()
-
-    def test_decoded_matches_inverted_list(self, loaded, figure1_index):
-        blob = SharedPostingBlob.publish(loaded.inverted, loaded.version)
-        try:
-            for keyword in ("database", "xml", "2003"):
-                decoded = blob.decoded(keyword)
-                assert list(decoded.postings) == list(
-                    figure1_index.inverted_list(keyword)
-                )
-        finally:
-            blob.close()

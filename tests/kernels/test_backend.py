@@ -1,4 +1,4 @@
-"""Fast-path selection: env-var override and silent degradation."""
+"""Fast-path selection: env-var override and loud degradation."""
 
 from __future__ import annotations
 
@@ -10,8 +10,25 @@ import repro
 import repro.kernels.backend as backend_module
 
 
-def _probe_backend(extra_env):
-    """backend_name() reported by a fresh interpreter."""
+_NAME_SCRIPT = "from repro.kernels import backend_name; print(backend_name())"
+
+#: Serves a tiny frozen corpus in-process and prints what /healthz says.
+_HEALTHZ_SCRIPT = """
+import sys
+from repro.datasets import generate_dblp
+from repro.index.builder import build_document_index
+from repro.index.frozen import freeze_index
+from repro.serve import BackgroundServer
+
+freeze_index(build_document_index(generate_dblp(num_authors=5, seed=3)),
+             sys.argv[1])
+with BackgroundServer(sys.argv[1]) as daemon, daemon.client() as client:
+    print(client.healthz()["kernels"])
+"""
+
+
+def _run_fresh(extra_env, script=_NAME_SCRIPT, *argv):
+    """Run ``script`` in a fresh interpreter; the completed process."""
     env = os.environ.copy()
     env.pop(backend_module.NO_COMPILED_ENV, None)
     env.update(extra_env)
@@ -21,17 +38,18 @@ def _probe_backend(extra_env):
         src_dir + os.pathsep + existing if existing else src_dir
     )
     return subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "from repro.kernels import backend_name; print(backend_name())",
-        ],
+        [sys.executable, "-c", script, *argv],
         env=env,
         capture_output=True,
         text=True,
         check=True,
         timeout=180,
-    ).stdout.strip()
+    )
+
+
+def _probe_backend(extra_env):
+    """backend_name() reported by a fresh interpreter."""
+    return _run_fresh(extra_env).stdout.strip()
 
 
 def test_env_var_forces_pure_python():
@@ -50,16 +68,24 @@ def test_env_var_zero_means_unset():
     assert _probe_backend({backend_module.NO_COMPILED_ENV: ""}) == expected
 
 
-def test_missing_compiler_degrades_silently():
-    # CC pointing at a nonexistent binary must fall back, not raise.
-    # A fresh cache dir is forced by clearing TMPDIR to a new location.
-    import tempfile
+def test_opt_out_and_healthy_start_log_nothing():
+    # The e2e runner fails a daemon whose stderr is non-empty.
+    assert _run_fresh({backend_module.NO_COMPILED_ENV: "1"}).stderr == ""
+    healthy = _run_fresh({})
+    if healthy.stdout.strip() == "compiled-cc":
+        assert healthy.stderr == ""
 
-    with tempfile.TemporaryDirectory() as scratch:
-        assert (
-            _probe_backend({"CC": "/nonexistent/cc", "TMPDIR": scratch})
-            == "pure-python"
-        )
+
+def test_failed_build_warns_and_healthz_says_pure_python(tmp_path):
+    # A compiler that exits non-zero must fall back, not raise — and
+    # say so.  A fresh TMPDIR keeps the cached .so from being found.
+    result = _run_fresh(
+        {"CC": "false", "TMPDIR": str(tmp_path)},
+        _HEALTHZ_SCRIPT, str(tmp_path / "tiny.frz"),
+    )
+    assert result.stdout.strip() == "pure-python"
+    assert result.stderr.count("compiled scan kernels unavailable") == 1
+    assert "CalledProcessError" in result.stderr
 
 
 def test_backend_name_matches_module_state(monkeypatch):

@@ -1,10 +1,9 @@
 """``search_many`` dispatches each unique query exactly once.
 
 The batch API deduplicates on normalized terms *before* dispatch, so
-the guarantee must hold even with the LRU result cache disabled — and
-on the parallel path, where each duplicate would otherwise fan out
-over the pool again.  Counted by wrapping the refinement entry points
-the engine actually calls.
+the guarantee must hold even with the LRU result cache disabled.
+Counted by wrapping the refinement entry point the engine actually
+calls.
 """
 
 from __future__ import annotations
@@ -75,29 +74,6 @@ class TestSearchManyDedup:
         victim.original_results.append("garbage")
         victim.candidates.clear()
         assert response_fingerprint(twin) == reference
-
-    def test_parallel_executes_once_per_unique_query(
-        self, dblp_index, skewed_log, monkeypatch
-    ):
-        import repro.shard.refine as refine_module
-
-        pool, log = skewed_log
-        calls = []
-        real = refine_module.sharded_partition_refine
-
-        def counting(index, query, **kwargs):
-            calls.append(tuple(query))
-            return real(index, query, **kwargs)
-
-        monkeypatch.setattr(
-            refine_module, "sharded_partition_refine", counting
-        )
-        with XRefine(dblp_index, cache_size=0, parallelism=2) as engine:
-            responses = engine.search_many(log, k=2, algorithm="partition")
-
-        assert len(responses) == len(log)
-        assert len(calls) == len(pool)
-        assert len(set(calls)) == len(pool)
 
     def test_warm_cache_still_returns_one_response_per_request(
         self, dblp_index, skewed_log

@@ -41,16 +41,6 @@ class TestAutoIdentity:
                     engine.search(query, k=2, algorithm=fixed)
                 ), (query, fixed)
 
-    def test_auto_equals_partition_sharded(self, engine, queries):
-        for query in queries[:3]:
-            auto = response_fingerprint(
-                engine.search(query, k=2, algorithm="auto", parallelism=3)
-            )
-            serial = response_fingerprint(
-                engine.search(query, k=2, algorithm="partition")
-            )
-            assert auto == serial
-
     def test_forced_stack_route_falls_back_identically(
         self, engine, queries
     ):
@@ -126,8 +116,6 @@ class TestSearchManyValidationHoist:
             engine.search_many(["xml"], k=0)
         with pytest.raises(QueryError):
             engine.search_many(["xml"], algorithm="bogus")
-        with pytest.raises(QueryError):
-            engine.search_many(["xml"], algorithm="sle", parallelism=2)
         with pytest.raises(QueryError, match="empty"):
             engine.search_many(["xml", "   "])
 

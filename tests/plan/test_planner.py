@@ -14,7 +14,7 @@ from repro.index import append_partition, build_document_index, remove_partition
 from repro.lexicon.rules import RuleSet
 from repro.plan.cost_model import DEFAULT_CALIBRATION
 from repro.plan.features import QueryFeatures
-from repro.plan.planner import PARALLEL_ROUTE, PlanCache, QueryPlanner
+from repro.plan.planner import PlanCache, QueryPlanner
 from repro.xmltree.build import build_tree
 
 
@@ -62,10 +62,9 @@ def planner():
     return QueryPlanner(FakeIndex())
 
 
-def chosen_route(planner, features, k=1, parallelism=1):
-    estimates = planner.estimate_routes(features, k, parallelism)
-    serial = [n for n in ("partition", "sle", "stack") if n in estimates]
-    return min(serial, key=lambda name: estimates[name]), estimates
+def chosen_route(planner, features, k=1):
+    estimates = planner.estimate_routes(features, k)
+    return min(estimates, key=lambda name: estimates[name]), estimates
 
 
 class TestCostRegimes:
@@ -127,26 +126,8 @@ class TestCostRegimes:
 
     def test_stack_ineligible_without_predicted_direct_hit(self, planner):
         features = make_features(direct_hit=False)
-        estimates = planner.estimate_routes(features, k=1, parallelism=1)
+        estimates = planner.estimate_routes(features, k=1)
         assert "stack" not in estimates
-
-    def test_huge_scan_prefers_the_sharded_route(self, planner):
-        features = make_features(
-            terms=("alpha", "beta", "gamma"),
-            total_postings=100_000,
-            anchor="alpha",
-            anchor_length=50_000,
-            anchor_partitions=2_000,
-            union_partitions=2_000,
-        )
-        estimates = planner.estimate_routes(features, k=1, parallelism=4)
-        assert PARALLEL_ROUTE in estimates
-        assert estimates[PARALLEL_ROUTE] < estimates["partition"]
-
-    def test_parallel_route_absent_when_serial(self, planner):
-        features = make_features()
-        estimates = planner.estimate_routes(features, k=1, parallelism=1)
-        assert PARALLEL_ROUTE not in estimates
 
 
 class TestStackSleMargin:
@@ -223,37 +204,6 @@ class TestPlanRouting:
         assert forced.forced == "stack"
         assert forced.chosen == "stack"
         assert not forced.cached
-
-    def test_bound_recorded_and_seeded_on_the_next_plan(
-        self, planner, monkeypatch
-    ):
-        monkeypatch.setattr(
-            "repro.plan.planner.extract_features",
-            lambda *args, **kwargs: make_features(),
-        )
-        rules = RuleSet()
-        plan = planner.plan(("alpha", "beta"), rules, k=1)
-        assert plan.bound_seed is None
-
-        class FakeRQ:
-            dissimilarity = 0.75
-
-        class FakeCandidate:
-            rq = FakeRQ()
-
-        class FakeStats:
-            elapsed_seconds = 1e-3
-
-        class FakeResponse:
-            needs_refinement = True
-            candidates = [FakeCandidate(), FakeCandidate()]  # capacity 2
-            stats = FakeStats()
-
-        plan.executed = plan.chosen
-        planner.record(plan, FakeResponse())
-        seeded = planner.plan(("alpha", "beta"), rules, k=1)
-        assert seeded.cached
-        assert seeded.bound_seed == 0.75
 
     def test_learned_drift_rescores_the_cached_route(
         self, planner, monkeypatch
@@ -377,9 +327,7 @@ class TestBucketedCorrections:
                 version = 0
 
             FakeIndex.calibration = calibration
-            estimates = QueryPlanner(FakeIndex()).estimate_routes(
-                features, 1, 1
-            )
+            estimates = QueryPlanner(FakeIndex()).estimate_routes(features, 1)
             assert "stack" in estimates
             return estimates["stack"]
 

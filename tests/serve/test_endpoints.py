@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from repro import XRefine
+from repro.kernels import backend_name
 from repro.serve import BackgroundServer, ServeClientError
 from repro.serve.wire import encode_response
 
@@ -36,6 +37,7 @@ class TestHappyPaths:
         assert body["ok"] is True
         assert body["generation"] == 0
         assert body["uptime_seconds"] >= 0
+        assert body["kernels"] == backend_name()
 
     def test_search_matches_library_engine(
         self, client, serve_snapshots
@@ -72,6 +74,7 @@ class TestHappyPaths:
         stats = client.stats()
         assert stats["generation"] == 0
         assert stats["swaps"] == 0
+        assert stats["kernels"] == backend_name()
         assert stats["engine"]["index_version"] == 0
         assert stats["engine"]["results"]["maxsize"] > 0
         assert stats["admission"]["admitted"] >= 1

@@ -12,7 +12,6 @@ The contract under test, end to end and at the lifecycle layer:
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 
 import pytest
@@ -96,33 +95,6 @@ class TestReloadUnderLoad:
                 # never a stale-cache mix across the swap.
                 assert wire_answer(answer) == expected[source], generation
             assert 0 in seen_generations  # load spanned the first flip
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="the shard pool needs the fork start method",
-    )
-    def test_reload_hands_off_the_shard_pool(self, serve_snapshots):
-        """A parallel daemon swaps its worker pool with the snapshot."""
-        snap_a, snap_b = serve_snapshots
-        with BackgroundServer(snap_a, parallelism=2) as daemon:
-            with daemon.client() as client:
-                # Pinned to "partition" so the sharded path actually
-                # runs (with "auto" the planner may stay serial).
-                before = client.search(QUERY, k=2, algorithm="partition")
-                client.reload(snap_b)
-                after = client.search(QUERY, k=2, algorithm="partition")
-            assert after["generation"] == 1
-            assert wire_answer(after) != wire_answer(before)
-            serial = XRefine.from_frozen(snap_b)
-            expected = wire_answer(
-                encode_response(
-                    serial.search(QUERY, k=2, algorithm="partition")
-                )
-            )
-            # The rebuilt pool serves the *new* corpus, byte-identical
-            # to a serial engine over the same snapshot.
-            assert wire_answer(after) == expected
-        # The session-wide no-leak fixture backstops the segment swap.
 
     def test_swap_purges_cached_answers(self, serve_snapshots):
         """A query cached on generation N must re-evaluate on N+1."""

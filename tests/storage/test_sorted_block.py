@@ -111,18 +111,10 @@ class TestCowKVStore:
         assert b"alpha" in store
         assert list(store.items()) == SAMPLE
 
-    def test_contiguous_region_only_while_pristine(self):
-        store = self.make()
-        region, spans = store.contiguous_region()
-        assert bytes(region) == b"".join(v for _, v in SAMPLE)
-        assert len(spans) == 4
-        store.put(b"zeta", b"new")
-        assert store.contiguous_region() is None
-        assert not store.is_pristine()
-
     def test_overlay_shadows_base(self):
         store = self.make()
         store.put(b"alpha", b"overridden")
+        assert not store.is_pristine()
         assert store.get(b"alpha") == b"overridden"
         assert len(store) == 4
         assert dict(store.items())[b"alpha"] == b"overridden"
