@@ -136,6 +136,9 @@ class XRefine:
         A prebuilt :class:`~repro.index.builder.DocumentIndex`.
     model:
         Ranking model (Formula 10); the full RS0 model by default.
+        Its parameters are part of every result-cache key and are read
+        once per model object — assign a new model rather than mutating
+        one an engine already holds.
     miner:
         Rule miner; constructed over the corpus vocabulary by default.
         An auto-constructed miner is rebuilt whenever the index version
@@ -177,6 +180,7 @@ class XRefine:
                  rules_memo_size=None):
         self.index = index
         self.model = model if model is not None else full_model()
+        self._model_key_memo = (None, None)
         self._auto_miner = miner is None
         if miner is None:
             miner = RuleMiner(index.inverted.keywords())
@@ -261,17 +265,35 @@ class XRefine:
         self._miner_version = version
 
     def _model_key(self):
-        """The model parameters that affect a query's answer."""
+        """The model parameters that affect a query's answer.
+
+        Built once per model object (a model is treated as immutable
+        once an engine holds it; assign a new one to change weights).
+        """
         model = self.model
+        memo = self._model_key_memo
+        if memo[0] is not model:
+            memo = self._model_key_memo = (model, (
+                model.alpha,
+                model.beta,
+                model.decay,
+                model.use_g1,
+                model.use_g2,
+                model.use_g3,
+                model.use_g4,
+                model.g2_domain,
+            ))
+        return memo[1]
+
+    def _result_key(self, terms, k, algorithm, rank_results):
+        """The result-cache key of a validated refinement search."""
         return (
-            model.alpha,
-            model.beta,
-            model.decay,
-            model.use_g1,
-            model.use_g2,
-            model.use_g3,
-            model.use_g4,
-            model.g2_domain,
+            "search",
+            terms,
+            k,
+            algorithm,
+            bool(rank_results),
+            self._model_key(),
         )
 
     def clear_caches(self):
@@ -523,7 +545,23 @@ class XRefine:
         -------
         RefinementResponse
         """
-        k = _validate_k(k)
+        terms = self.normalize(query, k, algorithm)
+        return self._search_validated(
+            terms, k, algorithm, rules, rank_results, explain
+        )
+
+    def normalize(self, query, k=1, algorithm="auto"):
+        """Validate a search request; returns its normalized term tuple.
+
+        The checks :meth:`search` runs before it looks anything up —
+        ``k`` a positive ``int`` (not ``bool``, not ``1.0``: both hash
+        like ``1`` and would otherwise *hit* the ``k=1`` cache entry),
+        ``algorithm`` in the registry, at least one indexable term —
+        each failing with :class:`~repro.errors.QueryError`.  Reads no
+        engine state, so any thread may call it; a returned tuple
+        passed back in as ``query`` normalizes to itself.
+        """
+        _validate_k(k)
         if algorithm not in ALGORITHMS:
             raise QueryError(
                 f"unknown refinement algorithm {algorithm!r}; "
@@ -535,9 +573,34 @@ class XRefine:
                 "the keyword query is empty (no indexable terms after "
                 "normalization)"
             )
-        return self._search_validated(
-            terms, k, algorithm, rules, rank_results, explain
-        )
+        return terms
+
+    def cached_body(self, terms, k=1, algorithm="auto", rank_results=False):
+        """The memoized wire body of a result-cache hit, or ``None``.
+
+        The serving daemon's event-loop probe; safe from any thread.
+        ``terms``/``k``/``algorithm`` must have passed
+        :meth:`normalize`.  The lookup is the one :meth:`search` makes
+        — ``index.version`` read and cache probed under the cache lock
+        that :meth:`swap_index` holds across its flip and purge, so a
+        body of the previous generation is unreachable the moment the
+        flip completes.  It *counts* (hit counter, recency, frequency
+        sketch) only when it returns a body: on anything else — no
+        entry, a stale or expired one, a response the daemon has not
+        rendered yet — it leaves the cache untouched and the caller's
+        :meth:`search` makes the request's one counted lookup.
+        """
+        cache = self.result_cache
+        if not cache.enabled:
+            return None
+        key = self._result_key(terms, k, algorithm, rank_results)
+        with cache.lock:
+            version = getattr(self.index, "version", 0)
+            response = cache.peek(key, version)
+            if response is None or response.wire_body is None:
+                return None
+            cache.get(key, version)
+            return response.wire_body
 
     def _search_validated(self, terms, k, algorithm, rules, rank_results,
                           explain):
@@ -558,14 +621,7 @@ class XRefine:
         version = getattr(self.index, "version", 0)
         mined = rules is None
         if rules is None and self.result_cache.enabled:
-            cache_key = (
-                "search",
-                terms,
-                k,
-                algorithm,
-                bool(rank_results),
-                self._model_key(),
-            )
+            cache_key = self._result_key(terms, k, algorithm, rank_results)
             with self.result_cache.lock:
                 version = getattr(self.index, "version", 0)
                 cached = self.result_cache.get(cache_key, version)

@@ -117,6 +117,7 @@ class RefinementResponse:
         "search_for",
         "stats",
         "plan",
+        "wire_body",
     )
 
     def __init__(
@@ -147,6 +148,13 @@ class RefinementResponse:
         #: ``explain=True``; ``None`` otherwise.  Not part of the
         #: answer fingerprint.
         self.plan = plan
+        #: The serving daemon's rendered JSON body for this response
+        #: (``bytes``), memoized by :mod:`repro.serve` so a result-cache
+        #: hit re-sends it instead of re-encoding; ``None`` until the
+        #: daemon first answers with it.  Like ``plan`` it is not part
+        #: of the answer fingerprint, and :meth:`copy` does not carry
+        #: it — a copy exists to be mutated.
+        self.wire_body = None
 
     def copy(self):
         """A mutation-isolated duplicate of this response.
@@ -159,7 +167,8 @@ class RefinementResponse:
         objects shared between ``refinements`` and ``candidates`` keep
         that sharing in the copy (they are the same ranked entry, not
         coincidentally equal ones); immutable leaves (``rq``, Dewey
-        labels) and the ``stats``/``plan`` records are shared.
+        labels) and the ``stats``/``plan`` records are shared.  The
+        memoized ``wire_body`` is dropped.
         """
         copies = {id(r): r.copy() for r in self.refinements}
         for candidate in self.candidates:

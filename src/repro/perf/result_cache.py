@@ -208,6 +208,26 @@ class QueryResultCache:
             self.hits += 1
             return value
 
+    def peek(self, key, version):
+        """The value :meth:`get` would return, without the bookkeeping.
+
+        Counts nothing, feeds no sketch, bumps no recency and discards
+        nothing — for callers that must look at the value before they
+        decide whether this lookup is theirs to count (the daemon's
+        loop-side probe hands a miss to the query thread, whose
+        :meth:`get` is then the request's one counted lookup).
+        """
+        with self.lock:
+            _, entry = self._find(key)
+            if entry is None:
+                return None
+            cached_version, value, expires_at = entry
+            if cached_version != version:
+                return None
+            if expires_at is not None and self._clock() >= expires_at:
+                return None
+            return value
+
     def _touch(self, segment, key, entry):
         """Record a reference: LRU bump + segmented-LRU promotion."""
         if segment is self._probation and self._protected_cap > 0:

@@ -135,9 +135,19 @@ async def read_request(reader):
     return Request(method.upper(), path, headers, body, keep_alive)
 
 
+def encode_body(payload):
+    """A JSON-ready payload as the UTF-8 body bytes a response carries."""
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+
 def render_response(status, payload, keep_alive=True, extra_headers=()):
-    """Serialize a status + JSON payload into response bytes."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    """Serialize a status + JSON payload into response bytes.
+
+    ``payload`` may be ``bytes`` already produced by :func:`encode_body`
+    (the daemon renders a search answer once and re-sends it on every
+    result-cache hit); only the head is built around it then.
+    """
+    body = payload if isinstance(payload, bytes) else encode_body(payload)
     reason = _REASONS.get(status, "Unknown")
     lines = [
         f"HTTP/1.1 {status} {reason}",

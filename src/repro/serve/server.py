@@ -17,20 +17,44 @@ and serves it forever:
 
 Concurrency model — the part everything else leans on:
 
-* The **event loop** does protocol work only (framing, JSON, admission,
-  singleflight bookkeeping).
-* All engine calls run on a **single-worker executor** (the engine is
-  not thread-safe); requests queue FIFO behind it, admission caps the
-  queue, singleflight collapses identical entries in it.
+* The **event loop** does protocol work (framing, JSON, request
+  validation and query normalization, admission, singleflight
+  bookkeeping) and answers ``/search`` **result-cache hits** itself:
+  one probe under the result cache's lock
+  (:meth:`~repro.XRefine.cached_body`) and one socket write of the body
+  bytes stored with the cached response.  A hit never reaches the
+  query thread, takes no admission slot, no singleflight entry and no
+  snapshot handle (the bytes reference no mmap) — so it does not queue
+  behind a slow miss or a pending flip and is never shed with a 429.
+* Every *evaluation* — a ``/search`` miss, ``/explain``,
+  ``/search_many`` — runs on a **single-worker executor** (the engine
+  evaluates one query at a time); requests queue FIFO behind it,
+  admission caps the queue, singleflight collapses identical entries in
+  it.  The query thread also renders each ``/search`` answer to bytes,
+  once, stamps ``generation`` where a flip cannot be concurrent, and
+  keeps the bytes on the cached response
+  (``RefinementResponse.wire_body``); a response cached without bytes
+  (by ``/search_many`` or ``/explain``) falls through to this thread on
+  its first ``/search`` and is rendered there.  Either way a request is
+  exactly one counted cache lookup: made on the loop if it hits there,
+  on the query thread otherwise.
+* Why a loop-side hit is swap-safe: the probe reads ``index.version``
+  and the cache entry under the same lock
+  :meth:`~repro.XRefine.swap_index` holds while it flips the index and
+  purges every other version's entries.  The bytes live and die with
+  the entry, so a body labelled generation *g* is unreachable from the
+  moment *g* stops serving; on a hit, ``generation`` names the
+  generation that evaluated the answer, which is the serving one.
 * ``/reload`` does its slow half (loading the new snapshot, then
-  pre-mining recently served queries' rule sets against it) on a
-  separate **reload executor**, so serving continues at full rate, and
-  submits its fast half — :meth:`SnapshotManager.flip` — to the *query*
-  executor.  FIFO ordering of that single thread is the drain: the flip
-  cannot start until every already-admitted evaluation has finished,
-  and nothing evaluates mid-flip.  Requests admitted after the flip see
-  the new generation; the old generation's mmap is released by the
-  refcount when its last reader exits.
+  pre-mining recently served queries' rule sets against it — hits
+  count as served) on a separate **reload executor**, so serving
+  continues at full rate, and submits its fast half —
+  :meth:`SnapshotManager.flip` — to the *query* executor.  FIFO
+  ordering of that single thread is the drain: the flip cannot start
+  until every already-admitted evaluation has finished, and nothing
+  evaluates mid-flip.  Requests admitted after the flip see the new
+  generation; the old generation's mmap is released by the refcount
+  when its last reader exits.
 
 Error mapping: validation failures (:class:`~repro.errors.QueryError`)
 are 400s, overload (:class:`~repro.errors.ServerOverloadedError`) is a
@@ -59,7 +83,7 @@ from ..index.tokenize_text import query_terms
 from ..kernels.backend import backend_name
 from ..perf.result_cache import DEFAULT_CAPACITY
 from .admission import DEFAULT_MAX_INFLIGHT, AdmissionController
-from .http import HttpError, read_request, render_response
+from .http import HttpError, encode_body, read_request, render_response
 from .lifecycle import SnapshotManager
 from .singleflight import SingleFlight
 from .wire import (
@@ -126,6 +150,9 @@ class RefineServer:
         self.requests = 0
         self.errors = 0
         self.reloads = 0
+        #: ``/search`` responses served from the event loop (a result-
+        #: cache hit whose rendered bytes were re-sent as they were).
+        self.inline_hits = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -288,18 +315,33 @@ class RefineServer:
     async def _search(self, body, explain=False):
         params = decode_search_body(body)
         engine = self.manager.engine
-        # Normalization is index-independent, so the singleflight key
-        # can be computed on the event loop; it extends the engine's
-        # result-cache key with the snapshot generation so identical
-        # queries coalesce only within a generation.
-        terms = tuple(query_terms(params["query"]))
+        k = params["k"]
+        algorithm = params["algorithm"]
+        rank_results = params["rank_results"]
+        # Validation and normalization are index-independent, so they
+        # run here, once; the query thread is handed the term tuple.
+        # Validating *before* the probe matters: ``True`` and ``1.0``
+        # hash like ``1`` and would hit the ``k=1`` entry.
+        terms = engine.normalize(params["query"], k, algorithm)
         self._note_terms(terms)
+        if not explain:
+            # Loop-side hit: the bytes the query thread rendered when
+            # it made this answer, found under the result-cache lock
+            # (see the module docstring for why that is swap-safe).
+            # No admission slot, no singleflight entry, no snapshot
+            # handle — the bytes reference no mmap.
+            cached = engine.cached_body(terms, k, algorithm, rank_results)
+            if cached is not None:
+                self.inline_hits += 1
+                return cached
+        # The engine's result-cache key extended with the snapshot
+        # generation, so identical queries coalesce only within one.
         key = (
             "explain" if explain else "search",
             terms,
-            params["k"],
-            params["algorithm"],
-            params["rank_results"],
+            k,
+            algorithm,
+            rank_results,
             engine._model_key(),
             self.manager.generation,
         )
@@ -309,24 +351,37 @@ class RefineServer:
                 async def evaluate():
                     def call():
                         response = engine.search(
-                            params["query"],
-                            k=params["k"],
-                            algorithm=params["algorithm"],
-                            rank_results=params["rank_results"],
+                            terms,
+                            k=k,
+                            algorithm=algorithm,
+                            rank_results=rank_results,
                             explain=explain,
                         )
-                        payload = encode_response(
-                            response, include_plan=explain
-                        )
-                        if explain and response.plan is not None:
-                            payload["plan_text"] = response.plan.describe()
-                        # Read on the query thread, where a flip cannot
-                        # be concurrent: the label always matches the
-                        # generation the answer was evaluated against,
-                        # even for requests admitted mid-drain (their
-                        # `handle` may pin the previous generation).
-                        payload["generation"] = self.manager.generation
-                        return payload
+                        # `generation` is read on the query thread,
+                        # where a flip cannot be concurrent: the label
+                        # always matches the generation the answer was
+                        # evaluated against, even for requests admitted
+                        # mid-drain (their `handle` may pin the
+                        # previous generation).
+                        if explain:
+                            payload = encode_response(
+                                response, include_plan=True
+                            )
+                            if response.plan is not None:
+                                payload["plan_text"] = (
+                                    response.plan.describe()
+                                )
+                            payload["generation"] = self.manager.generation
+                            return payload
+                        if response.wire_body is None:
+                            # Rendered once, here, and kept with the
+                            # cached response: every later hit re-sends
+                            # these bytes, and the flip that ends this
+                            # generation purges them with the entry.
+                            payload = encode_response(response)
+                            payload["generation"] = self.manager.generation
+                            response.wire_body = encode_body(payload)
+                        return response.wire_body
 
                     return await self.loop.run_in_executor(
                         self._query_pool, call
@@ -425,6 +480,7 @@ class RefineServer:
             "server": {
                 "requests": self.requests,
                 "errors": self.errors,
+                "inline_hits": self.inline_hits,
                 "uptime_seconds": round(self.uptime_seconds, 3),
             },
         }

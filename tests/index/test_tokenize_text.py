@@ -1,5 +1,8 @@
 """Tests for keyword extraction and query normalization."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.index import extract_terms, node_keywords, normalize_term, query_terms
 from repro.xmltree import build_tree
 
@@ -107,3 +110,11 @@ class TestQueryTerms:
 
     def test_normalize_term(self):
         assert normalize_term("DataBase") == "database"
+
+    @given(st.one_of(st.text(), st.lists(st.text())))
+    def test_normalized_terms_round_trip_unchanged(self, query):
+        # The daemon normalizes once on its event loop and hands the
+        # term tuple to the engine as the query: normalizing a
+        # normalized tuple must be the identity.
+        terms = tuple(query_terms(query))
+        assert tuple(query_terms(terms)) == terms

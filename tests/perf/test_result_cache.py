@@ -255,3 +255,23 @@ class TestVersioning:
         assert stats["policy"] == "tinylfu"
         assert stats["sketch"]["age_resets"] == 0
         assert stats["sketch"]["sample_limit"] == 40
+
+
+class TestPeek:
+    @pytest.mark.parametrize("policy", ["lru", "tinylfu"])
+    def test_peek_returns_what_get_would_and_counts_nothing(self, policy):
+        clock = FakeClock()
+        cache = QueryResultCache(
+            maxsize=8, policy=policy, ttl=10.0, clock=clock
+        )
+        cache.put("a", 1, version=0)
+        before = cache.stats()
+        assert cache.peek("a", version=0) == 1
+        assert cache.peek("absent", version=0) is None
+        assert cache.peek("a", version=1) is None  # stale stamp
+        clock.advance(11.0)
+        assert cache.peek("a", version=0) is None  # past its TTL
+        # No counter, sketch sample or entry moved: the stale/expired
+        # entry is still there for a counted get() to discard.
+        assert cache.stats() == before
+        assert "a" in cache

@@ -225,6 +225,57 @@ class TestPreparedSwap:
         ) == response_fingerprint(fresh.search(query, k=2))
 
 
+class TestCachedBodyProbe:
+    """``XRefine.cached_body``: the daemon's loop-side lookup."""
+
+    def test_counts_only_when_it_returns_a_body(self, corpus_pair):
+        index_a, _ = corpus_pair
+        engine = XRefine(index_a)
+        query = refinable_query(index_a)
+        terms = engine.normalize(query, 2, "auto")
+        cache = engine.result_cache
+
+        def counted():
+            stats = cache.stats()
+            return (
+                stats["hits"], stats["misses"], stats["sketch"]["samples"]
+            )
+
+        # Nothing cached: the probe leaves every counter alone.
+        assert engine.cached_body(terms, 2) is None
+        assert counted() == (0, 0, 0)
+        # Cached, but nobody has rendered it yet: still untouched.
+        response = engine.search(terms, k=2)
+        after_search = counted()
+        assert engine.cached_body(terms, 2) is None
+        assert counted() == after_search
+        # Rendered: exactly one counted lookup, a hit.
+        response.wire_body = b"{}"
+        assert engine.cached_body(terms, 2) == b"{}"
+        hits, misses, samples = after_search
+        assert counted() == (hits + 1, misses, samples + 1)
+        # A different k is a different entry.
+        assert engine.cached_body(terms, 3) is None
+
+    def test_swap_makes_the_body_unreachable(self, corpus_pair):
+        index_a, index_b = corpus_pair
+        engine = XRefine(index_a)
+        terms = engine.normalize(refinable_query(index_a), 2, "auto")
+        engine.search(terms, k=2).wire_body = b"generation-a"
+        assert engine.cached_body(terms, 2) == b"generation-a"
+        engine.swap_index(index_b)
+        assert engine.cached_body(terms, 2) is None
+
+    def test_disabled_cache_and_copies_carry_no_body(self, corpus_pair):
+        index_a, _ = corpus_pair
+        engine = XRefine(index_a, cache_size=0)
+        terms = engine.normalize(refinable_query(index_a), 2, "auto")
+        response = engine.search(terms, k=2)
+        response.wire_body = b"{}"
+        assert engine.cached_body(terms, 2) is None
+        assert response.copy().wire_body is None
+
+
 class TestThreadedStamps:
     def test_concurrent_readers_never_cross_generations(self):
         """Readers doing atomic capture+get while a writer flips.

@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from repro import XRefine
+from repro.errors import QueryError
 from repro.kernels import backend_name
 from repro.serve import BackgroundServer, ServeClientError
 from repro.serve.wire import encode_response
@@ -167,6 +168,40 @@ class TestClientErrors:
         assert body["error_type"] == "HttpError"
         assert "JSON" in body["error"]
 
+    def test_invalid_requests_never_hit_a_cached_entry(
+        self, daemon, client, serve_snapshots
+    ):
+        """Validation runs before the loop-side cache probe.
+
+        ``True == 1`` and ``1.0 == 1`` hash alike: probed unvalidated,
+        ``k=true`` would be *answered* from the ``k=1`` entry.
+        """
+        client.search(QUERY, k=1)
+        inline = daemon.server.inline_hits
+        client.search(QUERY, k=1)
+        assert daemon.server.inline_hits == inline + 1  # cached, rendered
+        library = XRefine.from_frozen(serve_snapshots[0])
+        for body in (
+            {"query": QUERY, "k": True},
+            {"query": QUERY, "k": 1.0},
+            {"query": QUERY, "k": 0},
+            {"query": QUERY, "algorithm": "bogus"},
+            {"query": " !!! "},
+        ):
+            with pytest.raises(QueryError) as expected:
+                library.search(
+                    body["query"], k=body.get("k", 1),
+                    algorithm=body.get("algorithm", "auto"),
+                )
+            errors = daemon.server.errors
+            with pytest.raises(ServeClientError) as err:
+                client._request("POST", "/search", body)
+            assert err.value.status == 400, body
+            assert err.value.error_type == "QueryError"
+            assert err.value.error == str(expected.value)
+            assert daemon.server.errors == errors + 1
+        assert daemon.server.inline_hits == inline + 1
+
     def test_failed_requests_leave_the_daemon_serving(self, client):
         with pytest.raises(ServeClientError):
             client.search("", k=1)
@@ -266,3 +301,164 @@ class TestSingleflight:
             assert daemon.server.singleflight.coalesced >= 4
             first = wire_answer(answers[0])
             assert all(wire_answer(a) == first for a in answers[1:])
+
+
+@pytest.fixture()
+def fresh_daemon(serve_snapshots):
+    """A daemon of its own, for tests that read exact counters."""
+    with BackgroundServer(serve_snapshots[0]) as server:
+        yield server
+
+
+def counters(stats):
+    results = stats["engine"]["results"]
+    flights = stats["singleflight"]
+    return {
+        "lookups": results["hits"] + results["misses"],
+        "hits": results["hits"],
+        "samples": results["sketch"]["samples"],
+        "inline": stats["server"]["inline_hits"],
+        "leaders": flights["leaders"],
+        "coalesced": flights["coalesced"],
+        "admitted": stats["admission"]["admitted"],
+    }
+
+
+def delta(before, after):
+    return {name: after[name] - before[name] for name in before}
+
+
+class TestInlineHits:
+    """Result-cache hits answered on the event loop as stored bytes."""
+
+    def test_repeat_is_byte_identical(self, fresh_daemon):
+        request = json.dumps({"query": QUERY, "k": 2}).encode()
+        connection = http.client.HTTPConnection(
+            fresh_daemon.host, fresh_daemon.port, timeout=30.0
+        )
+        try:
+            bodies = []
+            for _ in range(3):
+                connection.request("POST", "/search", body=request)
+                response = connection.getresponse()
+                assert response.status == 200
+                bodies.append(response.read())
+        finally:
+            connection.close()
+        assert bodies[0] == bodies[1] == bodies[2]
+        assert json.loads(bodies[0])["generation"] == 0
+        assert fresh_daemon.server.inline_hits == 2
+
+    def test_each_request_is_exactly_one_counted_lookup(
+        self, fresh_daemon
+    ):
+        queries = [
+            QUERY, "xml keyword", QUERY, QUERY, "xml keyword",
+            "skyline query", QUERY,
+        ]
+        with fresh_daemon.client() as client:
+            before = client.stats()
+            for query in queries:
+                client.search(query, k=2)
+            after = client.stats()
+        sketch = after["engine"]["results"]["sketch"]
+        assert sketch["samples"] < sketch["sample_limit"]  # no halving
+        moved = delta(counters(before), counters(after))
+        assert moved["lookups"] == len(queries)
+        assert moved["samples"] == len(queries)  # probe fed it once each
+        assert moved["inline"] == 4  # every repeat
+        assert (
+            moved["inline"] + moved["leaders"] + moved["coalesced"]
+            == len(queries)
+        )
+        assert moved["admitted"] == 3  # hits take no admission slot
+
+    def test_hit_answers_while_the_query_thread_is_held(
+        self, fresh_daemon
+    ):
+        server = fresh_daemon.server
+        engine = server.manager.engine
+        with fresh_daemon.client() as client:
+            warm = client.search(QUERY, k=2)
+            gate = threading.Event()
+            entered = threading.Event()
+            real_search = engine.search
+
+            def slow_search(*args, **kwargs):
+                entered.set()
+                assert gate.wait(30.0)
+                return real_search(*args, **kwargs)
+
+            engine.search = slow_search
+            results = {}
+
+            def issue(query):
+                with fresh_daemon.client() as c:
+                    results[query] = c.search(query, k=2)
+
+            held = threading.Thread(target=issue, args=("xml keyword",))
+            queued = threading.Thread(target=issue, args=("skyline query",))
+            try:
+                held.start()
+                assert entered.wait(30.0)
+                admission = server.admission.stats()
+                flights = server.singleflight.stats()
+                # The query thread is parked; the cached query does
+                # not queue behind it, and leaves no trace in the
+                # admission budget or the singleflight map.
+                assert client.search(QUERY, k=2) == warm
+                assert server.inline_hits == 1
+                assert server.admission.stats() == admission
+                assert admission["inflight"] == 1
+                assert server.singleflight.stats() == flights
+                # An uncached query still waits its turn.
+                queued.start()
+                queued.join(0.5)
+                assert queued.is_alive()
+                assert "skyline query" not in results
+            finally:
+                gate.set()
+            for worker in (held, queued):
+                worker.join(30.0)
+                assert not worker.is_alive()
+        assert sorted(results) == ["skyline query", "xml keyword"]
+        assert server.admission.stats()["inflight"] == 0
+
+    def test_hits_keep_a_query_in_the_reload_prewarm_set(
+        self, fresh_daemon, serve_snapshots
+    ):
+        server = fresh_daemon.server
+        server.RECENT_TERMS_LIMIT = 1
+        with fresh_daemon.client() as client:
+            client.search(QUERY, k=2)
+            client.search("xml keyword", k=2)  # pushes QUERY out
+            assert list(server._recent_terms) == [("xml", "keyword")]
+            client.search(QUERY, k=2)
+            assert server.inline_hits == 1
+            # Served from the loop, and still noted for pre-mining.
+            assert list(server._recent_terms) == [("databse", "systems")]
+            assert client.reload(serve_snapshots[1])["prewarmed"] == 1
+
+    def test_response_cached_without_bytes_falls_through(
+        self, fresh_daemon, serve_snapshots
+    ):
+        """``/search_many`` caches responses it never renders alone."""
+        with fresh_daemon.client() as client:
+            client.search_many([QUERY], k=2)
+            start = counters(client.stats())
+            first = client.search(QUERY, k=2)
+            middle = counters(client.stats())
+            second = client.search(QUERY, k=2)
+            end = counters(client.stats())
+        moved = delta(start, middle)
+        # A hit, but made on the query thread, which rendered it.
+        assert (moved["inline"], moved["leaders"]) == (0, 1)
+        assert (moved["lookups"], moved["hits"]) == (1, 1)
+        moved = delta(middle, end)
+        assert (moved["inline"], moved["leaders"]) == (1, 0)
+        assert (moved["lookups"], moved["hits"]) == (1, 1)
+        assert first == second
+        library = XRefine.from_frozen(serve_snapshots[0])
+        assert wire_answer(first) == wire_answer(
+            encode_response(library.search(QUERY, k=2))
+        )

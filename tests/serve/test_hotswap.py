@@ -96,6 +96,74 @@ class TestReloadUnderLoad:
                 assert wire_answer(answer) == expected[source], generation
             assert 0 in seen_generations  # load spanned the first flip
 
+    def test_hot_query_generation_label_tracks_swaps_with_cache_on(
+        self, serve_snapshots
+    ):
+        """One cached query hammered across A→B→A reloads.
+
+        Hits are answered on the event loop from bytes that carry the
+        generation they were rendered under: every response must name
+        the snapshot its answer came from, and once a ``/reload`` has
+        returned, no later request may be answered from the previous
+        generation's bytes.
+        """
+        snap_a, snap_b = serve_snapshots
+        expected = {}
+        for path in (snap_a, snap_b):
+            engine = XRefine.from_frozen(path)
+            expected[path] = wire_answer(
+                encode_response(engine.search(QUERY, k=2))
+            )
+        assert expected[snap_a] != expected[snap_b]
+
+        floor = [0]  # generation the last completed /reload flipped to
+        answers = []
+        failures = []
+        stop = threading.Event()
+
+        with BackgroundServer(snap_a) as daemon:
+            server = daemon.server
+
+            def hammer():
+                with daemon.client() as client:
+                    while not stop.is_set():
+                        sent_after = floor[0]
+                        try:
+                            answer = client.search(QUERY, k=2)
+                        except Exception as exc:  # noqa: BLE001
+                            failures.append(exc)
+                            return
+                        answers.append((sent_after, answer))
+
+            def wait_for_hits(count):
+                target = server.inline_hits + count
+                for _ in range(600):
+                    if server.inline_hits >= target or failures:
+                        return
+                    stop.wait(0.05)
+
+            worker = threading.Thread(target=hammer)
+            worker.start()
+            try:
+                with daemon.client() as admin:
+                    for target in (snap_b, snap_a):
+                        wait_for_hits(20)  # this generation is hot
+                        floor[0] = admin.reload(target)["generation"]
+                    wait_for_hits(20)
+            finally:
+                stop.set()
+                worker.join(30.0)
+            assert not worker.is_alive()
+            assert failures == []
+            assert server.inline_hits >= 60
+
+        assert {answer["generation"] for _, answer in answers} == {0, 1, 2}
+        for sent_after, answer in answers:
+            generation = answer["generation"]
+            assert generation >= sent_after
+            source = snap_a if generation % 2 == 0 else snap_b
+            assert wire_answer(answer) == expected[source], generation
+
     def test_swap_purges_cached_answers(self, serve_snapshots):
         """A query cached on generation N must re-evaluate on N+1."""
         snap_a, snap_b = serve_snapshots
