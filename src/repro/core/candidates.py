@@ -76,6 +76,11 @@ class RQSortedList:
         self.capacity = capacity
         self._entries = []      # [(dissimilarity, key_order, RefinedQuery)]
         self._by_key = {}       # frozenset -> RefinedQuery
+        #: Bumped whenever the kept entries change (admit, evict,
+        #: improved-dissimilarity re-insert) and never otherwise: two
+        #: reads that agree bracket a span in which every query method
+        #: of the list answered the same.
+        self.mutations = 0
 
     @staticmethod
     def _key_order(refined_query):
@@ -165,6 +170,7 @@ class RQSortedList:
         entry = (refined_query.dissimilarity, key_order, refined_query)
         bisect.insort(self._entries, entry)
         self._by_key[refined_query.key] = refined_query
+        self.mutations += 1
         while len(self._entries) > self.capacity:
             _, _, evicted = self._entries.pop()
             del self._by_key[evicted.key]
@@ -179,6 +185,7 @@ class RQSortedList:
             if self._entries[idx][2].key == refined_query.key:
                 del self._entries[idx]
                 del self._by_key[refined_query.key]
+                self.mutations += 1
                 return
             idx += 1
         raise RefinementError("RQSortedList internal inconsistency")

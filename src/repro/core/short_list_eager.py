@@ -17,6 +17,14 @@ presence bound (:class:`repro.kernels.PresenceBoundCache`) — the
 WAND-style skip that rejects hopeless blocks from presence masks
 alone.
 
+Most of what step 1 decides about a partition depends only on *which*
+keywords it holds, and documents have far fewer distinct presence masks
+than partitions.  On the batch-presence path an evaluation that touched
+no posting and changed nothing is remembered per mask and its repeats
+are settled into the statistics arithmetically, so the Python cost of
+step 1 is per (distinct mask x list state), not per partition — with
+every ``ScanStats`` counter exactly what the plain loop would report.
+
 Step 2 then computes SLCA results only for the kept candidates, using
 any existing SLCA method (the columnar scan-eager kernel here; the
 orthogonality of the paper's discussion holds).  This back-loaded SLCA
@@ -166,6 +174,175 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
 
         return min(remaining, key=sort_key)
 
+    def examine(pindex, partition_id, mask):
+        """Step 1 for one partition: screen, probe, DP, admission.
+
+        ``mask`` is the partition's exact presence mask from the batch
+        merge-join, or ``None`` on the header-first path (which probes
+        the lanes itself).  Apart from the two partition-local
+        ``slca_ranges`` calls — a Q-covering mask, or a not-yet-kept
+        candidate that ``would_admit`` — everything decided here is a
+        function of ``mask``, ``needs_refine`` and the contents of
+        ``sorted_list``; the caller's per-mask memo rests on that.
+        """
+        nonlocal needs_refine
+        sublists = None  # keyword -> (ListColumns, lo, hi)
+        if mask is not None:
+            # Pre-screen from the batch mask: for resident tables
+            # the mask is exact, so the decisions coincide with the
+            # header screen's (whose may-masks are supersets that
+            # collapse to the truth on eager columns).
+            if sorted_list.is_full or not needs_refine:
+                query_may = query_covered and (
+                    mask & query_lane_mask == query_lane_mask
+                )
+                if not needs_refine:
+                    # Only original results remain; a partition
+                    # that cannot hold all of Q's keywords has
+                    # nothing left to offer.
+                    if not query_may:
+                        stats.partitions_skipped += 1
+                        return
+                elif (
+                    not query_may
+                    and presence_bound.lower_bound(mask)
+                    > sorted_list.max_dissimilarity()
+                ):
+                    stats.partitions_skipped += 1
+                    return
+            stats.probes += probes_per_partition
+        else:
+            # Block-max pre-screen: reject the partition from the
+            # block headers alone, before a single posting block is
+            # decoded or probe runs.  ``header_bound`` masks are
+            # supersets of the real presence masks, so the bound
+            # can only be lower than the post-probe one — pruning
+            # on it is answer-identical.  A partition that may
+            # still hold every query keyword is never pre-screened,
+            # so original-result discovery sees exactly the
+            # partitions it always did.
+            if sorted_list.is_full or not needs_refine:
+                bound, may_mask = presence_bound.header_bound(
+                    partition_id, lane_columns
+                )
+                query_may = query_covered and (
+                    may_mask & query_lane_mask == query_lane_mask
+                )
+                if not needs_refine:
+                    if not query_may:
+                        stats.partitions_skipped += 1
+                        return
+                elif (
+                    not query_may
+                    and bound > sorted_list.max_dissimilarity()
+                ):
+                    stats.partitions_skipped += 1
+                    return
+
+            # Random-access probes of every other keyword list: one
+            # partition-table lookup each, no posting is touched.
+            sublists = {}
+            mask = 0
+            for keyword in context.keyword_space:
+                if keyword != anchor_keyword:
+                    stats.probes += 1
+                span = columns[keyword].pid_range.get(partition_id)
+                if span is not None:
+                    sublists[keyword] = (columns[keyword],) + span
+                    mask |= 1 << lane_of[keyword]
+
+        if query_covered and mask & query_lane_mask == query_lane_mask:
+            stats.slca_invocations += 1
+            if sublists is None:
+                sublists = build_row_sublists(
+                    spans_flat, pindex * nlanes * 2
+                )
+            slcas = slca_ranges(
+                [sublists[keyword] for keyword in context.query]
+            )
+            meaningful = context.meaningful_only(slcas)
+            if meaningful:
+                needs_refine = False
+                original_results.extend(meaningful)
+        if not needs_refine:
+            return
+
+        # Per-partition skip bound (mirrors Partition's
+        # optimization 2): once the Top-2K list is full, a
+        # partition whose cheapest derivable RQ provably exceeds
+        # the worst kept dissimilarity cannot change the list —
+        # new keys lose under the content order, and re-offers of
+        # kept keys at a worse dSim never mutate it.  The
+        # mask-memoized presence bound runs first (no DP at all);
+        # both comparisons are strict, so skipping is
+        # answer-identical.
+        if sorted_list.is_full:
+            threshold = sorted_list.max_dissimilarity()
+            if presence_bound.lower_bound(mask) > threshold:
+                stats.partitions_skipped += 1
+                return
+            stats.dp_invocations += 1
+            if probe_minimum(present_for(mask)) > threshold:
+                stats.partitions_skipped += 1
+                return
+
+        stats.dp_invocations += 1
+        present_key = present_for(mask)
+        local_candidates = beam_memo.get(present_key)
+        if local_candidates is None:
+            local_candidates = get_top_optimal_rqs(
+                context.query, present_key, rules,
+                sorted_list.capacity
+            )
+            beam_memo[present_key] = local_candidates
+        prepared = prepared_memo.get(present_key)
+        if prepared is None:
+            prepared = prepare_beam(local_candidates)
+            prepared_memo[present_key] = prepared
+        # Vectorized admission sweep, then the exact per-candidate
+        # re-check on survivors (see kernels/scoring.py for why the
+        # superset pre-filter is answer- and stats-identical).
+        for index_in_beam in admission_sweep(
+            prepared, sorted_list, query_key
+        ):
+            rq = local_candidates[index_in_beam]
+            already_kept = sorted_list.has_key(rq.key)
+            if not already_kept and not sorted_list.would_admit(rq):
+                continue
+            if not already_kept:
+                # Issue 2: a candidate may only occupy a Top-2K slot
+                # when it is assured a *meaningful* match; a cheap
+                # partition-local SLCA check (over the already
+                # probed ranges) prevents meaningless candidates
+                # from evicting real ones.  Full result sets are
+                # still deferred to step 2.
+                stats.slca_invocations += 1
+                if sublists is None:
+                    sublists = build_row_sublists(
+                        spans_flat, pindex * nlanes * 2
+                    )
+                local = slca_ranges(
+                    [sublists[keyword] for keyword in rq.keywords]
+                )
+                if not context.meaningful_only(local):
+                    continue
+            sorted_list.insert(rq)
+
+    # Per-mask memo of the batch path.  An evaluation that ran no
+    # partition-local SLCA and left ``sorted_list`` and ``needs_refine``
+    # as it found them would repeat itself, counter for counter, on the
+    # next partition with the same mask: remember its counter deltas,
+    # count the repeats, and settle them into ``stats`` when the state
+    # they were computed against ends.
+    repeats = {}  # mask -> [times, skipped, probes, dp_invocations]
+
+    def settle_repeats():
+        for times, skipped, probes, dp_invocations in repeats.values():
+            stats.partitions_skipped += times * skipped
+            stats.probes += times * probes
+            stats.dp_invocations += times * dp_invocations
+        repeats.clear()
+
     # ------------------------------------------------------------------
     # Step 1: explore Top-2K candidates.
     # ------------------------------------------------------------------
@@ -195,147 +372,31 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
                 if partition_id in visited_partitions:
                     continue
                 visited_partitions.add(partition_id)
-                stats.partitions_visited += 1
-
-                sublists = None  # keyword -> (ListColumns, lo, hi)
-                base = pindex * nlanes * 2
-                if masks is not None:
-                    mask = masks[pindex]
-                    # Pre-screen from the batch mask: for resident tables
-                    # the mask is exact, so the decisions coincide with the
-                    # header screen's (whose may-masks are supersets that
-                    # collapse to the truth on eager columns).
-                    if sorted_list.is_full or not needs_refine:
-                        query_may = query_covered and (
-                            mask & query_lane_mask == query_lane_mask
-                        )
-                        if not needs_refine:
-                            # Only original results remain; a partition
-                            # that cannot hold all of Q's keywords has
-                            # nothing left to offer.
-                            if not query_may:
-                                stats.partitions_skipped += 1
-                                continue
-                        elif (
-                            not query_may
-                            and presence_bound.lower_bound(mask)
-                            > sorted_list.max_dissimilarity()
-                        ):
-                            stats.partitions_skipped += 1
-                            continue
-                    stats.probes += probes_per_partition
-                else:
-                    # Block-max pre-screen: reject the partition from the
-                    # block headers alone, before a single posting block is
-                    # decoded or probe runs.  ``header_bound`` masks are
-                    # supersets of the real presence masks, so the bound
-                    # can only be lower than the post-probe one — pruning
-                    # on it is answer-identical.  A partition that may
-                    # still hold every query keyword is never pre-screened,
-                    # so original-result discovery sees exactly the
-                    # partitions it always did.
-                    if sorted_list.is_full or not needs_refine:
-                        bound, may_mask = presence_bound.header_bound(
-                            partition_id, lane_columns
-                        )
-                        query_may = query_covered and (
-                            may_mask & query_lane_mask == query_lane_mask
-                        )
-                        if not needs_refine:
-                            if not query_may:
-                                stats.partitions_skipped += 1
-                                continue
-                        elif (
-                            not query_may
-                            and bound > sorted_list.max_dissimilarity()
-                        ):
-                            stats.partitions_skipped += 1
-                            continue
-
-                    # Random-access probes of every other keyword list: one
-                    # partition-table lookup each, no posting is touched.
-                    sublists = {}
-                    mask = 0
-                    for keyword in context.keyword_space:
-                        if keyword != anchor_keyword:
-                            stats.probes += 1
-                        span = columns[keyword].pid_range.get(partition_id)
-                        if span is not None:
-                            sublists[keyword] = (columns[keyword],) + span
-                            mask |= 1 << lane_of[keyword]
-
-                if query_covered and mask & query_lane_mask == query_lane_mask:
-                    stats.slca_invocations += 1
-                    if sublists is None:
-                        sublists = build_row_sublists(spans_flat, base)
-                    slcas = slca_ranges(
-                        [sublists[keyword] for keyword in context.query]
-                    )
-                    meaningful = context.meaningful_only(slcas)
-                    if meaningful:
-                        needs_refine = False
-                        original_results.extend(meaningful)
-                if not needs_refine:
+                if masks is None:
+                    examine(pindex, partition_id, None)
                     continue
-
-                # Per-partition skip bound (mirrors Partition's
-                # optimization 2): once the Top-2K list is full, a
-                # partition whose cheapest derivable RQ provably exceeds
-                # the worst kept dissimilarity cannot change the list —
-                # new keys lose under the content order, and re-offers of
-                # kept keys at a worse dSim never mutate it.  The
-                # mask-memoized presence bound runs first (no DP at all);
-                # both comparisons are strict, so skipping is
-                # answer-identical.
-                if sorted_list.is_full:
-                    threshold = sorted_list.max_dissimilarity()
-                    if presence_bound.lower_bound(mask) > threshold:
-                        stats.partitions_skipped += 1
-                        continue
-                    stats.dp_invocations += 1
-                    if probe_minimum(present_for(mask)) > threshold:
-                        stats.partitions_skipped += 1
-                        continue
-
-                stats.dp_invocations += 1
-                present_key = present_for(mask)
-                local_candidates = beam_memo.get(present_key)
-                if local_candidates is None:
-                    local_candidates = get_top_optimal_rqs(
-                        context.query, present_key, rules,
-                        sorted_list.capacity
-                    )
-                    beam_memo[present_key] = local_candidates
-                prepared = prepared_memo.get(present_key)
-                if prepared is None:
-                    prepared = prepare_beam(local_candidates)
-                    prepared_memo[present_key] = prepared
-                # Vectorized admission sweep, then the exact per-candidate
-                # re-check on survivors (see kernels/scoring.py for why the
-                # superset pre-filter is answer- and stats-identical).
-                for index_in_beam in admission_sweep(
-                    prepared, sorted_list, query_key
-                ):
-                    rq = local_candidates[index_in_beam]
-                    already_kept = sorted_list.has_key(rq.key)
-                    if not already_kept and not sorted_list.would_admit(rq):
-                        continue
-                    if not already_kept:
-                        # Issue 2: a candidate may only occupy a Top-2K slot
-                        # when it is assured a *meaningful* match; a cheap
-                        # partition-local SLCA check (over the already
-                        # probed ranges) prevents meaningless candidates
-                        # from evicting real ones.  Full result sets are
-                        # still deferred to step 2.
-                        stats.slca_invocations += 1
-                        if sublists is None:
-                            sublists = build_row_sublists(spans_flat, base)
-                        local = slca_ranges(
-                            [sublists[keyword] for keyword in rq.keywords]
-                        )
-                        if not context.meaningful_only(local):
-                            continue
-                    sorted_list.insert(rq)
+                mask = masks[pindex]
+                repeat = repeats.get(mask)
+                if repeat is not None:
+                    repeat[0] += 1
+                    continue
+                state = (sorted_list.mutations, needs_refine)
+                skipped = stats.partitions_skipped
+                probes = stats.probes
+                dp_invocations = stats.dp_invocations
+                slca_invocations = stats.slca_invocations
+                examine(pindex, partition_id, mask)
+                if state != (sorted_list.mutations, needs_refine):
+                    settle_repeats()
+                elif slca_invocations == stats.slca_invocations:
+                    repeats[mask] = [
+                        0,
+                        stats.partitions_skipped - skipped,
+                        stats.probes - probes,
+                        stats.dp_invocations - dp_invocations,
+                    ]
+            # probes_per_partition is the round's: settle before it moves.
+            settle_repeats()
 
             remaining.discard(anchor_keyword)
             if not needs_refine:
@@ -353,6 +414,8 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
                 stats.dp_invocations += 1
                 if probe_minimum(remaining) > sorted_list.max_dissimilarity():
                     break
+
+    stats.partitions_visited = len(visited_partitions)
 
     # ------------------------------------------------------------------
     # Step 2: SLCA computation for the kept candidates only.

@@ -15,10 +15,10 @@ through cffi's ABI mode.  Selection happens once at import time:
 3. Without cffi installed there is nothing to build and the
    pure-Python path is selected quietly.  A build or dlopen that was
    attempted and failed — no compiler, sandboxed temp dir, dlopen
-   error — logs one WARNING carrying the exception and degrades to
-   pure Python.  The compiled path is a speedup, never a dependency;
-   :func:`backend_name` (on ``/healthz`` and ``/stats``) says which
-   one is serving.
+   error, a library missing a declared entry point — logs one WARNING
+   carrying the exception and degrades to pure Python.  The compiled
+   path is a speedup, never a dependency; :func:`backend_name` (on
+   ``/healthz`` and ``/stats``) says which one is serving.
 
 The library works exclusively on flat ``int64`` component arrays plus
 offset tables (see :mod:`.columns`), the columnar layout shared by all
@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
+import re
 import subprocess
 import tempfile
 
@@ -54,6 +55,9 @@ void repro_slca_all(const int64_t *a_flat, const int64_t *a_offs,
                     const int64_t **m_flats, const int64_t **m_offs,
                     const int64_t *m_los, const int64_t *m_his,
                     int64_t nmatchers, int64_t *depths);
+int64_t repro_slca_emit(const int64_t *a_flat, const int64_t *a_offs,
+                        int64_t a_lo, int64_t count,
+                        int64_t *depths, int64_t *slots);
 void repro_merge_lcp(const int64_t **flats, const int64_t **offs,
                      const int64_t *lens, int64_t nlists,
                      int32_t *lanes, int64_t *lcps);
@@ -67,6 +71,9 @@ void repro_partition_presence(const int64_t *a_pids, int64_t a_count,
                               const int64_t *counts, int64_t nlanes,
                               int64_t *masks, int64_t *spans);
 """
+
+#: Every function declared above.
+_ENTRY_POINTS = tuple(re.findall(r"\b(repro_\w+)\(", _CDEF))
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -182,6 +189,58 @@ void repro_slca_all(const int64_t *a_flat, const int64_t *a_offs,
         repro_slca_fold(a_flat, a_offs, a_lo, a_hi,
                         m_flats[m], m_offs[m], m_los[m], m_his[m],
                         depths);
+}
+
+/* XKSearch's streaming ancestor filter over a depth column: anchor
+ * a_lo + i's candidate is its first depths[i] components.  Hold one
+ * candidate; a next candidate that extends the held one replaces it,
+ * one that is a prefix of (or equal to) the held one is dropped, an
+ * unrelated one emits the held candidate and takes its place.  Anchors
+ * are document-ordered and each candidate is a prefix of its own
+ * anchor, so a common prefix of two anchors is a prefix of every anchor
+ * between them: a later candidate related to an emitted one would have
+ * been related to the candidate that displaced it.  The emitted
+ * candidates are therefore exactly the SLCAs, in document order.
+ *
+ * Survivors are compacted in place — (slots[j], depths[j]) for
+ * j < the return value; the write position never passes the read
+ * position.  Returns -1 when some depth is 0 (labels of different
+ * documents: the caller re-runs the per-node path, which raises the
+ * exact error).  Every depth must be <= its anchor's length. */
+int64_t repro_slca_emit(const int64_t *a_flat, const int64_t *a_offs,
+                        int64_t a_lo, int64_t count,
+                        int64_t *depths, int64_t *slots)
+{
+    int64_t held = -1, held_depth = 0, out = 0;
+    int64_t i;
+    for (i = 0; i < count; i++) {
+        int64_t depth = depths[i];
+        if (depth == 0)
+            return -1;
+        if (held >= 0) {
+            int64_t limit = held_depth < depth ? held_depth : depth;
+            int64_t shared = key_lcp(a_flat + a_offs[a_lo + held], limit,
+                                     a_flat + a_offs[a_lo + i], limit);
+            if (shared == held_depth) {
+                if (depth == held_depth)
+                    continue;           /* the same node again */
+            } else if (shared == depth) {
+                continue;               /* an ancestor of the held node */
+            } else {
+                slots[out] = held;
+                depths[out] = held_depth;
+                out++;
+            }
+        }
+        held = i;
+        held_depth = depth;
+    }
+    if (held >= 0) {
+        slots[out] = held;
+        depths[out] = held_depth;
+        out++;
+    }
+    return out;
 }
 
 /* Merged document-order scan over nlists sorted key columns.  Emits,
@@ -372,7 +431,13 @@ def _build_library():
             os.replace(scratch, library)  # atomic vs concurrent builders
         ffi = FFI()
         ffi.cdef(_CDEF)
-        return _CompiledKernels(ffi, ffi.dlopen(library))
+        handle = ffi.dlopen(library)
+        # ABI mode resolves symbols on first use; resolve them all now,
+        # so a library that lacks an entry point (a stale or truncated
+        # build) fails here, not on a query thread.
+        for name in _ENTRY_POINTS:
+            getattr(handle, name)
+        return _CompiledKernels(ffi, handle)
     except Exception as exc:
         logger.warning(
             "compiled scan kernels unavailable, serving with the "

@@ -201,14 +201,17 @@ class BlockedListColumns:
 
     @property
     def tables_ready(self):
-        """True only once the lazy partition table has materialized.
+        """True once a whole-list consumer has made the column resident.
 
         The batch presence path must never be the thing that forces a
         blocked column resident — paging's sub-linear RSS depends on
-        header-first probes — so it only engages when a whole-list
-        consumer already paid for the table.
+        header-first probes — so it only engages when something else
+        already paid for the decode: the partition kernel built the
+        partition table, or the compiled backend's ``flat_offs`` walked
+        every block.  Either way the table is then a pass over decoded
+        keys, not a decode.
         """
-        return self._pids is not None
+        return self._pids is not None or self._flat is not None
 
     def pid_cols(self):
         """Same contract as :meth:`ListColumns.pid_cols` (full decode)."""

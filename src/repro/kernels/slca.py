@@ -20,6 +20,11 @@ The transposition is exact, not approximate:
   order-independent — the per-anchor ``depth == 1`` early exit prunes
   work, never changes the value.
 
+Candidates then pass XKSearch's streaming ancestor filter — one pass
+over the depth column holding a single candidate, compiled when the
+backend is — so only the surviving ``(slot, depth)`` pairs ever become
+Python objects.
+
 The one semantic the batch form cannot reproduce is the
 ``DeweyError`` raised for labels sharing no prefix (cross-document
 lists): a computed depth of 0 routes the whole call back to the
@@ -28,6 +33,7 @@ classic per-node implementation, which raises identically.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 
 from ..xmltree.dewey import Dewey
@@ -99,9 +105,7 @@ def slca_ranges(column_ranges):
 
     lib = backend.compiled
     if lib is not None:
-        from array import array
-
-        # One FFI crossing for the whole SLCA: depth initialization
+        # One FFI crossing for every candidate depth: initialization
         # and every matcher fold happen inside repro_slca_all, with the
         # per-column pointer casts memoized on the columns themselves.
         depths = array("q", bytes(8 * count))
@@ -125,51 +129,83 @@ def slca_ranges(column_ranges):
             lib.i64(m_los), lib.i64(m_his), nmatchers,
             lib.i64(depths),
         )
+        survivors = _emit_compiled(lib, anchor_columns, a_lo, depths)
     else:
         depths = [len(anchor_keys[i]) for i in range(a_lo, a_hi)]
         for column, m_lo, m_hi in matchers:
             _fold_depths_python(
                 anchor_keys, a_lo, a_hi, column.keys, m_lo, m_hi, depths
             )
+        survivors = _emit_python(anchor_keys, a_lo, depths)
 
-    candidates = []
-    for slot in range(count):
-        depth = depths[slot]
+    if survivors is None:
+        # Labels from different documents: re-run the classic per-node
+        # path, which raises the exact DeweyError.
+        from ..slca.scan_eager import scan_eager_slca
+
+        return scan_eager_slca(
+            [
+                [Dewey.from_trusted(column.keys[i]) for i in range(lo, hi)]
+                for column, lo, hi in column_ranges
+            ]
+        )
+    return [Dewey.from_trusted(key) for key in survivors]
+
+
+def _emit_compiled(lib, anchor_columns, a_lo, depths):
+    """Surviving candidate keys through ``repro_slca_emit``.
+
+    ``depths`` (an ``array('q')``, one entry per anchor from ``a_lo``,
+    each at most its anchor's length) is consumed.  Only the survivors
+    ever become Python tuples.
+    """
+    count = len(depths)
+    slots = array("q", bytes(8 * count))
+    a_flat_c, a_offs_c = backend.column_handles(lib, anchor_columns)
+    emitted = lib.lib.repro_slca_emit(
+        a_flat_c, a_offs_c, a_lo, count, lib.i64(depths), lib.i64(slots)
+    )
+    if emitted < 0:
+        return None
+    keys = anchor_columns.keys
+    return [keys[a_lo + slots[j]][: depths[j]] for j in range(emitted)]
+
+
+def _emit_python(anchor_keys, a_lo, depths):
+    """Pure-Python twin of ``repro_slca_emit``'s streaming filter.
+
+    Anchor ``a_lo + slot``'s candidate is its first ``depths[slot]``
+    components.  One pass holding a single candidate: a next candidate
+    that extends the held one replaces it, one that is a prefix of it
+    (or equal) is dropped, an unrelated one emits it.  Exact because
+    anchors are document-ordered and every candidate is a prefix of its
+    anchor (see the C source for the argument); the result is the SLCA
+    keys in document order, or ``None`` when some depth is 0.
+    """
+    kept = []
+    held = None
+    held_depth = 0
+    for slot, depth in enumerate(depths):
         if depth == 0:
-            # Labels from different documents: re-run the classic
-            # per-node path, which raises the exact DeweyError.
-            from ..slca.scan_eager import scan_eager_slca
-
-            return scan_eager_slca(
-                [
-                    [
-                        Dewey.from_trusted(column.keys[i])
-                        for i in range(lo, hi)
-                    ]
-                    for column, lo, hi in column_ranges
-                ]
-            )
-        candidates.append(anchor_keys[a_lo + slot][:depth])
-
-    return [Dewey.from_trusted(key) for key in _remove_ancestors(candidates)]
+            return None
+        candidate = anchor_keys[a_lo + slot][:depth]
+        if held is not None:
+            if depth >= held_depth:
+                if candidate[:held_depth] == held:
+                    if depth > held_depth:
+                        held = candidate
+                        held_depth = depth
+                    continue
+            elif held[:depth] == candidate:
+                continue
+            kept.append(held)
+        held = candidate
+        held_depth = depth
+    if held is not None:
+        kept.append(held)
+    return kept
 
 
 def slca_columns(columns):
     """SLCAs over whole columns (step-2 / whole-list calls)."""
     return slca_ranges([(column, 0, column.size) for column in columns])
-
-
-def _remove_ancestors(candidate_keys):
-    """`slca.lca.remove_ancestors` on raw component tuples."""
-    ordered = sorted(set(candidate_keys))
-    kept = []
-    for key in ordered:
-        length = len(key)
-        while kept:
-            last = kept[-1]
-            if len(last) < length and key[: len(last)] == last:
-                kept.pop()
-            else:
-                break
-        kept.append(key)
-    return kept

@@ -39,7 +39,9 @@ path that must agree:
   traffic replay's sampled answers.
 * **Kernel layer** — each batch primitive in :mod:`repro.kernels` is
   diffed against a per-node recomputation of the same answer: the
-  columnar SLCA kernel against the classic forward-pointer scan, the
+  columnar SLCA kernel against the classic forward-pointer scan (whole
+  lists, and — ``kernel:slca-emit`` — every shared partition's ranges
+  through both the compiled and the pure-Python ancestor filter), the
   merged-LCP table against a naive sort-and-compare pass, the
   partition view against a posting-by-posting regrouping, the
   mask-memoized presence bound against
@@ -62,6 +64,7 @@ from ..core.engine import XRefine
 from ..core.partition_refine import partition_refine
 from ..core.short_list_eager import short_list_eager
 from ..core.stack_refine import stack_refine
+from ..kernels import backend as kernel_backend
 from ..kernels import (
     PresenceBoundCache,
     ScoreTable,
@@ -746,6 +749,45 @@ class DocumentOracle:
             "partition root counts != per-posting recount",
             expected_roots, [c.root_count for c in columns],
         )
+
+        # Emit-filtered SLCAs over partition ranges (the calls SLE's
+        # partition-local checks make) vs the per-node scan over the
+        # same label slices — through the active backend and, when that
+        # is the compiled one, through the pure-Python filter as well.
+        shared_spans = [
+            spans for _, spans in sorted(expected_table.items())
+            if None not in spans
+        ]
+        expected_local = [
+            [
+                str(d) for d in scan_eager_slca([
+                    labels[lo:hi]
+                    for labels, (lo, hi) in zip(label_lists, spans)
+                ])
+            ]
+            for spans in shared_spans
+        ]
+        active = kernel_backend.compiled
+        for lib in (active,) if active is None else (active, None):
+            kernel_backend.compiled = lib
+            try:
+                emitted = [
+                    [
+                        str(d) for d in slca_ranges([
+                            (column, lo, hi)
+                            for column, (lo, hi) in zip(columns, spans)
+                        ])
+                    ]
+                    for spans in shared_spans
+                ]
+            finally:
+                kernel_backend.compiled = active
+            diff(
+                "kernel:slca-emit",
+                "emit-filtered partition SLCAs != per-node forward scan "
+                f"({'pure-python' if lib is None else 'compiled'})",
+                expected_local, emitted,
+            )
 
         # Presence bound memo vs the uncached bound, over every
         # presence subset of the keyword-space lanes (capped: the

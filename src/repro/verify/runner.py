@@ -78,13 +78,13 @@ def _check_document(oracle, queries, report):
         # metamorphic invariants, the planner layer (auto cold/warm,
         # the forced stack route), the frozen-snapshot layer (SLCA,
         # four refinement algorithms), the kernel layer (batch SLCA,
-        # LCP table, partition view, presence bound vs per-node
-        # recomputation),
+        # emit-filtered partition SLCA, LCP table, partition view,
+        # presence bound vs per-node recomputation),
         # and the cache layer (the query and each of its refinements
         # re-issued through sub-result assembly and diffed against a
         # cache-disabled engine — counted at its one-comparison
         # floor; refinable queries contribute several more).
-        report.checks += 43
+        report.checks += 44
         found.extend(divergences)
     return found
 

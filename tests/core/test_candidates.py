@@ -88,6 +88,39 @@ class TestRQSortedList:
         with pytest.raises(RefinementError):
             RQSortedList(capacity=0)
 
+    def test_mutation_counter_moves_only_when_entries_change(self):
+        # SLE's per-mask memo is valid exactly while this counter
+        # stands still: it must move on every change of the kept
+        # entries and on nothing else.
+        lst = RQSortedList(capacity=2)
+        assert lst.mutations == 0
+        lst.insert(RefinedQuery(("a",), 3))
+        admitted = lst.mutations
+        assert admitted > 0
+        lst.insert(RefinedQuery(("b",), 5))
+        filled = lst.mutations
+        assert filled > admitted
+
+        # Same-or-worse re-offers of a kept key leave the list alone.
+        assert lst.insert(RefinedQuery(("a",), 3))
+        assert lst.insert(RefinedQuery(("a",), 4))
+        # So does a rejected insert, and every read-only query.
+        assert not lst.insert(RefinedQuery(("z",), 9))
+        assert not lst.would_admit(RefinedQuery(("z",), 9))
+        lst.max_dissimilarity(), lst.worst_order(), lst.queries()
+        assert lst.mutations == filled
+
+        # Improved-dissimilarity re-insert of a kept key.
+        assert lst.insert(RefinedQuery(("b",), 4))
+        improved = lst.mutations
+        assert improved > filled
+        assert [q.dissimilarity for q in lst] == [3, 4]
+
+        # Admission that evicts the worst entry.
+        assert lst.insert(RefinedQuery(("c",), 1))
+        assert lst.mutations > improved
+        assert [q.keywords for q in lst] == [("c",), ("a",)]
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(

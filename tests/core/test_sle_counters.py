@@ -1,0 +1,82 @@
+"""SLE's ``ScanStats`` are part of its contract — pinned to a golden file.
+
+``sle_counters_golden.json`` was captured by ``capture_sle_counters.py``
+at the commit *before* step 1 learned to settle repeated presence masks
+arithmetically; the per-mask memo must reproduce the sequential loop's
+counters exactly, not approximately.
+
+* **Eager index** (every list a resident ``ListColumns``, always the
+  batch presence path, where the memo applies): every field except
+  ``elapsed_seconds``.
+* **Frozen index with small blocks**: ``partitions_visited``,
+  ``dp_invocations``, ``slca_invocations`` and the answer.  ``probes``
+  and ``partitions_skipped`` there depend on whether a partition was
+  screened from block headers (may-masks, supersets) or from the batch
+  merge-join (exact masks), and that flips once a column is resident.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from .capture_sle_counters import (
+    GOLDEN_PATH,
+    PROBE_INDEPENDENT,
+    RECIPE,
+    build_index,
+    load_blocked,
+    measure,
+    workload,
+)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        document = json.load(handle)
+    assert document["recipe"] == RECIPE, "fixture and capture script drifted"
+    return document["cases"]
+
+
+@pytest.fixture(scope="module")
+def index():
+    return build_index()
+
+
+@pytest.fixture(scope="module")
+def queries(index, golden):
+    queries = workload(index)
+    assert [
+        (query, k) for query in queries for k in RECIPE["ks"]
+    ] == [(case["query"], case["k"]) for case in golden]
+    return queries
+
+
+def test_memo_engages_on_this_workload(golden):
+    # The fixture must exercise what it pins: partitions far outnumber
+    # full evaluations' upper bound (DP runs at most twice each).
+    visited = sum(case["eager"]["partitions_visited"] for case in golden)
+    skipped = sum(case["eager"]["partitions_skipped"] for case in golden)
+    assert visited > 50 * len(golden)
+    assert 0 < skipped < visited
+
+
+def test_eager_index_counters_equal_the_golden_file(index, queries, golden):
+    for (query, k, counters, digest), case in zip(
+        measure(index, queries), golden
+    ):
+        assert counters == case["eager"], (query, k)
+        assert digest == case["answer"], (query, k)
+
+
+def test_frozen_index_probe_independent_counters(
+    index, queries, golden, tmp_path
+):
+    for (query, k, counters, digest), case in zip(
+        measure(load_blocked(index, str(tmp_path)), queries), golden
+    ):
+        kept = {name: counters[name] for name in PROBE_INDEPENDENT}
+        assert kept == case["frozen"], (query, k)
+        assert digest == case["answer"], (query, k)

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import repro
 import repro.kernels.backend as backend_module
 
@@ -86,6 +88,40 @@ def test_failed_build_warns_and_healthz_says_pure_python(tmp_path):
     assert result.stdout.strip() == "pure-python"
     assert result.stderr.count("compiled scan kernels unavailable") == 1
     assert "CalledProcessError" in result.stderr
+
+
+#: dlopen hands back a library without ``repro_slca_emit`` — what a
+#: build of an older ``_C_SOURCE`` found under the current cache key
+#: would look like — then serves as in ``_HEALTHZ_SCRIPT``.
+_STALE_LIBRARY_SCRIPT = """
+import cffi
+
+real_dlopen = cffi.FFI.dlopen
+
+
+class Stale:
+    def __init__(self, library):
+        self._library = library
+
+    def __getattr__(self, name):
+        if name == "repro_slca_emit":
+            raise AttributeError(f"function/symbol '{name}' not found")
+        return getattr(self._library, name)
+
+
+cffi.FFI.dlopen = lambda ffi, *args: Stale(real_dlopen(ffi, *args))
+""" + _HEALTHZ_SCRIPT
+
+
+def test_library_missing_an_entry_point_is_a_failed_build(tmp_path):
+    # Loud at import, like a failed build — not an AttributeError on
+    # the query thread at the first SLCA call.
+    if _probe_backend({}) != "compiled-cc":
+        pytest.skip("compiled backend unavailable on this host")
+    result = _run_fresh({}, _STALE_LIBRARY_SCRIPT, str(tmp_path / "tiny.frz"))
+    assert result.stdout.strip() == "pure-python"
+    assert result.stderr.count("compiled scan kernels unavailable") == 1
+    assert "repro_slca_emit" in result.stderr
 
 
 def test_backend_name_matches_module_state(monkeypatch):
