@@ -45,11 +45,10 @@ runs).
 
 A separate **startup** section measures process-boot cost: time from a
 stored artifact to the first answered query for (a) a fresh
-``build_document_index`` over the XML, (b) ``load_index`` over a saved
-store directory, and (c) a frozen-snapshot mmap open
-(``repro.index.frozen``); plus RSS before/after each path.  On full
-runs the frozen path must reach its first answer >= 5x faster than the
-build path, and ``load_index`` must stay well under a fresh build.
+``build_document_index`` over the XML and (b) a frozen-snapshot mmap
+open (``repro.index.frozen``); plus RSS before/after each path.  On
+full runs the frozen path must reach its first answer >= 5x faster
+than the build path.
 
 Every section reports p50/p95/p99 per-request latency alongside the
 mean.  Writes ``BENCH_hotpath.json`` (repo root by default) so later
@@ -85,11 +84,7 @@ import bench_serve  # noqa: E402
 
 from repro import XRefine, build_document_index  # noqa: E402
 from repro.datasets import generate_dblp  # noqa: E402
-from repro.index import (  # noqa: E402
-    freeze_index,
-    load_index,
-    save_index,
-)
+from repro.index import freeze_index  # noqa: E402
 from repro.workload import WorkloadGenerator  # noqa: E402
 from repro.xmltree.parser import parse_file  # noqa: E402
 from repro.xmltree.serialize import write_file  # noqa: E402
@@ -116,9 +111,6 @@ KERNEL_SPEEDUP_FLOOR = 1.3
 #: Minimum frozen-open-to-first-answer speedup over a fresh build
 #: (acceptance criterion; full runs only).
 STARTUP_FROZEN_FLOOR = 5.0
-
-#: load_index must stay well under a fresh build (full runs only).
-STARTUP_LOAD_FLOOR = 1.3
 
 #: Routing accuracy: a query counts as correctly routed when auto's
 #: median latency is within this factor (plus the absolute slack) of
@@ -254,13 +246,9 @@ def bench_startup(tree, index, query, args):
     section = {}
     try:
         xml_path = os.path.join(workdir, "corpus.xml")
-        index_dir = os.path.join(workdir, "corpus.idx")
         frozen_path = os.path.join(workdir, "corpus.frz")
         write_file(tree, xml_path)
 
-        began = time.perf_counter()
-        save_index(index, index_dir)
-        section["save_index_seconds"] = time.perf_counter() - began
         began = time.perf_counter()
         freeze_index(index, frozen_path)
         section["freeze_seconds"] = time.perf_counter() - began
@@ -290,18 +278,14 @@ def bench_startup(tree, index, query, args):
             "build (XML parse)",
             lambda: XRefine(build_document_index(parse_file(xml_path))),
         )
-        section["load_index"] = first_answer(
-            "load_index (dir)", lambda: XRefine(load_index(index_dir))
-        )
         section["frozen"] = first_answer(
             "frozen (mmap)", lambda: XRefine.from_frozen(frozen_path)
         )
         build_seconds = section["build"]["seconds_to_first_answer"]
-        for name in ("load_index", "frozen"):
-            elapsed = section[name]["seconds_to_first_answer"]
-            section[name]["speedup_vs_build"] = (
-                build_seconds / elapsed if elapsed else float("inf")
-            )
+        elapsed = section["frozen"]["seconds_to_first_answer"]
+        section["frozen"]["speedup_vs_build"] = (
+            build_seconds / elapsed if elapsed else float("inf")
+        )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     return section
@@ -758,8 +742,7 @@ def run(args):
         f"fill x{fill_speedup:.1f}, batch x{batch_speedup:.1f}"
     )
     print(
-        f"startup speedups vs fresh build: "
-        f"load_index x{startup['load_index']['speedup_vs_build']:.1f}, "
+        f"startup speedup vs fresh build: "
         f"frozen x{startup['frozen']['speedup_vs_build']:.1f}"
     )
 
@@ -829,20 +812,6 @@ def run(args):
             print(
                 f"OK: frozen startup meets the x{STARTUP_FROZEN_FLOOR:.0f} "
                 f"floor (x{frozen_speedup:.1f})"
-            )
-        load_speedup = startup["load_index"]["speedup_vs_build"]
-        if load_speedup < STARTUP_LOAD_FLOOR:
-            print(
-                f"FAIL: load_index is not meaningfully faster than a "
-                f"fresh build (x{load_speedup:.2f} < "
-                f"x{STARTUP_LOAD_FLOOR})",
-                file=sys.stderr,
-            )
-            status = 1
-        else:
-            print(
-                f"OK: load_index stays under a fresh build "
-                f"(x{load_speedup:.1f})"
             )
         cold_p95 = cold["p95_ms"]
         kernel_speedup = kernels["speedup_vs_baseline"]

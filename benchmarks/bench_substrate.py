@@ -2,8 +2,8 @@
 
 Not paper tables; these keep the building blocks honest so regressions
 in the substrate do not masquerade as algorithmic effects in the
-figure benches: B+ tree throughput, XML parsing, index construction,
-and the four SLCA baselines on identical inputs (the stack-slca /
+figure benches: XML parsing, index construction, and the four SLCA
+baselines on identical inputs (the stack-slca /
 scan-slca baselines of Fig. 4 plus the two the paper cites).
 """
 
@@ -17,7 +17,6 @@ from repro.slca import (
     scan_eager_slca,
     stack_slca,
 )
-from repro.storage import BPlusTree
 from repro.xmltree import parse, serialize
 
 
@@ -33,31 +32,6 @@ def slca_lists(dblp_index):
         [posting.dewey for posting in dblp_index.inverted_list(term)]
         for term in terms
     ]
-
-
-def test_btree_inserts(benchmark):
-    keys = [f"{i:08d}".encode() for i in range(5000)]
-
-    def build():
-        tree = BPlusTree(order=64)
-        for key in keys:
-            tree.insert(key, key)
-        return tree
-
-    tree = benchmark.pedantic(build, rounds=3, iterations=1)
-    assert len(tree) == 5000
-
-
-def test_btree_lookups(benchmark):
-    tree = BPlusTree(order=64)
-    keys = [f"{i:08d}".encode() for i in range(5000)]
-    for key in keys:
-        tree.insert(key, key)
-
-    def lookup_all():
-        return sum(1 for key in keys if tree.get(key) is not None)
-
-    assert benchmark.pedantic(lookup_all, rounds=3, iterations=1) == 5000
 
 
 def test_xml_parse(benchmark, dblp_xml):

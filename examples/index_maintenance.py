@@ -1,10 +1,10 @@
-"""Index lifecycle: persist to disk, reopen, and update incrementally.
+"""Index lifecycle: freeze to disk, reopen, update, persist the change.
 
-Shows the operational side of the engine: build once, save the full
-index (inverted lists + statistics in the embedded B+-tree stores),
-reopen it in a fresh process without re-parsing, absorb new entities
-and retire old ones without a rebuild, and verify queries pick the
-changes up immediately.
+Shows the operational side of the engine: build once, freeze the full
+index into one snapshot file, reopen it (an mmap, nothing re-parsed or
+decoded up front), absorb new entities and retire old ones without a
+rebuild, persist exactly that session's changes as a delta on the
+snapshot, and fold the chain back into one file.
 
 Run with::
 
@@ -22,9 +22,12 @@ from repro.datasets import generate_dblp
 from repro.index import (
     append_partition,
     build_document_index,
-    load_index,
+    compact,
+    freeze_index,
+    load_frozen_index,
+    load_index_chain,
     remove_partition,
-    save_index,
+    save_delta,
 )
 
 
@@ -55,17 +58,18 @@ def main():
     )
 
     with tempfile.TemporaryDirectory() as workdir:
-        target = Path(workdir) / "corpus.idx"
+        base = Path(workdir) / "corpus.frz"
+        delta = Path(workdir) / "corpus.d1.dlt"
+        compacted = Path(workdir) / "corpus.v2.frz"
 
-        print(f"\nsaving index to {target.name}/ ...")
-        save_index(index, target)
-        for path in sorted(target.iterdir()):
-            print(f"  {path.name:<16} {path.stat().st_size:>9} bytes")
+        print(f"\nfreezing index to {base.name} ...")
+        freeze_index(index, base)
+        print(f"  {base.name:<16} {base.stat().st_size:>9} bytes")
 
         print("\nreopening without re-parsing...")
         started = time.perf_counter()
-        reopened = load_index(target)
-        print(f"  loaded in {time.perf_counter() - started:.2f}s")
+        reopened = load_frozen_index(base)
+        print(f"  opened in {time.perf_counter() - started:.3f}s")
         engine = XRefine(reopened)
         show_query(engine, "database query")
         show_query(engine, "tardigrade genomics")  # not in corpus yet
@@ -119,12 +123,22 @@ def main():
         engine = XRefine(reopened)
         show_query(engine, removed_name.split()[0])
 
-        print("\npersisting the updated index...")
-        save_index(reopened, target)
-        final = load_index(target)
+        print("\npersisting the session's changes as a delta...")
+        save_delta(reopened, delta, base)
+        print(f"  {delta.name:<16} {delta.stat().st_size:>9} bytes")
+        chained = load_index_chain(delta)
         print(
-            f"  reloaded: {len(final.tree)} nodes, "
-            f"{final.inverted.vocabulary_size()} keywords"
+            f"  chain top: {len(chained.tree)} nodes, "
+            f"{chained.inverted.vocabulary_size()} keywords"
+        )
+        assert chained.has_keyword("tardigrade")
+
+        print("\ncompacting the chain into one snapshot...")
+        layers = compact(delta, compacted)
+        final = load_frozen_index(compacted)
+        print(
+            f"  folded {layers} delta layer(s) -> {compacted.name} "
+            f"({compacted.stat().st_size} bytes, {len(final.tree)} nodes)"
         )
         assert final.has_keyword("tardigrade")
 

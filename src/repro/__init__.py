@@ -22,9 +22,11 @@ Subpackages
 ``repro.xmltree``
     XML parsing, Dewey labels and the labeled-tree data model.
 ``repro.storage``
-    Embedded B+-tree key-value store (Berkeley DB stand-in).
+    Key and posting codecs, sorted blocks, the one overlay key-value
+    store (Berkeley DB stand-in).
 ``repro.index``
-    Inverted lists, frequency/co-occurrence tables, one-pass builder.
+    Inverted lists, frequency/co-occurrence tables, one-pass builder,
+    frozen snapshots and delta chains (the one on-disk format).
 ``repro.slca``
     SLCA baselines and the meaningful-SLCA semantics.
 ``repro.lexicon``

@@ -3,20 +3,18 @@
 Usage (``python -m repro <command> ...``)::
 
     repro generate dblp -o corpus.xml --authors 300 --seed 7
-    repro index corpus.xml -o corpus.idx
-    repro freeze-index corpus.idx -o corpus.frz --block-size 256
+    repro index corpus.xml -o corpus.frz --block-size 256
     repro compact corpus.d2.dlt -o corpus.frz
     repro search corpus.frz online databse -k 3 --explain
     repro search corpus.frz online databse -k 3 --algorithm partition
-    repro slca corpus.idx database 2003 --algorithm scan
-    repro specialize corpus.idx query -k 3
-    repro stats corpus.idx
+    repro slca corpus.frz database 2003 --algorithm scan
+    repro specialize corpus.frz query -k 3
+    repro stats corpus.frz
     repro serve corpus.frz --port 8391
 
-``search``/``slca``/``specialize``/``stats`` accept a saved index
-directory (from ``repro index``), a frozen snapshot file (from
-``repro freeze-index`` / ``repro index --frozen``), or a raw ``.xml``
-file (indexed on the fly).
+Every command that takes a source accepts a frozen snapshot file (from
+``repro index``; ``freeze-index`` is a second spelling of it), a delta
+chain top (``.dlt``), or a raw ``.xml`` file (indexed on the fly).
 """
 
 from __future__ import annotations
@@ -30,21 +28,14 @@ from .core.engine import ALGORITHMS, SLCA_ALGORITHMS, XRefine
 from .core.specialize import specialize_query
 from .datasets import generate_baseball, generate_dblp
 from .errors import ReproError
-from .index.builder import build_document_index
 from .index.frozen import freeze_index
-from .index.persist import open_index_source, save_index
-from .xmltree.parser import parse_file
+from .index.persist import open_index_source
 from .xmltree.serialize import write_file
 
 
-def _load_document_index(source):
-    """Index from a saved dir, a frozen snapshot file, or raw XML."""
-    return open_index_source(source)
-
-
 def _load_engine(source):
-    """Engine from a saved dir, a frozen snapshot file, or raw XML."""
-    return XRefine(_load_document_index(source))
+    """Engine over a snapshot file, a delta chain top, or raw XML."""
+    return XRefine(open_index_source(source))
 
 
 def _cmd_generate(args, out):
@@ -58,31 +49,13 @@ def _cmd_generate(args, out):
 
 
 def _cmd_index(args, out):
-    tree = parse_file(args.document)
-    index = build_document_index(tree)
-    if args.frozen:
-        freeze_index(index, args.output)
-        kind = "frozen snapshot"
-    else:
-        save_index(index, args.output)
-        kind = "index dir"
-    print(
-        f"indexed {args.document}: {len(tree)} nodes, "
-        f"{index.inverted.vocabulary_size()} keywords -> "
-        f"{args.output} ({kind})",
-        file=out,
-    )
-    return 0
-
-
-def _cmd_freeze_index(args, out):
-    index = _load_document_index(args.source)
+    index = open_index_source(args.source)
     freeze_index(index, args.output, block_size=args.block_size)
     size = os.path.getsize(args.output)
     print(
-        f"froze {args.source}: {len(index.tree)} nodes, "
+        f"indexed {args.source}: {len(index.tree)} nodes, "
         f"{index.inverted.vocabulary_size()} keywords -> "
-        f"{args.output} ({size} bytes)",
+        f"{args.output} (frozen snapshot, {size} bytes)",
         file=out,
     )
     return 0
@@ -259,7 +232,7 @@ def _cmd_bench(args, out):
     from .perf import profiling
     from .workload import WorkloadGenerator
 
-    index = _load_document_index(args.source)
+    index = open_index_source(args.source)
     generator = WorkloadGenerator(index, seed=args.seed)
     pool = []
     for position in range(args.queries):
@@ -387,31 +360,19 @@ def build_parser():
     generate.set_defaults(handler=_cmd_generate)
 
     index = commands.add_parser(
-        "index", help="build and save the full index for a document"
-    )
-    index.add_argument("document")
-    index.add_argument("-o", "--output", required=True)
-    index.add_argument(
-        "--frozen", action="store_true",
-        help="write a single-file frozen snapshot (mmap-served) "
-        "instead of a store directory",
-    )
-    index.set_defaults(handler=_cmd_index)
-
-    freeze = commands.add_parser(
-        "freeze-index",
-        help="freeze any index source (XML, index dir, or snapshot) "
+        "index", aliases=["freeze-index"],
+        help="index a document (or re-freeze a snapshot / delta chain) "
         "into a single mmap-served snapshot file",
     )
-    freeze.add_argument("source", help="saved index dir, .xml file, or snapshot")
-    freeze.add_argument("-o", "--output", required=True)
-    freeze.add_argument(
+    index.add_argument("source", help=".xml file, snapshot, or delta chain")
+    index.add_argument("-o", "--output", required=True)
+    index.add_argument(
         "--block-size", type=int, default=None, metavar="N",
-        help="postings per lazily-decoded block in the v3 block "
+        help="postings per lazily-decoded block in the block "
         "directory (default 256); lists of at most N postings carry "
         "no directory and decode eagerly",
     )
-    freeze.set_defaults(handler=_cmd_freeze_index)
+    index.set_defaults(handler=_cmd_index)
 
     compact = commands.add_parser(
         "compact",
@@ -431,7 +392,7 @@ def build_parser():
     search = commands.add_parser(
         "search", help="refinement search (the full XRefine loop)"
     )
-    search.add_argument("source", help="saved index dir or .xml file")
+    search.add_argument("source", help="snapshot, delta chain, or .xml file")
     search.add_argument("keywords", nargs="+")
     search.add_argument("-k", type=int, default=3)
     search.add_argument(
@@ -472,7 +433,7 @@ def build_parser():
         help="always-on serving daemon with zero-downtime snapshot "
         "hot-swap (POST /reload)",
     )
-    serve.add_argument("source", help="saved index dir, snapshot, or .xml")
+    serve.add_argument("source", help="snapshot, delta chain, or .xml")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port", type=int, default=8391,
@@ -511,7 +472,7 @@ def build_parser():
         help="serve a generated workload per algorithm and report "
         "p50/p95/p99 latency (--profile adds a per-phase breakdown)",
     )
-    bench.add_argument("source", help="saved index dir, snapshot, or .xml")
+    bench.add_argument("source", help="snapshot, delta chain, or .xml")
     bench.add_argument("--queries", type=int, default=8,
                        help="unique queries in the generated pool")
     bench.add_argument("--requests", type=int, default=48,

@@ -43,15 +43,7 @@ class DeweyError(ReproError):
 
 
 class StorageError(ReproError):
-    """Base class for the embedded key-value store."""
-
-
-class StorageClosedError(StorageError):
-    """An operation was attempted on a closed store."""
-
-
-class PageError(StorageError):
-    """A page could not be read, written or allocated."""
+    """Base class for the key-value store and its byte codecs."""
 
 
 class KeyEncodingError(StorageError):

@@ -2,7 +2,9 @@
 
 Implements Section VII's three indexes — keyword inverted lists, the
 frequent table and the co-occur frequency table — on top of the
-embedded store, plus the one-pass builder that fills them.
+:mod:`repro.storage` store, plus the one-pass builder that fills them
+and the one on-disk format family (frozen snapshots and the deltas
+that stack on them) that persists them.
 """
 
 from .builder import DocumentIndex, build_document_index
@@ -10,7 +12,7 @@ from .cooccur import CooccurrenceTable
 from .frequency import FrequencyTable
 from .delta import compact, load_index_chain, resolve_chain, save_delta
 from .frozen import FrozenSnapshot, freeze_index, load_frozen_index
-from .persist import load_index, open_index_source, save_index
+from .persist import open_index_source
 from .inverted import InvertedIndex, InvertedList, ListCursor, Posting
 from .statistics import StatisticsTable, TypeStatistics
 from .update import append_partition, remove_partition
@@ -18,8 +20,6 @@ from .tokenize_text import extract_terms, node_keywords, normalize_term, query_t
 
 __all__ = [
     "DocumentIndex",
-    "save_index",
-    "load_index",
     "freeze_index",
     "load_frozen_index",
     "open_index_source",

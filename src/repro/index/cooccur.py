@@ -8,7 +8,7 @@ The paper materializes the full table at parse time and notes its
 worst-case O(K^2 * T) space.  This implementation is **lazy with
 memoization**: the first request for a pair ``(ki, kj, T)`` intersects
 the T-typed ancestor sets derived from the two inverted lists, then
-caches the answer in the store.  The ranking model only ever asks about
+memoizes the answer.  The ranking model only ever asks about
 keywords of candidate refined queries under the handful of search-for
 types, so the lazy table stays tiny while returning exactly the counts
 an eager build would.  ``build_pairs`` eagerly fills the table for a
@@ -18,19 +18,14 @@ paper's configuration).
 
 from __future__ import annotations
 
-import struct
-
-from ..storage import MemoryKVStore, encode_key
-
-_VALUE = struct.Struct(">I")
-
 
 class CooccurrenceTable:
     """Pairwise keyword co-occurrence counts per node type."""
 
-    def __init__(self, inverted_index, store=None):
+    def __init__(self, inverted_index):
         self._inverted = inverted_index
-        self._store = store if store is not None else MemoryKVStore()
+        # (ki, kj, type_id) with ki <= kj -> f_{ki,kj}^T
+        self._counts = {}
         # keyword -> {node_type -> frozenset of T-typed ancestor deweys}
         self._ancestor_cache = {}
 
@@ -55,27 +50,21 @@ class CooccurrenceTable:
         per_keyword[node_type] = frozen
         return frozen
 
-    @staticmethod
-    def _pair_key(ki, kj, type_id):
-        # Symmetric: canonicalize the keyword order.
-        if ki > kj:
-            ki, kj = kj, ki
-        return encode_key((ki, kj, type_id))
-
     # ------------------------------------------------------------------
     # Query API
     # ------------------------------------------------------------------
     def count(self, ki, kj, node_type):
         """``f_{ki,kj}^T``: T-typed subtrees containing both keywords."""
-        type_id = self._inverted._intern_type(node_type)
-        key = self._pair_key(ki, kj, type_id)
-        raw = self._store.get(key)
-        if raw is not None:
-            return _VALUE.unpack(raw)[0]
-        value = len(
-            self._ancestors(ki, node_type) & self._ancestors(kj, node_type)
-        )
-        self._store.put(key, _VALUE.pack(value))
+        if ki > kj:  # symmetric: canonicalize the keyword order
+            ki, kj = kj, ki
+        key = (ki, kj, self._inverted._intern_type(node_type))
+        value = self._counts.get(key)
+        if value is None:
+            value = len(
+                self._ancestors(ki, node_type)
+                & self._ancestors(kj, node_type)
+            )
+            self._counts[key] = value
         return value
 
     def containing_count(self, keyword, node_type):
@@ -105,15 +94,13 @@ class CooccurrenceTable:
                     self.count(ki, kj, node_type)
 
     def __len__(self):
-        return len(self._store)
+        return len(self._counts)
 
     def clear_cache(self):
-        """Drop the ancestor-set cache (counts stay in the store)."""
+        """Drop the ancestor-set cache (memoized counts stay)."""
         self._ancestor_cache.clear()
 
     def invalidate(self):
         """Drop caches AND memoized counts (after an index update)."""
         self._ancestor_cache.clear()
-        stale = [key for key, _ in self._store.items()]
-        for key in stale:
-            self._store.delete(key)
+        self._counts.clear()

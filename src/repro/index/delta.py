@@ -19,11 +19,13 @@ whose cost is proportional to the *corpus*, not the change.
 Deltas chain: each names its parent file and binds to the parent's
 header bytes by CRC, so a mismatched or regenerated parent fails
 loudly at open time.  :func:`load_index_chain` walks the chain down to
-the base snapshot, stacks the keyword-keyed sections into one
-:class:`~repro.storage.StackedKVBase` (an LSM-style merge-on-demand
-view — no section is rewritten or merged eagerly), replays the tree
-logs **tree-only** (the index-level effects already live in the
-overlay sections), and takes statistics from the top delta.
+the base snapshot and hands the open files to
+:func:`~repro.index.frozen.assemble_index`, which stacks the
+keyword-keyed sections into one :class:`~repro.storage.StackedKVBase`
+(an LSM-style merge-on-demand view — no section is rewritten or merged
+eagerly), replays the tree logs **tree-only** (the index-level effects
+already live in the overlay sections), and takes statistics from the
+top delta.
 
 :func:`compact` folds a chain back into one monolithic frozen snapshot
 — byte-identical to refreezing an equivalently mutated in-memory
@@ -32,31 +34,29 @@ index, which ``verify-diff`` holds it to.
 
 from __future__ import annotations
 
-import mmap
 import os
 import struct
 import zlib
 
 from ..errors import IndexingError
 from ..storage import (
-    CowKVStore,
     SortedKVBlock,
-    StackedKVBase,
-    decode_key,
     decode_uvarint,
     encode_sorted_kv_block,
     encode_uvarint,
 )
+from ..xmltree.build import _attach_children, _normalize_spec
 from ..xmltree.dewey import Dewey
+from ..xmltree.tree import XMLNode, build_node_type
 from .frozen import (
-    _SECTION_FREQUENCY,
-    _SECTION_INVERTED,
-    _SECTION_STATISTICS,
-    CALIBRATION_KEY,
+    _HEADER,
     FrozenSnapshot,
-    _STATS_VALUE,
-    _calibration_pairs,
+    SectionFile,
+    _statistics_pairs,
+    assemble_index,
     freeze_index,
+    load_frozen_index,
+    write_section_file,
 )
 
 #: Delta file magic — distinct from the base-snapshot magic so
@@ -64,10 +64,8 @@ from .frozen import (
 DELTA_MAGIC = b"XRFZDLT\x01"
 DELTA_VERSION = 1
 
-# magic + version u16 + section_count u16 + body crc32 u32 (same shape
-# as the base snapshot header, so header-CRC parent binding covers
-# both kinds uniformly).
-_HEADER = struct.Struct("<8sHHI")
+# The header has the base snapshot's shape, so header-CRC parent
+# binding covers both kinds uniformly.
 _CRC = struct.Struct("<I")
 
 _SECTION_META = 0
@@ -203,47 +201,23 @@ def _header_crc(path):
 # ----------------------------------------------------------------------
 # Writer
 # ----------------------------------------------------------------------
-def _statistics_pairs(index):
-    return sorted(
-        [
-            (
-                _stat_key(node_type),
-                _STATS_VALUE.pack(
-                    stats.node_count,
-                    stats.distinct_keywords,
-                    stats.total_terms,
-                ),
-            )
-            for node_type, stats in index.statistics.items()
-        ]
-        + _calibration_pairs(index)
-    )
-
-
-def _stat_key(node_type):
-    from ..storage import encode_key
-
-    return encode_key(node_type)
-
-
 def save_delta(index, path, parent_path, source_depth=None):
     """Persist ``index``'s in-session mutations as a delta over
     ``parent_path``.
 
     ``index`` must have been loaded from ``parent_path`` (a base
-    frozen snapshot or an earlier delta) — its stores must be
-    :class:`~repro.storage.CowKVStore` overlays and its mutation log
-    (``index.delta_log``) must cover every tree operation since the
-    load.  Crash-safe like :func:`~repro.index.frozen.freeze_index`:
-    temp file, fsync, atomic rename.
+    frozen snapshot or an earlier delta): only a loaded index carries
+    the mutation log (``index.delta_log``) covering every tree
+    operation since the load, and only its store overlays are exactly
+    the session's changes.  Crash-safe like
+    :func:`~repro.index.frozen.freeze_index`: temp file, fsync, atomic
+    rename.
     """
-    store = getattr(index.inverted, "_store", None)
-    if not isinstance(store, CowKVStore) or not hasattr(
-        index, "delta_log"
-    ):
+    if getattr(index, "delta_log", None) is None:
         raise IndexingError(
             "save_delta needs an index loaded from a frozen snapshot "
-            "or delta chain (overlay stores + mutation log)"
+            "or delta chain (it carries the mutation log a delta "
+            "replays); freeze a built index with freeze_index instead"
         )
     depth = source_depth
     if depth is None:
@@ -260,191 +234,79 @@ def save_delta(index, path, parent_path, source_depth=None):
 
     inverted_store = index.inverted._store
     frequency_store = index.frequency._store
-    sections = [
-        bytes(meta),
-        encode_sorted_kv_block(inverted_store.overlay_items()),
-        _encode_keys(inverted_store.overlay_deletes()),
-        encode_sorted_kv_block(frequency_store.overlay_items()),
-        _encode_keys(frequency_store.overlay_deletes()),
-        encode_sorted_kv_block(_statistics_pairs(index)),
-        _encode_tree_ops(index.delta_log),
-    ]
-    body = b"".join(sections)
-    table = bytearray()
-    offset = 0
-    entry = struct.Struct("<QQ")
-    for section in sections:
-        table += entry.pack(offset, len(section))
-        offset += len(section)
-    header = _HEADER.pack(
-        DELTA_MAGIC, DELTA_VERSION, len(sections), zlib.crc32(body)
+    return write_section_file(
+        path,
+        DELTA_MAGIC,
+        DELTA_VERSION,
+        [
+            bytes(meta),
+            encode_sorted_kv_block(inverted_store.overlay_items()),
+            _encode_keys(inverted_store.overlay_deletes()),
+            encode_sorted_kv_block(frequency_store.overlay_items()),
+            _encode_keys(frequency_store.overlay_deletes()),
+            encode_sorted_kv_block(_statistics_pairs(index)),
+            _encode_tree_ops(index.delta_log),
+        ],
     )
-
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, temp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(header)
-            handle.write(table)
-            handle.write(body)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
-    from .frozen import _fsync_directory
-
-    _fsync_directory(directory)
-    return path
 
 
 # ----------------------------------------------------------------------
 # Reader
 # ----------------------------------------------------------------------
-class DeltaFile:
-    """A validated, memory-mapped delta file."""
+class DeltaFile(SectionFile):
+    """An open delta file: one layer of a snapshot chain."""
 
-    __slots__ = (
-        "path",
-        "parent_name",
-        "parent_crc",
-        "depth",
-        "_mapped",
-        "_sections",
-    )
+    KIND = "delta snapshot"
+    MAGIC = DELTA_MAGIC
+    VERSION = DELTA_VERSION
+    SECTION_COUNT = _SECTION_COUNT
 
     def __init__(self, path, mapped, sections):
-        self.path = path
-        self._mapped = mapped
-        self._sections = sections
+        super().__init__(path, mapped, sections)
         meta = sections[_SECTION_META]
         parent_raw, pos = _decode_bytes(meta, 0)
         (self.parent_crc,) = _CRC.unpack_from(meta, pos)
         self.depth, _ = decode_uvarint(meta, pos + _CRC.size)
         self.parent_name = parent_raw.decode("utf-8")
 
-    @classmethod
-    def open(cls, path):
-        try:
-            handle = open(path, "rb")
-        except OSError as exc:
-            raise IndexingError(
-                f"cannot open delta snapshot {path!r}: {exc}"
-            ) from exc
-        with handle:
-            try:
-                mapped = mmap.mmap(
-                    handle.fileno(), 0, access=mmap.ACCESS_READ
-                )
-            except (ValueError, OSError) as exc:
-                raise IndexingError(
-                    f"delta snapshot {path!r} is truncated or unmappable"
-                ) from exc
-        view = memoryview(mapped)
-        try:
-            return cls._validate(path, mapped, view)
-        except BaseException:
-            view.release()
-            mapped.close()
-            raise
+    def inverted_layer(self):
+        """``(puts block, deleted keys)`` over the inverted section."""
+        return (
+            SortedKVBlock(self.section(_SECTION_INV_PUTS)),
+            _decode_keys(self.section(_SECTION_INV_DELETES)),
+        )
 
-    @classmethod
-    def _validate(cls, path, mapped, view):
-        if len(view) < _HEADER.size:
-            raise IndexingError(f"delta snapshot {path!r} is truncated")
-        magic, version, section_count, checksum = _HEADER.unpack_from(view, 0)
-        if magic != DELTA_MAGIC:
-            raise IndexingError(
-                f"{path!r} is not a delta snapshot (bad magic)"
-            )
-        if version != DELTA_VERSION:
-            raise IndexingError(
-                f"delta snapshot {path!r} has version {version}; this "
-                f"build reads version {DELTA_VERSION}"
-            )
-        if section_count != _SECTION_COUNT:
-            raise IndexingError(
-                f"delta snapshot {path!r} declares {section_count} "
-                f"sections, expected {_SECTION_COUNT}"
-            )
-        entry = struct.Struct("<QQ")
-        body_start = _HEADER.size + entry.size * section_count
-        if len(view) < body_start:
-            raise IndexingError(
-                f"delta snapshot {path!r} is truncated inside the "
-                "section table"
-            )
-        body = view[body_start:]
-        sections = []
-        try:
-            if zlib.crc32(body) != checksum:
-                raise IndexingError(
-                    f"delta snapshot {path!r} failed its checksum — the "
-                    "file is corrupt"
-                )
-            for i in range(section_count):
-                offset, length = entry.unpack_from(
-                    view, _HEADER.size + entry.size * i
-                )
-                if offset + length > len(body):
-                    raise IndexingError(
-                        f"delta snapshot {path!r} section {i} exceeds "
-                        "the file body (truncated?)"
-                    )
-                sections.append(body[offset : offset + length])
-        except BaseException:
-            for section in sections:
-                section.release()
-            body.release()
-            raise
-        body.release()
-        return cls(path, mapped, sections)
+    def frequency_layer(self):
+        """``(puts block, deleted keys)`` over the frequency section."""
+        return (
+            SortedKVBlock(self.section(_SECTION_FREQ_PUTS)),
+            _decode_keys(self.section(_SECTION_FREQ_DELETES)),
+        )
 
-    def section(self, index):
-        return self._sections[index]
+    def statistics_block(self):
+        """The full statistics section as of this delta."""
+        return SortedKVBlock(self.section(_SECTION_STATS))
 
-    def close(self):
-        if self._mapped is None:
-            return
-        for section in self._sections:
-            try:
-                section.release()
-            except BufferError:
-                pass
-        self._sections = ()
-        try:
-            self._mapped.close()
-        except BufferError:
-            pass
-        self._mapped = None
-
-    def __repr__(self):
-        return f"DeltaFile({self.path!r}, depth={self.depth})"
+    def replay_tree_ops(self, tree):
+        """Apply this delta's tree-operation log to ``tree``."""
+        ops = _decode_tree_ops(self.section(_SECTION_TREE_OPS))
+        _replay_tree_ops(tree, ops, self.path)
 
 
 class ChainSnapshot:
     """The open file set behind a chain-loaded index.
 
     Quacks like :class:`~repro.index.frozen.FrozenSnapshot` where the
-    serving layer cares (``path``, ``format_version``, ``close()``):
-    closing releases every delta mmap and then the base snapshot.
+    serving layer cares (``path``, ``closed``, ``close()``): closing
+    releases every delta mmap and then the base snapshot.
     """
 
-    __slots__ = ("path", "base", "deltas", "format_version")
+    __slots__ = ("path", "base", "deltas")
 
     def __init__(self, path, base, deltas):
         self.path = path
         self.base = base
         self.deltas = deltas
-        self.format_version = base.format_version
 
     @property
     def chain_length(self):
@@ -515,9 +377,6 @@ def resolve_chain(path):
 
 def _replay_tree_ops(tree, ops, path):
     """Apply one delta's tree-operation log, tree-only."""
-    from ..xmltree.build import _attach_children, _normalize_spec
-    from ..xmltree.tree import XMLNode, build_node_type
-
     for op in ops:
         if op[0] == "append":
             _, ordinal, spec = op
@@ -550,117 +409,19 @@ def load_index_chain(path, pause=None):
     nothing is merged eagerly, and base posting payloads untouched by
     any delta still serve through the lazy block directory.
     """
-    from .builder import DocumentIndex
-    from .cooccur import CooccurrenceTable
-    from .frequency import FrequencyTable
-    from .frozen import load_frozen_index
-    from .inverted import InvertedIndex
-    from .statistics import StatisticsTable
-
     base_path, delta_paths = resolve_chain(path)
     if not delta_paths:
         return load_frozen_index(base_path, pause=pause)
-
-    base = FrozenSnapshot.open(base_path)
-    deltas = []
+    chain = ChainSnapshot(
+        os.path.abspath(path), FrozenSnapshot.open(base_path), []
+    )
     try:
         for delta_path in delta_paths:
-            deltas.append(DeltaFile.open(delta_path))
-
-        inverted_layers = []
-        frequency_layers = []
-        for delta in deltas:
-            inverted_layers.append(
-                (
-                    SortedKVBlock(delta.section(_SECTION_INV_PUTS)),
-                    _decode_keys(delta.section(_SECTION_INV_DELETES)),
-                )
-            )
-            frequency_layers.append(
-                (
-                    SortedKVBlock(delta.section(_SECTION_FREQ_PUTS)),
-                    _decode_keys(delta.section(_SECTION_FREQ_DELETES)),
-                )
-            )
-
-        inverted_stack = StackedKVBase(
-            SortedKVBlock(base.section(_SECTION_INVERTED)), inverted_layers
-        )
-        frequency_stack = StackedKVBase(
-            SortedKVBlock(base.section(_SECTION_FREQUENCY)),
-            frequency_layers,
-        )
-
-        directory_table = None
-        tree_directory = None
-        if base.format_version >= 3:
-            from .blocks import BlockDirectoryTable
-            from .frozen import _SECTION_BLOCKS, TREE_PARTITIONS_KEY
-
-            blocks_block = SortedKVBlock(base.section(_SECTION_BLOCKS))
-            directory_table = BlockDirectoryTable(blocks_block)
-            tree_directory = blocks_block.get(TREE_PARTITIONS_KEY)
-        if tree_directory is not None:
-            from .frozen import _SECTION_TREE
-            from .paged_tree import decode_paged_tree
-
-            tree = decode_paged_tree(
-                base.section(_SECTION_TREE),
-                bytes(tree_directory),
-                pause=pause,
-            )
-        else:
-            from .frozen import _SECTION_TREE, _decode_tree
-
-            tree = _decode_tree(base.section(_SECTION_TREE), pause=pause)
-        for delta in deltas:
-            _replay_tree_ops(
-                tree,
-                _decode_tree_ops(delta.section(_SECTION_TREE_OPS)),
-                delta.path,
-            )
-
-        inverted = InvertedIndex(store=CowKVStore(inverted_stack))
-        inverted.load_metadata()
-        inverted._block_directory = directory_table
-        frequency = FrequencyTable(
-            type_ids=inverted._type_ids,
-            type_table=inverted._type_table,
-            store=CowKVStore(frequency_stack),
-        )
-
-        statistics = StatisticsTable()
-        calibration = None
-        top_stats = SortedKVBlock(deltas[-1].section(_SECTION_STATS))
-        for key, value in top_stats.items():
-            if bytes(key) == CALIBRATION_KEY:
-                from ..plan.cost_model import decode_calibration
-
-                calibration = decode_calibration(bytes(value))
-                continue
-            node_type = decode_key(key)
-            node_count, distinct, total_terms = _STATS_VALUE.unpack(value)
-            entry = statistics._entry(node_type)
-            entry.node_count = node_count
-            entry.distinct_keywords = distinct
-            entry.total_terms = total_terms
-        cooccurrence = CooccurrenceTable(inverted)
+            chain.deltas.append(DeltaFile.open(delta_path))
     except BaseException:
-        for delta in deltas:
-            delta.close()
-        base.close()
+        chain.close()
         raise
-
-    index = DocumentIndex(
-        tree, inverted, frequency, statistics, cooccurrence
-    )
-    index.frozen_snapshot = ChainSnapshot(
-        os.path.abspath(path), base, deltas
-    )
-    index.calibration = calibration
-    index.delta_log = []
-    index.delta_depth = deltas[-1].depth
-    return index
+    return assemble_index(chain, chain.base, chain.deltas, pause=pause)
 
 
 def compact(source, destination, block_size=None):

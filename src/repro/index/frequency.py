@@ -7,7 +7,7 @@ Stores, for each combination of keyword ``k`` and node type ``T``:
 * ``tf(k, T)`` — the **XML term frequency**: total occurrences of ``k``
   within subtrees rooted at T-typed nodes.
 
-Entries are persisted in the embedded store under the order-preserving
+Entries live in the store under the order-preserving
 composite key ``(keyword, type_id)`` so one prefix scan returns all
 types for a keyword — the access pattern of Formula 1 (summing
 ``f_k^T`` over all T for each query keyword).
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 
-from ..storage import MemoryKVStore, decode_key, encode_key
+from ..storage import CowKVStore, decode_key, encode_key
 
 _VALUE = struct.Struct(">II")  # f_k^T, tf(k, T)
 
@@ -26,7 +26,7 @@ class FrequencyTable:
     """XML DF / TF statistics keyed by (keyword, node type)."""
 
     def __init__(self, type_ids=None, type_table=None, store=None):
-        self._store = store if store is not None else MemoryKVStore()
+        self._store = store if store is not None else CowKVStore()
         # Interning shared with the inverted index keeps keys compact.
         self._type_ids = type_ids if type_ids is not None else {}
         self._type_table = type_table if type_table is not None else []

@@ -13,23 +13,29 @@ memory and serves **without an upfront decode**:
   lazily, per keyword, on first touch.
 * Section 1 — the frequent table ``f_k^T`` / ``tf(k, T)`` under
   ``(keyword, type_id)`` keys.
-* Section 2 — per-type ``N_T`` / ``G_T`` / term-total statistics.
+* Section 2 — per-type ``N_T`` / ``G_T`` / term-total statistics, plus
+  the planner-calibration record.
 * Section 3 — the document tree in a compact preorder binary form
   (interned tag table; per node: tag id, Dewey ordinal, child count,
   text).  Ordinals are stored explicitly because partition removal
   leaves sibling ordinals non-dense.
-* Section 4 (format v3) — the block directory: per-keyword posting
-  block headers (byte extents, CRC32, first/max Dewey per fixed-size
-  block; see :mod:`repro.index.blocks`) plus the tree partition
-  directory consumed by :mod:`repro.index.paged_tree`.  Directories
-  describe the unchanged section-0/-3 bytes, so v3 adds laziness
-  without touching any earlier section's encoding.
+* Section 4 — the block directory: per-keyword posting block headers
+  (byte extents, CRC32, first/max Dewey per fixed-size block; see
+  :mod:`repro.index.blocks`) plus the tree partition directory
+  consumed by :mod:`repro.index.paged_tree`.
 
-Opening a snapshot is O(header + tree): the header and section table
-are validated (magic, format version, section bounds, CRC-32 over the
-body), the tree is rebuilt, and the two big keyword-keyed sections
-become :class:`~repro.storage.CowKVStore` bases — reads go straight to
-the mapped bytes, while mutations (``append_partition`` /
+This is the one on-disk index format; delta snapshots
+(:mod:`repro.index.delta`) are the same file shape with other sections
+and stack on it.  The pieces both kinds share live here: the header and
+section table, the atomic writer (:func:`write_section_file`), the
+validated mmap reader (:class:`SectionFile`), the statistics row codec,
+and the sections → :class:`DocumentIndex` assembly.
+
+Opening a snapshot is O(header + partition directory): the header and
+section table are validated (magic, format version, section bounds,
+CRC-32 over the body), and the two big keyword-keyed sections become
+:class:`~repro.storage.CowKVStore` bases — reads go straight to the
+mapped bytes, while mutations (``append_partition`` /
 ``remove_partition``) copy the affected records into a private overlay
 so the snapshot file on disk is never modified.
 """
@@ -46,14 +52,12 @@ from ..errors import IndexingError
 from ..storage import (
     CowKVStore,
     SortedKVBlock,
+    StackedKVBase,
     decode_key,
-    decode_uvarint,
     encode_key,
     encode_sorted_kv_block,
     encode_uvarint,
 )
-from ..xmltree.dewey import Dewey
-from ..xmltree.tree import XMLNode, XMLTree
 from .builder import DocumentIndex
 from .cooccur import CooccurrenceTable
 from .frequency import FrequencyTable
@@ -63,26 +67,17 @@ from .statistics import StatisticsTable
 #: File magic — 8 bytes, never reused across incompatible layouts.
 MAGIC = b"XRFZIDX\x01"
 #: Bumped whenever the section layout or any section encoding changes.
-#: Version 2 added the planner-calibration record to the statistics
-#: section (an additive change: version-1 files stay readable, they
-#: just carry no calibration and the planner falls back to its
-#: uncalibrated defaults).  Version 3 added the block-directory
-#: section (posting-block headers + tree partition directory); the
-#: first four sections are encoded exactly as in version 2, so older
-#: sections decode unchanged and v1/v2 files simply load without
-#: lazy paging.
+#: This is the only version this build reads or writes; an older file
+#: is rebuilt from its source with ``repro index``.
 FORMAT_VERSION = 3
-#: Versions this build can read.
-_COMPAT_VERSIONS = (1, 2, 3)
 
 _SECTION_INVERTED = 0
 _SECTION_FREQUENCY = 1
 _SECTION_STATISTICS = 2
 _SECTION_TREE = 3
-#: Version-3 only: block directories for long posting lists plus the
-#: tree partition directory, as one sorted key-value block.
+#: Block directories for long posting lists plus the tree partition
+#: directory, as one sorted key-value block.
 _SECTION_BLOCKS = 4
-_SECTION_COUNT_V2 = 4
 _SECTION_COUNT = 5
 
 # magic + format_version u16 + section_count u16 + body crc32 u32
@@ -109,11 +104,11 @@ def _encode_tree(tree):
     """Serialize an :class:`XMLTree` into the preorder binary form.
 
     Returns ``(section_bytes, partition_directory)``.  The section
-    bytes are the exact preorder layout of format v1/v2 (root record
-    followed by each partition's subtree records); the directory maps
-    every partition ordinal to its byte offset within the node blob
-    and its subtree node count, so a v3 reader can decode partitions
-    independently (:mod:`repro.index.paged_tree`).
+    bytes are the preorder layout (root record followed by each
+    partition's subtree records); the directory maps every partition
+    ordinal to its byte offset within the node blob and its subtree
+    node count, so the reader decodes partitions independently
+    (:mod:`repro.index.paged_tree`).
     """
     tag_ids = {}
     tag_table = []
@@ -168,68 +163,9 @@ def _encode_tree(tree):
     return bytes(out), bytes(directory)
 
 
-#: Nodes decoded between ``pause()`` calls in a cooperative tree decode.
-_TREE_DECODE_CHUNK = 512
-
-
-def _decode_tree(view, pause=None):
-    """Rebuild the :class:`XMLTree` from a mapped tree section.
-
-    With ``pause`` set, the decode loop invokes it every
-    ``_TREE_DECODE_CHUNK`` nodes — a cooperative yield point for
-    loaders running next to live request threads (see
-    :func:`load_frozen_index`).
-    """
-    tag_count, pos = decode_uvarint(view, 0)
-    tags = []
-    for _ in range(tag_count):
-        length, pos = decode_uvarint(view, pos)
-        tags.append(bytes(view[pos : pos + length]).decode("utf-8"))
-        pos += length
-    node_count, pos = decode_uvarint(view, pos)
-    if node_count == 0:
-        raise IndexingError("frozen snapshot tree section has no nodes")
-
-    def read_node(pos):
-        tag_id, pos = decode_uvarint(view, pos)
-        ordinal, pos = decode_uvarint(view, pos)
-        child_count, pos = decode_uvarint(view, pos)
-        text_len, pos = decode_uvarint(view, pos)
-        text = bytes(view[pos : pos + text_len]).decode("utf-8")
-        return tags[tag_id], ordinal, child_count, text, pos + text_len
-
-    tag, ordinal, child_count, text, pos = read_node(pos)
-    root = XMLNode(tag, Dewey.from_trusted((ordinal,)), (tag,), text)
-    stack = [(root, child_count)]
-    for decoded in range(node_count - 1):
-        if pause is not None and decoded and decoded % _TREE_DECODE_CHUNK == 0:
-            pause()
-        while stack and stack[-1][1] == 0:
-            stack.pop()
-        if not stack:
-            raise IndexingError("frozen snapshot tree section is malformed")
-        parent, remaining = stack[-1]
-        stack[-1] = (parent, remaining - 1)
-        tag, ordinal, child_count, text, pos = read_node(pos)
-        node = XMLNode(
-            tag,
-            Dewey.from_trusted(parent.dewey.components + (ordinal,)),
-            parent.node_type + (tag,),
-            text,
-        )
-        parent.children.append(node)
-        stack.append((node, child_count))
-    return XMLTree(root)
-
-
 # ----------------------------------------------------------------------
-# Snapshot writer
+# Statistics section codec (shared with delta snapshots)
 # ----------------------------------------------------------------------
-def _owned_items(store):
-    for key, value in store.items():
-        yield bytes(key), bytes(value)
-
-
 def _calibration_pairs(index):
     """The statistics-section record carrying the planner calibration.
 
@@ -244,34 +180,9 @@ def _calibration_pairs(index):
     return [(CALIBRATION_KEY, encode_calibration(calibration))]
 
 
-def freeze_index(index, path, block_size=None):
-    """Write ``index`` as a frozen snapshot file at ``path``.
-
-    The write is crash-safe: bytes land in a temporary sibling file
-    which is fsynced and atomically renamed over ``path``, so readers
-    only ever observe a complete snapshot.
-
-    ``block_size`` (postings per block, default
-    :data:`repro.index.blocks.DEFAULT_BLOCK_SIZE`) controls the paging
-    granularity of the v3 block directory; lists no longer than one
-    block carry no directory and decode eagerly.
-    """
-    from .blocks import DEFAULT_BLOCK_SIZE, build_block_directory_payload
-
-    if block_size is None:
-        block_size = DEFAULT_BLOCK_SIZE
-    if not isinstance(block_size, int) or isinstance(block_size, bool):
-        raise IndexingError(
-            f"block size must be an integer, got {block_size!r}"
-        )
-    if block_size < 1:
-        raise IndexingError(f"block size must be >= 1, got {block_size}")
-
-    index.inverted.save_metadata()
-    if index.frequency._pending:
-        index.frequency.finalize()
-
-    statistics_pairs = sorted(
+def _statistics_pairs(index):
+    """Sorted statistics-section records, calibration included."""
+    return sorted(
         [
             (
                 encode_key(node_type),
@@ -285,34 +196,47 @@ def freeze_index(index, path, block_size=None):
         ]
         + _calibration_pairs(index)
     )
-    inverted_items = list(_owned_items(index.inverted._store))
-    tree_section, tree_directory = _encode_tree(index.tree)
-    sections = [
-        encode_sorted_kv_block(inverted_items),
-        encode_sorted_kv_block(_owned_items(index.frequency._store)),
-        encode_sorted_kv_block(statistics_pairs),
-        tree_section,
-    ]
-    if FORMAT_VERSION >= 3:
-        types_key = encode_key((InvertedIndex._TYPES_KEY,))
-        block_pairs = [(TREE_PARTITIONS_KEY, tree_directory)]
-        for key, payload in inverted_items:
-            if key == types_key:
-                continue
-            directory = build_block_directory_payload(payload, block_size)
-            if directory is not None:
-                block_pairs.append((key, directory))
-        block_pairs.sort()
-        sections.append(encode_sorted_kv_block(block_pairs))
+
+
+def _decode_statistics(block):
+    """``(StatisticsTable, calibration)`` from a statistics section."""
+    from ..plan.cost_model import decode_calibration
+
+    statistics = StatisticsTable()
+    calibration = None
+    for key, value in block.items():
+        if key == CALIBRATION_KEY:
+            # An unknown record version decodes to None — the planner
+            # silently falls back to its uncalibrated defaults.
+            calibration = decode_calibration(value)
+            continue
+        entry = statistics._entry(decode_key(key))
+        (
+            entry.node_count,
+            entry.distinct_keywords,
+            entry.total_terms,
+        ) = _STATS_VALUE.unpack(value)
+    return statistics, calibration
+
+
+# ----------------------------------------------------------------------
+# Section-file writer (shared with delta snapshots)
+# ----------------------------------------------------------------------
+def write_section_file(path, magic, version, sections):
+    """Write ``sections`` as one checksummed file at ``path``.
+
+    The write is crash-safe: bytes land in a temporary sibling file
+    which is fsynced and atomically renamed over ``path``, so readers
+    only ever observe a complete file and a failed write leaves the
+    previous one in place.
+    """
     body = b"".join(sections)
     table = bytearray()
     offset = 0
     for section in sections:
         table += _SECTION_ENTRY.pack(offset, len(section))
         offset += len(section)
-    header = _HEADER.pack(
-        MAGIC, FORMAT_VERSION, len(sections), zlib.crc32(body)
-    )
+    header = _HEADER.pack(magic, version, len(sections), zlib.crc32(body))
 
     directory = os.path.dirname(os.path.abspath(path))
     fd, temp_path = tempfile.mkstemp(
@@ -350,8 +274,59 @@ def _fsync_directory(directory):
         os.close(dir_fd)
 
 
+def freeze_index(index, path, block_size=None):
+    """Write ``index`` as a frozen snapshot file at ``path``.
+
+    Crash-safe (see :func:`write_section_file`).
+
+    ``block_size`` (postings per block, default
+    :data:`repro.index.blocks.DEFAULT_BLOCK_SIZE`) controls the paging
+    granularity of the block directory; lists no longer than one
+    block carry no directory and decode eagerly.
+    """
+    from .blocks import DEFAULT_BLOCK_SIZE, build_block_directory_payload
+
+    if block_size is None:
+        block_size = DEFAULT_BLOCK_SIZE
+    if not isinstance(block_size, int) or isinstance(block_size, bool):
+        raise IndexingError(
+            f"block size must be an integer, got {block_size!r}"
+        )
+    if block_size < 1:
+        raise IndexingError(f"block size must be >= 1, got {block_size}")
+
+    index.inverted.save_metadata()
+    if index.frequency._pending:
+        index.frequency.finalize()
+
+    statistics_pairs = _statistics_pairs(index)
+    inverted_items = list(index.inverted._store.items())
+    tree_section, tree_directory = _encode_tree(index.tree)
+    types_key = encode_key((InvertedIndex._TYPES_KEY,))
+    block_pairs = [(TREE_PARTITIONS_KEY, tree_directory)]
+    for key, payload in inverted_items:
+        if key == types_key:
+            continue
+        directory = build_block_directory_payload(payload, block_size)
+        if directory is not None:
+            block_pairs.append((key, directory))
+    block_pairs.sort()
+    return write_section_file(
+        path,
+        MAGIC,
+        FORMAT_VERSION,
+        [
+            encode_sorted_kv_block(inverted_items),
+            encode_sorted_kv_block(index.frequency._store.items()),
+            encode_sorted_kv_block(statistics_pairs),
+            tree_section,
+            encode_sorted_kv_block(block_pairs),
+        ],
+    )
+
+
 # ----------------------------------------------------------------------
-# Snapshot reader
+# Section-file reader (shared with delta snapshots)
 # ----------------------------------------------------------------------
 #: Chunk size for the open-time body checksum.  Bounds how many mapped
 #: pages the validation sweep holds resident at once.
@@ -397,22 +372,23 @@ def _paging_checksum(mapped, body, body_start):
     return checksum
 
 
-class FrozenSnapshot:
-    """A validated, memory-mapped frozen snapshot file.
+class SectionFile:
+    """A validated, memory-mapped section file.
 
-    Holds the mmap and hands out zero-copy memoryviews of the sections;
-    the views keep the mapping alive, so the snapshot object may be
-    dropped once an index has been materialized from it.
+    Holds the mmap and hands out zero-copy memoryviews of the sections.
+    Subclasses name the file kind: its magic, the one version this
+    build reads, and its section count.
     """
 
-    def __init__(self, path, mapped, sections, format_version=FORMAT_VERSION):
+    KIND = None
+    MAGIC = None
+    VERSION = None
+    SECTION_COUNT = None
+
+    def __init__(self, path, mapped, sections):
         self.path = path
         self._mapped = mapped
         self._sections = sections
-        #: The version the file on disk declares (1, 2 or 3);
-        #: version-1 snapshots carry no calibration record, and only
-        #: version-3 snapshots carry the block-directory section.
-        self.format_version = format_version
 
     @classmethod
     def open(cls, path):
@@ -420,7 +396,7 @@ class FrozenSnapshot:
             handle = open(path, "rb")
         except OSError as exc:
             raise IndexingError(
-                f"cannot open frozen snapshot {path!r}: {exc}"
+                f"cannot open {cls.KIND} {path!r}: {exc}"
             ) from exc
         with handle:
             try:
@@ -429,53 +405,54 @@ class FrozenSnapshot:
                 )
             except (ValueError, OSError) as exc:
                 raise IndexingError(
-                    f"frozen snapshot {path!r} is truncated or unmappable"
+                    f"{cls.KIND} {path!r} is truncated or unmappable"
                 ) from exc
         view = memoryview(mapped)
+        sections = []
         try:
-            return cls._validate(path, mapped, view)
+            cls._validate(path, mapped, view, sections)
+            return cls(path, mapped, sections)
         except BaseException:
+            # Release every sub-view before closing the mmap, or the
+            # close would raise BufferError and mask the real error.
+            for section in sections:
+                section.release()
             view.release()
             mapped.close()
             raise
 
     @classmethod
-    def _validate(cls, path, mapped, view):
+    def _validate(cls, path, mapped, view, sections):
+        """Check header, table and checksum; fill ``sections`` with views."""
         if len(view) < _HEADER.size:
             raise IndexingError(
-                f"frozen snapshot {path!r} is truncated "
+                f"{cls.KIND} {path!r} is truncated "
                 f"({len(view)} bytes, header needs {_HEADER.size})"
             )
         magic, version, section_count, checksum = _HEADER.unpack_from(view, 0)
-        if magic != MAGIC:
+        if magic != cls.MAGIC:
+            raise IndexingError(f"{path!r} is not a {cls.KIND} (bad magic)")
+        if version != cls.VERSION:
             raise IndexingError(
-                f"{path!r} is not a frozen index snapshot (bad magic)"
+                f"{cls.KIND} {path!r} has format version {version}; this "
+                f"build reads only version {cls.VERSION} — rebuild it "
+                "from its source with `repro index`"
             )
-        if version not in _COMPAT_VERSIONS:
+        if section_count != cls.SECTION_COUNT:
             raise IndexingError(
-                f"frozen snapshot {path!r} has format version {version}; "
-                f"this build reads versions {_COMPAT_VERSIONS}"
-            )
-        expected_sections = (
-            _SECTION_COUNT if version >= 3 else _SECTION_COUNT_V2
-        )
-        if section_count != expected_sections:
-            raise IndexingError(
-                f"frozen snapshot {path!r} declares {section_count} "
-                f"sections, expected {expected_sections}"
+                f"{cls.KIND} {path!r} declares {section_count} "
+                f"sections, expected {cls.SECTION_COUNT}"
             )
         body_start = _HEADER.size + _SECTION_ENTRY.size * section_count
         if len(view) < body_start:
             raise IndexingError(
-                f"frozen snapshot {path!r} is truncated inside the "
-                "section table"
+                f"{cls.KIND} {path!r} is truncated inside the section table"
             )
         body = view[body_start:]
-        sections = []
         try:
             if _paging_checksum(mapped, body, body_start) != checksum:
                 raise IndexingError(
-                    f"frozen snapshot {path!r} failed its checksum — the "
+                    f"{cls.KIND} {path!r} failed its checksum — the "
                     "file is corrupt"
                 )
             for i in range(section_count):
@@ -484,20 +461,12 @@ class FrozenSnapshot:
                 )
                 if offset + length > len(body):
                     raise IndexingError(
-                        f"frozen snapshot {path!r} section {i} exceeds "
+                        f"{cls.KIND} {path!r} section {i} exceeds "
                         "the file body (truncated?)"
                     )
                 sections.append(body[offset : offset + length])
-        except BaseException:
-            # Release every sub-view before the caller closes the mmap,
-            # or the close would raise BufferError and mask the real
-            # validation error.
-            for section in sections:
-                section.release()
+        finally:
             body.release()
-            raise
-        body.release()
-        return cls(path, mapped, sections, format_version=version)
 
     def section(self, index):
         """Zero-copy memoryview of one section's bytes."""
@@ -533,9 +502,92 @@ class FrozenSnapshot:
         self._mapped = None
 
     def __repr__(self):
-        if self._mapped is None:
-            return f"FrozenSnapshot({self.path!r}, closed)"
-        return f"FrozenSnapshot({self.path!r}, {len(self._mapped)} bytes)"
+        state = "closed" if self.closed else f"{len(self._mapped)} bytes"
+        return f"{type(self).__name__}({self.path!r}, {state})"
+
+
+class FrozenSnapshot(SectionFile):
+    """An open frozen snapshot file.
+
+    The section views keep the mapping alive, so the snapshot object
+    may be dropped once an index has been materialized from it.
+    """
+
+    KIND = "frozen snapshot"
+    MAGIC = MAGIC
+    VERSION = FORMAT_VERSION
+    SECTION_COUNT = _SECTION_COUNT
+
+
+def assemble_index(handle, base, deltas=(), pause=None):
+    """A :class:`DocumentIndex` over ``base`` and the ``deltas`` on it.
+
+    ``base`` is an open :class:`FrozenSnapshot`; ``deltas`` the open
+    :class:`~repro.index.delta.DeltaFile` layers stacked on it,
+    bottom-up (none for a plain snapshot).  ``handle`` owns every
+    mapping: it becomes ``index.frozen_snapshot`` and is closed if the
+    assembly fails, which — bad section bytes being the only cause —
+    always ends in an :class:`IndexingError`.
+    """
+    # On first open, not at import: a process that only ever indexes
+    # XML never loads the block and paged-tree machinery.
+    from .blocks import BlockDirectoryTable
+    from .paged_tree import decode_paged_tree
+
+    try:
+        inverted_base = SortedKVBlock(base.section(_SECTION_INVERTED))
+        frequency_base = SortedKVBlock(base.section(_SECTION_FREQUENCY))
+        statistics_block = SortedKVBlock(base.section(_SECTION_STATISTICS))
+        blocks_block = SortedKVBlock(base.section(_SECTION_BLOCKS))
+        tree_directory = blocks_block.get(TREE_PARTITIONS_KEY)
+        if tree_directory is None:
+            raise IndexingError(
+                f"frozen snapshot {base.path!r} has no tree partition "
+                "directory"
+            )
+        tree = decode_paged_tree(
+            base.section(_SECTION_TREE), bytes(tree_directory), pause=pause
+        )
+        if deltas:
+            inverted_base = StackedKVBase(
+                inverted_base, [delta.inverted_layer() for delta in deltas]
+            )
+            frequency_base = StackedKVBase(
+                frequency_base, [delta.frequency_layer() for delta in deltas]
+            )
+            # The index-level effects of each delta already live in its
+            # overlay sections; only the tree needs replaying.
+            for delta in deltas:
+                delta.replay_tree_ops(tree)
+            statistics_block = deltas[-1].statistics_block()
+
+        inverted = InvertedIndex(store=CowKVStore(inverted_base))
+        inverted.load_metadata()
+        inverted._block_directory = BlockDirectoryTable(blocks_block)
+        frequency = FrequencyTable(
+            type_ids=inverted._type_ids,
+            type_table=inverted._type_table,
+            store=CowKVStore(frequency_base),
+        )
+        statistics, calibration = _decode_statistics(statistics_block)
+    except BaseException as exc:
+        handle.close()
+        if isinstance(exc, Exception) and not isinstance(exc, IndexingError):
+            raise IndexingError(
+                f"snapshot {handle.path!r} has a malformed section: {exc}"
+            ) from exc
+        raise
+
+    index = DocumentIndex(
+        tree, inverted, frequency, statistics, CooccurrenceTable(inverted)
+    )
+    index.frozen_snapshot = handle
+    index.calibration = calibration
+    # Mutations are logged so save_delta() can replay tree operations
+    # on top of this snapshot (see repro.index.delta).
+    index.delta_log = []
+    index.delta_depth = deltas[-1].depth if deltas else 0
+    return index
 
 
 def load_frozen_index(path, pause=None):
@@ -543,81 +595,16 @@ def load_frozen_index(path, pause=None):
 
     The inverted and frequency stores stay on the mapped bytes behind
     copy-on-write overlays — no posting list is decoded until a query
-    touches its keyword.  Only the tree and the (small) statistics
-    table materialize eagerly.  The returned index supports the full
-    mutation API; updates divert into the overlays and the file on disk
-    is untouched.
+    touches its keyword, and tree partitions materialize on first
+    access.  Only the (small) statistics table decodes eagerly.  The
+    returned index supports the full mutation API; updates divert into
+    the overlays and the file on disk is untouched.
 
     ``pause`` (optional zero-argument callable) is invoked
-    periodically during the tree decode — the one CPU-bound stretch of
-    the open — so a loader on a background thread of a live server can
-    yield the interpreter to request threads between chunks.
+    periodically during the partition-directory decode — the one
+    CPU-bound stretch of the open — so a loader on a background thread
+    of a live server can yield the interpreter to request threads
+    between chunks.
     """
     snapshot = FrozenSnapshot.open(path)
-    try:
-        inverted_block = SortedKVBlock(snapshot.section(_SECTION_INVERTED))
-        frequency_block = SortedKVBlock(snapshot.section(_SECTION_FREQUENCY))
-        statistics_block = SortedKVBlock(
-            snapshot.section(_SECTION_STATISTICS)
-        )
-        directory_table = None
-        tree_directory = None
-        if snapshot.format_version >= 3:
-            from .blocks import BlockDirectoryTable
-
-            blocks_block = SortedKVBlock(snapshot.section(_SECTION_BLOCKS))
-            directory_table = BlockDirectoryTable(blocks_block)
-            tree_directory = blocks_block.get(TREE_PARTITIONS_KEY)
-        if tree_directory is not None:
-            from .paged_tree import decode_paged_tree
-
-            tree = decode_paged_tree(
-                snapshot.section(_SECTION_TREE),
-                bytes(tree_directory),
-                pause=pause,
-            )
-        else:
-            tree = _decode_tree(snapshot.section(_SECTION_TREE), pause=pause)
-    except IndexingError:
-        raise
-    except Exception as exc:
-        raise IndexingError(
-            f"frozen snapshot {path!r} has a malformed section: {exc}"
-        ) from exc
-
-    inverted = InvertedIndex(store=CowKVStore(inverted_block))
-    inverted.load_metadata()
-    inverted._block_directory = directory_table
-    frequency = FrequencyTable(
-        type_ids=inverted._type_ids,
-        type_table=inverted._type_table,
-        store=CowKVStore(frequency_block),
-    )
-    statistics = StatisticsTable()
-    calibration = None
-    for key, value in statistics_block.items():
-        if bytes(key) == CALIBRATION_KEY:
-            # Reserved planner-calibration record (format version 2+).
-            # An unknown record version decodes to None — the planner
-            # silently falls back to its uncalibrated defaults, the
-            # same behavior as reading a version-1 snapshot.
-            from ..plan.cost_model import decode_calibration
-
-            calibration = decode_calibration(bytes(value))
-            continue
-        node_type = decode_key(key)
-        node_count, distinct, total_terms = _STATS_VALUE.unpack(value)
-        entry = statistics._entry(node_type)
-        entry.node_count = node_count
-        entry.distinct_keywords = distinct
-        entry.total_terms = total_terms
-    cooccurrence = CooccurrenceTable(inverted)
-
-    index = DocumentIndex(tree, inverted, frequency, statistics, cooccurrence)
-    index.frozen_snapshot = snapshot
-    index.calibration = calibration
-    # Mutations are logged so save_delta() can replay tree operations
-    # on top of this snapshot (see repro.index.delta).
-    index.delta_log = []
-    index.delta_depth = 0
-    return index
+    return assemble_index(snapshot, snapshot, pause=pause)

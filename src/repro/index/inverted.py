@@ -16,7 +16,7 @@ import bisect
 
 from ..errors import IndexingError
 from ..storage import (
-    MemoryKVStore,
+    CowKVStore,
     decode_key,
     decode_uvarint,
     encode_key,
@@ -244,7 +244,7 @@ def decode_posting_payload(keyword, raw, type_table):
 
 
 class InvertedIndex:
-    """All inverted lists of a document, persisted in a KV store.
+    """All inverted lists of a document, held in a KV store.
 
     The store keeps one record per keyword under the order-preserving
     key ``(keyword,)``; the value packs the posting list (delta-coded
@@ -253,12 +253,12 @@ class InvertedIndex:
     """
 
     def __init__(self, store=None):
-        self._store = store if store is not None else MemoryKVStore()
+        self._store = store if store is not None else CowKVStore()
         self._cache = {}
         self._type_table = []
         self._type_ids = {}
         #: Optional :class:`repro.index.blocks.BlockDirectoryTable`
-        #: attached by the v3 frozen loader; when set, long lists whose
+        #: attached by the snapshot loader; when set, long lists whose
         #: payload is still the pristine frozen bytes decode block-by-
         #: block instead of all at once.
         self._block_directory = None
@@ -353,13 +353,11 @@ class InvertedIndex:
             # only applies while the store still serves the pristine
             # base value — an overlay write invalidates it (base_view
             # returns None) and the keyword falls back to eager decode.
-            base_view = getattr(self._store, "base_view", None)
-            if base_view is not None:
-                payload = base_view(key)
-                if payload is not None:
-                    decoded = self._block_directory.open_list(
-                        keyword, payload, self._type_table
-                    )
+            payload = self._store.base_view(key)
+            if payload is not None:
+                decoded = self._block_directory.open_list(
+                    keyword, payload, self._type_table
+                )
         if decoded is None:
             raw = self._store.get(key)
             if raw is None:
@@ -372,10 +370,6 @@ class InvertedIndex:
     def _decode(self, keyword, raw):
         return decode_posting_payload(keyword, raw, self._type_table)
 
-    def raw_payload(self, keyword):
-        """Packed posting payload bytes for ``keyword`` (None if absent)."""
-        return self._store.get(encode_key((keyword,)))
-
     # ------------------------------------------------------------------
     # Persistence of the node-type table
     # ------------------------------------------------------------------
@@ -385,12 +379,12 @@ class InvertedIndex:
     _TYPES_KEY = "!node-types"
 
     def save_metadata(self):
-        """Persist the node-type table (call before closing a file store)."""
+        """Write the node-type table into the store (before a freeze)."""
         blob = "\n".join("/".join(t) for t in self._type_table)
         self._store.put(encode_key((self._TYPES_KEY,)), blob.encode("utf-8"))
 
     def load_metadata(self):
-        """Restore the node-type table from the store (after reopening)."""
+        """Restore the node-type table from the store (after a load)."""
         raw = self._store.get(encode_key((self._TYPES_KEY,)))
         if raw is None:
             return

@@ -1,76 +1,46 @@
-"""On-disk persistence for the full document index.
+"""One loader for every index source.
 
-The paper stores all indexes in Berkeley DB so a corpus is parsed and
-analyzed once; this module provides the same capability over the
-embedded :mod:`repro.storage` stores.  A saved index is a directory:
-
-* ``document.xml`` — the corpus itself (the tree is needed at query
-  time for meaningful-SLCA checks and result rendering);
-* ``inverted.db`` — the keyword inverted lists + node-type table;
-* ``frequency.db`` — the frequent table ``f_k^T`` / ``tf(k, T)``;
-* ``cooccur.db`` — whatever co-occurrence pairs have been memoized;
-* ``statistics.db`` — per-type ``N_T`` / ``G_T`` / term totals.
-
-``load_index`` reconstructs a fully functional
-:class:`~repro.index.builder.DocumentIndex` without re-running the
-one-pass builder; round-trip equivalence is covered by the test suite.
+The paper stores its indexes in Berkeley DB so a corpus is parsed and
+analyzed once; here that file is a frozen snapshot
+(:mod:`repro.index.frozen`) with optional delta snapshots stacked on
+it (:mod:`repro.index.delta`).  An index therefore comes from exactly
+three sources — a raw XML document, a ``.frz`` snapshot, or a ``.dlt``
+chain top — and :func:`open_index_source` tells them apart.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
-import struct
-import tempfile
 
 from ..errors import IndexingError
-from ..storage import FileKVStore, decode_key, encode_key
 from ..xmltree.parser import parse_file
-from ..xmltree.serialize import write_file
-from .builder import DocumentIndex
-from .cooccur import CooccurrenceTable
-from .frequency import FrequencyTable
-from .frozen import (  # re-exported: the single-file snapshot variant
-    FrozenSnapshot,
-    _fsync_directory,
-    freeze_index,
-    load_frozen_index,
-)
-from .inverted import InvertedIndex
-from .statistics import StatisticsTable
-
-_STATS_VALUE = struct.Struct(">III")  # node_count, distinct, total_terms
-
-_DOCUMENT_FILE = "document.xml"
-_INVERTED_FILE = "inverted.db"
-_FREQUENCY_FILE = "frequency.db"
-_COOCCUR_FILE = "cooccur.db"
-_STATISTICS_FILE = "statistics.db"
+from .builder import build_document_index
+from .delta import DELTA_MAGIC, load_index_chain
+from .frozen import MAGIC, load_frozen_index
 
 
 def open_index_source(source, pause=None):
     """A :class:`DocumentIndex` from any on-disk source.
 
-    Dispatches on what ``source`` is: a saved index directory (from
-    :func:`save_index`), a frozen snapshot file (checked by magic), or
-    a raw ``.xml`` document indexed on the fly.  This is the loader
-    behind both the CLI source argument and the serving daemon's
-    startup/hot-reload paths.
+    Dispatches on what ``source`` is: a frozen snapshot or a delta
+    chain top (checked by magic), or a raw ``.xml`` document indexed
+    on the fly.  This is the loader behind both the CLI source
+    argument and the serving daemon's startup/hot-reload paths.
 
     ``pause`` is an optional zero-argument callable invoked
-    periodically during the frozen tree decode (the one CPU-bound
-    stretch of a snapshot open): a loader running on a background
-    thread of a live server passes a short ``time.sleep`` so the
-    decode yields the interpreter to concurrent request threads
-    instead of monopolizing it.  Ignored for the other source kinds,
-    whose loads are not on any serving path.
+    periodically during a snapshot open's one CPU-bound stretch: a
+    loader running on a background thread of a live server passes a
+    short ``time.sleep`` so the open yields the interpreter to
+    concurrent request threads instead of monopolizing it.  Ignored
+    for XML, whose build is not on any serving path.
     """
-    from .builder import build_document_index
-    from .delta import DELTA_MAGIC
-    from .frozen import MAGIC
-
     if os.path.isdir(source):
-        return load_index(source)
+        raise IndexingError(
+            f"{source!r} is a directory, not an index source: pass an "
+            ".xml document, a .frz snapshot or a .dlt delta (an index "
+            "directory saved by an older build is rebuilt from its "
+            "document with `repro index`)"
+        )
     if not os.path.exists(source):
         raise IndexingError(f"no such index or document: {source!r}")
     try:
@@ -81,121 +51,5 @@ def open_index_source(source, pause=None):
     if magic == MAGIC:
         return load_frozen_index(source, pause=pause)
     if magic == DELTA_MAGIC:
-        from .delta import load_index_chain
-
         return load_index_chain(source, pause=pause)
     return build_document_index(parse_file(source))
-
-
-def _copy_store(source, destination):
-    # Stores iterate in key order, so the copy can stream through the
-    # destination's bottom-up bulk load instead of paying one
-    # root-to-leaf insert per key.
-    destination.load_sorted(source.items())
-
-
-def save_index(index, directory):
-    """Persist a :class:`DocumentIndex` into ``directory``.
-
-    The directory is created when missing; an existing saved index is
-    replaced wholesale (snapshot semantics, like a Berkeley DB
-    checkpoint).  The save is crash-safe: every file is written and
-    fsynced in a staging directory first, which is then renamed into
-    place — a killed save leaves either the old snapshot or the new
-    one, never a torn mix that :func:`load_index` would half-read.
-    """
-    directory = os.path.abspath(directory)
-    parent = os.path.dirname(directory)
-    os.makedirs(parent, exist_ok=True)
-    if os.path.exists(directory) and not os.path.isdir(directory):
-        raise IndexingError(
-            f"cannot save index: {directory!r} exists and is not a directory"
-        )
-    staging = tempfile.mkdtemp(
-        dir=parent, prefix=os.path.basename(directory) + ".tmp"
-    )
-    try:
-        _write_snapshot_files(index, staging)
-        _fsync_directory(staging)
-        if os.path.isdir(directory):
-            # rename(2) has no atomic directory exchange; parking the
-            # old snapshot first shrinks the no-snapshot window to the
-            # instant between the two renames.
-            graveyard = tempfile.mkdtemp(
-                dir=parent, prefix=os.path.basename(directory) + ".old"
-            )
-            os.replace(directory, os.path.join(graveyard, "snapshot"))
-            os.replace(staging, directory)
-            shutil.rmtree(graveyard, ignore_errors=True)
-        else:
-            os.replace(staging, directory)
-        _fsync_directory(parent)
-    except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
-
-
-def _write_snapshot_files(index, directory):
-    """Write and fsync all five snapshot files into ``directory``."""
-    document_path = os.path.join(directory, _DOCUMENT_FILE)
-    write_file(index.tree, document_path)
-    with open(document_path, "rb") as handle:
-        os.fsync(handle.fileno())
-
-    index.inverted.save_metadata()
-    # FileKVStore.close -> Pager.flush already fsyncs the page file.
-    with FileKVStore(os.path.join(directory, _INVERTED_FILE)) as store:
-        _copy_store(index.inverted._store, store)
-    with FileKVStore(os.path.join(directory, _FREQUENCY_FILE)) as store:
-        _copy_store(index.frequency._store, store)
-    with FileKVStore(os.path.join(directory, _COOCCUR_FILE)) as store:
-        _copy_store(index.cooccurrence._store, store)
-
-    with FileKVStore(os.path.join(directory, _STATISTICS_FILE)) as store:
-        store.load_sorted(
-            sorted(
-                (
-                    encode_key(node_type),
-                    _STATS_VALUE.pack(
-                        stats.node_count,
-                        stats.distinct_keywords,
-                        stats.total_terms,
-                    ),
-                )
-                for node_type, stats in index.statistics.items()
-            )
-        )
-
-
-def load_index(directory):
-    """Load a :class:`DocumentIndex` saved by :func:`save_index`."""
-    document_path = os.path.join(directory, _DOCUMENT_FILE)
-    if not os.path.exists(document_path):
-        raise IndexingError(f"no saved index in {directory!r}")
-    tree = parse_file(document_path)
-
-    inverted_store = FileKVStore(os.path.join(directory, _INVERTED_FILE))
-    inverted = InvertedIndex(store=inverted_store)
-    inverted.load_metadata()
-
-    frequency_store = FileKVStore(os.path.join(directory, _FREQUENCY_FILE))
-    frequency = FrequencyTable(
-        type_ids=inverted._type_ids,
-        type_table=inverted._type_table,
-        store=frequency_store,
-    )
-
-    statistics = StatisticsTable()
-    with FileKVStore(os.path.join(directory, _STATISTICS_FILE)) as store:
-        for key, value in store.items():
-            node_type = decode_key(key)
-            node_count, distinct, total_terms = _STATS_VALUE.unpack(value)
-            entry = statistics._entry(node_type)
-            entry.node_count = node_count
-            entry.distinct_keywords = distinct
-            entry.total_terms = total_terms
-
-    cooccur_store = FileKVStore(os.path.join(directory, _COOCCUR_FILE))
-    cooccurrence = CooccurrenceTable(inverted, store=cooccur_store)
-
-    return DocumentIndex(tree, inverted, frequency, statistics, cooccurrence)

@@ -1,11 +1,11 @@
-"""Embedded storage substrate: B+ tree, page file, key-value store.
+"""Storage substrate: byte codecs, sorted blocks, one overlay store.
 
-Replaces the paper's Berkeley DB [24] dependency with a from-scratch
-ordered store exposing the same capabilities the indexes need: O(log n)
-keyed lookup, ordered range scans, and file persistence.
+Replaces the paper's Berkeley DB [24] dependency with the capabilities
+the indexes need from it: keyed lookup, ordered range scans (binary
+search over sorted snapshot sections, merged with one in-memory overlay
+store), and file persistence (:mod:`repro.index.frozen`).
 """
 
-from .btree import BPlusTree
 from .encoding import (
     SortedKVBlock,
     decode_dewey_list,
@@ -17,22 +17,11 @@ from .encoding import (
     encode_uvarint,
     key_prefix_upper_bound,
 )
-from .kvstore import (
-    CowKVStore,
-    FileKVStore,
-    KVStore,
-    MemoryKVStore,
-    StackedKVBase,
-)
-from .pager import Pager
+from .kvstore import CowKVStore, StackedKVBase
 
 __all__ = [
-    "BPlusTree",
-    "Pager",
-    "KVStore",
-    "MemoryKVStore",
-    "FileKVStore",
     "CowKVStore",
+    "StackedKVBase",
     "SortedKVBlock",
     "encode_sorted_kv_block",
     "encode_key",

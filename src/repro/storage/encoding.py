@@ -1,7 +1,7 @@
 """Order-preserving key encoding and compact value encoding.
 
-The embedded store (:mod:`repro.storage.kvstore`) works on ``bytes``
-keys and values, like Berkeley DB.  The index layer needs composite
+The store (:mod:`repro.storage.kvstore`) works on ``bytes`` keys and
+values, like Berkeley DB.  The index layer needs composite
 keys — ``(keyword,)``, ``(keyword, node_type)``, ``(keyword, keyword,
 node_type)`` — whose *byte* order must equal their tuple order so range
 scans (e.g. "all entries for keyword k") work.  This module provides:
@@ -215,8 +215,8 @@ _BLOCK_OFFSET = struct.Struct("<Q")
 def encode_sorted_kv_block(pairs):
     """Encode ``(key, value)`` byte pairs into one columnar block.
 
-    ``pairs`` must be strictly sorted by key (the order every KV store
-    in this package iterates in); violations raise
+    ``pairs`` must be strictly sorted by key (the order the store
+    iterates in); violations raise
     :class:`KeyEncodingError` so a corrupt block can never be written.
     """
     keys = []
@@ -297,11 +297,6 @@ class SortedKVBlock:
         hi = self._value_start + self._value_offset(i + 1)
         return self._view[lo:hi]
 
-    def value_span(self, i):
-        """``(offset, length)`` of value ``i`` within the value region."""
-        lo = self._value_offset(i)
-        return lo, self._value_offset(i + 1) - lo
-
     # -- search ----------------------------------------------------------
     def bisect_left(self, key):
         """First index whose key is ``>= key``."""
@@ -356,20 +351,6 @@ class SortedKVBlock:
                 return
             yield key, bytes(self.value_at(idx))
             idx += 1
-
-    def value_region(self):
-        """The whole contiguous value blob as one memoryview."""
-        return self._view[
-            self._value_start : self._value_start
-            + self._value_offset(self._count)
-        ]
-
-    def value_spans(self):
-        """``[(key, offset, length)]`` for every value, in key order."""
-        return [
-            (self.key_at(i),) + self.value_span(i)
-            for i in range(self._count)
-        ]
 
     def __repr__(self):
         return f"SortedKVBlock({self._count} keys)"

@@ -10,6 +10,8 @@ chain-loaded index.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro import XRefine, build_document_index
@@ -25,6 +27,8 @@ from repro.index import (
     resolve_chain,
     save_delta,
 )
+from repro.lexicon import RuleMiner
+from repro.storage import SortedKVBlock
 from repro.xmltree import parse, serialize
 
 QUERIES = ("database systems", "xml search", "stream joins", "skyline")
@@ -142,6 +146,58 @@ class TestChainAnswers:
         assert chain_index.has_keyword("skyline")
 
 
+class TestChainOpenIsLazy:
+    def test_no_whole_section_sweep_until_the_count_is_asked_for(
+        self, chain, rebuilt, monkeypatch
+    ):
+        """Opening a chain and answering a query merge no keyed section.
+
+        The stacked key count is the one number that needs a full k-way
+        merge of a section; it is computed on the first ``len()``, not
+        at open (where every ``/reload`` of a ``.dlt`` would pay it).
+        """
+        swept = []
+
+        def spy(name):
+            original = getattr(SortedKVBlock, name)
+
+            def whole_section(self):
+                swept.append(self)
+                return original(self)
+
+            monkeypatch.setattr(SortedKVBlock, name, whole_section)
+
+        spy("keys")
+        spy("items")
+        original_range = SortedKVBlock.range
+
+        def range_spy(self, low=None, high=None):
+            if low is None and high is None:
+                swept.append(self)
+            return original_range(self, low, high)
+
+        monkeypatch.setattr(SortedKVBlock, "range", range_spy)
+
+        index = load_index_chain(chain[2])
+        # The engine's one legitimate vocabulary sweep (rule mining) is
+        # supplied from outside, so what remains is open + query.
+        miner = RuleMiner(rebuilt.inverted.keywords())
+        engine = XRefine(index, miner=miner, cache_size=0)
+        assert engine.search("stream joins", k=2).refinements is not None
+
+        stacks = (index.inverted._store._base, index.frequency._store._base)
+        keyed = [stack._bottom for stack in stacks] + [
+            puts for stack in stacks for puts, _deleted in stack._layers
+        ]
+        assert len(keyed) == 6
+        assert not [b for b in swept if any(b is k for k in keyed)]
+
+        assert index.inverted.vocabulary_size() == (
+            rebuilt.inverted.vocabulary_size()
+        )
+        assert any(b is stacks[0]._bottom for b in swept)
+
+
 class TestCompaction:
     def test_compact_matches_refreeze(self, chain, chain_index, tmp_path):
         compacted = tmp_path / "compacted.frz"
@@ -172,6 +228,15 @@ class TestOpenIndexSource:
         assert from_base.inverted.keywords()
         assert "skyline" in from_chain.inverted.keywords()
 
+    def test_directory_is_refused_with_a_typed_error(self, tmp_path):
+        """The index-directory format is gone; say so, and what to do."""
+        (tmp_path / "corpus.idx").mkdir()
+        (tmp_path / "corpus.idx" / "document.xml").write_text("<a/>")
+        with pytest.raises(IndexingError) as err:
+            open_index_source(str(tmp_path / "corpus.idx"))
+        assert "is a directory" in str(err.value)
+        assert "repro index" in str(err.value)
+
     def test_xml_fallback(self, tmp_path):
         doc = tmp_path / "doc.xml"
         doc.write_text(
@@ -180,3 +245,69 @@ class TestOpenIndexSource:
         )
         index = open_index_source(str(doc))
         assert index.has_keyword("zoe")
+
+
+class TestSaveDeltaNeedsALoadedIndex:
+    def test_built_index_is_refused(self, tmp_path, figure1_tree):
+        """A built index has the same store class as a loaded one but no
+        mutation log and no parent: the guard is the log, not the type."""
+        base = tmp_path / "base.frz"
+        built = build_document_index(parse(serialize(figure1_tree)))
+        freeze_index(built, base)
+        with pytest.raises(IndexingError, match="loaded from a frozen"):
+            save_delta(built, tmp_path / "bad.dlt", base)
+        assert not (tmp_path / "bad.dlt").exists()
+
+
+class TestCrashSafety:
+    """A failed save leaves no debris and never harms the file in place.
+
+    ``freeze_index`` and ``save_delta`` share one writer (temp file,
+    fsync, atomic rename); both entry points are held to it.
+    """
+
+    @pytest.fixture()
+    def saved(self, tmp_path, figure1_tree):
+        """A ``.frz``, a ``.dlt`` on it, and an index to overwrite with."""
+        base = tmp_path / "base.frz"
+        freeze_index(
+            build_document_index(parse(serialize(figure1_tree))), base
+        )
+        index = load_frozen_index(base)
+        append_partition(index, author_spec("carol", ["stream joins"]))
+        delta = tmp_path / "delta.dlt"
+        save_delta(index, delta, base)
+        append_partition(index, author_spec("dave", ["doomed words"]))
+        return base, delta, index
+
+    @pytest.mark.parametrize("broken", ["replace", "fsync"])
+    @pytest.mark.parametrize("target", ["existing", "new"])
+    @pytest.mark.parametrize("kind", ["frz", "dlt"])
+    def test_failed_save_changes_nothing_on_disk(
+        self, saved, tmp_path, monkeypatch, kind, target, broken
+    ):
+        base, delta, index = saved
+        path = {"frz": base, "dlt": delta}[kind]
+        if target == "new":
+            path = tmp_path / f"new.{kind}"
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def boom(*args, **kwargs):
+            raise OSError("disk full (simulated)")
+
+        monkeypatch.setattr(os, broken, boom)
+        with pytest.raises(OSError, match="simulated"):
+            if kind == "frz":
+                freeze_index(index, path)
+            else:
+                save_delta(index, path, base)
+        monkeypatch.undo()
+
+        # No ``*.tmp*`` sibling, no half-written target, old bytes intact.
+        assert {
+            p.name: p.read_bytes() for p in tmp_path.iterdir()
+        } == before
+        # Both pre-existing files still open and answer.
+        survivor = load_index_chain(delta)
+        assert survivor.has_keyword("carol")
+        assert not survivor.has_keyword("doomed")

@@ -31,9 +31,10 @@ from repro.index.frozen import (
     _SECTION_COUNT,
     _SECTION_ENTRY,
     _paging_checksum,
+    FORMAT_VERSION,
     MAGIC,
 )
-from repro.storage import encode_uvarint
+from repro.storage import encode_key, encode_uvarint
 from repro.xmltree import Dewey, parse, serialize
 
 QUERIES = ("on line data base", "database publication", "xml twig")
@@ -51,6 +52,11 @@ def loaded(frozen_path):
     return load_frozen_index(str(frozen_path))
 
 
+def stored_payload(index, keyword):
+    """The packed posting payload the store holds for ``keyword``."""
+    return index.inverted._store.get(encode_key((keyword,)))
+
+
 class TestRoundTrip:
     def test_tree_identical(self, loaded, figure1_index):
         assert serialize(loaded.tree) == serialize(figure1_index.tree)
@@ -65,11 +71,11 @@ class TestRoundTrip:
                 figure1_index.inverted_list(keyword)
             ), keyword
 
-    def test_raw_payloads_identical(self, loaded, figure1_index):
+    def test_stored_payloads_identical(self, loaded, figure1_index):
         for keyword in figure1_index.inverted.keywords():
-            assert loaded.inverted.raw_payload(
-                keyword
-            ) == figure1_index.inverted.raw_payload(keyword), keyword
+            assert stored_payload(loaded, keyword) == stored_payload(
+                figure1_index, keyword
+            ), keyword
 
     def test_frequency_identical(self, loaded, figure1_index):
         t = ("bib", "author", "publications", "inproceedings")
@@ -184,12 +190,21 @@ class TestCorruption:
             load_frozen_index(bad)
 
     def test_wrong_version(self, frozen_path, tmp_path):
-        def bump_version(blob):
-            struct.pack_into("<H", blob, len(MAGIC), 99)
-
-        bad = self.corrupt(frozen_path, tmp_path, bump_version)
-        with pytest.raises(IndexingError):
-            load_frozen_index(bad)
+        """Older (1, 2) and newer (4, 99) headers: found vs supported."""
+        for version in (1, 2, FORMAT_VERSION + 1, 99):
+            bad = self.corrupt(
+                frozen_path,
+                tmp_path,
+                lambda blob: struct.pack_into(
+                    "<H", blob, len(MAGIC), version
+                ),
+            )
+            with pytest.raises(IndexingError) as err:
+                load_frozen_index(bad)
+            message = str(err.value)
+            assert f"format version {version};" in message
+            assert f"only version {FORMAT_VERSION}" in message
+            assert "repro index" in message
 
     def test_wrong_section_count(self, frozen_path, tmp_path):
         def bump_sections(blob):
@@ -259,7 +274,7 @@ class TestBlockDirectoryFuzz:
             key=figure1_index.inverted.list_length,
         )
         assert figure1_index.inverted.list_length(keyword) >= 2
-        return figure1_index.inverted.raw_payload(keyword)
+        return stored_payload(figure1_index, keyword)
 
     @pytest.fixture(scope="class")
     def directory(self, payload):
@@ -356,7 +371,7 @@ class TestBlockCorruptionOnDisk:
             figure1_index.inverted.keywords(),
             key=figure1_index.inverted.list_length,
         )
-        payload = figure1_index.inverted.raw_payload(keyword)
+        payload = stored_payload(figure1_index, keyword)
         return path, keyword, payload
 
     def rechecksum(self, blob):

@@ -1,4 +1,4 @@
-"""Calibration persistence in frozen snapshots (format version 2+)."""
+"""Calibration persistence in frozen snapshots."""
 
 import pytest
 
@@ -6,7 +6,6 @@ import repro.index.frozen as frozen_module
 from repro.core.engine import XRefine
 from repro.errors import IndexingError
 from repro.index.frozen import FORMAT_VERSION, freeze_index, load_frozen_index
-from repro.verify.oracle import response_fingerprint
 
 
 @pytest.fixture()
@@ -19,7 +18,6 @@ def snapshot_path(tmp_path, figure1_index):
 class TestFormatVersion2:
     def test_snapshot_carries_a_calibration(self, snapshot_path):
         index = load_frozen_index(snapshot_path)
-        assert index.frozen_snapshot.format_version == FORMAT_VERSION
         assert index.calibration is not None
         assert index.calibration.source == "snapshot"
 
@@ -45,25 +43,6 @@ class TestFormatVersion2:
 
 
 class TestVersionSkew:
-    def test_version_1_snapshot_loads_without_calibration(
-        self, tmp_path, figure1_index, monkeypatch
-    ):
-        monkeypatch.setattr(frozen_module, "FORMAT_VERSION", 1)
-        monkeypatch.setattr(
-            frozen_module, "_calibration_pairs", lambda index: []
-        )
-        path = tmp_path / "v1.frz"
-        freeze_index(figure1_index, path)
-
-        index = load_frozen_index(path)
-        assert index.frozen_snapshot.format_version == 1
-        assert index.calibration is None
-        # Queries still work; the planner falls back to defaults.
-        engine = XRefine(index)
-        auto = engine.search("databse systems", k=2, algorithm="auto")
-        fixed = engine.search("databse systems", k=2, algorithm="partition")
-        assert response_fingerprint(auto) == response_fingerprint(fixed)
-
     def test_unknown_calibration_record_version_degrades_to_none(
         self, tmp_path, figure1_index, monkeypatch
     ):
@@ -121,9 +100,15 @@ class TestVersionSkew:
     def test_future_format_version_is_rejected(
         self, tmp_path, figure1_index, monkeypatch
     ):
-        monkeypatch.setattr(frozen_module, "FORMAT_VERSION", FORMAT_VERSION + 1)
-        path = tmp_path / "future.frz"
-        freeze_index(figure1_index, path)
-        monkeypatch.undo()
-        with pytest.raises(IndexingError, match="format version"):
-            load_frozen_index(path)
+        """Files whose writer declared version 1, 2 or 4 are refused."""
+        for version in (1, 2, FORMAT_VERSION + 1):
+            monkeypatch.setattr(frozen_module, "FORMAT_VERSION", version)
+            path = tmp_path / f"v{version}.frz"
+            freeze_index(figure1_index, path)
+            monkeypatch.undo()
+            with pytest.raises(
+                IndexingError,
+                match=f"format version {version}; .* only version "
+                f"{FORMAT_VERSION}",
+            ):
+                load_frozen_index(path)

@@ -196,15 +196,21 @@ class TestReloadUnderLoad:
 
 
 class TestFailedReload:
-    def test_missing_snapshot_keeps_old_live(self, daemon, client):
+    """Every refused source: typed 500, and the old generation serves on."""
+
+    def refused(self, daemon, client, source, says):
         healthy = client.search(QUERY, k=2)
         with pytest.raises(ServeClientError) as err:
-            client.reload("/nonexistent/snapshot.frz")
+            client.reload(str(source))
         assert err.value.status == 500
         assert err.value.error_type == "IndexingError"
+        assert says in err.value.error
         assert daemon.server.manager.generation == 0
         still = client.search(QUERY, k=2)
         assert wire_answer(still) == wire_answer(healthy)
+
+    def test_missing_snapshot_keeps_old_live(self, daemon, client):
+        self.refused(daemon, client, "/nonexistent/snapshot.frz", "no such")
 
     def test_corrupt_snapshot_keeps_old_live(
         self, daemon, client, tmp_path
@@ -213,14 +219,27 @@ class TestFailedReload:
 
         corrupt = tmp_path / "corrupt.frz"
         corrupt.write_bytes(MAGIC + b"\x00" * 16)  # truncated body
-        healthy = client.search(QUERY, k=2)
-        with pytest.raises(ServeClientError) as err:
-            client.reload(str(corrupt))
-        assert err.value.status == 500
-        assert err.value.error_type == "IndexingError"
-        assert daemon.server.manager.generation == 0
-        still = client.search(QUERY, k=2)
-        assert wire_answer(still) == wire_answer(healthy)
+        self.refused(daemon, client, corrupt, "corrupt.frz")
+
+    def test_directory_source_keeps_old_live(self, daemon, client, tmp_path):
+        """An index directory — a format no build reads any more."""
+        (tmp_path / "corpus.idx").mkdir()
+        (tmp_path / "corpus.idx" / "document.xml").write_text("<a/>")
+        self.refused(daemon, client, tmp_path / "corpus.idx", "is a directory")
+
+    def test_old_format_version_keeps_old_live(
+        self, daemon, client, serve_snapshots, tmp_path
+    ):
+        import struct
+
+        from repro.index.frozen import MAGIC
+
+        with open(serve_snapshots[1], "rb") as handle:
+            blob = bytearray(handle.read())
+        struct.pack_into("<H", blob, len(MAGIC), 2)
+        stale = tmp_path / "v2.frz"
+        stale.write_bytes(bytes(blob))
+        self.refused(daemon, client, stale, "format version 2")
 
 
 class TestSnapshotLifecycle:

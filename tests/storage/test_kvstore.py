@@ -1,133 +1,73 @@
-"""Tests for the Berkeley-DB-style key-value store."""
+"""The store over no base: a plain in-memory ordered ``bytes`` map.
+
+This is what a *built* index uses; ``test_sorted_block.py`` covers the
+same class over mapped bases.
+"""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.errors import StorageClosedError, StorageError
-from repro.storage import FileKVStore, MemoryKVStore, encode_key
+from repro.errors import StorageError
+from repro.storage import CowKVStore, encode_key
 
 
 class TestMemoryStore:
     def test_put_get(self):
-        store = MemoryKVStore()
+        store = CowKVStore()
         store.put(b"k", b"v")
         assert store.get(b"k") == b"v"
 
     def test_get_default(self):
-        assert MemoryKVStore().get(b"k", b"d") == b"d"
+        assert CowKVStore().get(b"k", b"d") == b"d"
 
     def test_delete(self):
-        store = MemoryKVStore()
+        store = CowKVStore()
         store.put(b"k", b"v")
         assert store.delete(b"k") is True
         assert store.delete(b"k") is False
 
     def test_len_contains(self):
-        store = MemoryKVStore()
+        store = CowKVStore()
         store.put(b"a", b"")
         store.put(b"b", b"")
         assert len(store) == 2
         assert b"a" in store and b"c" not in store
 
     def test_items_sorted(self):
-        store = MemoryKVStore()
+        store = CowKVStore()
         for key in (b"c", b"a", b"b"):
             store.put(key, key)
         assert [k for k, _ in store.items()] == [b"a", b"b", b"c"]
+        # The sorted view follows later writes.
+        store.put(b"aa", b"")
+        store.delete(b"b")
+        assert list(store.keys()) == [b"a", b"aa", b"c"]
 
     def test_range(self):
-        store = MemoryKVStore()
+        store = CowKVStore()
         for b in range(10):
             store.put(bytes([b]), b"")
-        assert len(list(store.range(bytes([2]), bytes([5])))) == 3
+        # Half-open: low included, high excluded.
+        assert [k for k, _ in store.range(bytes([2]), bytes([5]))] == [
+            bytes([2]), bytes([3]), bytes([4]),
+        ]
+        assert len(list(store.range(low=bytes([7])))) == 3
+        assert len(list(store.range(high=bytes([2])))) == 2
 
     def test_scan_prefix(self):
-        store = MemoryKVStore()
+        store = CowKVStore()
         store.put(encode_key(("apple", 1)), b"1")
         store.put(encode_key(("apple", 2)), b"2")
         store.put(encode_key(("apricot", 1)), b"3")
         hits = list(store.scan_prefix(encode_key(("apple",))))
-        assert len(hits) == 2
+        assert [value for _, value in hits] == [b"1", b"2"]
 
     def test_rejects_non_bytes(self):
-        store = MemoryKVStore()
+        store = CowKVStore()
         with pytest.raises(StorageError):
             store.put("str", b"v")
         with pytest.raises(StorageError):
             store.put(b"k", 42)
-
-    def test_closed_store(self):
-        store = MemoryKVStore()
-        store.close()
-        with pytest.raises(StorageClosedError):
-            store.get(b"k")
-
-    def test_context_manager(self):
-        with MemoryKVStore() as store:
-            store.put(b"k", b"v")
-        with pytest.raises(StorageClosedError):
-            store.get(b"k")
-
-
-class TestFileStore:
-    def test_persistence_roundtrip(self, tmp_path):
-        path = tmp_path / "store.db"
-        with FileKVStore(path) as store:
-            store.put(b"alpha", b"1")
-            store.put(b"beta", b"2")
-        with FileKVStore(path) as store:
-            assert store.get(b"alpha") == b"1"
-            assert store.get(b"beta") == b"2"
-            assert len(store) == 2
-
-    def test_delete_persists(self, tmp_path):
-        path = tmp_path / "store.db"
-        with FileKVStore(path) as store:
-            store.put(b"a", b"1")
-            store.put(b"b", b"2")
-            store.delete(b"a")
-        with FileKVStore(path) as store:
-            assert b"a" not in store
-            assert store.get(b"b") == b"2"
-
-    def test_multiple_flushes_latest_wins(self, tmp_path):
-        path = tmp_path / "store.db"
-        with FileKVStore(path) as store:
-            store.put(b"k", b"old")
-            store.flush()
-            store.put(b"k", b"new")
-            store.flush()
-        with FileKVStore(path) as store:
-            assert store.get(b"k") == b"new"
-
-    def test_empty_store_reopens(self, tmp_path):
-        path = tmp_path / "store.db"
-        with FileKVStore(path):
-            pass
-        with FileKVStore(path) as store:
-            assert len(store) == 0
-
-    def test_large_values(self, tmp_path):
-        path = tmp_path / "store.db"
-        big = bytes(range(256)) * 100
-        with FileKVStore(path) as store:
-            store.put(b"big", big)
-        with FileKVStore(path) as store:
-            assert store.get(b"big") == big
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        data=st.dictionaries(
-            st.binary(min_size=1, max_size=8),
-            st.binary(max_size=16),
-            max_size=40,
-        )
-    )
-    def test_roundtrip_property(self, tmp_path_factory, data):
-        path = tmp_path_factory.mktemp("kv") / "store.db"
-        with FileKVStore(path) as store:
-            for key, value in data.items():
-                store.put(key, value)
-        with FileKVStore(path) as store:
-            assert dict(store.items()) == data
+        with pytest.raises(StorageError):
+            store.get("str")
+        with pytest.raises(StorageError):
+            store.scan_prefix("str")

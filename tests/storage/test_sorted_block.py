@@ -2,15 +2,21 @@
 
 ``SortedKVBlock`` is the zero-copy read side of the frozen index
 snapshot format; ``CowKVStore`` layers a mutable overlay on top so a
-frozen index can diverge in memory while the mapped bytes stay valid.
+frozen index can diverge in memory while the mapped bytes stay valid;
+``StackedKVBase`` is the base of a store opened over a delta chain.
 """
 
-import random
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import KeyEncodingError, StorageError
-from repro.storage import CowKVStore, SortedKVBlock, encode_sorted_kv_block
+from repro.errors import KeyEncodingError
+from repro.storage import (
+    CowKVStore,
+    SortedKVBlock,
+    StackedKVBase,
+    encode_sorted_kv_block,
+)
 
 
 def make_block(pairs):
@@ -25,6 +31,116 @@ SAMPLE = [
 ]
 
 
+# ----------------------------------------------------------------------
+# Model-based property: the store over every kind of base
+# ----------------------------------------------------------------------
+# A small key space (with shared prefixes) so operations collide.
+KEYS = st.sampled_from(
+    [prefix + bytes([suffix]) for prefix in (b"a", b"ab", b"b")
+     for suffix in range(6)]
+)
+VALUES = st.binary(max_size=3)
+OPS = st.one_of(
+    st.tuples(st.just("put"), KEYS, VALUES),
+    st.tuples(st.just("delete"), KEYS),
+    # Ordered reads interleave with writes: the overlay's sorted view
+    # must never be stale.
+    st.tuples(st.just("scan"), KEYS, KEYS),
+)
+
+
+def make_bases(bottom, layers):
+    """``(base, content, frozen, blobs)`` for no base, a block, a stack.
+
+    ``content`` is what the base holds; ``frozen`` the part of it that
+    is still the bottom block's own bytes (what ``base_view`` serves).
+    """
+    yield None, {}, {}, []
+
+    bottom_blob = bytearray(encode_sorted_kv_block(sorted(bottom.items())))
+    yield SortedKVBlock(bottom_blob), dict(bottom), dict(bottom), [bottom_blob]
+
+    content = dict(bottom)
+    frozen = dict(bottom)
+    blobs = [bottom_blob]
+    stack_layers = []
+    for puts, deleted in layers:
+        deleted = deleted - set(puts)  # a layer never holds a key twice
+        blob = bytearray(encode_sorted_kv_block(sorted(puts.items())))
+        blobs.append(blob)
+        stack_layers.append((SortedKVBlock(blob), deleted))
+        for key in deleted:
+            content.pop(key, None)
+        content.update(puts)
+        for key in set(puts) | deleted:
+            frozen.pop(key, None)
+    yield (
+        StackedKVBase(SortedKVBlock(bottom_blob), stack_layers),
+        content, frozen, blobs,
+    )
+
+
+def check_against_model(store, content, frozen, ops):
+    overlay, deleted = {}, set()
+
+    def model():
+        merged = {k: v for k, v in content.items() if k not in deleted}
+        merged.update(overlay)
+        return merged
+
+    def check_point(key):
+        expected = model()
+        assert store.get(key) == expected.get(key)
+        assert store.get(key, b"dflt") == expected.get(key, b"dflt")
+        assert (key in store) == (key in expected)
+        assert len(store) == len(expected)
+        view = store.base_view(key)
+        if key in overlay or key in deleted or key not in frozen:
+            assert view is None
+        else:
+            assert bytes(view) == frozen[key]
+
+    def check_ordered(low, high):
+        expected = sorted(model().items())
+        assert list(store.items()) == expected
+        assert list(store.keys()) == [k for k, _ in expected]
+        if low > high:
+            low, high = high, low
+        assert list(store.range(low, high)) == [
+            (k, v) for k, v in expected if low <= k < high
+        ]
+        assert list(store.range(low=low)) == [
+            (k, v) for k, v in expected if k >= low
+        ]
+        assert list(store.range(high=high)) == [
+            (k, v) for k, v in expected if k < high
+        ]
+        prefix = low[:-1]
+        assert list(store.scan_prefix(prefix)) == [
+            (k, v) for k, v in expected if k.startswith(prefix)
+        ]
+        assert store.overlay_items() == sorted(overlay.items())
+        assert store.overlay_deletes() == sorted(deleted)
+
+    for op in ops:
+        if op[0] == "put":
+            _, key, value = op
+            store.put(key, value)
+            overlay[key] = value
+            deleted.discard(key)
+            check_point(key)
+        elif op[0] == "delete":
+            _, key = op
+            assert store.delete(key) == (key in model())
+            overlay.pop(key, None)
+            if key in content:
+                deleted.add(key)
+            check_point(key)
+        else:
+            check_ordered(op[1], op[2])
+    check_ordered(b"a", b"c")
+
+
 class TestSortedKVBlock:
     def test_round_trip(self):
         block = make_block(SAMPLE)
@@ -37,8 +153,6 @@ class TestSortedKVBlock:
         assert len(block) == 0
         assert list(block.items()) == []
         assert block.get(b"anything") is None
-        assert len(block.value_region()) == 0
-        assert block.value_spans() == []
 
     def test_get_and_contains(self):
         block = make_block(SAMPLE)
@@ -60,16 +174,6 @@ class TestSortedKVBlock:
         assert [k for k, _ in block.range()] == [k for k, _ in SAMPLE]
         assert [k for k, _ in block.range(low=b"c")] == [b"delta", b"gamma"]
         assert [k for k, _ in block.range(high=b"c")] == [b"alpha", b"beta"]
-
-    def test_value_region_and_spans(self):
-        block = make_block(SAMPLE)
-        region = bytes(block.value_region())
-        assert region == b"".join(v for _, v in SAMPLE)
-        rebuilt = {
-            key: region[offset : offset + length]
-            for key, offset, length in block.value_spans()
-        }
-        assert rebuilt == dict(SAMPLE)
 
     def test_encoder_rejects_unsorted(self):
         with pytest.raises(KeyEncodingError):
@@ -104,7 +208,7 @@ class TestCowKVStore:
 
     def test_pristine_reads(self):
         store = self.make()
-        assert store.is_pristine()
+        assert store.overlay_items() == [] and store.overlay_deletes() == []
         assert len(store) == 4
         assert store.get(b"delta") == b"four"
         assert isinstance(store.get(b"delta"), bytes)
@@ -114,7 +218,7 @@ class TestCowKVStore:
     def test_overlay_shadows_base(self):
         store = self.make()
         store.put(b"alpha", b"overridden")
-        assert not store.is_pristine()
+        assert store.overlay_items() == [(b"alpha", b"overridden")]
         assert store.get(b"alpha") == b"overridden"
         assert len(store) == 4
         assert dict(store.items())[b"alpha"] == b"overridden"
@@ -184,31 +288,22 @@ class TestCowKVStore:
         got = [k for k, _ in store.scan_prefix(b"ab:")]
         assert got == [b"ab:2", b"ab:3"]
 
-    def test_load_sorted_unsupported(self):
-        with pytest.raises(StorageError):
-            self.make().load_sorted([(b"a", b"b")])
-
-    def test_randomized_vs_dict_model(self):
-        rng = random.Random(99)
-        base_pairs = [(b"k%04d" % i, b"v%d" % i) for i in range(0, 400, 2)]
-        store = CowKVStore(make_block(base_pairs))
-        model = dict(base_pairs)
-        for step in range(3000):
-            key = b"k%04d" % rng.randrange(400)
-            if rng.random() < 0.55:
-                value = b"s%d" % step
-                store.put(key, value)
-                model[key] = value
-            else:
-                assert store.delete(key) == (key in model)
-                model.pop(key, None)
-            if step % 500 == 0:
-                assert len(store) == len(model)
-        assert len(store) == len(model)
-        assert dict(store.items()) == model
-        assert list(store.keys()) == sorted(model)
-        lo, hi = b"k0100", b"k0300"
-        expected = sorted(
-            (k, v) for k, v in model.items() if lo <= k < hi
-        )
-        assert list(store.range(lo, hi)) == expected
+    @settings(max_examples=120, deadline=None)
+    @given(
+        bottom=st.dictionaries(KEYS, VALUES, max_size=12),
+        layers=st.lists(
+            st.tuples(
+                st.dictionaries(KEYS, VALUES, max_size=6),
+                st.sets(KEYS, max_size=4),
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+        ops=st.lists(OPS, max_size=40),
+    )
+    def test_randomized_vs_dict_model(self, bottom, layers, ops):
+        """Every read agrees with a sorted-dict model, over every base."""
+        for base, content, frozen, blobs in make_bases(bottom, layers):
+            snapshots = [bytes(blob) for blob in blobs]
+            check_against_model(CowKVStore(base), content, frozen, ops)
+            assert [bytes(blob) for blob in blobs] == snapshots

@@ -23,11 +23,12 @@ def corpus_xml(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def index_dir(tmp_path_factory, corpus_xml):
-    directory = tmp_path_factory.mktemp("cli") / "corpus.idx"
-    code, _ = run_cli("index", corpus_xml, "-o", str(directory))
+def index_path(tmp_path_factory, corpus_xml):
+    target = tmp_path_factory.mktemp("cli") / "corpus.frz"
+    code, output = run_cli("index", corpus_xml, "-o", str(target))
     assert code == 0
-    return str(directory)
+    assert "frozen snapshot" in output
+    return str(target)
 
 
 class TestGenerate:
@@ -48,16 +49,16 @@ class TestGenerate:
 
 
 class TestIndex:
-    def test_index_builds(self, index_dir):
-        import os
+    def test_index_builds(self, index_path):
+        from repro.index.frozen import MAGIC
 
-        assert os.path.isdir(index_dir)
-        assert "inverted.db" in os.listdir(index_dir)
+        with open(index_path, "rb") as handle:
+            assert handle.read(len(MAGIC)) == MAGIC
 
 
 class TestSearch:
-    def test_search_saved_index(self, index_dir):
-        code, output = run_cli("search", index_dir, "online", "databse")
+    def test_search_saved_index(self, index_path):
+        code, output = run_cli("search", index_path, "online", "databse")
         assert code == 0
         assert "refinement" in output
 
@@ -65,50 +66,50 @@ class TestSearch:
         code, output = run_cli("search", corpus_xml, "database", "query")
         assert code == 0
 
-    def test_search_algorithm_flag(self, index_dir):
+    def test_search_algorithm_flag(self, index_path):
         for algorithm in ("auto", "partition", "sle", "stack"):
             code, _ = run_cli(
-                "search", index_dir, "databse", "--algorithm", algorithm
+                "search", index_path, "databse", "--algorithm", algorithm
             )
             assert code == 0
 
-    def test_search_explain_prints_the_plan(self, index_dir):
+    def test_search_explain_prints_the_plan(self, index_path):
         code, output = run_cli(
-            "search", index_dir, "online", "databse", "--explain"
+            "search", index_path, "online", "databse", "--explain"
         )
         assert code == 0
         assert "plan: algorithm=" in output
         assert "estimates:" in output
 
-    def test_search_explain_with_fixed_algorithm(self, index_dir):
+    def test_search_explain_with_fixed_algorithm(self, index_path):
         code, output = run_cli(
-            "search", index_dir, "online", "databse",
+            "search", index_path, "online", "databse",
             "--algorithm", "sle", "--explain",
         )
         assert code == 0
         assert "plan: algorithm=sle (forced" in output
 
-    def test_hopeless_query_exit_code(self, index_dir):
-        code, output = run_cli("search", index_dir, "zzzzz", "qqqqq")
+    def test_hopeless_query_exit_code(self, index_path):
+        code, output = run_cli("search", index_path, "zzzzz", "qqqqq")
         assert code == 1
         assert "no refinement" in output
 
 
 class TestOtherCommands:
-    def test_slca(self, index_dir):
-        code, output = run_cli("slca", index_dir, "database", "query")
+    def test_slca(self, index_path):
+        code, output = run_cli("slca", index_path, "database", "query")
         assert code == 0
         assert "SLCA" in output
 
-    def test_specialize(self, index_dir):
+    def test_specialize(self, index_path):
         code, output = run_cli(
-            "specialize", index_dir, "query", "--threshold", "5"
+            "specialize", index_path, "query", "--threshold", "5"
         )
         assert code == 0
         assert "broad" in output or "focused" in output
 
-    def test_stats(self, index_dir):
-        code, output = run_cli("stats", index_dir)
+    def test_stats(self, index_path):
+        code, output = run_cli("stats", index_path)
         assert code == 0
         assert "vocabulary" in output
         assert "partitions" in output
@@ -130,13 +131,13 @@ class TestParser:
 
 
 class TestRepl:
-    def test_scripted_session(self, index_dir):
+    def test_scripted_session(self, index_path):
         import io
 
         from repro.cli import build_parser, _cmd_repl
 
         parser = build_parser()
-        args = parser.parse_args(["repl", index_dir, "-k", "2"])
+        args = parser.parse_args(["repl", index_path, "-k", "2"])
         out = io.StringIO()
         code = _cmd_repl(
             args, out,
@@ -148,13 +149,13 @@ class TestRepl:
         assert "did you mean" in text
         assert "no results and no viable refinement" in text
 
-    def test_error_keeps_loop_alive(self, index_dir):
+    def test_error_keeps_loop_alive(self, index_path):
         import io
 
         from repro.cli import build_parser, _cmd_repl
 
         parser = build_parser()
-        args = parser.parse_args(["repl", index_dir])
+        args = parser.parse_args(["repl", index_path])
         out = io.StringIO()
         code = _cmd_repl(args, out, lines=["   ", ":q"])
         assert code == 0
@@ -162,11 +163,15 @@ class TestRepl:
 
 class TestFrozenSnapshots:
     @pytest.fixture(scope="class")
-    def frozen_path(self, tmp_path_factory, index_dir):
-        target = tmp_path_factory.mktemp("cli") / "corpus.frz"
-        code, output = run_cli("freeze-index", index_dir, "-o", str(target))
+    def frozen_path(self, tmp_path_factory, index_path):
+        """``freeze-index`` re-freezes any source at a chosen block size."""
+        target = tmp_path_factory.mktemp("cli") / "refrozen.frz"
+        code, output = run_cli(
+            "freeze-index", index_path, "-o", str(target),
+            "--block-size", "4",
+        )
         assert code == 0
-        assert "froze" in output
+        assert "frozen snapshot" in output
         return str(target)
 
     def test_single_file(self, frozen_path):
@@ -175,28 +180,32 @@ class TestFrozenSnapshots:
         assert os.path.isfile(frozen_path)
         assert os.path.getsize(frozen_path) > 0
 
-    def test_index_frozen_flag(self, tmp_path, corpus_xml):
-        target = tmp_path / "direct.frz"
-        code, output = run_cli(
-            "index", corpus_xml, "-o", str(target), "--frozen"
-        )
-        assert code == 0
-        assert "frozen snapshot" in output
-        assert target.is_file()
+    def test_index_and_freeze_index_are_one_command(self):
+        from repro.cli import build_parser
 
-    def test_search_frozen_source(self, frozen_path, index_dir):
+        parser = build_parser()
+        argv = ["corpus.xml", "-o", "corpus.frz", "--block-size", "64"]
+        parsed = [
+            vars(parser.parse_args([command] + argv))
+            for command in ("index", "freeze-index")
+        ]
+        for namespace in parsed:
+            del namespace["command"]  # the spelling itself
+        assert parsed[0] == parsed[1]
+
+    def test_search_frozen_source(self, frozen_path, corpus_xml):
         code_frozen, out_frozen = run_cli(
             "search", frozen_path, "online", "databse"
         )
-        code_dir, out_dir = run_cli("search", index_dir, "online", "databse")
-        assert code_frozen == code_dir
-        assert out_frozen == out_dir
+        code_xml, out_xml = run_cli("search", corpus_xml, "online", "databse")
+        assert code_frozen == code_xml
+        assert out_frozen == out_xml
 
-    def test_stats_frozen_source(self, frozen_path, index_dir):
+    def test_stats_frozen_source(self, frozen_path, corpus_xml):
         code_frozen, out_frozen = run_cli("stats", frozen_path)
-        code_dir, out_dir = run_cli("stats", index_dir)
+        code_xml, out_xml = run_cli("stats", corpus_xml)
         assert code_frozen == 0
-        assert out_frozen == out_dir
+        assert out_frozen == out_xml
 
     def test_freeze_rejects_bad_source(self, tmp_path):
         code, _ = run_cli(
@@ -206,3 +215,14 @@ class TestFrozenSnapshots:
             str(tmp_path / "out.frz"),
         )
         assert code != 0
+
+    def test_directory_source_is_a_typed_error(self, tmp_path, capsys):
+        """An index directory from an older build: exit 2, say why."""
+        (tmp_path / "corpus.idx").mkdir()
+        for argv in (
+            ("search", str(tmp_path / "corpus.idx"), "xml"),
+            ("serve", str(tmp_path / "corpus.idx"), "--port", "0"),
+        ):
+            code, _ = run_cli(*argv)
+            assert code == 2
+            assert "is a directory" in capsys.readouterr().err
