@@ -18,7 +18,7 @@ hit rates, so drift behaviour — the hot head changes every phase — is
 visible per phase, not smeared over the run.
 
 Acceptance gates (enforced by this script's exit status and re-checked
-by ``check_regression.py --replay``):
+by ``check_regression.py``):
 
 * the adaptive stack beats plain LRU at equal result-cache capacity on
   **both** overall hit rate and sustained QPS — the QPS ratio must

@@ -1,55 +1,21 @@
-"""Latency-regression gate for the hot-path benchmark.
+"""Traffic-replay gate: the cache admission policy's properties.
 
-Runs the smoke-sized hot-path benchmark fresh (or accepts a
-pre-computed report via ``--current``) and compares its cold
-per-request latency with the committed baseline
-``benchmarks/BENCH_hotpath_smoke.json``.  Exits non-zero when the cold
-path regressed by more than ``--threshold`` (default 50%) — small
-enough to catch an accidental O(n) slip on the miss path, large enough
-to absorb host-to-host speed differences within a CI fleet.  The
-frozen-snapshot open-to-first-answer time is gated the same way
-against the baseline's ``startup`` section (its own, looser
-``--startup-threshold``, since single-shot startup timings are
-noisier than a 48-request mean).
-
-The report's ``planner`` section carries its own self-relative gate:
-in every bucket, ``auto``'s p95 must stay within the
-``--planner-threshold`` factor (default 1.05) plus the bench's absolute
-slack of the best *fixed* algorithm measured in the same run — so the
-adaptive planner can never quietly become slower than just picking one
-algorithm.  It compares within the current run (not against the
-baseline) because both sides move together with host speed.
-
-The ``serve`` section is gated self-relatively the same way: the
-daemon hot-swap cycle must complete every scheduled reload with zero
-dropped or failed requests, and the churn-phase p99 must stay within
-``bench_serve.CHURN_P99_FACTOR`` (2.0x) of the same run's steady-state
-p99 plus a small absolute slack.
-
-The ``paging`` section carries both kinds of gate: the RSS-vs-corpus
-sub-linearity verdict is self-relative (both sides of the growth ratio
-come from the current run's sweep), while the largest point's cold p95
-is compared against the baseline's paging section with its own
-``--paging-threshold`` — loose, because a 12-query p95 is a max
-statistic, but enough to catch the lazy block decode quietly turning
-into an eager one.
-
-With ``--replay <report>`` the script instead gates a traffic-replay
-report (``bench_replay.py --smoke --output ...``) against the
-committed baseline ``benchmarks/BENCH_replay.json``: the report's own
-internal gates must have passed (adaptive beats plain LRU on hit rate
-and sustained QPS, zero replay-vs-cold oracle diffs), the adaptive
-stack's sustained QPS must stay within ``--replay-threshold`` of the
-baseline's, and under every *drift* phase (each phase after the first
-re-permutes the popularity ranking) the adaptive hit rate must stay
-within ``--replay-hit-slack`` of the baseline's same phase — the
+Gates a traffic-replay report (``bench_replay.py --smoke --output ...``)
+against the committed baseline ``benchmarks/BENCH_replay.json``: the
+report's own internal gates must have passed (adaptive beats plain LRU
+at equal capacity on hit rate and sustained QPS, zero replay-vs-cold
+oracle diffs), and under every *drift* phase (each phase after the
+first re-permutes the popularity ranking) the adaptive hit rate must
+stay within ``--replay-hit-slack`` of the baseline's same phase — the
 frequency sketch's aging, not a stale head, must be carrying the hit
 rate.
 
-The baselines are regenerated with::
+These are properties of the admission policy that no ``BENCHMARK.json``
+metric states.  Latency, throughput, start-up and RSS of the serving
+stack are measured and bounded by ``benchmarks/e2e/run.py`` alone.
 
-    PYTHONPATH=src python benchmarks/bench_hotpath.py --smoke \
-        --output benchmarks/BENCH_hotpath_smoke.json
+The baseline is regenerated with::
+
     PYTHONPATH=src python benchmarks/bench_replay.py --smoke \
         --output benchmarks/BENCH_replay.json
 
@@ -62,10 +28,8 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
-DEFAULT_BASELINE = os.path.join(_HERE, "BENCH_hotpath_smoke.json")
 DEFAULT_REPLAY_BASELINE = os.path.join(_HERE, "BENCH_replay.json")
 
 
@@ -74,27 +38,10 @@ def load_report(path):
         return json.load(handle)
 
 
-def run_smoke_bench():
-    """Run the smoke benchmark into a temp file; return its report."""
-    import bench_hotpath
-
-    handle, path = tempfile.mkstemp(suffix=".json", prefix="bench_hotpath_")
-    os.close(handle)
-    try:
-        status = bench_hotpath.main(["--smoke", "--output", path])
-        if status not in (0, None):
-            # The smoke speedup floors are advisory here; the gate this
-            # script enforces is latency-vs-baseline only.
-            print(f"note: smoke benchmark exited with status {status}")
-        return load_report(path)
-    finally:
-        os.unlink(path)
-
-
 def check_replay(args):
     """Gate a traffic-replay report against the committed baseline."""
     baseline = load_report(args.replay_baseline)
-    current = load_report(args.replay)
+    current = load_report(args.report)
 
     for name in ("config", "adaptive", "comparison", "oracle", "gates"):
         if name not in baseline or name not in current:
@@ -126,23 +73,6 @@ def check_replay(args):
         f"{current['oracle']['cold_divergences']}"
     )
 
-    reference = baseline["adaptive"]["overall"]["qps"]
-    measured = current["adaptive"]["overall"]["qps"]
-    limit = reference * (1.0 - args.replay_threshold)
-    print(
-        f"replay sustained QPS: baseline {reference:.0f}, current "
-        f"{measured:.0f}, floor {limit:.0f} "
-        f"(-{args.replay_threshold:.0%})"
-    )
-    if measured < limit:
-        print(
-            f"FAIL: adaptive sustained QPS dropped "
-            f"{1.0 - measured / reference:.0%} below the committed "
-            "baseline",
-            file=sys.stderr,
-        )
-        return 1
-
     # Drift-phase hit-rate floor: every phase after the first serves a
     # re-permuted popularity head, so holding the baseline's hit rate
     # there means admission stayed live through the drift.
@@ -171,8 +101,8 @@ def check_replay(args):
                 file=sys.stderr,
             )
             return 1
-    print("OK: replay sustained QPS and drift-phase hit rates hold "
-          "the committed baseline")
+    print("OK: replay gates passed and drift-phase hit rates hold the "
+          "committed baseline")
     return 0
 
 
@@ -180,324 +110,17 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0], allow_abbrev=False
     )
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help="committed smoke report to compare against")
-    parser.add_argument("--current", default=None,
-                        help="existing report to check (default: run the "
-                             "smoke benchmark now)")
-    parser.add_argument("--threshold", type=float, default=0.5,
-                        help="maximum tolerated fractional regression "
-                             "(0.5 = latency may grow 50%%)")
-    parser.add_argument("--startup-threshold", type=float, default=1.0,
-                        help="maximum tolerated fractional regression of "
-                             "the frozen open-to-first-answer time")
-    parser.add_argument("--planner-threshold", type=float, default=1.05,
-                        help="maximum tolerated auto-vs-best-fixed p95 "
-                             "factor per planner bucket (plus the bench's "
-                             "absolute slack)")
-    parser.add_argument("--paging-threshold", type=float, default=1.0,
-                        help="maximum tolerated fractional regression of "
-                             "the paging sweep's largest-point cold p95")
-    parser.add_argument("--replay", default=None,
-                        help="traffic-replay report to gate instead of "
-                             "the hot-path sections (bench_replay.py "
-                             "--smoke output)")
+    parser.add_argument("report",
+                        help="traffic-replay report to gate "
+                             "(bench_replay.py --smoke output)")
     parser.add_argument("--replay-baseline",
                         default=DEFAULT_REPLAY_BASELINE,
                         help="committed replay smoke report to compare "
                              "against")
-    parser.add_argument("--replay-threshold", type=float, default=0.5,
-                        help="maximum tolerated fractional drop of the "
-                             "adaptive stack's sustained QPS vs the "
-                             "replay baseline")
     parser.add_argument("--replay-hit-slack", type=float, default=0.05,
                         help="absolute hit-rate slack under each drift "
                              "phase vs the replay baseline")
-    args = parser.parse_args(argv)
-
-    if args.replay is not None:
-        return check_replay(args)
-
-    baseline = load_report(args.baseline)
-    current = (
-        load_report(args.current) if args.current else run_smoke_bench()
-    )
-
-    for name in ("config", "cold"):
-        if name not in baseline or name not in current:
-            print(f"malformed report: missing {name!r} section",
-                  file=sys.stderr)
-            return 2
-    for key in ("authors", "unique_queries", "requests", "k", "algorithm"):
-        if baseline["config"].get(key) != current["config"].get(key):
-            print(
-                f"config mismatch on {key!r}: baseline "
-                f"{baseline['config'].get(key)!r} vs current "
-                f"{current['config'].get(key)!r} — regenerate the baseline",
-                file=sys.stderr,
-            )
-            return 2
-
-    reference = baseline["cold"]["per_request_ms"]
-    measured = current["cold"]["per_request_ms"]
-    limit = reference * (1.0 + args.threshold)
-    print(
-        f"cold per-request latency: baseline {reference:.3f} ms, "
-        f"current {measured:.3f} ms, limit {limit:.3f} ms "
-        f"(+{args.threshold:.0%})"
-    )
-    if measured > limit:
-        print(
-            f"FAIL: cold per-request latency regressed "
-            f"{measured / reference - 1.0:+.0%} over the committed baseline",
-            file=sys.stderr,
-        )
-        return 1
-    print("OK: cold per-request latency is within the regression budget")
-
-    if "startup" not in baseline:
-        print(
-            "baseline has no 'startup' section — regenerate it with the "
-            "command in this file's docstring and re-commit",
-            file=sys.stderr,
-        )
-        return 2
-    if "startup" not in current:
-        print("malformed report: missing 'startup' section", file=sys.stderr)
-        return 2
-    reference = baseline["startup"]["frozen"]["seconds_to_first_answer"]
-    measured = current["startup"]["frozen"]["seconds_to_first_answer"]
-    limit = reference * (1.0 + args.startup_threshold)
-    print(
-        f"frozen open-to-first-answer: baseline {reference * 1000:.1f} ms, "
-        f"current {measured * 1000:.1f} ms, limit {limit * 1000:.1f} ms "
-        f"(+{args.startup_threshold:.0%})"
-    )
-    if measured > limit:
-        print(
-            f"FAIL: frozen startup regressed "
-            f"{measured / reference - 1.0:+.0%} over the committed baseline",
-            file=sys.stderr,
-        )
-        return 1
-    print("OK: frozen startup is within the regression budget")
-
-    if "planner" not in current:
-        print(
-            "malformed report: missing 'planner' section", file=sys.stderr
-        )
-        return 2
-    import bench_hotpath
-    planner_slack_ms = bench_hotpath.PLANNER_P95_SLACK_MS
-    for bucket, entry in current["planner"]["buckets"].items():
-        if entry["requests"] < 20:
-            # p95 over a handful of requests is a max statistic —
-            # pure noise on smoke-sized logs, so not gated.
-            print(
-                f"planner {bucket} bucket: only {entry['requests']} "
-                f"requests, p95 envelope not gated"
-            )
-            continue
-        limit = (
-            entry["best_fixed_p95_ms"] * args.planner_threshold
-            + planner_slack_ms
-        )
-        print(
-            f"planner {bucket} bucket p95: auto "
-            f"{entry['auto_p95_ms']:.3f} ms, best fixed "
-            f"[{entry['best_fixed']}] {entry['best_fixed_p95_ms']:.3f} ms, "
-            f"limit {limit:.3f} ms"
-        )
-        if entry["auto_p95_ms"] > limit:
-            print(
-                f"FAIL: auto p95 in the {bucket} bucket exceeds the "
-                f"best-fixed envelope (x{args.planner_threshold} + "
-                f"{planner_slack_ms} ms)",
-                file=sys.stderr,
-            )
-            return 1
-    accuracy = current["planner"]["routing_accuracy"]
-    print(f"planner routing accuracy: {accuracy:.1%}")
-    print("OK: the adaptive planner holds the best-fixed p95 envelope")
-
-    if "kernels" not in current:
-        print(
-            "malformed report: missing 'kernels' section", file=sys.stderr
-        )
-        return 2
-    kernels = current["kernels"]
-    print(f"scan-kernel backend: {kernels['backend']}")
-    if not current["config"].get("smoke"):
-        # Full runs carry the kernel acceptance gate: the sub-ms cold
-        # p95 target, or on constrained hosts the speedup floor over
-        # the pre-kernel baseline.  (Smoke p95 is a max over 48
-        # requests — noise — so the smoke gate is the cold
-        # per-request-mean comparison above.)
-        import bench_hotpath
-
-        p95 = kernels["cold_p95_ms"]
-        speedup = kernels["speedup_vs_baseline"]
-        if (
-            p95 >= bench_hotpath.KERNEL_COLD_P95_TARGET_MS
-            and speedup < bench_hotpath.KERNEL_SPEEDUP_FLOOR
-        ):
-            print(
-                f"FAIL: cold p95 {p95:.3f} ms misses both the "
-                f"{bench_hotpath.KERNEL_COLD_P95_TARGET_MS} ms kernel "
-                f"target and the x{bench_hotpath.KERNEL_SPEEDUP_FLOOR} "
-                f"floor over the pre-kernel baseline",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"OK: kernel cold p95 {p95:.3f} ms "
-            f"(x{speedup:.2f} vs pre-kernel baseline)"
-        )
-
-    if "scoring" not in current:
-        print(
-            "malformed report: missing 'scoring' section", file=sys.stderr
-        )
-        return 2
-    scoring = current["scoring"]
-    ns = scoring["ns_per_candidate"]
-    limit = bench_hotpath.SCORING_NS_PER_CANDIDATE_LIMIT
-    print(
-        f"batch scoring: {ns:.0f} ns/candidate over "
-        f"{scoring['candidates_per_pass']} candidates (limit {limit})"
-    )
-    if ns > limit:
-        # Absolute and size-independent (per-candidate cost does not
-        # scale with the smoke corpus), so smoke runs gate it too.
-        print(
-            f"FAIL: batch scoring costs {ns:.0f} ns/candidate, over the "
-            f"{limit} ns limit",
-            file=sys.stderr,
-        )
-        return 1
-    baseline_scoring = baseline.get("scoring")
-    if baseline_scoring is None:
-        print(
-            "baseline has no 'scoring' section — regenerate it with the "
-            "command in this file's docstring and re-commit",
-            file=sys.stderr,
-        )
-        return 2
-    reference = baseline_scoring["ns_per_candidate"]
-    relative_limit = reference * (1.0 + args.threshold)
-    if ns > relative_limit and ns > limit / 2:
-        # The relative check only bites when the absolute cost is also
-        # within a factor of the hard limit: a fast baseline host must
-        # not fail a merely ordinary one.
-        print(
-            f"FAIL: batch scoring regressed {ns / reference - 1.0:+.0%} "
-            f"over the committed baseline ({reference:.0f} ns/candidate)",
-            file=sys.stderr,
-        )
-        return 1
-    print("OK: batch scoring per-candidate cost is within budget")
-
-    if "serve" not in current:
-        print(
-            "malformed report: missing 'serve' section", file=sys.stderr
-        )
-        return 2
-    import bench_serve
-
-    serve = current["serve"]
-    failed = serve["failed_requests"]
-    reloads = serve["reloads_completed"]
-    expected_reloads = (
-        serve["config"]["reload_cycles"] * serve["config"]["churn_passes"]
-    )
-    print(
-        f"serving: {failed} failed requests, {reloads} hot swaps "
-        f"({expected_reloads} expected)"
-    )
-    if failed > bench_serve.FAILURE_BUDGET:
-        print(
-            f"FAIL: {failed} serving requests failed across the daemon "
-            f"hot-swap cycle (budget {bench_serve.FAILURE_BUDGET})",
-            file=sys.stderr,
-        )
-        return 1
-    if reloads < expected_reloads:
-        print(
-            f"FAIL: only {reloads} of {expected_reloads} hot swaps "
-            f"completed under load",
-            file=sys.stderr,
-        )
-        return 1
-    # Self-relative like the planner gate: steady and churn are measured
-    # in the same run, so host speed cancels out.
-    limit = (
-        serve["steady"]["p99_ms"] * bench_serve.CHURN_P99_FACTOR
-        + bench_serve.CHURN_P99_SLACK_MS
-    )
-    print(
-        f"serving p99: steady {serve['steady']['p99_ms']:.2f} ms, "
-        f"churn {serve['churn']['p99_ms']:.2f} ms, limit {limit:.2f} ms "
-        f"(x{bench_serve.CHURN_P99_FACTOR:.1f} + "
-        f"{bench_serve.CHURN_P99_SLACK_MS} ms)"
-    )
-    if serve["churn"]["p99_ms"] > limit:
-        print(
-            "FAIL: hot-swap churn p99 breaks the steady-state envelope",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        "OK: zero failed requests and the churn p99 holds the "
-        "steady-state envelope across hot swaps"
-    )
-
-    if "paging" not in baseline:
-        print(
-            "baseline has no 'paging' section — regenerate it with the "
-            "command in this file's docstring and re-commit",
-            file=sys.stderr,
-        )
-        return 2
-    if "paging" not in current:
-        print(
-            "malformed report: missing 'paging' section", file=sys.stderr
-        )
-        return 2
-    paging = current["paging"]
-    print(
-        f"paging RSS growth: x{paging['rss_growth']:.2f} over a "
-        f"x{paging['corpus_growth']:.2f} corpus spread "
-        f"(limit x{paging['rss_growth_limit']:.2f})"
-    )
-    if not paging["rss_sublinear"]:
-        # Self-relative like the planner gate: both sides of the growth
-        # ratio come from the current run, so host speed cancels out.
-        print(
-            "FAIL: serving RSS grows linearly with corpus size — the "
-            "blocked snapshot is faulting in more than the queries touch",
-            file=sys.stderr,
-        )
-        return 1
-    reference = baseline["paging"]["cold_p95_ms"]
-    measured = paging["cold_p95_ms"]
-    limit = reference * (1.0 + args.paging_threshold)
-    print(
-        f"paging cold p95 (largest point): baseline {reference:.2f} ms, "
-        f"current {measured:.2f} ms, limit {limit:.2f} ms "
-        f"(+{args.paging_threshold:.0%})"
-    )
-    if measured > limit:
-        print(
-            f"FAIL: paging cold p95 regressed "
-            f"{measured / reference - 1.0:+.0%} over the committed baseline",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        "OK: paging RSS stays sub-linear and the cold p95 is within "
-        "the regression budget"
-    )
-    return 0
+    return check_replay(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -213,9 +213,7 @@ def _cmd_serve(args, out):
         port=args.port,
         cache_size=args.cache_size,
         cache_policy=args.cache_policy,
-        cache_ttl=args.cache_ttl,
         subresult_size=args.subresult_size,
-        plan_cache_size=args.plan_cache_size,
         max_inflight=args.max_inflight,
         ready_callback=ready,
     )
@@ -449,17 +447,9 @@ def build_parser():
         "gated admission; lru = plain recency)",
     )
     serve.add_argument(
-        "--cache-ttl", type=float, default=None, metavar="SECONDS",
-        help="optional result-cache entry time-to-live",
-    )
-    serve.add_argument(
         "--subresult-size", type=int, default=None, metavar="N",
         help="term-signature sub-result cache capacity "
         "(default scales with --cache-size; 0 disables)",
-    )
-    serve.add_argument(
-        "--plan-cache-size", type=int, default=None, metavar="N",
-        help="cost-based planner's plan cache capacity",
     )
     serve.add_argument(
         "--max-inflight", type=int, default=64,

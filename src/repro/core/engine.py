@@ -155,8 +155,6 @@ class XRefine:
         W-TinyLFU frequency-gated admission — the sustained-throughput
         winner under skewed traffic, see ``benchmarks/bench_replay.py``)
         or ``"lru"`` (the plain recency baseline).
-    cache_ttl:
-        Optional result-cache entry lifetime in seconds.
     subresult_size:
         Capacity of the term-signature sub-result cache
         (:class:`~repro.perf.subresult.SubResultCache`) that lets
@@ -164,9 +162,6 @@ class XRefine:
         lists.  ``None`` (default) ties it to result caching: the
         default capacity when ``cache_size > 0``, disabled otherwise;
         ``0`` disables it explicitly.
-    plan_cache_size:
-        Capacity override for the planner's plan cache (``None`` keeps
-        the planner default).
     rules_memo_size:
         Distinct queries whose auto-mined rule sets stay memoized
         (LRU); ``None`` keeps the engine default.  Size it at or above
@@ -176,8 +171,7 @@ class XRefine:
 
     def __init__(self, index, model=None, miner=None,
                  cache_size=DEFAULT_CAPACITY, cache_policy="tinylfu",
-                 cache_ttl=None, subresult_size=None, plan_cache_size=None,
-                 rules_memo_size=None):
+                 subresult_size=None, rules_memo_size=None):
         self.index = index
         self.model = model if model is not None else full_model()
         self._model_key_memo = (None, None)
@@ -189,9 +183,7 @@ class XRefine:
         #: Per-engine packed posting arrays (repro.perf.packed).
         self.packed = PackedListStore(index)
         #: Complete-answer cache (repro.perf.result_cache).
-        self.result_cache = QueryResultCache(
-            cache_size, policy=cache_policy, ttl=cache_ttl
-        )
+        self.result_cache = QueryResultCache(cache_size, policy=cache_policy)
         #: Term-signature sub-result cache (repro.perf.subresult); tied
         #: to result caching by default so cold-path measurements with
         #: ``cache_size=0`` stay genuinely cold.
@@ -200,8 +192,6 @@ class XRefine:
                 DEFAULT_SUBRESULT_CAPACITY if cache_size > 0 else 0
             )
         self.subresult_cache = SubResultCache(subresult_size)
-        #: Plan-cache capacity override (None = planner default).
-        self._plan_cache_size = plan_cache_size
         #: Auto-mined rule sets per query (pure function of the miner),
         #: LRU-bounded — evicting one stale entry at a time instead of
         #: the old wholesale clear, which re-mined the entire hot set
@@ -321,10 +311,7 @@ class XRefine:
         """The engine's :class:`~repro.plan.planner.QueryPlanner`."""
         planner = self._planner
         if planner is None:
-            planner = QueryPlanner(
-                self.index, packed=self.packed,
-                plan_cache_size=self._plan_cache_size,
-            )
+            planner = QueryPlanner(self.index, packed=self.packed)
             self._planner = planner
         return planner
 

@@ -13,7 +13,7 @@ from .frequency import FrequencyTable
 from .delta import compact, load_index_chain, resolve_chain, save_delta
 from .frozen import FrozenSnapshot, freeze_index, load_frozen_index
 from .persist import open_index_source
-from .inverted import InvertedIndex, InvertedList, ListCursor, Posting
+from .inverted import InvertedIndex, InvertedList, Posting
 from .statistics import StatisticsTable, TypeStatistics
 from .update import append_partition, remove_partition
 from .tokenize_text import extract_terms, node_keywords, normalize_term, query_terms
@@ -33,7 +33,6 @@ __all__ = [
     "build_document_index",
     "InvertedIndex",
     "InvertedList",
-    "ListCursor",
     "Posting",
     "FrequencyTable",
     "CooccurrenceTable",

@@ -3,11 +3,10 @@
 For each keyword the index stores a document-ordered list of postings
 ``<DeweyID, prefixPath, count>`` — one per node whose tag name or value
 terms contain the keyword, ``count`` being the number of occurrences at
-that node.  The refinement algorithms consume lists through
-:class:`ListCursor`, which is instrumented so the test suite can assert
-the paper's headline property: **each list is scanned at most once per
-query** (Theorems 1 and 2), with SLE additionally allowed binary-search
-*probes* that never rewind the cursor.
+that node.  The refinement algorithms read lists as component columns
+(:mod:`repro.kernels.columns`) and account for the paper's headline
+property — **each list is scanned at most once per query** (Theorems 1
+and 2) — in :class:`~repro.core.result.ScanStats`.
 """
 
 from __future__ import annotations
@@ -102,13 +101,6 @@ class InvertedList:
     def __getitem__(self, idx):
         return self.postings[idx]
 
-    def cursor(self):
-        """A fresh instrumented cursor positioned before the first posting."""
-        return ListCursor(self)
-
-    # ------------------------------------------------------------------
-    # Random access (binary search; does not disturb any cursor)
-    # ------------------------------------------------------------------
     def range_indices(self, root_dewey):
         """Index range ``[lo, hi)`` of postings inside ``root_dewey``'s subtree."""
         lo = bisect.bisect_left(self._dewey_keys, root_dewey.components)
@@ -116,96 +108,6 @@ class InvertedList:
             self._dewey_keys, descendant_range_key(root_dewey)
         )
         return lo, hi
-
-    def sublist(self, root_dewey):
-        """Postings within the subtree rooted at ``root_dewey``."""
-        lo, hi = self.range_indices(root_dewey)
-        return self.postings[lo:hi]
-
-    def contains_under(self, root_dewey):
-        """True iff some posting lies in ``root_dewey``'s subtree."""
-        lo, hi = self.range_indices(root_dewey)
-        return lo < hi
-
-    def first_under(self, root_dewey):
-        """First posting inside the subtree, or None."""
-        lo, hi = self.range_indices(root_dewey)
-        return self.postings[lo] if lo < hi else None
-
-
-class ListCursor:
-    """Forward-only cursor with scan accounting.
-
-    Attributes
-    ----------
-    scanned:
-        Number of postings consumed via :meth:`advance`.
-    probes:
-        Number of random-access probes performed (SLE only).
-    """
-
-    __slots__ = ("source", "position", "scanned", "probes")
-
-    def __init__(self, source):
-        self.source = source
-        self.position = 0
-        self.scanned = 0
-        self.probes = 0
-
-    @property
-    def keyword(self):
-        return self.source.keyword
-
-    def exhausted(self):
-        return self.position >= len(self.source.postings)
-
-    def peek(self):
-        """Current posting without consuming it (None at end)."""
-        if self.exhausted():
-            return None
-        return self.source.postings[self.position]
-
-    def advance(self):
-        """Consume and return the current posting."""
-        if self.exhausted():
-            raise IndexingError(
-                f"cursor for {self.keyword!r} advanced past the end"
-            )
-        posting = self.source.postings[self.position]
-        self.position += 1
-        self.scanned += 1
-        return posting
-
-    def skip_to(self, dewey):
-        """Advance the cursor to the first posting ``>= dewey``.
-
-        The skipped span counts as scanned work only once (this is the
-        partition fast-forward of Algorithm 2, line 8 — the cursor never
-        moves backwards).
-        """
-        target = dewey.components
-        keys = self.source._dewey_keys
-        search = getattr(keys, "bisect_left", None)
-        if search is not None:
-            # Blocked lists search their block headers first, so the
-            # skip decodes at most one block instead of O(log n)
-            # random positions.
-            new_pos = search(target, self.position)
-        else:
-            new_pos = bisect.bisect_left(keys, target, lo=self.position)
-        if new_pos < self.position:
-            raise IndexingError("cursor cannot move backwards")
-        self.scanned += new_pos - self.position
-        self.position = new_pos
-
-    def probe_partition(self, partition_dewey):
-        """Random-access existence probe within a partition (SLE only).
-
-        Does not move the cursor; increments the probe counter.  Returns
-        the list of postings of this keyword inside the partition.
-        """
-        self.probes += 1
-        return self.source.sublist(partition_dewey)
 
 
 def decode_posting_payload(keyword, raw, type_table):

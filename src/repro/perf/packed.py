@@ -3,9 +3,9 @@
 ``XRefine.slca_search`` used to rebuild a fresh ``[posting.dewey ...]``
 label list from the decoded postings on *every* query.  A
 :class:`PackedPostings` materializes one keyword's list once into flat,
-parallel arrays — component tuples, trusted ``Dewey`` labels, node
-types and occurrence counts — and is itself a read-only sequence of
-labels, so every SLCA algorithm consumes it directly.  The precomputed
+parallel arrays — component tuples and trusted ``Dewey`` labels — and
+is itself a read-only sequence of labels, so every SLCA algorithm
+consumes it directly.  The precomputed
 ``components`` array additionally feeds the fast ingestion path of
 :func:`repro.slca.lca.label_components`, sparing the algorithms their
 per-query attribute-unpacking loop.
@@ -66,8 +66,6 @@ class PackedPostings:
         "source",
         "components",
         "labels",
-        "node_types",
-        "counts",
         "_partition_count",
     )
 
@@ -81,14 +79,10 @@ class PackedPostings:
         self.components = source.dewey_keys
         if isinstance(postings, list):
             self.labels = [p.dewey for p in postings]
-            self.node_types = [p.node_type for p in postings]
-            self.counts = [p.count for p in postings]
         else:
             # A lazy (block-backed) posting sequence: project lazily
             # so packing never forces a whole-list decode.
             self.labels = _LazyPostingColumn(postings, "dewey")
-            self.node_types = _LazyPostingColumn(postings, "node_type")
-            self.counts = _LazyPostingColumn(postings, "count")
         self._partition_count = None
 
     def partition_count(self):

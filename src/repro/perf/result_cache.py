@@ -32,10 +32,6 @@ Two replacement policies are available:
     the replay benchmark compares against, and the right choice when
     the working set fits in the cache anyway.
 
-Entries can additionally carry a TTL (``ttl`` seconds, measured on the
-injectable ``clock``): an expired entry is discarded on read and
-counted in ``expirations``.
-
 Staleness is handled by versioning, not by callback plumbing: every
 entry records the :class:`~repro.index.builder.DocumentIndex` version
 it was computed against, and the index-maintenance entry points
@@ -59,7 +55,6 @@ for a caller still holding the pre-swap version number.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 
 from .freq_sketch import CountMinSketch
@@ -86,33 +81,25 @@ class QueryResultCache:
         (every :meth:`get` misses, :meth:`put` is a no-op).
     policy:
         ``"tinylfu"`` (default) or ``"lru"``; see the module docstring.
-    ttl:
-        Optional entry lifetime in seconds (``None`` = never expires).
-    clock:
-        Monotonic time source for TTL checks (injectable for tests).
     """
 
     __slots__ = (
-        "maxsize", "policy", "ttl",
+        "maxsize", "policy",
         "hits", "misses", "invalidations", "evictions",
-        "admission_rejects", "expirations", "lock",
-        "_clock", "_window", "_probation", "_protected",
+        "admission_rejects", "lock",
+        "_window", "_probation", "_protected",
         "_window_cap", "_main_cap", "_protected_cap", "_sketch",
     )
 
-    def __init__(self, maxsize=DEFAULT_CAPACITY, policy="tinylfu",
-                 ttl=None, clock=None):
+    def __init__(self, maxsize=DEFAULT_CAPACITY, policy="tinylfu"):
         if maxsize < 0:
             raise ValueError(f"cache size must be >= 0, got {maxsize}")
         if policy not in POLICIES:
             raise ValueError(
                 f"unknown cache policy {policy!r}; expected one of {POLICIES}"
             )
-        if ttl is not None and ttl <= 0:
-            raise ValueError(f"ttl must be positive seconds, got {ttl}")
         self.maxsize = maxsize
         self.policy = policy
-        self.ttl = ttl
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -122,14 +109,11 @@ class QueryResultCache:
         #: Window candidates the frequency gate refused to admit into
         #: the main region (always 0 under ``policy="lru"``).
         self.admission_rejects = 0
-        #: Entries discarded on read because their TTL had lapsed.
-        self.expirations = 0
         #: Guards every operation; reentrant so callers may compose a
         #: version read + lookup (or an index flip + purge) atomically
         #: with ``with cache.lock:`` around the individual calls.
         self.lock = threading.RLock()
-        self._clock = clock if clock is not None else time.monotonic
-        # Segments hold key -> (version, value, expires_at).  "lru"
+        # Segments hold key -> (version, value).  "lru"
         # uses only the window, with the full capacity.
         self._window = OrderedDict()
         self._probation = OrderedDict()
@@ -180,8 +164,7 @@ class QueryResultCache:
 
         An entry computed against a different index version is evicted
         (it is unreachable for good — versions never repeat within one
-        engine, including across snapshot swaps); an entry past its TTL
-        is likewise discarded and counted in :attr:`expirations`.
+        engine, including across snapshot swaps).
         Every lookup — hit or miss — feeds the frequency sketch, so a
         repeatedly requested key builds up the admission credit that
         eventually lets it displace a main-region victim.
@@ -193,15 +176,10 @@ class QueryResultCache:
             if entry is None:
                 self.misses += 1
                 return None
-            cached_version, value, expires_at = entry
+            cached_version, value = entry
             if cached_version != version:
                 del segment[key]
                 self.invalidations += 1
-                self.misses += 1
-                return None
-            if expires_at is not None and self._clock() >= expires_at:
-                del segment[key]
-                self.expirations += 1
                 self.misses += 1
                 return None
             self._touch(segment, key, entry)
@@ -221,10 +199,8 @@ class QueryResultCache:
             _, entry = self._find(key)
             if entry is None:
                 return None
-            cached_version, value, expires_at = entry
+            cached_version, value = entry
             if cached_version != version:
-                return None
-            if expires_at is not None and self._clock() >= expires_at:
                 return None
             return value
 
@@ -253,10 +229,7 @@ class QueryResultCache:
         if not self.maxsize:
             return
         with self.lock:
-            expires_at = (
-                self._clock() + self.ttl if self.ttl is not None else None
-            )
-            entry = (version, value, expires_at)
+            entry = (version, value)
             segment, existing = self._find(key)
             if existing is not None:
                 segment[key] = entry
@@ -300,7 +273,7 @@ class QueryResultCache:
             for segment in (self._window, self._probation, self._protected):
                 stale = [
                     key
-                    for key, (cached_version, _, _) in segment.items()
+                    for key, (cached_version, _) in segment.items()
                     if cached_version != version
                 ]
                 for key in stale:
@@ -327,13 +300,11 @@ class QueryResultCache:
                 "size": len(self),
                 "maxsize": self.maxsize,
                 "policy": self.policy,
-                "ttl": self.ttl,
                 "hits": self.hits,
                 "misses": self.misses,
                 "invalidations": self.invalidations,
                 "evictions": self.evictions,
                 "admission_rejects": self.admission_rejects,
-                "expirations": self.expirations,
                 "sketch": (
                     self._sketch.stats() if self._sketch is not None else None
                 ),

@@ -278,21 +278,14 @@ class QueryPlanner:
         "_route_ratios",
     )
 
-    def __init__(self, index, packed=None, calibration=None,
-                 plan_cache_size=None):
+    def __init__(self, index, packed=None, calibration=None):
         self.index = index
         #: PackedListStore — the engine passes its own so decoded
         #: columns are shared with the SLCA path; version-coherent by
         #: identity.
         self.packed = packed if packed is not None else PackedListStore(index)
         self._calibration = calibration
-        #: Plan cache, capacity tunable from replay measurements (size
-        #: it at or above the distinct-query working set; ``None``
-        #: keeps the PlanCache default).
-        self.cache = (
-            PlanCache() if plan_cache_size is None
-            else PlanCache(plan_cache_size)
-        )
+        self.cache = PlanCache()
         self._partition_counts = {}
         self._counts_version = None
         self._dp_memos = {}

@@ -100,14 +100,11 @@ class SnapshotManager:
     """The engine plus its current (and draining) snapshot generations."""
 
     def __init__(self, source, model=None, cache_size=DEFAULT_CAPACITY,
-                 cache_policy="tinylfu", cache_ttl=None,
-                 subresult_size=None, plan_cache_size=None):
+                 cache_policy="tinylfu", subresult_size=None):
         index = open_index_source(source)
         self.engine = XRefine(
             index, model=model, cache_size=cache_size,
-            cache_policy=cache_policy, cache_ttl=cache_ttl,
-            subresult_size=subresult_size,
-            plan_cache_size=plan_cache_size,
+            cache_policy=cache_policy, subresult_size=subresult_size,
         )
         self._lock = threading.Lock()
         self._current = SnapshotHandle(index, source, generation=0)

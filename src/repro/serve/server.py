@@ -117,13 +117,10 @@ class RefineServer:
     def __init__(self, source, host="127.0.0.1", port=0, model=None,
                  cache_size=DEFAULT_CAPACITY,
                  max_inflight=DEFAULT_MAX_INFLIGHT,
-                 cache_policy="tinylfu", cache_ttl=None,
-                 subresult_size=None, plan_cache_size=None):
+                 cache_policy="tinylfu", subresult_size=None):
         self.manager = SnapshotManager(
             source, model=model, cache_size=cache_size,
-            cache_policy=cache_policy, cache_ttl=cache_ttl,
-            subresult_size=subresult_size,
-            plan_cache_size=plan_cache_size,
+            cache_policy=cache_policy, subresult_size=subresult_size,
         )
         self.host = host
         self.port = port  # rebound to the real port after start()
@@ -511,8 +508,7 @@ def run_server(source, host="127.0.0.1", port=DEFAULT_PORT, *,
                model=None, cache_size=DEFAULT_CAPACITY,
                max_inflight=DEFAULT_MAX_INFLIGHT, ready_callback=None,
                handle_signals=True, cache_policy="tinylfu",
-               cache_ttl=None, subresult_size=None,
-               plan_cache_size=None):
+               subresult_size=None):
     """Build a :class:`RefineServer` and serve until shutdown.
 
     ``ready_callback(server)`` fires once the socket is bound (the CLI
@@ -524,8 +520,7 @@ def run_server(source, host="127.0.0.1", port=DEFAULT_PORT, *,
     server = RefineServer(
         source, host=host, port=port, model=model,
         cache_size=cache_size, max_inflight=max_inflight,
-        cache_policy=cache_policy, cache_ttl=cache_ttl,
-        subresult_size=subresult_size, plan_cache_size=plan_cache_size,
+        cache_policy=cache_policy, subresult_size=subresult_size,
     )
     asyncio.run(_amain(server, ready_callback, handle_signals))
     return server

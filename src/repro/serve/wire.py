@@ -29,63 +29,60 @@ def decode_query(value, field="query"):
     )
 
 
-def decode_search_body(body):
-    """Decode a ``/search`` / ``/explain`` body into engine kwargs.
+def _decode_options(body, query_field):
+    """The checks and fields ``/search`` and ``/search_many`` share.
 
-    ``k``/``algorithm`` are passed through for the engine's own
+    ``k``/``algorithm`` values are passed through for the engine's own
     validation (so client errors match library errors byte for byte);
     unknown fields are rejected to catch misspellings like ``"topk"``.
     """
     if not isinstance(body, dict):
         raise QueryError("request body must be a JSON object")
-    unknown = set(body) - {"query", "k", "algorithm", "rank_results"}
+    unknown = set(body) - {query_field, "k", "algorithm", "rank_results"}
     if unknown:
         raise QueryError(
             f"unknown request field(s): {sorted(unknown)}"
         )
-    if "query" not in body:
-        raise QueryError("missing required field 'query'")
-    params = {
-        "query": decode_query(body["query"]),
+    options = {
         "k": body.get("k", 1),
         "algorithm": body.get("algorithm", "auto"),
-        "rank_results": bool(body.get("rank_results", False)),
+        "rank_results": body.get("rank_results", False),
     }
-    if not isinstance(params["algorithm"], str):
+    if not isinstance(options["algorithm"], str):
         raise QueryError(
-            f"'algorithm' must be a string, got {params['algorithm']!r}"
+            f"'algorithm' must be a string, got {options['algorithm']!r}"
         )
-    return params
+    if not isinstance(options["rank_results"], bool):
+        raise QueryError(
+            f"'rank_results' must be true or false, got "
+            f"{options['rank_results']!r}"
+        )
+    return options
+
+
+def decode_search_body(body):
+    """Decode a ``/search`` / ``/explain`` body into engine kwargs."""
+    options = _decode_options(body, "query")
+    if "query" not in body:
+        raise QueryError("missing required field 'query'")
+    return {"query": decode_query(body["query"]), **options}
 
 
 def decode_search_many_body(body):
     """Decode a ``/search_many`` body into engine kwargs."""
-    if not isinstance(body, dict):
-        raise QueryError("request body must be a JSON object")
-    unknown = set(body) - {"queries", "k", "algorithm", "rank_results"}
-    if unknown:
-        raise QueryError(
-            f"unknown request field(s): {sorted(unknown)}"
-        )
+    options = _decode_options(body, "queries")
     queries = body.get("queries")
     if not isinstance(queries, list) or not queries:
         raise QueryError(
             "'queries' must be a non-empty list of keyword queries"
         )
-    params = {
+    return {
         "queries": [
             decode_query(q, field=f"queries[{i}]")
             for i, q in enumerate(queries)
         ],
-        "k": body.get("k", 1),
-        "algorithm": body.get("algorithm", "auto"),
-        "rank_results": bool(body.get("rank_results", False)),
+        **options,
     }
-    if not isinstance(params["algorithm"], str):
-        raise QueryError(
-            f"'algorithm' must be a string, got {params['algorithm']!r}"
-        )
-    return params
 
 
 def decode_reload_body(body):

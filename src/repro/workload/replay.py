@@ -375,7 +375,7 @@ def replay_traffic(
             counter: result_after[counter] - result_before[counter]
             for counter in (
                 "hits", "misses", "invalidations", "evictions",
-                "admission_rejects", "expirations",
+                "admission_rejects",
             )
         }
         lookups = delta["hits"] + delta["misses"]

@@ -1,4 +1,4 @@
-"""Tests for inverted lists, cursors and scan accounting."""
+"""Tests for inverted lists and the inverted index."""
 
 import pytest
 
@@ -28,61 +28,11 @@ class TestInvertedList:
         assert len(lst) == 3
         assert [str(p.dewey) for p in lst] == ["0.0", "0.1", "0.2"]
 
-    def test_sublist(self):
+    def test_range_indices(self):
         lst = make_list(["0.0.1", "0.1.0", "0.1.5", "0.2"])
-        got = lst.sublist(Dewey.parse("0.1"))
-        assert [str(p.dewey) for p in got] == ["0.1.0", "0.1.5"]
-
-    def test_contains_under(self):
-        lst = make_list(["0.0.1", "0.2"])
-        assert lst.contains_under(Dewey.parse("0.0"))
-        assert not lst.contains_under(Dewey.parse("0.1"))
-
-    def test_first_under(self):
-        lst = make_list(["0.1.0", "0.1.5"])
-        assert str(lst.first_under(Dewey.parse("0.1")).dewey) == "0.1.0"
-        assert lst.first_under(Dewey.parse("0.3")) is None
-
-
-class TestCursor:
-    def test_sequential_scan(self):
-        cursor = make_list(["0.0", "0.1", "0.2"]).cursor()
-        seen = []
-        while not cursor.exhausted():
-            seen.append(str(cursor.advance().dewey))
-        assert seen == ["0.0", "0.1", "0.2"]
-        assert cursor.scanned == 3
-
-    def test_peek_does_not_consume(self):
-        cursor = make_list(["0.0"]).cursor()
-        assert cursor.peek() is cursor.peek()
-        assert cursor.scanned == 0
-
-    def test_advance_past_end_raises(self):
-        cursor = make_list(["0.0"]).cursor()
-        cursor.advance()
-        with pytest.raises(IndexingError):
-            cursor.advance()
-
-    def test_skip_to(self):
-        cursor = make_list(["0.0", "0.1", "0.2", "0.3"]).cursor()
-        cursor.skip_to(Dewey.parse("0.2"))
-        assert str(cursor.peek().dewey) == "0.2"
-        assert cursor.scanned == 2  # skipped postings count as scanned
-
-    def test_skip_to_never_rewinds(self):
-        cursor = make_list(["0.0", "0.1", "0.2"]).cursor()
-        cursor.advance()
-        cursor.advance()
-        cursor.skip_to(Dewey.parse("0.0"))  # target behind cursor
-        assert cursor.position == 2  # unchanged
-
-    def test_probe_does_not_move_cursor(self):
-        cursor = make_list(["0.0.1", "0.1.1"]).cursor()
-        hits = cursor.probe_partition(Dewey.parse("0.1"))
-        assert [str(p.dewey) for p in hits] == ["0.1.1"]
-        assert cursor.position == 0
-        assert cursor.probes == 1
+        assert lst.range_indices(Dewey.parse("0.1")) == (1, 3)
+        lo, hi = lst.range_indices(Dewey.parse("0.3"))
+        assert lo == hi  # nothing under an absent subtree
 
 
 class TestInvertedIndex:

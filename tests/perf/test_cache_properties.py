@@ -1,13 +1,12 @@
 """Property tests: no interleaving of cache operations serves a wrong
 entry.
 
-A model dict tracks, for every key, the exact ``(version, value,
-put_time)`` of its last ``put``.  Hypothesis drives random
-interleavings of ``put`` / ``get`` / ``purge_other_versions`` / clock
-advances over the W-TinyLFU cache (window + frequency-gated segmented
-main region + TTL + version stamps) and asserts the one contract all
-the machinery must preserve: a returned value is always the last one
-stored for that key, at the requested version, within its TTL.
+A model dict tracks, for every key, the exact ``(version, value)`` of
+its last ``put``.  Hypothesis drives random interleavings of ``put`` /
+``get`` / ``purge_other_versions`` over the W-TinyLFU cache (window +
+frequency-gated segmented main region + version stamps) and asserts the
+one contract all the machinery must preserve: a returned value is
+always the last one stored for that key, at the requested version.
 Returning ``None`` is always legal (eviction, admission rejection);
 returning anything stale never is.
 """
@@ -18,8 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.perf import QueryResultCache
-
-TTL = 10.0
 
 operations = st.lists(
     st.one_of(
@@ -35,45 +32,31 @@ operations = st.lists(
             st.integers(0, 2),
         ),
         st.tuples(st.just("purge"), st.integers(0, 2)),
-        st.tuples(st.just("advance"), st.floats(0.5, 6.0)),
     ),
     min_size=1,
     max_size=200,
 )
 
 
-class Clock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
 @settings(max_examples=150, deadline=None)
-@given(ops=operations, maxsize=st.integers(1, 8), ttl=st.booleans())
-def test_interleavings_never_serve_stale_or_expired(ops, maxsize, ttl):
-    clock = Clock()
-    cache = QueryResultCache(
-        maxsize=maxsize, ttl=TTL if ttl else None, clock=clock
-    )
+@given(ops=operations, maxsize=st.integers(1, 8))
+def test_interleavings_never_serve_stale(ops, maxsize):
+    cache = QueryResultCache(maxsize=maxsize)
     model = {}
     for op in ops:
         if op[0] == "put":
             _, key, value, version = op
             cache.put(key, value, version)
-            model[key] = (version, value, clock.now)
+            model[key] = (version, value)
         elif op[0] == "get":
             _, key, version = op
             served = cache.get(key, version)
             if served is None:
                 continue
-            stored_version, stored_value, put_time = model[key]
+            stored_version, stored_value = model[key]
             assert served == stored_value, "served a superseded value"
             assert stored_version == version, "served a stale version"
-            if ttl:
-                assert clock.now - put_time < TTL, "served past its TTL"
-        elif op[0] == "purge":
+        else:
             survivor = op[1]
             cache.purge_other_versions(survivor)
             model = {
@@ -81,15 +64,11 @@ def test_interleavings_never_serve_stale_or_expired(ops, maxsize, ttl):
                 for key, entry in model.items()
                 if entry[0] == survivor
             }
-        else:
-            clock.now += op[1]
     # Closing sweep: whatever survived must still obey the contract.
-    for key, (version, value, put_time) in model.items():
+    for key, (version, value) in model.items():
         served = cache.get(key, version)
         if served is not None:
             assert served == value
-            if ttl:
-                assert clock.now - put_time < TTL
 
 
 @settings(max_examples=30, deadline=None)
@@ -103,17 +82,14 @@ def test_admission_stays_live_after_any_history(ops, hot):
     estimated frequency to displace a victim — a sketch that saturated
     or never aged would starve it forever.
     """
-    clock = Clock()
-    cache = QueryResultCache(maxsize=8, clock=clock)
+    cache = QueryResultCache(maxsize=8)
     for op in ops:
         if op[0] == "put":
             cache.put(op[1], op[2], 0)
         elif op[0] == "get":
             cache.get(op[1], 0)
-        elif op[0] == "purge":
-            cache.purge_other_versions(0)
         else:
-            clock.now += op[1]
+            cache.purge_other_versions(0)
     for round_number in range(12 * cache.maxsize):
         if cache.get(hot, 0) is None:
             cache.put(hot, "payload", 0)

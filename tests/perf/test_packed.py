@@ -28,8 +28,6 @@ def test_packed_matches_decoded_list(dblp_index):
         source = dblp_index.inverted.get(keyword)
         assert len(packed) == len(source)
         assert packed.labels == [p.dewey for p in source]
-        assert packed.node_types == [p.node_type for p in source]
-        assert packed.counts == [p.count for p in source]
 
 
 def test_components_are_shared_not_copied(dblp_index):

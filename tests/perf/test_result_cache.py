@@ -5,19 +5,6 @@ import pytest
 from repro.perf import QueryResultCache
 
 
-class FakeClock:
-    """Injectable monotonic clock for TTL tests."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
 class TestLRU:
     """The plain-LRU baseline policy keeps its original semantics."""
 
@@ -158,38 +145,6 @@ class TestTinyLFU:
         assert 5 not in cache
 
 
-class TestTTL:
-    def test_entry_expires_on_read(self):
-        clock = FakeClock()
-        cache = QueryResultCache(maxsize=8, ttl=10.0, clock=clock)
-        cache.put("a", 1, version=0)
-        assert cache.get("a", version=0) == 1
-        clock.advance(10.0)
-        assert cache.get("a", version=0) is None
-        assert cache.expirations == 1
-        assert "a" not in cache
-
-    def test_fresh_entry_survives(self):
-        clock = FakeClock()
-        cache = QueryResultCache(maxsize=8, ttl=10.0, clock=clock)
-        cache.put("a", 1, version=0)
-        clock.advance(9.9)
-        assert cache.get("a", version=0) == 1
-
-    def test_overwrite_refreshes_ttl(self):
-        clock = FakeClock()
-        cache = QueryResultCache(maxsize=8, ttl=10.0, clock=clock)
-        cache.put("a", 1, version=0)
-        clock.advance(8.0)
-        cache.put("a", 2, version=0)
-        clock.advance(8.0)
-        assert cache.get("a", version=0) == 2
-
-    def test_invalid_ttl_rejected(self):
-        with pytest.raises(ValueError):
-            QueryResultCache(maxsize=8, ttl=0)
-
-
 class TestVersioning:
     def test_version_mismatch_invalidates(self):
         cache = QueryResultCache(maxsize=4)
@@ -239,13 +194,11 @@ class TestVersioning:
             "size": 1,
             "maxsize": 4,
             "policy": "lru",
-            "ttl": None,
             "hits": 1,
             "misses": 1,
             "invalidations": 0,
             "evictions": 0,
             "admission_rejects": 0,
-            "expirations": 0,
             "sketch": None,
         }
 
@@ -260,18 +213,13 @@ class TestVersioning:
 class TestPeek:
     @pytest.mark.parametrize("policy", ["lru", "tinylfu"])
     def test_peek_returns_what_get_would_and_counts_nothing(self, policy):
-        clock = FakeClock()
-        cache = QueryResultCache(
-            maxsize=8, policy=policy, ttl=10.0, clock=clock
-        )
+        cache = QueryResultCache(maxsize=8, policy=policy)
         cache.put("a", 1, version=0)
         before = cache.stats()
         assert cache.peek("a", version=0) == 1
         assert cache.peek("absent", version=0) is None
         assert cache.peek("a", version=1) is None  # stale stamp
-        clock.advance(11.0)
-        assert cache.peek("a", version=0) is None  # past its TTL
-        # No counter, sketch sample or entry moved: the stale/expired
-        # entry is still there for a counted get() to discard.
+        # No counter, sketch sample or entry moved: the stale entry is
+        # still there for a counted get() to discard.
         assert cache.stats() == before
         assert "a" in cache

@@ -202,6 +202,26 @@ class TestClientErrors:
             assert daemon.server.errors == errors + 1
         assert daemon.server.inline_hits == inline + 1
 
+    @pytest.mark.parametrize("bad_flag", ["false", 0, []])
+    def test_non_boolean_rank_results(self, daemon, client, bad_flag):
+        """``bool("false")`` is true: coerced, it would turn ranking on."""
+        client.search(QUERY, k=1)  # the entry a coerced flag could hit
+        cache = daemon.server.manager.engine.result_cache
+        before = (cache.stats(), daemon.server.inline_hits)
+        for path, body in (
+            ("/search", {"query": QUERY}),
+            ("/explain", {"query": QUERY}),
+            ("/search_many", {"queries": [QUERY]}),
+        ):
+            with pytest.raises(ServeClientError) as err:
+                client._request(
+                    "POST", path, {**body, "rank_results": bad_flag}
+                )
+            assert err.value.status == 400, path
+            assert err.value.error_type == "QueryError"
+            assert "rank_results" in err.value.error
+        assert (cache.stats(), daemon.server.inline_hits) == before
+
     def test_failed_requests_leave_the_daemon_serving(self, client):
         with pytest.raises(ServeClientError):
             client.search("", k=1)
