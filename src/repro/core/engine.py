@@ -295,11 +295,19 @@ class XRefine:
     def cache_stats(self):
         """Monitoring snapshot of every hot-path cache layer."""
         planner = self._planner
+        tree = self.index.tree
         return {
             "results": self.result_cache.stats(),
             "subresults": self.subresult_cache.stats(),
             "packed_keywords": len(self.packed),
             "index_version": getattr(self.index, "version", 0),
+            #: Document partitions resident as node objects.  Refinement
+            #: search never reads the tree, so over a frozen snapshot
+            #: this stays 0 until presentation (``rank_results``,
+            #: :meth:`node`, the CLI) faults partitions in — the first
+            #: thing to look at when a daemon's RSS grows.
+            "tree_partitions_loaded": tree.loaded_partition_count(),
+            "tree_partitions": tree.partition_count(),
             #: Routing counters, plan-cache hit rate, cost-model ratio
             #: samples and the active calibration (None until the
             #: first ``auto``/``explain`` query builds the planner).

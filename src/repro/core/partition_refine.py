@@ -39,7 +39,7 @@ from ..kernels import (
     columns_for,
     partition_view_masked,
     prepare_beam,
-    slca_ranges,
+    slca_hits,
 )
 from ..lexicon.rules import RuleSet
 from ..perf.profiling import phase
@@ -141,10 +141,9 @@ def partition_refine(index, query, rules=None, model=None, k=1,
             if query_mask and mask & query_mask == query_mask:
                 stats.slca_invocations += 1
                 sublists = build_sublists(spans)
-                slcas = slca_ranges(
+                meaningful = context.meaningful_hits(slca_hits(
                     [sublists[keyword] for keyword in context.query]
-                )
-                meaningful = context.meaningful_only(slcas)
+                ))
                 if meaningful:
                     needs_refine = False
                     original_results.extend(meaningful)
@@ -173,10 +172,9 @@ def partition_refine(index, query, rules=None, model=None, k=1,
                     stats.slca_invocations += 1
                     if sublists is None:
                         sublists = build_sublists(spans)
-                    slcas = slca_ranges(
+                    meaningful = context.meaningful_hits(slca_hits(
                         [sublists[keyword] for keyword in kept.keywords]
-                    )
-                    meaningful = context.meaningful_only(slcas)
+                    ))
                     if meaningful:
                         record = candidate_map.setdefault(kept.key, (kept, []))
                         record[1].extend(meaningful)
@@ -245,11 +243,10 @@ def partition_refine(index, query, rules=None, model=None, k=1,
                 stats.slca_invocations += 1
                 if sublists is None:
                     sublists = build_sublists(spans)
-                slcas = slca_ranges(
+                meaningful = context.meaningful_hits(slca_hits(
                     [sublists[keyword] for keyword in rq.keywords]
-                )
+                ))
                 computed_keys.add(rq.key)
-                meaningful = context.meaningful_only(slcas)
                 if not meaningful:
                     continue
                 if sorted_list.insert(rq) or already_kept:

@@ -48,7 +48,7 @@ from ..kernels import (
     partition_presence,
     prepare_beam,
     presence_ready,
-    slca_ranges,
+    slca_hits,
 )
 from ..lexicon.rules import RuleSet
 from ..perf.profiling import phase
@@ -180,7 +180,7 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
         ``mask`` is the partition's exact presence mask from the batch
         merge-join, or ``None`` on the header-first path (which probes
         the lanes itself).  Apart from the two partition-local
-        ``slca_ranges`` calls — a Q-covering mask, or a not-yet-kept
+        ``slca_hits`` calls — a Q-covering mask, or a not-yet-kept
         candidate that ``would_admit`` — everything decided here is a
         function of ``mask``, ``needs_refine`` and the contents of
         ``sorted_list``; the caller's per-mask memo rests on that.
@@ -257,10 +257,9 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
                 sublists = build_row_sublists(
                     spans_flat, pindex * nlanes * 2
                 )
-            slcas = slca_ranges(
+            meaningful = context.meaningful_hits(slca_hits(
                 [sublists[keyword] for keyword in context.query]
-            )
-            meaningful = context.meaningful_only(slcas)
+            ))
             if meaningful:
                 needs_refine = False
                 original_results.extend(meaningful)
@@ -321,10 +320,9 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
                     sublists = build_row_sublists(
                         spans_flat, pindex * nlanes * 2
                     )
-                local = slca_ranges(
+                if not context.any_meaningful_hit(slca_hits(
                     [sublists[keyword] for keyword in rq.keywords]
-                )
-                if not context.meaningful_only(local):
+                )):
                     continue
             sorted_list.insert(rq)
 
@@ -430,8 +428,7 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
                     for keyword in rq.keywords
                 ]
                 stats.slca_invocations += 1
-                slcas = slca_ranges(whole_lists)
-                meaningful = context.meaningful_only(slcas)
+                meaningful = context.meaningful_hits(slca_hits(whole_lists))
                 if meaningful:
                     candidate_map[rq.key] = (rq, meaningful)
         ranked = rank_candidates(context, model, candidate_map)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import time
 
-from ..kernels import columns_for, merged_lcp_runs, slca_columns
+from ..kernels import columns_for, merged_lcp_runs, slca_hits
 from ..lexicon.rules import RuleSet
 from ..perf.profiling import phase
 from ..xmltree.dewey import Dewey
@@ -114,15 +114,16 @@ def stack_refine(index, query, rules=None, model=None, dp_memo=None):
     needs_refine = True
     original_results = []
     min_dissimilarity = float("inf")
-    best = {}  # rq key -> (RefinedQuery, [Dewey])
+    best = {}  # rq key -> RefinedQuery
     optimal_memo = dp_memo if dp_memo is not None else {}
 
     stack = []
 
-    def pop_entry(previous_key):
+    def pop_entry(previous_key, column, position):
         """Pop the top entry; its node's label is ``previous_key`` up
         to the stack depth (the stack always spells out the previous
-        merged posting's components)."""
+        merged posting's components), and that posting — ``position``
+        of ``column`` — types it."""
         nonlocal needs_refine, min_dissimilarity
         depth = len(stack)
         entry = stack.pop()
@@ -132,10 +133,11 @@ def stack_refine(index, query, rules=None, model=None, dp_memo=None):
                 stack[-1].blocked_q = True
         elif entry.mask & query_mask == query_mask and query_mask:
             # Popped node is an SLCA of the original query.
-            dewey = Dewey.from_trusted(previous_key[:depth])
-            if context.is_meaningful_node(dewey):
+            if context.is_meaningful_at(column, position, depth):
                 needs_refine = False
-                original_results.append(dewey)
+                original_results.append(
+                    Dewey.from_trusted(previous_key[:depth])
+                )
             if stack:
                 stack[-1].blocked_q = True
             propagate = 0  # line 12: reset all witness entries
@@ -156,15 +158,11 @@ def stack_refine(index, query, rules=None, model=None, dp_memo=None):
                 and optimal.key != query_key
                 and optimal.dissimilarity <= min_dissimilarity
             ):
-                dewey = Dewey.from_trusted(previous_key[:depth])
-                if context.is_meaningful_node(dewey):
+                if context.is_meaningful_at(column, position, depth):
                     if optimal.dissimilarity < min_dissimilarity:
                         min_dissimilarity = optimal.dissimilarity
                         best.clear()
-                    record = best.setdefault(
-                        optimal.key, (optimal, [])
-                    )
-                    record[1].append(dewey)
+                    best.setdefault(optimal.key, optimal)
                     # Deviation from the paper's lines 18-19: the
                     # witness bits are NOT reset.  Resetting the bits
                     # "unique to this RQ" can consume a witness that
@@ -190,21 +188,27 @@ def stack_refine(index, query, rules=None, model=None, dp_memo=None):
         lanes, lcps, run_ends = merged_lcp_runs(lane_columns)
     positions = [0] * len(lane_columns)
     previous_key = ()
+    previous_column = None
+    previous_position = 0
     skip_until = 0
     with phase("admit"):
         for i, lane in enumerate(lanes):
             if i < skip_until:
                 continue
-            key = lane_columns[lane].keys[positions[lane]]
-            positions[lane] += 1
+            column = lane_columns[lane]
+            position = positions[lane]
+            key = column.keys[position]
+            positions[lane] = position + 1
             stats.postings_scanned += 1
             shared = lcps[i]
             while len(stack) > shared:
-                pop_entry(previous_key)
+                pop_entry(previous_key, previous_column, previous_position)
             for _ in range(shared, len(key)):
                 stack.append(_Entry())
             stack[-1].mask |= bit_of_lane[lane]
             previous_key = key
+            previous_column = column
+            previous_position = position
 
             # Sibling-leaf run skip: every remaining posting of the run
             # pops exactly the one fresh frame its predecessor pushed.
@@ -237,8 +241,9 @@ def stack_refine(index, query, rules=None, model=None, dp_memo=None):
                         )
                     if not emit_possible:
                         count = run_end - i
-                        last = positions[lane] + count - 1
-                        previous_key = lane_columns[lane].keys[last]
+                        last = position + count
+                        previous_key = column.keys[last]
+                        previous_position = last
                         positions[lane] = last + 1
                         stats.postings_scanned += count
                         if needs_refine:
@@ -250,7 +255,7 @@ def stack_refine(index, query, rules=None, model=None, dp_memo=None):
                         skip_until = run_end + 1
 
         while stack:
-            pop_entry(previous_key)
+            pop_entry(previous_key, previous_column, previous_position)
 
     # ------------------------------------------------------------------
     # Finalize: complete exact result sets for the winning RQs.
@@ -259,15 +264,15 @@ def stack_refine(index, query, rules=None, model=None, dp_memo=None):
     if needs_refine and best:
         candidate_map = {}
         with phase("merge"):
-            for key, (rq, _witness_deweys) in best.items():
+            for key, rq in best.items():
                 stats.slca_invocations += 1
-                slcas = slca_columns(
-                    [
-                        columns_for(context.index.inverted_list(k))
-                        for k in rq.keywords
-                    ]
-                )
-                meaningful = context.meaningful_only(slcas)
+                columns = [
+                    columns_for(context.index.inverted_list(k))
+                    for k in rq.keywords
+                ]
+                meaningful = context.meaningful_hits(slca_hits(
+                    [(column, 0, column.size) for column in columns]
+                ))
                 if meaningful:
                     candidate_map[key] = (rq, meaningful)
         refinements = rank_candidates(context, model, candidate_map)

@@ -32,11 +32,12 @@ from __future__ import annotations
 import bisect
 import struct
 import zlib
+from array import array
 
 from ..errors import IndexingError, KeyEncodingError
 from ..storage import decode_uvarint, encode_key, encode_uvarint
 from ..xmltree.dewey import Dewey, descendant_range_key
-from .inverted import InvertedList, Posting
+from .inverted import InvertedList, Posting, type_id_typecode
 
 #: Postings per block.  256 keeps block decode under ~100us in pure
 #: python while a 1M-posting list still needs only ~4k header entries.
@@ -209,6 +210,7 @@ class BlockStore:
         "payload",
         "directory",
         "type_table",
+        "type_id_code",
         "_decoded",
         "blocks_decoded",
     )
@@ -218,11 +220,15 @@ class BlockStore:
         self.payload = payload
         self.directory = directory
         self.type_table = type_table
+        #: One typecode for every block's id column, so whole-list
+        #: consumers can concatenate them.
+        self.type_id_code = type_id_typecode(type_table)
         self._decoded = {}
         self.blocks_decoded = 0
 
     def block(self, index):
-        """``(dewey_keys, postings)`` of one block, decoded at most once."""
+        """``(dewey_keys, postings, type_ids)`` of one block, decoded at
+        most once."""
         cached = self._decoded.get(index)
         if cached is not None:
             return cached
@@ -238,6 +244,7 @@ class BlockStore:
         keys = []
         postings = []
         type_table = self.type_table
+        type_ids = array(self.type_id_code)
         pos = 0
         try:
             for _ in range(expected):
@@ -258,6 +265,7 @@ class BlockStore:
                     )
                 )
                 keys.append(components)
+                type_ids.append(type_id)
                 previous = components
         except (KeyEncodingError, IndexError) as exc:
             raise IndexingError(
@@ -271,20 +279,10 @@ class BlockStore:
                 f"block {index} of {self.keyword!r} disagrees with its "
                 "directory header"
             )
-        decoded = (keys, postings)
+        decoded = (keys, postings, type_ids)
         self._decoded[index] = decoded
         self.blocks_decoded += 1
         return decoded
-
-    def materialize(self):
-        """``(dewey_keys, postings)`` of the whole list, as plain lists."""
-        keys = []
-        postings = []
-        for index in range(self.directory.block_count):
-            block_keys, block_postings = self.block(index)
-            keys.extend(block_keys)
-            postings.extend(block_postings)
-        return keys, postings
 
 
 class _LazyBlockSequence:
@@ -292,7 +290,7 @@ class _LazyBlockSequence:
 
     __slots__ = ("_store",)
 
-    #: 0 selects dewey keys, 1 selects Posting objects.
+    #: 0 selects dewey keys, 1 Posting objects, 2 interned type ids.
     _column = 0
 
     def __init__(self, store):
@@ -345,6 +343,11 @@ class _LazyBlockSequence:
 class LazyPostings(_LazyBlockSequence):
     __slots__ = ()
     _column = 1
+
+
+class LazyTypeIds(_LazyBlockSequence):
+    __slots__ = ()
+    _column = 2
 
 
 class LazyDeweyKeys(_LazyBlockSequence):
@@ -407,6 +410,7 @@ class BlockedInvertedList(InvertedList):
         instance.keyword = keyword
         instance.postings = LazyPostings(store)
         instance._dewey_keys = LazyDeweyKeys(store)
+        instance.type_ids = LazyTypeIds(store)
         instance._kernel_columns = None
         instance._blocks = store
         return instance

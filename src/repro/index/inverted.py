@@ -12,6 +12,7 @@ and 2) — in :class:`~repro.core.result.ScanStats`.
 from __future__ import annotations
 
 import bisect
+from array import array
 
 from ..errors import IndexingError
 from ..storage import (
@@ -50,15 +51,30 @@ class Posting:
         return hash((self.dewey, self.node_type, self.count))
 
 
+def type_id_typecode(type_table):
+    """``array`` typecode of a column of ids interned in ``type_table``.
+
+    2 B/posting while the table fits a ``uint16``, 4 B beyond.  The
+    table only grows, so a code chosen when a payload is opened holds
+    every id that payload can carry.
+    """
+    return "H" if len(type_table) <= 0x10000 else "I"
+
+
 class InvertedList:
     """Document-ordered postings for one keyword."""
 
-    __slots__ = ("keyword", "postings", "_dewey_keys", "_kernel_columns")
+    __slots__ = ("keyword", "postings", "_dewey_keys", "type_ids",
+                 "_kernel_columns")
 
     def __init__(self, keyword, postings):
         self.keyword = keyword
         self.postings = list(postings)
         self._dewey_keys = [p.dewey.components for p in self.postings]
+        #: Interned node-type id per posting (``InvertedIndex``'s
+        #: table), parallel to :attr:`postings`; ``None`` for a list
+        #: built from ``Posting`` objects, which carry no ids.
+        self.type_ids = None
         self._kernel_columns = None
         for i in range(1, len(self._dewey_keys)):
             if self._dewey_keys[i - 1] >= self._dewey_keys[i]:
@@ -67,19 +83,20 @@ class InvertedList:
                 )
 
     @classmethod
-    def from_trusted(cls, keyword, postings, dewey_keys):
+    def from_trusted(cls, keyword, postings, dewey_keys, type_ids):
         """Build a list from a pre-validated document-ordered decode.
 
         ``dewey_keys`` must be ``[p.dewey.components for p in postings]``
-        in strictly ascending order — the payload decoder already has
-        both in hand, so re-deriving and re-checking them here would
-        double the decode cost for lists that were validated when
-        encoded.
+        in strictly ascending order and ``type_ids`` the postings'
+        interned type ids — the payload decoder already has all three
+        in hand, so re-deriving and re-checking them here would double
+        the decode cost for lists that were validated when encoded.
         """
         instance = cls.__new__(cls)
         instance.keyword = keyword
         instance.postings = postings
         instance._dewey_keys = dewey_keys
+        instance.type_ids = type_ids
         instance._kernel_columns = None
         return instance
 
@@ -120,6 +137,7 @@ def decode_posting_payload(keyword, raw, type_table):
     count, pos = decode_uvarint(raw)
     postings = []
     dewey_keys = []
+    type_ids = array(type_id_typecode(type_table))
     previous = ()
     for _ in range(count):
         shared, pos = decode_uvarint(raw, pos)
@@ -141,8 +159,9 @@ def decode_posting_payload(keyword, raw, type_table):
             )
         )
         dewey_keys.append(components)
+        type_ids.append(type_id)
         previous = components
-    return InvertedList.from_trusted(keyword, postings, dewey_keys)
+    return InvertedList.from_trusted(keyword, postings, dewey_keys, type_ids)
 
 
 class InvertedIndex:

@@ -7,7 +7,7 @@ operations over columnar views of the inverted lists:
 * :mod:`.columns` — per-list partition tables and flat component
   arrays; the merged :func:`partition_view` Algorithm 2 iterates.
 * :mod:`.slca` — columnar Scan Eager: candidate depths for a whole
-  anchor range per matcher sweep.
+  anchor range per matcher sweep, results as ``(slot, depth)`` hits.
 * :mod:`.lcp` — the merged-stream adjacent-LCP table that makes the
   stack route's LCA depth an indexed lookup, plus the sibling-leaf
   run encoding the stack route retires whole chains with.
@@ -47,7 +47,12 @@ from .scoring import (  # noqa: F401
     score_table,
     supported_model,
 )
-from .slca import slca_columns, slca_ranges  # noqa: F401
+from .slca import (  # noqa: F401
+    hit_labels,
+    slca_columns,
+    slca_hits,
+    slca_ranges,
+)
 
 __all__ = [
     "BlockedListColumns",
@@ -62,6 +67,7 @@ __all__ = [
     "columns_for",
     "columns_of_labels",
     "compiled",
+    "hit_labels",
     "merged_lcp",
     "merged_lcp_runs",
     "partition_presence",
@@ -71,6 +77,7 @@ __all__ = [
     "presence_ready",
     "score_table",
     "slca_columns",
+    "slca_hits",
     "slca_ranges",
     "supported_model",
 ]

@@ -14,6 +14,12 @@ share) with the two derived structures every batch kernel needs:
   table — the zero-copy operands of the compiled galloping kernel.
   Built lazily, only when the compiled backend is active.
 
+Columns built from an inverted list (:func:`columns_for`) also carry
+its **type-id column** ``tids`` — each posting's interned prefix-path
+id, 2 B/posting — so a result that is still ``(slot, depth)`` over the
+key column can be typed without its label: an ancestor-or-self at
+``depth`` of posting ``i`` has type ``type_table[tids[i]][:depth]``.
+
 Columns are cached on the :class:`~repro.index.inverted.InvertedList`
 itself (``_kernel_columns``); the index's decode cache keeps one list
 object per keyword and replaces it on any mutation, so object identity
@@ -29,23 +35,27 @@ per-posting cost.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 
 
 class ListColumns:
     """Partition table + flat component arrays for one key column."""
 
-    __slots__ = ("keys", "size", "pids", "starts", "ends", "pid_range",
-                 "root_count", "_flat", "_offs", "_pid_cols", "_c")
+    __slots__ = ("keys", "tids", "size", "pids", "starts", "ends",
+                 "pid_range", "root_count", "_flat", "_offs", "_pid_cols",
+                 "_c")
 
     #: Eager columns always have their partition tables materialized;
     #: the batch presence kernel keys off this to avoid forcing a
     #: blocked column's lazy decode.
     tables_ready = True
 
-    def __init__(self, keys):
+    def __init__(self, keys, tids=None):
         #: Document-ordered component tuples (shared, read-only).
         self.keys = keys
+        #: Interned type id per key, or ``None`` for a bare key column.
+        self.tids = tids
         self.size = len(keys)
         pids = []
         starts = []
@@ -89,8 +99,6 @@ class ListColumns:
         """
         cols = self._pid_cols
         if cols is None:
-            from array import array
-
             pid_flat = array("q")
             for pid in self.pids:
                 pid_flat.extend(pid)
@@ -108,8 +116,6 @@ class ListColumns:
         """
         flat = self._flat
         if flat is None:
-            from array import array
-
             flat = array("q")
             offs = array("q", bytes(8 * (self.size + 1)))
             position = 0
@@ -120,6 +126,12 @@ class ListColumns:
             self._flat = flat
             self._offs = offs
         return flat, self._offs
+
+    def hit_keys(self, a_lo, slots, depths, picks):
+        """Component tuples of the hits ``picks`` (see ``slca_hits``):
+        key ``a_lo + slots[j]`` cut to ``depths[j]``."""
+        keys = self.keys
+        return [keys[a_lo + slots[j]][: depths[j]] for j in picks]
 
     def may_contain(self, pid):
         """Exact membership — the eager table *is* the ground truth."""
@@ -181,12 +193,16 @@ class BlockedListColumns:
     for them.
     """
 
-    __slots__ = ("keys", "size", "pid_range", "_firsts", "_lasts",
-                 "_pids", "_starts", "_ends", "_root_count",
+    __slots__ = ("keys", "tids", "size", "pid_range", "_blocks", "_firsts",
+                 "_lasts", "_pids", "_starts", "_ends", "_root_count",
                  "_flat", "_offs", "_pid_cols", "_c")
 
     def __init__(self, blocked_list):
         self.keys = blocked_list.dewey_keys
+        #: Lazy like ``keys`` until :meth:`flat_offs` has walked every
+        #: block anyway; a flat array from then on.
+        self.tids = blocked_list.type_ids
+        self._blocks = blocked_list.block_store
         self.size = len(self.keys)
         self._firsts, self._lasts = blocked_list.block_intervals()
         self.pid_range = _LazyPidRanges(self)
@@ -217,8 +233,6 @@ class BlockedListColumns:
         """Same contract as :meth:`ListColumns.pid_cols` (full decode)."""
         cols = self._pid_cols
         if cols is None:
-            from array import array
-
             pid_flat = array("q")
             for pid in self.pids:
                 pid_flat.extend(pid)
@@ -287,21 +301,45 @@ class BlockedListColumns:
         return self._root_count
 
     def flat_offs(self):
-        """Same contract as :meth:`ListColumns.flat_offs` (full decode)."""
+        """Same contract as :meth:`ListColumns.flat_offs` (full decode).
+
+        The walk visits every block, so it also concatenates their
+        type-id columns into the flat ``tids``.
+        """
         flat = self._flat
         if flat is None:
-            from array import array
-
+            blocks = self._blocks
             flat = array("q")
             offs = array("q", bytes(8 * (self.size + 1)))
+            tids = array(blocks.type_id_code)
             position = 0
-            for i, key in enumerate(self.keys):
-                flat.extend(key)
-                position += len(key)
-                offs[i + 1] = position
+            i = 0
+            for index in range(blocks.directory.block_count):
+                keys, _postings, type_ids = blocks.block(index)
+                tids.extend(type_ids)
+                for key in keys:
+                    flat.extend(key)
+                    position += len(key)
+                    i += 1
+                    offs[i] = position
+            self.tids = tids
             self._flat = flat
             self._offs = offs
         return flat, self._offs
+
+    def hit_keys(self, a_lo, slots, depths, picks):
+        """Same contract as :meth:`ListColumns.hit_keys`; reads the flat
+        component array once it exists instead of decoding via blocks."""
+        flat = self._flat
+        if flat is None:
+            keys = self.keys
+            return [keys[a_lo + slots[j]][: depths[j]] for j in picks]
+        offs = self._offs
+        built = []
+        for j in picks:
+            start = offs[a_lo + slots[j]]
+            built.append(tuple(flat[start : start + depths[j]]))
+        return built
 
     def __len__(self):
         return self.size
@@ -325,7 +363,9 @@ def columns_for(inverted_list):
         if hasattr(inverted_list, "block_intervals"):
             columns = BlockedListColumns(inverted_list)
         else:
-            columns = ListColumns(inverted_list.dewey_keys)
+            columns = ListColumns(
+                inverted_list.dewey_keys, inverted_list.type_ids
+            )
         inverted_list._kernel_columns = columns
     return columns
 

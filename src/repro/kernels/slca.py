@@ -22,8 +22,12 @@ The transposition is exact, not approximate:
 
 Candidates then pass XKSearch's streaming ancestor filter — one pass
 over the depth column holding a single candidate, compiled when the
-backend is — so only the surviving ``(slot, depth)`` pairs ever become
-Python objects.
+backend is.  What survives is returned as **hits**: ``(slot, depth)``
+pairs over the anchor's columns (:func:`slca_hits`).  A hit is a result
+that is still a column entry — the refinement routes decide
+Definition 3.3 on it from the anchor's type-id column and build a
+label only for what a response carries; :func:`slca_ranges` /
+:func:`slca_columns` are the wrappers that label every hit.
 
 The one semantic the batch form cannot reproduce is the
 ``DeweyError`` raised for labels sharing no prefix (cross-document
@@ -34,7 +38,7 @@ classic per-node implementation, which raises identically.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 from ..xmltree.dewey import Dewey
 from . import backend
@@ -75,17 +79,26 @@ def _fold_depths_python(anchor_keys, a_lo, a_hi, keys, m_lo, m_hi, depths):
     return depths
 
 
-def slca_ranges(column_ranges):
-    """SLCAs of the key ranges ``[(ListColumns, lo, hi), ...]``.
+#: ``slca_hits`` of an empty input or an empty range.
+_NO_HITS = (None, 0, (), (), 0)
 
-    One entry per keyword; returns document-ordered ``Dewey`` labels,
-    byte-identical to ``scan_eager_slca`` over the same label slices.
+
+def slca_hits(column_ranges):
+    """SLCAs of the key ranges ``[(ListColumns, lo, hi), ...]`` as hits.
+
+    One entry per keyword.  Returns ``(anchor_columns, a_lo, slots,
+    depths, count)``: SLCA ``j < count`` is the node at depth
+    ``depths[j]`` above (or at) posting ``a_lo + slots[j]`` of the
+    anchor — the shortest range — in document order, the same pairs
+    from both backends.  ``slots`` / ``depths`` may be longer than
+    ``count``; ``anchor_columns`` is ``None`` when ``count`` is 0
+    because there was nothing to scan.
     """
     if not column_ranges:
-        return []
+        return _NO_HITS
     for _, lo, hi in column_ranges:
         if lo >= hi:
-            return []
+            return _NO_HITS
 
     anchor_index = min(
         range(len(column_ranges)),
@@ -129,35 +142,45 @@ def slca_ranges(column_ranges):
             lib.i64(m_los), lib.i64(m_his), nmatchers,
             lib.i64(depths),
         )
-        survivors = _emit_compiled(lib, anchor_columns, a_lo, depths)
+        emitted = _emit_compiled(lib, anchor_columns, a_lo, depths)
     else:
         depths = [len(anchor_keys[i]) for i in range(a_lo, a_hi)]
         for column, m_lo, m_hi in matchers:
             _fold_depths_python(
                 anchor_keys, a_lo, a_hi, column.keys, m_lo, m_hi, depths
             )
-        survivors = _emit_python(anchor_keys, a_lo, depths)
+        emitted = _emit_python(anchor_keys, a_lo, depths)
 
-    if survivors is None:
+    if emitted is None:
         # Labels from different documents: re-run the classic per-node
-        # path, which raises the exact DeweyError.
+        # path, which raises the exact DeweyError — unless its depth-1
+        # early exit never compares the unrelated pair.  What it then
+        # answers are prefixes of anchor keys, like any hit.
         from ..slca.scan_eager import scan_eager_slca
 
-        return scan_eager_slca(
+        labels = scan_eager_slca(
             [
                 [Dewey.from_trusted(column.keys[i]) for i in range(lo, hi)]
                 for column, lo, hi in column_ranges
             ]
         )
-    return [Dewey.from_trusted(key) for key in survivors]
+        emitted = (
+            [
+                bisect_left(anchor_keys, label.components, a_lo, a_hi) - a_lo
+                for label in labels
+            ],
+            [len(label.components) for label in labels],
+            len(labels),
+        )
+    return (anchor_columns, a_lo) + emitted
 
 
 def _emit_compiled(lib, anchor_columns, a_lo, depths):
-    """Surviving candidate keys through ``repro_slca_emit``.
+    """Surviving ``(slots, depths, count)`` through ``repro_slca_emit``.
 
     ``depths`` (an ``array('q')``, one entry per anchor from ``a_lo``,
-    each at most its anchor's length) is consumed.  Only the survivors
-    ever become Python tuples.
+    each at most its anchor's length) is compacted in place and
+    returned; ``None`` when some depth is 0.
     """
     count = len(depths)
     slots = array("q", bytes(8 * count))
@@ -167,8 +190,7 @@ def _emit_compiled(lib, anchor_columns, a_lo, depths):
     )
     if emitted < 0:
         return None
-    keys = anchor_columns.keys
-    return [keys[a_lo + slots[j]][: depths[j]] for j in range(emitted)]
+    return slots, depths, emitted
 
 
 def _emit_python(anchor_keys, a_lo, depths):
@@ -179,11 +201,14 @@ def _emit_python(anchor_keys, a_lo, depths):
     that extends the held one replaces it, one that is a prefix of it
     (or equal) is dropped, an unrelated one emits it.  Exact because
     anchors are document-ordered and every candidate is a prefix of its
-    anchor (see the C source for the argument); the result is the SLCA
-    keys in document order, or ``None`` when some depth is 0.
+    anchor (see the C source for the argument); the result is the SLCAs
+    in document order as ``(slots, depths, count)``, or ``None`` when
+    some depth is 0.
     """
-    kept = []
+    kept_slots = []
+    kept_depths = []
     held = None
+    held_slot = 0
     held_depth = 0
     for slot, depth in enumerate(depths):
         if depth == 0:
@@ -194,16 +219,39 @@ def _emit_python(anchor_keys, a_lo, depths):
                 if candidate[:held_depth] == held:
                     if depth > held_depth:
                         held = candidate
+                        held_slot = slot
                         held_depth = depth
                     continue
             elif held[:depth] == candidate:
                 continue
-            kept.append(held)
+            kept_slots.append(held_slot)
+            kept_depths.append(held_depth)
         held = candidate
+        held_slot = slot
         held_depth = depth
     if held is not None:
-        kept.append(held)
-    return kept
+        kept_slots.append(held_slot)
+        kept_depths.append(held_depth)
+    return kept_slots, kept_depths, len(kept_slots)
+
+
+def hit_labels(hits, picks=None):
+    """``Dewey`` labels of the hits ``picks`` (every hit by default)."""
+    columns, a_lo, slots, depths, count = hits
+    if not count:
+        return []
+    if picks is None:
+        picks = range(count)
+    return [
+        Dewey.from_trusted(key)
+        for key in columns.hit_keys(a_lo, slots, depths, picks)
+    ]
+
+
+def slca_ranges(column_ranges):
+    """:func:`slca_hits` as document-ordered ``Dewey`` labels,
+    byte-identical to ``scan_eager_slca`` over the same label slices."""
+    return hit_labels(slca_hits(column_ranges))
 
 
 def slca_columns(columns):

@@ -46,9 +46,15 @@ path that must agree:
   partition view against a posting-by-posting regrouping, the
   mask-memoized presence bound against
   :class:`~repro.core.dp.MissingKeywordBound` over every presence
-  subset, and the batch Formula 2-9 scorer against the per-node
+  subset, the batch Formula 2-9 scorer against the per-node
   ranking model's ``similarity_score`` / ``dependence_score`` (exact
-  float equality — the byte-identity contract).
+  float equality — the byte-identity contract), and —
+  ``kernel:meaningful-column`` — Definition 3.3 decided from the
+  posting's type-id column against
+  :func:`~repro.slca.meaningful.is_meaningful` on the tree node's own
+  type, for every SLCA hit
+  over the same whole lists and shared partitions, on the built index,
+  a blocked snapshot, an updated index and the delta-chain top.
 
 A failed comparison is a :class:`Divergence` — a plain record carrying
 enough context for the shrinker to reproduce and reduce it.
@@ -59,6 +65,7 @@ from __future__ import annotations
 import os
 import tempfile
 
+from ..core.common import QueryContext
 from ..core.dp import MissingKeywordBound
 from ..core.engine import XRefine
 from ..core.partition_refine import partition_refine
@@ -71,8 +78,10 @@ from ..kernels import (
     batch_dependence,
     batch_similarity,
     columns_for,
+    hit_labels,
     merged_lcp,
     partition_view,
+    slca_hits,
     slca_ranges,
 )
 from ..index.builder import build_document_index
@@ -80,6 +89,7 @@ from ..index.tokenize_text import query_terms
 from ..slca.elca import elca
 from ..slca.indexed_lookup import indexed_lookup_slca
 from ..slca.lca import brute_force_slca, remove_ancestors
+from ..slca.meaningful import is_meaningful
 from ..slca.multiway import multiway_slca
 from ..slca.scan_eager import scan_eager_slca
 from ..slca.stack import stack_slca
@@ -161,6 +171,7 @@ class DocumentOracle:
         self.engine = XRefine(self.index)
         self._frozen_engine = None
         self._chain_state = _UNBUILT
+        self._column_views = None
 
     @property
     def frozen_engine(self):
@@ -171,17 +182,51 @@ class DocumentOracle:
         oracle run can leave files behind.
         """
         if self._frozen_engine is None:
-            from ..index.frozen import freeze_index, load_frozen_index
-
-            handle, path = tempfile.mkstemp(suffix=".frz")
-            os.close(handle)
-            try:
-                freeze_index(self.index, path)
-                frozen_index = load_frozen_index(path)
-            finally:
-                os.unlink(path)
-            self._frozen_engine = XRefine(frozen_index)
+            self._frozen_engine = XRefine(self._frozen_round_trip())
         return self._frozen_engine
+
+    def _frozen_round_trip(self, **freeze_options):
+        from ..index.frozen import freeze_index, load_frozen_index
+
+        handle, path = tempfile.mkstemp(suffix=".frz")
+        os.close(handle)
+        try:
+            freeze_index(self.index, path, **freeze_options)
+            return load_frozen_index(path)
+        finally:
+            os.unlink(path)
+
+    @property
+    def column_views(self):
+        """``[(name, index), ...]`` the type-id column is held to.
+
+        The built index; a snapshot with 16-posting blocks (short lists
+        decode eagerly, long ones block by block); an index whose first
+        partition was re-appended under a fresh tag and then removed —
+        both update paths, leaving postings typed by ids the original
+        table did not have; and the delta-chain top where the document
+        has one.
+        """
+        if self._column_views is None:
+            from ..index import append_partition, remove_partition
+
+            views = [
+                ("built", self.index),
+                ("blocked16", self._frozen_round_trip(block_size=16)),
+            ]
+            children = list(self.spec[2]) if len(self.spec) > 2 else []
+            if children:
+                updated = build_document_index(build_tree(self.spec))
+                first = updated.tree.root.children[0].dewey
+                append_partition(
+                    updated, ("moved",) + tuple(children[0][1:])
+                )
+                remove_partition(updated, first)
+                views.append(("updated", updated))
+            if self.chain_state is not None:
+                views.append(("chain", self.chain_state[0].index))
+            self._column_views = views
+        return self._column_views
 
     # ------------------------------------------------------------------
     # SLCA layer
@@ -789,11 +834,24 @@ class DocumentOracle:
                 expected_local, emitted,
             )
 
+        # Definition 3.3 from the type-id column vs from the tree, for
+        # every hit of the same calls: the whole lists and each shared
+        # partition, on every view of the document.
+        rules = self.engine.mine_rules(terms)
+        diff(
+            "kernel:meaningful-column",
+            "Definition 3.3 decided from the type-id column != "
+            "decided from the tree node's type",
+            *zip(*(
+                self._meaningful_by_tree_and_column(index, terms, rules)
+                for _, index in self.column_views
+            )),
+        )
+
         # Presence bound memo vs the uncached bound, over every
         # presence subset of the keyword-space lanes (capped: the
         # subsets double per lane, and generated documents rarely
         # exceed the cap anyway).
-        rules = self.engine.mine_rules(terms)
         lanes_kw = list(dict.fromkeys(terms))
         lanes_kw += sorted(rules.generated_keywords() - set(lanes_kw))
         cache = PresenceBoundCache(terms, rules, lanes_kw)
@@ -819,7 +877,6 @@ class DocumentOracle:
         # beam candidate's (similarity, dependence) pair is recomputed
         # through the reference ``model.*_score`` methods and compared
         # with ``==`` — no tolerance.
-        from ..core.common import QueryContext
         from ..core.dp import get_top_optimal_rqs
         from ..core.ranking.model import full_model
 
@@ -868,6 +925,55 @@ class DocumentOracle:
                 expected_scores, actual_scores,
             )
         return divergences
+
+    @staticmethod
+    def _meaningful_by_tree_and_column(index, terms, rules):
+        """``(by_tree, by_column)`` over one index's SLCA hits.
+
+        Each holds one entry per call — the whole lists, then every
+        partition all of ``terms`` share — of ``(every hit is a node,
+        per-hit verdicts, meaningful labels, any)``.  The tree side
+        looks each hit's label up and applies Definition 3.3 to the
+        node's own type; the column side asks :class:`QueryContext`.
+        """
+        context = QueryContext(index, terms, rules)
+        types = context.search_for_types
+        columns = [columns_for(context.lists[term]) for term in terms]
+        calls = [[(column, 0, column.size) for column in columns]]
+        calls += [
+            [(column, lo, hi) for column, (lo, hi) in zip(columns, spans)]
+            for _, spans in partition_view(columns)
+            if None not in spans
+        ]
+        by_tree = []
+        by_column = []
+        for column_ranges in calls:
+            hits = slca_hits(column_ranges)
+            anchor, a_lo, slots, depths, count = hits
+            labels = hit_labels(hits)
+            nodes = [index.tree.get(label) for label in labels]
+            verdicts = [
+                node is not None
+                and is_meaningful(label, node.node_type, types)
+                for label, node in zip(labels, nodes)
+            ]
+            kept = [
+                str(label)
+                for label, verdict in zip(labels, verdicts) if verdict
+            ]
+            by_tree.append((True, verdicts, kept, bool(kept)))
+            by_column.append((
+                None not in nodes,
+                [
+                    context.is_meaningful_at(
+                        anchor, a_lo + slots[j], depths[j]
+                    )
+                    for j in range(count)
+                ],
+                [str(label) for label in context.meaningful_hits(hits)],
+                context.any_meaningful_hit(hits),
+            ))
+        return by_tree, by_column
 
     # ------------------------------------------------------------------
     # Cache layer

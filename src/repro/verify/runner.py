@@ -79,12 +79,13 @@ def _check_document(oracle, queries, report):
         # the forced stack route), the frozen-snapshot layer (SLCA,
         # four refinement algorithms), the kernel layer (batch SLCA,
         # emit-filtered partition SLCA, LCP table, partition view,
-        # presence bound vs per-node recomputation),
+        # presence bound vs per-node recomputation, the type-id
+        # column's Definition 3.3 verdicts vs the tree's),
         # and the cache layer (the query and each of its refinements
         # re-issued through sub-result assembly and diffed against a
         # cache-disabled engine — counted at its one-comparison
         # floor; refinable queries contribute several more).
-        report.checks += 44
+        report.checks += 45
         found.extend(divergences)
     return found
 

@@ -143,6 +143,14 @@ class XMLTree:
         """
         return len(self.root.children)
 
+    def loaded_partition_count(self):
+        """Partitions resident as node objects: all of a built tree's;
+        a partition-paged tree counts the ones something faulted in."""
+        return self.partition_count()
+
+    def ensure_loaded(self):
+        """Make every partition resident — a built tree's always are."""
+
     def partition_of(self, dewey):
         """The partition root containing ``dewey`` (``None`` for root)."""
         pid = dewey.partition_id()

@@ -9,7 +9,9 @@ The invariants every other subsystem assumes:
   and its ordered label list is sorted document order.
 
 :func:`check_tree` raises :class:`~repro.errors.XMLError` on the first
-violation; the incremental-update tests run it after every mutation.
+violation; the incremental-update and delta tests run it after every
+mutation (``tests/index/consistency.py``, with the posting-side half:
+every posting carries its node's type).
 """
 
 from __future__ import annotations
@@ -19,7 +21,12 @@ from .dewey import Dewey
 
 
 def check_tree(tree):
-    """Verify all structural invariants; returns the node count."""
+    """Verify all structural invariants; returns the node count.
+
+    A partition-paged tree is loaded in full first: its lookup table
+    and ordered list only claim to be complete once it is.
+    """
+    tree.ensure_loaded()
     seen = {}
     stack = [(tree.root, None)]
     while stack:

@@ -6,6 +6,7 @@ from repro.core import RefinedQuery
 from repro.core.common import QueryContext
 from repro.core.result import RankedRefinement, RefinementResponse, ScanStats
 from repro.errors import QueryError
+from repro.kernels import columns_for
 from repro.lexicon import RuleMiner, RuleSet
 from repro.xmltree import Dewey
 
@@ -47,9 +48,20 @@ class TestQueryContext:
             ["database"]
         )
         context = QueryContext(figure1_index, ["database"], rules)
-        root = Dewey.root()
         inproc = Dewey((0, 0, 1, 0))
-        assert context.meaningful_only([root, inproc]) == [inproc]
+        columns = columns_for(context.lists["database"])
+        slot = next(
+            i for i, key in enumerate(columns.keys)
+            if key[:4] == inproc.components
+        )
+        # The same posting seen from the root (depth 1) and from its
+        # inproceedings ancestor (depth 4), as (slot, depth) hits.
+        hits = (columns, 0, [slot, slot], [1, 4], 2)
+        assert context.meaningful_hits(hits) == [inproc]
+        assert context.any_meaningful_hit(hits)
+        assert not context.any_meaningful_hit((columns, 0, [slot], [1], 1))
+        assert not context.is_meaningful_at(columns, slot, 1)
+        assert context.is_meaningful_at(columns, slot, 4)
 
 
 class TestScanStats:

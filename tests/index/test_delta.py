@@ -17,19 +17,21 @@ import pytest
 from repro import XRefine, build_document_index
 from repro.errors import IndexingError
 from repro.index import (
-    append_partition,
     compact,
     freeze_index,
     load_frozen_index,
     load_index_chain,
     open_index_source,
-    remove_partition,
     resolve_chain,
     save_delta,
 )
 from repro.lexicon import RuleMiner
 from repro.storage import SortedKVBlock
 from repro.xmltree import parse, serialize
+
+# Every mutation below goes through the checked wrappers: check_tree
+# and the posting-side invariant run after each one.
+from .consistency import append_partition, check_index, remove_partition
 
 QUERIES = ("database systems", "xml search", "stream joins", "skyline")
 
@@ -122,6 +124,16 @@ class TestChainAnswers:
     def test_statistics_match_rebuild(self, chain_index, rebuilt):
         for node_type, stats in rebuilt.statistics.items():
             assert chain_index.node_count(node_type) == stats.node_count
+
+    def test_replayed_tree_and_merged_postings_are_consistent(
+        self, chain, chain_index, tmp_path
+    ):
+        """A chain load mutates too: it replays the tree log over the
+        base and serves postings merged across layers."""
+        check_index(chain_index)
+        compacted = tmp_path / "compacted.frz"
+        compact(str(chain[2]), str(compacted))
+        check_index(load_frozen_index(compacted))
 
     def test_search_matches_rebuild(self, chain_index, rebuilt):
         over_chain = XRefine(chain_index, cache_size=0)

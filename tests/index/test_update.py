@@ -11,12 +11,12 @@ import pytest
 
 from repro import XRefine
 from repro.errors import XMLError
-from repro.index import (
-    append_partition,
-    build_document_index,
-    remove_partition,
-)
+from repro.index import build_document_index
 from repro.xmltree import Dewey, parse, serialize
+
+# Every mutation below goes through the checked wrappers: check_tree
+# and the posting-side invariant run after each one.
+from .consistency import append_partition, remove_partition
 
 
 def author_spec(name, titles):

@@ -1,11 +1,13 @@
 """The streaming ancestor filter equals sort-and-remove-ancestors.
 
-``slca_ranges`` no longer materializes one candidate per anchor: the
-depth column goes through a one-pass filter that holds a single
-candidate (``repro_slca_emit`` / ``_emit_python``).  The property: for
-*any* document-ordered key column and *any* per-anchor prefix depths —
-not only the ones a matcher fold can produce — both filters return what
-``remove_ancestors`` makes of the sliced candidates, in the same order.
+``slca_hits`` never materializes one candidate per anchor: the depth
+column goes through a one-pass filter that holds a single candidate
+(``repro_slca_emit`` / ``_emit_python``) and returns the survivors as
+``(slots, depths, count)``.  The property: for *any* document-ordered
+key column and *any* per-anchor prefix depths — not only the ones a
+matcher fold can produce — both filters return the same pairs, and
+those spell what ``remove_ancestors`` makes of the sliced candidates,
+in the same order.
 """
 
 from __future__ import annotations
@@ -43,6 +45,15 @@ def _column_and_depths(draw):
     return keys, a_lo, depths
 
 
+def _pairs(emitted):
+    slots, depths, count = emitted
+    return list(zip(slots[:count], depths[:count]))
+
+
+def _spelled(keys, a_lo, emitted):
+    return [keys[a_lo + slot][:depth] for slot, depth in _pairs(emitted)]
+
+
 def _reference(keys, a_lo, depths):
     candidates = [
         Dewey.from_trusted(keys[a_lo + slot][:depth])
@@ -55,7 +66,8 @@ def _reference(keys, a_lo, depths):
 @given(_column_and_depths())
 def test_python_filter_equals_remove_ancestors(case):
     keys, a_lo, depths = case
-    assert _emit_python(keys, a_lo, depths) == _reference(keys, a_lo, depths)
+    emitted = _emit_python(keys, a_lo, depths)
+    assert _spelled(keys, a_lo, emitted) == _reference(keys, a_lo, depths)
 
 
 @settings(max_examples=300, deadline=None)
@@ -66,8 +78,8 @@ def test_compiled_filter_equals_python_filter(case):
         pytest.skip("compiled backend unavailable on this host")
     keys, a_lo, depths = case
     emitted = _emit_compiled(lib, ListColumns(keys), a_lo, array("q", depths))
-    assert emitted == _emit_python(keys, a_lo, depths)
-    assert emitted == _reference(keys, a_lo, depths)
+    assert _pairs(emitted) == _pairs(_emit_python(keys, a_lo, depths))
+    assert _spelled(keys, a_lo, emitted) == _reference(keys, a_lo, depths)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,0 +1,136 @@
+"""The type-id column beside the key column, and hits read through it.
+
+``columns_for(inverted_list)`` hands the kernels each posting's interned
+prefix-path id next to its Dewey key, so an SLCA that is still a
+``(slot, depth)`` hit can be typed — ``type_table[tids[i]][:depth]`` —
+without a label or a tree lookup.  Held here: the column names every
+posting's own type on eager and blocked lists alike, a blocked column
+stays lazy until the walk that flattens its keys, both backends return
+the same hits, and labels cut from the flat component array equal
+labels cut from the key tuples.
+"""
+
+from __future__ import annotations
+
+from array import array
+
+import pytest
+
+import repro.kernels.backend as backend_module
+from repro.index import freeze_index, load_frozen_index
+from repro.index.inverted import InvertedIndex, Posting
+from repro.kernels import (
+    BlockedListColumns,
+    ListColumns,
+    columns_for,
+    hit_labels,
+    slca_columns,
+    slca_hits,
+)
+from repro.xmltree.dewey import Dewey
+
+KEYWORDS = ("database", "xml", "2003", "search", "inproceedings", "title")
+
+
+@pytest.fixture(scope="module")
+def blocked_index(dblp_index, tmp_path_factory):
+    path = tmp_path_factory.mktemp("tids") / "dblp.frz"
+    freeze_index(dblp_index, path, block_size=4)
+    return load_frozen_index(path)
+
+
+def test_eager_column_names_each_postings_type(dblp_index):
+    table = dblp_index.inverted.node_type_table
+    for keyword in KEYWORDS:
+        postings = dblp_index.inverted_list(keyword)
+        columns = columns_for(postings)
+        assert isinstance(columns, ListColumns)
+        assert columns.tids.typecode == "H"
+        assert [table[tid] for tid in columns.tids] == [
+            posting.node_type for posting in postings
+        ], keyword
+
+
+def test_blocked_column_stays_lazy_until_the_flat_walk(
+    dblp_index, blocked_index
+):
+    for keyword in KEYWORDS:
+        postings = blocked_index.inverted_list(keyword)
+        columns = columns_for(postings)
+        assert isinstance(columns, BlockedListColumns)
+        store = postings.block_store
+        reference = dblp_index.inverted_list(keyword).type_ids
+
+        # One id costs the block that holds it, nothing more.
+        last = len(reference) - 1
+        assert columns.tids[last] == reference[last]
+        assert store.blocks_decoded == 1
+        assert not isinstance(columns.tids, array)
+
+        # flat_offs walks every block anyway and leaves a flat column.
+        columns.flat_offs()
+        assert store.blocks_decoded == store.directory.block_count
+        assert isinstance(columns.tids, array)
+        assert columns.tids == reference, keyword
+
+
+def test_bare_key_column_has_no_type_ids():
+    columns = ListColumns([(0, 0, 1), (0, 1, 0)])
+    assert columns.tids is None
+    other = ListColumns([(0, 0, 2), (0, 1, 1)])
+    assert slca_columns([columns, other]) == [Dewey((0, 0)), Dewey((0, 1))]
+
+
+def test_column_widens_when_the_type_table_outgrows_uint16():
+    inverted = InvertedIndex()
+    for number in range(0x10000):
+        inverted._intern_type(("root", f"t{number}"))
+    wide_type = ("root", "wide")
+    inverted.add_postings(
+        "needle", [Posting(Dewey((0, 3)), wide_type, 1)]
+    )
+    decoded = inverted.get("needle")
+    assert decoded.type_ids.typecode == "I"
+    assert list(decoded.type_ids) == [0x10000]
+    assert inverted.node_type_table[decoded.type_ids[0]] == wide_type
+
+
+@pytest.mark.parametrize("pair", [
+    ("database", "2003"), ("xml", "search"), ("title", "database"),
+])
+def test_both_backends_return_the_same_hits(
+    dblp_index, blocked_index, pair, monkeypatch
+):
+    if backend_module.compiled is None:
+        pytest.skip("compiled backend unavailable on this host")
+    for index in (dblp_index, blocked_index):
+        columns = [columns_for(index.inverted_list(k)) for k in pair]
+        ranges = [(column, 0, column.size) for column in columns]
+        compiled = slca_hits(ranges)
+        with monkeypatch.context() as patch:
+            patch.setattr(backend_module, "compiled", None)
+            pure = slca_hits(ranges)
+        count = compiled[4]
+        assert count == pure[4] > 0
+        assert compiled[:2] == pure[:2]
+        assert list(compiled[2][:count]) == pure[2]
+        assert list(compiled[3][:count]) == pure[3]
+        assert hit_labels(compiled) == hit_labels(pure)
+
+
+def test_labels_from_the_flat_array_equal_labels_from_the_keys(
+    dblp_index, tmp_path
+):
+    path = tmp_path / "dblp.frz"
+    freeze_index(dblp_index, path, block_size=4)
+    index = load_frozen_index(path)
+    columns = columns_for(index.inverted_list("title"))
+    slots = list(range(0, columns.size, 3))
+    depths = [1 + slot % len(columns.keys[slot]) for slot in slots]
+    picks = range(0, len(slots), 2)
+    from_keys = columns.hit_keys(0, slots, depths, picks)
+    assert from_keys == [
+        columns.keys[slots[j]][: depths[j]] for j in picks
+    ]
+    columns.flat_offs()
+    assert columns.hit_keys(0, slots, depths, picks) == from_keys

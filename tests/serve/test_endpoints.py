@@ -78,6 +78,9 @@ class TestHappyPaths:
         assert stats["kernels"] == backend_name()
         assert stats["engine"]["index_version"] == 0
         assert stats["engine"]["results"]["maxsize"] > 0
+        # Answering /search faults no partition of the paged tree.
+        assert stats["engine"]["tree_partitions_loaded"] == 0
+        assert stats["engine"]["tree_partitions"] == 40
         assert stats["admission"]["admitted"] >= 1
         assert stats["singleflight"]["leaders"] >= 1
         assert stats["server"]["requests"] >= 2

@@ -63,6 +63,21 @@ class TestPlantedFaults:
         divergences = oracle.check_refinement(("xml", "databse"))
         assert "refine:partition-vs-sle" in {d.kind for d in divergences}
 
+    def test_type_column_fault_detected(self, monkeypatch):
+        # Plant: a context whose per-type depth table admits nothing.
+        class Faulty(oracle_module.QueryContext):
+            def __init__(self, index, query, rules):
+                super().__init__(index, query, rules)
+                self.need = [float("inf")] * len(self.need)
+
+        monkeypatch.setattr(oracle_module, "QueryContext", Faulty)
+        oracle = DocumentOracle(SPEC)
+        assert [name for name, _ in oracle.column_views] == [
+            "built", "blocked16", "updated", "chain",
+        ]
+        kinds = {d.kind for d in oracle.check_kernels(("xml", "database"))}
+        assert kinds == {"kernel:meaningful-column"}
+
     def test_divergence_carries_repro_context(self, monkeypatch):
         real = oracle_module.SLCA_VARIANTS["indexed"]
         monkeypatch.setitem(
