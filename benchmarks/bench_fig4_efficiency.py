@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import partition_refine, short_list_eager, stack_refine
 from repro.eval import format_table, print_report, time_call
-from benchmarks._common import scaled
+from repro.slca import scan_eager_slca, stack_slca
 from repro.workload import MERGE, OVERCONSTRAIN, SPLIT, TYPO
 
 
@@ -45,13 +45,20 @@ def samples(dblp_workload):
     return _sample_queries(dblp_workload)
 
 
-def test_fig4_report(dblp_engine, dblp_index, dblp_miner, samples):
+def test_fig4_report(dblp_index, dblp_miner, samples):
     """Regenerates the Fig. 4 bar groups as a table (seconds, median)."""
     rows = []
     slower_than_partition = 0
     comparisons = 0
     for label, pool_query in samples:
         rules = dblp_miner.mine(pool_query.query)
+        # The baselines' input, like the refiners' rules, is prepared
+        # outside the timed call; every sample is a plain function
+        # call, none a result-cache hit.
+        label_lists = [
+            dblp_index.inverted_list(term).labels()
+            for term in pool_query.query
+        ]
         timings = {
             "stack-refine": time_call(
                 lambda: stack_refine(dblp_index, pool_query.query, rules),
@@ -70,16 +77,10 @@ def test_fig4_report(dblp_engine, dblp_index, dblp_miner, samples):
                 repeat=3,
             ).median,
             "stack-slca": time_call(
-                lambda: dblp_engine.slca_search(
-                    pool_query.query, algorithm="stack"
-                ),
-                repeat=3,
+                lambda: stack_slca(label_lists), repeat=3
             ).median,
             "scan-slca": time_call(
-                lambda: dblp_engine.slca_search(
-                    pool_query.query, algorithm="scan"
-                ),
-                repeat=3,
+                lambda: scan_eager_slca(label_lists), repeat=3
             ).median,
         }
         rows.append(

@@ -28,10 +28,7 @@ def dblp_xml(dblp_tree):
 @pytest.fixture(scope="module")
 def slca_lists(dblp_index):
     terms = ["database", "query", "2005"]
-    return [
-        [posting.dewey for posting in dblp_index.inverted_list(term)]
-        for term in terms
-    ]
+    return [dblp_index.inverted_list(term).labels() for term in terms]
 
 
 def test_xml_parse(benchmark, dblp_xml):

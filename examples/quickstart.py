@@ -13,6 +13,12 @@ document: a query that works, a query with mistakenly split keywords
 from __future__ import annotations
 
 from repro import XRefine
+from repro.slca import (
+    indexed_lookup_slca,
+    multiway_slca,
+    scan_eager_slca,
+    stack_slca,
+)
 
 BIB_XML = """<bib>
  <author>
@@ -83,12 +89,21 @@ def main():
     #    "inproceedings"/"article" (the paper's Example 1).
     show(engine, "database publication")
 
-    # 4. A spelling error plus the baseline SLCA API.
+    # 4. A spelling error, plus plain SLCA search: the engine's own,
+    #    then the four label-list baselines of repro.slca.
     show(engine, "skylne computation")
-    print("\n>>> plain SLCA baselines on 'database 2003':")
-    for algorithm in ("stack", "scan", "indexed", "multiway"):
-        labels = engine.slca_search("database 2003", algorithm=algorithm)
-        print(f"    {algorithm:>14}: {[str(d) for d in labels]}")
+    print("\n>>> plain SLCA on 'database 2003':")
+    labels = engine.slca_search("database 2003")
+    print(f"    {'engine':>19}: {[str(d) for d in labels]}")
+    lists = [
+        engine.index.inverted_list(term).labels()
+        for term in ("database", "2003")
+    ]
+    for baseline in (
+        stack_slca, scan_eager_slca, indexed_lookup_slca, multiway_slca
+    ):
+        labels = baseline(lists)
+        print(f"    {baseline.__name__:>19}: {[str(d) for d in labels]}")
 
     # 5. Every search above ran with algorithm="auto": the cost-based
     #    planner picked the kernel.  explain=True shows its reasoning.

@@ -7,7 +7,7 @@ Usage (``python -m repro <command> ...``)::
     repro compact corpus.d2.dlt -o corpus.frz
     repro search corpus.frz online databse -k 3 --explain
     repro search corpus.frz online databse -k 3 --algorithm partition
-    repro slca corpus.frz database 2003 --algorithm scan
+    repro slca corpus.frz database 2003
     repro specialize corpus.frz query -k 3
     repro stats corpus.frz
     repro serve corpus.frz --port 8391
@@ -24,7 +24,7 @@ import os
 import sys
 
 from . import __version__
-from .core.engine import ALGORITHMS, SLCA_ALGORITHMS, XRefine
+from .core.engine import ALGORITHMS, XRefine
 from .core.specialize import specialize_query
 from .datasets import generate_baseball, generate_dblp
 from .errors import ReproError
@@ -115,7 +115,7 @@ def _cmd_search(args, out):
 
 def _cmd_slca(args, out):
     engine = _load_engine(args.source)
-    labels = engine.slca_search(args.keywords, algorithm=args.algorithm)
+    labels = engine.slca_search(args.keywords)
     print(f"{len(labels)} SLCA result(s)", file=out)
     for dewey in labels:
         node = engine.node(dewey)
@@ -405,12 +405,9 @@ def build_parser():
     )
     search.set_defaults(handler=_cmd_search)
 
-    slca = commands.add_parser("slca", help="plain SLCA baseline search")
+    slca = commands.add_parser("slca", help="plain SLCA search")
     slca.add_argument("source")
     slca.add_argument("keywords", nargs="+")
-    slca.add_argument(
-        "--algorithm", choices=sorted(SLCA_ALGORITHMS), default="scan"
-    )
     slca.set_defaults(handler=_cmd_slca)
 
     specialize = commands.add_parser(

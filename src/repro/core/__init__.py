@@ -10,7 +10,7 @@ from .baselines import cleaned_query_has_meaningful_result, or_search, static_cl
 from .candidates import RefinedQuery, RQSortedList
 from .common import QueryContext
 from .dp import dissimilarity, get_optimal_rq, get_top_optimal_rqs
-from .engine import ALGORITHMS, SLCA_ALGORITHMS, XRefine
+from .engine import ALGORITHMS, XRefine
 from .partition_refine import partition_refine
 from .presentation import Snippet, present, return_node, snippet
 from .ranking import RankingModel, full_model, variant_without_guideline
@@ -22,7 +22,6 @@ from .stack_refine import stack_refine
 __all__ = [
     "XRefine",
     "ALGORITHMS",
-    "SLCA_ALGORITHMS",
     "RefinedQuery",
     "RQSortedList",
     "QueryContext",

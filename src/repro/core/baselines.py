@@ -60,13 +60,9 @@ def or_search(index, query, limit=50):
     if not search_for:
         return []
     anchor_type = search_for[0].node_type
-    type_len = len(anchor_type)
     covered = {}
     for term in terms:
-        for posting in index.inverted_list(term):
-            if posting.node_type[:type_len] != anchor_type:
-                continue
-            root = posting.dewey.components[:type_len]
+        for root in index.inverted_list(term).ancestor_keys(anchor_type):
             covered.setdefault(root, set()).add(term)
     from ..xmltree.dewey import Dewey
 
@@ -109,10 +105,7 @@ def cleaned_query_has_meaningful_result(index, cleaned):
     from ..slca.meaningful import meaningful_slcas
     from ..slca.scan_eager import scan_eager_slca
 
-    lists = [
-        [p.dewey for p in index.inverted_list(term)]
-        for term in cleaned.keywords
-    ]
+    lists = [index.inverted_list(term).labels() for term in cleaned.keywords]
     if any(not labels for labels in lists):
         return False
     slcas = scan_eager_slca(lists)

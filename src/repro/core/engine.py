@@ -8,7 +8,7 @@
 * run one of the three refinement algorithms, returning the original
   query's meaningful SLCAs when no refinement is needed and the ranked
   Top-K refined queries (with their results) when it is;
-* expose plain SLCA search over the same index for baselining.
+* expose plain SLCA search over the same index.
 
 Typical use::
 
@@ -29,6 +29,7 @@ from collections import OrderedDict
 from ..errors import QueryError
 from ..index.builder import build_document_index
 from ..index.tokenize_text import query_terms
+from ..kernels import columns_for, slca_columns
 from ..lexicon.mining import RuleMiner
 from ..perf.packed import PackedListStore
 from ..perf.result_cache import DEFAULT_CAPACITY, QueryResultCache
@@ -38,11 +39,6 @@ from ..perf.subresult import (
     term_signature,
 )
 from ..plan.planner import QueryPlanner
-from ..slca.elca import elca
-from ..slca.indexed_lookup import indexed_lookup_slca
-from ..slca.multiway import multiway_slca
-from ..slca.scan_eager import scan_eager_slca
-from ..slca.stack import stack_slca
 from ..xmltree.parser import parse
 from .common import QueryContext
 from .partition_refine import partition_refine
@@ -55,16 +51,6 @@ from .stack_refine import stack_refine
 #: query to the predicted-cheapest fixed algorithm via the cost-based
 #: planner (:mod:`repro.plan`); answers are byte-identical either way.
 ALGORITHMS = ("auto", "partition", "sle", "stack")
-#: Plain-SLCA algorithm registry.
-SLCA_ALGORITHMS = {
-    "stack": stack_slca,
-    "scan": scan_eager_slca,
-    "indexed": indexed_lookup_slca,
-    "multiway": multiway_slca,
-    # ELCA is a different (larger) conjunctive answer set, exposed for
-    # comparison; see repro.slca.elca.
-    "elca": elca,
-}
 
 
 class SwapWarmup:
@@ -180,7 +166,8 @@ class XRefine:
             miner = RuleMiner(index.inverted.keywords())
         self.miner = miner
         self._miner_version = getattr(index, "version", 0)
-        #: Per-engine packed posting arrays (repro.perf.packed).
+        #: Per-keyword partition counters for the planner and the swap
+        #: warm-up (repro.perf.packed).
         self.packed = PackedListStore(index)
         #: Complete-answer cache (repro.perf.result_cache).
         self.result_cache = QueryResultCache(cache_size, policy=cache_policy)
@@ -832,11 +819,14 @@ class XRefine:
                 responses.append(response.copy())
         return responses
 
-    def slca_search(self, query, algorithm="scan"):
+    def slca_search(self, query):
         """Plain SLCA search of the original query (no refinement).
 
-        The baseline the paper calls ``stack-slca`` / ``scan-slca`` in
-        Fig. 4.  Returns the SLCA labels in document order.
+        Runs the columnar Scan Eager kernel the refinement routes serve
+        with; the label-list implementations the paper baselines
+        against (``stack-slca`` / ``scan-slca`` in Fig. 4) are plain
+        functions in :mod:`repro.slca`.  Returns the SLCA labels in
+        document order.
         """
         terms = query_terms(query)
         if not terms:
@@ -844,17 +834,10 @@ class XRefine:
                 "the keyword query is empty (no indexable terms after "
                 "normalization)"
             )
-        try:
-            implementation = SLCA_ALGORITHMS[algorithm]
-        except KeyError:
-            raise QueryError(
-                f"unknown SLCA algorithm {algorithm!r}; "
-                f"expected one of {sorted(SLCA_ALGORITHMS)}"
-            ) from None
         cache_key = None
         version = getattr(self.index, "version", 0)
         if self.result_cache.enabled:
-            cache_key = ("slca", tuple(terms), algorithm)
+            cache_key = ("slca", tuple(terms))
             # Same atomic version-capture-plus-lookup as refinement
             # search: the stamp check cannot race a snapshot swap.
             with self.result_cache.lock:
@@ -862,10 +845,9 @@ class XRefine:
                 cached = self.result_cache.get(cache_key, version)
             if cached is not None:
                 return list(cached)
-        # Packed posting arrays: each keyword's list is decoded and
-        # flattened once per engine, not once per query.
-        label_lists = [self.packed.get(term) for term in terms]
-        results = implementation(label_lists)
+        results = slca_columns(
+            [columns_for(self.index.inverted.get(term)) for term in terms]
+        )
         if cache_key is not None:
             self.result_cache.put(cache_key, tuple(results), version)
         return results

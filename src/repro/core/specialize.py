@@ -80,7 +80,7 @@ class SpecializationResponse:
 
 
 def _meaningful_results(index, terms, search_for):
-    lists = [[p.dewey for p in index.inverted_list(t)] for t in terms]
+    lists = [index.inverted_list(t).labels() for t in terms]
     if any(not labels for labels in lists):
         return []
     return meaningful_slcas(index, scan_eager_slca(lists), search_for)

@@ -22,9 +22,9 @@ searches reject a Dewey range from the headers alone — a pruned block
 is never decoded at all.
 
 :class:`BlockedInvertedList` is a drop-in :class:`InvertedList` whose
-``postings`` / ``dewey_keys`` are lazy sequences backed by a per-list
-block cache; every decoded block is memoized so a scan pays for each
-block at most once.
+three columns are lazy sequences backed by a per-list block cache;
+every decoded block is memoized so a scan pays for each block at most
+once.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ from __future__ import annotations
 import bisect
 import struct
 import zlib
-from array import array
 
 from ..errors import IndexingError, KeyEncodingError
 from ..storage import decode_uvarint, encode_key, encode_uvarint
-from ..xmltree.dewey import Dewey, descendant_range_key
-from .inverted import InvertedList, Posting, type_id_typecode
+from ..xmltree.dewey import descendant_range_key
+from .inverted import InvertedList, decode_posting_run, type_id_typecode
 
 #: Postings per block.  256 keeps block decode under ~100us in pure
 #: python while a 1M-posting list still needs only ~4k header entries.
@@ -227,7 +226,7 @@ class BlockStore:
         self.blocks_decoded = 0
 
     def block(self, index):
-        """``(dewey_keys, postings, type_ids)`` of one block, decoded at
+        """``(dewey_keys, type_ids, counts)`` of one block, decoded at
         most once."""
         cached = self._decoded.get(index)
         if cached is not None:
@@ -241,36 +240,16 @@ class BlockStore:
             )
         expected = directory.postings_in_block(index)
         previous = directory.lasts[index - 1] if index else ()
-        keys = []
-        postings = []
-        type_table = self.type_table
-        type_ids = array(self.type_id_code)
-        pos = 0
         try:
-            for _ in range(expected):
-                shared, pos = decode_uvarint(chunk, pos)
-                suffix_len, pos = decode_uvarint(chunk, pos)
-                suffix = []
-                for _ in range(suffix_len):
-                    part, pos = decode_uvarint(chunk, pos)
-                    suffix.append(part)
-                components = previous[:shared] + tuple(suffix)
-                type_id, pos = decode_uvarint(chunk, pos)
-                occurrences, pos = decode_uvarint(chunk, pos)
-                postings.append(
-                    Posting(
-                        Dewey.from_trusted(components),
-                        type_table[type_id],
-                        occurrences,
-                    )
-                )
-                keys.append(components)
-                type_ids.append(type_id)
-                previous = components
-        except (KeyEncodingError, IndexError) as exc:
+            decoded = decode_posting_run(
+                self.keyword, chunk, 0, expected, previous,
+                self.type_table, self.type_id_code,
+            )
+        except KeyEncodingError as exc:
             raise IndexingError(
                 f"block {index} of {self.keyword!r} is truncated"
             ) from exc
+        keys = decoded[0]
         if (
             keys[0] != directory.firsts[index]
             or keys[-1] != directory.lasts[index]
@@ -279,7 +258,6 @@ class BlockStore:
                 f"block {index} of {self.keyword!r} disagrees with its "
                 "directory header"
             )
-        decoded = (keys, postings, type_ids)
         self._decoded[index] = decoded
         self.blocks_decoded += 1
         return decoded
@@ -290,7 +268,7 @@ class _LazyBlockSequence:
 
     __slots__ = ("_store",)
 
-    #: 0 selects dewey keys, 1 Posting objects, 2 interned type ids.
+    #: 0 selects dewey keys, 1 interned type ids, 2 occurrence counts.
     _column = 0
 
     def __init__(self, store):
@@ -340,12 +318,12 @@ class _LazyBlockSequence:
         return out
 
 
-class LazyPostings(_LazyBlockSequence):
+class LazyTypeIds(_LazyBlockSequence):
     __slots__ = ()
     _column = 1
 
 
-class LazyTypeIds(_LazyBlockSequence):
+class LazyCounts(_LazyBlockSequence):
     __slots__ = ()
     _column = 2
 
@@ -399,19 +377,17 @@ class LazyDeweyKeys(_LazyBlockSequence):
 
 
 class BlockedInvertedList(InvertedList):
-    """An :class:`InvertedList` whose postings decode one block at a time."""
+    """An :class:`InvertedList` whose columns decode one block at a time."""
 
     __slots__ = ("_blocks",)
 
     @classmethod
     def open(cls, keyword, payload, directory, type_table):
-        instance = cls.__new__(cls)
         store = BlockStore(keyword, payload, directory, type_table)
-        instance.keyword = keyword
-        instance.postings = LazyPostings(store)
-        instance._dewey_keys = LazyDeweyKeys(store)
-        instance.type_ids = LazyTypeIds(store)
-        instance._kernel_columns = None
+        instance = cls(
+            keyword, LazyDeweyKeys(store), LazyTypeIds(store),
+            LazyCounts(store), type_table,
+        )
         instance._blocks = store
         return instance
 

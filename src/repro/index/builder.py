@@ -13,8 +13,9 @@ order, and produces everything the search engine needs:
 
 ``f_k^T`` counts *distinct* T-typed nodes containing ``k``.  Because a
 pre-order walk visits all nodes of one T-typed subtree contiguously,
-the builder needs only the last-counted T-ancestor per (keyword, type)
-— no per-subtree keyword sets — making the pass O(occurrences x depth).
+the pass (:func:`subtree_contribution`) needs only the last-counted
+T-ancestor per (keyword, type) — no per-subtree keyword sets — making
+it O(occurrences x depth).
 """
 
 from __future__ import annotations
@@ -104,6 +105,45 @@ class DocumentIndex:
         )
 
 
+def subtree_contribution(nodes):
+    """What a document-ordered run of whole subtrees adds to the index.
+
+    The one per-node loop behind both the full build (every node of
+    the tree) and the incremental updates (one partition's nodes).
+    Returns ``(df, tf, postings, type_counts)``: ``f_k^T`` and
+    ``tf(k, T)`` per ``(keyword, node_type)`` pair, the
+    :class:`~repro.index.inverted.Posting` values per keyword in
+    document order, and the node count per type.
+    """
+    df = Counter()
+    tf = Counter()
+    last_ancestor = {}  # (keyword, node_type) -> last counted ancestor
+    postings = {}
+    type_counts = Counter()
+    for node in nodes:
+        node_type = node.node_type
+        type_counts[node_type] += 1
+        occurrences = Counter(node_keywords(node))
+        if not occurrences:
+            continue
+        components = node.dewey.components
+        prefixes = [
+            (node_type[:i], components[:i])
+            for i in range(1, len(node_type) + 1)
+        ]
+        for keyword, count in occurrences.items():
+            postings.setdefault(keyword, []).append(
+                Posting(node.dewey, node_type, count)
+            )
+            for ancestor_type, ancestor_dewey in prefixes:
+                pair = (keyword, ancestor_type)
+                tf[pair] += count
+                if last_ancestor.get(pair) != ancestor_dewey:
+                    last_ancestor[pair] = ancestor_dewey
+                    df[pair] += 1
+    return df, tf, postings, type_counts
+
+
 def build_document_index(tree, eager_cooccurrence_types=None):
     """Build the complete :class:`DocumentIndex` in one document-order pass.
 
@@ -124,32 +164,11 @@ def build_document_index(tree, eager_cooccurrence_types=None):
         type_ids=inverted._type_ids, type_table=inverted._type_table
     )
 
-    postings = {}          # keyword -> [Posting, ...] in document order
-    last_ancestor = {}     # (keyword, node_type) -> last counted ancestor
-    df_counts = Counter()  # (keyword, node_type) -> f_k^T
-    tf_counts = Counter()  # (keyword, node_type) -> tf(k, T)
-
-    for node in tree.iter_nodes():
-        node_type = node.node_type
-        statistics.record_node(node_type)
-        occurrences = Counter(node_keywords(node))
-        if not occurrences:
-            continue
-        components = node.dewey.components
-        prefixes = [
-            (node_type[:i], components[:i])
-            for i in range(1, len(node_type) + 1)
-        ]
-        for keyword, count in occurrences.items():
-            postings.setdefault(keyword, []).append(
-                Posting(node.dewey, node_type, count)
-            )
-            for ancestor_type, ancestor_dewey in prefixes:
-                pair = (keyword, ancestor_type)
-                tf_counts[pair] += count
-                if last_ancestor.get(pair) != ancestor_dewey:
-                    last_ancestor[pair] = ancestor_dewey
-                    df_counts[pair] += 1
+    df_counts, tf_counts, postings, type_counts = subtree_contribution(
+        tree.iter_nodes()
+    )
+    for node_type, count in type_counts.items():
+        statistics.adjust_node_count(node_type, count)
 
     for keyword in sorted(postings):
         inverted.add_postings(keyword, postings[keyword])

@@ -41,12 +41,9 @@ class CooccurrenceTable:
         cached = per_keyword.get(node_type)
         if cached is not None:
             return cached
-        type_len = len(node_type)
-        ancestors = set()
-        for posting in self._inverted.get(keyword):
-            if posting.node_type[:type_len] == node_type:
-                ancestors.add(posting.dewey.components[:type_len])
-        frozen = frozenset(ancestors)
+        frozen = frozenset(
+            self._inverted.get(keyword).ancestor_keys(node_type)
+        )
         per_keyword[node_type] = frozen
         return frozen
 

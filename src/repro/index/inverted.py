@@ -61,62 +61,89 @@ def type_id_typecode(type_table):
     return "H" if len(type_table) <= 0x10000 else "I"
 
 
+#: What an absent keyword decodes from: a list of zero postings.
+_EMPTY_PAYLOAD = encode_uvarint(0)
+
+
 class InvertedList:
-    """Document-ordered postings for one keyword."""
+    """Document-ordered postings for one keyword, held as columns.
 
-    __slots__ = ("keyword", "postings", "_dewey_keys", "type_ids",
-                 "_kernel_columns")
+    The decoded form of a list is three parallel columns —
+    :attr:`dewey_keys`, :attr:`type_ids`, :attr:`counts` — plus the
+    :attr:`type_table` the ids index.  A :class:`Posting` is a value
+    built when someone iterates or indexes the list, never stored.
+    """
 
-    def __init__(self, keyword, postings):
-        self.keyword = keyword
-        self.postings = list(postings)
-        self._dewey_keys = [p.dewey.components for p in self.postings]
-        #: Interned node-type id per posting (``InvertedIndex``'s
-        #: table), parallel to :attr:`postings`; ``None`` for a list
-        #: built from ``Posting`` objects, which carry no ids.
-        self.type_ids = None
-        self._kernel_columns = None
-        for i in range(1, len(self._dewey_keys)):
-            if self._dewey_keys[i - 1] >= self._dewey_keys[i]:
-                raise IndexingError(
-                    f"inverted list for {keyword!r} is not in document order"
-                )
+    __slots__ = ("keyword", "_dewey_keys", "type_ids", "counts",
+                 "type_table", "_kernel_columns")
 
-    @classmethod
-    def from_trusted(cls, keyword, postings, dewey_keys, type_ids):
-        """Build a list from a pre-validated document-ordered decode.
+    def __init__(self, keyword, dewey_keys, type_ids, counts, type_table):
+        """Wrap a pre-validated document-ordered decode.
 
-        ``dewey_keys`` must be ``[p.dewey.components for p in postings]``
-        in strictly ascending order and ``type_ids`` the postings'
-        interned type ids — the payload decoder already has all three
-        in hand, so re-deriving and re-checking them here would double
-        the decode cost for lists that were validated when encoded.
+        ``dewey_keys`` must be strictly ascending component tuples;
+        lists are validated when encoded
+        (:meth:`InvertedIndex.add_postings`), so nothing is re-checked.
         """
-        instance = cls.__new__(cls)
-        instance.keyword = keyword
-        instance.postings = postings
-        instance._dewey_keys = dewey_keys
-        instance.type_ids = type_ids
-        instance._kernel_columns = None
-        return instance
+        self.keyword = keyword
+        self._dewey_keys = dewey_keys
+        #: Interned node-type id per posting (``type_table`` index).
+        self.type_ids = type_ids
+        #: Occurrences of the keyword at each posting's node.
+        self.counts = counts
+        #: The owning ``InvertedIndex``'s id -> node-type table.
+        self.type_table = type_table
+        self._kernel_columns = None
 
     @property
     def dewey_keys(self):
-        """Dewey component tuples, parallel to :attr:`postings`.
+        """Dewey component tuples, one per posting.
 
-        Shared (not copied) with consumers like ``perf.packed``; treat
-        as immutable.
+        Shared (not copied) with the kernels' columns; treat as
+        immutable.
         """
         return self._dewey_keys
 
     def __len__(self):
-        return len(self.postings)
+        return len(self._dewey_keys)
 
     def __iter__(self):
-        return iter(self.postings)
+        type_table = self.type_table
+        for components, type_id, count in zip(
+            self._dewey_keys, self.type_ids, self.counts
+        ):
+            yield Posting(
+                Dewey.from_trusted(components), type_table[type_id], count
+            )
 
     def __getitem__(self, idx):
-        return self.postings[idx]
+        if isinstance(idx, slice):
+            return [self[i] for i in range(*idx.indices(len(self)))]
+        return Posting(
+            Dewey.from_trusted(self._dewey_keys[idx]),
+            self.type_table[self.type_ids[idx]],
+            self.counts[idx],
+        )
+
+    def labels(self):
+        """The postings' Dewey labels, in document order (a new list)."""
+        return list(map(Dewey.from_trusted, self._dewey_keys))
+
+    def ancestor_keys(self, node_type):
+        """Key of each posting's ``node_type``-typed ancestor-or-self.
+
+        A posting at node v lies under a T-typed ancestor iff v's
+        prefix path starts with T; that ancestor's key is v's truncated
+        to ``len(T)`` components.  Postings elsewhere are skipped; the
+        rest come in document order, repeats included.
+        """
+        depth = len(node_type)
+        # Decided once per interned type, not once per posting.
+        under = [path[:depth] == node_type for path in self.type_table]
+        return [
+            components[:depth]
+            for components, type_id in zip(self._dewey_keys, self.type_ids)
+            if under[type_id]
+        ]
 
     def range_indices(self, root_dewey):
         """Index range ``[lo, hi)`` of postings inside ``root_dewey``'s subtree."""
@@ -127,18 +154,19 @@ class InvertedList:
         return lo, hi
 
 
-def decode_posting_payload(keyword, raw, type_table):
-    """Decode one keyword's packed posting payload.
+def decode_posting_run(keyword, raw, pos, count, previous, type_table,
+                       type_id_code):
+    """Decode ``count`` delta-coded postings of ``raw`` starting at ``pos``.
 
-    ``raw`` is the value stored under ``(keyword,)`` by
-    :meth:`InvertedIndex.add_postings`; ``type_table`` maps interned
-    type ids back to node-type tuples.
+    The one decode loop behind a whole payload and a single block of
+    one.  ``previous`` is the key the first posting is coded against;
+    ``type_id_code`` the ``array`` typecode of the id column.  Returns
+    the three columns ``(dewey_keys, type_ids, counts)``.
     """
-    count, pos = decode_uvarint(raw)
-    postings = []
     dewey_keys = []
-    type_ids = array(type_id_typecode(type_table))
-    previous = ()
+    type_ids = array(type_id_code)
+    counts = []
+    known_types = len(type_table)
     for _ in range(count):
         shared, pos = decode_uvarint(raw, pos)
         suffix_len, pos = decode_uvarint(raw, pos)
@@ -148,20 +176,31 @@ def decode_posting_payload(keyword, raw, type_table):
             suffix.append(part)
         components = previous[:shared] + tuple(suffix)
         type_id, pos = decode_uvarint(raw, pos)
-        occurrence_count, pos = decode_uvarint(raw, pos)
-        # Components were validated when the list was encoded, so
-        # the decode loop takes the trusted constructor fast path.
-        postings.append(
-            Posting(
-                Dewey.from_trusted(components),
-                type_table[type_id],
-                occurrence_count,
+        if type_id >= known_types:
+            raise IndexingError(
+                f"posting list for {keyword!r} names an unknown node type"
             )
-        )
+        occurrences, pos = decode_uvarint(raw, pos)
         dewey_keys.append(components)
         type_ids.append(type_id)
+        counts.append(occurrences)
         previous = components
-    return InvertedList.from_trusted(keyword, postings, dewey_keys, type_ids)
+    return dewey_keys, type_ids, counts
+
+
+def decode_posting_payload(keyword, raw, type_table):
+    """Decode one keyword's packed posting payload.
+
+    ``raw`` is the value stored under ``(keyword,)`` by
+    :meth:`InvertedIndex.add_postings`; ``type_table`` maps interned
+    type ids back to node-type tuples.
+    """
+    count, pos = decode_uvarint(raw)
+    columns = decode_posting_run(
+        keyword, raw, pos, count, (), type_table,
+        type_id_typecode(type_table),
+    )
+    return InvertedList(keyword, *columns, type_table)
 
 
 class InvertedIndex:
@@ -204,12 +243,20 @@ class InvertedIndex:
     # Build API
     # ------------------------------------------------------------------
     def add_postings(self, keyword, postings):
-        """Store the complete posting list for ``keyword``."""
+        """Store the complete posting list for ``keyword``.
+
+        ``postings`` is a sized iterable of :class:`Posting` values in
+        strict document order.
+        """
         payload = bytearray()
         payload += encode_uvarint(len(postings))
         previous = ()
         for posting in postings:
             components = posting.dewey.components
+            if components <= previous:
+                raise IndexingError(
+                    f"postings for {keyword!r} are not in document order"
+                )
             shared = 0
             for a, b in zip(previous, components):
                 if a != b:
@@ -228,14 +275,7 @@ class InvertedIndex:
 
     def append_postings(self, keyword, postings):
         """Append postings that sort after every existing one."""
-        existing = list(self.get(keyword))
-        if existing and postings:
-            if existing[-1].dewey.components >= postings[0].dewey.components:
-                raise IndexingError(
-                    f"appended postings for {keyword!r} must follow the "
-                    "existing list in document order"
-                )
-        self.add_postings(keyword, existing + list(postings))
+        self.add_postings(keyword, list(self.get(keyword)) + list(postings))
 
     def remove_postings_under(self, keyword, root_dewey):
         """Drop all postings inside one subtree (partition removal).
@@ -247,7 +287,7 @@ class InvertedIndex:
         lo, hi = existing.range_indices(root_dewey)
         if lo == hi:
             return
-        remaining = existing.postings[:lo] + existing.postings[hi:]
+        remaining = existing[:lo] + existing[hi:]
         if remaining:
             self.add_postings(keyword, remaining)
         else:
@@ -258,12 +298,18 @@ class InvertedIndex:
     # Query API
     # ------------------------------------------------------------------
     def __contains__(self, keyword):
-        if keyword in self._cache:
-            return True
+        cached = self._cache.get(keyword)
+        if cached is not None:
+            return len(cached) > 0
         return encode_key((keyword,)) in self._store
 
     def get(self, keyword):
-        """The :class:`InvertedList` for ``keyword`` (empty if absent)."""
+        """The :class:`InvertedList` for ``keyword`` (empty if absent).
+
+        An absent keyword's empty list is cached like any other —
+        out-of-vocabulary terms are normal query input and a store miss
+        costs two orders of magnitude more than the cached answer.
+        """
         cached = self._cache.get(keyword)
         if cached is not None:
             return cached
@@ -282,14 +328,10 @@ class InvertedIndex:
         if decoded is None:
             raw = self._store.get(key)
             if raw is None:
-                decoded = InvertedList(keyword, [])
-            else:
-                decoded = self._decode(keyword, raw)
+                raw = _EMPTY_PAYLOAD
+            decoded = decode_posting_payload(keyword, raw, self._type_table)
         self._cache[keyword] = decoded
         return decoded
-
-    def _decode(self, keyword, raw):
-        return decode_posting_payload(keyword, raw, self._type_table)
 
     # ------------------------------------------------------------------
     # Persistence of the node-type table

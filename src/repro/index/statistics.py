@@ -58,10 +58,6 @@ class StatisticsTable:
     # ------------------------------------------------------------------
     # Build API
     # ------------------------------------------------------------------
-    def record_node(self, node_type):
-        """Count one node of ``node_type`` (contributes to N_T)."""
-        self._entry(node_type).node_count += 1
-
     def set_distinct_keywords(self, node_type, count):
         """Set G_T once the builder knows the subtree vocabulary size."""
         self._entry(node_type).distinct_keywords = count

@@ -33,43 +33,7 @@ from ..errors import IndexingError
 from ..xmltree.build import _attach_children, _normalize_spec
 from ..xmltree.dewey import Dewey
 from ..xmltree.tree import XMLNode, build_node_type
-from .inverted import Posting
-from .tokenize_text import node_keywords
-
-
-def _subtree_contribution(nodes):
-    """Per-(keyword, ancestor-type) df/tf deltas for a node set.
-
-    Relies on ``nodes`` being one whole subtree in document order, the
-    same contiguity argument as the one-pass builder.  Returns
-    ``(df, tf, postings_by_keyword, type_counts)``.
-    """
-    df = Counter()
-    tf = Counter()
-    last_ancestor = {}
-    postings = {}
-    type_counts = Counter()
-    for node in nodes:
-        type_counts[node.node_type] += 1
-        occurrences = Counter(node_keywords(node))
-        if not occurrences:
-            continue
-        components = node.dewey.components
-        prefixes = [
-            (node.node_type[:i], components[:i])
-            for i in range(1, len(node.node_type) + 1)
-        ]
-        for keyword, count in occurrences.items():
-            postings.setdefault(keyword, []).append(
-                Posting(node.dewey, node.node_type, count)
-            )
-            for ancestor_type, ancestor_dewey in prefixes:
-                pair = (keyword, ancestor_type)
-                tf[pair] += count
-                if last_ancestor.get(pair) != ancestor_dewey:
-                    last_ancestor[pair] = ancestor_dewey
-                    df[pair] += 1
-    return df, tf, postings, type_counts
+from .builder import subtree_contribution
 
 
 def _subtree_spec(node):
@@ -148,7 +112,7 @@ def append_partition(index, spec):
     _attach_children(node, children)
     nodes = list(node.iter_subtree())
 
-    df, tf, postings, type_counts = _subtree_contribution(nodes)
+    df, tf, postings, type_counts = subtree_contribution(nodes)
     tree.append_partition(node)
     for keyword, new_postings in postings.items():
         index.inverted.append_postings(keyword, new_postings)
@@ -169,7 +133,7 @@ def remove_partition(index, dewey):
     tree = index.tree
     node = tree.node(dewey)
     nodes = list(node.iter_subtree())
-    df, tf, postings, type_counts = _subtree_contribution(nodes)
+    df, tf, postings, type_counts = subtree_contribution(nodes)
 
     tree.remove_partition(dewey)
     for keyword in postings:

@@ -1,4 +1,4 @@
-"""Batch scan kernels over the packed posting columns.
+"""Batch scan kernels over the posting lists' columns.
 
 The refinement algorithms' inner loops — merged cursor scans, per-node
 LCA arithmetic, per-partition slicing — are replaced here by batch
@@ -30,7 +30,6 @@ from .columns import (  # noqa: F401
     BlockedListColumns,
     ListColumns,
     columns_for,
-    columns_of_labels,
     partition_view,
     partition_view_masked,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "batch_dependence",
     "batch_similarity",
     "columns_for",
-    "columns_of_labels",
     "compiled",
     "hit_labels",
     "merged_lcp",

@@ -1,8 +1,8 @@
-"""Columnar views of packed posting lists (the kernels' data layout).
+"""Columnar views of posting lists (the kernels' data layout).
 
 A :class:`ListColumns` wraps one inverted list's document-ordered
-Dewey key column (the component tuples PR 1's packed arrays already
-share) with the two derived structures every batch kernel needs:
+Dewey key column with the two derived structures every batch kernel
+needs:
 
 * a **partition table** — ``pids[i]`` with half-open posting ranges
   ``[starts[i], ends[i])``, built with partition-to-partition binary
@@ -23,7 +23,7 @@ key column can be typed without its label: an ancestor-or-self at
 Columns are cached on the :class:`~repro.index.inverted.InvertedList`
 itself (``_kernel_columns``); the index's decode cache keeps one list
 object per keyword and replaces it on any mutation, so object identity
-gives exact freshness for free, the same rule ``perf.packed`` uses.
+gives exact freshness for free.
 
 :func:`partition_view` merges several columns' partition tables into
 the ordered presence view Algorithm 2 iterates: each distinct
@@ -315,7 +315,7 @@ class BlockedListColumns:
             position = 0
             i = 0
             for index in range(blocks.directory.block_count):
-                keys, _postings, type_ids = blocks.block(index)
+                keys, type_ids, _counts = blocks.block(index)
                 tids.extend(type_ids)
                 for key in keys:
                     flat.extend(key)
@@ -368,19 +368,6 @@ def columns_for(inverted_list):
             )
         inverted_list._kernel_columns = columns
     return columns
-
-
-def columns_of_labels(labels):
-    """Columns for a label sequence, or ``None`` if it carries none.
-
-    :class:`~repro.perf.packed.PackedPostings` exposes its source
-    inverted list; anything else (a plain ``Dewey`` list, a partition
-    slice) has no precomputed columns and stays on the classic path.
-    """
-    source = getattr(labels, "source", None)
-    if source is None or getattr(source, "_kernel_columns", False) is False:
-        return None
-    return columns_for(source)
 
 
 def partition_view(columns):

@@ -1,14 +1,10 @@
-"""Packed posting arrays: decode each inverted list once per engine.
+"""Per-engine partition counters over the inverted lists' key columns.
 
-``XRefine.slca_search`` used to rebuild a fresh ``[posting.dewey ...]``
-label list from the decoded postings on *every* query.  A
-:class:`PackedPostings` materializes one keyword's list once into flat,
-parallel arrays — component tuples and trusted ``Dewey`` labels — and
-is itself a read-only sequence of labels, so every SLCA algorithm
-consumes it directly.  The precomputed
-``components`` array additionally feeds the fast ingestion path of
-:func:`repro.slca.lca.label_components`, sparing the algorithms their
-per-query attribute-unpacking loop.
+A :class:`PackedPostings` shares one keyword's component column with
+its :class:`~repro.index.inverted.InvertedList` and memoizes the one
+thing the planner asks of it: how many document partitions the keyword
+occurs in.  The swap warm-up fills a :class:`PackedListStore` for the
+hot keywords before a flip.
 
 Coherence with index updates needs no bookkeeping: the underlying
 :class:`~repro.index.inverted.InvertedIndex` caches one decoded
@@ -20,69 +16,17 @@ decoded list detects staleness exactly.
 from __future__ import annotations
 
 
-class _LazyPostingColumn:
-    """One posting attribute as a read-only sequence, decoded on touch.
-
-    Blocked inverted lists (frozen v3) expose their postings as a lazy
-    block-backed sequence; materializing ``[p.dewey for p in ...]`` at
-    pack time would decode every block up front.  This view defers the
-    attribute projection to access time, so a packed column over a
-    blocked list costs exactly the blocks the consumer touches.
-    """
-
-    __slots__ = ("_postings", "_attr")
-
-    def __init__(self, postings, attr):
-        self._postings = postings
-        self._attr = attr
-
-    def __len__(self):
-        return len(self._postings)
-
-    def __iter__(self):
-        attr = self._attr
-        for posting in self._postings:
-            yield getattr(posting, attr)
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            attr = self._attr
-            return [getattr(p, attr) for p in self._postings[idx]]
-        return getattr(self._postings[idx], self._attr)
-
-
 class PackedPostings:
-    """Flat decoded arrays for one keyword's inverted list.
+    """One keyword's component column and its partition count."""
 
-    Behaves as an immutable document-ordered sequence of
-    :class:`~repro.xmltree.dewey.Dewey` labels (what the SLCA
-    algorithms expect) while exposing the parallel arrays for code that
-    wants column access.  All arrays are shared, never copied — treat
-    them as read-only.
-    """
-
-    __slots__ = (
-        "keyword",
-        "source",
-        "components",
-        "labels",
-        "_partition_count",
-    )
+    __slots__ = ("keyword", "source", "components", "_partition_count")
 
     def __init__(self, source):
-        postings = source.postings
         self.keyword = source.keyword
         #: The InvertedList this was packed from (identity = freshness).
         self.source = source
-        # The list already carries its component-tuple column (built
-        # during decode); share it instead of re-deriving per pack.
+        #: The list's own key column, shared — treat as read-only.
         self.components = source.dewey_keys
-        if isinstance(postings, list):
-            self.labels = [p.dewey for p in postings]
-        else:
-            # A lazy (block-backed) posting sequence: project lazily
-            # so packing never forces a whole-list decode.
-            self.labels = _LazyPostingColumn(postings, "dewey")
         self._partition_count = None
 
     def partition_count(self):
@@ -118,17 +62,8 @@ class PackedPostings:
             self._partition_count = count
         return count
 
-    def __len__(self):
-        return len(self.labels)
-
-    def __iter__(self):
-        return iter(self.labels)
-
-    def __getitem__(self, idx):
-        return self.labels[idx]
-
     def __repr__(self):
-        return f"PackedPostings({self.keyword!r}, n={len(self.labels)})"
+        return f"PackedPostings({self.keyword!r}, n={len(self.components)})"
 
 
 class PackedListStore:
@@ -148,10 +83,6 @@ class PackedListStore:
             packed = PackedPostings(source)
             self._packed[keyword] = packed
         return packed
-
-    def labels(self, keyword):
-        """The shared doc-ordered label list for ``keyword``."""
-        return self.get(keyword).labels
 
     def clear(self):
         self._packed.clear()

@@ -126,7 +126,7 @@ def extract_features(index, terms, rules, partition_counter):
 
     ``partition_counter`` maps a keyword to its distinct-partition
     count; the planner supplies a memoized implementation backed by the
-    engine's packed posting arrays.
+    engine's :class:`~repro.perf.packed.PackedListStore`.
     """
     terms = tuple(terms)
     features = QueryFeatures()

@@ -28,8 +28,8 @@ def indexed_lookup_slca(keyword_label_lists):
         key=lambda i: len(keyword_label_lists[i]),
     )
     anchor_list = keyword_label_lists[shortest_index]
-    # Input lists are doc-ordered (== sorted), so the packed component
-    # arrays can be consumed as-is; sorted() still guards ad-hoc input.
+    # Input lists are doc-ordered (== sorted); sorted() guards ad-hoc
+    # input.
     other_lists = [
         sorted(label_components(labels))
         for i, labels in enumerate(keyword_label_lists)

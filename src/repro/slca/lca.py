@@ -14,16 +14,7 @@ from ..xmltree.dewey import Dewey
 
 
 def label_components(labels):
-    """Doc-ordered component tuples for a label list.
-
-    Packed posting lists (:class:`repro.perf.packed.PackedPostings`)
-    carry their component array precomputed; plain ``Dewey`` lists are
-    unpacked on the fly.  The returned list must be treated as
-    read-only — it may be shared with the packed cache.
-    """
-    packed = getattr(labels, "components", None)
-    if packed is not None:
-        return packed
+    """Doc-ordered component tuples for a label list."""
     return [label.components for label in labels]
 
 

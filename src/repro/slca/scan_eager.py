@@ -92,15 +92,6 @@ def scan_eager_slca(keyword_label_lists):
     if any(not labels for labels in keyword_label_lists):
         return []
 
-    # Packed posting arrays carry precomputed columns; when every list
-    # does, the columnar batch kernel computes the same answer with
-    # whole-column sweeps (and a compiled fast path when available).
-    from ..kernels import columns_of_labels, slca_columns
-
-    columns = [columns_of_labels(labels) for labels in keyword_label_lists]
-    if all(column is not None for column in columns):
-        return slca_columns(columns)
-
     shortest_index = min(
         range(len(keyword_label_lists)),
         key=lambda i: len(keyword_label_lists[i]),

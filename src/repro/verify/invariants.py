@@ -41,7 +41,7 @@ def _permuted(terms):
     return tuple(reversed(terms))
 
 
-def check_invariants(oracle, query, slca_algorithm="scan"):
+def check_invariants(oracle, query):
     """Run every metamorphic check for one query; list of divergences."""
     divergences = []
     engine = oracle.engine
@@ -52,7 +52,7 @@ def check_invariants(oracle, query, slca_algorithm="scan"):
     k = oracle.k
 
     # --- ancestor-freeness --------------------------------------------
-    slcas = engine.slca_search(terms, algorithm=slca_algorithm)
+    slcas = engine.slca_search(terms)
     for i, label in enumerate(slcas):
         for other in slcas[i + 1:]:
             if label.is_ancestor_of(other) or other.is_ancestor_of(label):

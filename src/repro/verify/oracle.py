@@ -4,12 +4,12 @@ One ``(document, query, rules)`` triple is pushed through every code
 path that must agree:
 
 * **SLCA layer** — ``stack``, ``scan``, ``indexed``, ``multiway`` on
-  plain label lists (cold) and on packed posting arrays, plus the
-  engine's cached ``slca_search`` (warm); all diffed against a
-  brute-force subtree-check reference.  The ELCA-adjacent path is
-  cross-checked through the containment laws that relate the two
-  semantics: every SLCA is an ELCA, and pruning ancestors from the
-  ELCA set yields exactly the SLCA set.
+  plain label lists, plus the engine's one ``slca_search`` (the
+  columnar kernel) uncached and served from the result cache; all
+  diffed against a brute-force subtree-check reference.  The
+  ELCA-adjacent path is cross-checked through the containment laws
+  that relate the two semantics: every SLCA is an ELCA, and pruning
+  ancestors from the ELCA set yields exactly the SLCA set.
 * **Refinement layer** — ``partition`` and ``sle`` must produce
   byte-identical :class:`~repro.core.result.RefinementResponse`
   fingerprints (stats excluded); ``stack`` (Top-1) must agree on the
@@ -167,8 +167,10 @@ class DocumentOracle:
         self.k = k
         self.tree = build_tree(spec)
         self.index = build_document_index(self.tree)
-        #: Warm engine: result cache + packed arrays enabled.
+        #: Warm engine: result cache enabled.
         self.engine = XRefine(self.index)
+        #: Its cache-disabled twin.
+        self.cold_engine = XRefine(self.index, cache_size=0)
         self._frozen_engine = None
         self._chain_state = _UNBUILT
         self._column_views = None
@@ -236,10 +238,7 @@ class DocumentOracle:
         terms = query_terms(query)
         if not terms:
             return divergences
-        lists = [
-            [p.dewey for p in self.index.inverted.get(term)]
-            for term in terms
-        ]
+        lists = [self.index.inverted.get(term).labels() for term in terms]
         reference = [str(d) for d in brute_force_slca(self.tree, lists)]
 
         def diff(kind, got, detail):
@@ -257,19 +256,17 @@ class DocumentOracle:
                 implementation(lists),
                 f"{name} on plain label lists != brute force",
             )
-            packed = [self.engine.packed.get(term) for term in terms]
-            diff(
-                f"slca:{name}:packed",
-                implementation(packed),
-                f"{name} on packed posting arrays != brute force",
-            )
-        for name in SLCA_VARIANTS:
-            self.engine.slca_search(terms, algorithm=name)  # prime cache
-            diff(
-                f"slca:{name}:warm",
-                self.engine.slca_search(terms, algorithm=name),
-                f"{name} served from the result cache != brute force",
-            )
+        diff(
+            "slca:engine:cold",
+            self.cold_engine.slca_search(terms),
+            "engine SLCA search (columnar kernel) != brute force",
+        )
+        self.engine.slca_search(terms)  # prime cache
+        diff(
+            "slca:engine:warm",
+            self.engine.slca_search(terms),
+            "engine SLCA served from the result cache != brute force",
+        )
 
         # ELCA adjacency: SLCA ⊆ ELCA and min(ELCA) == SLCA.
         elcas = elca(lists)
@@ -496,10 +493,10 @@ class DocumentOracle:
         k = self.k
 
         reference = [
-            str(d) for d in self.engine.slca_search(terms, algorithm="scan")
+            str(d) for d in self.engine.slca_search(terms)
         ]
         frozen_slca = [
-            str(d) for d in engine.slca_search(terms, algorithm="scan")
+            str(d) for d in engine.slca_search(terms)
         ]
         if frozen_slca != reference:
             divergences.append(
@@ -641,10 +638,10 @@ class DocumentOracle:
         ):
             for term in terms:
                 expected = [
-                    str(p.dewey) for p in self.index.inverted.get(term)
+                    str(d) for d in self.index.inverted.get(term).labels()
                 ]
                 actual = [
-                    str(p.dewey) for p in engine.index.inverted.get(term)
+                    str(d) for d in engine.index.inverted.get(term).labels()
                 ]
                 if actual != expected:
                     divergences.append(
@@ -658,10 +655,10 @@ class DocumentOracle:
 
             reference = [
                 str(d)
-                for d in self.engine.slca_search(terms, algorithm="scan")
+                for d in self.engine.slca_search(terms)
             ]
             answered = [
-                str(d) for d in engine.slca_search(terms, algorithm="scan")
+                str(d) for d in engine.slca_search(terms)
             ]
             if answered != reference:
                 divergences.append(
@@ -721,10 +718,9 @@ class DocumentOracle:
         inverted = [self.index.inverted.get(term) for term in terms]
         columns = [columns_for(lst) for lst in inverted]
 
-        # Batch SLCA vs the classic forward-pointer scan.  Plain Dewey
-        # lists carry no columns, so scan_eager_slca takes its
-        # per-node path — the independent reference.
-        label_lists = [[p.dewey for p in lst] for lst in inverted]
+        # Batch SLCA vs the classic forward-pointer scan — the
+        # independent per-node reference.
+        label_lists = [lst.labels() for lst in inverted]
         if all(label_lists):
             reference = [str(d) for d in scan_eager_slca(label_lists)]
             batch = [

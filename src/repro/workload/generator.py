@@ -131,19 +131,16 @@ class WorkloadGenerator:
         raise DatasetError("could not sample an intent; corpus too sparse")
 
     # ------------------------------------------------------------------
-    def _has_meaningful_result(self, terms):
-        lists = [
-            [p.dewey for p in self.index.inverted_list(term)]
-            for term in terms
-        ]
-        if any(not labels for labels in lists):
-            return False
-        slcas = scan_eager_slca(lists)
+    def _meaningful_results(self, terms):
+        """The meaningful SLCAs of ``terms`` (Definition 3.3)."""
+        lists = [self.index.inverted_list(term) for term in terms]
+        if not all(map(len, lists)):
+            return []
+        slcas = scan_eager_slca([lst.labels() for lst in lists])
         if not slcas:
-            return False
-        present = [t for t in terms if self.index.has_keyword(t)]
-        search_for = infer_search_for(self.index, present)
-        return bool(meaningful_slcas(self.index, slcas, search_for))
+            return []
+        search_for = infer_search_for(self.index, list(terms))
+        return meaningful_slcas(self.index, slcas, search_for)
 
     def _corruption_context(self):
         return {
@@ -231,7 +228,8 @@ class WorkloadGenerator:
                     continue
             else:
                 intent = self.sample_intent()
-            if not self._has_meaningful_result(intent):
+            intent_results = self._meaningful_results(intent)
+            if not intent_results:
                 continue
             drawn = choices or [self.rng.choice(ALL_KINDS)]
             query, applied = self.corrupt(intent, drawn)
@@ -239,13 +237,12 @@ class WorkloadGenerator:
                 continue
             # Over-constrained queries may legitimately keep partial
             # matches; every other class must yield no meaningful result.
-            if OVERCONSTRAIN not in applied and self._has_meaningful_result(
+            if OVERCONSTRAIN not in applied and self._meaningful_results(
                 query
             ):
                 continue
-            if OVERCONSTRAIN in applied and self._has_meaningful_result(query):
+            if OVERCONSTRAIN in applied and self._meaningful_results(query):
                 continue
-            intent_results = self._intent_results(intent)
             return PoolQuery(query, intent, applied, intent_results, True)
         raise DatasetError(
             f"failed to generate a refinable query for kinds={kinds}"
@@ -255,20 +252,10 @@ class WorkloadGenerator:
         """One pool query that already has meaningful results."""
         for _ in range(max_attempts):
             intent = self.sample_intent()
-            if self._has_meaningful_result(intent):
-                return PoolQuery(
-                    intent, intent, (), self._intent_results(intent), False
-                )
+            intent_results = self._meaningful_results(intent)
+            if intent_results:
+                return PoolQuery(intent, intent, (), intent_results, False)
         raise DatasetError("failed to sample a clean query")
-
-    def _intent_results(self, intent):
-        lists = [
-            [p.dewey for p in self.index.inverted_list(term)]
-            for term in intent
-        ]
-        slcas = scan_eager_slca(lists)
-        search_for = infer_search_for(self.index, list(intent))
-        return meaningful_slcas(self.index, slcas, search_for)
 
     # ------------------------------------------------------------------
     def pool(self, refinable=219, clean=100, kinds=None):

@@ -5,6 +5,7 @@ import pytest
 from repro import XRefine
 from repro.errors import QueryError
 from repro.lexicon import RuleSet
+from repro.verify.oracle import SLCA_VARIANTS
 
 
 class TestConstruction:
@@ -64,16 +65,14 @@ class TestSearch:
 
 class TestSLCASearch:
     def test_all_baselines_agree(self, figure1_engine):
-        results = {
-            name: figure1_engine.slca_search("database 2003", algorithm=name)
-            for name in ("stack", "scan", "indexed", "multiway")
-        }
-        values = list(results.values())
-        assert all(v == values[0] for v in values)
-
-    def test_unknown_algorithm(self, figure1_engine):
-        with pytest.raises(QueryError):
-            figure1_engine.slca_search("xml", algorithm="warp")
+        served = figure1_engine.slca_search("database 2003")
+        assert served
+        lists = [
+            figure1_engine.index.inverted_list(term).labels()
+            for term in ("database", "2003")
+        ]
+        for name, baseline in SLCA_VARIANTS.items():
+            assert baseline(lists) == served, name
 
     def test_empty_query(self, figure1_engine):
         with pytest.raises(QueryError):

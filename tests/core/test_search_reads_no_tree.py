@@ -3,7 +3,8 @@
 Definition 3.3 is decided from the postings' type-id column, so over a
 frozen snapshot — whose tree is partition-paged — answering a query
 leaves every partition on the mmap: ``loaded_partition_count() == 0``
-and the tree's node table exactly as it was at open.  The tree is
+and the tree's node table exactly as it was at open.  Nor does it build
+a single ``Posting``: the routes read the lists' columns.  The tree is
 presentation: ``rank_results=True`` and ``engine.node(label)`` fault in
 the partitions of the labels they are given, and nothing else.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro import XRefine
-from repro.index import freeze_index, load_frozen_index
+from repro.index import Posting, freeze_index, load_frozen_index
 from repro.workload import WorkloadGenerator
 
 
@@ -47,8 +48,16 @@ def labels_of(response):
 
 @pytest.mark.parametrize("algorithm", ["auto", "sle", "partition", "stack"])
 def test_search_leaves_every_partition_on_the_mmap(
-    snapshot, pool, algorithm
+    snapshot, pool, algorithm, monkeypatch
 ):
+    postings_built = []
+    init = Posting.__init__
+
+    def counting_init(self, *args):
+        postings_built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Posting, "__init__", counting_init)
     index = load_frozen_index(snapshot)
     tree = index.tree
     nodes_at_open = len(tree._by_dewey)
@@ -61,6 +70,7 @@ def test_search_leaves_every_partition_on_the_mmap(
             direct += not response.needs_refinement
             labels += len(labels_of(response))
     assert refined and direct and labels
+    assert postings_built == []
     assert tree.loaded_partition_count() == 0
     assert len(tree._by_dewey) == nodes_at_open
     assert engine.cache_stats()["tree_partitions_loaded"] == 0

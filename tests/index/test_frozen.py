@@ -353,7 +353,7 @@ class TestBlockDirectoryFuzz:
             "kw", cut, forged, figure1_index.inverted.node_type_table
         )
         with pytest.raises(IndexingError, match="truncated"):
-            list(lst.postings)
+            list(lst)
 
 
 class TestBlockCorruptionOnDisk:
@@ -403,9 +403,9 @@ class TestBlockCorruptionOnDisk:
         lazy = loaded.inverted_list(keyword)
         # Earlier blocks decode fine; only touching the damaged block
         # raises, and it raises a typed checksum error.
-        assert lazy.postings[0] is not None
+        assert lazy[0] is not None
         with pytest.raises(IndexingError, match="checksum"):
-            list(lazy.postings)
+            list(lazy)
 
     def test_clean_snapshot_decodes_every_block(
         self, figure1_index, tmp_path

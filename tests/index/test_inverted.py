@@ -2,16 +2,25 @@
 
 import pytest
 
+from repro import XRefine
 from repro.errors import IndexingError
-from repro.index import InvertedIndex, InvertedList, Posting
+from repro.index import (
+    InvertedIndex,
+    Posting,
+    build_document_index,
+    freeze_index,
+    load_frozen_index,
+)
 from repro.xmltree import Dewey
 
 
 def make_list(labels, keyword="k"):
-    return InvertedList(
+    index = InvertedIndex()
+    index.add_postings(
         keyword,
         [Posting(Dewey.parse(label), ("r", "x"), 1) for label in labels],
     )
+    return index.get(keyword)
 
 
 class TestInvertedList:
@@ -60,10 +69,36 @@ class TestInvertedIndex:
     def test_missing_keyword_empty(self):
         assert len(self.make_index().get("nope")) == 0
 
+    def test_type_id_outside_the_table_is_a_typed_error(self):
+        """The columns keep ids, not types, so the decode loop checks
+        each id against the table it will index."""
+        index = self.make_index()
+        index._type_table.clear()
+        with pytest.raises(IndexingError, match="unknown node type"):
+            index.get("xml")
+
     def test_contains(self):
         index = self.make_index()
         assert "xml" in index
         assert "nope" not in index
+
+    @pytest.mark.parametrize("view", ["built", "frozen"])
+    def test_contains_is_not_changed_by_a_lookup(
+        self, view, figure1_tree, tmp_path
+    ):
+        """``get`` caches an absent keyword's empty list; membership
+        must keep answering from what the index holds — out-of-
+        vocabulary terms are this system's normal input."""
+        index = build_document_index(figure1_tree)
+        if view == "frozen":
+            freeze_index(index, tmp_path / "figure1.frz")
+            index = load_frozen_index(tmp_path / "figure1.frz")
+        inverted = index.inverted
+        assert "serach" not in inverted and "zzzq" not in inverted
+        XRefine(index).search("xml serach zzzq")
+        assert inverted.get("zzzq") is inverted.get("zzzq")  # negative entry
+        assert "serach" not in inverted and "zzzq" not in inverted
+        assert "xml" in inverted
 
     def test_keywords_sorted(self):
         assert self.make_index().keywords() == ["xml", "year"]

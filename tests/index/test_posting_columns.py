@@ -1,0 +1,101 @@
+"""A posting list is its three columns; ``Posting`` is a view of them.
+
+Random document-ordered rows go through ``add_postings`` and come back
+through ``get`` — as the eager list and as a blocked run over the same
+payload bytes — and every way of reading the list (iteration, indexing,
+slices, ``labels()``, ``ancestor_keys()``, the raw columns) must return
+the rows that went in, with each block decoded once however the list is read.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.index import InvertedIndex, Posting
+from repro.index.blocks import (
+    BlockedInvertedList,
+    build_block_directory_payload,
+    decode_block_directory,
+)
+from repro.storage import encode_key
+from repro.xmltree import Dewey
+
+TAGS = ("bib", "author", "name", "title", "year")
+
+rows = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 5), min_size=1, max_size=5).map(tuple),
+        st.lists(st.sampled_from(TAGS), min_size=1, max_size=4).map(tuple),
+        st.integers(1, 1 << 40),
+    ),
+    max_size=24,
+    unique_by=lambda row: row[0],
+).map(sorted)
+
+
+def eager_and_blocked(table, block_size):
+    """``[eager list, blocked list or None]`` holding ``table``."""
+    index = InvertedIndex()
+    index.add_postings("k", [
+        Posting(Dewey(components), node_type, count)
+        for components, node_type, count in table
+    ])
+    payload = index._store.get(encode_key(("k",)))
+    directory = build_block_directory_payload(payload, block_size)
+    if directory is None:  # a single block: no directory, eager decode
+        return [index.get("k"), None]
+    blocked = BlockedInvertedList.open(
+        "k", payload, decode_block_directory("k", directory),
+        index._type_table,
+    )
+    return [index.get("k"), blocked]
+
+
+@settings(max_examples=120, deadline=None)
+@given(table=rows, block_size=st.integers(1, 8), data=st.data())
+def test_every_read_returns_the_rows_that_went_in(table, block_size, data):
+    expected = [
+        Posting(Dewey(components), node_type, count)
+        for components, node_type, count in table
+    ]
+    size = len(table)
+    for lst in eager_and_blocked(table, block_size):
+        if lst is None:
+            continue
+        assert len(lst) == size
+        assert list(lst) == expected
+        assert lst.labels() == [p.dewey for p in expected]
+        assert list(lst.dewey_keys) == [row[0] for row in table]
+        assert list(lst.counts) == [row[2] for row in table]
+        assert [lst.type_table[i] for i in lst.type_ids] == [
+            row[1] for row in table
+        ]
+        if size:
+            at = data.draw(st.integers(-size, size - 1))
+            assert lst[at] == expected[at]
+            assert lst[-1] == expected[-1]
+            prefix = table[at][1][:data.draw(st.integers(1, 4))]
+            assert lst.ancestor_keys(prefix) == [
+                components[:len(prefix)]
+                for components, node_type, _ in table
+                if node_type[:len(prefix)] == prefix
+            ]
+        cut = data.draw(st.slices(size))
+        assert lst[cut] == expected[cut]
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=rows.filter(lambda t: len(t) > 1), block_size=st.integers(1, 8))
+def test_iterating_decodes_each_block_once(table, block_size):
+    blocked = eager_and_blocked(table, block_size)[1]
+    if blocked is None:
+        return
+    store = blocked.block_store
+    assert store.blocks_decoded == 0
+    list(blocked)
+    assert store.blocks_decoded == store.directory.block_count
+    list(blocked)
+    blocked.labels()
+    blocked[0:len(table)]
+    assert store.blocks_decoded == store.directory.block_count

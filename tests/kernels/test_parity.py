@@ -76,7 +76,7 @@ class TestAdversarialCorpusParity:
                 if not terms or not all(len(lst) for lst in lists):
                     continue
                 reference = scan_eager_slca(
-                    [[posting.dewey for posting in lst] for lst in lists]
+                    [lst.labels() for lst in lists]
                 )
                 batch = slca_columns([columns_for(lst) for lst in lists])
                 assert [str(d) for d in batch] == [

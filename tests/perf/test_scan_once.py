@@ -47,9 +47,9 @@ def test_warm_query_scans_nothing(dblp_index, pool, algorithm):
         assert warm.stats.postings_scanned == scanned_after_cold
 
 
-def test_packed_slca_lists_bypass_cursors(dblp_index, pool):
-    """Plain SLCA served from packed arrays agrees with a direct run
-    over freshly decoded label lists."""
+def test_engine_slca_equals_scan_over_label_lists(dblp_index, pool):
+    """Plain SLCA served from the lists' columns agrees with the
+    per-node Scan Eager over freshly built label lists."""
     from repro.slca import scan_eager_slca
 
     engine = XRefine(dblp_index)
@@ -59,10 +59,7 @@ def test_packed_slca_lists_bypass_cursors(dblp_index, pool):
             continue
         served = engine.slca_search(terms)
         direct = scan_eager_slca(
-            [
-                [p.dewey for p in dblp_index.inverted_list(t)]
-                for t in terms
-            ]
+            [dblp_index.inverted_list(t).labels() for t in terms]
         )
         assert served == direct
 

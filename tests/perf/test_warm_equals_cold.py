@@ -1,16 +1,28 @@
 """Regression: the hot-path caches never change an answer.
 
-For every refinement algorithm in ``ALGORITHMS`` and every plain-SLCA
-algorithm in ``SLCA_ALGORITHMS``, a warm (cached) engine must return
-results identical to a cold engine with caching disabled, across a
-generated workload mix of refinable and clean queries.
+For every refinement algorithm in ``ALGORITHMS`` and for the engine's
+plain SLCA search, a warm (cached) engine must return results identical
+to a cold engine with caching disabled, across a generated workload mix
+of refinable and clean queries.  The SLCA answer is also held to each
+independent label-list implementation in :mod:`repro.slca`.
 """
 
 import pytest
 
 from repro import XRefine
-from repro.core.engine import ALGORITHMS, SLCA_ALGORITHMS
+from repro.core.engine import ALGORITHMS
+from repro.index import query_terms
+from repro.slca import elca, remove_ancestors
+from repro.verify.oracle import SLCA_VARIANTS
 from repro.workload import ALL_KINDS, WorkloadGenerator
+
+#: Independent implementations over plain label lists (the oracle's
+#: registry).  ELCA is a superset semantics whose ancestor-pruned
+#: answers are the SLCAs.
+SLCA_REFERENCES = {
+    **SLCA_VARIANTS,
+    "elca": lambda lists: remove_ancestors(elca(lists)),
+}
 
 
 def response_fingerprint(response):
@@ -83,15 +95,20 @@ class TestRefinementAlgorithms:
 
 
 class TestSLCAAlgorithms:
-    @pytest.mark.parametrize("algorithm", sorted(SLCA_ALGORITHMS))
+    @pytest.mark.parametrize("algorithm", sorted(SLCA_REFERENCES))
     def test_warm_equals_cold(
         self, warm_engine, cold_engine, query_mix, algorithm
     ):
+        reference = SLCA_REFERENCES[algorithm]
         for query in query_mix:
-            first = warm_engine.slca_search(query, algorithm=algorithm)
-            second = warm_engine.slca_search(query, algorithm=algorithm)
-            fresh = cold_engine.slca_search(query, algorithm=algorithm)
+            first = warm_engine.slca_search(query)
+            second = warm_engine.slca_search(query)
+            fresh = cold_engine.slca_search(query)
             assert first == second == fresh
+            assert fresh == reference([
+                cold_engine.index.inverted_list(term).labels()
+                for term in query_terms(query)
+            ])
 
     def test_cached_list_is_caller_safe(self, warm_engine, query_mix):
         """Mutating a returned result list must not corrupt the cache."""

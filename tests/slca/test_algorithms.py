@@ -134,9 +134,7 @@ class TestAgreementOnCorpus:
             ["search", "engine", "web"],
         ]
         for terms in queries:
-            lists = [
-                [p.dewey for p in dblp_index.inverted_list(t)] for t in terms
-            ]
+            lists = [dblp_index.inverted_list(t).labels() for t in terms]
             results = {
                 name: fn(lists) for name, fn in ALGORITHMS.items()
             }

@@ -88,9 +88,7 @@ class TestProperties:
 
     def test_every_elca_contains_all_keywords(self, dblp_index):
         terms = ["database", "query"]
-        lists = [
-            [p.dewey for p in dblp_index.inverted_list(t)] for t in terms
-        ]
+        lists = [dblp_index.inverted_list(t).labels() for t in terms]
         sorted_lists = [
             sorted(label.components for label in labels_) for labels_ in lists
         ]

@@ -128,15 +128,11 @@ class TestChainLayer:
             def __init__(self, source):
                 self._source = source
 
-            @property
-            def postings(self):
-                return list(self._source.postings)[:-1]
-
-            def __iter__(self):
-                return iter(self.postings)
+            def labels(self):
+                return self._source.labels()[:-1]
 
             def __len__(self):
-                return len(self.postings)
+                return len(self._source)
 
             def __getattr__(self, name):
                 return getattr(self._source, name)
