@@ -250,16 +250,12 @@ def _measure_point(target, workdir, k, seed, rss_cap_mb, block_size,
     from repro import build_document_index
     from repro.datasets import corpus_for_nodes
     from repro.index import freeze_index
-    from repro.plan import DEFAULT_CALIBRATION
 
     began = time.perf_counter()
     tree = corpus_for_nodes(target, seed=seed)
     index = build_document_index(tree)
     build_seconds = time.perf_counter() - began
 
-    # Pinned: an unpinned freeze micro-calibrates by timing, and the
-    # child's routes would re-roll from run to run.
-    index.calibration = DEFAULT_CALIBRATION
     snapshot = os.path.join(workdir, f"paging_{target}.frz")
     freeze_index(index, snapshot, block_size=block_size)
 

@@ -76,18 +76,20 @@ def main():
         )
         print()
 
-    # Compare the three fixed algorithms (and the planner) on one
-    # dirty query.  "auto" routes to the predicted-cheapest kernel and
-    # returns the same answer.
+    # Compare the three fixed algorithms (and the default) on one
+    # dirty query.  "auto" is Algorithm 3 and returns the same answer;
+    # explain=True names the route, and says when the result cache
+    # answered (auto shares its entry with sle).
     query = "informaton retrieval relevance"
     print(f"algorithm comparison on {query!r}:")
     for algorithm in ("stack", "sle", "partition", "auto"):
-        response = engine.search(query, k=1, algorithm=algorithm)
+        response = engine.search(
+            query, k=1, algorithm=algorithm, explain=True
+        )
         best = response.best
         label = " ".join(best.rq.keywords) if best else "(none)"
-        routed = ""
-        if response.plan is not None:
-            routed = f" (planner chose {response.plan.executed})"
+        plan = response.plan
+        routed = f" (route {plan.executed}{', cached' if plan.cached else ''})"
         print(
             f"  {algorithm:>9}: best={{{label}}} "
             f"in {response.stats.elapsed_seconds * 1000:.1f} ms{routed}"

@@ -81,10 +81,7 @@ def _cmd_search(args, out):
         explain=args.explain,
     )
     if args.explain:
-        if response.plan is not None:
-            print(response.plan.describe(), file=out)
-        else:
-            print("plan: (served from the result cache)", file=out)
+        print(response.plan.describe(), file=out)
     if not response.needs_refinement:
         print(
             f"direct hit: {len(response.original_results)} meaningful "
@@ -254,7 +251,7 @@ def _cmd_bench(args, out):
     )
     for algorithm in algorithms:
         engine = XRefine(index, cache_size=0)
-        for query in log:  # warmup: calibration, plan + memo state
+        for query in log:  # warmup: rules, decoded lists, DP memos
             engine.search(query, k=args.k, algorithm=algorithm)
         latencies = []
         if args.profile:
@@ -395,13 +392,15 @@ def build_parser():
     search.add_argument("-k", type=int, default=3)
     search.add_argument(
         "--algorithm", choices=ALGORITHMS, default="auto",
-        help="'auto' (default) lets the cost-based planner pick; "
-        "answers are identical for every choice",
+        help="'auto' (default) is Algorithm 3 (sle); the fixed "
+        "algorithms reproduce the paper's comparison, and answers are "
+        "identical for every choice",
     )
     search.add_argument(
         "--explain", action="store_true",
-        help="print the planner's QueryPlan (chosen route, cost "
-        "estimates, extracted features) before the results",
+        help="print the QueryPlan (the route that answered, its "
+        "elapsed time, whether the result cache served it) before the "
+        "results",
     )
     search.set_defaults(handler=_cmd_search)
 

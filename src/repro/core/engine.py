@@ -38,7 +38,7 @@ from ..perf.subresult import (
     SubResultCache,
     term_signature,
 )
-from ..plan.planner import QueryPlanner
+from ..plan.planner import AUTO_ROUTE, QueryPlanner
 from ..xmltree.parser import parse
 from .common import QueryContext
 from .partition_refine import partition_refine
@@ -47,9 +47,9 @@ from .result import RefinementResponse, ScanStats
 from .short_list_eager import short_list_eager
 from .stack_refine import stack_refine
 
-#: Refinement algorithm registry.  ``"auto"`` (the default) routes each
-#: query to the predicted-cheapest fixed algorithm via the cost-based
-#: planner (:mod:`repro.plan`); answers are byte-identical either way.
+#: Refinement algorithm registry.  ``"auto"`` (the default) is
+#: Algorithm 3 (SLE, :data:`~repro.plan.planner.AUTO_ROUTE`) for every
+#: query; answers are byte-identical to every fixed choice.
 ALGORITHMS = ("auto", "partition", "sle", "stack")
 
 
@@ -166,8 +166,8 @@ class XRefine:
             miner = RuleMiner(index.inverted.keywords())
         self.miner = miner
         self._miner_version = getattr(index, "version", 0)
-        #: Per-keyword partition counters for the planner and the swap
-        #: warm-up (repro.perf.packed).
+        #: Per-keyword partition counters for the swap warm-up
+        #: (repro.perf.packed).
         self.packed = PackedListStore(index)
         #: Complete-answer cache (repro.perf.result_cache).
         self.result_cache = QueryResultCache(cache_size, policy=cache_policy)
@@ -192,8 +192,8 @@ class XRefine:
             rules_memo_size if rules_memo_size is not None
             else self._RULES_MEMO_LIMIT
         )
-        #: Lazily built cost-based query planner (repro.plan).
-        self._planner = None
+        #: DP memos and route counters (repro.plan).
+        self._planner = QueryPlanner(index)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -263,12 +263,16 @@ class XRefine:
         return memo[1]
 
     def _result_key(self, terms, k, algorithm, rank_results):
-        """The result-cache key of a validated refinement search."""
+        """The result-cache key of a validated refinement search.
+
+        Keyed on the route, not the requested name: ``auto`` and
+        ``sle`` are one evaluation and share one entry.
+        """
         return (
             "search",
             terms,
             k,
-            algorithm,
+            AUTO_ROUTE if algorithm == "auto" else algorithm,
             bool(rank_results),
             self._model_key(),
         )
@@ -281,7 +285,6 @@ class XRefine:
 
     def cache_stats(self):
         """Monitoring snapshot of every hot-path cache layer."""
-        planner = self._planner
         tree = self.index.tree
         return {
             "results": self.result_cache.stats(),
@@ -295,20 +298,14 @@ class XRefine:
             #: thing to look at when a daemon's RSS grows.
             "tree_partitions_loaded": tree.loaded_partition_count(),
             "tree_partitions": tree.partition_count(),
-            #: Routing counters, plan-cache hit rate, cost-model ratio
-            #: samples and the active calibration (None until the
-            #: first ``auto``/``explain`` query builds the planner).
-            "planner": planner.stats() if planner is not None else None,
+            #: Evaluations per route and cached DP memo identities.
+            "planner": self.planner.stats(),
         }
 
     @property
     def planner(self):
         """The engine's :class:`~repro.plan.planner.QueryPlanner`."""
-        planner = self._planner
-        if planner is None:
-            planner = QueryPlanner(self.index, packed=self.packed)
-            self._planner = planner
-        return planner
+        return self._planner
 
     def close(self):
         """Nothing to release: the engine owns no process, segment or file.
@@ -414,8 +411,8 @@ class XRefine:
         * The index reference flip and the result-cache purge happen
           under the result cache's lock, making them atomic with
           respect to every concurrent stamp check-and-return.
-        * The planner drops its per-version plan-cache entries and the
-          drift corrections learned on the old corpus
+        * The planner drops the DP memos built from the old
+          vocabulary's rule sets and keeps its route counters
           (:meth:`~repro.plan.planner.QueryPlanner.on_index_swap`).
 
         The caller must ensure no query is *executing* on this engine
@@ -460,8 +457,7 @@ class XRefine:
             self.miner = warmup.miner
             self._miner_version = new_index.version
             self._rules_memo.update(warmup.rules_memo)
-        if self._planner is not None:
-            self._planner.on_index_swap(new_index, packed=new_packed)
+        self.planner.on_index_swap(new_index)
         return old_index
 
     # ------------------------------------------------------------------
@@ -505,11 +501,11 @@ class XRefine:
             Number of ranked refined queries wanted when refinement is
             needed.
         algorithm:
-            ``"auto"`` (default) — the cost-based planner routes the
-            query to the predicted-cheapest algorithm (answers are
-            byte-identical to every fixed choice) — or a fixed
+            ``"auto"`` (default) runs Algorithm 3 (SLE); a fixed
             ``"partition"`` (Algorithm 2), ``"sle"`` (Algorithm 3) or
-            ``"stack"`` (Algorithm 1; Top-1 only).
+            ``"stack"`` (Algorithm 1; Top-1 only) reproduces the
+            paper's comparison.  Answers are byte-identical for every
+            choice.
         rules:
             Pre-mined :class:`~repro.lexicon.rules.RuleSet`; mined on
             the fly when omitted.
@@ -517,11 +513,10 @@ class XRefine:
             When True, each result list is reordered by the XML TF*IDF
             result ranking of [6] instead of document order.
         explain:
-            When True, attach the recorded
-            :class:`~repro.plan.planner.QueryPlan` to
-            ``response.plan`` even for fixed algorithms (``auto``
-            always records one).  Responses served from the result
-            cache carry the plan of the evaluation that produced them.
+            When True, attach a :class:`~repro.plan.planner.QueryPlan`
+            naming the route that answered to ``response.plan``.  A
+            result-cache hit returns a copy of the cached response
+            whose plan says ``cached``; the shared entry is untouched.
 
         Returns
         -------
@@ -602,12 +597,15 @@ class XRefine:
         # instead of poisoning the new generation.
         version = getattr(self.index, "version", 0)
         mined = rules is None
+        force = None if algorithm == "auto" else algorithm
         if rules is None and self.result_cache.enabled:
             cache_key = self._result_key(terms, k, algorithm, rank_results)
             with self.result_cache.lock:
                 version = getattr(self.index, "version", 0)
                 cached = self.result_cache.get(cache_key, version)
             if cached is not None:
+                if explain:
+                    return self._explained_hit(cached, terms, k, force)
                 return cached
         if rules is None:
             rules = self.mine_rules(terms)
@@ -631,48 +629,36 @@ class XRefine:
                 if cache_key is not None:
                     self.result_cache.put(cache_key, response, version)
                 return response
-        plan = None
-        if algorithm == "auto":
-            plan = self.planner.plan(terms, rules, k)
-            response = self._execute_plan(plan, terms, rules, k)
-            self.planner.record(plan, response)
-        else:
-            memos = self.planner.dp_memos(terms, rules, max(2 * k, 2))
-            if algorithm == "partition":
-                response = partition_refine(
-                    self.index, terms, rules=rules, model=self.model, k=k,
-                    dp_memos=memos[:2],
-                )
-            elif algorithm == "sle":
-                response = short_list_eager(
-                    self.index, terms, rules=rules, model=self.model, k=k,
-                    dp_memos=memos[:2],
-                )
-            else:  # "stack" — the registry was validated by the caller
-                response = stack_refine(
-                    self.index, terms, rules=rules, model=self.model,
-                    dp_memo=memos[2],
-                )
-        if explain and plan is None:
-            # Fixed algorithm: record a forced plan for observability
-            # (estimates are not computed; the executed route and the
-            # kernel's elapsed time are).
-            plan = self.planner.plan(terms, rules, k, force=algorithm)
-            plan.executed = algorithm
+        plan = self.planner.plan(terms, rules, k, force=force)
+        response = self._execute_plan(plan, terms, rules, k)
+        if explain:
             plan.actual_seconds = response.stats.elapsed_seconds
-        if plan is not None:
             response.plan = plan
         if mined and self.subresult_cache.enabled:
             # Deposit *before* rank_results mutates the result lists —
             # sub-results must stay in the canonical document order a
             # cold evaluation would produce.
-            self._deposit_subresults(response, version, algorithm)
+            self._deposit_subresults(response, version, plan.executed)
         if rank_results:
             from .ranking.results import rank_response_results
 
             rank_response_results(self.index, response)
         if cache_key is not None:
             self.result_cache.put(cache_key, response, version)
+        return response
+
+    def _explained_hit(self, cached, terms, k, force):
+        """A copy of a result-cache hit carrying a ``cached`` plan.
+
+        The cached response is shared by every later hit, so the plan
+        goes on a copy; the evaluation that produced the entry ran the
+        route the key names.
+        """
+        response = cached.copy()
+        plan = self.planner.plan(terms, None, k, force=force)
+        plan.cached = True
+        plan.actual_seconds = cached.stats.elapsed_seconds
+        response.plan = plan
         return response
 
     def _assemble_from_subresults(self, terms, rules, version):
@@ -738,38 +724,26 @@ class XRefine:
             )
 
     def _execute_plan(self, plan, terms, rules, k):
-        """Run a planned route, with the stack→partition fallback.
-
-        Stack-refine is chosen only on a predicted direct hit; when the
-        prediction misses (the query needs refinement after all, where
-        stack is Top-1 only) the engine falls back to Partition, so the
-        response is byte-identical to every fixed algorithm no matter
-        how the bet lands.
-        """
-        memos = self.planner.dp_memos(terms, rules, max(2 * k, 2))
-        route = plan.chosen
-        if route == "stack":
-            response = stack_refine(
-                self.index, terms, rules=rules, model=self.model,
-                dp_memo=memos[2],
-            )
-            if not response.needs_refinement:
-                plan.executed = "stack"
-                return response
-            plan.fallback = "stack->partition"
-            route = "partition"
-        if route == "partition":
-            response = partition_refine(
-                self.index, terms, rules=rules, model=self.model, k=k,
-                dp_memos=memos[:2],
-            )
-            plan.executed = "partition"
-        else:  # "sle"
+        """Run the route ``plan`` names; every evaluation comes here."""
+        planner = self.planner
+        memos = planner.dp_memos(terms, rules, max(2 * k, 2))
+        route = plan.executed
+        if route == "sle":
             response = short_list_eager(
                 self.index, terms, rules=rules, model=self.model, k=k,
                 dp_memos=memos[:2],
             )
-            plan.executed = "sle"
+        elif route == "partition":
+            response = partition_refine(
+                self.index, terms, rules=rules, model=self.model, k=k,
+                dp_memos=memos[:2],
+            )
+        else:  # "stack" — the registry was validated by the caller
+            response = stack_refine(
+                self.index, terms, rules=rules, model=self.model,
+                dp_memo=memos[2],
+            )
+        planner.routed[route] += 1
         return response
 
     def search_many(self, queries, k=1, algorithm="auto",

@@ -143,10 +143,9 @@ class RefinementResponse:
         )
         self.search_for = list(search_for)
         self.stats = stats
-        #: The planner's :class:`~repro.plan.planner.QueryPlan` when the
-        #: engine evaluated this response with ``algorithm="auto"`` or
-        #: ``explain=True``; ``None`` otherwise.  Not part of the
-        #: answer fingerprint.
+        #: The :class:`~repro.plan.planner.QueryPlan` naming the route
+        #: that answered, when the caller asked with ``explain=True``;
+        #: ``None`` otherwise.  Not part of the answer fingerprint.
         self.plan = plan
         #: The serving daemon's rendered JSON body for this response
         #: (``bytes``), memoized by :mod:`repro.serve` so a result-cache

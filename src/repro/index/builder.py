@@ -45,11 +45,6 @@ class DocumentIndex:
         self.version = 0
         #: Memoized Formula-1 search-for inference (repro.perf).
         self.search_for_cache = SearchForCache(self)
-        #: Planner cost-model calibration (repro.plan.cost_model);
-        #: loaded from frozen snapshots (format version 2+) or stashed
-        #: by the first planner that micro-calibrates.  None means
-        #: uncalibrated — the planner uses its built-in defaults.
-        self.calibration = None
 
     def freeze(self, path):
         """Write this index as a frozen single-file snapshot.

@@ -12,7 +12,7 @@ whose cost is proportional to the *corpus*, not the change.
 * the inverted / frequency overlay puts (each a sorted key-value
   block — the identical payload encodings a refreeze would produce)
   and the overlay delete sets;
-* the full (small) statistics table, calibration record included;
+* the full (small) statistics table;
 * the tree-operation log — every partition append (with its assigned
   ordinal and the original build spec) and removal, in order.
 

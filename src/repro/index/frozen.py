@@ -13,8 +13,9 @@ memory and serves **without an upfront decode**:
   lazily, per keyword, on first touch.
 * Section 1 — the frequent table ``f_k^T`` / ``tf(k, T)`` under
   ``(keyword, type_id)`` keys.
-* Section 2 — per-type ``N_T`` / ``G_T`` / term-total statistics, plus
-  the planner-calibration record.
+* Section 2 — per-type ``N_T`` / ``G_T`` / term-total statistics.
+  Files written by earlier builds also carry a timing record under
+  :data:`CALIBRATION_KEY`, which the reader skips.
 * Section 3 — the document tree in a compact preorder binary form
   (interned tag table; per node: tag id, Dewey ordinal, child count,
   text).  Ordinals are stored explicitly because partition removal
@@ -86,14 +87,15 @@ _SECTION_ENTRY = struct.Struct("<QQ")  # offset, length (body-relative)
 
 _STATS_VALUE = struct.Struct(">III")  # node_count, distinct, total_terms
 
-#: Reserved statistics-section key holding the planner's cost-model
-#: calibration (see :mod:`repro.plan.cost_model`).  The leading NUL
-#: component can never collide with a real node type (tag names are
-#: non-empty XML names) and sorts before every real key.
+#: Reserved statistics-section key under which earlier builds stored a
+#: cost-model timing record.  Nothing writes it any more; the reader
+#: skips it, so those files still load, with no format version bump.
+#: The leading NUL component can never collide with a real node type
+#: (tag names are non-empty XML names).
 CALIBRATION_KEY = encode_key(("\x00calibration",))
 
 #: Reserved block-section key holding the tree partition directory
-#: (same NUL-prefix reservation trick as the calibration record).
+#: (same NUL-prefix reservation trick as :data:`CALIBRATION_KEY`).
 TREE_PARTITIONS_KEY = encode_key(("\x00tree-partitions",))
 
 
@@ -166,57 +168,34 @@ def _encode_tree(tree):
 # ----------------------------------------------------------------------
 # Statistics section codec (shared with delta snapshots)
 # ----------------------------------------------------------------------
-def _calibration_pairs(index):
-    """The statistics-section record carrying the planner calibration.
-
-    Calibrated once per frozen snapshot: reuses the calibration already
-    attached to ``index`` (a previous snapshot's, or a planner's) and
-    micro-calibrates otherwise, so freezing is where the one-time
-    timing cost is paid.
-    """
-    from ..plan.cost_model import calibration_for, encode_calibration
-
-    calibration = calibration_for(index)
-    return [(CALIBRATION_KEY, encode_calibration(calibration))]
-
-
 def _statistics_pairs(index):
-    """Sorted statistics-section records, calibration included."""
+    """Sorted statistics-section records: a pure function of the index."""
     return sorted(
-        [
-            (
-                encode_key(node_type),
-                _STATS_VALUE.pack(
-                    stats.node_count,
-                    stats.distinct_keywords,
-                    stats.total_terms,
-                ),
-            )
-            for node_type, stats in index.statistics.items()
-        ]
-        + _calibration_pairs(index)
+        (
+            encode_key(node_type),
+            _STATS_VALUE.pack(
+                stats.node_count,
+                stats.distinct_keywords,
+                stats.total_terms,
+            ),
+        )
+        for node_type, stats in index.statistics.items()
     )
 
 
 def _decode_statistics(block):
-    """``(StatisticsTable, calibration)`` from a statistics section."""
-    from ..plan.cost_model import decode_calibration
-
+    """The :class:`StatisticsTable` of a statistics section."""
     statistics = StatisticsTable()
-    calibration = None
     for key, value in block.items():
         if key == CALIBRATION_KEY:
-            # An unknown record version decodes to None — the planner
-            # silently falls back to its uncalibrated defaults.
-            calibration = decode_calibration(value)
-            continue
+            continue  # an earlier build's timing record; nothing reads it
         entry = statistics._entry(decode_key(key))
         (
             entry.node_count,
             entry.distinct_keywords,
             entry.total_terms,
         ) = _STATS_VALUE.unpack(value)
-    return statistics, calibration
+    return statistics
 
 
 # ----------------------------------------------------------------------
@@ -569,7 +548,7 @@ def assemble_index(handle, base, deltas=(), pause=None):
             type_table=inverted._type_table,
             store=CowKVStore(frequency_base),
         )
-        statistics, calibration = _decode_statistics(statistics_block)
+        statistics = _decode_statistics(statistics_block)
     except BaseException as exc:
         handle.close()
         if isinstance(exc, Exception) and not isinstance(exc, IndexingError):
@@ -582,7 +561,6 @@ def assemble_index(handle, base, deltas=(), pause=None):
         tree, inverted, frequency, statistics, CooccurrenceTable(inverted)
     )
     index.frozen_snapshot = handle
-    index.calibration = calibration
     # Mutations are logged so save_delta() can replay tree operations
     # on top of this snapshot (see repro.index.delta).
     index.delta_log = []

@@ -115,18 +115,6 @@ class StatisticsTable:
     def depth(self, node_type):
         return len(node_type)
 
-    def document_totals(self):
-        """The document-root (depth-1) aggregate entry, or ``None``.
-
-        Its ``total_terms`` / ``distinct_keywords`` summarize the whole
-        document — the corpus-density figures the query planner's cost
-        model normalizes with (average list length etc.).
-        """
-        for node_type, entry in self._by_type.items():
-            if len(node_type) == 1:
-                return entry
-        return None
-
     def types(self):
         """All known node types."""
         return list(self._by_type)

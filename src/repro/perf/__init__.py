@@ -5,8 +5,9 @@ makes the repeat path cheap while leaving the paper's algorithms (and
 their one-scan guarantees for *cold* queries) untouched:
 
 ``repro.perf.packed``
-    :class:`PackedPostings` / :class:`PackedListStore` — the planner's
-    per-keyword partition counter over the inverted list's key column.
+    :class:`PackedPostings` / :class:`PackedListStore` — the swap
+    warm-up's per-keyword partition counter over the inverted list's
+    key column.
 ``repro.perf.stats_cache``
     :class:`SearchForCache` — memoized Formula-1 search-for inference,
     owned by the document index next to the frequency-table memo.

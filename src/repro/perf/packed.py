@@ -1,10 +1,10 @@
 """Per-engine partition counters over the inverted lists' key columns.
 
 A :class:`PackedPostings` shares one keyword's component column with
-its :class:`~repro.index.inverted.InvertedList` and memoizes the one
-thing the planner asks of it: how many document partitions the keyword
-occurs in.  The swap warm-up fills a :class:`PackedListStore` for the
-hot keywords before a flip.
+its :class:`~repro.index.inverted.InvertedList` and memoizes how many
+document partitions the keyword occurs in.  Its one reader in the
+program is the swap warm-up, which fills a :class:`PackedListStore`
+for the hot keywords before a flip.
 
 Coherence with index updates needs no bookkeeping: the underlying
 :class:`~repro.index.inverted.InvertedIndex` caches one decoded

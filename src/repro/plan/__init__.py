@@ -1,38 +1,17 @@
-"""Cost-based adaptive query planning (``algorithm="auto"``).
+"""Route bookkeeping for the three Section-VI refinement algorithms.
 
-The planner layers on top of the three Section-VI refinement
-algorithms without changing any answer: a per-machine calibrated cost
-model (:mod:`repro.plan.cost_model`) weighs per-query operation counts
-(:mod:`repro.plan.features`) and :class:`~repro.plan.planner.QueryPlanner`
-routes each query to the predicted cheapest algorithm, with a plan
-cache and a recorded :class:`~repro.plan.planner.QueryPlan` surfaced by
-``explain=True``.
+``algorithm="auto"`` runs Algorithm 3 (SLE) for every query;
+:class:`~repro.plan.planner.QueryPlanner` holds the per-engine DP memos
+and route counters, and :class:`~repro.plan.planner.QueryPlan` is the
+record ``explain=True`` attaches to a response.
 """
 
-from .cost_model import (
-    Calibration,
-    DEFAULT_CALIBRATION,
-    calibration_for,
-    decode_calibration,
-    dp_units,
-    encode_calibration,
-    micro_calibrate,
-)
-from .features import QueryFeatures, extract_features
-from .planner import FIXED_ROUTES, PlanCache, QueryPlan, QueryPlanner
+from .planner import AUTO_ROUTE, FIXED_ROUTES, Calibration, QueryPlan, QueryPlanner
 
 __all__ = [
+    "AUTO_ROUTE",
     "Calibration",
-    "DEFAULT_CALIBRATION",
     "FIXED_ROUTES",
-    "PlanCache",
-    "QueryFeatures",
     "QueryPlan",
     "QueryPlanner",
-    "calibration_for",
-    "decode_calibration",
-    "dp_units",
-    "encode_calibration",
-    "extract_features",
-    "micro_calibrate",
 ]

@@ -8,7 +8,7 @@ and serves it forever:
 ``POST /search``      One refinement search (``query``, ``k``,
                       ``algorithm``, ``rank_results``).
 ``POST /search_many`` A batch (``queries`` plus the same knobs).
-``POST /explain``     ``/search`` with the routing plan attached.
+``POST /explain``     ``/search`` with its ``QueryPlan`` attached.
 ``POST /reload``      Zero-downtime hot swap onto ``snapshot``.
 ``POST /shutdown``    Graceful stop.
 ``GET /stats``        Engine + serving counters.
@@ -364,10 +364,7 @@ class RefineServer:
                             payload = encode_response(
                                 response, include_plan=True
                             )
-                            if response.plan is not None:
-                                payload["plan_text"] = (
-                                    response.plan.describe()
-                                )
+                            payload["plan_text"] = response.plan.describe()
                             payload["generation"] = self.manager.generation
                             return payload
                         if response.wire_body is None:

@@ -134,6 +134,5 @@ def encode_response(response, include_plan=False):
         "stats": response.stats.as_dict(),
     }
     if include_plan:
-        plan = response.plan
-        payload["plan"] = plan.as_dict() if plan is not None else None
+        payload["plan"] = response.plan.as_dict()
     return payload

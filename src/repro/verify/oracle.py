@@ -409,16 +409,13 @@ class DocumentOracle:
         return divergences
 
     # ------------------------------------------------------------------
-    # Planner ("auto") layer
+    # Default-algorithm ("auto") layer
     # ------------------------------------------------------------------
     def check_auto(self, query):
-        """The cost-based planner must never change an answer.
+        """The default algorithm must answer like Algorithm 2.
 
-        ``algorithm="auto"`` is diffed against fixed Algorithm 2 cold
-        and warm, and the forced-stack route (the planner's direct-hit
-        bet, including its partition fallback on a misprediction) is
-        diffed too — the three ways a planner bug could corrupt an
-        answer.
+        ``algorithm="auto"`` (SLE) is diffed against fixed Algorithm 2
+        cold, and again warm, where it must be the cached object.
         """
         divergences = []
         terms = query_terms(query)
@@ -426,7 +423,6 @@ class DocumentOracle:
             return divergences
         engine = self.engine
         k = self.k
-        rules = engine.mine_rules(terms)
         reference = response_fingerprint(
             engine.search(terms, k=k, algorithm="partition")
         )
@@ -436,7 +432,7 @@ class DocumentOracle:
             divergences.append(
                 Divergence(
                     "auto:serial",
-                    "planner-routed answer differs from Algorithm 2",
+                    "default-algorithm answer differs from Algorithm 2",
                     self.spec, query, reference,
                     response_fingerprint(auto),
                 )
@@ -451,23 +447,6 @@ class DocumentOracle:
                     "changed its answer",
                     self.spec, query, reference,
                     response_fingerprint(warm),
-                )
-            )
-
-        # Force the planner down the stack route regardless of its
-        # direct-hit prediction: on a refinement query this exercises
-        # the stack->partition fallback, which must restore the exact
-        # Algorithm 2 answer.
-        plan = engine.planner.plan(terms, rules, k, force="stack")
-        forced = engine._execute_plan(plan, terms, rules, k)
-        if response_fingerprint(forced) != reference:
-            divergences.append(
-                Divergence(
-                    "auto:stack-route",
-                    "forced stack route (with fallback) differs from "
-                    "Algorithm 2",
-                    self.spec, query, reference,
-                    response_fingerprint(forced),
                 )
             )
 
@@ -1039,7 +1018,7 @@ def replay_cold_diff(index, samples, model=None, miner=None):
     ``samples`` is a :class:`~repro.workload.replay.ReplayReport`'s
     sample list — ``(query, k, algorithm, fingerprint)`` tuples
     recorded while the replay was served through the full cache stack
-    (result cache, sub-result assembly, rules memo, plan cache).  A
+    (result cache, sub-result assembly, rules memo, DP memos).  A
     fresh cache-disabled engine over the same index re-evaluates each
     sampled query; any fingerprint difference means some cache layer
     changed an answer during the replay.

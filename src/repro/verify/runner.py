@@ -21,6 +21,9 @@ from .shrink import shrink_divergence, write_fixture
 DEFAULT_QUERIES_PER_DOC = 4
 #: Divergence kinds shrunk+written per run (keeps worst case bounded).
 MAX_SHRINKS = 8
+#: Comparisons each query is counted for (see ``_check_document``);
+#: moves only when a layer is added to or removed from the oracle.
+CHECKS_PER_QUERY = 38
 
 
 class VerifyReport:
@@ -54,7 +57,8 @@ class VerifyReport:
         lines = [
             f"verify-diff: {status} — {self.seeds} seeds, "
             f"{self.documents} documents, {self.queries} queries, "
-            f"{self.checks} comparisons in {self.elapsed_seconds:.1f}s"
+            f"{self.checks} comparisons ({CHECKS_PER_QUERY} per query) "
+            f"in {self.elapsed_seconds:.1f}s"
         ]
         kinds = {}
         for divergence in self.divergences:
@@ -76,8 +80,8 @@ def _check_document(oracle, queries, report):
         # lists, the engine's SLCA search cold and warm, the ELCA
         # adjacency laws, the three refinement algorithms x
         # {cold, warm}, the skip ablation, the five
-        # metamorphic invariants, the planner layer (auto cold/warm,
-        # the forced stack route), the frozen-snapshot layer (SLCA,
+        # metamorphic invariants, the default-algorithm layer (auto
+        # cold/warm), the frozen-snapshot layer (SLCA,
         # four refinement algorithms), the kernel layer (batch SLCA,
         # emit-filtered partition SLCA, LCP table, partition view,
         # presence bound vs per-node recomputation, the type-id
@@ -86,7 +90,7 @@ def _check_document(oracle, queries, report):
         # re-issued through sub-result assembly and diffed against a
         # cache-disabled engine — counted at its one-comparison
         # floor; refinable queries contribute several more).
-        report.checks += 39
+        report.checks += CHECKS_PER_QUERY
         found.extend(divergences)
     return found
 

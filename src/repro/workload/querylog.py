@@ -62,15 +62,14 @@ class QueryLog:
 
 
 def replay(engine, log, k=1, algorithm="auto"):
-    """Replay a :class:`QueryLog` through an engine, planner-routed.
+    """Replay a :class:`QueryLog` through an engine.
 
     Feeds every logged submission (initial queries *and* rewrites, in
     log order) through :meth:`~repro.core.engine.XRefine.search_many`
-    with the cost-based planner in charge (``algorithm="auto"`` — the
-    production default), so repeated sessions hit the plan cache and
-    each query runs on its predicted-cheapest algorithm.  Returns the
-    responses in entry order; ``engine.planner.stats()`` afterwards
-    shows how the workload was routed.
+    with ``algorithm`` (``"auto"`` — the default, Algorithm 3 — unless
+    a fixed one is asked for).  Returns the responses in entry order;
+    ``engine.planner.stats()["routed"]`` afterwards counts the
+    evaluations per route.
     """
     return engine.search_many(
         [entry.query for entry in log],

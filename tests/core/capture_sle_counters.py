@@ -1,8 +1,8 @@
 """Capture script for ``sle_counters_golden.json`` (fixed-``sle`` ScanStats).
 
 The counters SLE reports are part of its contract: the wire ``stats``
-block, the planner's drift corrections and the e2e benchmark's
-per-layer table all read them.  This script records them for a seeded
+block and the e2e benchmark's per-layer table read them, and since
+``algorithm="auto"`` is SLE they are every default request's.  This script records them for a seeded
 corpus and workload; ``test_sle_counters.py`` replays the same recipe
 and compares.  Re-run it only at a commit whose counters are the
 intended contract::

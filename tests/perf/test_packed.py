@@ -1,5 +1,5 @@
-"""What ``PackedPostings`` still is: the planner's partition counter over
-an inverted list's own key column, fresh by list identity."""
+"""What ``PackedPostings`` still is: the swap warm-up's partition counter
+over an inverted list's own key column, fresh by list identity."""
 
 from repro.index import append_partition, build_document_index
 from repro.perf import PackedListStore

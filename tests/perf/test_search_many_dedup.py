@@ -44,7 +44,7 @@ class TestSearchManyDedup:
         monkeypatch.setattr(engine_module, "partition_refine", counting)
         engine = XRefine(dblp_index, cache_size=0)
         # Pin the algorithm so every unique query hits the counted
-        # kernel (with "auto" the planner may route some to SLE).
+        # kernel ("auto" runs SLE).
         responses = engine.search_many(log, k=2, algorithm="partition")
 
         assert len(responses) == len(log)

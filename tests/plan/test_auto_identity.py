@@ -1,14 +1,16 @@
-"""``algorithm="auto"`` must be byte-identical to every fixed choice.
+"""``algorithm="auto"`` is Algorithm 3 (SLE), answer for answer.
 
-The differential oracle sweeps this over random documents; these tests
-pin the property on the shared corpora plus the engine-level behaviors
-the oracle cannot see (explain plans, batch validation hoisting,
-planner bookkeeping).
+The differential oracle sweeps the byte-identity over random
+documents; these tests pin it on the shared corpora, down to the scan
+counters, plus the engine-level behaviors the oracle cannot see
+(explain records cold and on a result-cache hit, batch validation
+hoisting, route counters).
 """
 
 import pytest
 
 from repro.core.engine import ALGORITHMS, XRefine
+from repro.core.result import ScanStats
 from repro.errors import QueryError
 from repro.verify.oracle import response_fingerprint
 from repro.workload import WorkloadGenerator, replay, simulate_log
@@ -41,30 +43,41 @@ class TestAutoIdentity:
                     engine.search(query, k=2, algorithm=fixed)
                 ), (query, fixed)
 
-    def test_forced_stack_route_falls_back_identically(
-        self, engine, queries
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_auto_is_sle_down_to_the_scan_counters(
+        self, dblp_index, queries, k
     ):
-        planner = engine.planner
-        for query in queries[:4]:
-            terms = tuple(query)
-            rules = engine.mine_rules(terms)
-            reference = response_fingerprint(
-                engine.search(terms, k=2, algorithm="partition")
-            )
-            plan = planner.plan(terms, rules, k=2, force="stack")
-            response = engine._execute_plan(plan, terms, rules, k=2)
-            assert response_fingerprint(response) == reference
-            if response.needs_refinement:
-                assert plan.fallback == "stack->partition"
-                assert plan.executed == "partition"
+        # Two cold engines, so DP-memo state cannot differ either.
+        auto_engine = XRefine(dblp_index, cache_size=0)
+        sle_engine = XRefine(dblp_index, cache_size=0)
+        counters = [
+            name for name in ScanStats.__slots__ if name != "elapsed_seconds"
+        ]
+        for query in queries:
+            auto = auto_engine.search(query, k=k, algorithm="auto")
+            sle = sle_engine.search(query, k=k, algorithm="sle")
+            assert response_fingerprint(auto) == response_fingerprint(sle)
+            assert [
+                (c.rq.keywords, c.rq.dissimilarity, c.slcas)
+                for c in auto.candidates
+            ] == [
+                (c.rq.keywords, c.rq.dissimilarity, c.slcas)
+                for c in sle.candidates
+            ], query
+            for name in counters:
+                assert getattr(auto.stats, name) == getattr(
+                    sle.stats, name
+                ), (query, name)
 
     def test_explain_attaches_a_plan(self, engine, queries):
         response = engine.search(queries[0], k=2, explain=True)
         plan = response.plan
         assert plan is not None
-        assert plan.executed in ("partition", "sle", "stack")
+        assert plan.executed == "sle"
+        assert plan.forced is None
+        assert not plan.cached
         assert plan.actual_seconds is not None
-        assert "plan: algorithm=" in plan.describe()
+        assert "plan: algorithm=sle (auto)" in plan.describe()
 
     def test_explain_on_fixed_algorithm_records_a_forced_plan(
         self, engine, queries
@@ -76,13 +89,53 @@ class TestAutoIdentity:
         assert response.plan.forced == "sle"
         assert response.plan.executed == "sle"
 
-    def test_planner_stats_exposed_via_cache_stats(self, engine, queries):
-        engine.search(queries[0], k=2, algorithm="auto")
+    def test_planner_stats_exposed_via_cache_stats(self, dblp_index, queries):
+        engine = XRefine(dblp_index, cache_size=0)
+        for algorithm in ("auto", "partition", "stack"):
+            engine.search(queries[0], k=2, algorithm=algorithm)
         stats = engine.cache_stats()["planner"]
-        assert stats is not None
-        assert stats["planned"] >= 1
-        assert sum(stats["routed"].values()) >= 1
-        assert "plan_cache" in stats
+        assert stats["routed"] == {"partition": 1, "sle": 1, "stack": 1}
+        assert stats["dp_memos"] >= 1
+        assert stats["fallbacks"] == 0
+
+
+class TestExplainOnAResultCacheHit:
+    """An explained hit carries a ``cached`` plan on a copy."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_hit_carries_a_cached_plan(self, dblp_index, queries, algorithm):
+        engine = XRefine(dblp_index)
+        first = engine.search(queries[0], k=2, algorithm=algorithm)
+        assert first.plan is None
+        explained = engine.search(
+            queries[0], k=2, algorithm=algorithm, explain=True
+        )
+        plan = explained.plan
+        assert plan is not None
+        assert plan.cached
+        assert plan.executed == ("sle" if algorithm == "auto" else algorithm)
+        assert plan.forced == (None if algorithm == "auto" else algorithm)
+        assert "served from the result cache" in plan.describe()
+        assert response_fingerprint(explained) == response_fingerprint(first)
+        # The shared entry is untouched: later hits still carry no plan.
+        assert explained is not first
+        assert first.plan is None
+        assert engine.search(queries[0], k=2, algorithm=algorithm) is first
+
+    def test_explained_miss_then_explained_hit(self, dblp_index, queries):
+        engine = XRefine(dblp_index)
+        cold = engine.search(queries[1], k=2, explain=True)
+        assert not cold.plan.cached
+        warm = engine.search(queries[1], k=2, explain=True)
+        assert warm.plan.cached
+        assert warm.plan.actual_seconds == cold.plan.actual_seconds
+        assert not cold.plan.cached
+
+    def test_auto_and_sle_share_one_entry(self, dblp_index, queries):
+        engine = XRefine(dblp_index)
+        auto = engine.search(queries[2], k=2)
+        assert engine.search(queries[2], k=2, algorithm="sle") is auto
+        assert engine.cache_stats()["planner"]["routed"]["sle"] == 1
 
 
 class TestSearchManyValidationHoist:
@@ -122,12 +175,13 @@ class TestSearchManyValidationHoist:
 
 class TestQueryLogReplay:
     def test_replay_routes_through_the_planner(self, dblp_index):
-        engine = XRefine(dblp_index)
+        engine = XRefine(dblp_index, cache_size=0)
         log = simulate_log(dblp_index, sessions=12, seed=5)
         responses = replay(engine, log, k=2)
         assert len(responses) == len(log)
-        stats = engine.planner.stats()
-        assert sum(stats["routed"].values()) >= 1
+        routed = engine.planner.stats()["routed"]
+        distinct = len({tuple(entry.query) for entry in log})
+        assert routed == {"partition": 0, "sle": distinct, "stack": 0}
 
     def test_replay_answers_match_fixed_partition(self, dblp_index):
         engine = XRefine(dblp_index, cache_size=0)

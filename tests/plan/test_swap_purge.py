@@ -1,12 +1,9 @@
-"""Planner state across snapshot hot-swaps (the plan-cache leak fix).
+"""Planner state across snapshot hot-swaps.
 
-The plan cache keys on the index version, so entries from a swapped-out
-generation could never *hit* again — but they used to survive the swap
-and squat in the LRU, and the learned per-route drift corrections kept
-applying the **old** corpus's cost-model bias to the new one,
-mis-routing queries until the medians washed out.  ``on_index_swap``
-now drops both; these tests pin that, and that routing accuracy
-recovers to what a from-scratch planner would decide.
+``on_index_swap`` drops what was derived from the old generation — the
+DP memos, keyed on rule sets mined from its vocabulary — and keeps the
+route counters, which are monitoring state for the engine's lifetime.
+A swapped engine must then answer exactly like a fresh one.
 """
 
 from __future__ import annotations
@@ -33,106 +30,75 @@ def queries_for(index, seed, count=6):
     return [list(q.query) for q in pool]
 
 
-class TestPlanCachePurge:
-    def test_swap_drops_the_old_generations_entries(self, corpus_pair):
-        index_a, index_b = corpus_pair
-        engine = XRefine(index_a, cache_size=0)
-        for query in queries_for(index_a, seed=11):
-            engine.search(query, k=2, algorithm="auto")
-        planner = engine.planner
-        occupied = len(planner.cache)
-        assert occupied >= 1
-
-        engine.swap_index(index_b)
-        # Every entry was keyed on the old version: all purged, none
-        # left squatting in the LRU.
-        assert len(planner.cache) == 0
-        assert planner.index is index_b
-
-        for query in queries_for(index_b, seed=12):
-            engine.search(query, k=2, algorithm="auto")
-        for key in planner.cache._entries:
-            assert key[-1] == index_b.version
-
-    def test_purge_stale_reports_the_dropped_count(self, corpus_pair):
-        index_a, index_b = corpus_pair
-        engine = XRefine(index_a, cache_size=0)
-        for query in queries_for(index_a, seed=13):
-            engine.search(query, k=2, algorithm="auto")
-        planner = engine.planner
-        occupied = len(planner.cache)
-        assert planner.cache.purge_stale(index_a.version) == 0  # no-op
-        assert planner.cache.purge_stale(index_a.version + 1) == occupied
-        assert len(planner.cache) == 0
-
-
 class TestCorrectionReset:
+    """What the planner derived from the old generation is dropped.
+
+    The learned per-route drift corrections went with the cost model;
+    the DP memos are what a generation can still leave behind.
+    """
+
     def test_poisoned_corrections_are_dropped_on_swap(self, corpus_pair):
         index_a, index_b = corpus_pair
         engine = XRefine(index_a, cache_size=0)
+        for query in queries_for(index_a, seed=11):
+            engine.search(query, k=2)
         planner = engine.planner
-        # Simulate a corpus where every SLE run blew 10x past its
-        # estimate: the clamped correction pins to the maximum.
-        planner._route_ratios["sle"].extend(
-            [10.0] * planner.CORRECTION_MIN_SAMPLES
-        )
-        assert (
-            planner._correction_factor("sle")
-            == planner.CORRECTION_CLAMP[1]
-        )
+        assert planner.stats()["dp_memos"] >= 1
+        # Poison every memo the old generation built; none may survive
+        # the swap, and the new generation answers like a fresh engine.
+        poisoned = [
+            memo for memos in planner._dp_memos.values() for memo in memos
+        ]
+        for memo in poisoned:
+            for key in memo:
+                memo[key] = None
 
         engine.swap_index(index_b)
-        # The old corpus's bias must not route the new one.
-        assert planner._correction_factor("sle") is None
-        assert all(not r for r in planner._route_ratios.values())
-        assert planner.cost_ratios == []
+        assert planner.stats()["dp_memos"] == 0
+        assert planner.index is index_b
+        for query in queries_for(index_a, seed=11):
+            engine.search(query, k=2)
+        assert not any(
+            memo is old
+            for memos in planner._dp_memos.values()
+            for memo in memos
+            for old in poisoned
+        )
+        fresh = XRefine(index_b, cache_size=0)
+        for query in queries_for(index_a, seed=11):
+            assert response_fingerprint(
+                engine.search(query, k=2)
+            ) == response_fingerprint(fresh.search(query, k=2)), query
 
     def test_routing_recovers_to_a_fresh_planners_decisions(
         self, corpus_pair
     ):
         index_a, index_b = corpus_pair
         engine = XRefine(index_a, cache_size=0)
-        planner = engine.planner
-        # Poison every route's drift with nonsense from "corpus A".
-        for samples in planner._route_ratios.values():
-            samples.extend([10.0, 0.1] * 8)
+        for query in queries_for(index_a, seed=13):
+            engine.search(query, k=2)
         engine.swap_index(index_b)
 
         fresh = XRefine(index_b, cache_size=0)
-        # Pin both planners to the same calibration so the comparison
-        # is deterministic (an in-memory calibration is measured), and
-        # stay under CORRECTION_MIN_SAMPLES so neither planner starts
-        # learning new (timing-noise) corrections mid-test.
-        planner._calibration = fresh.planner.calibration
-        queries = queries_for(index_b, seed=17, count=4)
-        assert len(queries) <= planner.CORRECTION_MIN_SAMPLES
-        for query in queries:
-            swapped_response = engine.search(
-                query, k=2, algorithm="auto", explain=True
-            )
-            fresh_response = fresh.search(
-                query, k=2, algorithm="auto", explain=True
-            )
-            # Identical routing decision and identical answer: the
-            # poisoned corrections are gone, not still steering.
-            assert (
-                swapped_response.plan.chosen
-                == fresh_response.plan.chosen
+        for query in queries_for(index_b, seed=17, count=4):
+            swapped = engine.search(query, k=2, explain=True)
+            cold = fresh.search(query, k=2, explain=True)
+            assert swapped.plan.executed == cold.plan.executed == "sle"
+            assert response_fingerprint(swapped) == response_fingerprint(
+                cold
             ), query
-            assert response_fingerprint(
-                swapped_response
-            ) == response_fingerprint(fresh_response)
 
     def test_routing_counters_survive_the_swap(self, corpus_pair):
         index_a, index_b = corpus_pair
         engine = XRefine(index_a, cache_size=0)
         for query in queries_for(index_a, seed=19, count=4):
             engine.search(query, k=2, algorithm="auto")
+        engine.search(queries_for(index_a, seed=19, count=4)[0], k=1,
+                      algorithm="partition")
         planner = engine.planner
-        planned_before = planner.planned
-        routed_before = sum(planner.routed.values())
-        assert planned_before >= 1
+        routed_before = dict(planner.routed)
+        assert routed_before["sle"] == 4
+        assert routed_before["partition"] == 1
 
         engine.swap_index(index_b)
-        assert planner.planned == planned_before
-        assert sum(planner.routed.values()) == routed_before
+        assert planner.routed == routed_before

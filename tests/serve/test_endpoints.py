@@ -61,6 +61,28 @@ class TestHappyPaths:
         assert body["plan"]["executed"] in ("partition", "sle", "stack")
         assert "plan: algorithm=" in body["plan_text"]
 
+    def test_explain_after_search_carries_a_cached_plan(self, client):
+        query = "xml keyword search"
+        searched = client.search(query, k=3)
+        assert "plan" not in searched
+        explained = client.explain(query, k=3)
+        assert explained["plan"]["cached"] is True
+        assert explained["plan"]["executed"] == "sle"
+        assert explained["plan"]["forced"] is None
+        assert "served from the result cache" in explained["plan_text"]
+        assert wire_answer(explained) == wire_answer(searched)
+        # The shared cache entry was not handed the plan.
+        assert client.search(query, k=3) == searched
+
+    def test_stats_planner_block(self, client):
+        before = client.stats()["engine"]["planner"]
+        client.search("keyword refinement", k=1, algorithm="partition")
+        after = client.stats()["engine"]["planner"]
+        assert set(after["routed"]) == {"partition", "sle", "stack"}
+        assert after["routed"]["partition"] == before["routed"]["partition"] + 1
+        assert after["fallbacks"] == 0
+        assert after["plan_cache"] is None
+
     def test_search_many(self, client):
         queries = [QUERY, "xml keyword", QUERY]
         body = client.search_many(queries, k=1)

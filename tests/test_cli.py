@@ -78,8 +78,8 @@ class TestSearch:
             "search", index_path, "online", "databse", "--explain"
         )
         assert code == 0
-        assert "plan: algorithm=" in output
-        assert "estimates:" in output
+        assert "plan: algorithm=sle (auto)" in output
+        assert "evaluated in" in output
 
     def test_search_explain_with_fixed_algorithm(self, index_path):
         code, output = run_cli(
