@@ -43,6 +43,7 @@ from ..kernels import (
 )
 from ..lexicon.rules import RuleSet
 from ..perf.profiling import phase
+from ..xmltree.dewey import Dewey
 from .candidates import RQSortedList
 from .common import QueryContext, rank_candidates
 from .dp import get_top_optimal_rqs
@@ -119,9 +120,9 @@ def partition_refine(index, query, rules=None, model=None, k=1,
         return built
 
     sorted_list = RQSortedList(capacity=max(2 * k, 2))
-    candidate_map = {}  # rq key -> (RefinedQuery, [Dewey])
+    candidate_map = {}  # rq key -> (RefinedQuery, [key tuple])
     needs_refine = True
-    original_results = []
+    original_results = []  # component tuples until the response
 
     # Matches on the document root itself can never yield a meaningful
     # result; they are consumed (and accounted) outside any partition.
@@ -269,7 +270,9 @@ def partition_refine(index, query, rules=None, model=None, k=1,
         rank_candidates(context, model, surviving) if needs_refine else []
     )
     if not needs_refine:
-        original_results.sort()
+        original_results = list(map(
+            Dewey.from_trusted, sorted(original_results)
+        ))
 
     stats.elapsed_seconds = time.perf_counter() - started
     return RefinementResponse(

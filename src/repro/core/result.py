@@ -10,6 +10,8 @@ tests use to assert the one-scan guarantees of Theorems 1 and 2.
 
 from __future__ import annotations
 
+from ..xmltree.dewey import Dewey
+
 
 class ScanStats:
     """Inverted-list access accounting for one query evaluation."""
@@ -46,11 +48,18 @@ class ScanStats:
 
 
 class RankedRefinement:
-    """One refined query with its results and ranking breakdown."""
+    """One refined query with its results and ranking breakdown.
+
+    The routes hand results over as the component tuples they sliced
+    (``keys``); :attr:`slcas` wraps them as ``Dewey`` labels the first
+    time it is read and drops the tuples.  A response sends only its
+    Top-K, so the rest of SLE's Top-2K candidates never build a label.
+    """
 
     __slots__ = (
         "rq",
-        "slcas",
+        "_keys",
+        "_slcas",
         "rank_score",
         "similarity_score",
         "dependence_score",
@@ -59,16 +68,30 @@ class RankedRefinement:
     def __init__(
         self,
         rq,
-        slcas,
+        slcas=(),
         rank_score=0.0,
         similarity_score=0.0,
         dependence_score=0.0,
+        keys=None,
     ):
         self.rq = rq
-        self.slcas = list(slcas)
+        #: Result component tuples not yet built into ``_slcas``.
+        self._keys = keys
+        self._slcas = list(slcas) if keys is None else None
         self.rank_score = rank_score
         self.similarity_score = similarity_score
         self.dependence_score = dependence_score
+
+    @property
+    def slcas(self):
+        """The result labels, in document order (a mutable list)."""
+        keys = self._keys
+        if keys is not None:
+            # _slcas is set before _keys is cleared, so a concurrent
+            # reader sees either the tuples or the built list.
+            self._slcas = list(map(Dewey.from_trusted, keys))
+            self._keys = None
+        return self._slcas
 
     @property
     def keywords(self):
@@ -80,27 +103,31 @@ class RankedRefinement:
 
     @property
     def result_count(self):
-        return len(self.slcas)
+        keys = self._keys
+        return len(keys) if keys is not None else len(self._slcas)
 
     def copy(self):
         """A mutation-isolated duplicate (fresh ``slcas`` list).
 
         The :class:`~repro.core.common.RefinedQuery` is shared — it is
         treated as immutable everywhere — but the result-label list is
-        the caller-facing mutable surface and gets its own copy.
+        the caller-facing mutable surface and gets its own copy.  Unbuilt
+        results stay unbuilt: the copy shares the (immutable) tuples.
         """
+        keys = self._keys
         return RankedRefinement(
             self.rq,
-            self.slcas,
+            self._slcas if keys is None else (),
             self.rank_score,
             self.similarity_score,
             self.dependence_score,
+            keys=keys,
         )
 
     def __repr__(self):
         return (
             f"RankedRefinement({{{', '.join(self.rq.keywords)}}}, "
-            f"dSim={self.rq.dissimilarity}, results={len(self.slcas)}, "
+            f"dSim={self.rq.dissimilarity}, results={self.result_count}, "
             f"rank={self.rank_score:.4f})"
         )
 

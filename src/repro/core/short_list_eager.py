@@ -52,6 +52,7 @@ from ..kernels import (
 )
 from ..lexicon.rules import RuleSet
 from ..perf.profiling import phase
+from ..xmltree.dewey import Dewey
 from .candidates import RQSortedList
 from .common import QueryContext, rank_candidates
 from .dp import get_top_optimal_rqs
@@ -99,7 +100,7 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
     sorted_list = RQSortedList(capacity=max(2 * k, 2))
     visited_partitions = set()
     needs_refine = True
-    original_results = []
+    original_results = []  # component tuples until the response
     probe_memo, beam_memo = dp_memos if dp_memos is not None else ({}, {})
     presence_bound = PresenceBoundCache(context.query, rules, lanes)
     lane_columns = [columns[keyword] for keyword in lanes]
@@ -433,7 +434,9 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
                     candidate_map[rq.key] = (rq, meaningful)
         ranked = rank_candidates(context, model, candidate_map)
     else:
-        original_results = sorted(set(original_results))
+        original_results = list(map(
+            Dewey.from_trusted, sorted(set(original_results))
+        ))
 
     stats.elapsed_seconds = time.perf_counter() - started
     return RefinementResponse(

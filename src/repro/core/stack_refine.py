@@ -112,7 +112,7 @@ def stack_refine(index, query, rules=None, model=None, dp_memo=None):
     ]
 
     needs_refine = True
-    original_results = []
+    original_results = []  # component tuples until the response
     min_dissimilarity = float("inf")
     best = {}  # rq key -> RefinedQuery
     optimal_memo = dp_memo if dp_memo is not None else {}
@@ -135,9 +135,7 @@ def stack_refine(index, query, rules=None, model=None, dp_memo=None):
             # Popped node is an SLCA of the original query.
             if context.is_meaningful_at(column, position, depth):
                 needs_refine = False
-                original_results.append(
-                    Dewey.from_trusted(previous_key[:depth])
-                )
+                original_results.append(previous_key[:depth])
             if stack:
                 stack[-1].blocked_q = True
             propagate = 0  # line 12: reset all witness entries
@@ -277,7 +275,9 @@ def stack_refine(index, query, rules=None, model=None, dp_memo=None):
                     candidate_map[key] = (rq, meaningful)
         refinements = rank_candidates(context, model, candidate_map)
     if not needs_refine:
-        original_results.sort()
+        original_results = list(map(
+            Dewey.from_trusted, sorted(original_results)
+        ))
 
     stats.elapsed_seconds = time.perf_counter() - started
     return RefinementResponse(

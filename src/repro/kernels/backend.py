@@ -22,8 +22,11 @@ through cffi's ABI mode.  Selection happens once at import time:
 
 The library works exclusively on flat ``int64`` component arrays plus
 offset tables (see :mod:`.columns`), the columnar layout shared by all
-kernels, so the only per-call marshalling is a handful of pointer
-casts through ``ffi.from_buffer``.
+kernels.  A column's ``ffi.from_buffer`` casts are memoized on the
+column (:func:`column_handles`, :func:`pid_handles`), so what a call
+marshals is its pointer and bound lists — passed as plain Python lists,
+which cffi converts in the call — and one output buffer: an SLCA is one
+crossing (``repro_slca_hits``) whatever its matcher count.
 """
 
 from __future__ import annotations
@@ -45,19 +48,10 @@ NO_COMPILED_ENV = "REPRO_NO_COMPILED_KERNELS"
 MAX_MERGE_LANES = 64
 
 _CDEF = """
-void repro_slca_fold(const int64_t *a_flat, const int64_t *a_offs,
-                     int64_t a_lo, int64_t a_hi,
-                     const int64_t *m_flat, const int64_t *m_offs,
-                     int64_t m_lo, int64_t m_hi,
-                     int64_t *depths);
-void repro_slca_all(const int64_t *a_flat, const int64_t *a_offs,
-                    int64_t a_lo, int64_t a_hi,
-                    const int64_t **m_flats, const int64_t **m_offs,
-                    const int64_t *m_los, const int64_t *m_his,
-                    int64_t nmatchers, int64_t *depths);
-int64_t repro_slca_emit(const int64_t *a_flat, const int64_t *a_offs,
-                        int64_t a_lo, int64_t count,
-                        int64_t *depths, int64_t *slots);
+int64_t repro_slca_hits(const int64_t *a_flat, const int64_t *a_offs,
+                        int64_t a_lo, int64_t a_hi,
+                        const int64_t **m_cols, const int64_t *m_bounds,
+                        int64_t nmatchers, int64_t *out);
 void repro_merge_lcp(const int64_t **flats, const int64_t **offs,
                      const int64_t *lens, int64_t nlists,
                      int32_t *lanes, int64_t *lcps);
@@ -142,11 +136,11 @@ static int64_t gallop_upper(const int64_t *flat, const int64_t *offs,
  * max over the anchor's floor and ceiling elements, exactly XKSearch
  * Scan Eager's closest-match choice — and fold it into depths[] with
  * a min.  depths is indexed relative to a_lo. */
-void repro_slca_fold(const int64_t *a_flat, const int64_t *a_offs,
-                     int64_t a_lo, int64_t a_hi,
-                     const int64_t *m_flat, const int64_t *m_offs,
-                     int64_t m_lo, int64_t m_hi,
-                     int64_t *depths)
+static void fold_depths(const int64_t *a_flat, const int64_t *a_offs,
+                        int64_t a_lo, int64_t a_hi,
+                        const int64_t *m_flat, const int64_t *m_offs,
+                        int64_t m_lo, int64_t m_hi,
+                        int64_t *depths)
 {
     int64_t pos = m_lo;
     int64_t i;
@@ -172,25 +166,6 @@ void repro_slca_fold(const int64_t *a_flat, const int64_t *a_offs,
     }
 }
 
-/* One-call batch SLCA: initialize every anchor's candidate depth to
- * its own length, then fold every matcher range with repro_slca_fold's
- * loop — a single entry point, so the per-matcher FFI crossings and
- * the Python-side depth initialization disappear from the hot path. */
-void repro_slca_all(const int64_t *a_flat, const int64_t *a_offs,
-                    int64_t a_lo, int64_t a_hi,
-                    const int64_t **m_flats, const int64_t **m_offs,
-                    const int64_t *m_los, const int64_t *m_his,
-                    int64_t nmatchers, int64_t *depths)
-{
-    int64_t i, m;
-    for (i = a_lo; i < a_hi; i++)
-        depths[i - a_lo] = a_offs[i + 1] - a_offs[i];
-    for (m = 0; m < nmatchers; m++)
-        repro_slca_fold(a_flat, a_offs, a_lo, a_hi,
-                        m_flats[m], m_offs[m], m_los[m], m_his[m],
-                        depths);
-}
-
 /* XKSearch's streaming ancestor filter over a depth column: anchor
  * a_lo + i's candidate is its first depths[i] components.  Hold one
  * candidate; a next candidate that extends the held one replaces it,
@@ -207,9 +182,9 @@ void repro_slca_all(const int64_t *a_flat, const int64_t *a_offs,
  * position.  Returns -1 when some depth is 0 (labels of different
  * documents: the caller re-runs the per-node path, which raises the
  * exact error).  Every depth must be <= its anchor's length. */
-int64_t repro_slca_emit(const int64_t *a_flat, const int64_t *a_offs,
-                        int64_t a_lo, int64_t count,
-                        int64_t *depths, int64_t *slots)
+static int64_t emit_survivors(const int64_t *a_flat, const int64_t *a_offs,
+                              int64_t a_lo, int64_t count,
+                              int64_t *depths, int64_t *slots)
 {
     int64_t held = -1, held_depth = 0, out = 0;
     int64_t i;
@@ -241,6 +216,29 @@ int64_t repro_slca_emit(const int64_t *a_flat, const int64_t *a_offs,
         out++;
     }
     return out;
+}
+
+/* One SLCA, one call: every anchor's candidate depth starts at its own
+ * length, each matcher range folds into it (matcher m is the column
+ * m_cols[2m] / m_cols[2m + 1] over [m_bounds[2m], m_bounds[2m + 1])),
+ * and the streaming filter compacts the survivors.  out holds
+ * 2 * (a_hi - a_lo) entries: survivor j's depth lands in out[j] and its
+ * slot (relative to a_lo) in out[(a_hi - a_lo) + j].  Returns the
+ * survivor count, or -1 when some depth is 0. */
+int64_t repro_slca_hits(const int64_t *a_flat, const int64_t *a_offs,
+                        int64_t a_lo, int64_t a_hi,
+                        const int64_t **m_cols, const int64_t *m_bounds,
+                        int64_t nmatchers, int64_t *out)
+{
+    int64_t count = a_hi - a_lo;
+    int64_t i, m;
+    for (i = a_lo; i < a_hi; i++)
+        out[i - a_lo] = a_offs[i + 1] - a_offs[i];
+    for (m = 0; m < nmatchers; m++)
+        fold_depths(a_flat, a_offs, a_lo, a_hi,
+                    m_cols[2 * m], m_cols[2 * m + 1],
+                    m_bounds[2 * m], m_bounds[2 * m + 1], out);
+    return emit_survivors(a_flat, a_offs, a_lo, count, out, out + count);
 }
 
 /* Merged document-order scan over nlists sorted key columns.  Emits,
@@ -477,6 +475,18 @@ def column_handles(lib, column):
     handles = (lib, lib.i64(flat), lib.i64(offs))
     column._c = handles
     return handles[1], handles[2]
+
+
+def pid_handles(lib, column):
+    """Cached ``(pid_flat, lo, hi)`` C pointers for a column's partition
+    table (:meth:`~repro.kernels.columns.ListColumns.pid_cols`),
+    memoized on the column (``_pc``) like :func:`column_handles`."""
+    cached = column._pc
+    if cached is not None and cached[0] is lib:
+        return cached[1]
+    pointers = tuple(lib.i64(array) for array in column.pid_cols())
+    column._pc = (lib, pointers)
+    return pointers
 
 
 #: The active compiled backend, or None for pure Python.  Selected once

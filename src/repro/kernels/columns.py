@@ -44,7 +44,7 @@ class ListColumns:
 
     __slots__ = ("keys", "tids", "size", "pids", "starts", "ends",
                  "pid_range", "root_count", "_flat", "_offs", "_pid_cols",
-                 "_c")
+                 "_c", "_pc")
 
     #: Eager columns always have their partition tables materialized;
     #: the batch presence kernel keys off this to avoid forcing a
@@ -88,6 +88,7 @@ class ListColumns:
         self._offs = None
         self._pid_cols = None
         self._c = None
+        self._pc = None
 
     def pid_cols(self):
         """``(pid_flat, lo, hi)`` int64 arrays of the partition table.
@@ -195,7 +196,7 @@ class BlockedListColumns:
 
     __slots__ = ("keys", "tids", "size", "pid_range", "_blocks", "_firsts",
                  "_lasts", "_pids", "_starts", "_ends", "_root_count",
-                 "_flat", "_offs", "_pid_cols", "_c")
+                 "_flat", "_offs", "_pid_cols", "_c", "_pc")
 
     def __init__(self, blocked_list):
         self.keys = blocked_list.dewey_keys
@@ -214,6 +215,7 @@ class BlockedListColumns:
         self._offs = None
         self._pid_cols = None
         self._c = None
+        self._pc = None
 
     @property
     def tables_ready(self):

@@ -75,27 +75,15 @@ def partition_presence(anchor_columns, lane_columns):
     if lib is not None and 0 < nlanes <= backend.MAX_MERGE_LANES and npart:
         masks = array("q", bytes(8 * npart))
         spans = array("q", bytes(16 * npart * nlanes))
-        a_pid_flat, _, _ = anchor_columns.pid_cols()
-        ffi = lib.ffi
-        pid_ptrs = []
-        lo_ptrs = []
-        hi_ptrs = []
-        keepalive = []
-        counts = array("q", bytes(8 * nlanes))
-        for lane, column in enumerate(lane_columns):
-            pid_flat, los, his = column.pid_cols()
-            handles = (lib.i64(pid_flat), lib.i64(los), lib.i64(his))
-            keepalive.append(handles)
-            pid_ptrs.append(handles[0])
-            lo_ptrs.append(handles[1])
-            hi_ptrs.append(handles[2])
-            counts[lane] = len(column.pids)
+        # Each column's three casts are memoized on the column; the
+        # pointer tables go in as lists, which cffi converts in the call.
+        tables = [backend.pid_handles(lib, column) for column in lane_columns]
         lib.lib.repro_partition_presence(
-            lib.i64(a_pid_flat), npart,
-            ffi.new("const int64_t *[]", pid_ptrs),
-            ffi.new("const int64_t *[]", lo_ptrs),
-            ffi.new("const int64_t *[]", hi_ptrs),
-            lib.i64(counts), nlanes,
+            backend.pid_handles(lib, anchor_columns)[0], npart,
+            [table[0] for table in tables],
+            [table[1] for table in tables],
+            [table[2] for table in tables],
+            [len(column.pids) for column in lane_columns], nlanes,
             lib.i64(masks), lib.i64(spans),
         )
         return masks, spans

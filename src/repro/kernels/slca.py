@@ -21,13 +21,16 @@ The transposition is exact, not approximate:
   work, never changes the value.
 
 Candidates then pass XKSearch's streaming ancestor filter — one pass
-over the depth column holding a single candidate, compiled when the
-backend is.  What survives is returned as **hits**: ``(slot, depth)``
-pairs over the anchor's columns (:func:`slca_hits`).  A hit is a result
-that is still a column entry — the refinement routes decide
-Definition 3.3 on it from the anchor's type-id column and build a
-label only for what a response carries; :func:`slca_ranges` /
-:func:`slca_columns` are the wrappers that label every hit.
+over the depth column holding a single candidate.  The compiled backend
+runs the folds and the filter in one call (``repro_slca_hits``); the
+pure-Python twins are :func:`_fold_depths_python` and
+:func:`_emit_python`.  What survives is returned as **hits**: ``(slot,
+depth)`` pairs over the anchor's columns (:func:`slca_hits`).  A hit is
+a result that is still a column entry — the refinement routes decide
+Definition 3.3 on it from the anchor's type-id column and keep the
+component tuples of what passes; a ``Dewey`` is built only when a
+result is read; :func:`slca_ranges` / :func:`slca_columns` are the
+wrappers that label every hit.
 
 The one semantic the batch form cannot reproduce is the
 ``DeweyError`` raised for labels sharing no prefix (cross-document
@@ -37,7 +40,6 @@ classic per-node implementation, which raises identically.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 
 from ..xmltree.dewey import Dewey
@@ -54,7 +56,7 @@ def _lcp(a, b):
 
 
 def _fold_depths_python(anchor_keys, a_lo, a_hi, keys, m_lo, m_hi, depths):
-    """Pure-Python twin of the compiled ``repro_slca_fold``."""
+    """Pure-Python twin of ``repro_slca_hits``' per-matcher fold."""
     position = m_lo
     # Lazy key columns ship a header-guided bisect that decodes at
     # most one posting block per probe; prefer it over random-access
@@ -83,6 +85,10 @@ def _fold_depths_python(anchor_keys, a_lo, a_hi, keys, m_lo, m_hi, depths):
 _NO_HITS = (None, 0, (), (), 0)
 
 
+def _range_size(entry):
+    return entry[2] - entry[1]
+
+
 def slca_hits(column_ranges):
     """SLCAs of the key ranges ``[(ListColumns, lo, hi), ...]`` as hits.
 
@@ -96,56 +102,43 @@ def slca_hits(column_ranges):
     """
     if not column_ranges:
         return _NO_HITS
-    for _, lo, hi in column_ranges:
-        if lo >= hi:
-            return _NO_HITS
-
-    anchor_index = min(
-        range(len(column_ranges)),
-        key=lambda i: column_ranges[i][2] - column_ranges[i][1],
-    )
-    anchor_columns, a_lo, a_hi = column_ranges[anchor_index]
-    anchor_keys = anchor_columns.keys
+    # Stable: the anchor is the first shortest range, the matchers
+    # follow shortest first.
+    ranked = sorted(column_ranges, key=_range_size)
+    anchor_columns, a_lo, a_hi = ranked[0]
     count = a_hi - a_lo
-    matchers = sorted(
-        (
-            entry
-            for i, entry in enumerate(column_ranges)
-            if i != anchor_index
-        ),
-        key=lambda entry: entry[2] - entry[1],
-    )
+    if count <= 0:
+        return _NO_HITS
+    anchor_keys = anchor_columns.keys
 
     lib = backend.compiled
     if lib is not None:
-        # One FFI crossing for every candidate depth: initialization
-        # and every matcher fold happen inside repro_slca_all, with the
-        # per-column pointer casts memoized on the columns themselves.
-        depths = array("q", bytes(8 * count))
+        # One crossing per SLCA: depth initialization, every matcher
+        # fold and the ancestor filter run inside repro_slca_hits, with
+        # each column's pointer casts memoized on the column.
         a_flat_c, a_offs_c = backend.column_handles(lib, anchor_columns)
+        m_cols = []
+        m_bounds = []
+        for column, m_lo, m_hi in ranked[1:]:
+            m_cols += backend.column_handles(lib, column)
+            m_bounds += (m_lo, m_hi)
         ffi = lib.ffi
-        nmatchers = len(matchers)
-        m_flats = []
-        m_offs = []
-        m_los = array("q", bytes(8 * max(nmatchers, 1)))
-        m_his = array("q", bytes(8 * max(nmatchers, 1)))
-        for j, (column, m_lo, m_hi) in enumerate(matchers):
-            flat_c, offs_c = backend.column_handles(lib, column)
-            m_flats.append(flat_c)
-            m_offs.append(offs_c)
-            m_los[j] = m_lo
-            m_his[j] = m_hi
-        lib.lib.repro_slca_all(
-            a_flat_c, a_offs_c, a_lo, a_hi,
-            ffi.new("const int64_t *[]", m_flats),
-            ffi.new("const int64_t *[]", m_offs),
-            lib.i64(m_los), lib.i64(m_his), nmatchers,
-            lib.i64(depths),
+        out = ffi.new("int64_t[]", 2 * count)
+        emitted = lib.lib.repro_slca_hits(
+            a_flat_c, a_offs_c, a_lo, a_hi, m_cols, m_bounds,
+            len(ranked) - 1, out,
         )
-        emitted = _emit_compiled(lib, anchor_columns, a_lo, depths)
+        if emitted >= 0:
+            emitted = (
+                ffi.unpack(out + count, emitted),
+                ffi.unpack(out, emitted),
+                emitted,
+            )
+        else:
+            emitted = None
     else:
         depths = [len(anchor_keys[i]) for i in range(a_lo, a_hi)]
-        for column, m_lo, m_hi in matchers:
+        for column, m_lo, m_hi in ranked[1:]:
             _fold_depths_python(
                 anchor_keys, a_lo, a_hi, column.keys, m_lo, m_hi, depths
             )
@@ -175,26 +168,8 @@ def slca_hits(column_ranges):
     return (anchor_columns, a_lo) + emitted
 
 
-def _emit_compiled(lib, anchor_columns, a_lo, depths):
-    """Surviving ``(slots, depths, count)`` through ``repro_slca_emit``.
-
-    ``depths`` (an ``array('q')``, one entry per anchor from ``a_lo``,
-    each at most its anchor's length) is compacted in place and
-    returned; ``None`` when some depth is 0.
-    """
-    count = len(depths)
-    slots = array("q", bytes(8 * count))
-    a_flat_c, a_offs_c = backend.column_handles(lib, anchor_columns)
-    emitted = lib.lib.repro_slca_emit(
-        a_flat_c, a_offs_c, a_lo, count, lib.i64(depths), lib.i64(slots)
-    )
-    if emitted < 0:
-        return None
-    return slots, depths, emitted
-
-
 def _emit_python(anchor_keys, a_lo, depths):
-    """Pure-Python twin of ``repro_slca_emit``'s streaming filter.
+    """Pure-Python twin of ``repro_slca_hits``' streaming filter.
 
     Anchor ``a_lo + slot``'s candidate is its first ``depths[slot]``
     components.  One pass holding a single candidate: a next candidate
@@ -235,17 +210,15 @@ def _emit_python(anchor_keys, a_lo, depths):
     return kept_slots, kept_depths, len(kept_slots)
 
 
-def hit_labels(hits, picks=None):
-    """``Dewey`` labels of the hits ``picks`` (every hit by default)."""
+def hit_labels(hits):
+    """``Dewey`` labels of every hit."""
     columns, a_lo, slots, depths, count = hits
     if not count:
         return []
-    if picks is None:
-        picks = range(count)
-    return [
-        Dewey.from_trusted(key)
-        for key in columns.hit_keys(a_lo, slots, depths, picks)
-    ]
+    return list(map(
+        Dewey.from_trusted,
+        columns.hit_keys(a_lo, slots, depths, range(count)),
+    ))
 
 
 def slca_ranges(column_ranges):

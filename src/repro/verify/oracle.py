@@ -907,7 +907,7 @@ class DocumentOracle:
 
         Each holds one entry per call — the whole lists, then every
         partition all of ``terms`` share — of ``(every hit is a node,
-        per-hit verdicts, meaningful labels, any)``.  The tree side
+        per-hit verdicts, meaningful results' components, any)``.  The tree side
         looks each hit's label up and applies Definition 3.3 to the
         node's own type; the column side asks :class:`QueryContext`.
         """
@@ -933,7 +933,7 @@ class DocumentOracle:
                 for label, node in zip(labels, nodes)
             ]
             kept = [
-                str(label)
+                label.components
                 for label, verdict in zip(labels, verdicts) if verdict
             ]
             by_tree.append((True, verdicts, kept, bool(kept)))
@@ -945,7 +945,7 @@ class DocumentOracle:
                     )
                     for j in range(count)
                 ],
-                [str(label) for label in context.meaningful_hits(hits)],
+                context.meaningful_hits(hits),
                 context.any_meaningful_hit(hits),
             ))
         return by_tree, by_column

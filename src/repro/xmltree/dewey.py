@@ -198,7 +198,7 @@ class Dewey:
         return f"Dewey({str(self)!r})"
 
     def __str__(self):
-        return ".".join(str(part) for part in self.components)
+        return ".".join(map(str, self.components))
 
 
 def _from_components(components):

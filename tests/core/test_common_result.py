@@ -57,7 +57,7 @@ class TestQueryContext:
         # The same posting seen from the root (depth 1) and from its
         # inproceedings ancestor (depth 4), as (slot, depth) hits.
         hits = (columns, 0, [slot, slot], [1, 4], 2)
-        assert context.meaningful_hits(hits) == [inproc]
+        assert context.meaningful_hits(hits) == [inproc.components]
         assert context.any_meaningful_hit(hits)
         assert not context.any_meaningful_hit((columns, 0, [slot], [1], 1))
         assert not context.is_meaningful_at(columns, slot, 1)
@@ -80,6 +80,22 @@ class TestRankedRefinement:
         assert ranked.keywords == ("a", "b")
         assert ranked.dissimilarity == 2
         assert ranked.result_count == 1
+
+    def test_results_built_once_when_read(self):
+        rq = RefinedQuery(("a",), 1)
+        ranked = RankedRefinement(rq, keys=[(0, 1), (0, 2, 3)])
+        assert ranked.result_count == 2
+        clone = ranked.copy()
+        labels = ranked.slcas
+        assert labels == [Dewey((0, 1)), Dewey((0, 2, 3))]
+        assert ranked.slcas is labels
+        assert ranked.result_count == 2
+        # A copy taken before the read builds its own labels; one taken
+        # after gets its own list of the same labels.
+        assert clone.slcas == labels and clone.slcas is not labels
+        later = ranked.copy()
+        assert later.slcas == labels and later.slcas is not labels
+        assert later.slcas[0] is labels[0]
 
 
 class TestRefinementResponse:

@@ -90,7 +90,7 @@ def test_failed_build_warns_and_healthz_says_pure_python(tmp_path):
     assert "CalledProcessError" in result.stderr
 
 
-#: dlopen hands back a library without ``repro_slca_emit`` — what a
+#: dlopen hands back a library without ``repro_slca_hits`` — what a
 #: build of an older ``_C_SOURCE`` found under the current cache key
 #: would look like — then serves as in ``_HEALTHZ_SCRIPT``.
 _STALE_LIBRARY_SCRIPT = """
@@ -104,7 +104,7 @@ class Stale:
         self._library = library
 
     def __getattr__(self, name):
-        if name == "repro_slca_emit":
+        if name == "repro_slca_hits":
             raise AttributeError(f"function/symbol '{name}' not found")
         return getattr(self._library, name)
 
@@ -121,7 +121,7 @@ def test_library_missing_an_entry_point_is_a_failed_build(tmp_path):
     result = _run_fresh({}, _STALE_LIBRARY_SCRIPT, str(tmp_path / "tiny.frz"))
     assert result.stdout.strip() == "pure-python"
     assert result.stderr.count("compiled scan kernels unavailable") == 1
-    assert "repro_slca_emit" in result.stderr
+    assert "repro_slca_hits" in result.stderr
 
 
 def test_backend_name_matches_module_state(monkeypatch):
