@@ -1,7 +1,7 @@
 """Beyond-RAM paging benchmark: RSS ceiling vs. corpus size.
 
-The blocked snapshot layout (format v3: per-keyword block directories,
-partitioned tree directory, delta chains) exists so a serving process
+The blocked snapshot layout (format v4: a block header in every
+posting payload, partitioned tree directory, delta chains) exists so a serving process
 can answer queries over a corpus much larger than the memory it is
 willing to spend — cold postings stay on disk behind the mmap and only
 the blocks a query actually touches are ever decoded.  This benchmark

@@ -363,9 +363,9 @@ def build_parser():
     index.add_argument("-o", "--output", required=True)
     index.add_argument(
         "--block-size", type=int, default=None, metavar="N",
-        help="postings per lazily-decoded block in the block "
-        "directory (default 256); lists of at most N postings carry "
-        "no directory and decode eagerly",
+        help="postings per block of every posting list (default 256); "
+        "a longer list decodes block by block, a list of at most N "
+        "postings is one block, decoded when first read",
     )
     index.set_defaults(handler=_cmd_index)
 
@@ -380,7 +380,8 @@ def build_parser():
     compact.add_argument("-o", "--output", required=True)
     compact.add_argument(
         "--block-size", type=int, default=None, metavar="N",
-        help="block directory granularity of the compacted snapshot",
+        help="postings per block in the compacted snapshot "
+        "(default 256)",
     )
     compact.set_defaults(handler=_cmd_compact)
 

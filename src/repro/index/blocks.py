@@ -1,30 +1,36 @@
-"""Block-structured posting columns (frozen format v3).
+"""The posting payload: a block header, then a delta-varint body.
 
-A frozen snapshot stores each keyword's posting payload as one
-delta+varint byte string (see :meth:`InvertedIndex.add_postings`).
-For long lists, decoding the whole payload on first touch costs memory
-and latency proportional to the full list even when the scan's early
-stop would have visited a fraction of it.  Format v3 therefore adds a
-*block directory* section: the payload bytes are left untouched (so
-shared-memory publication and `verify-diff` byte-identity are
-preserved), but a per-keyword directory carves them into fixed-size
-blocks of ``block_size`` postings each, recording for every block
+Every stored inverted-list record — a built index's, a frozen
+snapshot's, a delta layer's, and the zero-posting record an absent
+keyword opens as — is one byte string::
 
-* the byte offset range of the block inside the payload,
-* a CRC32 of those bytes,
-* the first and last (max) Dewey component tuple in the block.
+    count | block_size | block_count
+    | block_count x byte length of the block
+    | block_count x (CRC-32 | first key | last key)
+    | body
 
-The first/last keys serve double duty: the *last* key of block ``i-1``
-is the delta-decode carry-in of block ``i`` (so any block can be
-decoded in isolation), and it is also the block-max bound that lets
-the kernels' presence probes and :class:`LazyDeweyKeys` binary
-searches reject a Dewey range from the headers alone — a pruned block
-is never decoded at all.
+Integers are uvarints except the little-endian ``u32`` CRC; a key is
+its component count, then its components.  The body holds the postings
+in document order, ``block_size`` to a block (the last may hold fewer),
+each as the length of the prefix it shares with the previous key, the
+number of remaining components and their values, the interned
+node-type id and the occurrence count.  A block's first posting is coded against the last key of the
+block before it, which the header carries, so any block decodes alone;
+a list of at most ``block_size`` postings is one block.
 
-:class:`BlockedInvertedList` is a drop-in :class:`InvertedList` whose
-three columns are lazy sequences backed by a per-list block cache;
-every decoded block is memoized so a scan pays for each block at most
-once.
+The first/last keys serve double duty: the carry-in of the next block,
+and the block-max bound that lets the kernels' presence probes and
+:class:`LazyDeweyKeys` binary searches reject a Dewey range from the
+header alone — a pruned block is never decoded at all.
+
+:func:`encode_posting_payload` is the one encoder.  The one opener is
+:meth:`repro.index.inverted.InvertedList.open`: it reads the header
+(:func:`decode_header`, which checks every invariant up front) into a
+:class:`BlockStore`.  A one-block list decodes its block there and
+then; a longer one reads its columns through :class:`LazyDeweyKeys`,
+:class:`LazyTypeIds` and :class:`LazyCounts`, which decode (and
+CRC-check) a block the first time a posting inside it is read, and
+never twice.
 """
 
 from __future__ import annotations
@@ -32,19 +38,26 @@ from __future__ import annotations
 import bisect
 import struct
 import zlib
+from array import array
 
 from ..errors import IndexingError, KeyEncodingError
-from ..storage import decode_uvarint, encode_key, encode_uvarint
-from ..xmltree.dewey import descendant_range_key
-from .inverted import InvertedList, decode_posting_run, type_id_typecode
+from ..storage import decode_uvarint, encode_uvarint
 
 #: Postings per block.  256 keeps block decode under ~100us in pure
 #: python while a 1M-posting list still needs only ~4k header entries.
 DEFAULT_BLOCK_SIZE = 256
 
-#: Directories are only built for lists that span more than one block —
-#: a single-block list would pay header overhead for zero laziness.
 _CRC = struct.Struct("<I")
+
+
+def type_id_typecode(type_table):
+    """``array`` typecode of a column of ids interned in ``type_table``.
+
+    2 B/posting while the table fits a ``uint16``, 4 B beyond.  The
+    table only grows, so a code chosen when a payload is opened holds
+    every id that payload can carry.
+    """
+    return "H" if len(type_table) <= 0x10000 else "I"
 
 
 def _encode_components(out, components):
@@ -62,69 +75,223 @@ def _decode_components(raw, pos):
     return tuple(parts), pos
 
 
-def build_block_directory_payload(payload, block_size):
-    """Build the encoded directory for one posting payload.
+def encode_posting_payload(keyword, keys, type_ids, counts, block_size):
+    """One keyword's postings as a payload of ``block_size``-posting blocks.
 
-    Returns ``None`` for lists that fit in a single block (no
-    directory is stored and the list decodes eagerly, exactly as in
-    format v2).  The payload bytes themselves are never rewritten.
+    ``keys``, ``type_ids`` and ``counts`` are the three columns, as
+    iterables of equal length.  The keys must be strictly ascending
+    component tuples: document order is checked here, where every list
+    is written.
     """
     if block_size < 1:
         raise IndexingError(f"block size must be >= 1, got {block_size}")
-    total, pos = decode_uvarint(payload, 0)
-    if total <= block_size:
-        return None
-    offsets = []
+    body = bytearray()
+    sizes = []
+    crcs = []
     firsts = []
     lasts = []
     previous = ()
-    for i in range(total):
-        if i % block_size == 0:
-            offsets.append(pos)
-        shared, pos = decode_uvarint(payload, pos)
-        suffix_len, pos = decode_uvarint(payload, pos)
-        suffix = []
-        for _ in range(suffix_len):
-            part, pos = decode_uvarint(payload, pos)
-            suffix.append(part)
-        components = previous[:shared] + tuple(suffix)
-        _, pos = decode_uvarint(payload, pos)  # interned type id
-        _, pos = decode_uvarint(payload, pos)  # occurrence count
-        if i % block_size == 0:
+    start = 0
+    count = 0
+
+    def close_block():
+        sizes.append(len(body) - start)
+        crcs.append(zlib.crc32(body[start:]))
+        lasts.append(previous)
+
+    for components, type_id, occurrences in zip(keys, type_ids, counts):
+        if components <= previous:
+            raise IndexingError(
+                f"postings for {keyword!r} are not in document order"
+            )
+        if count % block_size == 0:
+            start = len(body)
             firsts.append(components)
-        if i % block_size == block_size - 1 or i == total - 1:
-            lasts.append(components)
+        shared = 0
+        for a, b in zip(previous, components):
+            if a != b:
+                break
+            shared += 1
+        body += encode_uvarint(shared)
+        body += encode_uvarint(len(components) - shared)
+        for part in components[shared:]:
+            body += encode_uvarint(part)
+        body += encode_uvarint(type_id)
+        body += encode_uvarint(occurrences)
         previous = components
-    offsets.append(pos)
+        count += 1
+        if count % block_size == 0:
+            close_block()
+    if count % block_size:
+        close_block()
 
     out = bytearray()
+    out += encode_uvarint(count)
     out += encode_uvarint(block_size)
-    out += encode_uvarint(total)
-    out += encode_uvarint(len(firsts))
-    previous_offset = 0
-    for offset in offsets:
-        out += encode_uvarint(offset - previous_offset)
-        previous_offset = offset
-    for index in range(len(firsts)):
-        lo, hi = offsets[index], offsets[index + 1]
-        out += _CRC.pack(zlib.crc32(payload[lo:hi]))
-        _encode_components(out, firsts[index])
-        _encode_components(out, lasts[index])
+    out += encode_uvarint(len(sizes))
+    for size in sizes:
+        out += encode_uvarint(size)
+    for crc, first, last in zip(crcs, firsts, lasts):
+        out += _CRC.pack(crc)
+        _encode_components(out, first)
+        _encode_components(out, last)
+    out += body
     return bytes(out)
 
 
-class BlockDirectory:
-    """Decoded per-keyword block directory."""
+def payload_block_size(payload):
+    """The block size a payload was encoded at (its header is not
+    otherwise read or checked)."""
+    _count, pos = decode_uvarint(payload, 0)
+    return decode_uvarint(payload, pos)[0]
 
-    __slots__ = ("block_size", "count", "offsets", "crcs", "firsts", "lasts")
 
-    def __init__(self, block_size, count, offsets, crcs, firsts, lasts):
-        self.block_size = block_size
-        self.count = count
-        self.offsets = offsets
-        self.crcs = crcs
-        self.firsts = firsts
-        self.lasts = lasts
+def decode_header(keyword, payload):
+    """Decode and validate the header of one keyword's payload.
+
+    Returns ``(block_size, count, offsets, crcs, firsts, lasts)``, the
+    ``offsets`` being the ``block_count + 1`` block boundaries as
+    positions in the payload.  Every structural invariant is checked up
+    front — a block count
+    that fits the geometry, offsets strictly ascending, a last block
+    that ends exactly where the payload does, first <= last within
+    each block, blocks strictly ordered in key space — so a corrupted
+    or reordered header fails loudly at open time instead of silently
+    mis-routing binary searches later.
+    """
+    try:
+        count, pos = decode_uvarint(payload, 0)
+        block_size, pos = decode_uvarint(payload, pos)
+        block_count, pos = decode_uvarint(payload, pos)
+        if block_size < 1:
+            raise IndexingError(
+                f"posting list for {keyword!r} has an empty block geometry"
+            )
+        if block_count != -(-count // block_size):
+            raise IndexingError(
+                f"posting list for {keyword!r} declares {block_count} "
+                f"blocks for {count} postings of {block_size}"
+            )
+        sizes = []
+        for _ in range(block_count):
+            size, pos = decode_uvarint(payload, pos)
+            sizes.append(size)
+        crcs = []
+        firsts = []
+        lasts = []
+        for _ in range(block_count):
+            (crc,) = _CRC.unpack_from(payload, pos)
+            pos += _CRC.size
+            first, pos = _decode_components(payload, pos)
+            last, pos = _decode_components(payload, pos)
+            crcs.append(crc)
+            firsts.append(first)
+            lasts.append(last)
+    except (KeyEncodingError, struct.error) as exc:
+        raise IndexingError(
+            f"posting list for {keyword!r} has a truncated or corrupt header"
+        ) from exc
+    offsets = [pos]
+    for index, size in enumerate(sizes):
+        if size < 1:
+            raise IndexingError(
+                f"posting list for {keyword!r} has non-ascending offsets"
+            )
+        offsets.append(offsets[-1] + size)
+        if firsts[index] > lasts[index]:
+            raise IndexingError(
+                f"posting list for {keyword!r} has an inverted block"
+            )
+        if index and lasts[index - 1] >= firsts[index]:
+            raise IndexingError(
+                f"posting list for {keyword!r} has out-of-order blocks"
+            )
+    if offsets[-1] != len(payload):
+        raise IndexingError(
+            f"posting list for {keyword!r} has blocks ending at byte "
+            f"{offsets[-1]} of a {len(payload)}-byte payload"
+        )
+    return (block_size, count, tuple(offsets), tuple(crcs), tuple(firsts),
+            tuple(lasts))
+
+
+def decode_posting_run(keyword, raw, count, previous, type_table,
+                       type_id_code):
+    """Decode the ``count`` delta-coded postings that make up ``raw``.
+
+    The one decode loop, run once per block.  ``previous`` is the key
+    the first posting is coded against; ``type_id_code`` the ``array``
+    typecode of the id column.  Returns the three columns
+    ``(dewey_keys, type_ids, counts)``.
+    """
+    dewey_keys = []
+    type_ids = array(type_id_code)
+    counts = []
+    known_types = len(type_table)
+    pos = 0
+    for _ in range(count):
+        shared, pos = decode_uvarint(raw, pos)
+        suffix_len, pos = decode_uvarint(raw, pos)
+        suffix = []
+        for _ in range(suffix_len):
+            part, pos = decode_uvarint(raw, pos)
+            suffix.append(part)
+        components = previous[:shared] + tuple(suffix)
+        type_id, pos = decode_uvarint(raw, pos)
+        if type_id >= known_types:
+            raise IndexingError(
+                f"posting list for {keyword!r} names an unknown node type"
+            )
+        occurrences, pos = decode_uvarint(raw, pos)
+        dewey_keys.append(components)
+        type_ids.append(type_id)
+        counts.append(occurrences)
+        previous = components
+    if pos != len(raw):
+        raise IndexingError(
+            f"posting list for {keyword!r} has {len(raw) - pos} bytes "
+            "past the postings of a block"
+        )
+    return dewey_keys, type_ids, counts
+
+
+class BlockStore:
+    """One payload: its header, read and checked when the store is
+    made, and its blocks, each decoded at most once.
+
+    ``payload`` stays whatever the store served — a memoryview over the
+    snapshot mmap, or an overlay's bytes; a block's bytes are only
+    copied (and CRC-checked, and varint-decoded) the first time
+    something touches a posting inside it.  Once every block is
+    decoded the payload is dropped, releasing its view of the mapping.
+    """
+
+    __slots__ = (
+        "keyword",
+        "payload",
+        "type_table",
+        "type_id_code",
+        "block_size",
+        "count",
+        "offsets",
+        "crcs",
+        "firsts",
+        "lasts",
+        "_decoded",
+        "blocks_decoded",
+    )
+
+    def __init__(self, keyword, payload, type_table):
+        self.keyword = keyword
+        self.payload = payload
+        (self.block_size, self.count, self.offsets, self.crcs, self.firsts,
+         self.lasts) = decode_header(keyword, payload)
+        self.type_table = type_table
+        #: One typecode for every block's id column, so whole-list
+        #: consumers can concatenate them.
+        self.type_id_code = type_id_typecode(type_table)
+        self._decoded = [None] * len(self.crcs)
+        self.blocks_decoded = 0
 
     @property
     def block_count(self):
@@ -135,131 +302,38 @@ class BlockDirectory:
             return self.count - index * self.block_size
         return self.block_size
 
-
-def decode_block_directory(keyword, raw):
-    """Decode and validate one keyword's directory record.
-
-    Every structural invariant is checked up front — offsets strictly
-    ascending, first <= last within each block, blocks strictly
-    ordered and non-overlapping in key space — so a corrupted or
-    reordered directory fails loudly at open time instead of silently
-    mis-routing binary searches later.
-    """
-    try:
-        block_size, pos = decode_uvarint(raw, 0)
-        count, pos = decode_uvarint(raw, pos)
-        block_count, pos = decode_uvarint(raw, pos)
-        if block_size < 1 or block_count < 1:
-            raise IndexingError(
-                f"block directory for {keyword!r} has an empty geometry"
-            )
-        expected_blocks = -(-count // block_size)
-        if block_count != expected_blocks:
-            raise IndexingError(
-                f"block directory for {keyword!r} declares {block_count} "
-                f"blocks for {count} postings of {block_size}"
-            )
-        offsets = []
-        offset = 0
-        for _ in range(block_count + 1):
-            delta, pos = decode_uvarint(raw, pos)
-            offset += delta
-            offsets.append(offset)
-        crcs = []
-        firsts = []
-        lasts = []
-        for _ in range(block_count):
-            (crc,) = _CRC.unpack_from(raw, pos)
-            pos += _CRC.size
-            first, pos = _decode_components(raw, pos)
-            last, pos = _decode_components(raw, pos)
-            crcs.append(crc)
-            firsts.append(first)
-            lasts.append(last)
-    except (KeyEncodingError, struct.error) as exc:
-        raise IndexingError(
-            f"block directory for {keyword!r} is truncated or corrupt"
-        ) from exc
-    for index in range(block_count):
-        if offsets[index] >= offsets[index + 1]:
-            raise IndexingError(
-                f"block directory for {keyword!r} has non-ascending offsets"
-            )
-        if firsts[index] > lasts[index]:
-            raise IndexingError(
-                f"block directory for {keyword!r} has an inverted block"
-            )
-        if index and lasts[index - 1] >= firsts[index]:
-            raise IndexingError(
-                f"block directory for {keyword!r} has out-of-order blocks"
-            )
-    return BlockDirectory(block_size, count, offsets, crcs, firsts, lasts)
-
-
-class BlockStore:
-    """Per-list cache of lazily decoded blocks.
-
-    ``payload`` stays a memoryview over the snapshot mmap; a block's
-    bytes are only copied (and CRC-checked, and varint-decoded) the
-    first time something touches a posting inside it.
-    """
-
-    __slots__ = (
-        "keyword",
-        "payload",
-        "directory",
-        "type_table",
-        "type_id_code",
-        "_decoded",
-        "blocks_decoded",
-    )
-
-    def __init__(self, keyword, payload, directory, type_table):
-        self.keyword = keyword
-        self.payload = payload
-        self.directory = directory
-        self.type_table = type_table
-        #: One typecode for every block's id column, so whole-list
-        #: consumers can concatenate them.
-        self.type_id_code = type_id_typecode(type_table)
-        self._decoded = {}
-        self.blocks_decoded = 0
-
     def block(self, index):
         """``(dewey_keys, type_ids, counts)`` of one block, decoded at
         most once."""
-        cached = self._decoded.get(index)
-        if cached is not None:
-            return cached
-        directory = self.directory
-        lo, hi = directory.offsets[index], directory.offsets[index + 1]
+        decoded = self._decoded[index]
+        if decoded is not None:
+            return decoded
+        lo, hi = self.offsets[index], self.offsets[index + 1]
         chunk = bytes(self.payload[lo:hi])
-        if zlib.crc32(chunk) != directory.crcs[index]:
+        if zlib.crc32(chunk) != self.crcs[index]:
             raise IndexingError(
                 f"block {index} of {self.keyword!r} fails its checksum"
             )
-        expected = directory.postings_in_block(index)
-        previous = directory.lasts[index - 1] if index else ()
+        previous = self.lasts[index - 1] if index else ()
         try:
             decoded = decode_posting_run(
-                self.keyword, chunk, 0, expected, previous,
-                self.type_table, self.type_id_code,
+                self.keyword, chunk, self.postings_in_block(index),
+                previous, self.type_table, self.type_id_code,
             )
         except KeyEncodingError as exc:
             raise IndexingError(
                 f"block {index} of {self.keyword!r} is truncated"
             ) from exc
         keys = decoded[0]
-        if (
-            keys[0] != directory.firsts[index]
-            or keys[-1] != directory.lasts[index]
-        ):
+        if keys[0] != self.firsts[index] or keys[-1] != self.lasts[index]:
             raise IndexingError(
                 f"block {index} of {self.keyword!r} disagrees with its "
-                "directory header"
+                "header"
             )
         self._decoded[index] = decoded
         self.blocks_decoded += 1
+        if self.blocks_decoded == len(self.crcs):
+            self.payload = None
         return decoded
 
 
@@ -275,18 +349,17 @@ class _LazyBlockSequence:
         self._store = store
 
     def __len__(self):
-        return self._store.directory.count
+        return self._store.count
 
     def __iter__(self):
         store = self._store
         column = self._column
-        for index in range(store.directory.block_count):
+        for index in range(store.block_count):
             yield from store.block(index)[column]
 
     def __getitem__(self, index):
         store = self._store
-        directory = store.directory
-        count = directory.count
+        count = store.count
         if isinstance(index, slice):
             lo, hi, step = index.indices(count)
             if step != 1:
@@ -296,14 +369,14 @@ class _LazyBlockSequence:
             index += count
         if not 0 <= index < count:
             raise IndexError("posting index out of range")
-        block, within = divmod(index, directory.block_size)
+        block, within = divmod(index, store.block_size)
         return store.block(block)[self._column][within]
 
     def _range(self, lo, hi):
         if lo >= hi:
             return []
         store = self._store
-        size = store.directory.block_size
+        size = store.block_size
         column = self._column
         first_block, first_within = divmod(lo, size)
         last_block, last_within = divmod(hi - 1, size)
@@ -342,107 +415,35 @@ class LazyDeweyKeys(_LazyBlockSequence):
     _column = 0
 
     def bisect_left(self, target, lo=0, hi=None):
-        directory = self._store.directory
-        count = directory.count
+        store = self._store
+        count = store.count
         if hi is None:
             hi = count
-        block = bisect.bisect_left(directory.lasts, target)
-        if block >= directory.block_count:
+        block = bisect.bisect_left(store.lasts, target)
+        if block >= store.block_count:
             position = count
-        elif directory.firsts[block] >= target:
-            position = block * directory.block_size
+        elif store.firsts[block] >= target:
+            position = block * store.block_size
         else:
-            keys = self._store.block(block)[0]
-            position = block * directory.block_size + bisect.bisect_left(
+            keys = store.block(block)[0]
+            position = block * store.block_size + bisect.bisect_left(
                 keys, target
             )
         return min(max(position, lo), hi)
 
     def bisect_right(self, target, lo=0, hi=None):
-        directory = self._store.directory
-        count = directory.count
+        store = self._store
+        count = store.count
         if hi is None:
             hi = count
-        block = bisect.bisect_right(directory.lasts, target)
-        if block >= directory.block_count:
+        block = bisect.bisect_right(store.lasts, target)
+        if block >= store.block_count:
             position = count
-        elif directory.firsts[block] > target:
-            position = block * directory.block_size
+        elif store.firsts[block] > target:
+            position = block * store.block_size
         else:
-            keys = self._store.block(block)[0]
-            position = block * directory.block_size + bisect.bisect_right(
+            keys = store.block(block)[0]
+            position = block * store.block_size + bisect.bisect_right(
                 keys, target
             )
         return min(max(position, lo), hi)
-
-
-class BlockedInvertedList(InvertedList):
-    """An :class:`InvertedList` whose columns decode one block at a time."""
-
-    __slots__ = ("_blocks",)
-
-    @classmethod
-    def open(cls, keyword, payload, directory, type_table):
-        store = BlockStore(keyword, payload, directory, type_table)
-        instance = cls(
-            keyword, LazyDeweyKeys(store), LazyTypeIds(store),
-            LazyCounts(store), type_table,
-        )
-        instance._blocks = store
-        return instance
-
-    @property
-    def block_store(self):
-        return self._blocks
-
-    def range_indices(self, root_dewey):
-        keys = self._dewey_keys
-        lo = keys.bisect_left(root_dewey.components)
-        hi = keys.bisect_left(descendant_range_key(root_dewey))
-        return lo, hi
-
-    def block_intervals(self):
-        """``(firsts, lasts)`` of the block headers (no decode)."""
-        directory = self._blocks.directory
-        return directory.firsts, directory.lasts
-
-
-class BlockDirectoryTable:
-    """Keyword -> :class:`BlockDirectory` lookups over the v3 section.
-
-    Directory records decode lazily and memoize; a keyword without a
-    record (short list) resolves to ``None`` and the caller falls back
-    to the eager whole-payload decode.
-    """
-
-    __slots__ = ("_block", "_decoded")
-
-    def __init__(self, kv_block):
-        self._block = kv_block
-        self._decoded = {}
-
-    def directory_for(self, keyword):
-        if keyword in self._decoded:
-            return self._decoded[keyword]
-        raw = self._block.get(encode_key((keyword,)))
-        directory = (
-            None if raw is None
-            else decode_block_directory(keyword, bytes(raw))
-        )
-        self._decoded[keyword] = directory
-        return directory
-
-    def open_list(self, keyword, payload, type_table):
-        """A :class:`BlockedInvertedList` over ``payload``, or ``None``.
-
-        ``None`` means "no directory applies" — either the list is
-        short, or the payload is not the frozen bytes the directory
-        was built over (callers must only pass pristine base values;
-        the length check is a second line of defense).
-        """
-        directory = self.directory_for(keyword)
-        if directory is None:
-            return None
-        if len(payload) != directory.offsets[-1]:
-            return None
-        return BlockedInvertedList.open(keyword, payload, directory, type_table)

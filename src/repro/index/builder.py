@@ -25,7 +25,7 @@ from collections import Counter
 from ..perf.stats_cache import SearchForCache
 from .cooccur import CooccurrenceTable
 from .frequency import FrequencyTable
-from .inverted import InvertedIndex, Posting
+from .inverted import InvertedIndex
 from .statistics import StatisticsTable
 from .tokenize_text import node_keywords
 
@@ -106,9 +106,10 @@ def subtree_contribution(nodes):
     The one per-node loop behind both the full build (every node of
     the tree) and the incremental updates (one partition's nodes).
     Returns ``(df, tf, postings, type_counts)``: ``f_k^T`` and
-    ``tf(k, T)`` per ``(keyword, node_type)`` pair, the
-    :class:`~repro.index.inverted.Posting` values per keyword in
-    document order, and the node count per type.
+    ``tf(k, T)`` per ``(keyword, node_type)`` pair, the posting columns
+    per keyword — ``(keys, node_types, counts)`` in document order, as
+    :meth:`~repro.index.inverted.InvertedIndex.add_postings` takes
+    them — and the node count per type.
     """
     df = Counter()
     tf = Counter()
@@ -127,9 +128,12 @@ def subtree_contribution(nodes):
             for i in range(1, len(node_type) + 1)
         ]
         for keyword, count in occurrences.items():
-            postings.setdefault(keyword, []).append(
-                Posting(node.dewey, node_type, count)
-            )
+            columns = postings.get(keyword)
+            if columns is None:
+                columns = postings[keyword] = ([], [], [])
+            columns[0].append(components)
+            columns[1].append(node_type)
+            columns[2].append(count)
             for ancestor_type, ancestor_dewey in prefixes:
                 pair = (keyword, ancestor_type)
                 tf[pair] += count
@@ -166,7 +170,7 @@ def build_document_index(tree, eager_cooccurrence_types=None):
         statistics.adjust_node_count(node_type, count)
 
     for keyword in sorted(postings):
-        inverted.add_postings(keyword, postings[keyword])
+        inverted.add_postings(keyword, *postings[keyword])
 
     distinct_per_type = Counter()
     for (keyword, node_type), df in df_counts.items():

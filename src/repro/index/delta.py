@@ -10,8 +10,9 @@ whose cost is proportional to the *corpus*, not the change.
 **delta file** stacking on the snapshot the index was loaded from:
 
 * the inverted / frequency overlay puts (each a sorted key-value
-  block — the identical payload encodings a refreeze would produce)
-  and the overlay delete sets;
+  block of the store's own payloads — a posting payload carries its
+  block header, so a delta layer's lists page like the base's) and the
+  overlay delete sets;
 * the full (small) statistics table;
 * the tree-operation log — every partition append (with its assigned
   ordinal and the original build spec) and removal, in order.
@@ -62,7 +63,7 @@ from .frozen import (
 #: Delta file magic — distinct from the base-snapshot magic so
 #: ``open_index_source`` can dispatch on the first 8 bytes.
 DELTA_MAGIC = b"XRFZDLT\x01"
-DELTA_VERSION = 1
+DELTA_VERSION = 2
 
 # The header has the base snapshot's shape, so header-CRC parent
 # binding covers both kinds uniformly.
@@ -406,8 +407,8 @@ def load_index_chain(path, pause=None):
 
     The base's keyword-keyed sections and every delta's overlay
     sections stack into :class:`~repro.storage.StackedKVBase` reads —
-    nothing is merged eagerly, and base posting payloads untouched by
-    any delta still serve through the lazy block directory.
+    nothing is merged eagerly, and every posting payload, whichever
+    layer serves it, opens block by block.
     """
     base_path, delta_paths = resolve_chain(path)
     if not delta_paths:
@@ -428,9 +429,10 @@ def compact(source, destination, block_size=None):
     """Fold a delta chain into one monolithic frozen snapshot.
 
     Loads the chain (merge-on-demand) and refreezes — byte-identical
-    to freezing an equivalently mutated in-memory index, because the
-    merged store iteration passes every posting payload through
-    untouched.  Returns the number of chain layers folded.
+    to freezing an equivalently mutated in-memory index, because a
+    freeze writes each posting payload as a function of its postings
+    and ``block_size`` alone.  Returns the number of chain layers
+    folded.
     """
     index = load_index_chain(source)
     try:

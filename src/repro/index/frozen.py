@@ -6,11 +6,11 @@ memory and serves **without an upfront decode**:
 
 * Section 0 — the inverted index as a sorted key-value block: one
   record per keyword under the order-preserving key ``(keyword,)``,
-  the value being the exact delta+varint posting payload that
-  :func:`~repro.index.inverted.decode_posting_payload` understands
-  (plus the reserved node-type-table record).  Keywords resolve by
-  binary search over the mapped dictionary; posting lists decode
-  lazily, per keyword, on first touch.
+  the value being the keyword's posting payload — a block header, then
+  the delta+varint postings (:mod:`repro.index.blocks`) — plus the
+  reserved node-type-table record.  Keywords resolve by binary search
+  over the mapped dictionary; posting lists open on first touch, a
+  long one block by block.
 * Section 1 — the frequent table ``f_k^T`` / ``tf(k, T)`` under
   ``(keyword, type_id)`` keys.
 * Section 2 — per-type ``N_T`` / ``G_T`` / term-total statistics.
@@ -20,10 +20,9 @@ memory and serves **without an upfront decode**:
   (interned tag table; per node: tag id, Dewey ordinal, child count,
   text).  Ordinals are stored explicitly because partition removal
   leaves sibling ordinals non-dense.
-* Section 4 — the block directory: per-keyword posting block headers
-  (byte extents, CRC32, first/max Dewey per fixed-size block; see
-  :mod:`repro.index.blocks`) plus the tree partition directory
-  consumed by :mod:`repro.index.paged_tree`.
+* Section 4 — the tree partition directory consumed by
+  :mod:`repro.index.paged_tree`, as a one-record sorted key-value
+  block.
 
 This is the one on-disk index format; delta snapshots
 (:mod:`repro.index.delta`) are the same file shape with other sections
@@ -59,6 +58,7 @@ from ..storage import (
     encode_sorted_kv_block,
     encode_uvarint,
 )
+from .blocks import DEFAULT_BLOCK_SIZE
 from .builder import DocumentIndex
 from .cooccur import CooccurrenceTable
 from .frequency import FrequencyTable
@@ -70,14 +70,13 @@ MAGIC = b"XRFZIDX\x01"
 #: Bumped whenever the section layout or any section encoding changes.
 #: This is the only version this build reads or writes; an older file
 #: is rebuilt from its source with ``repro index``.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _SECTION_INVERTED = 0
 _SECTION_FREQUENCY = 1
 _SECTION_STATISTICS = 2
 _SECTION_TREE = 3
-#: Block directories for long posting lists plus the tree partition
-#: directory, as one sorted key-value block.
+#: The tree partition directory, as a one-record sorted key-value block.
 _SECTION_BLOCKS = 4
 _SECTION_COUNT = 5
 
@@ -94,8 +93,8 @@ _STATS_VALUE = struct.Struct(">III")  # node_count, distinct, total_terms
 #: (tag names are non-empty XML names).
 CALIBRATION_KEY = encode_key(("\x00calibration",))
 
-#: Reserved block-section key holding the tree partition directory
-#: (same NUL-prefix reservation trick as :data:`CALIBRATION_KEY`).
+#: The block-section key of the tree partition directory (the same
+#: NUL-prefix reservation as :data:`CALIBRATION_KEY`).
 TREE_PARTITIONS_KEY = encode_key(("\x00tree-partitions",))
 
 
@@ -259,12 +258,11 @@ def freeze_index(index, path, block_size=None):
     Crash-safe (see :func:`write_section_file`).
 
     ``block_size`` (postings per block, default
-    :data:`repro.index.blocks.DEFAULT_BLOCK_SIZE`) controls the paging
-    granularity of the block directory; lists no longer than one
-    block carry no directory and decode eagerly.
+    :data:`repro.index.blocks.DEFAULT_BLOCK_SIZE`) is the paging
+    granularity of every posting payload in the file: one already at
+    that size is copied, any other re-encoded, so the bytes written
+    depend on the index's postings and ``block_size`` alone.
     """
-    from .blocks import DEFAULT_BLOCK_SIZE, build_block_directory_payload
-
     if block_size is None:
         block_size = DEFAULT_BLOCK_SIZE
     if not isinstance(block_size, int) or isinstance(block_size, bool):
@@ -278,28 +276,17 @@ def freeze_index(index, path, block_size=None):
     if index.frequency._pending:
         index.frequency.finalize()
 
-    statistics_pairs = _statistics_pairs(index)
-    inverted_items = list(index.inverted._store.items())
     tree_section, tree_directory = _encode_tree(index.tree)
-    types_key = encode_key((InvertedIndex._TYPES_KEY,))
-    block_pairs = [(TREE_PARTITIONS_KEY, tree_directory)]
-    for key, payload in inverted_items:
-        if key == types_key:
-            continue
-        directory = build_block_directory_payload(payload, block_size)
-        if directory is not None:
-            block_pairs.append((key, directory))
-    block_pairs.sort()
     return write_section_file(
         path,
         MAGIC,
         FORMAT_VERSION,
         [
-            encode_sorted_kv_block(inverted_items),
+            encode_sorted_kv_block(index.inverted.payloads_at(block_size)),
             encode_sorted_kv_block(index.frequency._store.items()),
-            encode_sorted_kv_block(statistics_pairs),
+            encode_sorted_kv_block(_statistics_pairs(index)),
             tree_section,
-            encode_sorted_kv_block(block_pairs),
+            encode_sorted_kv_block([(TREE_PARTITIONS_KEY, tree_directory)]),
         ],
     )
 
@@ -509,8 +496,7 @@ def assemble_index(handle, base, deltas=(), pause=None):
     always ends in an :class:`IndexingError`.
     """
     # On first open, not at import: a process that only ever indexes
-    # XML never loads the block and paged-tree machinery.
-    from .blocks import BlockDirectoryTable
+    # XML never loads the paged-tree machinery.
     from .paged_tree import decode_paged_tree
 
     try:
@@ -542,7 +528,6 @@ def assemble_index(handle, base, deltas=(), pause=None):
 
         inverted = InvertedIndex(store=CowKVStore(inverted_base))
         inverted.load_metadata()
-        inverted._block_directory = BlockDirectoryTable(blocks_block)
         frequency = FrequencyTable(
             type_ids=inverted._type_ids,
             type_table=inverted._type_table,

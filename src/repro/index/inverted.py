@@ -13,16 +13,20 @@ from __future__ import annotations
 
 import bisect
 from array import array
+from functools import partial
+from itertools import chain
 
-from ..errors import IndexingError
-from ..storage import (
-    CowKVStore,
-    decode_key,
-    decode_uvarint,
-    encode_key,
-    encode_uvarint,
-)
+from ..storage import CowKVStore, decode_key, encode_key
 from ..xmltree.dewey import Dewey, descendant_range_key
+from .blocks import (
+    DEFAULT_BLOCK_SIZE,
+    BlockStore,
+    LazyCounts,
+    LazyDeweyKeys,
+    LazyTypeIds,
+    encode_posting_payload,
+    payload_block_size,
+)
 
 
 class Posting:
@@ -51,18 +55,8 @@ class Posting:
         return hash((self.dewey, self.node_type, self.count))
 
 
-def type_id_typecode(type_table):
-    """``array`` typecode of a column of ids interned in ``type_table``.
-
-    2 B/posting while the table fits a ``uint16``, 4 B beyond.  The
-    table only grows, so a code chosen when a payload is opened holds
-    every id that payload can carry.
-    """
-    return "H" if len(type_table) <= 0x10000 else "I"
-
-
-#: What an absent keyword decodes from: a list of zero postings.
-_EMPTY_PAYLOAD = encode_uvarint(0)
+#: What an absent keyword opens as: a payload of zero postings.
+_EMPTY_PAYLOAD = encode_posting_payload("", (), (), (), DEFAULT_BLOCK_SIZE)
 
 
 class InvertedList:
@@ -70,46 +64,60 @@ class InvertedList:
 
     The decoded form of a list is three parallel columns —
     :attr:`dewey_keys`, :attr:`type_ids`, :attr:`counts` — plus the
-    :attr:`type_table` the ids index.  A :class:`Posting` is a value
-    built when someone iterates or indexes the list, never stored.
+    :attr:`type_table` the ids index.  A one-block list holds them as a
+    plain key list, an ``array`` of ids and a list of counts, decoded
+    when the list is opened; a longer list holds lazy sequences over
+    its :attr:`block_store` that decode a block the first time a
+    posting inside it is read.  A :class:`Posting` is a value built
+    when someone iterates or indexes the list, never stored.
     """
 
-    __slots__ = ("keyword", "_dewey_keys", "type_ids", "counts",
-                 "type_table", "_kernel_columns")
+    __slots__ = ("keyword", "dewey_keys", "type_ids", "counts",
+                 "type_table", "block_store", "_kernel_columns")
 
-    def __init__(self, keyword, dewey_keys, type_ids, counts, type_table):
-        """Wrap a pre-validated document-ordered decode.
-
-        ``dewey_keys`` must be strictly ascending component tuples;
-        lists are validated when encoded
-        (:meth:`InvertedIndex.add_postings`), so nothing is re-checked.
-        """
+    def __init__(self, keyword, block_store):
         self.keyword = keyword
-        self._dewey_keys = dewey_keys
-        #: Interned node-type id per posting (``type_table`` index).
-        self.type_ids = type_ids
-        #: Occurrences of the keyword at each posting's node.
-        self.counts = counts
+        #: The payload's header and its decoded blocks
+        #: (:class:`~repro.index.blocks.BlockStore`).
+        self.block_store = block_store
         #: The owning ``InvertedIndex``'s id -> node-type table.
-        self.type_table = type_table
+        self.type_table = block_store.type_table
+        block_count = block_store.block_count
+        if block_count > 1:
+            columns = (
+                LazyDeweyKeys(block_store),
+                LazyTypeIds(block_store),
+                LazyCounts(block_store),
+            )
+        elif block_count:
+            columns = block_store.block(0)
+        else:
+            columns = ([], array(block_store.type_id_code), [])
+        # Per posting: its Dewey component tuple, its interned
+        # node-type id (a ``type_table`` index) and the keyword's
+        # occurrences at its node.  Shared (not copied) with the
+        # kernels' columns — treat as immutable.
+        self.dewey_keys, self.type_ids, self.counts = columns
         self._kernel_columns = None
 
-    @property
-    def dewey_keys(self):
-        """Dewey component tuples, one per posting.
+    @classmethod
+    def open(cls, keyword, payload, type_table):
+        """The list a stored payload holds (``payload`` is not copied)."""
+        return cls(keyword, BlockStore(keyword, payload, type_table))
 
-        Shared (not copied) with the kernels' columns; treat as
-        immutable.
-        """
-        return self._dewey_keys
+    @property
+    def block_count(self):
+        """Blocks in the payload; with more than one, the columns are
+        lazy."""
+        return self.block_store.block_count
 
     def __len__(self):
-        return len(self._dewey_keys)
+        return len(self.dewey_keys)
 
     def __iter__(self):
         type_table = self.type_table
         for components, type_id, count in zip(
-            self._dewey_keys, self.type_ids, self.counts
+            self.dewey_keys, self.type_ids, self.counts
         ):
             yield Posting(
                 Dewey.from_trusted(components), type_table[type_id], count
@@ -119,14 +127,14 @@ class InvertedList:
         if isinstance(idx, slice):
             return [self[i] for i in range(*idx.indices(len(self)))]
         return Posting(
-            Dewey.from_trusted(self._dewey_keys[idx]),
+            Dewey.from_trusted(self.dewey_keys[idx]),
             self.type_table[self.type_ids[idx]],
             self.counts[idx],
         )
 
     def labels(self):
         """The postings' Dewey labels, in document order (a new list)."""
-        return list(map(Dewey.from_trusted, self._dewey_keys))
+        return list(map(Dewey.from_trusted, self.dewey_keys))
 
     def ancestor_keys(self, node_type):
         """Key of each posting's ``node_type``-typed ancestor-or-self.
@@ -141,74 +149,30 @@ class InvertedList:
         under = [path[:depth] == node_type for path in self.type_table]
         return [
             components[:depth]
-            for components, type_id in zip(self._dewey_keys, self.type_ids)
+            for components, type_id in zip(self.dewey_keys, self.type_ids)
             if under[type_id]
         ]
 
     def range_indices(self, root_dewey):
-        """Index range ``[lo, hi)`` of postings inside ``root_dewey``'s subtree."""
-        lo = bisect.bisect_left(self._dewey_keys, root_dewey.components)
-        hi = bisect.bisect_left(
-            self._dewey_keys, descendant_range_key(root_dewey)
-        )
-        return lo, hi
-
-
-def decode_posting_run(keyword, raw, pos, count, previous, type_table,
-                       type_id_code):
-    """Decode ``count`` delta-coded postings of ``raw`` starting at ``pos``.
-
-    The one decode loop behind a whole payload and a single block of
-    one.  ``previous`` is the key the first posting is coded against;
-    ``type_id_code`` the ``array`` typecode of the id column.  Returns
-    the three columns ``(dewey_keys, type_ids, counts)``.
-    """
-    dewey_keys = []
-    type_ids = array(type_id_code)
-    counts = []
-    known_types = len(type_table)
-    for _ in range(count):
-        shared, pos = decode_uvarint(raw, pos)
-        suffix_len, pos = decode_uvarint(raw, pos)
-        suffix = []
-        for _ in range(suffix_len):
-            part, pos = decode_uvarint(raw, pos)
-            suffix.append(part)
-        components = previous[:shared] + tuple(suffix)
-        type_id, pos = decode_uvarint(raw, pos)
-        if type_id >= known_types:
-            raise IndexingError(
-                f"posting list for {keyword!r} names an unknown node type"
-            )
-        occurrences, pos = decode_uvarint(raw, pos)
-        dewey_keys.append(components)
-        type_ids.append(type_id)
-        counts.append(occurrences)
-        previous = components
-    return dewey_keys, type_ids, counts
-
-
-def decode_posting_payload(keyword, raw, type_table):
-    """Decode one keyword's packed posting payload.
-
-    ``raw`` is the value stored under ``(keyword,)`` by
-    :meth:`InvertedIndex.add_postings`; ``type_table`` maps interned
-    type ids back to node-type tuples.
-    """
-    count, pos = decode_uvarint(raw)
-    columns = decode_posting_run(
-        keyword, raw, pos, count, (), type_table,
-        type_id_typecode(type_table),
-    )
-    return InvertedList(keyword, *columns, type_table)
+        """Index range ``[lo, hi)`` of postings inside ``root_dewey``'s
+        subtree; on a lazy list each end decodes at most the one block
+        the header search lands in."""
+        keys = self.dewey_keys
+        if self.block_count > 1:
+            search = keys.bisect_left
+        else:
+            search = partial(bisect.bisect_left, keys)
+        lo = search(root_dewey.components)
+        return lo, search(descendant_range_key(root_dewey), lo)
 
 
 class InvertedIndex:
     """All inverted lists of a document, held in a KV store.
 
     The store keeps one record per keyword under the order-preserving
-    key ``(keyword,)``; the value packs the posting list (delta-coded
-    deweys, interned node-type ids, varint counts).  A decoded
+    key ``(keyword,)``; the value is the list's payload
+    (:mod:`repro.index.blocks`: a block header, then delta-coded
+    deweys, interned node-type ids and varint counts).  An opened
     :class:`InvertedList` is cached per keyword.
     """
 
@@ -217,11 +181,6 @@ class InvertedIndex:
         self._cache = {}
         self._type_table = []
         self._type_ids = {}
-        #: Optional :class:`repro.index.blocks.BlockDirectoryTable`
-        #: attached by the snapshot loader; when set, long lists whose
-        #: payload is still the pristine frozen bytes decode block-by-
-        #: block instead of all at once.
-        self._block_directory = None
 
     # ------------------------------------------------------------------
     # Node-type interning
@@ -242,40 +201,37 @@ class InvertedIndex:
     # ------------------------------------------------------------------
     # Build API
     # ------------------------------------------------------------------
-    def add_postings(self, keyword, postings):
-        """Store the complete posting list for ``keyword``.
-
-        ``postings`` is a sized iterable of :class:`Posting` values in
-        strict document order.
-        """
-        payload = bytearray()
-        payload += encode_uvarint(len(postings))
-        previous = ()
-        for posting in postings:
-            components = posting.dewey.components
-            if components <= previous:
-                raise IndexingError(
-                    f"postings for {keyword!r} are not in document order"
-                )
-            shared = 0
-            for a, b in zip(previous, components):
-                if a != b:
-                    break
-                shared += 1
-            suffix = components[shared:]
-            payload += encode_uvarint(shared)
-            payload += encode_uvarint(len(suffix))
-            for part in suffix:
-                payload += encode_uvarint(part)
-            payload += encode_uvarint(self._intern_type(posting.node_type))
-            payload += encode_uvarint(posting.count)
-            previous = components
-        self._store.put(encode_key((keyword,)), bytes(payload))
+    def _put(self, keyword, keys, type_ids, counts, block_size):
+        payload = encode_posting_payload(
+            keyword, keys, type_ids, counts, block_size
+        )
+        self._store.put(encode_key((keyword,)), payload)
         self._cache.pop(keyword, None)
 
-    def append_postings(self, keyword, postings):
-        """Append postings that sort after every existing one."""
-        self.add_postings(keyword, list(self.get(keyword)) + list(postings))
+    def add_postings(self, keyword, keys, node_types, counts):
+        """Store the complete posting list for ``keyword``.
+
+        The three columns hold, per posting in strict document order,
+        its Dewey component tuple, its node type and its occurrence
+        count.
+        """
+        type_ids = [self._intern_type(node_type) for node_type in node_types]
+        self._put(keyword, keys, type_ids, counts, DEFAULT_BLOCK_SIZE)
+
+    def append_postings(self, keyword, keys, node_types, counts):
+        """Append postings that sort after every existing one.
+
+        The list is re-encoded at the block size it already has.
+        """
+        existing = self.get(keyword)
+        type_ids = [self._intern_type(node_type) for node_type in node_types]
+        self._put(
+            keyword,
+            chain(existing.dewey_keys, keys),
+            chain(existing.type_ids, type_ids),
+            chain(existing.counts, counts),
+            existing.block_store.block_size,
+        )
 
     def remove_postings_under(self, keyword, root_dewey):
         """Drop all postings inside one subtree (partition removal).
@@ -287,12 +243,40 @@ class InvertedIndex:
         lo, hi = existing.range_indices(root_dewey)
         if lo == hi:
             return
-        remaining = existing[:lo] + existing[hi:]
-        if remaining:
-            self.add_postings(keyword, remaining)
-        else:
+        if hi - lo == len(existing):
             self._store.delete(encode_key((keyword,)))
             self._cache.pop(keyword, None)
+            return
+
+        def outside(column):
+            return chain(column[:lo], column[hi:])
+
+        self._put(
+            keyword,
+            outside(existing.dewey_keys),
+            outside(existing.type_ids),
+            outside(existing.counts),
+            existing.block_store.block_size,
+        )
+
+    def payloads_at(self, block_size):
+        """The store's records in key order, with every posting payload
+        at ``block_size`` postings per block.
+
+        A payload already there is passed through as stored; any other
+        is re-encoded from its decoded columns.
+        """
+        types_key = encode_key((self._TYPES_KEY,))
+        for key, payload in self._store.items():
+            if key != types_key and payload_block_size(payload) != block_size:
+                stored = InvertedList.open(
+                    decode_key(key)[0], payload, self._type_table
+                )
+                payload = encode_posting_payload(
+                    stored.keyword, stored.dewey_keys, stored.type_ids,
+                    stored.counts, block_size,
+                )
+            yield key, payload
 
     # ------------------------------------------------------------------
     # Query API
@@ -306,32 +290,25 @@ class InvertedIndex:
     def get(self, keyword):
         """The :class:`InvertedList` for ``keyword`` (empty if absent).
 
-        An absent keyword's empty list is cached like any other —
-        out-of-vocabulary terms are normal query input and a store miss
-        costs two orders of magnitude more than the cached answer.
+        Every record opens the same way, wherever the store keeps it —
+        a snapshot's mapped bytes, a delta layer, the overlay of a
+        built or mutated index: :meth:`InvertedList.open` over a
+        zero-copy view of the payload.  An absent keyword's empty list
+        is cached like any other — out-of-vocabulary terms are normal
+        query input and a store miss costs two orders of magnitude more
+        than the cached answer.
         """
         cached = self._cache.get(keyword)
         if cached is not None:
             return cached
-        key = encode_key((keyword,))
-        decoded = None
-        if self._block_directory is not None:
-            # The directory describes the *frozen* payload bytes, so it
-            # only applies while the store still serves the pristine
-            # base value — an overlay write invalidates it (base_view
-            # returns None) and the keyword falls back to eager decode.
-            payload = self._store.base_view(key)
-            if payload is not None:
-                decoded = self._block_directory.open_list(
-                    keyword, payload, self._type_table
-                )
-        if decoded is None:
-            raw = self._store.get(key)
-            if raw is None:
-                raw = _EMPTY_PAYLOAD
-            decoded = decode_posting_payload(keyword, raw, self._type_table)
-        self._cache[keyword] = decoded
-        return decoded
+        payload = self._store.view(encode_key((keyword,)))
+        opened = InvertedList.open(
+            keyword,
+            _EMPTY_PAYLOAD if payload is None else payload,
+            self._type_table,
+        )
+        self._cache[keyword] = opened
+        return opened
 
     # ------------------------------------------------------------------
     # Persistence of the node-type table
@@ -376,5 +353,6 @@ class InvertedIndex:
         return total
 
     def list_length(self, keyword):
-        """Posting count for ``keyword`` without decoding the cache."""
+        """Posting count for ``keyword``, read from the payload header:
+        a multi-block list decodes none of its blocks."""
         return len(self.get(keyword))

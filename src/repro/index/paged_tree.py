@@ -1,8 +1,8 @@
-"""Partition-paged document tree over a frozen snapshot (format v3).
+"""Partition-paged document tree over a frozen snapshot.
 
 The tree section of a frozen snapshot stores the document in preorder:
-the root record followed by each partition's subtree records.  Format
-v3 additionally records, per partition, the byte offset of its root
+the root record followed by each partition's subtree records.  The
+snapshot also records, per partition, the byte offset of its root
 record and its subtree node count (the *tree partition directory*,
 written by :func:`repro.index.frozen._encode_tree`).  That makes every
 partition independently decodable, so a multi-million-node corpus no
@@ -376,7 +376,7 @@ class PagedXMLTree(XMLTree):
 
 
 def decode_paged_tree(view, directory_payload, pause=None):
-    """Open a v3 tree section as a :class:`PagedXMLTree`.
+    """Open a tree section as a :class:`PagedXMLTree`.
 
     ``view`` is the mapped tree-section bytes; ``directory_payload``
     the tree partition directory from the block section.  Only the

@@ -114,8 +114,8 @@ def append_partition(index, spec):
 
     df, tf, postings, type_counts = subtree_contribution(nodes)
     tree.append_partition(node)
-    for keyword, new_postings in postings.items():
-        index.inverted.append_postings(keyword, new_postings)
+    for keyword, columns in postings.items():
+        index.inverted.append_postings(keyword, *columns)
     _apply_deltas(index, df, tf, type_counts, sign=+1)
     # Snapshot-backed indexes log the operation so save_delta() can
     # replay it over the base at chain-load time (repro.index.delta).

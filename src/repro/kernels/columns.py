@@ -37,6 +37,36 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from functools import partial
+
+
+def _partition_table(keys, search):
+    """``(pids, starts, ends, root_count)`` of a document-ordered key
+    column.
+
+    ``search(target, lo)`` is the column's bisect-left; one call per
+    partition jumps past it, so the walk never touches a posting twice.
+    """
+    pids = []
+    starts = []
+    ends = []
+    root_count = 0
+    position = 0
+    size = len(keys)
+    while position < size:
+        key = keys[position]
+        if len(key) < 2:
+            # A root posting belongs to no partition (Def. 6.1).
+            root_count += 1
+            position += 1
+            continue
+        pid = key[:2]
+        end = search((pid[0], pid[1] + 1), position)
+        pids.append(pid)
+        starts.append(position)
+        ends.append(end)
+        position = end
+    return pids, starts, ends, root_count
 
 
 class ListColumns:
@@ -57,33 +87,14 @@ class ListColumns:
         #: Interned type id per key, or ``None`` for a bare key column.
         self.tids = tids
         self.size = len(keys)
-        pids = []
-        starts = []
-        ends = []
-        root_count = 0
-        position = 0
-        size = self.size
-        while position < size:
-            key = keys[position]
-            if len(key) < 2:
-                # A root posting belongs to no partition (Def. 6.1).
-                root_count += 1
-                position += 1
-                continue
-            pid = key[:2]
-            end = bisect_left(keys, (pid[0], pid[1] + 1), position)
-            pids.append(pid)
-            starts.append(position)
-            ends.append(end)
-            position = end
-        self.pids = pids
-        self.starts = starts
-        self.ends = ends
+        self.pids, self.starts, self.ends, self.root_count = (
+            _partition_table(keys, partial(bisect_left, keys))
+        )
         #: pid -> (lo, hi); the O(1) random-access probe (SLE).
         self.pid_range = {
-            pid: (starts[i], ends[i]) for i, pid in enumerate(pids)
+            pid: (self.starts[i], self.ends[i])
+            for i, pid in enumerate(self.pids)
         }
-        self.root_count = root_count
         self._flat = None
         self._offs = None
         self._pid_cols = None
@@ -184,7 +195,7 @@ class _LazyPidRanges:
 
 
 class BlockedListColumns:
-    """Columns over a :class:`~repro.index.blocks.BlockedInvertedList`.
+    """Columns over a multi-block :class:`~repro.index.inverted.InvertedList`.
 
     Duck-compatible with :class:`ListColumns`, but nothing decodes at
     construction: partition probes (``pid_range.get`` /
@@ -198,14 +209,15 @@ class BlockedListColumns:
                  "_lasts", "_pids", "_starts", "_ends", "_root_count",
                  "_flat", "_offs", "_pid_cols", "_c", "_pc")
 
-    def __init__(self, blocked_list):
-        self.keys = blocked_list.dewey_keys
+    def __init__(self, inverted_list):
+        self.keys = inverted_list.dewey_keys
         #: Lazy like ``keys`` until :meth:`flat_offs` has walked every
         #: block anyway; a flat array from then on.
-        self.tids = blocked_list.type_ids
-        self._blocks = blocked_list.block_store
+        self.tids = inverted_list.type_ids
+        self._blocks = inverted_list.block_store
         self.size = len(self.keys)
-        self._firsts, self._lasts = blocked_list.block_intervals()
+        self._firsts = self._blocks.firsts
+        self._lasts = self._blocks.lasts
         self.pid_range = _LazyPidRanges(self)
         self._pids = None
         self._starts = None
@@ -231,17 +243,8 @@ class BlockedListColumns:
         """
         return self._pids is not None or self._flat is not None
 
-    def pid_cols(self):
-        """Same contract as :meth:`ListColumns.pid_cols` (full decode)."""
-        cols = self._pid_cols
-        if cols is None:
-            pid_flat = array("q")
-            for pid in self.pids:
-                pid_flat.extend(pid)
-            cols = (pid_flat, array("q", self.starts),
-                    array("q", self.ends))
-            self._pid_cols = cols
-        return cols
+    #: Same contract as :meth:`ListColumns.pid_cols` (full decode).
+    pid_cols = ListColumns.pid_cols
 
     def may_contain(self, pid):
         """Header-only presence test — a superset of the truth.
@@ -256,31 +259,11 @@ class BlockedListColumns:
         return self._firsts[block] < (pid[0], pid[1] + 1)
 
     def _ensure_tables(self):
-        if self._pids is not None:
-            return
-        keys = self.keys
-        size = self.size
-        pids = []
-        starts = []
-        ends = []
-        root_count = 0
-        position = 0
-        while position < size:
-            key = keys[position]
-            if len(key) < 2:
-                root_count += 1
-                position += 1
-                continue
-            pid = key[:2]
-            end = keys.bisect_left((pid[0], pid[1] + 1), position)
-            pids.append(pid)
-            starts.append(position)
-            ends.append(end)
-            position = end
-        self._pids = pids
-        self._starts = starts
-        self._ends = ends
-        self._root_count = root_count
+        if self._pids is None:
+            (self._pids, self._starts, self._ends,
+             self._root_count) = _partition_table(
+                self.keys, self.keys.bisect_left
+            )
 
     @property
     def pids(self):
@@ -316,7 +299,7 @@ class BlockedListColumns:
             tids = array(blocks.type_id_code)
             position = 0
             i = 0
-            for index in range(blocks.directory.block_count):
+            for index in range(blocks.block_count):
                 keys, type_ids, _counts = blocks.block(index)
                 tids.extend(type_ids)
                 for key in keys:
@@ -356,13 +339,13 @@ class BlockedListColumns:
 def columns_for(inverted_list):
     """The cached columns of one inverted list.
 
-    Blocked lists (frozen v3 long lists) get the header-first
-    :class:`BlockedListColumns`; everything else the eager
-    :class:`ListColumns`.
+    A list of more than one block gets the header-first
+    :class:`BlockedListColumns`; a one-block list, decoded when it was
+    opened, the eager :class:`ListColumns`.
     """
     columns = inverted_list._kernel_columns
     if columns is None:
-        if hasattr(inverted_list, "block_intervals"):
+        if inverted_list.block_count > 1:
             columns = BlockedListColumns(inverted_list)
         else:
             columns = ListColumns(

@@ -98,32 +98,20 @@ class CowKVStore:
     # ------------------------------------------------------------------
     def get(self, key, default=None):
         """Value for ``key`` (owned bytes) or ``default``."""
-        key = _check_bytes("key", key)
-        value = self._overlay.get(key, _MISSING)
-        if value is not _MISSING:
-            return value
-        if key in self._deleted:
-            return default
-        value = self._base.get(key, _MISSING)
-        if value is _MISSING:
-            return default
-        return bytes(value)
+        value = self.view(key)
+        return default if value is None else bytes(value)
 
-    def base_view(self, key):
-        """Zero-copy view of ``key``'s *unmodified base* value.
+    def view(self, key):
+        """Value for ``key`` without a copy, or None.
 
-        Returns None when the overlay shadows or deletes the key, or
-        when the base itself serves a layered (non-frozen) value —
-        i.e. a non-None result is exactly the bytes the frozen
-        snapshot recorded for this key, which is what block
-        directories (:mod:`repro.index.blocks`) were built against.
+        An overlay value comes back as the stored ``bytes``; a base
+        value as the base's zero-copy view (a memoryview over a mapped
+        snapshot section), whichever layer of the base serves it.
         """
         key = _check_bytes("key", key)
-        if key in self._deleted or key in self._overlay:
-            return None
-        frozen_view = getattr(self._base, "frozen_view", None)
-        if frozen_view is not None:
-            return frozen_view(key)
+        value = self._overlay.get(key)
+        if value is not None or key in self._deleted:
+            return value
         return self._base.get(key)
 
     def __contains__(self, key):
@@ -224,18 +212,6 @@ class StackedKVBase:
             if key in deleted:
                 return default
         return self._bottom.get(key, default)
-
-    def frozen_view(self, key):
-        """The bottom block's value, only if no layer touches ``key``.
-
-        A non-None result is bytes of the monolithic base snapshot —
-        the contract ``CowKVStore.base_view`` relies on to decide
-        whether a block directory still applies to a keyword.
-        """
-        for puts, deleted in self._layers:
-            if key in deleted or puts.get(key) is not None:
-                return None
-        return self._bottom.get(key)
 
     def __contains__(self, key):
         return self.get(key) is not None

@@ -26,8 +26,8 @@ path that must agree:
   exactly like the built index, compacting the chain must produce a
   snapshot byte-identical to refreezing the chain-loaded index, and a
   snapshot refrozen with a tiny block size (every posting list split
-  across blocks, decoded lazily through the block directory) must be
-  indistinguishable from the eager decode.  Runs against whichever
+  across blocks, decoded lazily through its payload header) must be
+  indistinguishable from the built index.  Runs against whichever
   kernel backend is active, so the verify-diff sweep exercises both
   the compiled and pure-Python block consumers.
 * **Cache layer** — a refinable query's evaluation deposits its
@@ -202,8 +202,9 @@ class DocumentOracle:
     def column_views(self):
         """``[(name, index), ...]`` the type-id column is held to.
 
-        The built index; a snapshot with 16-posting blocks (short lists
-        decode eagerly, long ones block by block); an index whose first
+        The built index; a snapshot with 16-posting blocks (a list of
+        one block decodes when opened, a longer one block by block); an
+        index whose first
         partition was re-appended under a fresh tag and then removed —
         both update paths, leaving postings typed by ids the original
         table did not have; and the delta-chain top where the document

@@ -1,6 +1,6 @@
 """Blocked posting columns: laziness and block-boundary parity.
 
-The block directory must never change an answer — only when bytes are
+The block header must never change an answer — only when bytes are
 decoded.  These tests pin that down at the awkward geometries: blocks
 of one posting, lists whose length divides the block size exactly (an
 empty-tail trap), ranges that straddle block boundaries, and the
@@ -18,8 +18,14 @@ import pytest
 import repro.kernels.backend as backend_module
 from repro import XRefine
 from repro.datasets import generate_dblp
-from repro.index import build_document_index, freeze_index, load_frozen_index
-from repro.index.blocks import BlockedInvertedList
+from repro.index import (
+    append_partition,
+    build_document_index,
+    freeze_index,
+    load_frozen_index,
+    load_index_chain,
+    save_delta,
+)
 
 BLOCK_SIZES = (1, 2, 3, 7)
 
@@ -94,9 +100,9 @@ class TestListParity:
         freeze_index(eager_index, path, block_size=block_size)
         loaded = load_frozen_index(path)
         lazy = loaded.inverted_list(keyword)
-        assert isinstance(lazy, BlockedInvertedList)
-        directory = lazy.block_store.directory
-        assert directory.postings_in_block(directory.block_count - 1) == (
+        assert lazy.block_count > 1
+        store = lazy.block_store
+        assert store.postings_in_block(store.block_count - 1) == (
             block_size
         )
         assert list(lazy) == list(eager_index.inverted_list(keyword))
@@ -108,12 +114,12 @@ class TestListParity:
             key=eager_index.inverted.list_length,
         )
         lazy = loaded.inverted_list(keyword)
-        directory = lazy.block_store.directory
-        assert directory.block_count == eager_index.inverted.list_length(
+        store = lazy.block_store
+        assert store.block_count == eager_index.inverted.list_length(
             keyword
         )
         assert list(lazy) == list(eager_index.inverted_list(keyword))
-        assert lazy.block_store.blocks_decoded == directory.block_count
+        assert store.blocks_decoded == store.block_count
 
 
 class TestLazyBinarySearch:
@@ -128,7 +134,7 @@ class TestLazyBinarySearch:
                 for posting in eager_index.inverted_list(keyword)
             ]
             lazy = loaded.inverted_list(keyword)
-            assert isinstance(lazy, BlockedInvertedList)
+            assert lazy.block_count > 1
             probes = list(eager_keys)
             probes += [key + (0,) for key in eager_keys]
             probes += [(), (999,), eager_keys[0][:-1]]
@@ -202,3 +208,54 @@ class TestSearchParity:
                     r.rq.key for r in b.refinements
                 ], (query, algorithm, block_size)
                 assert a.original_results == b.original_results
+
+
+class TestMutatedListsStayPaged:
+    """A list rewritten by a mutation, or served by a delta layer, opens
+    through the same paged path as a list of the base snapshot."""
+
+    BLOCK_SIZE = 4
+
+    @staticmethod
+    def assert_paged(index, keyword, partition):
+        lst = index.inverted.get(keyword)
+        store = lst.block_store
+        assert lst.block_count > 1
+        assert store.blocks_decoded == 0
+        assert len(lst) == index.inverted.list_length(keyword)
+        assert store.blocks_decoded == 0
+        lo, hi = lst.range_indices(partition)
+        assert store.blocks_decoded <= 1
+        assert hi - lo >= 1
+        return lst
+
+    def test_appended_and_delta_layered_lists_stay_paged(
+        self, eager_index, tmp_path
+    ):
+        base = tmp_path / "base.frz"
+        freeze_index(eager_index, base, block_size=self.BLOCK_SIZE)
+        loaded = load_frozen_index(base)
+        keyword = "ranking"
+        before = loaded.inverted.list_length(keyword)
+        assert before > 2 * self.BLOCK_SIZE
+        node = append_partition(loaded, (
+            "author", None, [
+                ("name", "paged writer"),
+                ("publications", None, [
+                    ("inproceedings", None, [("title", "ranking pages")]),
+                ]),
+            ],
+        ))
+        partition = node.dewey
+        appended = self.assert_paged(loaded, keyword, partition)
+        assert len(appended) == before + 1
+        assert appended.block_store.block_size == self.BLOCK_SIZE
+        assert list(appended)[-1].dewey.components[:2] == (
+            partition.components
+        )
+
+        delta = tmp_path / "base.d1.dlt"
+        save_delta(loaded, delta, base)
+        chained = load_index_chain(delta)
+        layered = self.assert_paged(chained, keyword, partition)
+        assert list(layered) == list(appended)

@@ -219,6 +219,18 @@ class TestCompaction:
         freeze_index(load_index_chain(chain[2]), refrozen)
         assert compacted.read_bytes() == refrozen.read_bytes()
 
+    def test_reblocking_matches_a_direct_freeze(self, figure1_index, tmp_path):
+        """Payloads re-encoded at another block size come out exactly
+        as a freeze at that size writes them."""
+        small = tmp_path / "bs1.frz"
+        freeze_index(figure1_index, small, block_size=1)
+        reblocked = tmp_path / "reblocked.frz"
+        compact(str(small), str(reblocked))
+        direct = tmp_path / "direct.frz"
+        freeze_index(figure1_index, direct)
+        assert reblocked.read_bytes() == direct.read_bytes()
+        assert small.read_bytes() != direct.read_bytes()
+
     def test_compacted_answers_match_chain(self, chain, tmp_path):
         compacted = tmp_path / "compacted.frz"
         compact(str(chain[2]), str(compacted))

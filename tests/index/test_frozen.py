@@ -14,6 +14,7 @@ import pytest
 from repro import XRefine
 from repro.errors import IndexingError
 from repro.index import (
+    InvertedList,
     append_partition,
     build_document_index,
     freeze_index,
@@ -21,9 +22,9 @@ from repro.index import (
     remove_partition,
 )
 from repro.index.blocks import (
-    BlockedInvertedList,
-    build_block_directory_payload,
-    decode_block_directory,
+    BlockStore,
+    decode_header,
+    encode_posting_payload,
 )
 from repro.index.frozen import (
     _CRC_CHUNK,
@@ -190,8 +191,8 @@ class TestCorruption:
             load_frozen_index(bad)
 
     def test_wrong_version(self, frozen_path, tmp_path):
-        """Older (1, 2) and newer (4, 99) headers: found vs supported."""
-        for version in (1, 2, FORMAT_VERSION + 1, 99):
+        """Older (1, 2, 3) and newer (5, 99) headers: found vs supported."""
+        for version in (1, 2, 3, FORMAT_VERSION + 1, 99):
             bad = self.corrupt(
                 frozen_path,
                 tmp_path,
@@ -235,8 +236,18 @@ class TestCorruption:
             load_frozen_index(bad)
 
 
-def _encode_directory(block_size, count, offsets, crcs, firsts, lasts):
-    """Re-encode a block directory record (mirror of the writer)."""
+def frozen_payload(index, keyword, block_size):
+    """``keyword``'s payload as a freeze at ``block_size`` writes it."""
+    postings = index.inverted_list(keyword)
+    return encode_posting_payload(
+        keyword, postings.dewey_keys, postings.type_ids, postings.counts,
+        block_size,
+    )
+
+
+def _encode_header(count, block_size, offsets, crcs, firsts, lasts):
+    """Re-encode a payload header (mirror of the writer); ``offsets``
+    are the block boundaries relative to the body."""
 
     def components(out, parts):
         out += encode_uvarint(len(parts))
@@ -244,13 +255,11 @@ def _encode_directory(block_size, count, offsets, crcs, firsts, lasts):
             out += encode_uvarint(part)
 
     out = bytearray()
-    out += encode_uvarint(block_size)
     out += encode_uvarint(count)
+    out += encode_uvarint(block_size)
     out += encode_uvarint(len(crcs))
-    previous = 0
-    for offset in offsets:
-        out += encode_uvarint(offset - previous)
-        previous = offset
+    for lo, hi in zip(offsets, offsets[1:]):
+        out += encode_uvarint(hi - lo)
     for index in range(len(crcs)):
         out += struct.pack("<I", crcs[index])
         components(out, firsts[index])
@@ -259,105 +268,127 @@ def _encode_directory(block_size, count, offsets, crcs, firsts, lasts):
 
 
 class TestBlockDirectoryFuzz:
-    """Corrupted block directories must fail with typed errors.
+    """Corrupted payload headers must fail with typed errors.
 
-    Every mutation here preserves enough structure to reach the
-    directory validator — the point is that a reordered, truncated or
-    inconsistent directory is rejected *before* it can mis-route a
-    binary search or a block-max prune.
+    Every mutation here preserves enough structure to reach the header
+    validator — the point is that a reordered, truncated or
+    inconsistent header is rejected *before* it can mis-route a binary
+    search or a block-max prune, and never read as something else.
     """
 
     @pytest.fixture(scope="class")
-    def payload(self, figure1_index):
+    def postings(self, figure1_index):
         keyword = max(
             figure1_index.inverted.keywords(),
             key=figure1_index.inverted.list_length,
         )
-        assert figure1_index.inverted.list_length(keyword) >= 2
-        return stored_payload(figure1_index, keyword)
+        assert figure1_index.inverted.list_length(keyword) >= 3
+        return figure1_index.inverted_list(keyword)
 
     @pytest.fixture(scope="class")
-    def directory(self, payload):
-        raw = build_block_directory_payload(payload, 1)
-        assert raw is not None
-        return decode_block_directory("kw", raw)
+    def payload(self, figure1_index, postings):
+        return frozen_payload(figure1_index, postings.keyword, 1)
 
-    def fields(self, directory):
+    @pytest.fixture(scope="class")
+    def header(self, payload, type_table):
+        return BlockStore("kw", payload, type_table)
+
+    @pytest.fixture(scope="class")
+    def body(self, payload, header):
+        return payload[header.offsets[0]:]
+
+    @pytest.fixture(scope="class")
+    def type_table(self, figure1_index):
+        return figure1_index.inverted.node_type_table
+
+    def fields(self, header):
+        start = header.offsets[0]
         return (
-            directory.block_size,
-            directory.count,
-            list(directory.offsets),
-            list(directory.crcs),
-            list(directory.firsts),
-            list(directory.lasts),
+            header.count,
+            header.block_size,
+            [offset - start for offset in header.offsets],
+            list(header.crcs),
+            list(header.firsts),
+            list(header.lasts),
         )
 
-    def test_roundtrip_is_clean(self, directory):
-        raw = _encode_directory(*self.fields(directory))
-        again = decode_block_directory("kw", raw)
-        assert again.offsets == directory.offsets
-        assert again.firsts == directory.firsts
-        assert again.lasts == directory.lasts
+    def test_roundtrip_is_clean(self, payload, header, body, type_table,
+                                postings):
+        assert _encode_header(*self.fields(header)) + body == payload
+        lst = InvertedList.open("kw", payload, type_table)
+        assert lst.block_count == len(postings)
+        assert list(lst) == list(postings)
 
     @pytest.mark.parametrize("cut", [1, 3, 7])
-    def test_truncated_directory(self, directory, cut):
-        raw = _encode_directory(*self.fields(directory))
-        with pytest.raises(IndexingError, match="truncated or corrupt"):
-            decode_block_directory("kw", raw[:-cut])
+    def test_truncated_directory(self, header, cut):
+        raw = _encode_header(*self.fields(header))
+        with pytest.raises(IndexingError, match="'kw' has a truncated"):
+            decode_header("kw", raw[:-cut])
 
-    def test_out_of_order_block_headers(self, directory):
-        size, count, offsets, crcs, firsts, lasts = self.fields(directory)
+    def test_out_of_order_block_headers(self, header, body):
+        count, size, offsets, crcs, firsts, lasts = self.fields(header)
         firsts[0], firsts[1] = firsts[1], firsts[0]
         lasts[0], lasts[1] = lasts[1], lasts[0]
-        raw = _encode_directory(size, count, offsets, crcs, firsts, lasts)
-        with pytest.raises(IndexingError, match="out-of-order blocks"):
-            decode_block_directory("kw", raw)
+        raw = _encode_header(count, size, offsets, crcs, firsts, lasts)
+        with pytest.raises(IndexingError, match="'kw' has out-of-order"):
+            decode_header("kw", raw + body)
 
-    def test_inverted_block_bounds(self, directory):
-        size, count, offsets, crcs, firsts, lasts = self.fields(directory)
+    def test_inverted_block_bounds(self, header, body):
+        count, size, offsets, crcs, firsts, lasts = self.fields(header)
         # Give block 0 a first key beyond its last key.
         firsts[0] = lasts[-1]
-        raw = _encode_directory(size, count, offsets, crcs, firsts, lasts)
-        with pytest.raises(IndexingError, match="inverted block"):
-            decode_block_directory("kw", raw)
+        raw = _encode_header(count, size, offsets, crcs, firsts, lasts)
+        with pytest.raises(IndexingError, match="'kw' has an inverted block"):
+            decode_header("kw", raw + body)
 
-    def test_non_ascending_offsets(self, directory):
-        size, count, offsets, crcs, firsts, lasts = self.fields(directory)
+    def test_non_ascending_offsets(self, header, body):
+        count, size, offsets, crcs, firsts, lasts = self.fields(header)
         offsets[1] = offsets[0]
-        raw = _encode_directory(size, count, offsets, crcs, firsts, lasts)
-        with pytest.raises(IndexingError, match="non-ascending offsets"):
-            decode_block_directory("kw", raw)
+        raw = _encode_header(count, size, offsets, crcs, firsts, lasts)
+        with pytest.raises(IndexingError, match="'kw' has non-ascending"):
+            decode_header("kw", raw + body)
 
-    def test_wrong_block_count(self, directory):
-        size, count, offsets, crcs, firsts, lasts = self.fields(directory)
-        raw = _encode_directory(size, count + 5, offsets, crcs, firsts,
-                                lasts)
-        with pytest.raises(IndexingError, match="declares"):
-            decode_block_directory("kw", raw)
+    def test_wrong_block_count(self, header, body):
+        count, size, offsets, crcs, firsts, lasts = self.fields(header)
+        raw = _encode_header(count + 5, size, offsets, crcs, firsts, lasts)
+        with pytest.raises(IndexingError, match="'kw' declares"):
+            decode_header("kw", raw + body)
 
-    def test_truncated_block_payload(self, payload, directory, figure1_index):
+    @pytest.mark.parametrize("change", ["longer", "shorter"])
+    def test_last_offset_must_end_the_payload(self, payload, change):
+        """A payload whose length disagrees with its blocks is an error,
+        never a list read some other way."""
+        raw = payload + b"\x00" if change == "longer" else payload[:-1]
+        with pytest.raises(IndexingError, match="'kw' has blocks ending"):
+            decode_header("kw", raw)
+
+    def test_truncated_block_payload(self, header, body, type_table):
         """A block cut short mid-posting fails with a typed error.
 
         The CRC is forged to match the truncated bytes, so the decode
         itself must detect that the block ran out of postings.
         """
-        size, count, offsets, crcs, firsts, lasts = self.fields(directory)
-        cut = payload[: offsets[-1] - 1]
-        crcs[-1] = zlib.crc32(bytes(cut[offsets[-2] :]))
+        count, size, offsets, crcs, firsts, lasts = self.fields(header)
+        cut = body[: offsets[-1] - 1]
+        crcs[-1] = zlib.crc32(cut[offsets[-2]:])
         offsets[-1] -= 1
-        forged = decode_block_directory(
-            "kw", _encode_directory(size, count, offsets, crcs, firsts,
-                                    lasts)
-        )
-        lst = BlockedInvertedList.open(
-            "kw", cut, forged, figure1_index.inverted.node_type_table
-        )
-        with pytest.raises(IndexingError, match="truncated"):
+        raw = _encode_header(count, size, offsets, crcs, firsts, lasts)
+        lst = InvertedList.open("kw", raw + cut, type_table)
+        with pytest.raises(IndexingError, match="'kw' is truncated"):
+            list(lst)
+
+    def test_header_disagrees_with_its_block(self, header, body, type_table):
+        """A header key that is well ordered but not the block's own."""
+        count, size, offsets, crcs, firsts, lasts = self.fields(header)
+        lasts[-1] = lasts[-1] + (0,)
+        raw = _encode_header(count, size, offsets, crcs, firsts, lasts)
+        lst = InvertedList.open("kw", raw + body, type_table)
+        with pytest.raises(IndexingError, match="'kw' disagrees"):
             list(lst)
 
 
 class TestBlockCorruptionOnDisk:
-    """Per-block CRCs catch payload damage the directory cannot see.
+    """Per-block CRCs catch payload damage the header cannot see.
 
     The file-level checksum is recomputed after each mutation, so the
     snapshot *opens* cleanly — the corruption must be caught lazily, by
@@ -371,7 +402,7 @@ class TestBlockCorruptionOnDisk:
             figure1_index.inverted.keywords(),
             key=figure1_index.inverted.list_length,
         )
-        payload = stored_payload(figure1_index, keyword)
+        payload = frozen_payload(figure1_index, keyword, 1)
         return path, keyword, payload
 
     def rechecksum(self, blob):
@@ -386,15 +417,13 @@ class TestBlockCorruptionOnDisk:
         path, keyword, payload = self.frozen_with_blocks(
             figure1_index, tmp_path
         )
-        directory = decode_block_directory(
-            keyword, build_block_directory_payload(payload, 1)
-        )
+        offsets = decode_header(keyword, payload)[2]
         blob = bytearray(path.read_bytes())
-        position = blob.find(bytes(payload))
+        position = blob.find(payload)
         assert position != -1, "payload bytes not found in the snapshot"
         # Damage the *last* block only, then make the file-level
         # checksum agree again.
-        blob[position + directory.offsets[-2]] ^= 0x40
+        blob[position + offsets[-2]] ^= 0x40
         self.rechecksum(blob)
         bad = tmp_path / "bad_block.frz"
         bad.write_bytes(bytes(blob))
@@ -404,7 +433,9 @@ class TestBlockCorruptionOnDisk:
         # Earlier blocks decode fine; only touching the damaged block
         # raises, and it raises a typed checksum error.
         assert lazy[0] is not None
-        with pytest.raises(IndexingError, match="checksum"):
+        with pytest.raises(
+            IndexingError, match=f"{keyword!r} fails its checksum"
+        ):
             list(lazy)
 
     def test_clean_snapshot_decodes_every_block(

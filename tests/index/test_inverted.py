@@ -6,7 +6,6 @@ from repro import XRefine
 from repro.errors import IndexingError
 from repro.index import (
     InvertedIndex,
-    Posting,
     build_document_index,
     freeze_index,
     load_frozen_index,
@@ -18,7 +17,9 @@ def make_list(labels, keyword="k"):
     index = InvertedIndex()
     index.add_postings(
         keyword,
-        [Posting(Dewey.parse(label), ("r", "x"), 1) for label in labels],
+        [Dewey.parse(label).components for label in labels],
+        [("r", "x")] * len(labels),
+        [1] * len(labels),
     )
     return index.get(keyword)
 
@@ -49,13 +50,12 @@ class TestInvertedIndex:
         index = InvertedIndex()
         index.add_postings(
             "xml",
-            [
-                Posting(Dewey.parse("0.0.1"), ("bib", "author", "t"), 2),
-                Posting(Dewey.parse("0.1.0"), ("bib", "author", "t"), 1),
-            ],
+            [(0, 0, 1), (0, 1, 0)],
+            [("bib", "author", "t")] * 2,
+            [2, 1],
         )
         index.add_postings(
-            "year", [Posting(Dewey.parse("0.0.2"), ("bib", "author", "year"), 1)]
+            "year", [(0, 0, 2)], [("bib", "author", "year")], [1]
         )
         return index
 

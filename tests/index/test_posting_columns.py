@@ -1,10 +1,11 @@
 """A posting list is its three columns; ``Posting`` is a view of them.
 
 Random document-ordered rows go through ``add_postings`` and come back
-through ``get`` — as the eager list and as a blocked run over the same
-payload bytes — and every way of reading the list (iteration, indexing,
-slices, ``labels()``, ``ancestor_keys()``, the raw columns) must return
-the rows that went in, with each block decoded once however the list is read.
+through ``get`` — as the one-block list a built index opens and as the
+same postings encoded at a small block size — and every way of reading
+the list (iteration, indexing, slices, ``labels()``,
+``ancestor_keys()``, the raw columns) must return the rows that went
+in, with each block decoded once however the list is read.
 """
 
 from __future__ import annotations
@@ -12,13 +13,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index import InvertedIndex, Posting
-from repro.index.blocks import (
-    BlockedInvertedList,
-    build_block_directory_payload,
-    decode_block_directory,
-)
-from repro.storage import encode_key
+from repro.index import InvertedIndex, InvertedList, Posting
+from repro.index.blocks import encode_posting_payload
 from repro.xmltree import Dewey
 
 TAGS = ("bib", "author", "name", "title", "year")
@@ -35,21 +31,21 @@ rows = st.lists(
 
 
 def eager_and_blocked(table, block_size):
-    """``[eager list, blocked list or None]`` holding ``table``."""
+    """``[eager list, blocked list or None]`` holding ``table``.
+
+    The second is the same postings at ``block_size``, or ``None`` when
+    they fit in one block.
+    """
     index = InvertedIndex()
-    index.add_postings("k", [
-        Posting(Dewey(components), node_type, count)
-        for components, node_type, count in table
-    ])
-    payload = index._store.get(encode_key(("k",)))
-    directory = build_block_directory_payload(payload, block_size)
-    if directory is None:  # a single block: no directory, eager decode
-        return [index.get("k"), None]
-    blocked = BlockedInvertedList.open(
-        "k", payload, decode_block_directory("k", directory),
-        index._type_table,
-    )
-    return [index.get("k"), blocked]
+    index.add_postings("k", *([row[i] for row in table] for i in range(3)))
+    eager = index.get("k")
+    if len(table) <= block_size:
+        return [eager, None]
+    blocked = InvertedList.open("k", encode_posting_payload(
+        "k", eager.dewey_keys, eager.type_ids, eager.counts, block_size,
+    ), index._type_table)
+    assert blocked.block_count > 1
+    return [eager, blocked]
 
 
 @settings(max_examples=120, deadline=None)
@@ -94,8 +90,9 @@ def test_iterating_decodes_each_block_once(table, block_size):
     store = blocked.block_store
     assert store.blocks_decoded == 0
     list(blocked)
-    assert store.blocks_decoded == store.directory.block_count
+    assert store.blocks_decoded == store.block_count
+    assert store.payload is None  # every block decoded: the bytes go
     list(blocked)
     blocked.labels()
     blocked[0:len(table)]
-    assert store.blocks_decoded == store.directory.block_count
+    assert store.blocks_decoded == store.block_count

@@ -53,7 +53,7 @@ def test_one_compiled_slca_call_makes_the_columns_presence_ready(frozen_path):
     # reporting it costs nothing more.
     decoded = [lst.block_store.blocks_decoded for lst in lists]
     assert decoded == [
-        lst.block_store.directory.block_count for lst in lists
+        lst.block_store.block_count for lst in lists
     ]
     assert presence_ready(columns)
     assert [lst.block_store.blocks_decoded for lst in lists] == decoded

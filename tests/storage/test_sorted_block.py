@@ -50,18 +50,16 @@ OPS = st.one_of(
 
 
 def make_bases(bottom, layers):
-    """``(base, content, frozen, blobs)`` for no base, a block, a stack.
+    """``(base, content, blobs)`` for no base, a block, a stack.
 
-    ``content`` is what the base holds; ``frozen`` the part of it that
-    is still the bottom block's own bytes (what ``base_view`` serves).
+    ``content`` is what the base holds.
     """
-    yield None, {}, {}, []
+    yield None, {}, []
 
     bottom_blob = bytearray(encode_sorted_kv_block(sorted(bottom.items())))
-    yield SortedKVBlock(bottom_blob), dict(bottom), dict(bottom), [bottom_blob]
+    yield SortedKVBlock(bottom_blob), dict(bottom), [bottom_blob]
 
     content = dict(bottom)
-    frozen = dict(bottom)
     blobs = [bottom_blob]
     stack_layers = []
     for puts, deleted in layers:
@@ -72,15 +70,13 @@ def make_bases(bottom, layers):
         for key in deleted:
             content.pop(key, None)
         content.update(puts)
-        for key in set(puts) | deleted:
-            frozen.pop(key, None)
     yield (
         StackedKVBase(SortedKVBlock(bottom_blob), stack_layers),
-        content, frozen, blobs,
+        content, blobs,
     )
 
 
-def check_against_model(store, content, frozen, ops):
+def check_against_model(store, content, ops):
     overlay, deleted = {}, set()
 
     def model():
@@ -94,11 +90,11 @@ def check_against_model(store, content, frozen, ops):
         assert store.get(key, b"dflt") == expected.get(key, b"dflt")
         assert (key in store) == (key in expected)
         assert len(store) == len(expected)
-        view = store.base_view(key)
-        if key in overlay or key in deleted or key not in frozen:
-            assert view is None
+        view = store.view(key)
+        if key in expected:
+            assert bytes(view) == expected[key]
         else:
-            assert bytes(view) == frozen[key]
+            assert view is None
 
     def check_ordered(low, high):
         expected = sorted(model().items())
@@ -212,6 +208,7 @@ class TestCowKVStore:
         assert len(store) == 4
         assert store.get(b"delta") == b"four"
         assert isinstance(store.get(b"delta"), bytes)
+        assert isinstance(store.view(b"delta"), memoryview)  # no copy
         assert b"alpha" in store
         assert list(store.items()) == SAMPLE
 
@@ -303,7 +300,7 @@ class TestCowKVStore:
     )
     def test_randomized_vs_dict_model(self, bottom, layers, ops):
         """Every read agrees with a sorted-dict model, over every base."""
-        for base, content, frozen, blobs in make_bases(bottom, layers):
+        for base, content, blobs in make_bases(bottom, layers):
             snapshots = [bytes(blob) for blob in blobs]
-            check_against_model(CowKVStore(base), content, frozen, ops)
+            check_against_model(CowKVStore(base), content, ops)
             assert [bytes(blob) for blob in blobs] == snapshots
