@@ -20,10 +20,15 @@ alone.
 Most of what step 1 decides about a partition depends only on *which*
 keywords it holds, and documents have far fewer distinct presence masks
 than partitions.  On the batch-presence path an evaluation that touched
-no posting and changed nothing is remembered per mask and its repeats
-are settled into the statistics arithmetically, so the Python cost of
-step 1 is per (distinct mask x list state), not per partition — with
-every ``ScanStats`` counter exactly what the plain loop would report.
+no posting and changed nothing is remembered per mask; a kernel walk
+(:func:`~repro.kernels.sle_advance`) passes over visited partitions,
+counts the repeats of remembered masks, and stops only at a mask that
+needs deciding, and the repeats are settled into the statistics
+arithmetically.  Once ``Q`` has an answer, one kernel call
+(:func:`~repro.kernels.sle_direct`) runs the SLCA of every remaining
+partition that holds all of ``Q``.  So the Python cost of step 1 is
+per decision, not per partition — with every ``ScanStats`` counter
+exactly what the plain loop would report.
 
 Step 2 then computes SLCA results only for the kept candidates, using
 any existing SLCA method (the columnar scan-eager kernel here; the
@@ -42,12 +47,15 @@ from __future__ import annotations
 import time
 
 from ..kernels import (
+    MaskMemo,
     PresenceBoundCache,
     admission_sweep,
     columns_for,
     partition_presence,
     prepare_beam,
     presence_ready,
+    sle_advance,
+    sle_direct,
     slca_hits,
 )
 from ..lexicon.rules import RuleSet
@@ -98,7 +106,6 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
     }
 
     sorted_list = RQSortedList(capacity=max(2 * k, 2))
-    visited_partitions = set()
     needs_refine = True
     original_results = []  # component tuples until the response
     probe_memo, beam_memo = dp_memos if dp_memos is not None else ({}, {})
@@ -331,16 +338,56 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
     # partition-local SLCA and left ``sorted_list`` and ``needs_refine``
     # as it found them would repeat itself, counter for counter, on the
     # next partition with the same mask: remember its counter deltas,
-    # count the repeats, and settle them into ``stats`` when the state
-    # they were computed against ends.
-    repeats = {}  # mask -> [times, skipped, probes, dp_invocations]
+    # let the walk count the repeats, and settle them into ``stats``
+    # when the state they were computed against ends.
+    memo = MaskMemo()
+    retired = 0  # lanes of the anchors whose batch rounds are done
+    visited_partitions = set()  # the header-first path's
 
     def settle_repeats():
-        for times, skipped, probes, dp_invocations in repeats.values():
+        for times, (skipped, probes, dp_invocations) in memo.drain():
             stats.partitions_skipped += times * skipped
             stats.probes += times * probes
             stats.dp_invocations += times * dp_invocations
-        repeats.clear()
+
+    def probes_for(anchor):
+        # The sequential loop counted one probe per keyword-space entry
+        # (duplicates included) that differs from the anchor, for every
+        # partition that passed the pre-screen.
+        return sum(1 for keyword in context.keyword_space if keyword != anchor)
+
+    def finish_directly(current_round, start):
+        """Q has an answer: what is left of step 1 — the rest of this
+        round, then every round of Q's remaining keywords — is the
+        SLCA of each unvisited partition holding all of Q, in one
+        kernel call."""
+        remaining.intersection_update(query_set)
+        rounds = [current_round]
+        while remaining:
+            keyword = choose_keyword()
+            remaining.discard(keyword)
+            with phase("merge"):
+                rounds.append(
+                    partition_presence(columns[keyword], lane_columns)
+                    + (lane_of[keyword], probes_for(keyword))
+                )
+        hits, counts = sle_direct(
+            rounds, start, retired,
+            [lane_of[keyword] for keyword in context.query],
+            query_lane_mask, lane_columns, context.need,
+        )
+        stats.slca_invocations += counts[0]
+        stats.probes += counts[1]
+        stats.partitions_skipped += counts[2]
+        stats.partitions_visited += counts[3]
+        hit_lanes = hits[0::3]
+        positions = hits[1::3]
+        depths = hits[2::3]
+        for lane in set(hit_lanes):
+            picks = [j for j, hit in enumerate(hit_lanes) if hit == lane]
+            original_results.extend(lane_columns[lane].hit_keys(
+                0, positions, depths, picks
+            ))
 
     # ------------------------------------------------------------------
     # Step 1: explore Top-2K candidates.
@@ -348,8 +395,14 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
     with phase("admit"):
         while remaining:
             anchor_keyword = choose_keyword()
+            remaining.discard(anchor_keyword)
             anchor_columns = columns[anchor_keyword]
-            if batch_ready:
+            if not batch_ready:
+                for partition_id in anchor_columns.pids:
+                    if partition_id not in visited_partitions:
+                        visited_partitions.add(partition_id)
+                        examine(None, partition_id, None)
+            else:
                 # The whole round's probe phase at once: per anchor
                 # partition, the presence mask and every lane's posting
                 # span, from one merge-join (compiled when the backend is).
@@ -357,47 +410,39 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
                     masks, spans_flat = partition_presence(
                         anchor_columns, lane_columns
                     )
-                # The sequential loop counted one probe per keyword-space
-                # entry (duplicates included) that differs from the anchor,
-                # for every partition that passed the pre-screen.
-                probes_per_partition = sum(
-                    1 for keyword in context.keyword_space
-                    if keyword != anchor_keyword
-                )
-            else:
-                masks = None
+                anchor_lane = lane_of[anchor_keyword]
+                probes_per_partition = probes_for(anchor_keyword)
+                # The walk stops only where there is a decision to make:
+                # at an unvisited partition whose mask the memo lacks.
+                position = sle_advance(masks, 0, retired, memo)
+                while position < len(masks):
+                    mask = masks[position]
+                    state = (sorted_list.mutations, needs_refine)
+                    skipped = stats.partitions_skipped
+                    probes = stats.probes
+                    dp_invocations = stats.dp_invocations
+                    slca_invocations = stats.slca_invocations
+                    examine(position, None, mask)
+                    if not needs_refine:
+                        finish_directly(
+                            (masks, spans_flat, anchor_lane,
+                             probes_per_partition),
+                            position + 1,
+                        )
+                        break
+                    if state != (sorted_list.mutations, needs_refine):
+                        settle_repeats()
+                    elif slca_invocations == stats.slca_invocations:
+                        memo.remember(mask, (
+                            stats.partitions_skipped - skipped,
+                            stats.probes - probes,
+                            stats.dp_invocations - dp_invocations,
+                        ))
+                    position = sle_advance(masks, position + 1, retired, memo)
+                # probes_per_partition is the round's: settle before it moves.
+                settle_repeats()
+                retired |= 1 << anchor_lane
 
-            for pindex, partition_id in enumerate(anchor_columns.pids):
-                if partition_id in visited_partitions:
-                    continue
-                visited_partitions.add(partition_id)
-                if masks is None:
-                    examine(pindex, partition_id, None)
-                    continue
-                mask = masks[pindex]
-                repeat = repeats.get(mask)
-                if repeat is not None:
-                    repeat[0] += 1
-                    continue
-                state = (sorted_list.mutations, needs_refine)
-                skipped = stats.partitions_skipped
-                probes = stats.probes
-                dp_invocations = stats.dp_invocations
-                slca_invocations = stats.slca_invocations
-                examine(pindex, partition_id, mask)
-                if state != (sorted_list.mutations, needs_refine):
-                    settle_repeats()
-                elif slca_invocations == stats.slca_invocations:
-                    repeats[mask] = [
-                        0,
-                        stats.partitions_skipped - skipped,
-                        stats.probes - probes,
-                        stats.dp_invocations - dp_invocations,
-                    ]
-            # probes_per_partition is the round's: settle before it moves.
-            settle_repeats()
-
-            remaining.discard(anchor_keyword)
             if not needs_refine:
                 # Q's SLCAs may still exist in partitions only reachable
                 # through other keywords; keep iterating only over lists of
@@ -414,7 +459,7 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
                 if probe_minimum(remaining) > sorted_list.max_dissimilarity():
                     break
 
-    stats.partitions_visited = len(visited_partitions)
+    stats.partitions_visited += memo.visited + len(visited_partitions)
 
     # ------------------------------------------------------------------
     # Step 2: SLCA computation for the kept candidates only.

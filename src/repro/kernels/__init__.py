@@ -13,7 +13,8 @@ operations over columnar views of the inverted lists:
   run encoding the stack route retires whole chains with.
 * :mod:`.scoring` — batch candidate scoring: partition presence as a
   merge-join over flat tables, Top-2K admission as one threshold
-  sweep, Formula 2-9 ranking over memoized lookup columns.
+  sweep, Formula 2-9 ranking over memoized lookup columns; the
+  short-list route's walk over the presence columns.
 * :mod:`.bounds` — presence bounds memoized by block bitmask (the
   WAND-style skip pre-check).
 * :mod:`.backend` — compiled (cffi + cc) fast path selection with a
@@ -35,6 +36,7 @@ from .columns import (  # noqa: F401
 )
 from .lcp import merged_lcp, merged_lcp_runs  # noqa: F401
 from .scoring import (  # noqa: F401
+    MaskMemo,
     PreparedBeam,
     ScoreTable,
     admission_sweep,
@@ -44,6 +46,8 @@ from .scoring import (  # noqa: F401
     prepare_beam,
     presence_ready,
     score_table,
+    sle_advance,
+    sle_direct,
     supported_model,
 )
 from .slca import (  # noqa: F401
@@ -56,6 +60,7 @@ from .slca import (  # noqa: F401
 __all__ = [
     "BlockedListColumns",
     "ListColumns",
+    "MaskMemo",
     "PreparedBeam",
     "PresenceBoundCache",
     "ScoreTable",
@@ -74,6 +79,8 @@ __all__ = [
     "prepare_beam",
     "presence_ready",
     "score_table",
+    "sle_advance",
+    "sle_direct",
     "slca_columns",
     "slca_hits",
     "slca_ranges",

@@ -22,11 +22,22 @@ through cffi's ABI mode.  Selection happens once at import time:
 
 The library works exclusively on flat ``int64`` component arrays plus
 offset tables (see :mod:`.columns`), the columnar layout shared by all
-kernels.  A column's ``ffi.from_buffer`` casts are memoized on the
-column (:func:`column_handles`, :func:`pid_handles`), so what a call
-marshals is its pointer and bound lists — passed as plain Python lists,
-which cffi converts in the call — and one output buffer: an SLCA is one
-crossing (``repro_slca_hits``) whatever its matcher count.
+kernels, and on type-id columns in their own 2- or 4-byte typecode.
+A column's ``ffi.from_buffer`` casts are memoized on the column
+(:func:`column_handles`, :func:`type_id_handle`, :func:`pid_handles`),
+so what a call marshals is its pointer and bound lists — passed as
+plain Python lists, which cffi converts in the call — and its output
+buffers.  The crossings:
+
+* ``repro_slca_hits`` — one SLCA, whatever its matcher count;
+* ``repro_merge_lcp`` / ``repro_merge_lcp_runs`` — the stack route's
+  merged-stream LCP table;
+* ``repro_partition_presence`` — a short-list anchor round's presence
+  masks and posting spans;
+* ``repro_sle_advance`` — the short-list walk to the next partition
+  that needs a decision (one call per decision, not per partition);
+* ``repro_sle_direct`` — the short-list finish once Q has an answer:
+  every remaining partition's SLCA and Definition 3.3 test in one call.
 """
 
 from __future__ import annotations
@@ -64,6 +75,17 @@ void repro_partition_presence(const int64_t *a_pids, int64_t a_count,
                               const int64_t **hi_arrs,
                               const int64_t *counts, int64_t nlanes,
                               int64_t *masks, int64_t *spans);
+int64_t repro_sle_advance(const int64_t *masks, int64_t count,
+                          int64_t start, int64_t retired,
+                          int64_t *memo, int64_t nknown);
+int64_t repro_sle_direct(const int64_t **masks, const int64_t **spans,
+                         const int64_t *rounds, int64_t nrounds,
+                         int64_t nlanes, int64_t query_mask,
+                         const int64_t *query_lanes, int64_t nquery,
+                         const int64_t **flats, const int64_t **offs,
+                         const void **tids, const int64_t *tid_widths,
+                         const int64_t *need, int64_t *state,
+                         int64_t *hits, int64_t capacity);
 """
 
 #: Every function declared above.
@@ -71,6 +93,7 @@ _ENTRY_POINTS = tuple(re.findall(r"\b(repro_\w+)\(", _CDEF))
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 
 /* Lexicographic compare of two variable-length int64 Dewey keys. */
 static int key_cmp(const int64_t *a, int64_t alen,
@@ -385,7 +408,7 @@ void repro_partition_presence(const int64_t *a_pids, int64_t a_count,
             } else if (l0 < a0 || (l0 == a0 && l1 < a1)) {
                 li++;
             } else {
-                masks[ai] |= (int64_t)1 << lane;
+                masks[ai] |= (int64_t)((uint64_t)1 << lane);
                 spans[(ai * nlanes + lane) * 2] = los[li];
                 spans[(ai * nlanes + lane) * 2 + 1] = his[li];
                 ai++;
@@ -393,6 +416,158 @@ void repro_partition_presence(const int64_t *a_pids, int64_t a_count,
             }
         }
     }
+}
+
+/* Short-list step 1's walk over one anchor round's presence masks.
+ * From start, a partition an earlier round visited is passed over: a
+ * round visits every partition of its anchor, so a partition was
+ * visited exactly when it holds a retired anchor's keyword
+ * (mask & retired).  Every other partition is counted into memo[0];
+ * one whose mask is memo entry j (memo[1 + 2j], j < nknown) is a
+ * repeat, counted into memo[2 + 2j].  Returns the first partition whose
+ * mask is no entry's, where the caller has a decision to make, or
+ * count when the round is done. */
+int64_t repro_sle_advance(const int64_t *masks, int64_t count,
+                          int64_t start, int64_t retired,
+                          int64_t *memo, int64_t nknown)
+{
+    int64_t visited = 0;
+    int64_t i, j;
+    for (i = start; i < count; i++) {
+        int64_t mask = masks[i];
+        if (mask & retired)
+            continue;
+        visited++;
+        for (j = 0; j < nknown && memo[1 + 2 * j] != mask; j++)
+            ;
+        if (j == nknown)
+            break;
+        memo[2 + 2 * j]++;
+    }
+    memo[0] += visited;
+    return i;
+}
+
+static int64_t type_id_at(const void *tids, int64_t width, int64_t pos)
+{
+    return width == 2 ? (int64_t)((const uint16_t *)tids)[pos]
+                      : (int64_t)((const uint32_t *)tids)[pos];
+}
+
+/* Short-list step 1 once Q has an answer: every unvisited partition of
+ * round r = state[0] from partition state[1] on, then of every later
+ * round.  Round r's masks and spans are masks[r] / spans[r] (as
+ * repro_partition_presence lays them out over nlanes lanes) and
+ * rounds[3r .. 3r + 2] its (partition count, anchor lane, probes per
+ * partition); the anchor's lane joins the retired lanes (state[2]) when
+ * its round ends.  A partition that does not hold all of Q is skipped.
+ * One that does gets its partition-local SLCA: query entry q is lane
+ * query_lanes[q] with key columns flats[q] / offs[q] and type ids
+ * tids[q] (tid_widths[q] bytes each); the anchor is the first shortest
+ * range, as slca_hits ranks them.  A hit is kept when it is meaningful
+ * (Definition 3.3: depth >= need[type id]) and written as
+ * (lane, position, depth) at hits[3 * state[3]].
+ *
+ * state[4..7] accumulate slca_invocations, probes, partitions_skipped
+ * and partitions_visited.  Returns 0 when every round is done.  Else
+ * state[0..1] name a partition none of whose counters is applied yet:
+ * 1 when its kept hits do not fit in capacity (state[8] is the capacity
+ * that would hold them), 2 when it computed a depth of 0 (labels of
+ * different documents: the caller re-runs it on the per-node path),
+ * 3 when the depth column could not be allocated. */
+int64_t repro_sle_direct(const int64_t **masks, const int64_t **spans,
+                         const int64_t *rounds, int64_t nrounds,
+                         int64_t nlanes, int64_t query_mask,
+                         const int64_t *query_lanes, int64_t nquery,
+                         const int64_t **flats, const int64_t **offs,
+                         const void **tids, const int64_t *tid_widths,
+                         const int64_t *need, int64_t *state,
+                         int64_t *hits, int64_t capacity)
+{
+    int64_t r = state[0], i = state[1], retired = state[2], n = state[3];
+    int64_t *work = 0, room = 0, status = 0;
+    for (; r < nrounds; r++, i = 0) {
+        const int64_t *round_masks = masks[r];
+        int64_t npart = rounds[3 * r];
+        for (; i < npart; i++) {
+            const int64_t *row = spans[r] + i * nlanes * 2;
+            int64_t mask = round_masks[i];
+            int64_t best = 0, lane, a_lo, count, emitted, kept, q, j;
+            int64_t *depths, *slots;
+            if (mask & retired)
+                continue;
+            if ((mask & query_mask) != query_mask) {
+                state[6]++;
+                state[7]++;
+                continue;
+            }
+            for (q = 1; q < nquery; q++) {
+                int64_t at = 2 * query_lanes[q], held = 2 * query_lanes[best];
+                if (row[at + 1] - row[at] < row[held + 1] - row[held])
+                    best = q;
+            }
+            lane = query_lanes[best];
+            a_lo = row[2 * lane];
+            count = row[2 * lane + 1] - a_lo;
+            if (2 * count > room) {
+                int64_t *grown = realloc(work, 2 * count * sizeof *grown);
+                if (!grown) {
+                    status = 3;
+                    goto out;
+                }
+                work = grown;
+                room = 2 * count;
+            }
+            depths = work;
+            slots = work + count;
+            for (j = 0; j < count; j++)
+                depths[j] = offs[best][a_lo + j + 1] - offs[best][a_lo + j];
+            for (q = 0; q < nquery; q++) {
+                int64_t at = 2 * query_lanes[q];
+                if (q != best)
+                    fold_depths(flats[best], offs[best], a_lo, a_lo + count,
+                                flats[q], offs[q], row[at], row[at + 1],
+                                depths);
+            }
+            emitted = emit_survivors(flats[best], offs[best], a_lo, count,
+                                     depths, slots);
+            if (emitted < 0) {
+                status = 2;
+                goto out;
+            }
+            kept = 0;
+            for (j = 0; j < emitted; j++) {
+                int64_t tid = type_id_at(tids[best], tid_widths[best],
+                                         a_lo + slots[j]);
+                if (depths[j] >= need[tid]) {
+                    slots[kept] = slots[j];
+                    depths[kept] = depths[j];
+                    kept++;
+                }
+            }
+            if (n + kept > capacity) {
+                state[8] = n + kept;
+                status = 1;
+                goto out;
+            }
+            for (j = 0; j < kept; j++, n++) {
+                hits[3 * n] = lane;
+                hits[3 * n + 1] = a_lo + slots[j];
+                hits[3 * n + 2] = depths[j];
+            }
+            state[4]++;
+            state[5] += rounds[3 * r + 2];
+            state[7]++;
+        }
+        retired |= (int64_t)((uint64_t)1 << rounds[3 * r + 1]);
+    }
+out:
+    free(work);
+    state[0] = r;
+    state[1] = i;
+    state[2] = retired;
+    state[3] = n;
+    return status;
 }
 """
 
@@ -417,16 +592,16 @@ def _build_library():
             with open(source, "w", encoding="utf-8") as handle:
                 handle.write(_C_SOURCE)
             compiler = os.environ.get("CC", "cc")
-            scratch = library + f".tmp{os.getpid()}"
+            column = library + f".tmp{os.getpid()}"
             subprocess.run(
                 [compiler, "-O3", "-shared", "-fPIC", source,
-                 "-o", scratch],
+                 "-o", column],
                 check=True,
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL,
                 timeout=120,
             )
-            os.replace(scratch, library)  # atomic vs concurrent builders
+            os.replace(column, library)  # atomic vs concurrent builders
         ffi = FFI()
         ffi.cdef(_CDEF)
         handle = ffi.dlopen(library)
@@ -475,6 +650,30 @@ def column_handles(lib, column):
     handles = (lib, lib.i64(flat), lib.i64(offs))
     column._c = handles
     return handles[1], handles[2]
+
+
+#: cffi element type of a type-id column, by its ``array`` item size.
+_TYPE_ID_CTYPES = {2: "uint16_t[]", 4: "uint32_t[]"}
+
+
+def type_id_handle(lib, column):
+    """Cached ``(pointer, width)`` of a column's type-id column.
+
+    The column is read in its own typecode (``H``, or ``I`` past 65,536
+    types) — ``width`` is its item size — so no widened copy is made.
+    Memoized beside the key pointers of :func:`column_handles`, whose
+    walk is what turns a blocked column's ``tids`` into one flat array.
+    """
+    column_handles(lib, column)
+    cached = column._c
+    if len(cached) == 3:
+        tids = column.tids
+        cached += (
+            lib.ffi.from_buffer(_TYPE_ID_CTYPES[tids.itemsize], tids),
+            tids.itemsize,
+        )
+        column._c = cached
+    return cached[3], cached[4]
 
 
 def pid_handles(lib, column):

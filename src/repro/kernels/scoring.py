@@ -12,6 +12,11 @@ per candidate).  This module batches all three:
   tables (compiled when the backend is) producing every anchor
   partition's presence mask and per-lane posting span at once: the
   whole probe phase of the short-list route as two columns.
+* :func:`sle_advance` / :func:`sle_direct` — the short-list route's
+  walk over those columns: to the next partition whose mask needs a
+  decision (repeats of memoized masks are only counted), and, once
+  ``Q`` has an answer, every remaining partition's SLCA and
+  Definition 3.3 test in one pass.
 * :func:`prepare_beam` / :func:`admission_sweep` — the memoized DP
   beam's ``(dissimilarity, content order)`` admission columns,
   compared against the :class:`~repro.core.candidates.RQSortedList`
@@ -40,6 +45,7 @@ from array import array
 from weakref import WeakKeyDictionary
 
 from . import backend
+from .slca import slca_hits
 
 _MISS = object()
 
@@ -50,11 +56,20 @@ _MISS = object()
 def presence_ready(lane_columns):
     """True when every lane can feed the batch presence kernel.
 
-    Blocked (beyond-RAM) columns only qualify once their partition
-    tables are already materialized — the batch path must never be
-    what forces a lazy column resident.
+    A presence mask is one ``int64``, so at most
+    ``backend.MAX_MERGE_LANES`` lanes.  Blocked (beyond-RAM) columns
+    only qualify once their partition tables are already materialized —
+    the batch path must never be what forces a lazy column resident.
     """
-    return all(column.tables_ready for column in lane_columns)
+    return len(lane_columns) <= backend.MAX_MERGE_LANES and all(
+        column.tables_ready for column in lane_columns
+    )
+
+
+def _int64(mask):
+    """A lane bitmask as the signed ``int64`` it is in a mask column:
+    lane 63 is the sign bit."""
+    return mask - (1 << 64) if mask >= 1 << 63 else mask
 
 
 def partition_presence(anchor_columns, lane_columns):
@@ -65,14 +80,21 @@ def partition_presence(anchor_columns, lane_columns):
     lane) * 2]`` / ``+ 1`` hold that lane's ``(lo, hi)`` posting range
     (``-1`` when absent).  Exactly the masks and spans the per-pid
     ``pid_range`` probes produced, in one merge-join over the sorted
-    partition tables.
+    partition tables.  Both are ``array('q')`` on either backend, so a
+    mask holds at most ``backend.MAX_MERGE_LANES`` lanes (lane 63 is
+    the sign bit).
     """
     a_pids = anchor_columns.pids
     npart = len(a_pids)
     nlanes = len(lane_columns)
+    if nlanes > backend.MAX_MERGE_LANES:
+        raise ValueError(
+            f"a presence mask holds {backend.MAX_MERGE_LANES} lanes, "
+            f"not {nlanes}"
+        )
 
     lib = backend.compiled
-    if lib is not None and 0 < nlanes <= backend.MAX_MERGE_LANES and npart:
+    if lib is not None and nlanes and npart:
         masks = array("q", bytes(8 * npart))
         spans = array("q", bytes(16 * npart * nlanes))
         # Each column's three casts are memoized on the column; the
@@ -88,13 +110,13 @@ def partition_presence(anchor_columns, lane_columns):
         )
         return masks, spans
 
-    masks = [0] * npart
-    spans = [-1] * (2 * npart * nlanes)
+    masks = array("q", bytes(8 * npart))
+    spans = array("q", [-1]) * (2 * npart * nlanes)
     for lane, column in enumerate(lane_columns):
         pids = column.pids
         starts = column.starts
         ends = column.ends
-        bit = 1 << lane
+        bit = _int64(1 << lane)
         ai = 0
         li = 0
         na = npart
@@ -114,6 +136,244 @@ def partition_presence(anchor_columns, lane_columns):
                 ai += 1
                 li += 1
     return masks, spans
+
+
+# ----------------------------------------------------------------------
+# Short-list step 1: the anchor-round walk and the direct-hit finish
+# ----------------------------------------------------------------------
+class MaskMemo:
+    """Short-list step 1's per-mask memo, as the table :func:`sle_advance`
+    reads.
+
+    ``table[0]`` counts the partitions the walk has visited.  Entry
+    ``j`` is ``table[1 + 2 * j]``, a presence mask whose evaluation
+    under the current list state touched no posting and changed
+    nothing, and ``table[2 + 2 * j]``, the partitions with that mask the
+    walk has passed since; ``deltas[j]`` is what the caller recorded
+    with it.  At most ``CAPACITY`` entries: a mask past that is
+    evaluated every time, which costs time and nothing else.
+    """
+
+    CAPACITY = 64
+
+    __slots__ = ("table", "deltas", "slot_of", "_c")
+
+    def __init__(self):
+        self.table = array("q", bytes(8 * (1 + 2 * self.CAPACITY)))
+        self.deltas = []
+        #: mask -> entry, for the pure-Python walk.
+        self.slot_of = {}
+        #: ``(lib, table pointer, masks, masks pointer)`` of the last
+        #: compiled walk.
+        self._c = None
+
+    @property
+    def visited(self):
+        return self.table[0]
+
+    def remember(self, mask, deltas):
+        slot = len(self.deltas)
+        if slot < self.CAPACITY:
+            self.table[1 + 2 * slot] = mask
+            self.table[2 + 2 * slot] = 0
+            self.deltas.append(deltas)
+            self.slot_of[mask] = slot
+
+    def drain(self):
+        """``[(repeats, deltas), ...]`` of every entry, which are then
+        forgotten."""
+        table = self.table
+        drained = [
+            (table[2 + 2 * slot], deltas)
+            for slot, deltas in enumerate(self.deltas)
+        ]
+        self.deltas = []
+        self.slot_of.clear()
+        return drained
+
+
+def sle_advance(masks, start, retired, memo):
+    """The next partition of an anchor round that needs a decision.
+
+    Walks ``masks`` (one anchor round's, from
+    :func:`partition_presence`) from ``start``.  A partition whose mask
+    has a bit of ``retired`` — the lanes of earlier rounds' anchors —
+    was visited before: every round visits every partition of its
+    anchor, and a partition holds an earlier anchor's keyword exactly
+    when that anchor visited it.  Every other partition is counted as
+    visited in ``memo``, and one whose mask ``memo`` holds is counted as
+    that entry's repeat.  Returns the first partition whose mask is new,
+    or ``len(masks)``.
+    """
+    lib = backend.compiled
+    if lib is None:
+        return _advance_python(masks, start, retired, memo)
+    cached = memo._c
+    if cached is None or cached[0] is not lib or cached[2] is not masks:
+        cached = memo._c = (lib, lib.i64(memo.table), masks, lib.i64(masks))
+    return lib.lib.repro_sle_advance(
+        cached[3], len(masks), start, _int64(retired), cached[1],
+        len(memo.deltas),
+    )
+
+
+def _advance_python(masks, start, retired, memo):
+    """Pure-Python twin of ``repro_sle_advance``."""
+    table = memo.table
+    slot_of = memo.slot_of
+    count = len(masks)
+    visited = 0
+    position = start
+    while position < count:
+        mask = masks[position]
+        if not mask & retired:
+            visited += 1
+            slot = slot_of.get(mask)
+            if slot is None:
+                break
+            table[2 + 2 * slot] += 1
+        position += 1
+    table[0] += visited
+    return position
+
+
+#: Kept hits a direct finish first makes room for.
+_DIRECT_HITS = 64
+
+
+def sle_direct(rounds, start, retired, query_lanes, query_mask, lane_columns,
+           need):
+    """Short-list step 1 once the query ``Q`` has an answer.
+
+    ``rounds`` lists ``(masks, spans, anchor_lane, probes_per_partition)``
+    per anchor round (see :func:`partition_presence`): the round under
+    way, from partition ``start``, then every later round.  ``retired``
+    holds the earlier anchors' lanes; each round's anchor joins them
+    when it ends.  Of the unvisited partitions, one that does not hold
+    every lane of ``query_mask`` is skipped; one that does costs
+    ``probes_per_partition`` probes and one partition-local SLCA over
+    the ranges of ``query_lanes`` (``Q``'s keywords in order), whose
+    meaningful hits (``depth >= need[type id]``, Definition 3.3) are
+    kept.
+
+    Returns ``(hits, counts)``: ``hits`` flat ``(lane, position,
+    depth)`` triples — the node ``depth`` components deep on the path
+    to posting ``position`` of ``lane_columns[lane]`` — and ``counts``
+    the ``(slca_invocations, probes, partitions_skipped,
+    partitions_visited)`` it adds.  ``need`` is ``QueryContext.need``
+    (an ``array('q')``).
+    """
+    lib = backend.compiled
+    if lib is None:
+        return _direct_python(
+            rounds, start, retired, query_lanes, query_mask, lane_columns,
+            need,
+        )
+    flats = []
+    offs = []
+    tids = []
+    widths = []
+    for lane in query_lanes:
+        column = lane_columns[lane]
+        flat_c, offs_c = backend.column_handles(lib, column)
+        tids_c, width = backend.type_id_handle(lib, column)
+        flats.append(flat_c)
+        offs.append(offs_c)
+        tids.append(tids_c)
+        widths.append(width)
+    masks_c = []
+    spans_c = []
+    meta = []
+    for masks, spans, anchor_lane, per_partition in rounds:
+        masks_c.append(lib.i64(masks))
+        spans_c.append(lib.i64(spans))
+        meta += (len(masks), anchor_lane, per_partition)
+    need_c = lib.i64(need)
+    nlanes = len(lane_columns)
+    query_mask = _int64(query_mask)
+    state = array("q", [0, start, _int64(retired), 0, 0, 0, 0, 0, 0])
+    capacity = _DIRECT_HITS
+    hits = array("q", bytes(24 * capacity))
+    while True:
+        status = lib.lib.repro_sle_direct(
+            masks_c, spans_c, meta, len(rounds), nlanes, query_mask,
+            query_lanes, len(query_lanes), flats, offs, tids, widths,
+            need_c, lib.i64(state), lib.i64(hits), capacity,
+        )
+        if status == 0:
+            return hits[: 3 * state[3]].tolist(), tuple(state[4:8])
+        if status == 1:
+            # The partition's kept hits do not fit: grow, re-run it.
+            grown = max(2 * capacity, state[8])
+            hits += array("q", bytes(24 * (grown - capacity)))
+        elif status == 2:
+            # Labels of different documents: the per-node path raises
+            # the exact DeweyError (or answers, when its depth-1 early
+            # exit never compares the unrelated pair).
+            _, spans, _, per_partition = rounds[state[0]]
+            found = _partition_hits(
+                spans, state[1] * nlanes * 2, query_lanes, lane_columns,
+                need,
+            )
+            end = 3 * state[3]
+            hits[end:end] = array("q", found)
+            state[3] += len(found) // 3
+            state[4] += 1
+            state[5] += per_partition
+            state[7] += 1
+            state[1] += 1
+        else:
+            raise MemoryError("short-list direct finish: no depth column")
+        capacity = len(hits) // 3
+
+
+def _direct_python(rounds, start, retired, query_lanes, query_mask,
+                   lane_columns, need):
+    """Pure-Python twin of ``repro_sle_direct``."""
+    nlanes = len(lane_columns)
+    hits = []
+    slca_invocations = probes = skipped = visited = 0
+    for masks, spans, anchor_lane, per_partition in rounds:
+        for position in range(start, len(masks)):
+            mask = masks[position]
+            if mask & retired:
+                continue
+            visited += 1
+            if mask & query_mask != query_mask:
+                skipped += 1
+                continue
+            slca_invocations += 1
+            probes += per_partition
+            hits += _partition_hits(
+                spans, position * nlanes * 2, query_lanes, lane_columns,
+                need,
+            )
+        start = 0
+        retired |= 1 << anchor_lane
+    return hits, (slca_invocations, probes, skipped, visited)
+
+
+def _partition_hits(spans, base, query_lanes, lane_columns, need):
+    """Meaningful ``(lane, position, depth)`` hits of one partition's
+    SLCA over ``query_lanes``' spans at ``spans[base:]``."""
+    ranges = [
+        (lane_columns[lane], spans[base + 2 * lane],
+         spans[base + 2 * lane + 1])
+        for lane in query_lanes
+    ]
+    columns, a_lo, slots, depths, count = slca_hits(ranges)
+    if not count:
+        return []
+    # slca_hits anchors on the first shortest range.
+    sizes = [hi - lo for _, lo, hi in ranges]
+    lane = query_lanes[sizes.index(min(sizes))]
+    tids = columns.tids
+    found = []
+    for j in range(count):
+        position = a_lo + slots[j]
+        if depths[j] >= need[tids[position]]:
+            found += (lane, position, depths[j])
+    return found
 
 
 # ----------------------------------------------------------------------

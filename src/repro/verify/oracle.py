@@ -54,7 +54,9 @@ path that must agree:
   :func:`~repro.slca.meaningful.is_meaningful` on the tree node's own
   type, for every SLCA hit
   over the same whole lists and shared partitions, on the built index,
-  a blocked snapshot, an updated index and the delta-chain top.
+  a blocked snapshot, an updated index and the delta-chain top.  And —
+  ``kernel:sle-round`` — SLE run with the active backend and with the
+  pure-Python one must give the same answer and the same ``ScanStats``.
 
 A failed comparison is a :class:`Divergence` — a plain record carrying
 enough context for the shrinker to reproduce and reduce it.
@@ -900,6 +902,27 @@ class DocumentOracle:
                 "batch Formula 2-9 scoring != per-node ranking model",
                 expected_scores, actual_scores,
             )
+
+        # SLE's step-1 walk and direct finish run in C on the compiled
+        # backend and as Python twins on the other: the answer and every
+        # ScanStats counter must not depend on which.
+        runs = []
+        for lib in (active, None):
+            kernel_backend.compiled = lib
+            try:
+                response = short_list_eager(self.index, terms, rules,
+                                            k=self.k)
+            finally:
+                kernel_backend.compiled = active
+            counters = response.stats.as_dict()
+            del counters["elapsed_seconds"]
+            runs.append((response_fingerprint(response), counters))
+        diff(
+            "kernel:sle-round",
+            "SLE answer or ScanStats differ between the compiled and "
+            "pure-Python backends",
+            *runs,
+        )
         return divergences
 
     @staticmethod

@@ -23,7 +23,7 @@ DEFAULT_QUERIES_PER_DOC = 4
 MAX_SHRINKS = 8
 #: Comparisons each query is counted for (see ``_check_document``);
 #: moves only when a layer is added to or removed from the oracle.
-CHECKS_PER_QUERY = 38
+CHECKS_PER_QUERY = 39
 
 
 class VerifyReport:
@@ -85,7 +85,8 @@ def _check_document(oracle, queries, report):
         # four refinement algorithms), the kernel layer (batch SLCA,
         # emit-filtered partition SLCA, LCP table, partition view,
         # presence bound vs per-node recomputation, the type-id
-        # column's Definition 3.3 verdicts vs the tree's),
+        # column's Definition 3.3 verdicts vs the tree's, SLE's answer
+        # and counters compiled vs pure-Python),
         # and the cache layer (the query and each of its refinements
         # re-issued through sub-result assembly and diffed against a
         # cache-disabled engine — counted at its one-comparison

@@ -21,6 +21,8 @@ import json
 
 import pytest
 
+from repro import XRefine
+
 from .capture_sle_counters import (
     GOLDEN_PATH,
     PROBE_INDEPENDENT,
@@ -61,6 +63,21 @@ def test_memo_engages_on_this_workload(golden):
     skipped = sum(case["eager"]["partitions_skipped"] for case in golden)
     assert visited > 50 * len(golden)
     assert 0 < skipped < visited
+
+
+def test_direct_completion_engages_on_this_workload(index, golden):
+    # Once Q has an answer, step 1 finishes every remaining Q-covering
+    # partition's SLCA in one kernel call; the fixture must pin that
+    # path too: direct hits that run more than one partition-local SLCA.
+    engine = XRefine(index, cache_size=0)
+    direct = [
+        case for case in golden
+        if case["eager"]["slca_invocations"] > 1
+        and not engine.search(
+            case["query"], k=case["k"], algorithm="sle"
+        ).needs_refinement
+    ]
+    assert len(direct) >= 60
 
 
 def test_eager_index_counters_equal_the_golden_file(index, queries, golden):
