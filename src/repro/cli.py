@@ -450,7 +450,8 @@ def build_parser():
     )
     serve.add_argument(
         "--max-inflight", type=int, default=64,
-        help="admission-control cap; excess requests get 429",
+        help="bound on requests waiting for the query thread (identical "
+        "ones included); past it a request gets 429",
     )
     serve.set_defaults(handler=_cmd_serve)
 

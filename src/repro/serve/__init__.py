@@ -18,12 +18,12 @@ it:
   old version stamp, atomically flips the engine, and releases the old
   snapshot's mmap only after the last reader exits
   (:mod:`repro.serve.lifecycle`).
-* **Singleflight** — identical in-flight queries are coalesced onto
-  one evaluation keyed on the result-cache key
-  (:mod:`repro.serve.singleflight`).
-* **Admission control** — a bounded in-flight budget rejects overload
-  with a typed 429 instead of piling up queue latency
-  (:mod:`repro.serve.admission`).
+* **One query queue** — every job that touches the engine waits in a
+  bounded FIFO in front of the one query thread: past
+  ``max_inflight`` waiting requests, overload is a typed 429 instead of
+  piled-up queue latency, and a query identical to one queued or
+  running joins its evaluation (singleflight)
+  (:class:`repro.serve.server.QueryQueue`).
 
 Quickstart::
 
@@ -34,20 +34,16 @@ Quickstart::
     >>> client.search("on line data base", k=3)["refinements"]
 """
 
-from .admission import AdmissionController
 from .background import BackgroundServer
 from .client import ServeClient, ServeClientError
 from .lifecycle import SnapshotHandle, SnapshotManager
 from .server import RefineServer, run_server
-from .singleflight import SingleFlight
 
 __all__ = [
-    "AdmissionController",
     "BackgroundServer",
     "RefineServer",
     "ServeClient",
     "ServeClientError",
-    "SingleFlight",
     "SnapshotHandle",
     "SnapshotManager",
     "run_server",

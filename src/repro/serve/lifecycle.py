@@ -169,8 +169,8 @@ class SnapshotManager:
         """Swap the engine onto ``new_index`` (fast half; query thread).
 
         Must run where no evaluation can be concurrently executing —
-        the daemon submits it to its single query executor, which
-        serializes it behind all in-flight evaluations (that *is* the
+        the daemon queues it on its one query thread, which runs it
+        after every evaluation queued before it (that *is* the
         drain).  The old generation is retired; its mmap closes when
         the last already-admitted reader releases it.
         """

@@ -18,21 +18,23 @@ and serves it forever:
 Concurrency model — the part everything else leans on:
 
 * The **event loop** does protocol work (framing, JSON, request
-  validation and query normalization, admission, singleflight
-  bookkeeping) and answers ``/search`` **result-cache hits** itself:
-  one probe under the result cache's lock
-  (:meth:`~repro.XRefine.cached_body`) and one socket write of the body
-  bytes stored with the cached response.  A hit never reaches the
-  query thread, takes no admission slot, no singleflight entry and no
-  snapshot handle (the bytes reference no mmap) — so it does not queue
-  behind a slow miss or a pending flip and is never shed with a 429.
-* Every *evaluation* — a ``/search`` miss, ``/explain``,
-  ``/search_many`` — runs on a **single-worker executor** (the engine
-  evaluates one query at a time); requests queue FIFO behind it,
-  admission caps the queue, singleflight collapses identical entries in
-  it.  The query thread also renders each ``/search`` answer to bytes,
-  once, stamps ``generation`` where a flip cannot be concurrent, and
-  keeps the bytes on the cached response
+  validation and query normalization) and answers ``/search``
+  **result-cache hits** itself: one probe under the result cache's
+  lock (:meth:`~repro.XRefine.cached_body`) and one socket write of the
+  body bytes stored with the cached response.  A hit never reaches the
+  query queue and takes no snapshot handle (the bytes reference no
+  mmap) — so it does not queue behind a slow miss or a pending flip and
+  is never shed with a 429.
+* Every job that touches the engine — a ``/search`` miss, ``/explain``,
+  ``/search_many``, ``/stats``' cache counters, ``/reload``'s flip —
+  goes through one **query queue** (:class:`QueryQueue`): a bounded
+  FIFO in front of one query thread (the engine evaluates one query at
+  a time).
+  Evaluations count against ``max_inflight`` and are shed with a 429
+  past it; an evaluation identical to one queued or running joins it
+  (singleflight).  The query thread also renders each ``/search``
+  answer to bytes, once, stamps ``generation`` where a flip cannot be
+  concurrent, and keeps the bytes on the cached response
   (``RefinementResponse.wire_body``); a response cached without bytes
   (by ``/search_many`` or ``/explain``) falls through to this thread on
   its first ``/search`` and is rendered there.  Either way a request is
@@ -48,17 +50,19 @@ Concurrency model — the part everything else leans on:
 * ``/reload`` does its slow half (loading the new snapshot, then
   pre-mining recently served queries' rule sets against it — hits
   count as served) on a separate **reload executor**, so serving
-  continues at full rate, and submits its fast half —
-  :meth:`SnapshotManager.flip` — to the *query* executor.  FIFO
-  ordering of that single thread is the drain: the flip cannot start
-  until every already-admitted evaluation has finished, and nothing
-  evaluates mid-flip.  Requests admitted after the flip see the new
-  generation; the old generation's mmap is released by the refcount
-  when its last reader exits.
+  continues at full rate, and queues its fast half —
+  :meth:`SnapshotManager.flip` — on the query queue, outside the bound.
+  FIFO order is the drain: the flip cannot start until every
+  already-queued evaluation has finished, and nothing evaluates
+  mid-flip; shutdown drains the queue the same way before the snapshot
+  closes.  Requests admitted after the flip see the new generation;
+  the old generation's mmap is released by the refcount when its last
+  reader exits.
 
 Error mapping: validation failures (:class:`~repro.errors.QueryError`)
 are 400s, overload (:class:`~repro.errors.ServerOverloadedError`) is a
-429 with ``Retry-After``, a failed reload
+429 with ``Retry-After`` (whole seconds, as HTTP allows; the body's
+``retry_after`` is the precise float), a failed reload
 (:class:`~repro.errors.IndexingError`) is a 500 whose body names the
 type — and leaves the old snapshot serving.  Every error body is
 ``{"error": ..., "error_type": ...}``.
@@ -67,25 +71,21 @@ type — and leaves the old snapshot serving.  Every error body is
 from __future__ import annotations
 
 import asyncio
+import math
 import os.path
 import signal
+import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from queue import SimpleQueue
 
-from ..errors import (
-    IndexingError,
-    QueryError,
-    ReproError,
-    ServerOverloadedError,
-)
+from ..errors import QueryError, ReproError, ServerOverloadedError
 from ..index.tokenize_text import query_terms
 from ..kernels.backend import backend_name
 from ..perf.result_cache import DEFAULT_CAPACITY
-from .admission import DEFAULT_MAX_INFLIGHT, AdmissionController
 from .http import HttpError, encode_body, read_request, render_response
 from .lifecycle import SnapshotManager
-from .singleflight import SingleFlight
 from .wire import (
     decode_reload_body,
     decode_search_body,
@@ -94,6 +94,118 @@ from .wire import (
 )
 
 DEFAULT_PORT = 8391
+#: Default bound on waiting requests: generous next to one query thread,
+#: it keeps worst-case queueing at ``max_inflight`` × (per-query cost).
+DEFAULT_MAX_INFLIGHT = 64
+
+
+class QueryQueue:
+    """The query thread and the one bounded, coalescing FIFO before it.
+
+    :meth:`submit`, :meth:`run` and :meth:`drain` are called on the
+    event loop, which alone touches the key map and the counters (no
+    lock); the thread only pops jobs and hands each outcome back.
+    """
+
+    def __init__(self, max_inflight=DEFAULT_MAX_INFLIGHT):
+        if max_inflight < 1:
+            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
+        self.max_inflight = max_inflight
+        self._jobs = SimpleQueue()
+        self._keyed = {}  # key -> future of its queued or running entry
+        self._stopped = False
+        self.inflight = self.admitted = self.rejected = self.peak = 0
+        #: Keyed entries queued, and requests that joined one instead.
+        self.leaders = self.coalesced = 0
+        threading.Thread(
+            target=self._work, name="xrefine-query", daemon=True
+        ).start()
+
+    async def submit(self, call, key=None):
+        """``call()`` run on the query thread, counted against the bound.
+
+        Raises ``ServerOverloadedError`` while ``max_inflight`` requests
+        wait; a ``key`` already queued or running is joined instead.
+        """
+        if self.inflight >= self.max_inflight:
+            self.rejected += 1
+            raise ServerOverloadedError(
+                f"server overloaded: {self.inflight} requests in "
+                f"flight (limit {self.max_inflight})",
+                retry_after=0.05,  # seconds
+            )
+        self.inflight += 1
+        self.admitted += 1
+        self.peak = max(self.peak, self.inflight)
+        try:
+            future = self._keyed.get(key)
+            if future is not None:
+                self.coalesced += 1
+                # A joiner cancelled at teardown leaves the entry be.
+                return await asyncio.shield(future)
+            future = self._put(call, key)
+            if key is not None:
+                self._keyed[key] = future
+                self.leaders += 1
+            return await future
+        finally:
+            self.inflight -= 1
+
+    async def run(self, call):
+        """``call()`` run on the query thread, outside the bound."""
+        return await self._put(call, None)
+
+    async def drain(self):
+        """Refuse new jobs, wait for every queued one, stop the thread."""
+        last = self._put(lambda: None, None)
+        self._stopped = True
+        self._jobs.put(None)
+        await last
+
+    def _put(self, call, key):
+        if self._stopped:
+            raise RuntimeError("the query thread has stopped")
+        future = asyncio.get_running_loop().create_future()
+        self._jobs.put((call, key, future))
+        return future
+
+    def _work(self):
+        while (job := self._jobs.get()) is not None:
+            call, key, future = job
+            try:
+                result, error = call(), None
+            except Exception as exc:  # noqa: BLE001 — the waiters' error
+                result, error = None, exc
+            future.get_loop().call_soon_threadsafe(
+                self._settle, future, key, result, error
+            )
+            # Pin nothing of a finished job while the queue is idle.
+            del job, call, future, result, error
+
+    def _settle(self, future, key, result, error):
+        if key is not None:
+            del self._keyed[key]
+        if future.cancelled():
+            return
+        if error is None:
+            future.set_result(result)
+        else:
+            future.set_exception(error)
+            future.exception()  # each waiter re-raises it; never "unread"
+
+    def stats(self):
+        """The ``admission`` and ``singleflight`` blocks of ``/stats``."""
+        return {
+            "admission": {
+                "max_inflight": self.max_inflight, "inflight": self.inflight,
+                "admitted": self.admitted, "rejected": self.rejected,
+                "peak": self.peak,
+            },
+            "singleflight": {
+                "leaders": self.leaders, "coalesced": self.coalesced,
+                "inflight": len(self._keyed),
+            },
+        }
 
 
 class RefineServer:
@@ -124,11 +236,7 @@ class RefineServer:
         )
         self.host = host
         self.port = port  # rebound to the real port after start()
-        self.admission = AdmissionController(max_inflight)
-        self.singleflight = SingleFlight()
-        self._query_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="xrefine-query"
-        )
+        self.queue = QueryQueue(max_inflight)
         self._reload_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="xrefine-reload"
         )
@@ -176,9 +284,9 @@ class RefineServer:
             self._stopping.set()
 
     async def _shutdown_resources(self):
-        # The single-worker pools drain their queues on shutdown, so
-        # in-flight evaluations complete before the snapshot closes.
-        await self.loop.run_in_executor(None, self._query_pool.shutdown)
+        # Both single-thread queues finish what is queued first, so
+        # every admitted evaluation completes before the snapshot closes.
+        await self.queue.drain()
         await self.loop.run_in_executor(None, self._reload_pool.shutdown)
         self.manager.close()
 
@@ -275,7 +383,7 @@ class RefineServer:
                 "error": str(err),
                 "error_type": "ServerOverloadedError",
                 "retry_after": err.retry_after,
-            }, (("Retry-After", f"{err.retry_after:.3f}"),)
+            }, (("Retry-After", str(math.ceil(err.retry_after))),)
         except QueryError as err:
             self.errors += 1
             return 400, {
@@ -300,8 +408,8 @@ class RefineServer:
     def _note_terms(self, terms):
         """Record a served query signature for reload pre-mining.
 
-        Event-loop only (like the rest of the singleflight/admission
-        bookkeeping), so no lock is needed.
+        Event-loop only (like the query queue's bookkeeping), so no
+        lock is needed.
         """
         recent = self._recent_terms
         recent.pop(terms, None)
@@ -325,7 +433,7 @@ class RefineServer:
             # Loop-side hit: the bytes the query thread rendered when
             # it made this answer, found under the result-cache lock
             # (see the module docstring for why that is swap-safe).
-            # No admission slot, no singleflight entry, no snapshot
+            # It never reaches the query queue and takes no snapshot
             # handle — the bytes reference no mmap.
             cached = engine.cached_body(terms, k, algorithm, rank_results)
             if cached is not None:
@@ -342,77 +450,65 @@ class RefineServer:
             engine._model_key(),
             self.manager.generation,
         )
-        with self.admission.admit():
-            handle = self.manager.current()
-            try:
-                async def evaluate():
-                    def call():
-                        response = engine.search(
-                            terms,
-                            k=k,
-                            algorithm=algorithm,
-                            rank_results=rank_results,
-                            explain=explain,
-                        )
-                        # `generation` is read on the query thread,
-                        # where a flip cannot be concurrent: the label
-                        # always matches the generation the answer was
-                        # evaluated against, even for requests admitted
-                        # mid-drain (their `handle` may pin the
-                        # previous generation).
-                        if explain:
-                            payload = encode_response(
-                                response, include_plan=True
-                            )
-                            payload["plan_text"] = response.plan.describe()
-                            payload["generation"] = self.manager.generation
-                            return payload
-                        if response.wire_body is None:
-                            # Rendered once, here, and kept with the
-                            # cached response: every later hit re-sends
-                            # these bytes, and the flip that ends this
-                            # generation purges them with the entry.
-                            payload = encode_response(response)
-                            payload["generation"] = self.manager.generation
-                            response.wire_body = encode_body(payload)
-                        return response.wire_body
 
-                    return await self.loop.run_in_executor(
-                        self._query_pool, call
-                    )
+        def call():
+            response = engine.search(
+                terms,
+                k=k,
+                algorithm=algorithm,
+                rank_results=rank_results,
+                explain=explain,
+            )
+            # `generation` is read on the query thread, where a flip
+            # cannot be concurrent: the label always matches the
+            # generation the answer was evaluated against, even for
+            # requests admitted mid-drain (their `handle` may pin the
+            # previous generation).
+            if explain:
+                payload = encode_response(response, include_plan=True)
+                payload["plan_text"] = response.plan.describe()
+                payload["generation"] = self.manager.generation
+                return payload
+            if response.wire_body is None:
+                # Rendered once, here, and kept with the cached
+                # response: every later hit re-sends these bytes, and
+                # the flip that ends this generation purges them with
+                # the entry.
+                payload = encode_response(response)
+                payload["generation"] = self.manager.generation
+                response.wire_body = encode_body(payload)
+            return response.wire_body
 
-                return await self.singleflight.run(key, evaluate)
-            finally:
-                handle.release()
+        return await self._evaluate(call, key)
+
+    async def _evaluate(self, call, key=None):
+        """Queue ``call`` with the serving generation pinned until done."""
+        handle = self.manager.current()
+        try:
+            return await self.queue.submit(call, key)
+        finally:
+            handle.release()
 
     async def _search_many(self, body):
         params = decode_search_many_body(body)
         engine = self.manager.engine
         for query in params["queries"]:
             self._note_terms(tuple(query_terms(query)))
-        with self.admission.admit():
-            handle = self.manager.current()
-            try:
-                def call():
-                    responses = engine.search_many(
-                        params["queries"],
-                        k=params["k"],
-                        algorithm=params["algorithm"],
-                        rank_results=params["rank_results"],
-                    )
-                    return {
-                        "responses": [
-                            encode_response(r) for r in responses
-                        ],
-                        # Query-thread read; see _search.
-                        "generation": self.manager.generation,
-                    }
 
-                return await self.loop.run_in_executor(
-                    self._query_pool, call
-                )
-            finally:
-                handle.release()
+        def call():
+            responses = engine.search_many(
+                params["queries"],
+                k=params["k"],
+                algorithm=params["algorithm"],
+                rank_results=params["rank_results"],
+            )
+            return {
+                "responses": [encode_response(r) for r in responses],
+                # Query-thread read; see _search.
+                "generation": self.manager.generation,
+            }
+
+        return await self._evaluate(call)
 
     async def _reload(self, body):
         source = decode_reload_body(body)
@@ -441,11 +537,10 @@ class RefineServer:
                 hot[start:start + self.PREWARM_CHUNK], warmup, seed,
             )
             await asyncio.sleep(self.PREWARM_PAUSE_SECONDS)
-        # Fast half on the query thread: FIFO behind every in-flight
+        # Fast half on the query thread: FIFO behind every queued
         # evaluation (the drain), and nothing evaluates mid-flip.
-        flip = await self.loop.run_in_executor(
-            self._query_pool, self.manager.flip, new_index, source,
-            warmup,
+        flip = await self.queue.run(
+            lambda: self.manager.flip(new_index, source, warmup)
         )
         if warmup is not None and warmup.miner is not None:
             # Retain only miner + rules (never the packed store, which
@@ -459,9 +554,7 @@ class RefineServer:
 
     async def _stats(self):
         manager = self.manager
-        engine_stats = await self.loop.run_in_executor(
-            self._query_pool, manager.engine.cache_stats
-        )
+        engine_stats = await self.queue.run(manager.engine.cache_stats)
         return {
             "generation": manager.generation,
             "source": str(manager.current_source),
@@ -469,8 +562,7 @@ class RefineServer:
             "reloads": self.reloads,
             "kernels": backend_name(),
             "engine": engine_stats,
-            "admission": self.admission.stats(),
-            "singleflight": self.singleflight.stats(),
+            **self.queue.stats(),  # "admission", "singleflight"
             "server": {
                 "requests": self.requests,
                 "errors": self.errors,

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import http.client
 import json
+import re
 import threading
 
 import pytest
 
 from repro import XRefine
-from repro.errors import QueryError
+from repro.errors import QueryError, ReproError
 from repro.kernels import backend_name
 from repro.serve import BackgroundServer, ServeClientError
 from repro.serve.wire import encode_response
@@ -105,6 +106,14 @@ class TestHappyPaths:
         assert stats["engine"]["tree_partitions"] == 40
         assert stats["admission"]["admitted"] >= 1
         assert stats["singleflight"]["leaders"] >= 1
+        # The keys the wire benchmark's traced run reads its serve
+        # counters from (``admission.rejected``, ``singleflight.coalesced``).
+        assert set(stats["admission"]) == {
+            "max_inflight", "inflight", "admitted", "rejected", "peak",
+        }
+        assert set(stats["singleflight"]) == {
+            "leaders", "coalesced", "inflight",
+        }
         assert stats["server"]["requests"] >= 2
 
     def test_keep_alive_connection_reuse(self, daemon):
@@ -289,12 +298,29 @@ class TestAdmissionControl:
                 assert err.value.status == 429
                 assert err.value.error_type == "ServerOverloadedError"
                 assert err.value.retry_after > 0
+                # RFC 9110 allows only integer delay-seconds in the
+                # header; the body keeps the precise float.
+                connection = http.client.HTTPConnection(
+                    daemon.host, daemon.port, timeout=30.0
+                )
+                try:
+                    connection.request("POST", "/search", body=json.dumps(
+                        {"query": "xml keyword", "k": 1}
+                    ))
+                    response = connection.getresponse()
+                    body = json.loads(response.read())
+                finally:
+                    connection.close()
+                assert response.status == 429
+                header = response.getheader("Retry-After")
+                assert re.fullmatch(r"\d+", header), header
+                assert 0 < body["retry_after"] <= int(header)
             finally:
                 gate.set()
             worker.join(30.0)
             assert not worker.is_alive()
             assert results["blocked"]["query"]
-            stats = daemon.server.admission.stats()
+            stats = daemon.server.queue.stats()["admission"]
             assert stats["rejected"] >= 1
             assert stats["inflight"] == 0
 
@@ -331,7 +357,7 @@ class TestSingleflight:
                 # arrive while it is in flight and must coalesce.
                 for worker in workers[1:]:
                     worker.start()
-                sf = daemon.server.singleflight
+                sf = daemon.server.queue
                 deadline = threading.Event()
                 for _ in range(200):
                     if sf.coalesced >= 4:
@@ -343,9 +369,127 @@ class TestSingleflight:
                 worker.join(30.0)
             assert len(answers) == 5
             assert len(calls) == 1  # one evaluation for five requests
-            assert daemon.server.singleflight.coalesced >= 4
+            assert daemon.server.queue.coalesced >= 4
             first = wire_answer(answers[0])
             assert all(wire_answer(a) == first for a in answers[1:])
+
+
+    def test_failed_evaluation_reaches_every_joined_request(
+        self, serve_snapshots
+    ):
+        with BackgroundServer(serve_snapshots[0]) as daemon:
+            server = daemon.server
+            engine = server.manager.engine
+            gate = threading.Event()
+            entered = threading.Event()
+            calls = []
+            real_search = engine.search
+
+            def failing_search(query, **kwargs):
+                calls.append(query)
+                if len(calls) == 1:
+                    entered.set()
+                    assert gate.wait(30.0)
+                    raise ReproError("evaluation failed")
+                return real_search(query, **kwargs)
+
+            engine.search = failing_search
+            outcomes = []
+
+            def send():
+                with daemon.client() as c:
+                    try:
+                        c.search(QUERY, k=2)
+                        outcomes.append((200, None))
+                    except ServeClientError as err:
+                        outcomes.append((err.status, err.error_type))
+
+            workers = [threading.Thread(target=send) for _ in range(5)]
+            try:
+                workers[0].start()
+                assert entered.wait(30.0)
+                for worker in workers[1:]:
+                    worker.start()
+                for _ in range(200):
+                    if server.queue.coalesced >= 4:
+                        break
+                    gate.wait(0.05)
+                assert server.queue.coalesced == 4
+            finally:
+                gate.set()
+            for worker in workers:
+                worker.join(30.0)
+                assert not worker.is_alive()
+            # The leader's error reached all five, and cleared the key:
+            # the next identical request evaluates afresh.
+            assert outcomes == [(500, "ReproError")] * 5
+            assert server.queue.stats()["singleflight"]["inflight"] == 0
+            with daemon.client() as c:
+                assert c.search(QUERY, k=2)["query"]
+            assert len(calls) == 2
+
+
+class TestShutdown:
+    def test_shutdown_drains_the_queue(self, serve_snapshots):
+        """Queued misses finish, and answer, before the snapshot closes."""
+        with BackgroundServer(serve_snapshots[0]) as daemon:
+            server = daemon.server
+            engine = server.manager.engine
+            gate = threading.Event()
+            entered = threading.Event()
+            finished = []
+            real_search = engine.search
+
+            def held_search(query, **kwargs):
+                if not entered.is_set():
+                    entered.set()
+                    assert gate.wait(30.0)
+                response = real_search(query, **kwargs)
+                finished.append(query)
+                return response
+
+            closed_after = []
+            real_close = server.manager.close
+
+            def close():
+                closed_after.append(len(finished))
+                real_close()
+
+            engine.search = held_search
+            server.manager.close = close
+            answers = {}
+
+            def send(query):
+                with daemon.client() as c:
+                    answers[query] = c.search(query, k=2)
+
+            queries = [
+                "xml keyword", "skyline query", "keyword refinement",
+                "databse systems",
+            ]
+            workers = [
+                threading.Thread(target=send, args=(query,))
+                for query in queries
+            ]
+            try:
+                workers[0].start()
+                assert entered.wait(30.0)
+                for worker in workers[1:]:
+                    worker.start()
+                for _ in range(200):
+                    if server.queue.stats()["admission"]["inflight"] == 4:
+                        break
+                    gate.wait(0.05)
+                assert server.queue.stats()["admission"]["inflight"] == 4
+                server.loop.call_soon_threadsafe(server.request_shutdown)
+            finally:
+                gate.set()
+            for worker in workers:
+                worker.join(30.0)
+                assert not worker.is_alive()
+            assert sorted(answers) == sorted(queries)
+        # Every queued evaluation had finished when the snapshot closed.
+        assert closed_after == [4]
 
 
 @pytest.fixture()
@@ -446,16 +590,16 @@ class TestInlineHits:
             try:
                 held.start()
                 assert entered.wait(30.0)
-                admission = server.admission.stats()
-                flights = server.singleflight.stats()
+                admission = server.queue.stats()["admission"]
+                flights = server.queue.stats()["singleflight"]
                 # The query thread is parked; the cached query does
                 # not queue behind it, and leaves no trace in the
                 # admission budget or the singleflight map.
                 assert client.search(QUERY, k=2) == warm
                 assert server.inline_hits == 1
-                assert server.admission.stats() == admission
+                assert server.queue.stats()["admission"] == admission
                 assert admission["inflight"] == 1
-                assert server.singleflight.stats() == flights
+                assert server.queue.stats()["singleflight"] == flights
                 # An uncached query still waits its turn.
                 queued.start()
                 queued.join(0.5)
@@ -467,7 +611,7 @@ class TestInlineHits:
                 worker.join(30.0)
                 assert not worker.is_alive()
         assert sorted(results) == ["skyline query", "xml keyword"]
-        assert server.admission.stats()["inflight"] == 0
+        assert server.queue.stats()["admission"]["inflight"] == 0
 
     def test_hits_keep_a_query_in_the_reload_prewarm_set(
         self, fresh_daemon, serve_snapshots
