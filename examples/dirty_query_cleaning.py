@@ -1,7 +1,7 @@
-"""Batch query-log cleaning with effectiveness scoring.
+"""Batch dirty-query cleaning with effectiveness scoring.
 
-Replays a simulated search-session log (dirty query -> user's manual
-rewrite) against XRefine and measures how often the automatic
+Runs a pool of corrupted queries (each with the clean intent it was
+derived from) through XRefine and measures how often the automatic
 refinement would have saved the user the second try — the end-to-end
 value proposition of the paper.  Also demonstrates the evaluation
 toolkit: the judge panel, cumulated gain, and per-operation breakdown.

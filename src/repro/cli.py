@@ -8,9 +8,10 @@ Usage (``python -m repro <command> ...``)::
     repro search corpus.frz online databse -k 3 --explain
     repro search corpus.frz online databse -k 3 --algorithm partition
     repro slca corpus.frz database 2003
-    repro specialize corpus.frz query -k 3
     repro stats corpus.frz
     repro serve corpus.frz --port 8391
+    repro bench corpus.frz --profile
+    repro verify-diff --seeds 50
 
 Every command that takes a source accepts a frozen snapshot file (from
 ``repro index``; ``freeze-index`` is a second spelling of it), a delta
@@ -25,7 +26,6 @@ import sys
 
 from . import __version__
 from .core.engine import ALGORITHMS, XRefine
-from .core.specialize import specialize_query
 from .datasets import generate_baseball, generate_dblp
 from .errors import ReproError
 from .index.frozen import freeze_index
@@ -117,78 +117,6 @@ def _cmd_slca(args, out):
     for dewey in labels:
         node = engine.node(dewey)
         print(f"  {node.label()}  {node.subtree_text()[:64]}", file=out)
-    return 0
-
-
-def _cmd_specialize(args, out):
-    engine = _load_engine(args.source)
-    response = specialize_query(
-        engine.index, args.keywords, k=args.k,
-        broad_threshold=args.threshold,
-    )
-    if not response.is_broad:
-        print(
-            f"query is focused ({len(response.original_results)} results); "
-            "nothing to narrow",
-            file=out,
-        )
-        return 0
-    print(
-        f"query is broad ({len(response.original_results)} results); "
-        "narrowing suggestions:",
-        file=out,
-    )
-    for suggestion in response.suggestions:
-        print(
-            f"  + {suggestion.expansion!r} -> "
-            f"{{{' '.join(suggestion.keywords)}}} "
-            f"({suggestion.result_count} results)",
-            file=out,
-        )
-    return 0
-
-
-def _cmd_repl(args, out, lines=None):
-    """Interactive search loop; ``lines`` injects input for tests."""
-    engine = _load_engine(args.source)
-    from .core.presentation import present
-
-    print(
-        "XRefine interactive search — enter keywords, or :quit to exit",
-        file=out,
-    )
-
-    def input_lines():
-        if lines is not None:
-            yield from lines
-            return
-        while True:
-            try:
-                yield input("query> ")
-            except EOFError:
-                return
-
-    for line in input_lines():
-        line = line.strip()
-        if not line:
-            continue
-        if line in (":q", ":quit", ":exit"):
-            break
-        try:
-            response = engine.search(line, k=args.k)
-        except Exception as exc:  # surface, keep the loop alive
-            print(f"error: {exc}", file=out)
-            continue
-        if response.needs_refinement and not response.refinements:
-            print("no results and no viable refinement", file=out)
-            continue
-        if response.needs_refinement:
-            print("did you mean:", file=out)
-        for label, snippets in present(engine.index, response, max_results=3):
-            print(f"[{label}]", file=out)
-            for snippet_ in snippets:
-                for rendered in snippet_.render().splitlines():
-                    print(f"  {rendered}", file=out)
     return 0
 
 
@@ -410,15 +338,6 @@ def build_parser():
     slca.add_argument("keywords", nargs="+")
     slca.set_defaults(handler=_cmd_slca)
 
-    specialize = commands.add_parser(
-        "specialize", help="narrow an over-broad query (future work)"
-    )
-    specialize.add_argument("source")
-    specialize.add_argument("keywords", nargs="+")
-    specialize.add_argument("-k", type=int, default=3)
-    specialize.add_argument("--threshold", type=int, default=20)
-    specialize.set_defaults(handler=_cmd_specialize)
-
     stats = commands.add_parser("stats", help="corpus/index statistics")
     stats.add_argument("source")
     stats.set_defaults(handler=_cmd_stats)
@@ -506,11 +425,6 @@ def build_parser():
     )
     verify.add_argument("--verbose", action="store_true")
     verify.set_defaults(handler=_cmd_verify_diff)
-
-    repl = commands.add_parser("repl", help="interactive search loop")
-    repl.add_argument("source")
-    repl.add_argument("-k", type=int, default=3)
-    repl.set_defaults(handler=_cmd_repl)
 
     return parser
 

@@ -12,11 +12,9 @@ from .common import QueryContext
 from .dp import dissimilarity, get_optimal_rq, get_top_optimal_rqs
 from .engine import ALGORITHMS, XRefine
 from .partition_refine import partition_refine
-from .presentation import Snippet, present, return_node, snippet
 from .ranking import RankingModel, full_model, variant_without_guideline
 from .result import RankedRefinement, RefinementResponse, ScanStats
 from .short_list_eager import short_list_eager
-from .specialize import SpecializationResponse, SpecializedQuery, specialize_query
 from .stack_refine import stack_refine
 
 __all__ = [
@@ -37,14 +35,7 @@ __all__ = [
     "RankedRefinement",
     "RefinementResponse",
     "ScanStats",
-    "specialize_query",
-    "SpecializedQuery",
-    "SpecializationResponse",
     "or_search",
     "static_clean",
     "cleaned_query_has_meaningful_result",
-    "present",
-    "snippet",
-    "return_node",
-    "Snippet",
 ]

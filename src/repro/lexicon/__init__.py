@@ -14,7 +14,6 @@ from .edit_distance import (
     spelling_candidates,
     within_distance,
 )
-from .log_mining import mine_rules_from_log, rule_support
 from .mining import RuleMiner
 from .rules import (
     DEFAULT_DELETION_COST,
@@ -36,8 +35,6 @@ __all__ = [
     "RefinementRule",
     "RuleSet",
     "RuleMiner",
-    "mine_rules_from_log",
-    "rule_support",
     "merging_rule",
     "split_rule",
     "substitution_rule",

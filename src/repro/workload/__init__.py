@@ -1,4 +1,4 @@
-"""Query workloads: controlled corruption, pools, simulated logs.
+"""Query workloads: controlled corruption, pools, synthetic traffic.
 
 Reconstructs the paper's experimental query pool (219 refinable + 100
 clean queries drawn from a live demo log) synthetically, with ground
@@ -30,19 +30,10 @@ from .replay import (
     synthesize_traffic,
 )
 
-# Must come after ``from .replay import ...``: importing the submodule
-# binds ``repro.workload.replay`` to the module object, and this import
-# rebinds the name to the querylog function (the binding callers see).
-from .querylog import LogEntry, QueryLog, replay, simulate_log
-
 __all__ = [
     "WorkloadGenerator",
     "PoolQuery",
     "pool_statistics",
-    "QueryLog",
-    "LogEntry",
-    "replay",
-    "simulate_log",
     "TrafficLog",
     "ReplayReport",
     "synthesize_traffic",

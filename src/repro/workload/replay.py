@@ -185,10 +185,14 @@ def synthesize_traffic(
     mean_gap_seconds:
         Mean inter-arrival gap of the virtual clock.
     seed / rng / generator:
-        One master seed, or a caller-threaded :class:`random.Random`
-        (plus optionally a pre-built generator on the same stream) —
-        the same end-to-end seeding contract as
-        :func:`~repro.workload.querylog.simulate_log`.
+        One master seed, or a caller-threaded :class:`random.Random`.
+        With ``rng`` absent, ``random.Random(seed)`` drives everything.
+        The one RNG draws the popularity, noise, chain and clock
+        decisions, and it seeds the :class:`WorkloadGenerator` that
+        samples intents and variants, so one seed (or one RNG state)
+        reproduces the whole log, independent of ``PYTHONHASHSEED``.
+        An explicit ``generator`` replaces the derived one; it then
+        owns the intent sampling, and ``rng`` drives the rest.
     """
     if rng is None:
         rng = random.Random(seed)

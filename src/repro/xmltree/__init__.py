@@ -10,13 +10,12 @@ from .build import build_tree
 from .dewey import Dewey, descendant_range_key, lca_of_all
 from .parser import EVENT_END, EVENT_START, iterparse, parse, parse_file
 from .serialize import serialize, write_file
-from .validate import check_tree, merge_documents
+from .validate import check_tree
 from .tree import XMLNode, XMLTree, build_node_type, type_display_name
 
 __all__ = [
     "build_tree",
     "check_tree",
-    "merge_documents",
     "Dewey",
     "descendant_range_key",
     "lca_of_all",

@@ -68,28 +68,3 @@ def check_tree(tree):
     if len(ordered) != len(seen):
         raise XMLError("ordered label list size mismatch")
     return len(seen)
-
-
-def merge_documents(trees, root_tag="collection"):
-    """Combine several documents into one tree, one partition each.
-
-    Keyword search over a *corpus* of XML documents (the sponsored-
-    search setting: many advertising listings) reduces to the single-
-    document case by grafting each document under a synthetic root:
-    every original document becomes one document partition, so the
-    partition-based algorithms parallelize over documents naturally and
-    the meaningless-root semantics carry over (a "result" spanning two
-    documents is exactly a root result).
-    """
-    from .build import build_tree
-
-    def spec_of(node):
-        return (
-            node.tag,
-            node.text or None,
-            [spec_of(child) for child in node.children],
-        )
-
-    return build_tree(
-        (root_tag, None, [spec_of(tree.root) for tree in trees])
-    )

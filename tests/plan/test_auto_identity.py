@@ -12,8 +12,9 @@ import pytest
 from repro.core.engine import ALGORITHMS, XRefine
 from repro.core.result import ScanStats
 from repro.errors import QueryError
+from repro.index.tokenize_text import query_terms
 from repro.verify.oracle import response_fingerprint
-from repro.workload import WorkloadGenerator, replay, simulate_log
+from repro.workload import WorkloadGenerator
 
 
 @pytest.fixture(scope="module")
@@ -173,20 +174,25 @@ class TestSearchManyValidationHoist:
             engine.search_many(["xml", "   "])
 
 
-class TestQueryLogReplay:
-    def test_replay_routes_through_the_planner(self, dblp_index):
+class TestBatchWithRepeats:
+    """A batch with repeated queries, as a query log would send it."""
+
+    @pytest.fixture
+    def batch(self, queries):
+        return queries + queries[::2] + queries[:3]
+
+    def test_batch_routes_each_distinct_query_once(self, dblp_index, batch):
         engine = XRefine(dblp_index, cache_size=0)
-        log = simulate_log(dblp_index, sessions=12, seed=5)
-        responses = replay(engine, log, k=2)
-        assert len(responses) == len(log)
+        responses = engine.search_many(batch, k=2)
+        assert len(responses) == len(batch)
         routed = engine.planner.stats()["routed"]
-        distinct = len({tuple(entry.query) for entry in log})
+        distinct = len({tuple(query_terms(query)) for query in batch})
+        assert distinct < len(batch)
         assert routed == {"partition": 0, "sle": distinct, "stack": 0}
 
-    def test_replay_answers_match_fixed_partition(self, dblp_index):
+    def test_batch_answers_match_fixed_partition(self, dblp_index, batch):
         engine = XRefine(dblp_index, cache_size=0)
-        log = simulate_log(dblp_index, sessions=6, seed=9)
-        auto = replay(engine, log, k=1, algorithm="auto")
-        fixed = replay(engine, log, k=1, algorithm="partition")
-        for a, f in zip(auto, fixed):
+        auto = engine.search_many(batch, k=1, algorithm="auto")
+        fixed = engine.search_many(batch, k=1, algorithm="partition")
+        for a, f in zip(auto, fixed, strict=True):
             assert response_fingerprint(a) == response_fingerprint(f)

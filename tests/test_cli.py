@@ -101,13 +101,6 @@ class TestOtherCommands:
         assert code == 0
         assert "SLCA" in output
 
-    def test_specialize(self, index_path):
-        code, output = run_cli(
-            "specialize", index_path, "query", "--threshold", "5"
-        )
-        assert code == 0
-        assert "broad" in output or "focused" in output
-
     def test_stats(self, index_path):
         code, output = run_cli("stats", index_path)
         assert code == 0
@@ -129,36 +122,19 @@ class TestParser:
             run_cli("--version")
         assert excinfo.value.code == 0
 
+    def test_subcommands(self):
+        import argparse
 
-class TestRepl:
-    def test_scripted_session(self, index_path):
-        import io
+        from repro.cli import build_parser
 
-        from repro.cli import build_parser, _cmd_repl
-
-        parser = build_parser()
-        args = parser.parse_args(["repl", index_path, "-k", "2"])
-        out = io.StringIO()
-        code = _cmd_repl(
-            args, out,
-            lines=["database query", "databse", "", "zzz qqq", ":quit"],
+        (commands,) = (
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
         )
-        assert code == 0
-        text = out.getvalue()
-        assert "XRefine interactive search" in text
-        assert "did you mean" in text
-        assert "no results and no viable refinement" in text
-
-    def test_error_keeps_loop_alive(self, index_path):
-        import io
-
-        from repro.cli import build_parser, _cmd_repl
-
-        parser = build_parser()
-        args = parser.parse_args(["repl", index_path])
-        out = io.StringIO()
-        code = _cmd_repl(args, out, lines=["   ", ":q"])
-        assert code == 0
+        assert set(commands.choices) == {
+            "generate", "index", "freeze-index", "compact", "search",
+            "slca", "stats", "serve", "bench", "verify-diff",
+        }
 
 
 class TestFrozenSnapshots:

@@ -1,4 +1,4 @@
-"""Tests for the workload pool generator and query log simulator."""
+"""Tests for the workload pool generator."""
 
 import os
 import subprocess
@@ -10,7 +10,6 @@ from repro.workload import (
     ALL_KINDS,
     WorkloadGenerator,
     pool_statistics,
-    simulate_log,
 )
 
 
@@ -74,35 +73,6 @@ class TestPool:
         pool = generator.pool(refinable=10, clean=0)
         stats = pool_statistics(pool)
         assert sum(stats["kind_counts"].values()) >= 10
-
-
-class TestQueryLog:
-    def test_log_shape(self, dblp_index):
-        log = simulate_log(dblp_index, sessions=20, seed=3)
-        assert len(log) >= 20
-        timestamps = [entry.timestamp for entry in log]
-        assert timestamps == sorted(timestamps)
-
-    def test_rewrite_pairs(self, dblp_index):
-        log = simulate_log(
-            dblp_index, sessions=20, rewrite_probability=1.0, seed=3
-        )
-        pairs = log.rewrite_pairs()
-        assert len(pairs) == 20
-        for dirty, clean in pairs:
-            assert dirty != clean
-
-    def test_failing_queries(self, dblp_index):
-        log = simulate_log(
-            dblp_index, sessions=10, rewrite_probability=1.0, seed=3
-        )
-        assert len(log.failing_queries()) == 10
-
-    def test_no_rewrites(self, dblp_index):
-        log = simulate_log(
-            dblp_index, sessions=5, rewrite_probability=0.0, seed=3
-        )
-        assert log.rewrite_pairs() == []
 
 
 _POOL_SCRIPT = """

@@ -12,12 +12,7 @@ import pytest
 from repro import XRefine, build_document_index
 from repro.datasets import generate_dblp
 from repro.verify.oracle import replay_cold_diff
-from repro.workload import (
-    WorkloadGenerator,
-    replay_traffic,
-    simulate_log,
-    synthesize_traffic,
-)
+from repro.workload import replay_traffic, synthesize_traffic
 from repro.workload.replay import _NO_PARENT
 
 
@@ -119,34 +114,6 @@ class TestSynthesis:
             rng=random.Random(9),
         )
         assert a.universe == b.universe and a.query_index == b.query_index
-
-
-class TestSimulateLogRng:
-    def test_rng_path_is_reproducible(self, index):
-        logs = [
-            simulate_log(index, sessions=12, rng=random.Random(5))
-            for _ in range(2)
-        ]
-        entries = [
-            [
-                (e.session_id, e.timestamp, e.query, e.is_rewrite)
-                for e in log
-            ]
-            for log in logs
-        ]
-        assert entries[0] == entries[1]
-
-    def test_explicit_generator_overrides_derivation(self, index):
-        generator = WorkloadGenerator(index, seed=77)
-        log = simulate_log(
-            index, sessions=6, rng=random.Random(5), generator=generator
-        )
-        assert len(log) >= 6
-
-    def test_seed_path_unchanged(self, index):
-        a = simulate_log(index, sessions=8, seed=31)
-        b = simulate_log(index, sessions=8, seed=31)
-        assert [e.query for e in a] == [e.query for e in b]
 
 
 class TestReplayer:

@@ -1,4 +1,4 @@
-"""Tests for structural validation and multi-document merging."""
+"""Tests for structural validation."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.xmltree import (
     XMLNode,
     build_tree,
     check_tree,
-    merge_documents,
     parse,
 )
 
@@ -57,17 +56,8 @@ class TestCheckTree:
         check_tree(index.tree)
 
 
-class TestMergeDocuments:
-    def test_each_document_is_a_partition(self):
-        docs = [
-            parse("<ad><headline>red shoes</headline></ad>"),
-            parse("<ad><headline>blue hats</headline></ad>"),
-            parse("<listing><title>green bags</title></listing>"),
-        ]
-        merged = merge_documents(docs)
-        assert merged.root.tag == "collection"
-        assert len(merged.partitions()) == 3
-        check_tree(merged)
+class TestDocumentCollection:
+    """Several documents under one synthetic root, one partition each."""
 
     def test_cross_document_results_are_root_only(self):
         """A query spanning two documents can only 'match' at the
@@ -75,11 +65,10 @@ class TestMergeDocuments:
         the single-document meaningless-root case."""
         from repro import XRefine
 
-        docs = [
-            parse("<ad><headline>red shoes</headline></ad>"),
-            parse("<ad><headline>blue hats</headline></ad>"),
-        ]
-        engine = XRefine.from_tree(merge_documents(docs))
+        engine = XRefine.from_tree(build_tree(("collection", None, [
+            ("ad", None, [("headline", "red shoes")]),
+            ("ad", None, [("headline", "blue hats")]),
+        ])))
         slcas = engine.slca_search("red hats")
         assert slcas == [Dewey.root()]
         response = engine.search("red hats", k=2)
@@ -88,10 +77,9 @@ class TestMergeDocuments:
     def test_search_within_one_document(self):
         from repro import XRefine
 
-        docs = [
-            parse("<ad><headline>red shoes</headline><price>10</price></ad>"),
-            parse("<ad><headline>blue hats</headline><price>20</price></ad>"),
-        ]
-        engine = XRefine.from_tree(merge_documents(docs))
+        engine = XRefine.from_tree(build_tree(("collection", None, [
+            ("ad", None, [("headline", "red shoes"), ("price", "10")]),
+            ("ad", None, [("headline", "blue hats"), ("price", "20")]),
+        ])))
         response = engine.search("blue hats")
         assert not response.needs_refinement
