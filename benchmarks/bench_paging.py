@@ -4,7 +4,8 @@ The blocked snapshot layout (format v4: a block header in every
 posting payload, partitioned tree directory, delta chains) exists so a serving process
 can answer queries over a corpus much larger than the memory it is
 willing to spend — cold postings stay on disk behind the mmap and only
-the blocks a query actually touches are ever decoded.  This benchmark
+the posting lists a query reads are ever decoded (each one whole, at
+its first read).  This benchmark
 measures whether that is true:
 
 * For each corpus size in the sweep (multi-million nodes on full runs,
@@ -20,7 +21,7 @@ measures whether that is true:
   the selective regime: a production query's working set is what *it*
   touches, not the corpus size.  Serving the same pool over a 9x
   larger corpus must not fault in 9x the memory — that is exactly
-  what block-max pruning and the lazy block/tree decode are for.
+  what block-max pruning and the lazy list/tree decode are for.
 * A **fresh child process** per size opens the snapshot, serves the
   pool cold (result caching off), and reports how much its **heap**
   (``RssAnon`` of ``/proc/self/status``) grew between just before the

@@ -134,12 +134,10 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
     for rule in rules:
         lhs_keywords.update(rule.lhs)
 
-    # Batch presence: when every lane's partition table is resident
-    # (always true for eager columns; blocked columns only after a
-    # whole-list consumer paid for the decode), the whole probe phase
-    # of an anchor round is one merge-join over flat tables instead of
-    # per-partition dict lookups.  Blocked indexes keep the header-first
-    # probe loop — the batch path must never force a lazy decode.
+    # Batch presence: the whole probe phase of an anchor round is one
+    # merge-join over the lanes' flat partition tables, while a presence
+    # mask (one int64) holds every lane; a wider keyword space probes
+    # each partition's lanes one table lookup at a time.
     batch_ready = presence_ready(lane_columns)
     nlanes = len(lanes)
     present_of_mask = {}  # lane mask -> frozenset of present keywords
@@ -186,78 +184,48 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
         """Step 1 for one partition: screen, probe, DP, admission.
 
         ``mask`` is the partition's exact presence mask from the batch
-        merge-join, or ``None`` on the header-first path (which probes
-        the lanes itself).  Apart from the two partition-local
-        ``slca_hits`` calls — a Q-covering mask, or a not-yet-kept
-        candidate that ``would_admit`` — everything decided here is a
-        function of ``mask``, ``needs_refine`` and the contents of
-        ``sorted_list``; the caller's per-mask memo rests on that.
+        merge-join, or ``None`` when the keyword space is too wide for
+        one: the lanes' partition tables are then looked up here.
+        Apart from the two partition-local ``slca_hits`` calls — a
+        Q-covering mask, or a not-yet-kept candidate that
+        ``would_admit`` — everything decided here is a function of
+        ``mask``, ``needs_refine`` and the contents of ``sorted_list``;
+        the caller's per-mask memo rests on that.
         """
         nonlocal needs_refine
         sublists = None  # keyword -> (ListColumns, lo, hi)
-        if mask is not None:
-            # Pre-screen from the batch mask: for resident tables
-            # the mask is exact, so the decisions coincide with the
-            # header screen's (whose may-masks are supersets that
-            # collapse to the truth on eager columns).
-            if sorted_list.is_full or not needs_refine:
-                query_may = query_covered and (
-                    mask & query_lane_mask == query_lane_mask
-                )
-                if not needs_refine:
-                    # Only original results remain; a partition
-                    # that cannot hold all of Q's keywords has
-                    # nothing left to offer.
-                    if not query_may:
-                        stats.partitions_skipped += 1
-                        return
-                elif (
-                    not query_may
-                    and presence_bound.lower_bound(mask)
-                    > sorted_list.max_dissimilarity()
-                ):
-                    stats.partitions_skipped += 1
-                    return
-            stats.probes += probes_per_partition
-        else:
-            # Block-max pre-screen: reject the partition from the
-            # block headers alone, before a single posting block is
-            # decoded or probe runs.  ``header_bound`` masks are
-            # supersets of the real presence masks, so the bound
-            # can only be lower than the post-probe one — pruning
-            # on it is answer-identical.  A partition that may
-            # still hold every query keyword is never pre-screened,
-            # so original-result discovery sees exactly the
-            # partitions it always did.
-            if sorted_list.is_full or not needs_refine:
-                bound, may_mask = presence_bound.header_bound(
-                    partition_id, lane_columns
-                )
-                query_may = query_covered and (
-                    may_mask & query_lane_mask == query_lane_mask
-                )
-                if not needs_refine:
-                    if not query_may:
-                        stats.partitions_skipped += 1
-                        return
-                elif (
-                    not query_may
-                    and bound > sorted_list.max_dissimilarity()
-                ):
-                    stats.partitions_skipped += 1
-                    return
-
-            # Random-access probes of every other keyword list: one
-            # partition-table lookup each, no posting is touched.
+        if mask is None:
             sublists = {}
             mask = 0
-            for keyword in context.keyword_space:
-                if keyword != anchor_keyword:
-                    stats.probes += 1
+            for lane, keyword in enumerate(lanes):
                 span = columns[keyword].pid_range.get(partition_id)
                 if span is not None:
                     sublists[keyword] = (columns[keyword],) + span
-                    mask |= 1 << lane_of[keyword]
+                    mask |= 1 << lane
+        # Pre-screen from the presence mask, before any probe is
+        # counted: a partition that holds every query keyword is never
+        # pre-screened, so original-result discovery sees every one.
+        if sorted_list.is_full or not needs_refine:
+            query_may = query_covered and (
+                mask & query_lane_mask == query_lane_mask
+            )
+            if not needs_refine:
+                # Only original results remain; a partition that
+                # cannot hold all of Q's keywords has nothing left to
+                # offer.
+                if not query_may:
+                    stats.partitions_skipped += 1
+                    return
+            elif (
+                not query_may
+                and presence_bound.lower_bound(mask)
+                > sorted_list.max_dissimilarity()
+            ):
+                stats.partitions_skipped += 1
+                return
+        # The random-access probes of every other keyword list: one
+        # partition-table lookup each, no posting is touched.
+        stats.probes += probes_per_partition
 
         if query_covered and mask & query_lane_mask == query_lane_mask:
             stats.slca_invocations += 1
@@ -342,7 +310,7 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
     # when the state they were computed against ends.
     memo = MaskMemo()
     retired = 0  # lanes of the anchors whose batch rounds are done
-    visited_partitions = set()  # the header-first path's
+    visited_partitions = set()  # the wide keyword space's
 
     def settle_repeats():
         for times, (skipped, probes, dp_invocations) in memo.drain():
@@ -397,6 +365,7 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
             anchor_keyword = choose_keyword()
             remaining.discard(anchor_keyword)
             anchor_columns = columns[anchor_keyword]
+            probes_per_partition = probes_for(anchor_keyword)
             if not batch_ready:
                 for partition_id in anchor_columns.pids:
                     if partition_id not in visited_partitions:
@@ -411,7 +380,6 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
                         anchor_columns, lane_columns
                     )
                 anchor_lane = lane_of[anchor_keyword]
-                probes_per_partition = probes_for(anchor_keyword)
                 # The walk stops only where there is a decision to make:
                 # at an unvisited partition whose mask the memo lacks.
                 position = sle_advance(masks, 0, retired, memo)

@@ -11,19 +11,16 @@ and 2) — in :class:`~repro.core.result.ScanStats`.
 
 from __future__ import annotations
 
-import bisect
-from array import array
-from functools import partial
-from itertools import chain
+from bisect import bisect_left
+from itertools import chain, islice
 
 from ..storage import CowKVStore, decode_key, encode_key
 from ..xmltree.dewey import Dewey, descendant_range_key
 from .blocks import (
     DEFAULT_BLOCK_SIZE,
-    BlockStore,
-    LazyCounts,
-    LazyDeweyKeys,
-    LazyTypeIds,
+    _encode_python,
+    decode_header,
+    decode_payload,
     encode_posting_payload,
     payload_block_size,
 )
@@ -56,63 +53,96 @@ class Posting:
 
 
 #: What an absent keyword opens as: a payload of zero postings.
-_EMPTY_PAYLOAD = encode_posting_payload("", (), (), (), DEFAULT_BLOCK_SIZE)
+_EMPTY_PAYLOAD = _encode_python("", (), (), (), DEFAULT_BLOCK_SIZE)
+
+
+def key_tuples(flat, offs):
+    """Key ``i`` of a ``(flat, offs)`` pair as a component tuple, for
+    every ``i``."""
+    return list(map(tuple, map(
+        flat.__getitem__, map(slice, offs, islice(offs, 1, None))
+    )))
 
 
 class InvertedList:
     """Document-ordered postings for one keyword, held as columns.
 
-    The decoded form of a list is three parallel columns —
-    :attr:`dewey_keys`, :attr:`type_ids`, :attr:`counts` — plus the
-    :attr:`type_table` the ids index.  A one-block list holds them as a
-    plain key list, an ``array`` of ids and a list of counts, decoded
-    when the list is opened; a longer list holds lazy sequences over
-    its :attr:`block_store` that decode a block the first time a
-    posting inside it is read.  A :class:`Posting` is a value built
-    when someone iterates or indexes the list, never stored.
+    Opening a list reads its payload's header and nothing more; the
+    first read of a column decodes the whole payload, once, into
+    :class:`~repro.index.blocks.PostingArrays` (:meth:`arrays`) and
+    drops the payload.  The three columns — :attr:`dewey_keys`,
+    :attr:`type_ids`, :attr:`counts` — plus the :attr:`type_table` the
+    ids index are read from those arrays; the key tuples are built the
+    first time something asks for them.  A :class:`Posting` is a value
+    built when someone iterates or indexes the list, never stored.
     """
 
-    __slots__ = ("keyword", "dewey_keys", "type_ids", "counts",
-                 "type_table", "block_store", "_kernel_columns")
+    __slots__ = ("keyword", "type_table", "block_size", "block_count",
+                 "_size", "_payload", "_header", "_arrays", "_keys",
+                 "_kernel_columns")
 
-    def __init__(self, keyword, block_store):
+    def __init__(self, keyword, payload, type_table):
+        header = decode_header(keyword, payload)
         self.keyword = keyword
-        #: The payload's header and its decoded blocks
-        #: (:class:`~repro.index.blocks.BlockStore`).
-        self.block_store = block_store
         #: The owning ``InvertedIndex``'s id -> node-type table.
-        self.type_table = block_store.type_table
-        block_count = block_store.block_count
-        if block_count > 1:
-            columns = (
-                LazyDeweyKeys(block_store),
-                LazyTypeIds(block_store),
-                LazyCounts(block_store),
-            )
-        elif block_count:
-            columns = block_store.block(0)
-        else:
-            columns = ([], array(block_store.type_id_code), [])
-        # Per posting: its Dewey component tuple, its interned
-        # node-type id (a ``type_table`` index) and the keyword's
-        # occurrences at its node.  Shared (not copied) with the
-        # kernels' columns — treat as immutable.
-        self.dewey_keys, self.type_ids, self.counts = columns
+        self.type_table = type_table
+        #: The payload's geometry: postings per block, and blocks.
+        self.block_size = header[0]
+        self.block_count = len(header[3])
+        self._size = header[1]
+        self._payload = payload
+        self._header = header
+        self._arrays = None
+        self._keys = None
         self._kernel_columns = None
 
     @classmethod
     def open(cls, keyword, payload, type_table):
         """The list a stored payload holds (``payload`` is not copied)."""
-        return cls(keyword, BlockStore(keyword, payload, type_table))
+        return cls(keyword, payload, type_table)
+
+    def arrays(self):
+        """The decoded :class:`~repro.index.blocks.PostingArrays`; the
+        first call decodes the payload."""
+        arrays = self._arrays
+        if arrays is None:
+            arrays, self._keys = decode_payload(
+                self.keyword, self._payload, self._header, self.type_table
+            )
+            self._arrays = arrays
+            self._payload = self._header = None
+        return arrays
 
     @property
-    def block_count(self):
-        """Blocks in the payload; with more than one, the columns are
-        lazy."""
-        return self.block_store.block_count
+    def decoded(self):
+        """Whether the payload has been decoded."""
+        return self._arrays is not None
+
+    @property
+    def dewey_keys(self):
+        """Each posting's Dewey component tuple (shared — treat as
+        immutable)."""
+        keys = self._keys
+        if keys is None:
+            arrays = self.arrays()
+            keys = self._keys
+            if keys is None:
+                keys = self._keys = key_tuples(arrays.flat, arrays.offs)
+        return keys
+
+    @property
+    def type_ids(self):
+        """Each posting's interned node-type id (a ``type_table``
+        index)."""
+        return self.arrays().tids
+
+    @property
+    def counts(self):
+        """The keyword's occurrences at each posting's node."""
+        return self.arrays().counts
 
     def __len__(self):
-        return len(self.dewey_keys)
+        return self._size
 
     def __iter__(self):
         type_table = self.type_table
@@ -147,23 +177,27 @@ class InvertedList:
         depth = len(node_type)
         # Decided once per interned type, not once per posting.
         under = [path[:depth] == node_type for path in self.type_table]
+        arrays = self.arrays()
+        if self._keys is not None:
+            return [
+                components[:depth]
+                for components, type_id in zip(self._keys, arrays.tids)
+                if under[type_id]
+            ]
+        # Cut from the flat array: no key tuple is built for this.
+        flat = arrays.flat
         return [
-            components[:depth]
-            for components, type_id in zip(self.dewey_keys, self.type_ids)
+            tuple(flat[start:start + depth])
+            for start, type_id in zip(arrays.offs, arrays.tids)
             if under[type_id]
         ]
 
     def range_indices(self, root_dewey):
         """Index range ``[lo, hi)`` of postings inside ``root_dewey``'s
-        subtree; on a lazy list each end decodes at most the one block
-        the header search lands in."""
+        subtree."""
         keys = self.dewey_keys
-        if self.block_count > 1:
-            search = keys.bisect_left
-        else:
-            search = partial(bisect.bisect_left, keys)
-        lo = search(root_dewey.components)
-        return lo, search(descendant_range_key(root_dewey), lo)
+        lo = bisect_left(keys, root_dewey.components)
+        return lo, bisect_left(keys, descendant_range_key(root_dewey), lo)
 
 
 class InvertedIndex:
@@ -230,7 +264,7 @@ class InvertedIndex:
             chain(existing.dewey_keys, keys),
             chain(existing.type_ids, type_ids),
             chain(existing.counts, counts),
-            existing.block_store.block_size,
+            existing.block_size,
         )
 
     def remove_postings_under(self, keyword, root_dewey):
@@ -256,7 +290,7 @@ class InvertedIndex:
             outside(existing.dewey_keys),
             outside(existing.type_ids),
             outside(existing.counts),
-            existing.block_store.block_size,
+            existing.block_size,
         )
 
     def payloads_at(self, block_size):
@@ -354,5 +388,5 @@ class InvertedIndex:
 
     def list_length(self, keyword):
         """Posting count for ``keyword``, read from the payload header:
-        a multi-block list decodes none of its blocks."""
+        nothing is decoded."""
         return len(self.get(keyword))

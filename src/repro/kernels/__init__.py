@@ -28,7 +28,6 @@ Every kernel is byte-identical to the loop it replaced; the
 from .backend import backend_name, compiled  # noqa: F401
 from .bounds import PresenceBoundCache  # noqa: F401
 from .columns import (  # noqa: F401
-    BlockedListColumns,
     ListColumns,
     columns_for,
     partition_view,
@@ -58,7 +57,6 @@ from .slca import (  # noqa: F401
 )
 
 __all__ = [
-    "BlockedListColumns",
     "ListColumns",
     "MaskMemo",
     "PreparedBeam",

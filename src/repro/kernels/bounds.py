@@ -45,22 +45,3 @@ class PresenceBoundCache:
                     bound = cost
             self._memo[mask] = bound
         return bound
-
-    def header_bound(self, partition_id, lane_columns):
-        """``(bound, may_mask)`` from block-max headers alone.
-
-        ``may_mask`` sets lane ``i`` when lane ``i``'s column *may*
-        contain ``partition_id`` — exact for eager columns, a block-
-        header superset for blocked ones (so not a single posting
-        block is decoded).  ``may_mask`` is a superset of the real
-        presence mask, and :meth:`lower_bound` is antitone in the mask
-        (more present keywords can only lower the cheapest reachable
-        dissimilarity), hence ``bound <= lower_bound(real mask)``:
-        pruning on ``bound > threshold`` is answer-identical to the
-        post-probe presence-bound skip.
-        """
-        mask = 0
-        for lane, columns in enumerate(lane_columns):
-            if columns.may_contain(partition_id):
-                mask |= 1 << lane
-        return self.lower_bound(mask), mask

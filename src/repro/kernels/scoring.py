@@ -54,16 +54,9 @@ _MISS = object()
 # Batch partition presence (the short-list probe phase)
 # ----------------------------------------------------------------------
 def presence_ready(lane_columns):
-    """True when every lane can feed the batch presence kernel.
-
-    A presence mask is one ``int64``, so at most
-    ``backend.MAX_MERGE_LANES`` lanes.  Blocked (beyond-RAM) columns
-    only qualify once their partition tables are already materialized —
-    the batch path must never be what forces a lazy column resident.
-    """
-    return len(lane_columns) <= backend.MAX_MERGE_LANES and all(
-        column.tables_ready for column in lane_columns
-    )
+    """True when the lanes fit the batch presence kernel: a presence
+    mask is one ``int64``, so at most ``backend.MAX_MERGE_LANES``."""
+    return len(lane_columns) <= backend.MAX_MERGE_LANES
 
 
 def _int64(mask):
@@ -84,8 +77,7 @@ def partition_presence(anchor_columns, lane_columns):
     mask holds at most ``backend.MAX_MERGE_LANES`` lanes (lane 63 is
     the sign bit).
     """
-    a_pids = anchor_columns.pids
-    npart = len(a_pids)
+    npart = len(anchor_columns.starts)
     nlanes = len(lane_columns)
     if nlanes > backend.MAX_MERGE_LANES:
         raise ValueError(
@@ -105,11 +97,12 @@ def partition_presence(anchor_columns, lane_columns):
             [table[0] for table in tables],
             [table[1] for table in tables],
             [table[2] for table in tables],
-            [len(column.pids) for column in lane_columns], nlanes,
+            [len(column.starts) for column in lane_columns], nlanes,
             lib.i64(masks), lib.i64(spans),
         )
         return masks, spans
 
+    a_pids = anchor_columns.pids
     masks = array("q", bytes(8 * npart))
     spans = array("q", [-1]) * (2 * npart * nlanes)
     for lane, column in enumerate(lane_columns):

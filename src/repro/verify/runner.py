@@ -23,7 +23,7 @@ DEFAULT_QUERIES_PER_DOC = 4
 MAX_SHRINKS = 8
 #: Comparisons each query is counted for (see ``_check_document``);
 #: moves only when a layer is added to or removed from the oracle.
-CHECKS_PER_QUERY = 39
+CHECKS_PER_QUERY = 40
 
 
 class VerifyReport:
@@ -86,7 +86,8 @@ def _check_document(oracle, queries, report):
         # emit-filtered partition SLCA, LCP table, partition view,
         # presence bound vs per-node recomputation, the type-id
         # column's Definition 3.3 verdicts vs the tree's, SLE's answer
-        # and counters compiled vs pure-Python),
+        # and counters compiled vs pure-Python, the posting codec's bytes
+        # and arrays compiled vs pure-Python),
         # and the cache layer (the query and each of its refinements
         # re-issued through sub-result assembly and diffed against a
         # cache-disabled engine — counted at its one-comparison

@@ -10,11 +10,10 @@ intended contract::
     PYTHONPATH=src python tests/core/capture_sle_counters.py
 
 Two views of the same corpus are captured: the eager index built from
-the tree (every list a resident ``ListColumns``: always the batch
-presence path) and the frozen snapshot loaded back with small blocks
-(long lists are ``BlockedListColumns``).  On the frozen view only the
-counters that do not depend on which probe ran — header-first or batch —
-are kept; see the test module.
+the tree and the frozen snapshot loaded back with small blocks.  On the
+frozen view only the counters that did not depend on which probe ran —
+header-first, when a multi-block list could still be probed from its
+block headers, or batch — are kept; see the test module.
 """
 
 from __future__ import annotations

@@ -8,11 +8,14 @@ counters exactly, not approximately.
 * **Eager index** (every list a resident ``ListColumns``, always the
   batch presence path, where the memo applies): every field except
   ``elapsed_seconds``.
-* **Frozen index with small blocks**: ``partitions_visited``,
-  ``dp_invocations``, ``slca_invocations`` and the answer.  ``probes``
-  and ``partitions_skipped`` there depend on whether a partition was
-  screened from block headers (may-masks, supersets) or from the batch
-  merge-join (exact masks), and that flips once a column is resident.
+* **Frozen index with small blocks**: the golden file's ``frozen``
+  entry pins ``partitions_visited``, ``dp_invocations``,
+  ``slca_invocations`` and the answer — captured when a multi-block
+  list could still be screened from its block headers, which made
+  ``probes`` and ``partitions_skipped`` depend on which lists were
+  resident.  A list is now decoded whole at its first read and takes
+  the same batch path as the eager index's, so the frozen run's full
+  counters must equal the ``eager`` entry as well.
 """
 
 from __future__ import annotations
@@ -96,4 +99,5 @@ def test_frozen_index_probe_independent_counters(
     ):
         kept = {name: counters[name] for name in PROBE_INDEPENDENT}
         assert kept == case["frozen"], (query, k)
+        assert counters == case["eager"], (query, k)
         assert digest == case["answer"], (query, k)

@@ -1,0 +1,199 @@
+"""The posting codec has two implementations; they must be one codec.
+
+``encode_posting_payload`` and ``decode_payload`` run in C when the
+compiled kernels are active and as Python loops otherwise.  Held here:
+for random document-ordered columns the C encoder writes the Python
+encoder's bytes and the C decoder returns the Python decoder's arrays,
+a damaged payload fails with the same :class:`IndexingError` on both,
+and a CRC-valid block whose postings are not what an encoder writes —
+a shared prefix longer than the key before it, keys out of order
+inside a block — is refused by both, naming the keyword and the block.
+"""
+
+from __future__ import annotations
+
+import struct
+import zlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.kernels.backend as backend_module
+from repro.errors import IndexingError
+from repro.index import InvertedList
+from repro.index.blocks import encode_posting_payload
+from repro.index.inverted import key_tuples
+from repro.storage import encode_uvarint
+
+COMPILED = backend_module.compiled
+
+needs_compiled = pytest.mark.skipif(
+    COMPILED is None, reason="compiled backend unavailable on this host"
+)
+
+
+@pytest.fixture(params=["compiled", "pure-python"])
+def kernel_backend(request, monkeypatch):
+    if request.param == "pure-python":
+        monkeypatch.setattr(backend_module, "compiled", None)
+    elif COMPILED is None:
+        pytest.skip("compiled backend unavailable on this host")
+    return request.param
+
+
+def on_both_backends(action):
+    """``[compiled outcome, pure-Python outcome]`` of ``action()``: its
+    value, or the type and message of what it raised."""
+    outcomes = []
+    for lib in (COMPILED, None):
+        backend_module.compiled = lib
+        try:
+            outcomes.append(("value", action()))
+        except IndexingError as exc:
+            outcomes.append(("error", str(exc)))
+        finally:
+            backend_module.compiled = COMPILED
+    return outcomes
+
+
+def decoded(payload, type_table):
+    lst = InvertedList.open("kw", payload, type_table)
+    arrays = lst.arrays()
+    return arrays, lst.dewey_keys
+
+
+components = st.one_of(st.integers(0, 3), st.integers(0, 1 << 40))
+columns = st.lists(
+    st.tuples(
+        st.lists(components, min_size=1, max_size=12).map(tuple),
+        st.integers(0, 1 << 40),
+    ),
+    min_size=1,
+    max_size=40,
+    unique_by=lambda row: row[0],
+).map(sorted)
+
+
+@needs_compiled
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=columns,
+    block_size=st.sampled_from([1, 2, 3, 7, 256]),
+    types=st.sampled_from([40, 0x10000 + 40]),
+    data=st.data(),
+)
+def test_compiled_codec_is_the_python_codec(rows, block_size, types, data):
+    keys = [key for key, _ in rows]
+    counts = [count for _, count in rows]
+    tids = data.draw(st.lists(
+        st.integers(0, types - 1), min_size=len(keys), max_size=len(keys)
+    ))
+    type_table = [("t",)] * types
+
+    encoded = on_both_backends(
+        lambda: encode_posting_payload("kw", keys, tids, counts, block_size)
+    )
+    assert encoded[0] == encoded[1]
+    payload = encoded[0][1]
+
+    (compiled, pure) = on_both_backends(lambda: decoded(payload, type_table))
+    assert compiled[1][0] == pure[1][0]
+    arrays = compiled[1][0]
+    assert arrays.tids.typecode == ("H" if types <= 0x10000 else "I")
+    assert key_tuples(arrays.flat, arrays.offs) == keys == pure[1][1]
+    assert list(arrays.tids) == tids and list(arrays.counts) == counts
+
+    position = data.draw(st.integers(0, len(payload) - 1))
+    damaged = {
+        "flipped": payload[:position]
+        + bytes([payload[position] ^ data.draw(st.integers(1, 255))])
+        + payload[position + 1:],
+        "truncated": payload[:position],
+        "trailing": payload + b"\x00",
+    }
+    for kind, raw in damaged.items():
+        outcomes = on_both_backends(lambda: decoded(raw, type_table)[0])
+        assert outcomes[0] == outcomes[1], kind
+        assert outcomes[0][0] == "error" or kind == "flipped"
+    # An id the table does not hold: the block holding the first one.
+    known = max(tids)
+    outcomes = on_both_backends(
+        lambda: decoded(payload, type_table[:known])[0]
+    )
+    assert outcomes[0] == outcomes[1] == (
+        "error",
+        f"block {tids.index(known) // block_size} of 'kw' names an "
+        "unknown node type",
+    )
+
+
+def crafted_payload(blocks, firsts, lasts, block_size):
+    """A payload of hand-written postings, every CRC correct.
+
+    ``blocks`` holds each block's postings as ``(shared, suffix)``
+    pairs; each gets type id 0 and count 1.
+    """
+    bodies = []
+    for postings in blocks:
+        body = bytearray()
+        for shared, suffix in postings:
+            body += encode_uvarint(shared)
+            body += encode_uvarint(len(suffix))
+            for part in suffix:
+                body += encode_uvarint(part)
+            body += encode_uvarint(0) + encode_uvarint(1)
+        bodies.append(bytes(body))
+
+    def key(out, parts):
+        out += encode_uvarint(len(parts))
+        for part in parts:
+            out += encode_uvarint(part)
+
+    out = bytearray()
+    out += encode_uvarint(sum(map(len, blocks)))
+    out += encode_uvarint(block_size)
+    out += encode_uvarint(len(blocks))
+    for body in bodies:
+        out += encode_uvarint(len(body))
+    for body, first, last in zip(bodies, firsts, lasts):
+        out += struct.pack("<I", zlib.crc32(body))
+        key(out, first)
+        key(out, last)
+    return bytes(out + b"".join(bodies))
+
+
+def test_a_shared_prefix_longer_than_the_key_before_it_is_refused(
+    kernel_backend,
+):
+    # Block 1's second posting claims nine shared components after a
+    # three-component key; clamping would read it as (0, 1, 5, 7).
+    payload = crafted_payload(
+        [[(0, (0, 0, 1)), (2, (2,))], [(1, (1, 5)), (9, (7,))]],
+        firsts=[(0, 0, 1), (0, 1, 5)],
+        lasts=[(0, 0, 2), (0, 1, 5, 7)],
+        block_size=2,
+    )
+    lst = InvertedList.open("kw", payload, [("t",)])
+    with pytest.raises(
+        IndexingError, match="block 1 of 'kw' shares more components"
+    ):
+        lst.dewey_keys
+
+
+def test_keys_out_of_order_inside_a_block_are_refused(kernel_backend):
+    # Block 1 opens and closes on the keys its header names, with a key
+    # between them that sorts before the first.
+    payload = crafted_payload(
+        [[(0, (0, 0, 1)), (2, (2,)), (1, (1, 0))],
+         [(2, (5,)), (2, (3,)), (2, (9,))]],
+        firsts=[(0, 0, 1), (0, 1, 5)],
+        lasts=[(0, 1, 0), (0, 1, 9)],
+        block_size=3,
+    )
+    lst = InvertedList.open("kw", payload, [("t",)])
+    with pytest.raises(
+        IndexingError, match="block 1 of 'kw' holds postings out of "
+        "document order",
+    ):
+        lst.counts

@@ -21,11 +21,7 @@ from repro.index import (
     load_frozen_index,
     remove_partition,
 )
-from repro.index.blocks import (
-    BlockStore,
-    decode_header,
-    encode_posting_payload,
-)
+from repro.index.blocks import decode_header, encode_posting_payload
 from repro.index.frozen import (
     _CRC_CHUNK,
     _HEADER,
@@ -290,26 +286,26 @@ class TestBlockDirectoryFuzz:
         return frozen_payload(figure1_index, postings.keyword, 1)
 
     @pytest.fixture(scope="class")
-    def header(self, payload, type_table):
-        return BlockStore("kw", payload, type_table)
+    def header(self, payload):
+        return decode_header("kw", payload)
 
     @pytest.fixture(scope="class")
     def body(self, payload, header):
-        return payload[header.offsets[0]:]
+        return payload[header[2][0]:]
 
     @pytest.fixture(scope="class")
     def type_table(self, figure1_index):
         return figure1_index.inverted.node_type_table
 
     def fields(self, header):
-        start = header.offsets[0]
+        block_size, count, offsets, crcs, firsts, lasts = header
         return (
-            header.count,
-            header.block_size,
-            [offset - start for offset in header.offsets],
-            list(header.crcs),
-            list(header.firsts),
-            list(header.lasts),
+            count,
+            block_size,
+            [offset - offsets[0] for offset in offsets],
+            list(crcs),
+            list(firsts),
+            list(lasts),
         )
 
     def test_roundtrip_is_clean(self, payload, header, body, type_table,
@@ -392,7 +388,7 @@ class TestBlockCorruptionOnDisk:
 
     The file-level checksum is recomputed after each mutation, so the
     snapshot *opens* cleanly — the corruption must be caught lazily, by
-    the block CRC, exactly when the damaged block is first decoded.
+    the block CRC, when the list is first read.
     """
 
     def frozen_with_blocks(self, figure1_index, tmp_path):
@@ -430,13 +426,14 @@ class TestBlockCorruptionOnDisk:
 
         loaded = load_frozen_index(bad)
         lazy = loaded.inverted_list(keyword)
-        # Earlier blocks decode fine; only touching the damaged block
-        # raises, and it raises a typed checksum error.
-        assert lazy[0] is not None
+        # Opening reads the header only; the first read checks every
+        # block and names the damaged one in a typed checksum error.
         with pytest.raises(
-            IndexingError, match=f"{keyword!r} fails its checksum"
+            IndexingError,
+            match=f"block {len(offsets) - 2} of {keyword!r} fails its "
+            "checksum",
         ):
-            list(lazy)
+            lazy[0]
 
     def test_clean_snapshot_decodes_every_block(
         self, figure1_index, tmp_path

@@ -71,11 +71,11 @@ class TestInvertedIndex:
 
     def test_type_id_outside_the_table_is_a_typed_error(self):
         """The columns keep ids, not types, so the decode loop checks
-        each id against the table it will index."""
+        each id against the table it will index (at the first read)."""
         index = self.make_index()
         index._type_table.clear()
         with pytest.raises(IndexingError, match="unknown node type"):
-            index.get("xml")
+            index.get("xml").type_ids
 
     def test_contains(self):
         index = self.make_index()

@@ -5,7 +5,8 @@ through ``get`` — as the one-block list a built index opens and as the
 same postings encoded at a small block size — and every way of reading
 the list (iteration, indexing, slices, ``labels()``,
 ``ancestor_keys()``, the raw columns) must return the rows that went
-in, with each block decoded once however the list is read.
+in, with the payload decoded once, at the first read of a column,
+however the list is read.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.index.inverted as inverted_module
 from repro.index import InvertedIndex, InvertedList, Posting
 from repro.index.blocks import encode_posting_payload
 from repro.xmltree import Dewey
@@ -82,17 +84,38 @@ def test_every_read_returns_the_rows_that_went_in(table, block_size, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(table=rows.filter(lambda t: len(t) > 1), block_size=st.integers(1, 8))
-def test_iterating_decodes_each_block_once(table, block_size):
-    blocked = eager_and_blocked(table, block_size)[1]
-    if blocked is None:
-        return
-    store = blocked.block_store
-    assert store.blocks_decoded == 0
-    list(blocked)
-    assert store.blocks_decoded == store.block_count
-    assert store.payload is None  # every block decoded: the bytes go
-    list(blocked)
-    blocked.labels()
-    blocked[0:len(table)]
-    assert store.blocks_decoded == store.block_count
+@given(table=rows.filter(lambda t: len(t) > 1), block_size=st.integers(1, 8),
+       column=st.sampled_from(["dewey_keys", "type_ids", "counts"]))
+def test_an_opened_list_decodes_once_at_its_first_column_read(
+    table, block_size, column
+):
+    decodes = []
+    decode = inverted_module.decode_payload
+
+    def counting(*args):
+        decodes.append(args[0])
+        return decode(*args)
+
+    index = InvertedIndex()
+    index.add_postings("k", *([row[i] for row in table] for i in range(3)))
+    payload = encode_posting_payload(
+        "k", [row[0] for row in table],
+        [index._type_ids[row[1]] for row in table],
+        [row[2] for row in table], block_size,
+    )
+    inverted_module.decode_payload = counting
+    try:
+        for lst in (index.get("k"),
+                    InvertedList.open("k", payload, index._type_table)):
+            decodes.clear()
+            assert len(lst) == len(table) and lst.block_count >= 1
+            assert decodes == [] and not lst.decoded
+            getattr(lst, column)
+            assert decodes == ["k"] and lst.decoded
+            list(lst)
+            lst.labels()
+            lst[0:len(table)]
+            lst.ancestor_keys(table[0][1][:1])
+            assert decodes == ["k"]
+    finally:
+        inverted_module.decode_payload = decode

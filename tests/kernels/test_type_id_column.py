@@ -4,15 +4,11 @@
 prefix-path id next to its Dewey key, so an SLCA that is still a
 ``(slot, depth)`` hit can be typed — ``type_table[tids[i]][:depth]`` —
 without a label or a tree lookup.  Held here: the column names every
-posting's own type on eager and blocked lists alike, a blocked column
-stays lazy until the walk that flattens its keys, both backends return
-the same hits, and labels cut from the flat component array equal
-labels cut from the key tuples.
+posting's own type, both backends return the same hits, and labels cut
+from the flat component array equal labels cut from the key tuples.
 """
 
 from __future__ import annotations
-
-from array import array
 
 import pytest
 
@@ -21,7 +17,6 @@ from repro.index import freeze_index, load_frozen_index
 from repro.index.blocks import DEFAULT_BLOCK_SIZE
 from repro.index.inverted import InvertedIndex
 from repro.kernels import (
-    BlockedListColumns,
     ListColumns,
     columns_for,
     hit_labels,
@@ -55,29 +50,6 @@ def test_eager_column_names_each_postings_type(dblp_index):
         assert [table[tid] for tid in columns.tids] == [
             posting.node_type for posting in postings
         ], keyword
-
-
-def test_blocked_column_stays_lazy_until_the_flat_walk(
-    dblp_index, blocked_index
-):
-    for keyword in KEYWORDS:
-        postings = blocked_index.inverted_list(keyword)
-        columns = columns_for(postings)
-        assert isinstance(columns, BlockedListColumns)
-        store = postings.block_store
-        reference = list(dblp_index.inverted_list(keyword).type_ids)
-
-        # One id costs the block that holds it, nothing more.
-        last = len(reference) - 1
-        assert columns.tids[last] == reference[last]
-        assert store.blocks_decoded == 1
-        assert not isinstance(columns.tids, array)
-
-        # flat_offs walks every block anyway and leaves a flat column.
-        columns.flat_offs()
-        assert store.blocks_decoded == store.block_count
-        assert isinstance(columns.tids, array)
-        assert list(columns.tids) == reference, keyword
 
 
 def test_bare_key_column_has_no_type_ids():
@@ -128,13 +100,13 @@ def test_labels_from_the_flat_array_equal_labels_from_the_keys(
     path = tmp_path / "dblp.frz"
     freeze_index(dblp_index, path, block_size=4)
     index = load_frozen_index(path)
+    keys = dblp_index.inverted_list("title").dewey_keys
     columns = columns_for(index.inverted_list("title"))
     slots = list(range(0, columns.size, 3))
-    depths = [1 + slot % len(columns.keys[slot]) for slot in slots]
+    depths = [1 + slot % len(keys[slot]) for slot in slots]
     picks = range(0, len(slots), 2)
-    from_keys = columns.hit_keys(0, slots, depths, picks)
-    assert from_keys == [
-        columns.keys[slots[j]][: depths[j]] for j in picks
-    ]
-    columns.flat_offs()
-    assert columns.hit_keys(0, slots, depths, picks) == from_keys
+    # No key tuple is built yet: the hits are cut from the flat array.
+    from_flat = columns.hit_keys(0, slots, depths, picks)
+    assert from_flat == [keys[slots[j]][: depths[j]] for j in picks]
+    assert columns.keys == keys
+    assert columns.hit_keys(0, slots, depths, picks) == from_flat
