@@ -148,7 +148,7 @@ class TestChainAnswers:
 
     def test_untouched_base_lists_stay_lazy(self, chain, chain_index):
         """Posting payloads no delta touched still serve through the
-        base's lazy block machinery (no eager merge)."""
+        base's payloads, opened lazily (no eager merge)."""
         tree = chain_index.tree
         loaded_before = getattr(
             tree, "loaded_partition_count", lambda: None
