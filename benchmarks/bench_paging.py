@@ -1,17 +1,16 @@
 """Beyond-RAM paging benchmark: RSS ceiling vs. corpus size.
 
-The blocked snapshot layout (format v4: a block header in every
-posting payload, partitioned tree directory, delta chains) exists so a serving process
-can answer queries over a corpus much larger than the memory it is
-willing to spend — cold postings stay on disk behind the mmap and only
-the posting lists a query reads are ever decoded (each one whole, at
-its first read).  This benchmark
-measures whether that is true:
+The frozen snapshot layout (format v5: a count and a CRC in every
+posting payload, partitioned tree directory, delta chains) exists so a
+serving process can answer queries over a corpus much larger than the
+memory it is willing to spend — cold postings stay on disk behind the
+mmap and only the posting lists a query reads are ever decoded (each
+one whole, at its first read).  This benchmark measures whether that
+is true:
 
 * For each corpus size in the sweep (multi-million nodes on full runs,
   a 9x spread of smaller sizes on ``--smoke``), the parent process
-  generates the corpus, builds the index, and freezes a blocked
-  snapshot.
+  generates the corpus, builds the index, and freezes a snapshot.
 * The query pool is **fixed across sizes** and **selective**: it is
   derived once from the smallest corpus (every size shares a seed, so
   the smallest corpus's authors — and their planted rare ``<id>``
@@ -45,7 +44,7 @@ measures whether that is true:
 A child can also be started with ``--rss-cap-mb N``: it then calls
 ``resource.setrlimit(RLIMIT_AS, ...)`` *before* opening the snapshot,
 so the load and the whole query pass must fit under a hard address
--space ceiling — the CI beyond-RAM smoke proves the blocked layout
+-space ceiling — the CI beyond-RAM smoke proves the snapshot layout
 serves a corpus under a cap an eager decode of the same corpus could
 still fit, but a corpus-proportional heap would eventually break.
 
@@ -73,7 +72,7 @@ sys.path.insert(
 #: Maximum heap (RssAnon) growth as a fraction of corpus growth (both
 #: beyond 1x): growing the corpus Nx may grow the serving child's heap
 #: delta by at most 1 + RSS_SUBLINEAR_FACTOR * (N - 1).  At 0.5 a 9x
-#: corpus spread allows at most a 5x heap spread; the blocked layout
+#: corpus spread allows at most a 5x heap spread; the snapshot layout
 #: lands far under, an eager decode lands far over.
 RSS_SUBLINEAR_FACTOR = 0.5
 
@@ -246,8 +245,7 @@ def _selective_pool(index, seed):
     return queries
 
 
-def _measure_point(target, workdir, k, seed, rss_cap_mb, block_size,
-                   queries_path):
+def _measure_point(target, workdir, k, seed, rss_cap_mb, queries_path):
     from repro import build_document_index
     from repro.datasets import corpus_for_nodes
     from repro.index import freeze_index
@@ -258,7 +256,7 @@ def _measure_point(target, workdir, k, seed, rss_cap_mb, block_size,
     build_seconds = time.perf_counter() - began
 
     snapshot = os.path.join(workdir, f"paging_{target}.frz")
-    freeze_index(index, snapshot, block_size=block_size)
+    freeze_index(index, snapshot)
 
     if not os.path.exists(queries_path):
         # First (smallest) point: fix the pool for the whole sweep.
@@ -301,7 +299,7 @@ def _measure_point(target, workdir, k, seed, rss_cap_mb, block_size,
 
 
 def run_paging_section(smoke, k=2, seed=29, rss_cap_mb=None,
-                       block_size=None, targets=None):
+                       targets=None):
     """Measure the sweep; returns the report section."""
     from repro.datasets import DEFAULT_NODE_TARGETS, SMOKE_NODE_TARGETS
 
@@ -313,8 +311,7 @@ def run_paging_section(smoke, k=2, seed=29, rss_cap_mb=None,
     try:
         for target in sorted(targets):
             point = _measure_point(
-                target, workdir, k, seed, rss_cap_mb, block_size,
-                queries_path,
+                target, workdir, k, seed, rss_cap_mb, queries_path
             )
             points.append(point)
             print(
@@ -381,8 +378,6 @@ def main(argv=None):
     parser.add_argument("--rss-cap-mb", type=int, default=None,
                         help="hard RLIMIT_AS ceiling applied in each "
                              "serving child before the snapshot opens")
-    parser.add_argument("--block-size", type=int, default=None,
-                        help="posting block size for the frozen snapshots")
     parser.add_argument("--output", default=None,
                         help="write the section JSON here as well")
     args = parser.parse_args(argv)
@@ -398,7 +393,6 @@ def main(argv=None):
         k=args.k,
         seed=args.seed,
         rss_cap_mb=args.rss_cap_mb,
-        block_size=args.block_size,
     )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

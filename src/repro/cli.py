@@ -3,7 +3,7 @@
 Usage (``python -m repro <command> ...``)::
 
     repro generate dblp -o corpus.xml --authors 300 --seed 7
-    repro index corpus.xml -o corpus.frz --block-size 256
+    repro index corpus.xml -o corpus.frz
     repro compact corpus.d2.dlt -o corpus.frz
     repro search corpus.frz online databse -k 3 --explain
     repro search corpus.frz online databse -k 3 --algorithm partition
@@ -50,7 +50,7 @@ def _cmd_generate(args, out):
 
 def _cmd_index(args, out):
     index = open_index_source(args.source)
-    freeze_index(index, args.output, block_size=args.block_size)
+    freeze_index(index, args.output)
     size = os.path.getsize(args.output)
     print(
         f"indexed {args.source}: {len(index.tree)} nodes, "
@@ -64,7 +64,7 @@ def _cmd_index(args, out):
 def _cmd_compact(args, out):
     from .index.delta import compact
 
-    layers = compact(args.source, args.output, block_size=args.block_size)
+    layers = compact(args.source, args.output)
     size = os.path.getsize(args.output)
     print(
         f"compacted {args.source}: folded {layers} delta layer(s) -> "
@@ -289,12 +289,6 @@ def build_parser():
     )
     index.add_argument("source", help=".xml file, snapshot, or delta chain")
     index.add_argument("-o", "--output", required=True)
-    index.add_argument(
-        "--block-size", type=int, default=None, metavar="N",
-        help="postings per block of every posting list (default 256); "
-        "a longer list decodes block by block, a list of at most N "
-        "postings is one block, decoded when first read",
-    )
     index.set_defaults(handler=_cmd_index)
 
     compact = commands.add_parser(
@@ -306,11 +300,6 @@ def build_parser():
         "source", help="chain top: a delta file, or a plain snapshot"
     )
     compact.add_argument("-o", "--output", required=True)
-    compact.add_argument(
-        "--block-size", type=int, default=None, metavar="N",
-        help="postings per block in the compacted snapshot "
-        "(default 256)",
-    )
     compact.set_defaults(handler=_cmd_compact)
 
     search = commands.add_parser(

@@ -10,7 +10,7 @@ well-formed document of its own.
 paper's real 420MB snapshot: it sizes the synthetic DBLP generator to
 hit a target node count, so the paging benchmark can sweep
 multi-million-node corpora and measure how resident memory and cold
-query latency grow with corpus size under the blocked snapshot layout.
+query latency grow with corpus size under the frozen snapshot layout.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ DEFAULT_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 #: Node-count targets for the full beyond-RAM paging sweep.  The top
 #: size is a multi-million-node corpus — far larger than any fixture —
-#: so RSS growth between the points exposes whether the blocked
+#: so RSS growth between the points exposes whether the frozen
 #: snapshot actually leaves cold postings on disk.
 DEFAULT_NODE_TARGETS = (250_000, 1_000_000, 4_000_000)
 

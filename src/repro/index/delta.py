@@ -11,7 +11,7 @@ whose cost is proportional to the *corpus*, not the change.
 
 * the inverted / frequency overlay puts (each a sorted key-value
   block of the store's own payloads — a posting payload carries its
-  block header, so a delta layer's lists page like the base's) and the
+  count and CRC, so a delta layer's lists open like the base's) and the
   overlay delete sets;
 * the full (small) statistics table;
 * the tree-operation log — every partition append (with its assigned
@@ -63,7 +63,7 @@ from .frozen import (
 #: Delta file magic — distinct from the base-snapshot magic so
 #: ``open_index_source`` can dispatch on the first 8 bytes.
 DELTA_MAGIC = b"XRFZDLT\x01"
-DELTA_VERSION = 2
+DELTA_VERSION = 3
 
 # The header has the base snapshot's shape, so header-CRC parent
 # binding covers both kinds uniformly.
@@ -408,7 +408,8 @@ def load_index_chain(path, pause=None):
     The base's keyword-keyed sections and every delta's overlay
     sections stack into :class:`~repro.storage.StackedKVBase` reads —
     nothing is merged eagerly, and every posting payload, whichever
-    layer serves it, opens block by block.
+    layer serves it, opens without a decode and decodes whole at its
+    first read.
     """
     base_path, delta_paths = resolve_chain(path)
     if not delta_paths:
@@ -425,19 +426,18 @@ def load_index_chain(path, pause=None):
     return assemble_index(chain, chain.base, chain.deltas, pause=pause)
 
 
-def compact(source, destination, block_size=None):
+def compact(source, destination):
     """Fold a delta chain into one monolithic frozen snapshot.
 
     Loads the chain (merge-on-demand) and refreezes — byte-identical
-    to freezing an equivalently mutated in-memory index, because a
-    freeze writes each posting payload as a function of its postings
-    and ``block_size`` alone.  Returns the number of chain layers
-    folded.
+    to freezing an equivalently mutated in-memory index, because each
+    posting payload is a function of its postings alone.  Returns the
+    number of chain layers folded.
     """
     index = load_index_chain(source)
     try:
         layers = getattr(index.frozen_snapshot, "chain_length", 0)
-        freeze_index(index, destination, block_size=block_size)
+        freeze_index(index, destination)
     finally:
         index.frozen_snapshot.close()
     return layers

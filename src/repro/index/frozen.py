@@ -6,11 +6,11 @@ memory and serves **without an upfront decode**:
 
 * Section 0 — the inverted index as a sorted key-value block: one
   record per keyword under the order-preserving key ``(keyword,)``,
-  the value being the keyword's posting payload — a block header, then
-  the delta+varint postings (:mod:`repro.index.blocks`) — plus the
+  the value being the keyword's posting payload — a count and a CRC,
+  then the delta+varint postings (:mod:`repro.index.blocks`) — plus the
   reserved node-type-table record.  Keywords resolve by binary search
-  over the mapped dictionary; posting lists open on first touch, a
-  long one block by block.
+  over the mapped dictionary; a posting list opens on first touch and
+  decodes whole at its first read.
 * Section 1 — the frequent table ``f_k^T`` / ``tf(k, T)`` under
   ``(keyword, type_id)`` keys.
 * Section 2 — per-type ``N_T`` / ``G_T`` / term-total statistics.
@@ -58,7 +58,6 @@ from ..storage import (
     encode_sorted_kv_block,
     encode_uvarint,
 )
-from .blocks import DEFAULT_BLOCK_SIZE
 from .builder import DocumentIndex
 from .cooccur import CooccurrenceTable
 from .frequency import FrequencyTable
@@ -70,7 +69,7 @@ MAGIC = b"XRFZIDX\x01"
 #: Bumped whenever the section layout or any section encoding changes.
 #: This is the only version this build reads or writes; an older file
 #: is rebuilt from its source with ``repro index``.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 _SECTION_INVERTED = 0
 _SECTION_FREQUENCY = 1
@@ -252,26 +251,13 @@ def _fsync_directory(directory):
         os.close(dir_fd)
 
 
-def freeze_index(index, path, block_size=None):
+def freeze_index(index, path):
     """Write ``index`` as a frozen snapshot file at ``path``.
 
-    Crash-safe (see :func:`write_section_file`).
-
-    ``block_size`` (postings per block, default
-    :data:`repro.index.blocks.DEFAULT_BLOCK_SIZE`) is the paging
-    granularity of every posting payload in the file: one already at
-    that size is copied, any other re-encoded, so the bytes written
-    depend on the index's postings and ``block_size`` alone.
+    Crash-safe (see :func:`write_section_file`).  Every posting payload
+    is copied as the store holds it — a function of the list's postings
+    alone — so two freezes of one index write the same bytes.
     """
-    if block_size is None:
-        block_size = DEFAULT_BLOCK_SIZE
-    if not isinstance(block_size, int) or isinstance(block_size, bool):
-        raise IndexingError(
-            f"block size must be an integer, got {block_size!r}"
-        )
-    if block_size < 1:
-        raise IndexingError(f"block size must be >= 1, got {block_size}")
-
     index.inverted.save_metadata()
     if index.frequency._pending:
         index.frequency.finalize()
@@ -282,7 +268,7 @@ def freeze_index(index, path, block_size=None):
         MAGIC,
         FORMAT_VERSION,
         [
-            encode_sorted_kv_block(index.inverted.payloads_at(block_size)),
+            encode_sorted_kv_block(index.inverted._store.items()),
             encode_sorted_kv_block(index.frequency._store.items()),
             encode_sorted_kv_block(_statistics_pairs(index)),
             tree_section,

@@ -17,12 +17,10 @@ from itertools import chain, islice
 from ..storage import CowKVStore, decode_key, encode_key
 from ..xmltree.dewey import Dewey, descendant_range_key
 from .blocks import (
-    DEFAULT_BLOCK_SIZE,
     _encode_python,
     decode_header,
     decode_payload,
     encode_posting_payload,
-    payload_block_size,
 )
 
 
@@ -53,7 +51,7 @@ class Posting:
 
 
 #: What an absent keyword opens as: a payload of zero postings.
-_EMPTY_PAYLOAD = _encode_python("", (), (), (), DEFAULT_BLOCK_SIZE)
+_EMPTY_PAYLOAD = _encode_python("", (), (), ())
 
 
 def key_tuples(flat, offs):
@@ -67,8 +65,8 @@ def key_tuples(flat, offs):
 class InvertedList:
     """Document-ordered postings for one keyword, held as columns.
 
-    Opening a list reads its payload's header and nothing more; the
-    first read of a column decodes the whole payload, once, into
+    Opening a list reads its payload's count and CRC and nothing more;
+    the first read of a column decodes the whole payload, once, into
     :class:`~repro.index.blocks.PostingArrays` (:meth:`arrays`) and
     drops the payload.  The three columns — :attr:`dewey_keys`,
     :attr:`type_ids`, :attr:`counts` — plus the :attr:`type_table` the
@@ -77,19 +75,15 @@ class InvertedList:
     built when someone iterates or indexes the list, never stored.
     """
 
-    __slots__ = ("keyword", "type_table", "block_size", "block_count",
-                 "_size", "_payload", "_header", "_arrays", "_keys",
-                 "_kernel_columns")
+    __slots__ = ("keyword", "type_table", "_size", "_payload", "_header",
+                 "_arrays", "_keys", "_kernel_columns")
 
     def __init__(self, keyword, payload, type_table):
         header = decode_header(keyword, payload)
         self.keyword = keyword
         #: The owning ``InvertedIndex``'s id -> node-type table.
         self.type_table = type_table
-        #: The payload's geometry: postings per block, and blocks.
-        self.block_size = header[0]
-        self.block_count = len(header[3])
-        self._size = header[1]
+        self._size = header[0]
         self._payload = payload
         self._header = header
         self._arrays = None
@@ -205,7 +199,7 @@ class InvertedIndex:
 
     The store keeps one record per keyword under the order-preserving
     key ``(keyword,)``; the value is the list's payload
-    (:mod:`repro.index.blocks`: a block header, then delta-coded
+    (:mod:`repro.index.blocks`: a count and a CRC, then delta-coded
     deweys, interned node-type ids and varint counts).  An opened
     :class:`InvertedList` is cached per keyword.
     """
@@ -235,10 +229,8 @@ class InvertedIndex:
     # ------------------------------------------------------------------
     # Build API
     # ------------------------------------------------------------------
-    def _put(self, keyword, keys, type_ids, counts, block_size):
-        payload = encode_posting_payload(
-            keyword, keys, type_ids, counts, block_size
-        )
+    def _put(self, keyword, keys, type_ids, counts):
+        payload = encode_posting_payload(keyword, keys, type_ids, counts)
         self._store.put(encode_key((keyword,)), payload)
         self._cache.pop(keyword, None)
 
@@ -250,13 +242,10 @@ class InvertedIndex:
         count.
         """
         type_ids = [self._intern_type(node_type) for node_type in node_types]
-        self._put(keyword, keys, type_ids, counts, DEFAULT_BLOCK_SIZE)
+        self._put(keyword, keys, type_ids, counts)
 
     def append_postings(self, keyword, keys, node_types, counts):
-        """Append postings that sort after every existing one.
-
-        The list is re-encoded at the block size it already has.
-        """
+        """Append postings that sort after every existing one."""
         existing = self.get(keyword)
         type_ids = [self._intern_type(node_type) for node_type in node_types]
         self._put(
@@ -264,7 +253,6 @@ class InvertedIndex:
             chain(existing.dewey_keys, keys),
             chain(existing.type_ids, type_ids),
             chain(existing.counts, counts),
-            existing.block_size,
         )
 
     def remove_postings_under(self, keyword, root_dewey):
@@ -290,27 +278,7 @@ class InvertedIndex:
             outside(existing.dewey_keys),
             outside(existing.type_ids),
             outside(existing.counts),
-            existing.block_size,
         )
-
-    def payloads_at(self, block_size):
-        """The store's records in key order, with every posting payload
-        at ``block_size`` postings per block.
-
-        A payload already there is passed through as stored; any other
-        is re-encoded from its decoded columns.
-        """
-        types_key = encode_key((self._TYPES_KEY,))
-        for key, payload in self._store.items():
-            if key != types_key and payload_block_size(payload) != block_size:
-                stored = InvertedList.open(
-                    decode_key(key)[0], payload, self._type_table
-                )
-                payload = encode_posting_payload(
-                    stored.keyword, stored.dewey_keys, stored.type_ids,
-                    stored.counts, block_size,
-                )
-            yield key, payload
 
     # ------------------------------------------------------------------
     # Query API
@@ -387,6 +355,6 @@ class InvertedIndex:
         return total
 
     def list_length(self, keyword):
-        """Posting count for ``keyword``, read from the payload header:
+        """Posting count for ``keyword``, read from the payload's count:
         nothing is decoded."""
         return len(self.get(keyword))

@@ -91,15 +91,14 @@ int64_t repro_sle_direct(const int64_t **masks, const int64_t **spans,
                          const void **tids, const int64_t *tid_widths,
                          const int64_t *need, int64_t *state,
                          int64_t *hits, int64_t capacity);
-int64_t repro_decode_payload(const uint8_t *payload, int64_t nbytes,
-                             int64_t ntypes, int64_t tid_width,
+int64_t repro_decode_payload(const uint8_t *body, int64_t nbytes,
+                             int64_t count, int64_t ntypes, int64_t tid_width,
                              int64_t *flat, int64_t flat_cap, int64_t *offs,
                              void *tids, int64_t *counts, int64_t *pid_flat,
                              int64_t *starts, int64_t *ends, int64_t *info);
 int64_t repro_encode_run(const int64_t *flat, const int64_t *offs,
                          const int64_t *tids, const int64_t *counts,
-                         int64_t count, int64_t block_size,
-                         uint8_t *out, int64_t cap, int64_t *slots);
+                         int64_t count, uint8_t *out, int64_t cap);
 """
 
 #: Every function declared above.
@@ -618,143 +617,88 @@ static int get_uvarint(const uint8_t *p, int64_t end, int64_t *pos,
     return big ? 2 : 0;
 }
 
-/* Whether the header key at p[*pos] (its length, then its components)
- * is key[0 .. klen); advances *pos past it. */
-static int header_key_is(const uint8_t *p, int64_t end, int64_t *pos,
-                         const int64_t *key, int64_t klen)
-{
-    int64_t len, part, j;
-    int rc, same;
-    rc = get_uvarint(p, end, pos, &len);
-    if (rc == 1)
-        return 0;
-    same = rc == 0 && len == klen;
-    for (j = 0; j < len; j++) {
-        rc = get_uvarint(p, end, pos, &part);
-        if (rc == 1)
-            return 0;
-        if (rc || (same && part != key[j]))
-            same = 0;
-    }
-    return same;
-}
-
-/* Decode one whole posting payload, whose block CRCs the caller has
- * checked, into the arrays the kernels read: key i is
- * flat[offs[i] .. offs[i + 1]), its type id tids[i] (tid_width bytes
- * each) and its occurrence count counts[i]; partition j (the run of keys
- * sharing the first two components (pid_flat[2j], pid_flat[2j + 1])) is
- * the posting range [starts[j], ends[j]).  The caller sizes offs for
- * count + 1 entries and the other per-posting arrays for count; flat
- * holds flat_cap components.
+/* Decode the nbytes-long body of a posting payload holding count
+ * postings, whose CRC the caller has checked, into the arrays the
+ * kernels read: key i is flat[offs[i] .. offs[i + 1]), its type id
+ * tids[i] (tid_width bytes each) and its occurrence count counts[i];
+ * partition j (the run of keys sharing the first two components
+ * (pid_flat[2j], pid_flat[2j + 1])) is the posting range
+ * [starts[j], ends[j]).  The caller sizes offs for count + 1 entries
+ * and the other per-posting arrays for count; flat holds flat_cap
+ * components.
  *
  * Returns 0 with info[0..2] = (components, partitions, root postings),
- * or the first fault met, with info[3] its block: 1 a block runs out
- * mid-posting, 2 a posting shares more components than its
- * predecessor has, 3 a key that does not sort after its predecessor,
- * 4 a type id past ntypes, 5 bytes past a block's postings, 6 a block
- * whose first or last key is not its header's, 7 a component or count
- * past INT64_MAX, 9 a header this decoder cannot walk.  Returns 8 when
+ * or the first fault met: 1 the body runs out mid-posting, 2 a posting
+ * shares more components than its predecessor has, 3 a key that does
+ * not sort after its predecessor, 4 a type id past ntypes, 5 bytes past
+ * the postings, 7 a component or count past INT64_MAX.  Returns 8 when
  * flat is too small: info[0] then estimates the size needed. */
 int64_t repro_decode_payload(const uint8_t *p, int64_t nbytes,
-                             int64_t ntypes, int64_t tid_width,
+                             int64_t count, int64_t ntypes, int64_t tid_width,
                              int64_t *flat, int64_t flat_cap, int64_t *offs,
                              void *tids, int64_t *counts, int64_t *pid_flat,
                              int64_t *starts, int64_t *ends, int64_t *info)
 {
-    int64_t count, block_size, nblocks, spos = 0, hpos, bpos, b, j;
-    int64_t i = 0, fpos = 0, npart = 0, roots = 0;
-    info[3] = 0;
-    if (get_uvarint(p, nbytes, &spos, &count)
-        || get_uvarint(p, nbytes, &spos, &block_size)
-        || get_uvarint(p, nbytes, &spos, &nblocks))
-        return 9;
-    /* Three cursors: block sizes, header entries, block bodies. */
-    hpos = spos;
-    for (b = 0; b < nblocks; b++)
-        if (get_uvarint(p, nbytes, &hpos, &j))
-            return 9;
-    bpos = hpos;
-    for (b = 0; b < nblocks; b++) {
-        bpos += 4;
-        if (bpos > nbytes)
-            return 9;
-        header_key_is(p, nbytes, &bpos, 0, -1);
-        header_key_is(p, nbytes, &bpos, 0, -1);
-    }
+    int64_t i, j, pos = 0, fpos = 0, npart = 0, roots = 0;
     offs[0] = 0;
-    for (b = 0; b < nblocks; b++) {
-        int64_t size, end, n, first = i, k;
-        info[3] = b;
-        if (get_uvarint(p, nbytes, &spos, &size) || bpos + size > nbytes)
-            return 9;
-        end = bpos + size;
-        n = b == nblocks - 1 ? count - b * block_size : block_size;
-        for (k = 0; k < n; k++, i++) {
-            int64_t shared, suffix, prev_len, tid, occurrences, klen;
-            const int64_t *key;
-            int rc;
-            if (get_uvarint(p, end, &bpos, &shared) == 1)
-                return 1;
-            prev_len = i ? offs[i] - offs[i - 1] : 0;
-            if (shared > prev_len)
-                return 2;
-            if (get_uvarint(p, end, &bpos, &suffix) == 1)
-                return 1;
-            if (fpos + shared > flat_cap)
-                goto short_flat;
-            for (j = 0; j < shared; j++)
-                flat[fpos + j] = flat[offs[i - 1] + j];
-            fpos += shared;
-            for (j = 0; j < suffix; j++) {
-                int64_t part;
-                rc = get_uvarint(p, end, &bpos, &part);
-                if (rc)
-                    return rc == 1 ? 1 : 7;
-                if (fpos >= flat_cap)
-                    goto short_flat;
-                flat[fpos++] = part;
-            }
-            key = flat + offs[i];
-            klen = fpos - offs[i];
-            if (i ? key_cmp(key, klen, flat + offs[i - 1], prev_len) <= 0
-                  : klen == 0)
-                return 3;
-            if (get_uvarint(p, end, &bpos, &tid) == 1)
-                return 1;
-            if (tid >= ntypes)
-                return 4;
-            rc = get_uvarint(p, end, &bpos, &occurrences);
+    for (i = 0; i < count; i++) {
+        int64_t shared, suffix, prev_len, tid, occurrences, klen;
+        const int64_t *key;
+        int rc;
+        if (get_uvarint(p, nbytes, &pos, &shared) == 1)
+            return 1;
+        prev_len = i ? offs[i] - offs[i - 1] : 0;
+        if (shared > prev_len)
+            return 2;
+        if (get_uvarint(p, nbytes, &pos, &suffix) == 1)
+            return 1;
+        if (fpos + shared > flat_cap)
+            goto short_flat;
+        for (j = 0; j < shared; j++)
+            flat[fpos + j] = flat[offs[i - 1] + j];
+        fpos += shared;
+        for (j = 0; j < suffix; j++) {
+            int64_t part;
+            rc = get_uvarint(p, nbytes, &pos, &part);
             if (rc)
                 return rc == 1 ? 1 : 7;
-            if (tid_width == 2)
-                ((uint16_t *)tids)[i] = (uint16_t)tid;
-            else
-                ((uint32_t *)tids)[i] = (uint32_t)tid;
-            counts[i] = occurrences;
-            offs[i + 1] = fpos;
-            if (klen < 2) {
-                roots++;
-            } else if (npart && pid_flat[2 * npart - 2] == key[0]
-                       && pid_flat[2 * npart - 1] == key[1]) {
-                ends[npart - 1] = i + 1;
-            } else {
-                pid_flat[2 * npart] = key[0];
-                pid_flat[2 * npart + 1] = key[1];
-                starts[npart] = i;
-                ends[npart] = i + 1;
-                npart++;
-            }
+            if (fpos >= flat_cap)
+                goto short_flat;
+            flat[fpos++] = part;
         }
-        if (bpos != end)
-            return 5;
-        hpos += 4;
-        if (!header_key_is(p, nbytes, &hpos, flat + offs[first],
-                           offs[first + 1] - offs[first])
-            || !header_key_is(p, nbytes, &hpos, flat + offs[i - 1],
-                              offs[i] - offs[i - 1]))
-            return 6;
+        key = flat + offs[i];
+        klen = fpos - offs[i];
+        if (i ? key_cmp(key, klen, flat + offs[i - 1], prev_len) <= 0
+              : klen == 0)
+            return 3;
+        if (get_uvarint(p, nbytes, &pos, &tid) == 1)
+            return 1;
+        if (tid >= ntypes)
+            return 4;
+        rc = get_uvarint(p, nbytes, &pos, &occurrences);
+        if (rc)
+            return rc == 1 ? 1 : 7;
+        if (tid_width == 2)
+            ((uint16_t *)tids)[i] = (uint16_t)tid;
+        else
+            ((uint32_t *)tids)[i] = (uint32_t)tid;
+        counts[i] = occurrences;
+        offs[i + 1] = fpos;
+        if (klen < 2) {
+            roots++;
+        } else if (npart && pid_flat[2 * npart - 2] == key[0]
+                   && pid_flat[2 * npart - 1] == key[1]) {
+            ends[npart - 1] = i + 1;
+        } else {
+            pid_flat[2 * npart] = key[0];
+            pid_flat[2 * npart + 1] = key[1];
+            starts[npart] = i;
+            ends[npart] = i + 1;
+            npart++;
+        }
     }
+    if (pos != nbytes)
+        return 5;
     info[0] = fpos;
     info[1] = npart;
     info[2] = roots;
@@ -785,97 +729,49 @@ static int64_t put_uvarint(uint8_t *out, int64_t pos, uint64_t value)
     return pos;
 }
 
-static int64_t key_size(const int64_t *key, int64_t klen)
-{
-    int64_t size = uvarint_size((uint64_t)klen), j;
-    for (j = 0; j < klen; j++)
-        size += uvarint_size((uint64_t)key[j]);
-    return size;
-}
-
-static int64_t put_key(uint8_t *out, int64_t pos, const int64_t *key,
-                       int64_t klen)
-{
-    int64_t j;
-    pos = put_uvarint(out, pos, (uint64_t)klen);
-    for (j = 0; j < klen; j++)
-        pos = put_uvarint(out, pos, (uint64_t)key[j]);
-    return pos;
-}
-
-/* The payload of count postings, block_size to a block (key i is
- * flat[offs[i] .. offs[i + 1]), with type id tids[i] and count
- * counts[i]), byte for byte what the Python encoder writes, except that
- * each block's CRC-32 is left as four zero bytes: slots[2b] is where
- * block b's CRC goes and slots[2b + 1] where its bytes start.  Returns
- * the payload's length, written only when it fits in cap; or -1 - i
- * when posting i breaks document order or holds a negative value. */
+/* The payload of count postings (key i is flat[offs[i] .. offs[i + 1]),
+ * with type id tids[i] and count counts[i]), byte for byte what the
+ * Python encoder writes, except that the CRC-32 after the count is left
+ * as four zero bytes for the caller to fill in.  Returns the payload's
+ * length, written only when it fits in cap; or -1 - i when posting i
+ * breaks document order or holds a negative value. */
 int64_t repro_encode_run(const int64_t *flat, const int64_t *offs,
                          const int64_t *tids, const int64_t *counts,
-                         int64_t count, int64_t block_size,
-                         uint8_t *out, int64_t cap, int64_t *slots)
+                         int64_t count, uint8_t *out, int64_t cap)
 {
-    int64_t nblocks = (count + block_size - 1) / block_size;
-    int64_t head, body = 0, pos, at, b, i, j;
-    /* Pass 1: check every posting, size every block (in slots[2b + 1])
-     * and the header. */
-    head = uvarint_size((uint64_t)count) + uvarint_size((uint64_t)block_size)
-        + uvarint_size((uint64_t)nblocks);
-    for (b = 0; b < nblocks; b++) {
-        int64_t lo = b * block_size;
-        int64_t hi = lo + block_size < count ? lo + block_size : count;
-        int64_t size = 0;
-        for (i = lo; i < hi; i++) {
-            const int64_t *key = flat + offs[i];
-            int64_t klen = offs[i + 1] - offs[i], shared = 0;
-            if (i) {
-                const int64_t *prev = flat + offs[i - 1];
-                int64_t plen = offs[i] - offs[i - 1];
-                if (key_cmp(key, klen, prev, plen) <= 0)
-                    return -1 - i;
-                shared = key_lcp(key, klen, prev, plen);
-            } else if (klen == 0) {
+    int64_t size, pos, i, j;
+    /* Pass 1: check every posting and size the payload. */
+    size = uvarint_size((uint64_t)count) + 4;
+    for (i = 0; i < count; i++) {
+        const int64_t *key = flat + offs[i];
+        int64_t klen = offs[i + 1] - offs[i], shared = 0;
+        if (i) {
+            const int64_t *prev = flat + offs[i - 1];
+            int64_t plen = offs[i] - offs[i - 1];
+            if (key_cmp(key, klen, prev, plen) <= 0)
                 return -1 - i;
-            }
-            if (tids[i] < 0 || counts[i] < 0)
-                return -1 - i;
-            for (j = 0; j < klen; j++)
-                if (key[j] < 0)
-                    return -1 - i;
-            size += uvarint_size((uint64_t)shared)
-                + uvarint_size((uint64_t)(klen - shared))
-                + uvarint_size((uint64_t)tids[i])
-                + uvarint_size((uint64_t)counts[i]);
-            for (j = shared; j < klen; j++)
-                size += uvarint_size((uint64_t)key[j]);
+            shared = key_lcp(key, klen, prev, plen);
+        } else if (klen == 0) {
+            return -1 - i;
         }
-        slots[2 * b + 1] = size;
-        body += size;
-        head += uvarint_size((uint64_t)size) + 4
-            + key_size(flat + offs[lo], offs[lo + 1] - offs[lo])
-            + key_size(flat + offs[hi - 1], offs[hi] - offs[hi - 1]);
+        if (tids[i] < 0 || counts[i] < 0)
+            return -1 - i;
+        for (j = 0; j < klen; j++)
+            if (key[j] < 0)
+                return -1 - i;
+        size += uvarint_size((uint64_t)shared)
+            + uvarint_size((uint64_t)(klen - shared))
+            + uvarint_size((uint64_t)tids[i])
+            + uvarint_size((uint64_t)counts[i]);
+        for (j = shared; j < klen; j++)
+            size += uvarint_size((uint64_t)key[j]);
     }
-    if (head + body > cap)
-        return head + body;
-    /* Pass 2: the header, then the blocks. */
+    if (size > cap)
+        return size;
+    /* Pass 2: the count, the CRC's place, then the postings. */
     pos = put_uvarint(out, 0, (uint64_t)count);
-    pos = put_uvarint(out, pos, (uint64_t)block_size);
-    pos = put_uvarint(out, pos, (uint64_t)nblocks);
-    for (b = 0; b < nblocks; b++)
-        pos = put_uvarint(out, pos, (uint64_t)slots[2 * b + 1]);
-    at = head;
-    for (b = 0; b < nblocks; b++) {
-        int64_t lo = b * block_size;
-        int64_t hi = lo + block_size < count ? lo + block_size : count;
-        int64_t size = slots[2 * b + 1];
-        slots[2 * b] = pos;
-        for (j = 0; j < 4; j++)
-            out[pos++] = 0;
-        pos = put_key(out, pos, flat + offs[lo], offs[lo + 1] - offs[lo]);
-        pos = put_key(out, pos, flat + offs[hi - 1], offs[hi] - offs[hi - 1]);
-        slots[2 * b + 1] = at;
-        at += size;
-    }
+    for (j = 0; j < 4; j++)
+        out[pos++] = 0;
     for (i = 0; i < count; i++) {
         const int64_t *key = flat + offs[i];
         int64_t klen = offs[i + 1] - offs[i], shared = 0;

@@ -8,10 +8,8 @@ store), and file persistence (:mod:`repro.index.frozen`).
 
 from .encoding import (
     SortedKVBlock,
-    decode_dewey_list,
     decode_key,
     decode_uvarint,
-    encode_dewey_list,
     encode_key,
     encode_sorted_kv_block,
     encode_uvarint,
@@ -28,7 +26,5 @@ __all__ = [
     "decode_key",
     "encode_uvarint",
     "decode_uvarint",
-    "encode_dewey_list",
-    "decode_dewey_list",
     "key_prefix_upper_bound",
 ]

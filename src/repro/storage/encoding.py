@@ -10,8 +10,6 @@ scans (e.g. "all entries for keyword k") work.  This module provides:
   of tuples of strings and non-negative ints;
 * :func:`encode_uvarint` / :func:`decode_uvarint` — LEB128 varints used
   for value payloads;
-* :func:`encode_dewey_list` / :func:`decode_dewey_list` — delta-encoded
-  posting lists of Dewey labels, the storage format of inverted lists;
 * :func:`encode_sorted_kv_block` / :class:`SortedKVBlock` — a columnar,
   binary-searchable block of sorted key/value pairs, the section format
   of frozen index snapshots (:mod:`repro.index.frozen`).
@@ -145,50 +143,6 @@ def key_prefix_upper_bound(prefix):
             return bytes(data)
         data.pop()
     return None
-
-
-def encode_dewey_list(labels):
-    """Delta-encode a document-ordered list of Dewey component tuples.
-
-    Each label is stored as (shared-prefix length with the previous
-    label, number of new components, new components...), all varints.
-    Dense posting lists compress to roughly 2 bytes per entry.
-    """
-    out = bytearray()
-    out += encode_uvarint(len(labels))
-    previous = ()
-    for label in labels:
-        components = tuple(label)
-        shared = 0
-        for a, b in zip(previous, components):
-            if a != b:
-                break
-            shared += 1
-        suffix = components[shared:]
-        out += encode_uvarint(shared)
-        out += encode_uvarint(len(suffix))
-        for part in suffix:
-            out += encode_uvarint(part)
-        previous = components
-    return bytes(out)
-
-
-def decode_dewey_list(data):
-    """Inverse of :func:`encode_dewey_list`; returns component tuples."""
-    count, pos = decode_uvarint(data)
-    labels = []
-    previous = ()
-    for _ in range(count):
-        shared, pos = decode_uvarint(data, pos)
-        suffix_len, pos = decode_uvarint(data, pos)
-        suffix = []
-        for _ in range(suffix_len):
-            part, pos = decode_uvarint(data, pos)
-            suffix.append(part)
-        components = previous[:shared] + tuple(suffix)
-        labels.append(components)
-        previous = components
-    return labels
 
 
 # ----------------------------------------------------------------------

@@ -17,19 +17,17 @@ path that must agree:
   the partition skip bound must not change answers; and a warm
   (result-cached) engine must answer exactly like a cold one.
 * **Frozen snapshot layer** — the index is frozen to an mmap-served
-  columnar snapshot (:mod:`repro.index.frozen`), loaded back, and the
-  plain SLCA path and all three refinement algorithms are each diffed
-  byte-for-byte against the built index.
+  columnar snapshot (:mod:`repro.index.frozen`), loaded back, and each
+  query term's posting list, the plain SLCA path and all three
+  refinement algorithms are each diffed byte-for-byte against the
+  built index.  Runs against whichever kernel backend is active, so
+  the verify-diff sweep exercises both the compiled and pure-Python
+  posting decoders.
 * **Delta-chain layer** — the document's last partition is peeled off
   into a base snapshot and re-added through a delta file
   (:mod:`repro.index.delta`); the merged base+delta view must answer
-  exactly like the built index, compacting the chain must produce a
-  snapshot byte-identical to refreezing the chain-loaded index, and a
-  snapshot refrozen with a tiny block size (every posting list split
-  across blocks, decoded lazily through its payload header) must be
-  indistinguishable from the built index.  Runs against whichever
-  kernel backend is active, so the verify-diff sweep exercises both
-  the compiled and pure-Python block consumers.
+  exactly like the built index, and compacting the chain must produce
+  a snapshot byte-identical to refreezing the chain-loaded index.
 * **Cache layer** — a refinable query's evaluation deposits its
   refinements' SLCA sets into the term-signature sub-result cache;
   each refinement is then issued as its own query with the result
@@ -54,7 +52,7 @@ path that must agree:
   :func:`~repro.slca.meaningful.is_meaningful` on the tree node's own
   type, for every SLCA hit
   over the same whole lists and shared partitions, on the built index,
-  a blocked snapshot, an updated index and the delta-chain top.  And —
+  its frozen snapshot, an updated index and the delta-chain top.  And —
   ``kernel:sle-round`` — SLE run with the active backend and with the
   pure-Python one must give the same answer and the same ``ScanStats``;
   and ``kernel:codec`` — each query term's list written and decoded by
@@ -89,7 +87,7 @@ from ..kernels import (
     slca_hits,
     slca_ranges,
 )
-from ..index.blocks import DEFAULT_BLOCK_SIZE, encode_posting_payload
+from ..index.blocks import encode_posting_payload
 from ..index.builder import build_document_index
 from ..index.inverted import InvertedList
 from ..index.tokenize_text import query_terms
@@ -191,38 +189,34 @@ class DocumentOracle:
         oracle run can leave files behind.
         """
         if self._frozen_engine is None:
-            self._frozen_engine = XRefine(self._frozen_round_trip())
+            from ..index.frozen import freeze_index, load_frozen_index
+
+            handle, path = tempfile.mkstemp(suffix=".frz")
+            os.close(handle)
+            try:
+                freeze_index(self.index, path)
+                self._frozen_engine = XRefine(load_frozen_index(path))
+            finally:
+                os.unlink(path)
         return self._frozen_engine
-
-    def _frozen_round_trip(self, **freeze_options):
-        from ..index.frozen import freeze_index, load_frozen_index
-
-        handle, path = tempfile.mkstemp(suffix=".frz")
-        os.close(handle)
-        try:
-            freeze_index(self.index, path, **freeze_options)
-            return load_frozen_index(path)
-        finally:
-            os.unlink(path)
 
     @property
     def column_views(self):
         """``[(name, index), ...]`` the type-id column is held to.
 
-        The built index; a snapshot with 16-posting blocks (a list of
-        one block decodes when opened, a longer one block by block); an
-        index whose first
-        partition was re-appended under a fresh tag and then removed —
-        both update paths, leaving postings typed by ids the original
-        table did not have; and the delta-chain top where the document
-        has one.
+        The built index; its frozen snapshot (the frozen layer's, every
+        list decoded whole from the mapped payload at its first read);
+        an index whose first partition was re-appended under a fresh
+        tag and then removed — both update paths, leaving postings
+        typed by ids the original table did not have; and the
+        delta-chain top where the document has one.
         """
         if self._column_views is None:
             from ..index import append_partition, remove_partition
 
             views = [
                 ("built", self.index),
-                ("blocked16", self._frozen_round_trip(block_size=16)),
+                ("frozen", self.frozen_engine.index),
             ]
             children = list(self.spec[2]) if len(self.spec) > 2 else []
             if children:
@@ -460,17 +454,40 @@ class DocumentOracle:
 
         return divergences
 
+    def _diff_postings(self, view, engine, query, terms):
+        """A ``{view}:postings`` divergence for each query term whose
+        posting list through ``engine``'s index differs from the built
+        index's."""
+        divergences = []
+        for term in terms:
+            expected = [
+                str(d) for d in self.index.inverted.get(term).labels()
+            ]
+            actual = [
+                str(d) for d in engine.index.inverted.get(term).labels()
+            ]
+            if actual != expected:
+                divergences.append(
+                    Divergence(
+                        f"{view}:postings",
+                        f"posting list for {term!r} through the {view} "
+                        "view != built index",
+                        self.spec, query, expected, actual,
+                    )
+                )
+        return divergences
+
     # ------------------------------------------------------------------
     # Frozen snapshot layer
     # ------------------------------------------------------------------
     def check_frozen(self, query):
         """A frozen-loaded engine must answer byte-identically.
 
-        The index is frozen to a snapshot file, mmapped back, and every
-        refinement algorithm — plus the plain SLCA path — is diffed
-        against the built index, proving the
-        columnar round trip (dictionary binary search, lazy payload
-        decode, tree/statistics sections) loses nothing.
+        The index is frozen to a snapshot file, mmapped back, and each
+        query term's posting list, the plain SLCA path and every
+        refinement algorithm are diffed against the built index,
+        proving the columnar round trip (dictionary binary search, lazy
+        payload decode, tree/statistics sections) loses nothing.
         """
         divergences = []
         terms = query_terms(query)
@@ -479,6 +496,7 @@ class DocumentOracle:
         engine = self.frozen_engine
         k = self.k
 
+        divergences += self._diff_postings("frozen", engine, query, terms)
         reference = [
             str(d) for d in self.engine.slca_search(terms)
         ]
@@ -522,14 +540,10 @@ class DocumentOracle:
 
         ``None`` when the document has fewer than two partitions —
         there is no partition to peel into a delta.  Otherwise a
-        ``(chain_engine, blocked_engine, compaction_identical)``
-        triple:
+        ``(chain_engine, compaction_identical)`` pair:
 
         * ``chain_engine`` serves the original document reconstructed
           as base-minus-last-partition plus a delta re-adding it;
-        * ``blocked_engine`` serves a snapshot frozen with
-          ``block_size=2``, so every multi-posting list decodes from
-          many CRC-checked blocks;
         * ``compaction_identical`` records whether compacting the
           chain produced bytes identical to refreezing the
           chain-loaded index.
@@ -578,24 +592,18 @@ class DocumentOracle:
             freeze_index(load_index_chain(delta), refrozen)
             with open(compacted, "rb") as a, open(refrozen, "rb") as b:
                 compaction_identical = a.read() == b.read()
-
-            blocked = os.path.join(workdir, "blocked.frz")
-            freeze_index(self.index, blocked, block_size=2)
-            blocked_engine = XRefine(load_frozen_index(blocked))
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
-        return chain_engine, blocked_engine, compaction_identical
+        return chain_engine, compaction_identical
 
     def check_chain(self, query):
-        """Base+delta and tiny-block views must answer identically.
+        """The base+delta view must answer identically.
 
         The chain engine reconstructs the document from a base
-        snapshot plus one delta; the blocked engine re-reads it with
-        every posting list split into two-posting blocks.  Either view
-        diverging from the built index means the merge-on-demand
-        overlay or the multi-block decode changed an answer.  The
-        compaction byte-identity is checked once per document and
-        reported against the first query that reaches it.
+        snapshot plus one delta; diverging from the built index means
+        the merge-on-demand overlay changed an answer.  The compaction
+        byte-identity is checked once per document and reported
+        against the first query that reaches it.
         """
         divergences = []
         terms = query_terms(query)
@@ -604,7 +612,7 @@ class DocumentOracle:
         state = self.chain_state
         if state is None:
             return divergences
-        chain_engine, blocked_engine, compaction_identical = state
+        chain_engine, compaction_identical = state
         k = self.k
 
         if not compaction_identical:
@@ -618,61 +626,43 @@ class DocumentOracle:
                 )
             )
             # Report once, not for every query of this document.
-            self._chain_state = (chain_engine, blocked_engine, True)
+            self._chain_state = (chain_engine, True)
 
-        for label, engine in (
-            ("chain", chain_engine), ("blocked", blocked_engine)
-        ):
-            for term in terms:
-                expected = [
-                    str(d) for d in self.index.inverted.get(term).labels()
-                ]
-                actual = [
-                    str(d) for d in engine.index.inverted.get(term).labels()
-                ]
-                if actual != expected:
-                    divergences.append(
-                        Divergence(
-                            f"{label}:postings",
-                            f"posting list for {term!r} through the "
-                            f"{label} view != built index",
-                            self.spec, query, expected, actual,
-                        )
-                    )
+        divergences += self._diff_postings(
+            "chain", chain_engine, query, terms
+        )
+        reference = [
+            str(d)
+            for d in self.engine.slca_search(terms)
+        ]
+        answered = [
+            str(d) for d in chain_engine.slca_search(terms)
+        ]
+        if answered != reference:
+            divergences.append(
+                Divergence(
+                    "chain:slca",
+                    "SLCA search through the chain view != built index",
+                    self.spec, query, reference, answered,
+                )
+            )
 
-            reference = [
-                str(d)
-                for d in self.engine.slca_search(terms)
-            ]
-            answered = [
-                str(d) for d in engine.slca_search(terms)
-            ]
-            if answered != reference:
+        for algorithm in ("partition", "sle", "stack", "auto"):
+            built = response_fingerprint(
+                self.engine.search(terms, k=k, algorithm=algorithm)
+            )
+            answered = response_fingerprint(
+                chain_engine.search(terms, k=k, algorithm=algorithm)
+            )
+            if answered != built:
                 divergences.append(
                     Divergence(
-                        f"{label}:slca",
-                        f"SLCA search through the {label} view != built "
-                        "index",
-                        self.spec, query, reference, answered,
+                        f"chain:{algorithm}",
+                        f"{algorithm} through the chain view "
+                        "differs from the built index",
+                        self.spec, query, built, answered,
                     )
                 )
-
-            for algorithm in ("partition", "sle", "stack", "auto"):
-                built = response_fingerprint(
-                    self.engine.search(terms, k=k, algorithm=algorithm)
-                )
-                answered = response_fingerprint(
-                    engine.search(terms, k=k, algorithm=algorithm)
-                )
-                if answered != built:
-                    divergences.append(
-                        Divergence(
-                            f"{label}:{algorithm}",
-                            f"{algorithm} through the {label} view "
-                            "differs from the built index",
-                            self.spec, query, built, answered,
-                        )
-                    )
         return divergences
 
     # ------------------------------------------------------------------
@@ -908,27 +898,22 @@ class DocumentOracle:
                 expected_scores, actual_scores,
             )
 
-        # The posting codec: each term's list written at a small and at
-        # the default block size, then opened and decoded, by the C
-        # codec and by its Python twin — the same bytes and the same
-        # arrays, which are the list's own.
+        # The posting codec: each term's list written, then opened and
+        # decoded, by the C codec and by its Python twin — the same
+        # bytes and the same arrays, which are the list's own.
         codecs = []
         for lib in (active, None):
             kernel_backend.compiled = lib
             try:
-                codecs.append([
-                    (payload, InvertedList.open(
-                        lst.keyword, payload, lst.type_table
-                    ).arrays())
-                    for lst in inverted
-                    for payload in (
-                        encode_posting_payload(
-                            lst.keyword, lst.dewey_keys, lst.type_ids,
-                            lst.counts, block_size,
-                        )
-                        for block_size in (2, DEFAULT_BLOCK_SIZE)
+                written = []
+                for lst in inverted:
+                    payload = encode_posting_payload(
+                        lst.keyword, lst.dewey_keys, lst.type_ids, lst.counts
                     )
-                ])
+                    written.append((payload, InvertedList.open(
+                        lst.keyword, payload, lst.type_table
+                    ).arrays()))
+                codecs.append(written)
             finally:
                 kernel_backend.compiled = active
         diff(
@@ -936,7 +921,7 @@ class DocumentOracle:
             "posting payloads or decoded arrays differ between the "
             "compiled and pure-Python codecs, or from the list's own",
             codecs[1] + [lst.arrays() for lst in inverted],
-            codecs[0] + [arrays for _, arrays in codecs[1][1::2]],
+            codecs[0] + [arrays for _, arrays in codecs[1]],
         )
 
         # SLE's step-1 walk and direct finish run in C on the compiled

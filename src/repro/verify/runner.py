@@ -23,7 +23,7 @@ DEFAULT_QUERIES_PER_DOC = 4
 MAX_SHRINKS = 8
 #: Comparisons each query is counted for (see ``_check_document``);
 #: moves only when a layer is added to or removed from the oracle.
-CHECKS_PER_QUERY = 40
+CHECKS_PER_QUERY = 41
 
 
 class VerifyReport:
@@ -81,7 +81,7 @@ def _check_document(oracle, queries, report):
         # adjacency laws, the three refinement algorithms x
         # {cold, warm}, the skip ablation, the five
         # metamorphic invariants, the default-algorithm layer (auto
-        # cold/warm), the frozen-snapshot layer (SLCA,
+        # cold/warm), the frozen-snapshot layer (posting lists, SLCA,
         # four refinement algorithms), the kernel layer (batch SLCA,
         # emit-filtered partition SLCA, LCP table, partition view,
         # presence bound vs per-node recomputation, the type-id

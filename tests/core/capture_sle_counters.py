@@ -10,10 +10,11 @@ intended contract::
     PYTHONPATH=src python tests/core/capture_sle_counters.py
 
 Two views of the same corpus are captured: the eager index built from
-the tree and the frozen snapshot loaded back with small blocks.  On the
-frozen view only the counters that did not depend on which probe ran —
-header-first, when a multi-block list could still be probed from its
-block headers, or batch — are kept; see the test module.
+the tree and its frozen snapshot loaded back.  On the frozen view only
+the counters that did not depend on which probe ran are kept — the
+golden file was captured when a snapshot's posting lists were cut into
+blocks whose headers a probe could read without decoding the list; see
+the test module.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ GOLDEN_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "sle_counters_golden.json"
 )
 
+#: ``block_size`` records how the ``frozen`` entries were captured; unread.
 RECIPE = {
     "num_authors": 240, "corpus_seed": 17, "workload_seed": 41,
     "refinable": 36, "clean": 24, "ks": [1, 2, 5], "block_size": 16,
@@ -50,10 +52,10 @@ def build_index():
     ))
 
 
-def load_blocked(index, directory):
-    """``index`` frozen with small blocks and loaded back."""
+def load_frozen(index, directory):
+    """``index`` frozen and loaded back."""
     path = os.path.join(directory, "counters.frz")
-    freeze_index(index, path, block_size=RECIPE["block_size"])
+    freeze_index(index, path)
     return load_frozen_index(path)
 
 
@@ -100,7 +102,7 @@ def main():
     queries = workload(index)
     eager = measure(index, queries)
     with tempfile.TemporaryDirectory() as directory:
-        frozen = measure(load_blocked(index, directory), queries)
+        frozen = measure(load_frozen(index, directory), queries)
     cases = []
     for (query, k, counters, digest), (_, _, f_counters, f_digest) in zip(
         eager, frozen

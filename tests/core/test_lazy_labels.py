@@ -82,14 +82,13 @@ def test_labels_are_built_for_what_the_response_sends(
 
 @pytest.fixture(scope="module")
 def snapshot_pair(dblp_index, tmp_path_factory):
-    """A small-block snapshot of the shared corpus and another corpus."""
+    """A snapshot of the shared corpus and one of another corpus."""
     folder = tmp_path_factory.mktemp("lazy_labels")
     first = folder / "first.frz"
     second = folder / "second.frz"
-    freeze_index(dblp_index, first, block_size=4)
+    freeze_index(dblp_index, first)
     freeze_index(
-        build_document_index(generate_dblp(num_authors=30, seed=8)),
-        second, block_size=4,
+        build_document_index(generate_dblp(num_authors=30, seed=8)), second
     )
     return first, second
 

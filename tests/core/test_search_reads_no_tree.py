@@ -29,13 +29,10 @@ def pool(dblp_index):
     ]
 
 
-@pytest.fixture(
-    scope="module", params=[{}, {"block_size": 8}],
-    ids=["default-blocks", "8-posting-blocks"],
-)
-def snapshot(request, dblp_index, tmp_path_factory):
+@pytest.fixture(scope="module")
+def snapshot(dblp_index, tmp_path_factory):
     path = tmp_path_factory.mktemp("no_tree") / "dblp.frz"
-    freeze_index(dblp_index, path, **request.param)
+    freeze_index(dblp_index, path)
     return path
 
 

@@ -8,14 +8,15 @@ counters exactly, not approximately.
 * **Eager index** (every list a resident ``ListColumns``, always the
   batch presence path, where the memo applies): every field except
   ``elapsed_seconds``.
-* **Frozen index with small blocks**: the golden file's ``frozen``
-  entry pins ``partitions_visited``, ``dp_invocations``,
-  ``slca_invocations`` and the answer — captured when a multi-block
-  list could still be screened from its block headers, which made
-  ``probes`` and ``partitions_skipped`` depend on which lists were
-  resident.  A list is now decoded whole at its first read and takes
-  the same batch path as the eager index's, so the frozen run's full
-  counters must equal the ``eager`` entry as well.
+* **Frozen index**: the golden file's ``frozen`` entry pins
+  ``partitions_visited``, ``dp_invocations``, ``slca_invocations`` and
+  the answer — captured from a snapshot of 16-posting blocks, when a
+  multi-block list could still be screened from its block headers,
+  which made ``probes`` and ``partitions_skipped`` depend on which
+  lists were resident.  A list is now one run, decoded whole at its
+  first read, and takes the same batch path as the eager index's, so
+  the frozen run's full counters must equal the ``eager`` entry as
+  well.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .capture_sle_counters import (
     PROBE_INDEPENDENT,
     RECIPE,
     build_index,
-    load_blocked,
+    load_frozen,
     measure,
     workload,
 )
@@ -95,7 +96,7 @@ def test_frozen_index_probe_independent_counters(
     index, queries, golden, tmp_path
 ):
     for (query, k, counters, digest), case in zip(
-        measure(load_blocked(index, str(tmp_path)), queries), golden
+        measure(load_frozen(index, str(tmp_path)), queries), golden
     ):
         kept = {name: counters[name] for name in PROBE_INDEPENDENT}
         assert kept == case["frozen"], (query, k)

@@ -5,14 +5,15 @@ compiled kernels are active and as Python loops otherwise.  Held here:
 for random document-ordered columns the C encoder writes the Python
 encoder's bytes and the C decoder returns the Python decoder's arrays,
 a damaged payload fails with the same :class:`IndexingError` on both,
-and a CRC-valid block whose postings are not what an encoder writes —
-a shared prefix longer than the key before it, keys out of order
-inside a block — is refused by both, naming the keyword and the block.
+a CRC-valid payload whose postings are not what an encoder writes — a
+shared prefix longer than the key before it, keys out of order — is
+refused by both, naming the keyword, and a count larger than the body
+can hold is refused when the list is opened, before either decoder
+allocates for it.
 """
 
 from __future__ import annotations
 
-import struct
 import zlib
 
 import pytest
@@ -70,7 +71,7 @@ columns = st.lists(
         st.integers(0, 1 << 40),
     ),
     min_size=1,
-    max_size=40,
+    max_size=600,
     unique_by=lambda row: row[0],
 ).map(sorted)
 
@@ -79,11 +80,10 @@ columns = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(
     rows=columns,
-    block_size=st.sampled_from([1, 2, 3, 7, 256]),
     types=st.sampled_from([40, 0x10000 + 40]),
     data=st.data(),
 )
-def test_compiled_codec_is_the_python_codec(rows, block_size, types, data):
+def test_compiled_codec_is_the_python_codec(rows, types, data):
     keys = [key for key, _ in rows]
     counts = [count for _, count in rows]
     tids = data.draw(st.lists(
@@ -92,7 +92,7 @@ def test_compiled_codec_is_the_python_codec(rows, block_size, types, data):
     type_table = [("t",)] * types
 
     encoded = on_both_backends(
-        lambda: encode_posting_payload("kw", keys, tids, counts, block_size)
+        lambda: encode_posting_payload("kw", keys, tids, counts)
     )
     assert encoded[0] == encoded[1]
     payload = encoded[0][1]
@@ -116,84 +116,72 @@ def test_compiled_codec_is_the_python_codec(rows, block_size, types, data):
         outcomes = on_both_backends(lambda: decoded(raw, type_table)[0])
         assert outcomes[0] == outcomes[1], kind
         assert outcomes[0][0] == "error" or kind == "flipped"
-    # An id the table does not hold: the block holding the first one.
+    # An id the table does not hold.
     known = max(tids)
     outcomes = on_both_backends(
         lambda: decoded(payload, type_table[:known])[0]
     )
     assert outcomes[0] == outcomes[1] == (
-        "error",
-        f"block {tids.index(known) // block_size} of 'kw' names an "
-        "unknown node type",
+        "error", "posting list for 'kw' names an unknown node type",
     )
 
 
-def crafted_payload(blocks, firsts, lasts, block_size):
-    """A payload of hand-written postings, every CRC correct.
+def crafted_payload(postings, count=None):
+    """A payload of hand-written postings, its CRC correct.
 
-    ``blocks`` holds each block's postings as ``(shared, suffix)``
-    pairs; each gets type id 0 and count 1.
+    ``postings`` holds ``(shared, suffix)`` pairs; each gets type id 0
+    and count 1.  ``count`` overrides the number the payload declares.
     """
-    bodies = []
-    for postings in blocks:
-        body = bytearray()
-        for shared, suffix in postings:
-            body += encode_uvarint(shared)
-            body += encode_uvarint(len(suffix))
-            for part in suffix:
-                body += encode_uvarint(part)
-            body += encode_uvarint(0) + encode_uvarint(1)
-        bodies.append(bytes(body))
-
-    def key(out, parts):
-        out += encode_uvarint(len(parts))
-        for part in parts:
-            out += encode_uvarint(part)
-
-    out = bytearray()
-    out += encode_uvarint(sum(map(len, blocks)))
-    out += encode_uvarint(block_size)
-    out += encode_uvarint(len(blocks))
-    for body in bodies:
-        out += encode_uvarint(len(body))
-    for body, first, last in zip(bodies, firsts, lasts):
-        out += struct.pack("<I", zlib.crc32(body))
-        key(out, first)
-        key(out, last)
-    return bytes(out + b"".join(bodies))
+    body = bytearray()
+    for shared, suffix in postings:
+        body += encode_uvarint(shared)
+        body += encode_uvarint(len(suffix))
+        for part in suffix:
+            body += encode_uvarint(part)
+        body += encode_uvarint(0) + encode_uvarint(1)
+    head = encode_uvarint(len(postings) if count is None else count)
+    crc = zlib.crc32(body, zlib.crc32(head))
+    return head + crc.to_bytes(4, "little") + bytes(body)
 
 
 def test_a_shared_prefix_longer_than_the_key_before_it_is_refused(
     kernel_backend,
 ):
-    # Block 1's second posting claims nine shared components after a
+    # The fourth posting claims nine shared components after a
     # three-component key; clamping would read it as (0, 1, 5, 7).
     payload = crafted_payload(
-        [[(0, (0, 0, 1)), (2, (2,))], [(1, (1, 5)), (9, (7,))]],
-        firsts=[(0, 0, 1), (0, 1, 5)],
-        lasts=[(0, 0, 2), (0, 1, 5, 7)],
-        block_size=2,
+        [(0, (0, 0, 1)), (2, (2,)), (1, (1, 5)), (9, (7,))]
     )
     lst = InvertedList.open("kw", payload, [("t",)])
     with pytest.raises(
-        IndexingError, match="block 1 of 'kw' shares more components"
+        IndexingError, match="posting list for 'kw' has a key sharing more "
+        "components",
     ):
         lst.dewey_keys
 
 
-def test_keys_out_of_order_inside_a_block_are_refused(kernel_backend):
-    # Block 1 opens and closes on the keys its header names, with a key
-    # between them that sorts before the first.
+def test_keys_out_of_order_are_refused(kernel_backend):
+    # A key between two in-order ones that sorts before both.
     payload = crafted_payload(
-        [[(0, (0, 0, 1)), (2, (2,)), (1, (1, 0))],
-         [(2, (5,)), (2, (3,)), (2, (9,))]],
-        firsts=[(0, 0, 1), (0, 1, 5)],
-        lasts=[(0, 1, 0), (0, 1, 9)],
-        block_size=3,
+        [(0, (0, 0, 1)), (2, (2,)), (1, (1, 0)), (2, (5,)), (2, (3,))]
     )
     lst = InvertedList.open("kw", payload, [("t",)])
     with pytest.raises(
-        IndexingError, match="block 1 of 'kw' holds postings out of "
+        IndexingError, match="posting list for 'kw' holds postings out of "
         "document order",
     ):
         lst.counts
+
+
+@pytest.mark.parametrize("count", [3, 1 << 34])
+def test_a_count_the_body_cannot_hold_is_refused_at_open(
+    kernel_backend, count
+):
+    # Eleven body bytes hold at most two postings of four bytes; the
+    # CRC covers the inflated count, so only the count is wrong.
+    payload = crafted_payload([(0, (0, 1)), (1, (2,))], count=count)
+    with pytest.raises(
+        IndexingError, match=f"posting list for 'kw' declares {count} "
+        "postings, more than its 11-byte body can hold",
+    ):
+        InvertedList.open("kw", payload, [("t",)])

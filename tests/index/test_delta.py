@@ -11,6 +11,7 @@ chain-loaded index.
 from __future__ import annotations
 
 import os
+import struct
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.index import (
     resolve_chain,
     save_delta,
 )
+from repro.index.delta import DELTA_MAGIC, DELTA_VERSION
 from repro.lexicon import RuleMiner
 from repro.storage import SortedKVBlock
 from repro.xmltree import parse, serialize
@@ -109,6 +111,21 @@ class TestChainResolution:
         moved.write_bytes(delta1.read_bytes())
         with pytest.raises(IndexingError, match="parent"):
             resolve_chain(str(moved))
+
+    def test_older_delta_version_is_refused(self, chain, tmp_path):
+        """A delta of an earlier layout names the rebuild, not a crash."""
+        base, delta1, _delta2 = chain
+        old = tmp_path / delta1.name
+        blob = bytearray(delta1.read_bytes())
+        struct.pack_into("<H", blob, len(DELTA_MAGIC), DELTA_VERSION - 1)
+        old.write_bytes(bytes(blob))
+        (tmp_path / base.name).write_bytes(base.read_bytes())
+        with pytest.raises(IndexingError) as err:
+            load_index_chain(str(old))
+        message = str(err.value)
+        assert f"format version {DELTA_VERSION - 1};" in message
+        assert f"only version {DELTA_VERSION}" in message
+        assert "repro index" in message
 
 
 class TestChainAnswers:
@@ -219,17 +236,16 @@ class TestCompaction:
         freeze_index(load_index_chain(chain[2]), refrozen)
         assert compacted.read_bytes() == refrozen.read_bytes()
 
-    def test_reblocking_matches_a_direct_freeze(self, figure1_index, tmp_path):
-        """Payloads re-encoded at another block size come out exactly
-        as a freeze at that size writes them."""
-        small = tmp_path / "bs1.frz"
-        freeze_index(figure1_index, small, block_size=1)
-        reblocked = tmp_path / "reblocked.frz"
-        compact(str(small), str(reblocked))
+    def test_compacting_a_plain_snapshot_rewrites_its_bytes(
+        self, figure1_index, tmp_path
+    ):
+        """A snapshot folds to itself: every payload is copied as
+        stored, a function of its postings alone."""
         direct = tmp_path / "direct.frz"
         freeze_index(figure1_index, direct)
-        assert reblocked.read_bytes() == direct.read_bytes()
-        assert small.read_bytes() != direct.read_bytes()
+        refolded = tmp_path / "refolded.frz"
+        assert compact(str(direct), str(refolded)) == 0
+        assert refolded.read_bytes() == direct.read_bytes()
 
     def test_compacted_answers_match_chain(self, chain, tmp_path):
         compacted = tmp_path / "compacted.frz"

@@ -19,7 +19,9 @@ from repro.index import (
     build_document_index,
     freeze_index,
     load_frozen_index,
+    load_index_chain,
     remove_partition,
+    save_delta,
 )
 from repro.index.blocks import decode_header, encode_posting_payload
 from repro.index.frozen import (
@@ -187,8 +189,8 @@ class TestCorruption:
             load_frozen_index(bad)
 
     def test_wrong_version(self, frozen_path, tmp_path):
-        """Older (1, 2, 3) and newer (5, 99) headers: found vs supported."""
-        for version in (1, 2, 3, FORMAT_VERSION + 1, 99):
+        """Older and newer headers: found vs supported."""
+        for version in (1, 2, 3, 4, FORMAT_VERSION + 1, 99):
             bad = self.corrupt(
                 frozen_path,
                 tmp_path,
@@ -232,44 +234,30 @@ class TestCorruption:
             load_frozen_index(bad)
 
 
-def frozen_payload(index, keyword, block_size):
-    """``keyword``'s payload as a freeze at ``block_size`` writes it."""
+def frozen_payload(index, keyword):
+    """``keyword``'s payload as a freeze writes it."""
     postings = index.inverted_list(keyword)
     return encode_posting_payload(
-        keyword, postings.dewey_keys, postings.type_ids, postings.counts,
-        block_size,
+        keyword, postings.dewey_keys, postings.type_ids, postings.counts
     )
 
 
-def _encode_header(count, block_size, offsets, crcs, firsts, lasts):
-    """Re-encode a payload header (mirror of the writer); ``offsets``
-    are the block boundaries relative to the body."""
-
-    def components(out, parts):
-        out += encode_uvarint(len(parts))
-        for part in parts:
-            out += encode_uvarint(part)
-
-    out = bytearray()
-    out += encode_uvarint(count)
-    out += encode_uvarint(block_size)
-    out += encode_uvarint(len(crcs))
-    for lo, hi in zip(offsets, offsets[1:]):
-        out += encode_uvarint(hi - lo)
-    for index in range(len(crcs)):
-        out += struct.pack("<I", crcs[index])
-        components(out, firsts[index])
-        components(out, lasts[index])
-    return bytes(out)
+def _encode_payload(count, body, crc=None):
+    """A payload of ``count`` and ``body`` (mirror of the writer), its
+    CRC computed unless given."""
+    head = encode_uvarint(count)
+    if crc is None:
+        crc = zlib.crc32(body, zlib.crc32(head))
+    return head + struct.pack("<I", crc) + body
 
 
-class TestBlockDirectoryFuzz:
-    """Corrupted payload headers must fail with typed errors.
+class TestPayloadHeaderFuzz:
+    """Damaged payloads must fail with typed errors.
 
-    Every mutation here preserves enough structure to reach the header
-    validator — the point is that a reordered, truncated or
-    inconsistent header is rejected *before* it can mis-route a binary
-    search or a block-max prune, and never read as something else.
+    A header cut short fails when the list is opened; a body that
+    disagrees with its CRC, or whose CRC was forged to match bytes no
+    encoder writes, fails at the first read of a column — never read
+    as some other list.
     """
 
     @pytest.fixture(scope="class")
@@ -283,7 +271,7 @@ class TestBlockDirectoryFuzz:
 
     @pytest.fixture(scope="class")
     def payload(self, figure1_index, postings):
-        return frozen_payload(figure1_index, postings.keyword, 1)
+        return frozen_payload(figure1_index, postings.keyword)
 
     @pytest.fixture(scope="class")
     def header(self, payload):
@@ -291,115 +279,73 @@ class TestBlockDirectoryFuzz:
 
     @pytest.fixture(scope="class")
     def body(self, payload, header):
-        return payload[header[2][0]:]
+        return payload[header[2]:]
 
     @pytest.fixture(scope="class")
     def type_table(self, figure1_index):
         return figure1_index.inverted.node_type_table
 
-    def fields(self, header):
-        block_size, count, offsets, crcs, firsts, lasts = header
-        return (
-            count,
-            block_size,
-            [offset - offsets[0] for offset in offsets],
-            list(crcs),
-            list(firsts),
-            list(lasts),
-        )
-
     def test_roundtrip_is_clean(self, payload, header, body, type_table,
                                 postings):
-        assert _encode_header(*self.fields(header)) + body == payload
+        count, crc, _ = header
+        assert count == len(postings)
+        assert _encode_payload(count, body, crc) == payload
+        assert _encode_payload(count, body) == payload
         lst = InvertedList.open("kw", payload, type_table)
-        assert lst.block_count == len(postings)
         assert list(lst) == list(postings)
 
-    @pytest.mark.parametrize("cut", [1, 3, 7])
-    def test_truncated_directory(self, header, cut):
-        raw = _encode_header(*self.fields(header))
+    @pytest.mark.parametrize("cut", [1, 3, 5])
+    def test_truncated_header(self, payload, header, cut):
         with pytest.raises(IndexingError, match="'kw' has a truncated"):
-            decode_header("kw", raw[:-cut])
-
-    def test_out_of_order_block_headers(self, header, body):
-        count, size, offsets, crcs, firsts, lasts = self.fields(header)
-        firsts[0], firsts[1] = firsts[1], firsts[0]
-        lasts[0], lasts[1] = lasts[1], lasts[0]
-        raw = _encode_header(count, size, offsets, crcs, firsts, lasts)
-        with pytest.raises(IndexingError, match="'kw' has out-of-order"):
-            decode_header("kw", raw + body)
-
-    def test_inverted_block_bounds(self, header, body):
-        count, size, offsets, crcs, firsts, lasts = self.fields(header)
-        # Give block 0 a first key beyond its last key.
-        firsts[0] = lasts[-1]
-        raw = _encode_header(count, size, offsets, crcs, firsts, lasts)
-        with pytest.raises(IndexingError, match="'kw' has an inverted block"):
-            decode_header("kw", raw + body)
-
-    def test_non_ascending_offsets(self, header, body):
-        count, size, offsets, crcs, firsts, lasts = self.fields(header)
-        offsets[1] = offsets[0]
-        raw = _encode_header(count, size, offsets, crcs, firsts, lasts)
-        with pytest.raises(IndexingError, match="'kw' has non-ascending"):
-            decode_header("kw", raw + body)
-
-    def test_wrong_block_count(self, header, body):
-        count, size, offsets, crcs, firsts, lasts = self.fields(header)
-        raw = _encode_header(count + 5, size, offsets, crcs, firsts, lasts)
-        with pytest.raises(IndexingError, match="'kw' declares"):
-            decode_header("kw", raw + body)
+            InvertedList.open("kw", payload[:header[2] - cut], ())
 
     @pytest.mark.parametrize("change", ["longer", "shorter"])
-    def test_last_offset_must_end_the_payload(self, payload, change):
-        """A payload whose length disagrees with its blocks is an error,
-        never a list read some other way."""
+    def test_body_must_match_its_checksum(self, payload, type_table,
+                                          change):
+        """A payload whose length disagrees with its CRC opens (the body
+        is not read until a column is) and fails at the first read."""
         raw = payload + b"\x00" if change == "longer" else payload[:-1]
-        with pytest.raises(IndexingError, match="'kw' has blocks ending"):
-            decode_header("kw", raw)
+        lst = InvertedList.open("kw", raw, type_table)
+        with pytest.raises(IndexingError, match="'kw' fails its checksum"):
+            lst.counts
 
-    def test_truncated_block_payload(self, header, body, type_table):
-        """A block cut short mid-posting fails with a typed error.
+    def test_truncated_body(self, header, body, type_table):
+        """A body cut short mid-posting fails with a typed error.
 
         The CRC is forged to match the truncated bytes, so the decode
-        itself must detect that the block ran out of postings.
+        itself must detect that the postings ran out.
         """
-        count, size, offsets, crcs, firsts, lasts = self.fields(header)
-        cut = body[: offsets[-1] - 1]
-        crcs[-1] = zlib.crc32(cut[offsets[-2]:])
-        offsets[-1] -= 1
-        raw = _encode_header(count, size, offsets, crcs, firsts, lasts)
-        lst = InvertedList.open("kw", raw + cut, type_table)
+        lst = InvertedList.open(
+            "kw", _encode_payload(header[0], body[:-1]), type_table
+        )
         with pytest.raises(IndexingError, match="'kw' is truncated"):
             list(lst)
 
-    def test_header_disagrees_with_its_block(self, header, body, type_table):
-        """A header key that is well ordered but not the block's own."""
-        count, size, offsets, crcs, firsts, lasts = self.fields(header)
-        lasts[-1] = lasts[-1] + (0,)
-        raw = _encode_header(count, size, offsets, crcs, firsts, lasts)
-        lst = InvertedList.open("kw", raw + body, type_table)
-        with pytest.raises(IndexingError, match="'kw' disagrees"):
+    def test_bytes_past_the_postings(self, header, body, type_table):
+        """Postings past the declared count, under a forged CRC."""
+        lst = InvertedList.open(
+            "kw", _encode_payload(header[0] - 1, body), type_table
+        )
+        with pytest.raises(IndexingError, match="'kw' has bytes past"):
             list(lst)
 
 
-class TestBlockCorruptionOnDisk:
-    """Per-block CRCs catch payload damage the header cannot see.
+class TestPayloadCorruptionOnDisk:
+    """The per-list CRC catches payload damage the opener cannot see.
 
     The file-level checksum is recomputed after each mutation, so the
     snapshot *opens* cleanly — the corruption must be caught lazily, by
-    the block CRC, when the list is first read.
+    the list's CRC, when the list is first read.
     """
 
-    def frozen_with_blocks(self, figure1_index, tmp_path):
-        path = tmp_path / "blocked.frz"
-        freeze_index(figure1_index, path, block_size=1)
+    def frozen(self, figure1_index, tmp_path):
+        path = tmp_path / "frozen.frz"
+        freeze_index(figure1_index, path)
         keyword = max(
             figure1_index.inverted.keywords(),
             key=figure1_index.inverted.list_length,
         )
-        payload = frozen_payload(figure1_index, keyword, 1)
-        return path, keyword, payload
+        return path, keyword, frozen_payload(figure1_index, keyword)
 
     def rechecksum(self, blob):
         body_start = _HEADER.size + _SECTION_COUNT * _SECTION_ENTRY.size
@@ -407,44 +353,40 @@ class TestBlockCorruptionOnDisk:
             "<I", blob, len(MAGIC) + 4, zlib.crc32(bytes(blob[body_start:]))
         )
 
-    def test_flipped_block_byte_fails_lazily(
+    def test_flipped_payload_byte_fails_at_first_read(
         self, figure1_index, tmp_path
     ):
-        path, keyword, payload = self.frozen_with_blocks(
-            figure1_index, tmp_path
-        )
-        offsets = decode_header(keyword, payload)[2]
+        path, keyword, payload = self.frozen(figure1_index, tmp_path)
         blob = bytearray(path.read_bytes())
         position = blob.find(payload)
         assert position != -1, "payload bytes not found in the snapshot"
-        # Damage the *last* block only, then make the file-level
+        # Damage the last posting's bytes, then make the file-level
         # checksum agree again.
-        blob[position + offsets[-2]] ^= 0x40
+        blob[position + len(payload) - 1] ^= 0x40
         self.rechecksum(blob)
-        bad = tmp_path / "bad_block.frz"
+        bad = tmp_path / "bad_payload.frz"
         bad.write_bytes(bytes(blob))
 
         loaded = load_frozen_index(bad)
         lazy = loaded.inverted_list(keyword)
-        # Opening reads the header only; the first read checks every
-        # block and names the damaged one in a typed checksum error.
+        # Opening reads the count only; the first read checks the CRC
+        # and names the keyword in a typed checksum error.
+        assert len(lazy) == len(figure1_index.inverted_list(keyword))
         with pytest.raises(
             IndexingError,
-            match=f"block {len(offsets) - 2} of {keyword!r} fails its "
-            "checksum",
+            match=f"posting list for {keyword!r} fails its checksum",
         ):
             lazy[0]
 
-    def test_clean_snapshot_decodes_every_block(
+    def test_clean_snapshot_decodes_every_list(
         self, figure1_index, tmp_path
     ):
-        path, keyword, _payload = self.frozen_with_blocks(
-            figure1_index, tmp_path
-        )
+        path, _keyword, _payload = self.frozen(figure1_index, tmp_path)
         loaded = load_frozen_index(path)
-        assert list(loaded.inverted_list(keyword)) == list(
-            figure1_index.inverted_list(keyword)
-        )
+        for keyword in figure1_index.inverted.keywords():
+            assert list(loaded.inverted_list(keyword)) == list(
+                figure1_index.inverted_list(keyword)
+            ), keyword
 
 
 def author_spec(name, titles):
@@ -503,6 +445,40 @@ class TestCopyOnWrite:
         for node_type, stats in fresh.statistics.items():
             assert loaded.node_count(node_type) == stats.node_count
         assert path.read_bytes() == before
+
+    @staticmethod
+    def assert_decodes_at_first_read(index, keyword, partition):
+        lst = index.inverted.get(keyword)
+        assert not lst.decoded
+        assert len(lst) == index.inverted.list_length(keyword)
+        assert not lst.decoded
+        lo, hi = lst.range_indices(partition)
+        assert lst.decoded
+        assert hi - lo == 1
+        return lst
+
+    def test_appended_and_delta_layered_lists_decode_at_first_read(
+        self, figure1_tree, tmp_path
+    ):
+        """A list rewritten by a mutation, or served by a delta layer,
+        opens like a list of the base snapshot: the count at open, the
+        whole payload at the first read."""
+        loaded, path = self.reload(figure1_tree, tmp_path)
+        before = loaded.inverted.list_length("xml")
+        partition = append_partition(
+            loaded, author_spec("erin", ["xml views"])
+        ).dewey
+        appended = self.assert_decodes_at_first_read(loaded, "xml", partition)
+        assert len(appended) == before + 1
+        assert list(appended)[-1].dewey.components[:2] == (
+            partition.components
+        )
+
+        delta = tmp_path / "cow.d1.dlt"
+        save_delta(loaded, delta, path)
+        chained = load_index_chain(delta)
+        layered = self.assert_decodes_at_first_read(chained, "xml", partition)
+        assert list(layered) == list(appended)
 
     def test_mutated_index_refreezes(self, figure1_tree, tmp_path):
         loaded, _ = self.reload(figure1_tree, tmp_path)

@@ -1,12 +1,12 @@
 """A posting list is its three columns; ``Posting`` is a view of them.
 
 Random document-ordered rows go through ``add_postings`` and come back
-through ``get`` — as the one-block list a built index opens and as the
-same postings encoded at a small block size — and every way of reading
-the list (iteration, indexing, slices, ``labels()``,
-``ancestor_keys()``, the raw columns) must return the rows that went
-in, with the payload decoded once, at the first read of a column,
-however the list is read.
+through ``get`` — and, for the decode-once check, through
+``InvertedList.open`` over the same postings' encoded payload — and
+every way of reading the list (iteration, indexing, slices,
+``labels()``, ``ancestor_keys()``, the raw columns) must return the
+rows that went in, with the payload decoded once, at the first read of
+a column, however the list is read.
 """
 
 from __future__ import annotations
@@ -32,63 +32,43 @@ rows = st.lists(
 ).map(sorted)
 
 
-def eager_and_blocked(table, block_size):
-    """``[eager list, blocked list or None]`` holding ``table``.
-
-    The second is the same postings at ``block_size``, or ``None`` when
-    they fit in one block.
-    """
-    index = InvertedIndex()
-    index.add_postings("k", *([row[i] for row in table] for i in range(3)))
-    eager = index.get("k")
-    if len(table) <= block_size:
-        return [eager, None]
-    blocked = InvertedList.open("k", encode_posting_payload(
-        "k", eager.dewey_keys, eager.type_ids, eager.counts, block_size,
-    ), index._type_table)
-    assert blocked.block_count > 1
-    return [eager, blocked]
-
-
 @settings(max_examples=120, deadline=None)
-@given(table=rows, block_size=st.integers(1, 8), data=st.data())
-def test_every_read_returns_the_rows_that_went_in(table, block_size, data):
+@given(table=rows, data=st.data())
+def test_every_read_returns_the_rows_that_went_in(table, data):
     expected = [
         Posting(Dewey(components), node_type, count)
         for components, node_type, count in table
     ]
     size = len(table)
-    for lst in eager_and_blocked(table, block_size):
-        if lst is None:
-            continue
-        assert len(lst) == size
-        assert list(lst) == expected
-        assert lst.labels() == [p.dewey for p in expected]
-        assert list(lst.dewey_keys) == [row[0] for row in table]
-        assert list(lst.counts) == [row[2] for row in table]
-        assert [lst.type_table[i] for i in lst.type_ids] == [
-            row[1] for row in table
+    index = InvertedIndex()
+    index.add_postings("k", *([row[i] for row in table] for i in range(3)))
+    lst = index.get("k")
+    assert len(lst) == size
+    assert list(lst) == expected
+    assert lst.labels() == [p.dewey for p in expected]
+    assert list(lst.dewey_keys) == [row[0] for row in table]
+    assert list(lst.counts) == [row[2] for row in table]
+    assert [lst.type_table[i] for i in lst.type_ids] == [
+        row[1] for row in table
+    ]
+    if size:
+        at = data.draw(st.integers(-size, size - 1))
+        assert lst[at] == expected[at]
+        assert lst[-1] == expected[-1]
+        prefix = table[at][1][:data.draw(st.integers(1, 4))]
+        assert lst.ancestor_keys(prefix) == [
+            components[:len(prefix)]
+            for components, node_type, _ in table
+            if node_type[:len(prefix)] == prefix
         ]
-        if size:
-            at = data.draw(st.integers(-size, size - 1))
-            assert lst[at] == expected[at]
-            assert lst[-1] == expected[-1]
-            prefix = table[at][1][:data.draw(st.integers(1, 4))]
-            assert lst.ancestor_keys(prefix) == [
-                components[:len(prefix)]
-                for components, node_type, _ in table
-                if node_type[:len(prefix)] == prefix
-            ]
-        cut = data.draw(st.slices(size))
-        assert lst[cut] == expected[cut]
+    cut = data.draw(st.slices(size))
+    assert lst[cut] == expected[cut]
 
 
 @settings(max_examples=60, deadline=None)
-@given(table=rows.filter(lambda t: len(t) > 1), block_size=st.integers(1, 8),
+@given(table=rows.filter(lambda t: len(t) > 1),
        column=st.sampled_from(["dewey_keys", "type_ids", "counts"]))
-def test_an_opened_list_decodes_once_at_its_first_column_read(
-    table, block_size, column
-):
+def test_an_opened_list_decodes_once_at_its_first_column_read(table, column):
     decodes = []
     decode = inverted_module.decode_payload
 
@@ -101,14 +81,14 @@ def test_an_opened_list_decodes_once_at_its_first_column_read(
     payload = encode_posting_payload(
         "k", [row[0] for row in table],
         [index._type_ids[row[1]] for row in table],
-        [row[2] for row in table], block_size,
+        [row[2] for row in table],
     )
     inverted_module.decode_payload = counting
     try:
         for lst in (index.get("k"),
                     InvertedList.open("k", payload, index._type_table)):
             decodes.clear()
-            assert len(lst) == len(table) and lst.block_count >= 1
+            assert len(lst) == len(table)
             assert decodes == [] and not lst.decoded
             getattr(lst, column)
             assert decodes == ["k"] and lst.decoded

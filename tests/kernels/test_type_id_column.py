@@ -14,7 +14,6 @@ import pytest
 
 import repro.kernels.backend as backend_module
 from repro.index import freeze_index, load_frozen_index
-from repro.index.blocks import DEFAULT_BLOCK_SIZE
 from repro.index.inverted import InvertedIndex
 from repro.kernels import (
     ListColumns,
@@ -29,20 +28,15 @@ KEYWORDS = ("database", "xml", "2003", "search", "inproceedings", "title")
 
 
 @pytest.fixture(scope="module")
-def blocked_index(dblp_index, tmp_path_factory):
+def frozen_index(dblp_index, tmp_path_factory):
     path = tmp_path_factory.mktemp("tids") / "dblp.frz"
-    freeze_index(dblp_index, path, block_size=4)
+    freeze_index(dblp_index, path)
     return load_frozen_index(path)
 
 
 def test_eager_column_names_each_postings_type(dblp_index):
     table = dblp_index.inverted.node_type_table
-    one_block = [
-        keyword for keyword in KEYWORDS
-        if dblp_index.inverted.list_length(keyword) <= DEFAULT_BLOCK_SIZE
-    ]
-    assert len(one_block) >= 3
-    for keyword in one_block:
+    for keyword in KEYWORDS:
         postings = dblp_index.inverted_list(keyword)
         columns = columns_for(postings)
         assert isinstance(columns, ListColumns)
@@ -75,11 +69,11 @@ def test_column_widens_when_the_type_table_outgrows_uint16():
     ("database", "2003"), ("xml", "search"), ("title", "database"),
 ])
 def test_both_backends_return_the_same_hits(
-    dblp_index, blocked_index, pair, monkeypatch
+    dblp_index, frozen_index, pair, monkeypatch
 ):
     if backend_module.compiled is None:
         pytest.skip("compiled backend unavailable on this host")
-    for index in (dblp_index, blocked_index):
+    for index in (dblp_index, frozen_index):
         columns = [columns_for(index.inverted_list(k)) for k in pair]
         ranges = [(column, 0, column.size) for column in columns]
         compiled = slca_hits(ranges)
@@ -98,7 +92,7 @@ def test_labels_from_the_flat_array_equal_labels_from_the_keys(
     dblp_index, tmp_path
 ):
     path = tmp_path / "dblp.frz"
-    freeze_index(dblp_index, path, block_size=4)
+    freeze_index(dblp_index, path)
     index = load_frozen_index(path)
     keys = dblp_index.inverted_list("title").dewey_keys
     columns = columns_for(index.inverted_list("title"))

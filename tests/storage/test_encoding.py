@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 from repro.errors import KeyEncodingError
 from repro.storage import (
-    decode_dewey_list,
     decode_key,
     decode_uvarint,
-    encode_dewey_list,
     encode_key,
     encode_uvarint,
     key_prefix_upper_bound,
@@ -119,28 +117,3 @@ class TestPrefixUpperBound:
 
     def test_all_ff(self):
         assert key_prefix_upper_bound(b"\xff\xff") is None
-
-
-class TestDeweyListCodec:
-    def test_roundtrip(self):
-        labels = [(0,), (0, 0), (0, 0, 3), (0, 1), (0, 1, 0, 2)]
-        assert decode_dewey_list(encode_dewey_list(labels)) == labels
-
-    def test_empty(self):
-        assert decode_dewey_list(encode_dewey_list([])) == []
-
-    def test_compression_wins_on_dense_lists(self):
-        labels = [(0, 5, i) for i in range(1000)]
-        encoded = encode_dewey_list(labels)
-        assert len(encoded) < 4 * len(labels)
-
-    @given(
-        st.lists(
-            st.lists(
-                st.integers(min_value=0, max_value=300), min_size=1, max_size=6
-            ).map(tuple),
-            max_size=30,
-        )
-    )
-    def test_roundtrip_property(self, labels):
-        assert decode_dewey_list(encode_dewey_list(labels)) == labels

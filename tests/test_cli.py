@@ -140,27 +140,27 @@ class TestParser:
 class TestFrozenSnapshots:
     @pytest.fixture(scope="class")
     def frozen_path(self, tmp_path_factory, index_path):
-        """``freeze-index`` re-freezes any source at a chosen block size."""
+        """``freeze-index`` re-freezes any source, a snapshot included."""
         target = tmp_path_factory.mktemp("cli") / "refrozen.frz"
-        code, output = run_cli(
-            "freeze-index", index_path, "-o", str(target),
-            "--block-size", "4",
-        )
+        code, output = run_cli("freeze-index", index_path, "-o", str(target))
         assert code == 0
         assert "frozen snapshot" in output
         return str(target)
 
-    def test_single_file(self, frozen_path):
+    def test_single_file(self, frozen_path, index_path):
         import os
 
         assert os.path.isfile(frozen_path)
         assert os.path.getsize(frozen_path) > 0
+        # Re-freezing a snapshot copies every payload as stored.
+        with open(frozen_path, "rb") as a, open(index_path, "rb") as b:
+            assert a.read() == b.read()
 
     def test_index_and_freeze_index_are_one_command(self):
         from repro.cli import build_parser
 
         parser = build_parser()
-        argv = ["corpus.xml", "-o", "corpus.frz", "--block-size", "64"]
+        argv = ["corpus.xml", "-o", "corpus.frz"]
         parsed = [
             vars(parser.parse_args([command] + argv))
             for command in ("index", "freeze-index")

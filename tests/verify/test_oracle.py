@@ -73,7 +73,7 @@ class TestPlantedFaults:
         monkeypatch.setattr(oracle_module, "QueryContext", Faulty)
         oracle = DocumentOracle(SPEC)
         assert [name for name, _ in oracle.column_views] == [
-            "built", "blocked16", "updated", "chain",
+            "built", "frozen", "updated", "chain",
         ]
         kinds = {d.kind for d in oracle.check_kernels(("xml", "database"))}
         assert kinds == {"kernel:meaningful-column"}
@@ -109,19 +109,21 @@ class TestChainLayer:
 
     def test_compaction_mismatch_reported_once(self):
         oracle = DocumentOracle(SPEC)
-        chain_engine, blocked_engine, _ = oracle.chain_state
-        oracle._chain_state = (chain_engine, blocked_engine, False)
+        chain_engine, _ = oracle.chain_state
+        oracle._chain_state = (chain_engine, False)
         first = oracle.check_chain(("xml", "database"))
         assert "chain:compaction" in {d.kind for d in first}
         again = oracle.check_chain(("xml", "database"))
         assert "chain:compaction" not in {d.kind for d in again}
 
-    def test_blocked_posting_fault_detected(self):
+
+class TestFrozenLayer:
+    def test_frozen_posting_fault_detected(self):
         oracle = DocumentOracle(SPEC)
-        chain_engine, blocked_engine, identical = oracle.chain_state
-        # Plant: the blocked view serves a truncated posting list.
+        frozen_engine = oracle.frozen_engine
+        # Plant: the frozen view serves a truncated posting list.
         term = "xml"
-        lists = blocked_engine.index.inverted
+        lists = frozen_engine.index.inverted
         real = lists.get
 
         class Truncated:
@@ -145,9 +147,9 @@ class TestChainLayer:
             def __getattr__(self, name):
                 return getattr(lists, name)
 
-        blocked_engine.index.inverted = Faulty()
+        frozen_engine.index.inverted = Faulty()
         try:
-            divergences = oracle.check_chain(("xml", "database"))
+            divergences = oracle.check_frozen(("xml", "database"))
         finally:
-            blocked_engine.index.inverted = lists
-        assert "blocked:postings" in {d.kind for d in divergences}
+            frozen_engine.index.inverted = lists
+        assert "frozen:postings" in {d.kind for d in divergences}
