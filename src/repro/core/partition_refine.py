@@ -34,16 +34,15 @@ from __future__ import annotations
 import time
 
 from ..kernels import (
+    HitRecord,
     PresenceBoundCache,
     admission_sweep,
     columns_for,
     partition_view_masked,
     prepare_beam,
-    slca_hits,
 )
 from ..lexicon.rules import RuleSet
 from ..perf.profiling import phase
-from ..xmltree.dewey import Dewey
 from .candidates import RQSortedList
 from .common import QueryContext, rank_candidates
 from .dp import get_top_optimal_rqs
@@ -120,9 +119,9 @@ def partition_refine(index, query, rules=None, model=None, k=1,
         return built
 
     sorted_list = RQSortedList(capacity=max(2 * k, 2))
-    candidate_map = {}  # rq key -> (RefinedQuery, [key tuple])
+    candidate_map = {}  # rq key -> (RefinedQuery, HitRecord)
     needs_refine = True
-    original_results = []  # component tuples until the response
+    original_results = HitRecord(lane_columns)
 
     # Matches on the document root itself can never yield a meaningful
     # result; they are consumed (and accounted) outside any partition.
@@ -142,10 +141,10 @@ def partition_refine(index, query, rules=None, model=None, k=1,
             if query_mask and mask & query_mask == query_mask:
                 stats.slca_invocations += 1
                 sublists = build_sublists(spans)
-                meaningful = context.meaningful_hits(slca_hits(
+                meaningful, count = context.meaningful_hits(
                     [sublists[keyword] for keyword in context.query]
-                ))
-                if meaningful:
+                )
+                if count:
                     needs_refine = False
                     original_results.extend(meaningful)
 
@@ -173,11 +172,13 @@ def partition_refine(index, query, rules=None, model=None, k=1,
                     stats.slca_invocations += 1
                     if sublists is None:
                         sublists = build_sublists(spans)
-                    meaningful = context.meaningful_hits(slca_hits(
+                    meaningful, count = context.meaningful_hits(
                         [sublists[keyword] for keyword in kept.keywords]
-                    ))
-                    if meaningful:
-                        record = candidate_map.setdefault(kept.key, (kept, []))
+                    )
+                    if count:
+                        record = candidate_map.setdefault(
+                            kept.key, (kept, HitRecord(lane_columns))
+                        )
                         record[1].extend(meaningful)
 
             # Optimization 2: if even the best possible candidate here
@@ -198,7 +199,7 @@ def partition_refine(index, query, rules=None, model=None, k=1,
                 present_of_mask[mask] = present
             present_key = present
             if skip_optimization and sorted_list.is_full:
-                # Presence pre-check: the block-max presence bound needs
+                # Presence pre-check: the memoized presence bound needs
                 # no DP at all; the strict comparison mirrors the probe's,
                 # so pruning here is answer-identical.
                 if presence_bound.lower_bound(mask) > threshold:
@@ -244,14 +245,16 @@ def partition_refine(index, query, rules=None, model=None, k=1,
                 stats.slca_invocations += 1
                 if sublists is None:
                     sublists = build_sublists(spans)
-                meaningful = context.meaningful_hits(slca_hits(
+                meaningful, count = context.meaningful_hits(
                     [sublists[keyword] for keyword in rq.keywords]
-                ))
+                )
                 computed_keys.add(rq.key)
-                if not meaningful:
+                if not count:
                     continue
                 if sorted_list.insert(rq) or already_kept:
-                    record = candidate_map.setdefault(rq.key, (rq, []))
+                    record = candidate_map.setdefault(
+                        rq.key, (rq, HitRecord(lane_columns))
+                    )
                     record[1].extend(meaningful)
             accumulate_kept(computed_keys)
 
@@ -270,9 +273,7 @@ def partition_refine(index, query, rules=None, model=None, k=1,
         rank_candidates(context, model, surviving) if needs_refine else []
     )
     if not needs_refine:
-        original_results = list(map(
-            Dewey.from_trusted, sorted(original_results)
-        ))
+        original_results = original_results.ordered()
 
     stats.elapsed_seconds = time.perf_counter() - started
     return RefinementResponse(

@@ -10,7 +10,7 @@ tests use to assert the one-scan guarantees of Theorems 1 and 2.
 
 from __future__ import annotations
 
-from ..xmltree.dewey import Dewey
+from ..kernels.hits import HitRecord
 
 
 class ScanStats:
@@ -50,15 +50,18 @@ class ScanStats:
 class RankedRefinement:
     """One refined query with its results and ranking breakdown.
 
-    The routes hand results over as the component tuples they sliced
-    (``keys``); :attr:`slcas` wraps them as ``Dewey`` labels the first
-    time it is read and drops the tuples.  A response sends only its
-    Top-K, so the rest of SLE's Top-2K candidates never build a label.
+    The routes hand results over as the
+    :class:`~repro.kernels.hits.HitRecord` the SLCA kernel returned
+    (``hits``): column entries, no label built.  :meth:`labels` renders
+    the dotted labels a response sends from the record, in one kernel
+    call; :attr:`slcas` builds the ``Dewey`` labels the first time it
+    is read and drops the record.  A response sends only its Top-K, so
+    the rest of SLE's Top-2K candidates are never labelled.
     """
 
     __slots__ = (
         "rq",
-        "_keys",
+        "_hits",
         "_slcas",
         "rank_score",
         "similarity_score",
@@ -72,12 +75,12 @@ class RankedRefinement:
         rank_score=0.0,
         similarity_score=0.0,
         dependence_score=0.0,
-        keys=None,
+        hits=None,
     ):
         self.rq = rq
-        #: Result component tuples not yet built into ``_slcas``.
-        self._keys = keys
-        self._slcas = list(slcas) if keys is None else None
+        #: Results not yet built into ``_slcas``.
+        self._hits = hits
+        self._slcas = list(slcas) if hits is None else None
         self.rank_score = rank_score
         self.similarity_score = similarity_score
         self.dependence_score = dependence_score
@@ -85,13 +88,23 @@ class RankedRefinement:
     @property
     def slcas(self):
         """The result labels, in document order (a mutable list)."""
-        keys = self._keys
-        if keys is not None:
-            # _slcas is set before _keys is cleared, so a concurrent
-            # reader sees either the tuples or the built list.
-            self._slcas = list(map(Dewey.from_trusted, keys))
-            self._keys = None
+        hits = self._hits
+        if hits is not None:
+            # _slcas is set before _hits is cleared, so a concurrent
+            # reader sees either the record or the built list.
+            self._slcas = hits.deweys()
+            self._hits = None
         return self._slcas
+
+    def labels(self):
+        """The results as dotted label strings, in :attr:`slcas` order:
+        rendered from the record while :attr:`slcas` is unread, else
+        ``str()`` of each built label (which ``rank_results`` may have
+        reordered)."""
+        hits = self._hits
+        if hits is not None:
+            return hits.labels()
+        return [str(label) for label in self._slcas]
 
     @property
     def keywords(self):
@@ -103,8 +116,8 @@ class RankedRefinement:
 
     @property
     def result_count(self):
-        keys = self._keys
-        return len(keys) if keys is not None else len(self._slcas)
+        hits = self._hits
+        return len(hits) if hits is not None else len(self._slcas)
 
     def copy(self):
         """A mutation-isolated duplicate (fresh ``slcas`` list).
@@ -112,16 +125,16 @@ class RankedRefinement:
         The :class:`~repro.core.common.RefinedQuery` is shared — it is
         treated as immutable everywhere — but the result-label list is
         the caller-facing mutable surface and gets its own copy.  Unbuilt
-        results stay unbuilt: the copy shares the (immutable) tuples.
+        results stay unbuilt: the copy shares the (read-only) record.
         """
-        keys = self._keys
+        hits = self._hits
         return RankedRefinement(
             self.rq,
-            self._slcas if keys is None else (),
+            self._slcas if hits is None else (),
             self.rank_score,
             self.similarity_score,
             self.dependence_score,
-            keys=keys,
+            hits=hits,
         )
 
     def __repr__(self):
@@ -138,7 +151,8 @@ class RefinementResponse:
     __slots__ = (
         "query",
         "needs_refinement",
-        "original_results",
+        "_original_hits",
+        "_original_results",
         "refinements",
         "candidates",
         "search_for",
@@ -160,7 +174,15 @@ class RefinementResponse:
     ):
         self.query = tuple(query)
         self.needs_refinement = needs_refinement
-        self.original_results = list(original_results)
+        #: ``original_results`` as the routes hand it over — a
+        #: :class:`~repro.kernels.hits.HitRecord` — until it is read;
+        #: a list of ``Dewey`` labels is kept as given.
+        if isinstance(original_results, HitRecord):
+            self._original_hits = original_results
+            self._original_results = None
+        else:
+            self._original_hits = None
+            self._original_results = list(original_results)
         self.refinements = list(refinements)
         #: The full ranked candidate list before Top-K truncation (the
         #: paper's 2K working set); equals ``refinements`` for Top-1
@@ -182,6 +204,25 @@ class RefinementResponse:
         #: it — a copy exists to be mutated.
         self.wire_body = None
 
+    @property
+    def original_results(self):
+        """The original query's meaningful SLCAs on a direct hit, in
+        document order (a mutable list, built the first time it is
+        read)."""
+        hits = self._original_hits
+        if hits is not None:
+            self._original_results = hits.deweys()
+            self._original_hits = None
+        return self._original_results
+
+    def original_labels(self):
+        """:attr:`original_results` as dotted label strings — rendered
+        from the record while the list is unread."""
+        hits = self._original_hits
+        if hits is not None:
+            return hits.labels()
+        return [str(label) for label in self._original_results]
+
     def copy(self):
         """A mutation-isolated duplicate of this response.
 
@@ -193,9 +234,10 @@ class RefinementResponse:
         objects shared between ``refinements`` and ``candidates`` keep
         that sharing in the copy (they are the same ranked entry, not
         coincidentally equal ones); immutable leaves (``rq``, Dewey
-        labels) and the ``stats``/``plan`` records are shared.  The
-        memoized ``wire_body`` is dropped.
+        labels, unread result records) and the ``stats``/``plan``
+        records are shared.  The memoized ``wire_body`` is dropped.
         """
+        hits = self._original_hits
         copies = {id(r): r.copy() for r in self.refinements}
         for candidate in self.candidates:
             if id(candidate) not in copies:
@@ -203,7 +245,7 @@ class RefinementResponse:
         clone = RefinementResponse(
             self.query,
             self.needs_refinement,
-            self.original_results,
+            self._original_results if hits is None else hits,
             [copies[id(r)] for r in self.refinements],
             self.search_for,
             self.stats,

@@ -12,10 +12,11 @@ keywords is computed; once the candidate list is full and
 ``C_potential`` exceeds its worst kept dissimilarity, no unexplored
 candidate can qualify and exploration stops — often without ever
 touching the long lists (step 1, lines 4–16).  Before ``C_potential``
-even runs, a visited partition is pre-screened by the block-max
-presence bound (:class:`repro.kernels.PresenceBoundCache`) — the
-WAND-style skip that rejects hopeless blocks from presence masks
-alone.
+even runs, a visited partition is pre-screened by the presence bound
+(:class:`repro.kernels.PresenceBoundCache`): the least dissimilarity
+any refined query over the partition's present keywords can reach,
+memoized per presence mask — a WAND-style skip that rejects hopeless
+partitions from their masks alone.
 
 Most of what step 1 decides about a partition depends only on *which*
 keywords it holds, and documents have far fewer distinct presence masks
@@ -32,7 +33,11 @@ exactly what the plain loop would report.
 
 Step 2 then computes SLCA results only for the kept candidates, using
 any existing SLCA method (the columnar scan-eager kernel here; the
-orthogonality of the paper's discussion holds).  This back-loaded SLCA
+orthogonality of the paper's discussion holds).  The kernel keeps the
+meaningful results as column entries (a
+:class:`~repro.kernels.hits.HitRecord`); ranking reads only their
+counts, and a result is labelled only when the response is encoded or
+read.  This back-loaded SLCA
 work is exactly why SLE degrades faster than Partition as K grows
 (Fig. 5a).
 
@@ -47,6 +52,7 @@ from __future__ import annotations
 import time
 
 from ..kernels import (
+    HitRecord,
     MaskMemo,
     PresenceBoundCache,
     admission_sweep,
@@ -56,11 +62,9 @@ from ..kernels import (
     presence_ready,
     sle_advance,
     sle_direct,
-    slca_hits,
 )
 from ..lexicon.rules import RuleSet
 from ..perf.profiling import phase
-from ..xmltree.dewey import Dewey
 from .candidates import RQSortedList
 from .common import QueryContext, rank_candidates
 from .dp import get_top_optimal_rqs
@@ -93,7 +97,7 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
     query_set = set(context.query)
 
     # One column set per distinct keyword; lane order indexes the
-    # presence bitmasks fed to the block-max bound.
+    # presence bitmasks fed to the presence bound.
     lanes = list(dict.fromkeys(context.keyword_space))
     lane_of = {keyword: lane for lane, keyword in enumerate(lanes)}
     with phase("decode"):
@@ -107,10 +111,10 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
 
     sorted_list = RQSortedList(capacity=max(2 * k, 2))
     needs_refine = True
-    original_results = []  # component tuples until the response
     probe_memo, beam_memo = dp_memos if dp_memos is not None else ({}, {})
     presence_bound = PresenceBoundCache(context.query, rules, lanes)
     lane_columns = [columns[keyword] for keyword in lanes]
+    original_results = HitRecord(lane_columns)
     query_lane_mask = 0
     query_covered = bool(query_set)
     for keyword in query_set:
@@ -233,10 +237,10 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
                 sublists = build_row_sublists(
                     spans_flat, pindex * nlanes * 2
                 )
-            meaningful = context.meaningful_hits(slca_hits(
+            meaningful, count = context.meaningful_hits(
                 [sublists[keyword] for keyword in context.query]
-            ))
-            if meaningful:
+            )
+            if count:
                 needs_refine = False
                 original_results.extend(meaningful)
         if not needs_refine:
@@ -296,9 +300,9 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
                     sublists = build_row_sublists(
                         spans_flat, pindex * nlanes * 2
                     )
-                if not context.any_meaningful_hit(slca_hits(
+                if not context.any_meaningful_hit(
                     [sublists[keyword] for keyword in rq.keywords]
-                )):
+                ):
                     continue
             sorted_list.insert(rq)
 
@@ -348,14 +352,7 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
         stats.probes += counts[1]
         stats.partitions_skipped += counts[2]
         stats.partitions_visited += counts[3]
-        hit_lanes = hits[0::3]
-        positions = hits[1::3]
-        depths = hits[2::3]
-        for lane in set(hit_lanes):
-            picks = [j for j, hit in enumerate(hit_lanes) if hit == lane]
-            original_results.extend(lane_columns[lane].hit_keys(
-                0, positions, depths, picks
-            ))
+        original_results.extend(hits)
 
     # ------------------------------------------------------------------
     # Step 1: explore Top-2K candidates.
@@ -442,14 +439,14 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
                     for keyword in rq.keywords
                 ]
                 stats.slca_invocations += 1
-                meaningful = context.meaningful_hits(slca_hits(whole_lists))
-                if meaningful:
+                meaningful, count = context.meaningful_hits(whole_lists)
+                if count:
                     candidate_map[rq.key] = (rq, meaningful)
         ranked = rank_candidates(context, model, candidate_map)
     else:
-        original_results = list(map(
-            Dewey.from_trusted, sorted(set(original_results))
-        ))
+        # Partitions were visited in anchor-round order: put the
+        # results in document order (and each once) on the arrays.
+        original_results = original_results.ordered()
 
     stats.elapsed_seconds = time.perf_counter() - started
     return RefinementResponse(

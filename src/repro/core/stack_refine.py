@@ -41,11 +41,11 @@ per popped witness-bearing node makes it the slowest of the three
 from __future__ import annotations
 
 import time
+from array import array
 
-from ..kernels import columns_for, merged_lcp_runs, slca_hits
+from ..kernels import HitRecord, columns_for, merged_lcp_runs
 from ..lexicon.rules import RuleSet
 from ..perf.profiling import phase
-from ..xmltree.dewey import Dewey
 from .common import QueryContext, rank_candidates
 from .dp import get_optimal_rq
 from .result import RefinementResponse, ScanStats
@@ -112,18 +112,21 @@ def stack_refine(index, query, rules=None, model=None, dp_memo=None):
     ]
 
     needs_refine = True
-    original_results = []  # component tuples until the response
+    # The original query's results, as (lane, position, depth) entries.
+    original_lanes = array("q")
+    original_positions = array("q")
+    original_depths = array("q")
     min_dissimilarity = float("inf")
     best = {}  # rq key -> RefinedQuery
     optimal_memo = dp_memo if dp_memo is not None else {}
 
     stack = []
 
-    def pop_entry(previous_key, column, position):
-        """Pop the top entry; its node's label is ``previous_key`` up
-        to the stack depth (the stack always spells out the previous
-        merged posting's components), and that posting — ``position``
-        of ``column`` — types it."""
+    def pop_entry(lane, position):
+        """Pop the top entry; its node is the ancestor-or-self at the
+        stack depth of the previous merged posting — ``position`` of
+        lane ``lane`` (the stack always spells out its components) —
+        and that posting types it."""
         nonlocal needs_refine, min_dissimilarity
         depth = len(stack)
         entry = stack.pop()
@@ -133,9 +136,13 @@ def stack_refine(index, query, rules=None, model=None, dp_memo=None):
                 stack[-1].blocked_q = True
         elif entry.mask & query_mask == query_mask and query_mask:
             # Popped node is an SLCA of the original query.
-            if context.is_meaningful_at(column, position, depth):
+            if context.is_meaningful_at(
+                lane_columns[lane], position, depth
+            ):
                 needs_refine = False
-                original_results.append(previous_key[:depth])
+                original_lanes.append(lane)
+                original_positions.append(position)
+                original_depths.append(depth)
             if stack:
                 stack[-1].blocked_q = True
             propagate = 0  # line 12: reset all witness entries
@@ -156,7 +163,9 @@ def stack_refine(index, query, rules=None, model=None, dp_memo=None):
                 and optimal.key != query_key
                 and optimal.dissimilarity <= min_dissimilarity
             ):
-                if context.is_meaningful_at(column, position, depth):
+                if context.is_meaningful_at(
+                    lane_columns[lane], position, depth
+                ):
                     if optimal.dissimilarity < min_dissimilarity:
                         min_dissimilarity = optimal.dissimilarity
                         best.clear()
@@ -185,8 +194,7 @@ def stack_refine(index, query, rules=None, model=None, dp_memo=None):
     with phase("merge"):
         lanes, lcps, run_ends = merged_lcp_runs(lane_columns)
     positions = [0] * len(lane_columns)
-    previous_key = ()
-    previous_column = None
+    previous_lane = 0
     previous_position = 0
     skip_until = 0
     with phase("admit"):
@@ -200,12 +208,11 @@ def stack_refine(index, query, rules=None, model=None, dp_memo=None):
             stats.postings_scanned += 1
             shared = lcps[i]
             while len(stack) > shared:
-                pop_entry(previous_key, previous_column, previous_position)
+                pop_entry(previous_lane, previous_position)
             for _ in range(shared, len(key)):
                 stack.append(_Entry())
             stack[-1].mask |= bit_of_lane[lane]
-            previous_key = key
-            previous_column = column
+            previous_lane = lane
             previous_position = position
 
             # Sibling-leaf run skip: every remaining posting of the run
@@ -240,7 +247,6 @@ def stack_refine(index, query, rules=None, model=None, dp_memo=None):
                     if not emit_possible:
                         count = run_end - i
                         last = position + count
-                        previous_key = column.keys[last]
                         previous_position = last
                         positions[lane] = last + 1
                         stats.postings_scanned += count
@@ -253,7 +259,7 @@ def stack_refine(index, query, rules=None, model=None, dp_memo=None):
                         skip_until = run_end + 1
 
         while stack:
-            pop_entry(previous_key, previous_column, previous_position)
+            pop_entry(previous_lane, previous_position)
 
     # ------------------------------------------------------------------
     # Finalize: complete exact result sets for the winning RQs.
@@ -268,22 +274,25 @@ def stack_refine(index, query, rules=None, model=None, dp_memo=None):
                     columns_for(context.index.inverted_list(k))
                     for k in rq.keywords
                 ]
-                meaningful = context.meaningful_hits(slca_hits(
+                meaningful, count = context.meaningful_hits(
                     [(column, 0, column.size) for column in columns]
-                ))
-                if meaningful:
+                )
+                if count:
                     candidate_map[key] = (rq, meaningful)
         refinements = rank_candidates(context, model, candidate_map)
+    original_results = []
     if not needs_refine:
-        original_results = list(map(
-            Dewey.from_trusted, sorted(original_results)
-        ))
+        # Popped in post-order: put them in document order.
+        original_results = HitRecord(
+            lane_columns, original_positions, original_depths,
+            original_lanes,
+        ).ordered()
 
     stats.elapsed_seconds = time.perf_counter() - started
     return RefinementResponse(
         query=context.query,
         needs_refinement=needs_refine,
-        original_results=original_results if not needs_refine else [],
+        original_results=original_results,
         refinements=refinements,
         search_for=context.search_for,
         stats=stats,

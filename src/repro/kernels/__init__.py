@@ -7,7 +7,11 @@ operations over columnar views of the inverted lists:
 * :mod:`.columns` — per-list partition tables and flat component
   arrays; the merged :func:`partition_view` Algorithm 2 iterates.
 * :mod:`.slca` — columnar Scan Eager: candidate depths for a whole
-  anchor range per matcher sweep, results as ``(slot, depth)`` hits.
+  anchor range per matcher sweep, Definition 3.3 applied as results
+  are emitted.
+* :mod:`.hits` — results kept as ``(column, position, depth)``
+  entries (:class:`HitRecord`) until read; their labels rendered in
+  one call.
 * :mod:`.lcp` — the merged-stream adjacent-LCP table that makes the
   stack route's LCA depth an indexed lookup, plus the sibling-leaf
   run encoding the stack route retires whole chains with.
@@ -27,6 +31,7 @@ Every kernel is byte-identical to the loop it replaced; the
 
 from .backend import backend_name, compiled  # noqa: F401
 from .bounds import PresenceBoundCache  # noqa: F401
+from .hits import HitRecord  # noqa: F401
 from .columns import (  # noqa: F401
     ListColumns,
     columns_for,
@@ -50,13 +55,13 @@ from .scoring import (  # noqa: F401
     supported_model,
 )
 from .slca import (  # noqa: F401
-    hit_labels,
     slca_columns,
     slca_hits,
     slca_ranges,
 )
 
 __all__ = [
+    "HitRecord",
     "ListColumns",
     "MaskMemo",
     "PreparedBeam",
@@ -68,7 +73,6 @@ __all__ = [
     "batch_similarity",
     "columns_for",
     "compiled",
-    "hit_labels",
     "merged_lcp",
     "merged_lcp_runs",
     "partition_presence",

@@ -30,7 +30,9 @@ so what a call marshals is its pointer and bound lists — passed as
 plain Python lists, which cffi converts in the call — and its output
 buffers.  The crossings:
 
-* ``repro_slca_hits`` — one SLCA, whatever its matcher count;
+* ``repro_slca_hits`` — one SLCA, whatever its matcher count, with
+  Definition 3.3 applied to what it emits when the caller passes the
+  query's ``need`` column;
 * ``repro_merge_lcp`` / ``repro_merge_lcp_runs`` — the stack route's
   merged-stream LCP table;
 * ``repro_partition_presence`` — a short-list anchor round's presence
@@ -39,6 +41,10 @@ buffers.  The crossings:
   that needs a decision (one call per decision, not per partition);
 * ``repro_sle_direct`` — the short-list finish once Q has an answer:
   every remaining partition's SLCA and Definition 3.3 test in one call;
+* ``repro_render_labels`` — a result list's dotted labels, written
+  into one buffer (:meth:`~repro.kernels.hits.HitRecord.labels`);
+* ``repro_order_hits`` — a direct hit's results put in document order,
+  each node once (:meth:`~repro.kernels.hits.HitRecord.ordered`);
 * ``repro_decode_payload`` / ``repro_encode_run`` — a posting list's
   whole payload decoded into those arrays and its partition table, on
   the list's first read, and written at build time
@@ -65,9 +71,16 @@ MAX_MERGE_LANES = 64
 
 _CDEF = """
 int64_t repro_slca_hits(const int64_t *a_flat, const int64_t *a_offs,
-                        int64_t a_lo, int64_t a_hi,
+                        const void *a_tids, int64_t tid_width,
+                        const int64_t *need, int64_t a_lo, int64_t a_hi,
                         const int64_t **m_cols, const int64_t *m_bounds,
                         int64_t nmatchers, int64_t *out);
+int64_t repro_render_labels(const int64_t **flats, const int64_t **offs,
+                            const int64_t *lanes, const int64_t *positions,
+                            const int64_t *depths, int64_t n, char *out);
+int64_t repro_order_hits(const int64_t **flats, const int64_t **offs,
+                         int64_t *lanes, int64_t *positions,
+                         int64_t *depths, int64_t n, int64_t *work);
 void repro_merge_lcp(const int64_t **flats, const int64_t **offs,
                      const int64_t *lens, int64_t nlists,
                      int32_t *lanes, int64_t *lcps);
@@ -254,28 +267,161 @@ static int64_t emit_survivors(const int64_t *a_flat, const int64_t *a_offs,
     return out;
 }
 
+static int64_t type_id_at(const void *tids, int64_t width, int64_t pos)
+{
+    return width == 2 ? (int64_t)((const uint16_t *)tids)[pos]
+                      : (int64_t)((const uint32_t *)tids)[pos];
+}
+
+/* Definition 3.3 over n compacted hits: hit j, the node depths[j]
+ * components deep on the path to anchor posting a_lo + slots[j], is
+ * meaningful when depths[j] >= need[its posting's type id].  The
+ * meaningful hits are compacted in place, in order; returns how many. */
+static int64_t keep_meaningful(const void *tids, int64_t width,
+                               const int64_t *need, int64_t a_lo,
+                               int64_t *slots, int64_t *depths, int64_t n)
+{
+    int64_t j, kept = 0;
+    for (j = 0; j < n; j++) {
+        if (depths[j] >= need[type_id_at(tids, width, a_lo + slots[j])]) {
+            slots[kept] = slots[j];
+            depths[kept] = depths[j];
+            kept++;
+        }
+    }
+    return kept;
+}
+
 /* One SLCA, one call: every anchor's candidate depth starts at its own
  * length, each matcher range folds into it (matcher m is the column
  * m_cols[2m] / m_cols[2m + 1] over [m_bounds[2m], m_bounds[2m + 1])),
- * and the streaming filter compacts the survivors.  out holds
- * 2 * (a_hi - a_lo) entries: survivor j's depth lands in out[j] and its
- * slot (relative to a_lo) in out[(a_hi - a_lo) + j].  Returns the
- * survivor count, or -1 when some depth is 0. */
+ * the streaming filter compacts the survivors and, when need is not
+ * NULL, Definition 3.3 keeps the meaningful ones (the anchor's type ids
+ * are a_tids, tid_width bytes each).  out holds 2 * (a_hi - a_lo)
+ * entries: kept hit j's depth lands in out[j] and its anchor posting
+ * a_lo + slot in out[(a_hi - a_lo) + j].  Returns the kept count, or
+ * -1 when some depth is 0. */
 int64_t repro_slca_hits(const int64_t *a_flat, const int64_t *a_offs,
-                        int64_t a_lo, int64_t a_hi,
+                        const void *a_tids, int64_t tid_width,
+                        const int64_t *need, int64_t a_lo, int64_t a_hi,
                         const int64_t **m_cols, const int64_t *m_bounds,
                         int64_t nmatchers, int64_t *out)
 {
     int64_t count = a_hi - a_lo;
-    int64_t i, m;
+    int64_t *slots = out + count;
+    int64_t i, m, emitted;
     for (i = a_lo; i < a_hi; i++)
         out[i - a_lo] = a_offs[i + 1] - a_offs[i];
     for (m = 0; m < nmatchers; m++)
         fold_depths(a_flat, a_offs, a_lo, a_hi,
                     m_cols[2 * m], m_cols[2 * m + 1],
                     m_bounds[2 * m], m_bounds[2 * m + 1], out);
-    return emit_survivors(a_flat, a_offs, a_lo, count, out, out + count);
+    emitted = emit_survivors(a_flat, a_offs, a_lo, count, out, slots);
+    if (emitted < 0)
+        return -1;
+    if (need)
+        emitted = keep_meaningful(a_tids, tid_width, need, a_lo, slots, out,
+                                  emitted);
+    for (i = 0; i < emitted; i++)
+        slots[i] += a_lo;
+    return emitted;
 }
+
+/* Hit j of a result list is the node depths[j] components deep on the
+ * path to posting positions[j] of column lanes[j] (column 0 when lanes
+ * is NULL), whose keys are flats[c] / offs[c]. */
+#define HIT_KEY(j) (flats[lanes ? lanes[j] : 0] \
+                    + offs[lanes ? lanes[j] : 0][positions[j]])
+
+/* The dotted labels of n hits, "0.1.2", written one after another into
+ * out with a '\n' between two labels.  Each component takes at most 19
+ * digits and one separator, so out needs 21 bytes per component (the
+ * sum of the depths) at most.  Returns the bytes written. */
+int64_t repro_render_labels(const int64_t **flats, const int64_t **offs,
+                            const int64_t *lanes, const int64_t *positions,
+                            const int64_t *depths, int64_t n, char *out)
+{
+    char digits[20];
+    int64_t pos = 0, j, c;
+    for (j = 0; j < n; j++) {
+        const int64_t *key = HIT_KEY(j);
+        if (j)
+            out[pos++] = '\n';
+        for (c = 0; c < depths[j]; c++) {
+            uint64_t value = (uint64_t)key[c];
+            int width = 0;
+            if (c)
+                out[pos++] = '.';
+            do {
+                digits[width++] = (char)('0' + value % 10);
+                value /= 10;
+            } while (value);
+            while (width)
+                out[pos++] = digits[--width];
+        }
+    }
+    return pos;
+}
+
+static int hit_cmp(const int64_t **flats, const int64_t **offs,
+                   const int64_t *lanes, const int64_t *positions,
+                   const int64_t *depths, int64_t i, int64_t j)
+{
+    return key_cmp(HIT_KEY(i), depths[i], HIT_KEY(j), depths[j]);
+}
+
+/* Sort n hits (as repro_render_labels reads them) into document order
+ * of the nodes they name and drop every repeat of a node, in place.
+ * work holds 5 * n entries.  A bottom-up merge sort of hit indexes,
+ * then one gather pass.  Returns the count of distinct nodes. */
+int64_t repro_order_hits(const int64_t **flats, const int64_t **offs,
+                         int64_t *lanes, int64_t *positions,
+                         int64_t *depths, int64_t n, int64_t *work)
+{
+    int64_t *order = work, *merged = work + n, *copy = work + 2 * n;
+    int64_t width, lo, j, kept = 0;
+    for (j = 0; j < n; j++)
+        order[j] = j;
+    for (width = 1; width < n; width *= 2) {
+        int64_t *swap;
+        for (lo = 0; lo < n; lo += 2 * width) {
+            int64_t mid = lo + width < n ? lo + width : n;
+            int64_t hi = lo + 2 * width < n ? lo + 2 * width : n;
+            int64_t a = lo, b = mid, k = lo;
+            while (a < mid && b < hi)
+                merged[k++] = hit_cmp(flats, offs, lanes, positions, depths,
+                                      order[b], order[a]) < 0
+                    ? order[b++] : order[a++];
+            while (a < mid)
+                merged[k++] = order[a++];
+            while (b < hi)
+                merged[k++] = order[b++];
+        }
+        swap = order;
+        order = merged;
+        merged = swap;
+    }
+    for (j = 0; j < n; j++) {
+        int64_t at = order[j];
+        if (kept && hit_cmp(flats, offs, lanes, positions, depths, at,
+                            order[kept - 1]) == 0)
+            continue;
+        order[kept++] = at;
+    }
+    for (j = 0; j < kept; j++) {
+        copy[j] = positions[order[j]];
+        copy[n + j] = depths[order[j]];
+        copy[2 * n + j] = lanes ? lanes[order[j]] : 0;
+    }
+    for (j = 0; j < kept; j++) {
+        positions[j] = copy[j];
+        depths[j] = copy[n + j];
+        if (lanes)
+            lanes[j] = copy[2 * n + j];
+    }
+    return kept;
+}
+#undef HIT_KEY
 
 /* Merged document-order scan over nlists sorted key columns.  Emits,
  * per merged posting, the source lane and the LCP against the
@@ -461,12 +607,6 @@ int64_t repro_sle_advance(const int64_t *masks, int64_t count,
     return i;
 }
 
-static int64_t type_id_at(const void *tids, int64_t width, int64_t pos)
-{
-    return width == 2 ? (int64_t)((const uint16_t *)tids)[pos]
-                      : (int64_t)((const uint32_t *)tids)[pos];
-}
-
 /* Short-list step 1 once Q has an answer: every unvisited partition of
  * round r = state[0] from partition state[1] on, then of every later
  * round.  Round r's masks and spans are masks[r] / spans[r] (as
@@ -548,16 +688,8 @@ int64_t repro_sle_direct(const int64_t **masks, const int64_t **spans,
                 status = 2;
                 goto out;
             }
-            kept = 0;
-            for (j = 0; j < emitted; j++) {
-                int64_t tid = type_id_at(tids[best], tid_widths[best],
-                                         a_lo + slots[j]);
-                if (depths[j] >= need[tid]) {
-                    slots[kept] = slots[j];
-                    depths[kept] = depths[j];
-                    kept++;
-                }
-            }
+            kept = keep_meaningful(tids[best], tid_widths[best], need, a_lo,
+                                   slots, depths, emitted);
             if (n + kept > capacity) {
                 state[8] = n + kept;
                 status = 1;

@@ -130,21 +130,6 @@ class ListColumns:
             self._offs = offs
         return flat, self._offs
 
-    def hit_keys(self, a_lo, slots, depths, picks):
-        """Component tuples of the hits ``picks`` (see ``slca_hits``):
-        key ``a_lo + slots[j]`` cut to ``depths[j]`` — from the key
-        tuples once they exist, else from the flat array."""
-        keys = self._keys
-        if keys is not None:
-            return [keys[a_lo + slots[j]][: depths[j]] for j in picks]
-        flat = self._flat
-        offs = self._offs
-        built = []
-        for j in picks:
-            start = offs[a_lo + slots[j]]
-            built.append(tuple(flat[start : start + depths[j]]))
-        return built
-
     def __len__(self):
         return self.size
 

@@ -45,6 +45,7 @@ from array import array
 from weakref import WeakKeyDictionary
 
 from . import backend
+from .hits import HitRecord
 from .slca import slca_hits
 
 _MISS = object()
@@ -249,10 +250,11 @@ def sle_direct(rounds, start, retired, query_lanes, query_mask, lane_columns,
     meaningful hits (``depth >= need[type id]``, Definition 3.3) are
     kept.
 
-    Returns ``(hits, counts)``: ``hits`` flat ``(lane, position,
-    depth)`` triples — the node ``depth`` components deep on the path
-    to posting ``position`` of ``lane_columns[lane]`` — and ``counts``
-    the ``(slca_invocations, probes, partitions_skipped,
+    Returns ``(hits, counts)``: ``hits`` a
+    :class:`~repro.kernels.hits.HitRecord` over ``lane_columns`` —
+    entry ``j`` the node ``depths[j]`` components deep on the path to
+    posting ``positions[j]`` of ``lane_columns[lanes[j]]`` — and
+    ``counts`` the ``(slca_invocations, probes, partitions_skipped,
     partitions_visited)`` it adds.  ``need`` is ``QueryContext.need``
     (an ``array('q')``).
     """
@@ -294,7 +296,8 @@ def sle_direct(rounds, start, retired, query_lanes, query_mask, lane_columns,
             need_c, lib.i64(state), lib.i64(hits), capacity,
         )
         if status == 0:
-            return hits[: 3 * state[3]].tolist(), tuple(state[4:8])
+            found = _record(lane_columns, hits[: 3 * state[3]])
+            return found, tuple(state[4:8])
         if status == 1:
             # The partition's kept hits do not fit: grow, re-run it.
             grown = max(2 * capacity, state[8])
@@ -343,7 +346,18 @@ def _direct_python(rounds, start, retired, query_lanes, query_mask,
             )
         start = 0
         retired |= 1 << anchor_lane
-    return hits, (slca_invocations, probes, skipped, visited)
+    return (
+        _record(lane_columns, array("q", hits)),
+        (slca_invocations, probes, skipped, visited),
+    )
+
+
+def _record(lane_columns, triples):
+    """The :class:`HitRecord` of flat ``(lane, position, depth)``
+    triples (an ``array('q')``)."""
+    return HitRecord(
+        lane_columns, triples[1::3], triples[2::3], triples[0::3]
+    )
 
 
 def _partition_hits(spans, base, query_lanes, lane_columns, need):
@@ -354,18 +368,13 @@ def _partition_hits(spans, base, query_lanes, lane_columns, need):
          spans[base + 2 * lane + 1])
         for lane in query_lanes
     ]
-    columns, a_lo, slots, depths, count = slca_hits(ranges)
-    if not count:
-        return []
+    hits = slca_hits(ranges, need)
     # slca_hits anchors on the first shortest range.
     sizes = [hi - lo for _, lo, hi in ranges]
     lane = query_lanes[sizes.index(min(sizes))]
-    tids = columns.tids
     found = []
-    for j in range(count):
-        position = a_lo + slots[j]
-        if depths[j] >= need[tids[position]]:
-            found += (lane, position, depths[j])
+    for position, depth in zip(hits.positions, hits.depths):
+        found += (lane, position, depth)
     return found
 
 

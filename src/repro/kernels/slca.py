@@ -21,16 +21,16 @@ The transposition is exact, not approximate:
   work, never changes the value.
 
 Candidates then pass XKSearch's streaming ancestor filter — one pass
-over the depth column holding a single candidate.  The compiled backend
-runs the folds and the filter in one call (``repro_slca_hits``); the
-pure-Python twins are :func:`_fold_depths_python` and
-:func:`_emit_python`.  What survives is returned as **hits**: ``(slot,
-depth)`` pairs over the anchor's columns (:func:`slca_hits`).  A hit is
-a result that is still a column entry — the refinement routes decide
-Definition 3.3 on it from the anchor's type-id column and keep the
-component tuples of what passes; a ``Dewey`` is built only when a
-result is read; :func:`slca_ranges` / :func:`slca_columns` are the
-wrappers that label every hit.
+over the depth column holding a single candidate — and, for the
+refinement routes, Definition 3.3 read from the anchor's type-id
+column.  The compiled backend runs the folds, the filter and the
+meaningful test in one call (``repro_slca_hits``); the pure-Python
+twins are :func:`_fold_depths_python`, :func:`_emit_python` and a list
+comprehension.  What survives is returned as a
+:class:`~repro.kernels.hits.HitRecord` (:func:`slca_hits`): results
+that are still ``(position, depth)`` entries of the anchor's column,
+labelled only when read; :func:`slca_ranges` / :func:`slca_columns` are
+the wrappers that build every hit's ``Dewey``.
 
 The one semantic the batch form cannot reproduce is the
 ``DeweyError`` raised for labels sharing no prefix (cross-document
@@ -40,10 +40,12 @@ classic per-node implementation, which raises identically.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 
 from ..xmltree.dewey import Dewey
 from . import backend
+from .hits import HitRecord
 
 
 def _lcp(a, b):
@@ -74,40 +76,38 @@ def _fold_depths_python(anchor_keys, a_lo, a_hi, keys, m_lo, m_hi, depths):
     return depths
 
 
-#: ``slca_hits`` of an empty input or an empty range.
-_NO_HITS = (None, 0, (), (), 0)
-
-
 def _range_size(entry):
     return entry[2] - entry[1]
 
 
-def slca_hits(column_ranges):
-    """SLCAs of the key ranges ``[(ListColumns, lo, hi), ...]`` as hits.
+def slca_hits(column_ranges, need=None):
+    """SLCAs of the key ranges ``[(ListColumns, lo, hi), ...]`` as a
+    :class:`~repro.kernels.hits.HitRecord`.
 
-    One entry per keyword.  Returns ``(anchor_columns, a_lo, slots,
-    depths, count)``: SLCA ``j < count`` is the node at depth
-    ``depths[j]`` above (or at) posting ``a_lo + slots[j]`` of the
-    anchor — the shortest range — in document order, the same pairs
-    from both backends.  ``slots`` / ``depths`` may be longer than
-    ``count``; ``anchor_columns`` is ``None`` when ``count`` is 0
-    because there was nothing to scan.
+    One entry per keyword.  SLCA ``j`` is the node ``depths[j]``
+    components deep on the path to posting ``positions[j]`` of the
+    anchor — the shortest range, the record's one column — in document
+    order, the same entries from both backends.  With ``need``
+    (:attr:`QueryContext.need <repro.core.common.QueryContext.need>`)
+    only the meaningful SLCAs are kept (Definition 3.3: ``depth >=
+    need[type id]``, read from the anchor's type-id column).
     """
     if not column_ranges:
-        return _NO_HITS
+        return HitRecord()
     # Stable: the anchor is the first shortest range, the matchers
     # follow shortest first.
     ranked = sorted(column_ranges, key=_range_size)
     anchor_columns, a_lo, a_hi = ranked[0]
     count = a_hi - a_lo
     if count <= 0:
-        return _NO_HITS
+        return HitRecord()
 
     lib = backend.compiled
     if lib is not None:
         # One crossing per SLCA: depth initialization, every matcher
-        # fold and the ancestor filter run inside repro_slca_hits, with
-        # each column's pointer casts memoized on the column.
+        # fold, the ancestor filter and Definition 3.3 run inside
+        # repro_slca_hits, with each column's pointer casts memoized on
+        # the column.
         a_flat_c, a_offs_c = backend.column_handles(lib, anchor_columns)
         m_cols = []
         m_bounds = []
@@ -115,19 +115,23 @@ def slca_hits(column_ranges):
             m_cols += backend.column_handles(lib, column)
             m_bounds += (m_lo, m_hi)
         ffi = lib.ffi
-        out = ffi.new("int64_t[]", 2 * count)
-        emitted = lib.lib.repro_slca_hits(
-            a_flat_c, a_offs_c, a_lo, a_hi, m_cols, m_bounds,
-            len(ranked) - 1, out,
-        )
-        if emitted >= 0:
-            emitted = (
-                ffi.unpack(out + count, emitted),
-                ffi.unpack(out, emitted),
-                emitted,
-            )
+        if need is None:
+            tids_c, width, need_c = ffi.NULL, 0, ffi.NULL
         else:
-            emitted = None
+            tids_c, width = backend.type_id_handle(lib, anchor_columns)
+            need_c = lib.i64(need)
+        out = ffi.new("int64_t[]", 2 * count)
+        kept = lib.lib.repro_slca_hits(
+            a_flat_c, a_offs_c, tids_c, width, need_c, a_lo, a_hi,
+            m_cols, m_bounds, len(ranked) - 1, out,
+        )
+        if kept >= 0:
+            positions = array("q")
+            positions.frombytes(ffi.buffer(out + count, 8 * kept))
+            depths = array("q")
+            depths.frombytes(ffi.buffer(out, 8 * kept))
+            return HitRecord((anchor_columns,), positions, depths)
+        emitted = None
     else:
         anchor_keys = anchor_columns.keys
         depths = [len(anchor_keys[i]) for i in range(a_lo, a_hi)]
@@ -157,9 +161,15 @@ def slca_hits(column_ranges):
                 for label in labels
             ],
             [len(label.components) for label in labels],
-            len(labels),
         )
-    return (anchor_columns, a_lo) + emitted
+    hits = HitRecord((anchor_columns,))
+    tids = anchor_columns.tids
+    for slot, depth in zip(*emitted):
+        position = a_lo + slot
+        if need is None or depth >= need[tids[position]]:
+            hits.positions.append(position)
+            hits.depths.append(depth)
+    return hits
 
 
 def _emit_python(anchor_keys, a_lo, depths):
@@ -171,8 +181,8 @@ def _emit_python(anchor_keys, a_lo, depths):
     (or equal) is dropped, an unrelated one emits it.  Exact because
     anchors are document-ordered and every candidate is a prefix of its
     anchor (see the C source for the argument); the result is the SLCAs
-    in document order as ``(slots, depths, count)``, or ``None`` when
-    some depth is 0.
+    in document order as ``(slots, depths)``, or ``None`` when some
+    depth is 0.
     """
     kept_slots = []
     kept_depths = []
@@ -201,24 +211,13 @@ def _emit_python(anchor_keys, a_lo, depths):
     if held is not None:
         kept_slots.append(held_slot)
         kept_depths.append(held_depth)
-    return kept_slots, kept_depths, len(kept_slots)
-
-
-def hit_labels(hits):
-    """``Dewey`` labels of every hit."""
-    columns, a_lo, slots, depths, count = hits
-    if not count:
-        return []
-    return list(map(
-        Dewey.from_trusted,
-        columns.hit_keys(a_lo, slots, depths, range(count)),
-    ))
+    return kept_slots, kept_depths
 
 
 def slca_ranges(column_ranges):
     """:func:`slca_hits` as document-ordered ``Dewey`` labels,
     byte-identical to ``scan_eager_slca`` over the same label slices."""
-    return hit_labels(slca_hits(column_ranges))
+    return slca_hits(column_ranges).deweys()
 
 
 def slca_columns(columns):

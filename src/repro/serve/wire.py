@@ -6,8 +6,11 @@ strings, an unknown field type — fails with a typed
 :class:`~repro.errors.QueryError` that the HTTP layer maps to a 400,
 *before* the request ever reaches the query thread.  Encoding turns a
 :class:`~repro.core.result.RefinementResponse` into plain dicts and
-strings (Dewey labels via ``str()``), so payloads are stable across
-snapshot generations and safe to share between coalesced requests.
+strings, so payloads are stable across snapshot generations and safe to
+share between coalesced requests.  Each result list is asked for its
+labels: one still held as column entries is rendered by one kernel call
+(no ``Dewey`` is built), one already read as ``Dewey`` labels — which
+``rank_results`` may have reordered — is ``str()``-ed.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ def encode_refinement(refinement):
         "similarity_score": refinement.similarity_score,
         "dependence_score": refinement.dependence_score,
         "result_count": refinement.result_count,
-        "slcas": [str(label) for label in refinement.slcas],
+        "slcas": refinement.labels(),
     }
 
 
@@ -118,9 +121,7 @@ def encode_response(response, include_plan=False):
     payload = {
         "query": list(response.query),
         "needs_refinement": response.needs_refinement,
-        "original_results": [
-            str(label) for label in response.original_results
-        ],
+        "original_results": response.original_labels(),
         "refinements": [
             encode_refinement(r) for r in response.refinements
         ],

@@ -59,6 +59,12 @@ path that must agree:
   the active codec and by the pure-Python one must give the same bytes
   and the same arrays as the list's own.
 
+* **Wire layer** — ``wire:labels``: for every route, under both
+  backends, the labels ``encode_response`` sends — rendered from a
+  response's hit records while unread, ``str()`` of its ``Dewey``
+  lists once read, copied or reordered by ``rank_results`` — equal
+  ``str(d)`` over ``original_results`` / ``slcas``.
+
 A failed comparison is a :class:`Divergence` — a plain record carrying
 enough context for the shrinker to reproduce and reduce it.
 """
@@ -81,7 +87,6 @@ from ..kernels import (
     batch_dependence,
     batch_similarity,
     columns_for,
-    hit_labels,
     merged_lcp,
     partition_view,
     slca_hits,
@@ -952,9 +957,10 @@ class DocumentOracle:
 
         Each holds one entry per call — the whole lists, then every
         partition all of ``terms`` share — of ``(every hit is a node,
-        per-hit verdicts, meaningful results' components, any)``.  The tree side
-        looks each hit's label up and applies Definition 3.3 to the
-        node's own type; the column side asks :class:`QueryContext`.
+        per-hit verdicts, meaningful results' labels, any)``.  The tree
+        side looks each SLCA's label up and applies Definition 3.3 to
+        the node's own type; the column side asks :class:`QueryContext`,
+        whose kernel call applies it as the SLCAs are emitted.
         """
         context = QueryContext(index, terms, rules)
         types = context.search_for_types
@@ -969,8 +975,7 @@ class DocumentOracle:
         by_column = []
         for column_ranges in calls:
             hits = slca_hits(column_ranges)
-            anchor, a_lo, slots, depths, count = hits
-            labels = hit_labels(hits)
+            labels = hits.deweys()
             nodes = [index.tree.get(label) for label in labels]
             verdicts = [
                 node is not None
@@ -978,20 +983,19 @@ class DocumentOracle:
                 for label, node in zip(labels, nodes)
             ]
             kept = [
-                label.components
+                str(label)
                 for label, verdict in zip(labels, verdicts) if verdict
             ]
             by_tree.append((True, verdicts, kept, bool(kept)))
+            anchor = hits.columns[0] if hits.columns else None
             by_column.append((
                 None not in nodes,
                 [
-                    context.is_meaningful_at(
-                        anchor, a_lo + slots[j], depths[j]
-                    )
-                    for j in range(count)
+                    context.is_meaningful_at(anchor, position, depth)
+                    for position, depth in zip(hits.positions, hits.depths)
                 ],
-                context.meaningful_hits(hits),
-                context.any_meaningful_hit(hits),
+                context.meaningful_hits(column_ranges)[0].labels(),
+                context.any_meaningful_hit(column_ranges),
             ))
         return by_tree, by_column
 
@@ -1039,6 +1043,82 @@ class DocumentOracle:
                 )
         return divergences
 
+    # ------------------------------------------------------------------
+    # Wire layer
+    # ------------------------------------------------------------------
+    def check_wire(self, query):
+        """The labels a response sends equal its ``Dewey`` lists.
+
+        ``encode_response`` renders a result list that has not been read
+        from its hit record (one kernel call) and ``str()``-s one that
+        has.  For every route, under the active backend and the
+        pure-Python one, a fresh response and a copy of it are encoded
+        before anything reads their results, then again after; a third
+        response is encoded after ``rank_results`` reordered its
+        lists.  Each encoding's labels must be ``str(d)`` over
+        ``original_results`` / ``slcas``.
+        """
+        from ..core.ranking.results import rank_response_results
+        from ..serve.wire import encode_response
+
+        divergences = []
+        terms = query_terms(query)
+        if not terms:
+            return divergences
+        rules = self.engine.mine_rules(terms)
+        routes = {
+            "partition": lambda: partition_refine(
+                self.index, terms, rules=rules, k=self.k
+            ),
+            "sle": lambda: short_list_eager(
+                self.index, terms, rules=rules, k=self.k
+            ),
+            "stack": lambda: stack_refine(self.index, terms, rules=rules),
+        }
+
+        def sent(response):
+            payload = encode_response(response)
+            return (
+                payload["original_results"],
+                [refinement["slcas"] for refinement in payload["refinements"]],
+            )
+
+        def read(response):
+            return (
+                [str(d) for d in response.original_results],
+                [[str(d) for d in r.slcas] for r in response.refinements],
+            )
+
+        expected = []
+        actual = []
+        active = kernel_backend.compiled
+        for lib in (active,) if active is None else (active, None):
+            kernel_backend.compiled = lib
+            try:
+                for name, route in routes.items():
+                    fresh = route()
+                    clone = fresh.copy()
+                    unread = [sent(fresh), sent(clone)]
+                    ranked = route()
+                    rank_response_results(self.index, ranked)
+                    for response, labels in zip((fresh, clone), unread):
+                        expected += [read(response)] * 2
+                        actual += [labels, sent(response)]
+                    expected.append(read(ranked))
+                    actual.append(sent(ranked))
+            finally:
+                kernel_backend.compiled = active
+        if actual != expected:
+            divergences.append(
+                Divergence(
+                    "wire:labels",
+                    "labels encode_response sends != str() of the "
+                    "response's Dewey lists",
+                    self.spec, query, expected, actual,
+                )
+            )
+        return divergences
+
     def check_query(self, query):
         """Every oracle check for one query; list of divergences."""
         return (
@@ -1049,6 +1129,7 @@ class DocumentOracle:
             + self.check_chain(query)
             + self.check_cache_layers(query)
             + self.check_kernels(query)
+            + self.check_wire(query)
         )
 
 

@@ -23,7 +23,7 @@ DEFAULT_QUERIES_PER_DOC = 4
 MAX_SHRINKS = 8
 #: Comparisons each query is counted for (see ``_check_document``);
 #: moves only when a layer is added to or removed from the oracle.
-CHECKS_PER_QUERY = 41
+CHECKS_PER_QUERY = 42
 
 
 class VerifyReport:
@@ -87,7 +87,8 @@ def _check_document(oracle, queries, report):
         # presence bound vs per-node recomputation, the type-id
         # column's Definition 3.3 verdicts vs the tree's, SLE's answer
         # and counters compiled vs pure-Python, the posting codec's bytes
-        # and arrays compiled vs pure-Python),
+        # and arrays compiled vs pure-Python), the wire layer (the
+        # labels encode_response sends vs str() of the Dewey lists),
         # and the cache layer (the query and each of its refinements
         # re-issued through sub-result assembly and diffed against a
         # cache-disabled engine — counted at its one-comparison

@@ -1,12 +1,14 @@
 """Tests for QueryContext plumbing and the response value objects."""
 
+from array import array
+
 import pytest
 
 from repro.core import RefinedQuery
-from repro.core.common import QueryContext
+from repro.core.common import _NEVER, QueryContext
 from repro.core.result import RankedRefinement, RefinementResponse, ScanStats
 from repro.errors import QueryError
-from repro.kernels import columns_for
+from repro.kernels import HitRecord, ListColumns, columns_for, slca_hits
 from repro.lexicon import RuleMiner, RuleSet
 from repro.xmltree import Dewey
 
@@ -55,13 +57,27 @@ class TestQueryContext:
             if key[:4] == inproc.components
         )
         # The same posting seen from the root (depth 1) and from its
-        # inproceedings ancestor (depth 4), as (slot, depth) hits.
-        hits = (columns, 0, [slot, slot], [1, 4], 2)
-        assert context.meaningful_hits(hits) == [inproc.components]
-        assert context.any_meaningful_hit(hits)
-        assert not context.any_meaningful_hit((columns, 0, [slot], [1], 1))
+        # inproceedings ancestor (depth 4).
         assert not context.is_meaningful_at(columns, slot, 1)
         assert context.is_meaningful_at(columns, slot, 4)
+        # The kernel keeps exactly the SLCAs is_meaningful_at keeps,
+        # as a record of column entries, with their count.
+        ranges = [(columns, 0, columns.size)]
+        every = slca_hits(ranges)
+        expected = [
+            key for key, position, depth in
+            zip(every.keys(), every.positions, every.depths)
+            if context.is_meaningful_at(columns, position, depth)
+        ]
+        meaningful, count = context.meaningful_hits(ranges)
+        assert isinstance(meaningful, HitRecord)
+        assert expected and meaningful.keys() == expected
+        assert count == len(meaningful) == len(expected)
+        assert context.any_meaningful_hit(ranges)
+        # A type no search-for type prefixes is never meaningful.
+        context.need = array("q", [_NEVER] * len(context.need))
+        assert context.meaningful_hits(ranges)[1] == 0
+        assert not context.any_meaningful_hit(ranges)
 
 
 class TestScanStats:
@@ -83,9 +99,14 @@ class TestRankedRefinement:
 
     def test_results_built_once_when_read(self):
         rq = RefinedQuery(("a",), 1)
-        ranked = RankedRefinement(rq, keys=[(0, 1), (0, 2, 3)])
+        hits = HitRecord(
+            [ListColumns([(0, 1, 7), (0, 2, 3)])],
+            array("q", [0, 1]), array("q", [2, 3]),
+        )
+        ranked = RankedRefinement(rq, hits=hits)
         assert ranked.result_count == 2
         clone = ranked.copy()
+        assert ranked.labels() == clone.labels() == ["0.1", "0.2.3"]
         labels = ranked.slcas
         assert labels == [Dewey((0, 1)), Dewey((0, 2, 3))]
         assert ranked.slcas is labels

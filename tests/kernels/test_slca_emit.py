@@ -63,8 +63,8 @@ def _ranges(draw, keys=_keys, min_size=1):
 
 
 def _pairs(emitted):
-    slots, depths, count = emitted
-    return list(zip(slots[:count], depths[:count]))
+    slots, depths = emitted
+    return list(zip(slots, depths))
 
 
 def _spelled(keys, a_lo, emitted):
@@ -98,13 +98,17 @@ def _compiled_hits(lib, anchor, a_lo, a_hi, matchers):
         m_cols += backend_module.column_handles(lib, ListColumns(keys))
         m_bounds += (m_lo, m_hi)
     out = array("q", bytes(16 * count))
+    ffi = lib.ffi
     emitted = lib.lib.repro_slca_hits(
-        a_flat, a_offs, a_lo, a_hi, m_cols, m_bounds, len(matchers),
-        lib.i64(out),
+        a_flat, a_offs, ffi.NULL, 0, ffi.NULL, a_lo, a_hi, m_cols, m_bounds,
+        len(matchers), lib.i64(out),
     )
     if emitted < 0:
         return None
-    return list(zip(out[count:count + emitted], out[:emitted]))
+    return [
+        (position - a_lo, depth)
+        for position, depth in zip(out[count:count + emitted], out[:emitted])
+    ]
 
 
 @settings(max_examples=300, deadline=None)

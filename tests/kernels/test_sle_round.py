@@ -7,7 +7,7 @@ masks; ``sle_direct`` finishes step 1 once ``Q`` has an answer, one
 partition-local SLCA per unvisited ``Q``-covering partition.  Each is
 held here, under the active backend and the pure-Python one, to a plain
 per-partition loop: the walk to one over the masks, the finish to one
-over a visited-pid *set* with per-partition ``slca_hits`` +
+over a visited-pid *set* with per-partition
 ``QueryContext.meaningful_hits`` — which is also what shows the
 retired-lane visited test is exact.
 """
@@ -34,7 +34,6 @@ from repro.kernels import (
     partition_presence,
     sle_advance,
     sle_direct,
-    slca_hits,
 )
 from repro.lexicon.rules import RuleSet, substitution_rule
 from repro.slca.scan_eager import scan_eager_slca
@@ -44,6 +43,7 @@ from repro.workload import WorkloadGenerator
 from repro.xmltree.dewey import Dewey
 
 SLE_MODULE = sys.modules["repro.core.short_list_eager"]
+COMMON_MODULE = sys.modules["repro.core.common"]
 
 
 @pytest.fixture(params=["active", "pure-python"])
@@ -54,6 +54,16 @@ def kernel_backend(request, monkeypatch):
     elif backend_module.compiled is None:
         pytest.skip("compiled backend unavailable on this host")
     return request.param
+
+
+def _triples(hits):
+    """A :class:`HitRecord` over lanes as flat ``(lane, position,
+    depth)`` triples."""
+    return [
+        value
+        for entry in zip(hits.lanes, hits.positions, hits.depths)
+        for value in entry
+    ]
 
 
 def _signed(mask):
@@ -149,8 +159,8 @@ def _probes_for(context, anchor):
 
 
 def _plain_finish(context, columns, earlier, anchors, start):
-    """Per-partition ``slca_hits`` + ``meaningful_hits`` over a visited
-    set of partition ids: the loop ``sle_direct`` replaces."""
+    """Per-partition ``meaningful_hits`` over a visited set of
+    partition ids: the loop ``sle_direct`` replaces."""
     visited = set()
     for keyword in earlier:
         visited.update(columns[keyword].pids)
@@ -171,10 +181,10 @@ def _plain_finish(context, columns, earlier, anchors, start):
                 continue
             slca_invocations += 1
             probes += _probes_for(context, keyword)
-            found += context.meaningful_hits(slca_hits([
+            found += context.meaningful_hits([
                 (columns[term],) + span
                 for term, span in zip(context.query, spans)
-            ]))
+            ])[0].keys()
     return found, (slca_invocations, probes, skipped, newly)
 
 
@@ -210,9 +220,12 @@ def _check_direct(engine, terms, rng):
         lane_columns, context.need,
     )
     keys = [
-        lane_columns[hits[j]].keys[hits[j + 1]][: hits[j + 2]]
-        for j in range(0, len(hits), 3)
+        lane_columns[lane].keys[position][:depth]
+        for lane, position, depth in zip(hits.lanes, hits.positions,
+                                         hits.depths)
     ]
+    assert hits.columns == tuple(lane_columns)
+    assert hits.keys() == keys
     assert (keys, actual_counts) == (expected, counts), (terms, order)
     return counts[0]
 
@@ -277,7 +290,7 @@ def test_a_handed_back_partition_that_answers_is_kept(kernel_backend):
     ]
     spans = [0, 1, 0, 1, 1, 2] + [1, 2, 1, 2, 0, 1]
     hits, counts = _direct_over(lane_columns, [7, 7], spans, [0, 1, 2])
-    assert hits == [0, 0, 1, 0, 1, 2]
+    assert _triples(hits) == [0, 0, 1, 0, 1, 2]
     assert counts == (2, 10, 0, 2)
 
 
@@ -288,7 +301,9 @@ def test_direct_grows_its_hit_buffer(kernel_backend):
         _columns([(0, 1, i, 1) for i in range(300)]),
     ]
     hits, counts = _direct_over(lane_columns, [3], [0, 300, 0, 300], [0, 1])
-    assert hits == [value for i in range(300) for value in (0, i, 3)]
+    assert _triples(hits) == [
+        value for i in range(300) for value in (0, i, 3)
+    ]
     assert counts == (1, 5, 0, 1)
 
 
@@ -315,7 +330,7 @@ def test_sixty_four_lanes(kernel_backend):
         [(masks, spans, 0, 63)], 0, 1 << 62, [0, 63], 1 | 1 << 63,
         lane_columns, array("q", [1]),
     )
-    assert hits == [0, 0, 2, 0, 2, 2]
+    assert _triples(hits) == [0, 0, 2, 0, 2, 2]
     assert counts == (2, 126, 0, 2)
 
 
@@ -363,19 +378,19 @@ def test_direct_hit_runs_post_flip_slcas_in_one_call(dblp_index, monkeypatch):
         pytest.skip("compiled backend unavailable on this host")
     step_one_calls = [0]
     finished = [0]
-    real_hits = SLE_MODULE.slca_hits
+    real_hits = COMMON_MODULE.slca_hits
     real_direct = SLE_MODULE.sle_direct
 
-    def counting_hits(column_ranges):
+    def counting_hits(column_ranges, need=None):
         step_one_calls[0] += 1
-        return real_hits(column_ranges)
+        return real_hits(column_ranges, need)
 
     def counting_direct(*args):
         hits, counts = real_direct(*args)
         finished[0] += counts[0]
         return hits, counts
 
-    monkeypatch.setattr(SLE_MODULE, "slca_hits", counting_hits)
+    monkeypatch.setattr(COMMON_MODULE, "slca_hits", counting_hits)
     monkeypatch.setattr(SLE_MODULE, "sle_direct", counting_direct)
     engine = XRefine(dblp_index, cache_size=0)
     pool = WorkloadGenerator(dblp_index, seed=41).pool(refinable=0, clean=20)

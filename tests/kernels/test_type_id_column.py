@@ -2,13 +2,16 @@
 
 ``columns_for(inverted_list)`` hands the kernels each posting's interned
 prefix-path id next to its Dewey key, so an SLCA that is still a
-``(slot, depth)`` hit can be typed — ``type_table[tids[i]][:depth]`` —
-without a label or a tree lookup.  Held here: the column names every
-posting's own type, both backends return the same hits, and labels cut
-from the flat component array equal labels cut from the key tuples.
+``(position, depth)`` hit can be typed — ``type_table[tids[i]][:depth]``
+— without a label or a tree lookup.  Held here: the column names every
+posting's own type, both backends return the same hits and render the
+same labels, and a hit record's keys and labels cut from the flat
+component array equal those cut from the key tuples.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import pytest
 
@@ -16,9 +19,9 @@ import repro.kernels.backend as backend_module
 from repro.index import freeze_index, load_frozen_index
 from repro.index.inverted import InvertedIndex
 from repro.kernels import (
+    HitRecord,
     ListColumns,
     columns_for,
-    hit_labels,
     slca_columns,
     slca_hits,
 )
@@ -80,12 +83,15 @@ def test_both_backends_return_the_same_hits(
         with monkeypatch.context() as patch:
             patch.setattr(backend_module, "compiled", None)
             pure = slca_hits(ranges)
-        count = compiled[4]
-        assert count == pure[4] > 0
-        assert compiled[:2] == pure[:2]
-        assert list(compiled[2][:count]) == pure[2]
-        assert list(compiled[3][:count]) == pure[3]
-        assert hit_labels(compiled) == hit_labels(pure)
+            pure_labels = pure.labels()
+        assert len(compiled) == len(pure) > 0
+        assert compiled.columns == pure.columns
+        assert compiled.positions == pure.positions
+        assert compiled.depths == pure.depths
+        assert compiled.deweys() == pure.deweys()
+        assert compiled.labels() == pure_labels == [
+            str(label) for label in pure.deweys()
+        ]
 
 
 def test_labels_from_the_flat_array_equal_labels_from_the_keys(
@@ -96,11 +102,18 @@ def test_labels_from_the_flat_array_equal_labels_from_the_keys(
     index = load_frozen_index(path)
     keys = dblp_index.inverted_list("title").dewey_keys
     columns = columns_for(index.inverted_list("title"))
-    slots = list(range(0, columns.size, 3))
-    depths = [1 + slot % len(keys[slot]) for slot in slots]
-    picks = range(0, len(slots), 2)
-    # No key tuple is built yet: the hits are cut from the flat array.
-    from_flat = columns.hit_keys(0, slots, depths, picks)
-    assert from_flat == [keys[slots[j]][: depths[j]] for j in picks]
+    positions = list(range(0, columns.size, 3))
+    depths = [1 + position % len(keys[position]) for position in positions]
+    hits = HitRecord(
+        [columns], array("q", positions), array("q", depths)
+    )
+    # No key tuple is built: the hits are cut from the flat array.
+    from_flat = hits.keys()
+    assert columns._keys is None
+    assert from_flat == [
+        keys[position][:depth] for position, depth in zip(positions, depths)
+    ]
+    assert hits.labels() == [".".join(map(str, key)) for key in from_flat]
+    assert columns._keys is None
     assert columns.keys == keys
-    assert columns.hit_keys(0, slots, depths, picks) == from_flat
+    assert hits.keys() == from_flat

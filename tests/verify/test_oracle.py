@@ -1,6 +1,9 @@
 """The oracle must pass on healthy code and catch planted faults."""
 
+from array import array
+
 import repro.verify.oracle as oracle_module
+from repro.core.common import _NEVER
 from repro.verify.invariants import check_invariants
 from repro.verify.oracle import DocumentOracle, run_oracle
 
@@ -68,7 +71,7 @@ class TestPlantedFaults:
         class Faulty(oracle_module.QueryContext):
             def __init__(self, index, query, rules):
                 super().__init__(index, query, rules)
-                self.need = [float("inf")] * len(self.need)
+                self.need = array("q", [_NEVER] * len(self.need))
 
         monkeypatch.setattr(oracle_module, "QueryContext", Faulty)
         oracle = DocumentOracle(SPEC)
@@ -77,6 +80,17 @@ class TestPlantedFaults:
         ]
         kinds = {d.kind for d in oracle.check_kernels(("xml", "database"))}
         assert kinds == {"kernel:meaningful-column"}
+
+    def test_wire_label_fault_detected(self, monkeypatch):
+        # Plant: the record renderer drops each list's last label.  Only
+        # responses whose results are still records reach it.
+        from repro.kernels import HitRecord
+
+        real = HitRecord.labels
+        monkeypatch.setattr(HitRecord, "labels", lambda self: real(self)[:-1])
+        oracle = DocumentOracle(SPEC)
+        kinds = {d.kind for d in oracle.check_wire(("xml", "database"))}
+        assert kinds == {"wire:labels"}
 
     def test_divergence_carries_repro_context(self, monkeypatch):
         real = oracle_module.SLCA_VARIANTS["indexed"]
