@@ -109,6 +109,23 @@ def test_fig4_report(dblp_index, dblp_miner, samples):
     assert slower_than_partition >= comparisons * 0.7
 
 
+def test_fig4_counted_shape(dblp_index, dblp_miner, samples):
+    """Fig. 4's shape in work, not time: stack-refine calls
+    ``getOptimalRQ`` once per popped witness-bearing node, Partition
+    at most twice per partition it visits (a probe, then the beam), so
+    stack-refine does more DP work on every sample query."""
+    for label, pool_query in samples:
+        rules = dblp_miner.mine(pool_query.query)
+        stack = stack_refine(dblp_index, pool_query.query, rules)
+        partition = partition_refine(
+            dblp_index, pool_query.query, rules, None, 1
+        )
+        assert (
+            stack.stats.dp_invocations > partition.stats.dp_invocations
+        ), (label, stack.stats.dp_invocations,
+            partition.stats.dp_invocations)
+
+
 @pytest.mark.parametrize("algorithm", ["stack", "sle", "partition"])
 def test_fig4_benchmark(benchmark, dblp_index, dblp_miner, samples, algorithm):
     """pytest-benchmark micro-timings for one representative query."""

@@ -14,19 +14,13 @@ is complete) the algorithm
    witness to the parent" rule of lines 18–19).
 
 The scan is the paper's single merged pass over the KS inverted lists
-(Theorem 1), served by the kernel layer's merged-stream LCP table
-(:func:`repro.kernels.merged_lcp_runs`): the stack always holds
-exactly the previous posting's components, so the shared-prefix
-length the stack maintenance needs is the precomputed LCP of adjacent
-merged labels — an indexed lookup instead of a per-posting prefix
-comparison, and the popped node's label is a slice of the previous
-key instead of a stack rebuild.  The table's sibling-leaf run
-encoding goes further: a maximal chain of consecutive same-lane
-sibling leaves pops one single-witness frame per posting with a
-statically known outcome, so when that outcome is provably a no-op
-(no Q-SLCA possible, the singleton DP cannot emit) the whole run is
-retired with O(1) stack work — per-frame counters are emulated
-exactly, keeping the statistics byte-identical.  Because the witness-reset rule is a heuristic about *where*
+(Theorem 1), over the kernel layer's merged-stream LCP table
+(:func:`repro.kernels.merged_lcp`): the stack always holds exactly the
+previous posting's components, so the shared-prefix length the stack
+maintenance needs is the LCP of adjacent merged labels — an indexed
+lookup instead of a per-posting prefix comparison, and a popped node
+is named by the previous posting and the stack depth instead of a
+stack rebuild.  Because the witness-reset rule is a heuristic about *where*
 an RQ's matches end, the final result sets for the winning RQ(s) are
 completed with one exact SLCA computation over the already decoded
 lists — the candidate discovery itself remains one-scan, and the
@@ -43,7 +37,7 @@ from __future__ import annotations
 import time
 from array import array
 
-from ..kernels import HitRecord, columns_for, merged_lcp_runs
+from ..kernels import HitRecord, columns_for, merged_lcp
 from ..lexicon.rules import RuleSet
 from ..perf.profiling import phase
 from .common import QueryContext, rank_candidates
@@ -192,21 +186,16 @@ def stack_refine(index, query, rules=None, model=None, dp_memo=None):
     # maintenance needs no component comparisons at all.
     # ------------------------------------------------------------------
     with phase("merge"):
-        lanes, lcps, run_ends = merged_lcp_runs(lane_columns)
+        lanes, lcps = merged_lcp(lane_columns)
     positions = [0] * len(lane_columns)
     previous_lane = 0
     previous_position = 0
-    skip_until = 0
     with phase("admit"):
-        for i, lane in enumerate(lanes):
-            if i < skip_until:
-                continue
-            column = lane_columns[lane]
+        for lane, shared in zip(lanes, lcps):
             position = positions[lane]
-            key = column.keys[position]
+            key = lane_columns[lane].keys[position]
             positions[lane] = position + 1
             stats.postings_scanned += 1
-            shared = lcps[i]
             while len(stack) > shared:
                 pop_entry(previous_lane, previous_position)
             for _ in range(shared, len(key)):
@@ -214,49 +203,6 @@ def stack_refine(index, query, rules=None, model=None, dp_memo=None):
             stack[-1].mask |= bit_of_lane[lane]
             previous_lane = lane
             previous_position = position
-
-            # Sibling-leaf run skip: every remaining posting of the run
-            # pops exactly the one fresh frame its predecessor pushed.
-            # When that frame carries only this lane's witness bit, is not
-            # Q-blocked, cannot be a Q-SLCA (query_mask != bit), and the
-            # singleton DP provably cannot emit (no optimal, the optimal
-            # is Q itself, or its dissimilarity cannot beat the incumbent
-            # — min_dissimilarity cannot change inside the run), each pop
-            # is a no-op beyond its counters; retire the run in O(1),
-            # emulating the per-frame statistics exactly.
-            run_end = run_ends[i]
-            if run_end > i:
-                bit = bit_of_lane[lane]
-                top = stack[-1]
-                if top.mask == bit and not top.blocked_q and query_mask != bit:
-                    emit_possible = False
-                    if needs_refine:
-                        witnessed = frozenset((context.keyword_space[lane],))
-                        if witnessed in optimal_memo:
-                            optimal = optimal_memo[witnessed]
-                        else:
-                            optimal = get_optimal_rq(
-                                context.query, witnessed, rules
-                            )
-                            optimal_memo[witnessed] = optimal
-                        emit_possible = (
-                            optimal is not None
-                            and optimal.key != query_key
-                            and optimal.dissimilarity <= min_dissimilarity
-                        )
-                    if not emit_possible:
-                        count = run_end - i
-                        last = position + count
-                        previous_position = last
-                        positions[lane] = last + 1
-                        stats.postings_scanned += count
-                        if needs_refine:
-                            # The skipped pops all hit the memo just
-                            # primed; they still count, as memo hits do.
-                            stats.dp_invocations += count
-                        if len(stack) >= 2:
-                            stack[-2].mask |= bit
-                        skip_until = run_end + 1
 
         while stack:
             pop_entry(previous_lane, previous_position)

@@ -13,8 +13,8 @@ operations over columnar views of the inverted lists:
   entries (:class:`HitRecord`) until read; their labels rendered in
   one call.
 * :mod:`.lcp` — the merged-stream adjacent-LCP table that makes the
-  stack route's LCA depth an indexed lookup, plus the sibling-leaf
-  run encoding the stack route retires whole chains with.
+  stack route's LCA depth an indexed lookup (pure Python: the stack
+  route is reference code, not a served path).
 * :mod:`.scoring` — batch candidate scoring: partition presence as a
   merge-join over flat tables, Top-2K admission as one threshold
   sweep, Formula 2-9 ranking over memoized lookup columns; the
@@ -38,7 +38,7 @@ from .columns import (  # noqa: F401
     partition_view,
     partition_view_masked,
 )
-from .lcp import merged_lcp, merged_lcp_runs  # noqa: F401
+from .lcp import merged_lcp  # noqa: F401
 from .scoring import (  # noqa: F401
     MaskMemo,
     PreparedBeam,
@@ -74,7 +74,6 @@ __all__ = [
     "columns_for",
     "compiled",
     "merged_lcp",
-    "merged_lcp_runs",
     "partition_presence",
     "partition_view",
     "partition_view_masked",

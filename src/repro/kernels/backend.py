@@ -33,8 +33,6 @@ buffers.  The crossings:
 * ``repro_slca_hits`` — one SLCA, whatever its matcher count, with
   Definition 3.3 applied to what it emits when the caller passes the
   query's ``need`` column;
-* ``repro_merge_lcp`` / ``repro_merge_lcp_runs`` — the stack route's
-  merged-stream LCP table;
 * ``repro_partition_presence`` — a short-list anchor round's presence
   masks and posting spans;
 * ``repro_sle_advance`` — the short-list walk to the next partition
@@ -65,10 +63,6 @@ logger = logging.getLogger(__name__)
 #: Environment flag forcing the pure-Python fallback.
 NO_COMPILED_ENV = "REPRO_NO_COMPILED_KERNELS"
 
-#: Lanes the compiled merge kernel accepts (stack allocation bound);
-#: wider merges fall back to pure Python.
-MAX_MERGE_LANES = 64
-
 _CDEF = """
 int64_t repro_slca_hits(const int64_t *a_flat, const int64_t *a_offs,
                         const void *a_tids, int64_t tid_width,
@@ -81,12 +75,6 @@ int64_t repro_render_labels(const int64_t **flats, const int64_t **offs,
 int64_t repro_order_hits(const int64_t **flats, const int64_t **offs,
                          int64_t *lanes, int64_t *positions,
                          int64_t *depths, int64_t n, int64_t *work);
-void repro_merge_lcp(const int64_t **flats, const int64_t **offs,
-                     const int64_t *lens, int64_t nlists,
-                     int32_t *lanes, int64_t *lcps);
-void repro_merge_lcp_runs(const int64_t **flats, const int64_t **offs,
-                          const int64_t *lens, int64_t nlists,
-                          int32_t *lanes, int64_t *lcps, int64_t *ends);
 void repro_partition_presence(const int64_t *a_pids, int64_t a_count,
                               const int64_t **pid_arrs,
                               const int64_t **lo_arrs,
@@ -422,114 +410,6 @@ int64_t repro_order_hits(const int64_t **flats, const int64_t **offs,
     return kept;
 }
 #undef HIT_KEY
-
-/* Merged document-order scan over nlists sorted key columns.  Emits,
- * per merged posting, the source lane and the LCP against the
- * previous merged key (0 for the first) — the precomputed table the
- * stack route replaces its per-posting prefix comparisons with.
- * Ties break toward the lowest lane, matching the strict-< merge of
- * the cursor loop it replaces.  nlists must be <= 64 (caller guards).
- */
-void repro_merge_lcp(const int64_t **flats, const int64_t **offs,
-                     const int64_t *lens, int64_t nlists,
-                     int32_t *lanes, int64_t *lcps)
-{
-    int64_t pos[64];
-    const int64_t *prev_key = 0;
-    int64_t prev_len = 0;
-    int64_t out = 0;
-    int64_t l;
-    for (l = 0; l < nlists; l++)
-        pos[l] = 0;
-    for (;;) {
-        int64_t best = -1;
-        const int64_t *best_key = 0;
-        int64_t best_len = 0;
-        for (l = 0; l < nlists; l++) {
-            const int64_t *key;
-            int64_t klen;
-            if (pos[l] >= lens[l])
-                continue;
-            key = flats[l] + offs[l][pos[l]];
-            klen = offs[l][pos[l] + 1] - offs[l][pos[l]];
-            if (best < 0 || key_cmp(key, klen, best_key, best_len) < 0) {
-                best = l;
-                best_key = key;
-                best_len = klen;
-            }
-        }
-        if (best < 0)
-            break;
-        pos[best]++;
-        lanes[out] = (int32_t)best;
-        lcps[out] = prev_key
-            ? key_lcp(prev_key, prev_len, best_key, best_len)
-            : 0;
-        prev_key = best_key;
-        prev_len = best_len;
-        out++;
-    }
-}
-
-/* repro_merge_lcp plus a sibling-leaf run table: ends[i] is the last
- * index of the maximal chain starting at i in which every entry comes
- * from the same lane as its predecessor, has the same key length, and
- * shares all but the final component (lcp == len - 1).  Such chains
- * are runs of sibling leaves in the merged stream: the stack route's
- * pop for each is a single-frame pop whose effect is statically known,
- * so the consumer can retire a whole run in O(1) instead of per frame.
- */
-void repro_merge_lcp_runs(const int64_t **flats, const int64_t **offs,
-                          const int64_t *lens, int64_t nlists,
-                          int32_t *lanes, int64_t *lcps, int64_t *ends)
-{
-    int64_t pos[64];
-    const int64_t *prev_key = 0;
-    int64_t prev_len = 0;
-    int64_t prev_lane = -1;
-    int64_t out = 0;
-    int64_t l, i, next_flag;
-    for (l = 0; l < nlists; l++)
-        pos[l] = 0;
-    for (;;) {
-        int64_t best = -1;
-        const int64_t *best_key = 0;
-        int64_t best_len = 0;
-        int64_t lcp;
-        for (l = 0; l < nlists; l++) {
-            const int64_t *key;
-            int64_t klen;
-            if (pos[l] >= lens[l])
-                continue;
-            key = flats[l] + offs[l][pos[l]];
-            klen = offs[l][pos[l] + 1] - offs[l][pos[l]];
-            if (best < 0 || key_cmp(key, klen, best_key, best_len) < 0) {
-                best = l;
-                best_key = key;
-                best_len = klen;
-            }
-        }
-        if (best < 0)
-            break;
-        pos[best]++;
-        lcp = prev_key ? key_lcp(prev_key, prev_len, best_key, best_len) : 0;
-        lanes[out] = (int32_t)best;
-        lcps[out] = lcp;
-        /* Stash the chain flag; the backward pass rewrites it below. */
-        ends[out] = (prev_lane == best && prev_len == best_len
-                     && lcp == best_len - 1) ? 1 : 0;
-        prev_key = best_key;
-        prev_len = best_len;
-        prev_lane = best;
-        out++;
-    }
-    next_flag = 0;
-    for (i = out - 1; i >= 0; i--) {
-        int64_t flag = ends[i];
-        ends[i] = (i + 1 < out && next_flag) ? ends[i + 1] : i;
-        next_flag = flag;
-    }
-}
 
 /* Batch partition presence: merge-join every lane's sorted partition
  * table ((p0, p1) pid pairs with [lo, hi) posting spans) against the

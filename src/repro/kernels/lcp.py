@@ -1,4 +1,4 @@
-"""Merged Dewey scan with a precomputed adjacent-LCP table.
+"""Merged Dewey scan with an adjacent-LCP table.
 
 The stack route (Algorithm 1) consumes the KS inverted lists as one
 merged document-ordered stream and, for every posting, compares its
@@ -12,25 +12,14 @@ an indexed lookup.
 :func:`merged_lcp` produces the table: per merged posting, the source
 lane (list index) and the LCP against the previous merged label.
 Ties between lanes break toward the lowest lane, byte-identical to
-the strict-``<`` cursor merge it replaces.  The compiled backend runs
-the k-way merge over the flat component arrays; the Python fallback
-concatenates the per-lane ``(key, lane)`` runs and lets Timsort's
-galloping merge sort them (the runs are already sorted), then fills
-the LCP column in one adjacent pass.
-
-:func:`merged_lcp_runs` additionally encodes the stream's
-**sibling-leaf runs**: maximal chains of consecutive postings from
-the same lane, with the same label length, each sharing all but the
-last component with its predecessor (LCP = length - 1).  Such a chain
-is exactly the case where the stack route pops one leaf frame and
-pushes the next sibling, over and over, with no other lane
-interleaved; the run table lets ``stack_refine`` process the whole
-chain in O(1) stack work per run when no emission is possible.
+the strict-``<`` cursor merge it replaces.  The per-lane
+``(key, lane)`` runs are concatenated and Timsort's galloping merge
+sorts them (the runs are already sorted); one adjacent pass fills the
+LCP column.  This is the only implementation: stack-refine is
+reference code, not a served path.
 """
 
 from __future__ import annotations
-
-from . import backend
 
 
 def _lcp(a, b):
@@ -51,44 +40,14 @@ def merged_lcp(columns):
     each posting's key by keeping one counter per lane — the streams
     inside each lane come out in their original order.
     """
-    total = sum(column.size for column in columns)
-    lib = backend.compiled
-    if lib is not None and 0 < len(columns) <= backend.MAX_MERGE_LANES:
-        from array import array
-
-        lanes = array("i", bytes(4 * total))
-        lcps = array("q", bytes(8 * total))
-        if total:
-            ffi = lib.ffi
-            flats = []
-            offs = []
-            keepalive = []
-            for column in columns:
-                flat, off = column.flat_offs()
-                flat_c = lib.i64(flat)
-                off_c = lib.i64(off)
-                keepalive.append((flat_c, off_c))
-                flats.append(flat_c)
-                offs.append(off_c)
-            lens = array("q", (column.size for column in columns))
-            lib.lib.repro_merge_lcp(
-                ffi.new("const int64_t *[]", flats),
-                ffi.new("const int64_t *[]", offs),
-                lib.i64(lens),
-                len(columns),
-                ffi.from_buffer("int32_t[]", lanes),
-                ffi.from_buffer("int64_t[]", lcps),
-            )
-        return lanes, lcps
-
     entries = []
     for lane, column in enumerate(columns):
         entries.extend((key, lane) for key in column.keys)
     # Sorting (key, lane) pairs both merges the runs and breaks key
     # ties toward the lowest lane in one go.
     entries.sort()
-    lanes = [0] * total
-    lcps = [0] * total
+    lanes = [0] * len(entries)
+    lcps = [0] * len(entries)
     previous = None
     for i, (key, lane) in enumerate(entries):
         lanes[i] = lane
@@ -96,74 +55,3 @@ def merged_lcp(columns):
             lcps[i] = _lcp(previous, key)
         previous = key
     return lanes, lcps
-
-
-def merged_lcp_runs(columns):
-    """``(lanes, lcps, ends)`` — the LCP table plus sibling-leaf runs.
-
-    ``lanes`` / ``lcps`` are exactly :func:`merged_lcp`'s columns;
-    ``ends[i]`` is the index of the **last** posting of the maximal
-    sibling-leaf run containing posting ``i`` (``ends[i] == i`` for a
-    run of one).  Posting ``i`` chains with ``i - 1`` when both come
-    from the same lane, their labels have equal length, and
-    ``lcps[i]`` equals that length minus one — i.e. consecutive
-    siblings under one parent, uninterrupted by any other lane.
-    """
-    total = sum(column.size for column in columns)
-    lib = backend.compiled
-    if lib is not None and 0 < len(columns) <= backend.MAX_MERGE_LANES:
-        from array import array
-
-        lanes = array("i", bytes(4 * total))
-        lcps = array("q", bytes(8 * total))
-        ends = array("q", bytes(8 * total))
-        if total:
-            ffi = lib.ffi
-            flats = []
-            offs = []
-            keepalive = []
-            for column in columns:
-                flat, off = column.flat_offs()
-                flat_c = lib.i64(flat)
-                off_c = lib.i64(off)
-                keepalive.append((flat_c, off_c))
-                flats.append(flat_c)
-                offs.append(off_c)
-            lens = array("q", (column.size for column in columns))
-            lib.lib.repro_merge_lcp_runs(
-                ffi.new("const int64_t *[]", flats),
-                ffi.new("const int64_t *[]", offs),
-                lib.i64(lens),
-                len(columns),
-                ffi.from_buffer("int32_t[]", lanes),
-                ffi.from_buffer("int64_t[]", lcps),
-                ffi.from_buffer("int64_t[]", ends),
-            )
-        return lanes, lcps, ends
-
-    entries = []
-    for lane, column in enumerate(columns):
-        entries.extend((key, lane) for key in column.keys)
-    entries.sort()
-    lanes = [0] * total
-    lcps = [0] * total
-    ends = [0] * total
-    previous = None
-    for i, (key, lane) in enumerate(entries):
-        lanes[i] = lane
-        if previous is not None:
-            lcps[i] = _lcp(previous, key)
-        previous = key
-    for i in range(total - 1, -1, -1):
-        if i + 1 < total:
-            key_next, lane_next = entries[i + 1]
-            key_here = entries[i][0]
-            if (
-                lane_next == lanes[i]
-                and len(key_next) == len(key_here)
-                and lcps[i + 1] == len(key_next) - 1
-            ):
-                ends[i] = ends[i + 1]
-                continue
-        ends[i] = i
-    return lanes, lcps, ends

@@ -50,14 +50,18 @@ from .slca import slca_hits
 
 _MISS = object()
 
+#: Lanes one presence mask holds: a mask is one ``int64`` (lane 63 is
+#: the sign bit), on either backend.
+PRESENCE_MASK_LANES = 64
+
 
 # ----------------------------------------------------------------------
 # Batch partition presence (the short-list probe phase)
 # ----------------------------------------------------------------------
 def presence_ready(lane_columns):
-    """True when the lanes fit the batch presence kernel: a presence
-    mask is one ``int64``, so at most ``backend.MAX_MERGE_LANES``."""
-    return len(lane_columns) <= backend.MAX_MERGE_LANES
+    """True when the lanes fit one presence mask
+    (:data:`PRESENCE_MASK_LANES`)."""
+    return len(lane_columns) <= PRESENCE_MASK_LANES
 
 
 def _int64(mask):
@@ -75,14 +79,13 @@ def partition_presence(anchor_columns, lane_columns):
     (``-1`` when absent).  Exactly the masks and spans the per-pid
     ``pid_range`` probes produced, in one merge-join over the sorted
     partition tables.  Both are ``array('q')`` on either backend, so a
-    mask holds at most ``backend.MAX_MERGE_LANES`` lanes (lane 63 is
-    the sign bit).
+    mask holds at most :data:`PRESENCE_MASK_LANES` lanes.
     """
     npart = len(anchor_columns.starts)
     nlanes = len(lane_columns)
-    if nlanes > backend.MAX_MERGE_LANES:
+    if nlanes > PRESENCE_MASK_LANES:
         raise ValueError(
-            f"a presence mask holds {backend.MAX_MERGE_LANES} lanes, "
+            f"a presence mask holds {PRESENCE_MASK_LANES} lanes, "
             f"not {nlanes}"
         )
 

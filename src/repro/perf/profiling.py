@@ -5,7 +5,8 @@ the three refinement routes bracket their coarse phases —
 
 * ``decode`` — opening the inverted lists as flat columns,
 * ``merge``  — the batch kernels (merged partition view, partition
-  presence, merged-LCP table, SLCA completions),
+  presence, SLCA completions) and the stack route's pure-Python
+  merged-LCP sort,
 * ``admit``  — the per-partition / per-posting candidate loops (DP
   beams, admission sweeps, skip bounds),
 * ``score``  — the final Formula 2-9 ranking pass,

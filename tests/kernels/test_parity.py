@@ -208,6 +208,37 @@ class TestMergedLcpEdgeCases:
         assert list(lanes) == [1, 0]
         assert list(lcps) == [0, len(shorter)]
 
+    @pytest.mark.parametrize("key_lists", [
+        # Siblings under one parent, then a parent change at equal depth.
+        [[(0, 1), (0, 2), (1, 0), (1, 1)]],
+        # Identical keys in three lanes: LCP is the full length.
+        [[(0, 1, 2)], [(0, 1, 2)], [(0, 1, 2)]],
+        # Consecutive roots: LCP 0 throughout.
+        [[(0,), (1,), (2,)]],
+        # A second lane interleaving a run of siblings.
+        [[(0, 0, 1), (0, 0, 2), (0, 0, 4)], [(0, 0, 3)]],
+        # Depth changes inside one lane.
+        [[(0, 0), (0, 0, 1), (0, 0, 2), (0, 1)]],
+    ], ids=["parent-change", "identical-lanes", "roots",
+            "interleaved-siblings", "varying-depth"])
+    def test_hand_built_streams(self, key_lists, kernel_backend):
+        lanes, lcps = merged_lcp([ListColumns(keys) for keys in key_lists])
+        assert (list(lanes), list(lcps)) == _naive_merged_lcp(key_lists)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_generated_corpora(self, seed, kernel_backend):
+        document = DocumentGenerator(seed=500 + seed)
+        queries = QueryGenerator(seed=600 + seed, vocabulary=document.words)
+        index = build_document_index(document.tree())
+        for query in queries.queries(6):
+            columns = [
+                columns_for(index.inverted_list(term))
+                for term in query_terms(query)
+            ]
+            lanes, lcps = merged_lcp(columns)
+            naive = _naive_merged_lcp([column.keys for column in columns])
+            assert (list(lanes), list(lcps)) == naive, query
+
     def test_empty_and_single_column(self, kernel_backend):
         assert merged_lcp([]) == ([], []) or tuple(
             map(list, merged_lcp([]))

@@ -1,12 +1,11 @@
 """Batch scoring kernels must equal their sequential references.
 
 The scoring hot path has three batch kernels — partition presence,
-the Top-2K admission sweep, and the Formula 2-9 batch scorer — plus
-the sibling-run encoding the stack route consumes.  Every parity test
-runs twice via the ``kernel_backend`` fixture: once under whatever
-backend import selected (skipped when compilation was unavailable)
-and once with the compiled library masked off, so the pure-Python
-fallback is exercised in-process regardless of the host.
+the Top-2K admission sweep, and the Formula 2-9 batch scorer.  Every
+parity test runs twice via the ``kernel_backend`` fixture: once under
+whatever backend import selected (skipped when compilation was
+unavailable) and once with the compiled library masked off, so the
+pure-Python fallback is exercised in-process regardless of the host.
 """
 
 from __future__ import annotations
@@ -25,9 +24,6 @@ from repro.kernels import (
     admission_sweep,
     batch_dependence,
     batch_similarity,
-    columns_for,
-    merged_lcp,
-    merged_lcp_runs,
     partition_presence,
     prepare_beam,
     supported_model,
@@ -306,93 +302,3 @@ class TestBatchScoringParity:
             pass
 
         assert not supported_model(Custom())
-
-
-# ----------------------------------------------------------------------
-# Sibling-leaf run encoding (the stack route's chain skip)
-# ----------------------------------------------------------------------
-def _naive_runs(columns):
-    """Backward-pass reference for :func:`merged_lcp_runs`."""
-    entries = sorted(
-        (key, lane)
-        for lane, column in enumerate(columns)
-        for key in column.keys
-    )
-    lanes, lcps = merged_lcp(columns)
-    total = len(entries)
-    ends = [0] * total
-    for i in range(total - 1, -1, -1):
-        chains = (
-            i + 1 < total
-            and entries[i + 1][1] == entries[i][1]
-            and len(entries[i + 1][0]) == len(entries[i][0])
-            and lcps[i + 1] == len(entries[i + 1][0]) - 1
-        )
-        ends[i] = ends[i + 1] if chains else i
-    return list(lanes), list(lcps), ends
-
-
-def _assert_runs_match(columns):
-    lanes, lcps, ends = merged_lcp_runs(columns)
-    want_lanes, want_lcps, want_ends = _naive_runs(columns)
-    assert list(lanes) == want_lanes
-    assert list(lcps) == want_lcps
-    assert list(ends) == want_ends
-
-
-class TestMergedLcpRuns:
-    def test_run_breaks_at_partition_boundary(self, kernel_backend):
-        # Siblings (0,1)..(0,2) chain; the parent change to (1,*)
-        # breaks the run even though lengths and lane match.
-        columns = [ListColumns([(0, 1), (0, 2), (1, 0), (1, 1)])]
-        _, _, ends = merged_lcp_runs(columns)
-        assert list(ends) == [1, 1, 3, 3]
-        _assert_runs_match(columns)
-
-    def test_identical_keys_across_lanes_never_chain(self, kernel_backend):
-        # LCP of identical labels equals their length, not length - 1,
-        # and the lane changes besides — three runs of one.
-        key = (0, 1, 2)
-        columns = [ListColumns([key]) for _ in range(3)]
-        _, _, ends = merged_lcp_runs(columns)
-        assert list(ends) == [0, 1, 2]
-        _assert_runs_match(columns)
-
-    def test_root_only_stream_is_one_run(self, kernel_backend):
-        # Consecutive roots share lane, length 1, and LCP 0 == 1 - 1.
-        columns = [ListColumns([(0,), (1,), (2,)])]
-        _, _, ends = merged_lcp_runs(columns)
-        assert list(ends) == [2, 2, 2]
-        _assert_runs_match(columns)
-
-    def test_interleaving_lane_splits_a_run(self, kernel_backend):
-        columns = [
-            ListColumns([(0, 0, 1), (0, 0, 2), (0, 0, 4)]),
-            ListColumns([(0, 0, 3)]),
-        ]
-        _, _, ends = merged_lcp_runs(columns)
-        # (0,0,1)-(0,0,2) chain; lane 1's (0,0,3) interrupts; then
-        # (0,0,4) stands alone (its predecessor is the other lane).
-        assert list(ends) == [1, 1, 2, 3]
-        _assert_runs_match(columns)
-
-    def test_varying_depth_breaks_the_chain(self, kernel_backend):
-        columns = [ListColumns([(0, 0), (0, 0, 1), (0, 0, 2), (0, 1)])]
-        _assert_runs_match(columns)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_naive_reference_on_generated_corpora(
-        self, seed, kernel_backend
-    ):
-        document = DocumentGenerator(seed=500 + seed)
-        queries = QueryGenerator(seed=600 + seed,
-                                 vocabulary=document.words)
-        index = build_document_index(document.tree())
-        for query in queries.queries(6):
-            terms = query_terms(query)
-            columns = [
-                columns_for(index.inverted_list(term)) for term in terms
-            ]
-            if not columns:
-                continue
-            _assert_runs_match(columns)

@@ -11,10 +11,23 @@ could fail the traced benchmark run instead.
 from __future__ import annotations
 
 from repro import XRefine, build_document_index
-from repro.core import partition_refine, short_list_eager, stack_refine
 from repro.datasets import generate_dblp
 from repro.index import freeze_index, load_frozen_index
-from repro.plan import Calibration, QueryPlanner
+from repro.plan import Calibration
+
+# ``layers.py``'s import block, name for name: importing them is the
+# check, so most are not used below.
+from repro.core import (QueryContext, partition_refine, short_list_eager,
+                        stack_refine)
+from repro.index.tokenize_text import query_terms
+from repro.kernels import (ListColumns, backend_name, batch_dependence,
+                           batch_similarity, merged_lcp, partition_view,
+                           score_table, slca_columns)
+from repro.perf.result_cache import QueryResultCache
+from repro.plan import QueryPlanner
+from repro.serve import RefineServer, SnapshotManager
+from repro.serve.http import read_request, render_response
+from repro.serve.wire import decode_search_body, encode_response
 
 #: Field names ``inputs.PLANNER_CALIBRATION`` passes to Calibration.
 CALIBRATION_FIELDS = (
@@ -37,6 +50,20 @@ def test_pinned_calibration_is_accepted_and_inert(tmp_path):
     assert (tmp_path / "plain.frz").read_bytes() == (
         tmp_path / "pinned.frz"
     ).read_bytes()
+
+
+def test_merged_lcp_gives_one_lane_and_lcp_per_posting():
+    # _kernel_layer times merged_lcp over ListColumns of each keyword's
+    # Dewey keys and divides by the posting count.
+    index = build_document_index(generate_dblp(num_authors=20, seed=7))
+    keys = [
+        list(index.inverted_list(term).dewey_keys)
+        for term in ("xml", "keyword", "query")
+    ]
+    total = sum(len(column) for column in keys)
+    assert total
+    lanes, lcps = merged_lcp([ListColumns(column) for column in keys])
+    assert len(lanes) == len(lcps) == total
 
 
 class _Traced:
