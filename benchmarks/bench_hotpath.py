@@ -1,13 +1,14 @@
-"""Batch-scoring cost gate: ns per candidate of the ranking kernels.
+"""Scoring cost gate: ns per candidate of the ranking model.
 
 Scores the DP beam's Top-2K candidates of a small refinable/clean query
-pool through the batch Formula 2-9 kernels and fails when one
-candidate costs more than ``SCORING_NS_PER_CANDIDATE_LIMIT``.  It
-exists for the ``pure-python-kernels`` CI job: a per-node Python loop
-returning to the scorer under ``REPRO_NO_COMPILED_KERNELS=1`` is the
-one hot-path regression no ``BENCHMARK.json`` workload can see, because
-every daemon the wire benchmark (``benchmarks/e2e/run.py``) boots runs
-the compiled backend.  Every latency, throughput, start-up and RSS
+pool through the ranking model's Formula 2-9 scores — the one
+implementation ``/search`` runs — and fails when one candidate costs
+more than ``SCORING_NS_PER_CANDIDATE_LIMIT``.  It exists for the
+``pure-python-kernels`` CI job: scoring that stops reading its
+statistics through the score memo under ``REPRO_NO_COMPILED_KERNELS=1``
+is the one hot-path regression no ``BENCHMARK.json`` workload can see,
+because every daemon the wire benchmark (``benchmarks/e2e/run.py``)
+boots runs the compiled backend.  Every latency, throughput, start-up and RSS
 number of the serving stack is measured and bounded there, not here.
 
 Self-contained: the limit is absolute and there is no committed
@@ -34,13 +35,13 @@ from repro import XRefine, build_document_index  # noqa: E402
 from repro.datasets import generate_dblp  # noqa: E402
 from repro.workload import WorkloadGenerator  # noqa: E402
 
-#: Per-candidate ceiling for the batch ranking kernels: one candidate's
-#: full Formula 2-9 score — similarity plus dependence over every
-#: search-for type, through a *fresh* lookup table each pass, so store
+#: Per-candidate ceiling for the ranking model: one candidate's full
+#: Formula 2-9 score — similarity plus dependence over every
+#: search-for type, through a *fresh* score memo per query, so store
 #: misses are priced in — must stay under this.  Set ~3x above the
 #: measured dev-host cost (~16 us/candidate, miss-dominated at the
 #: bench's beam sizes) to absorb CI-fleet speed spread while still
-#: catching a per-node Python loop sneaking back into the scorer.
+#: catching scoring that bypasses the memo.
 SCORING_NS_PER_CANDIDATE_LIMIT = 50_000
 
 
@@ -57,29 +58,24 @@ def build_query_pool(index, unique, seed):
 
 
 def bench_scoring(index, pool, k):
-    """Per-candidate cost of the batch ranking + admission kernels.
+    """Per-candidate cost of the ranking model + admission kernel.
 
     Replays the hot path's final phase over the real corpus: for every
-    pool query, the DP beam's Top-2K candidates are scored by the batch
-    Formula 2-9 kernels (``batch_similarity`` + ``batch_dependence``)
-    through a *fresh* :class:`ScoreTable` each pass — so the numbers
-    price the statistics-store misses, not just memo hits — and swept
-    by the vectorized admission kernel against a full
+    pool query, the DP beam's Top-2K candidates are scored by the
+    model's ``similarity_score`` + ``dependence_score`` through a
+    *fresh* :class:`~repro.core.ranking.memo.ScoreMemo` per query — so
+    the numbers price the statistics-store misses, not just memo hits
+    — and swept by the vectorized admission kernel against a full
     ``RQSortedList``.  Normalized per candidate and gated against
     ``SCORING_NS_PER_CANDIDATE_LIMIT``.
     """
     from repro.core.candidates import RQSortedList
     from repro.core.common import QueryContext
     from repro.core.dp import get_top_optimal_rqs
+    from repro.core.ranking.memo import ScoreMemo
     from repro.core.ranking.model import full_model
     from repro.index.tokenize_text import query_terms
-    from repro.kernels import (
-        ScoreTable,
-        admission_sweep,
-        batch_dependence,
-        batch_similarity,
-        prepare_beam,
-    )
+    from repro.kernels import admission_sweep, prepare_beam
 
     engine = XRefine(index, cache_size=0)
     model = full_model()
@@ -106,14 +102,13 @@ def bench_scoring(index, pool, k):
 
     def run_batch_score():
         for context, candidates in jobs:
-            table = ScoreTable(0)  # fresh: store misses are priced in
+            memo = ScoreMemo(index)  # fresh: store misses are priced in
             for rq in candidates:
-                batch_similarity(
-                    table, index, model, rq, context.query,
-                    context.search_for,
+                model.similarity_score(
+                    index, rq, context.query, context.search_for, memo
                 )
-                batch_dependence(
-                    table, index, model, rq, context.search_for
+                model.dependence_score(
+                    index, rq, context.search_for, memo
                 )
 
     def run_admission_sweep():
@@ -130,7 +125,7 @@ def bench_scoring(index, pool, k):
         "limit_ns_per_candidate": SCORING_NS_PER_CANDIDATE_LIMIT,
         "primitives": {},
     }
-    print("  scoring (batch ranking kernels):")
+    print("  scoring (ranking model + admission kernel):")
     for name, action in (
         ("batch_score", run_batch_score),
         ("admission_sweep", run_admission_sweep),
@@ -176,14 +171,14 @@ def run(args):
     scoring = bench_scoring(index, pool, args.k)
     if scoring["ns_per_candidate"] > SCORING_NS_PER_CANDIDATE_LIMIT:
         print(
-            f"FAIL: batch scoring costs "
+            f"FAIL: scoring costs "
             f"{scoring['ns_per_candidate']:.0f} ns/candidate, over "
             f"the {SCORING_NS_PER_CANDIDATE_LIMIT} ns limit",
             file=sys.stderr,
         )
         return 1
     print(
-        f"OK: batch scoring {scoring['ns_per_candidate']:.0f} "
+        f"OK: scoring {scoring['ns_per_candidate']:.0f} "
         f"ns/candidate holds the {SCORING_NS_PER_CANDIDATE_LIMIT} ns limit"
     )
     return 0

@@ -14,13 +14,7 @@ from array import array
 
 from ..errors import QueryError
 from ..index.tokenize_text import query_terms
-from ..kernels import (
-    batch_dependence,
-    batch_similarity,
-    score_table,
-    slca_hits,
-    supported_model,
-)
+from ..kernels import slca_hits
 from ..perf.profiling import phase
 from ..slca.meaningful import infer_search_for
 from .result import RankedRefinement
@@ -133,34 +127,21 @@ def rank_candidates(context, model, candidate_map):
     ``candidate_map`` maps an RQ key to ``(RefinedQuery, HitRecord)``
     — the meaningful results :meth:`QueryContext.meaningful_hits`
     found.  Returns a list of :class:`RankedRefinement`, best first,
-    scored by the full ranking model (Formula 10) — which reads no
-    result; each builds its ``Dewey`` labels only if its ``slcas`` is
-    read.
+    scored by Formula 10 over ``model``'s similarity and dependence
+    scores — which read the index's score memo, and no result; each
+    builds its ``Dewey`` labels only if its ``slcas`` is read.  Ties
+    fall back to ascending dissimilarity, then keyword order.
     """
     ranked = []
-    # The stock model's formulas are replayed by the batch scorer over
-    # per-index memoized lookup columns — byte-identical floats (the
-    # ``kernel:batch_score`` oracle comparison holds it to that); a
-    # subclassed model keeps the reference path.
-    batched = candidate_map and supported_model(model)
-    table = score_table(context.index) if batched else None
+    index = context.index
     with phase("score"):
         for rq, hits in candidate_map.values():
-            if batched:
-                similarity_score = batch_similarity(
-                    table, context.index, model, rq, context.query,
-                    context.search_for,
-                )
-                dependence_score = batch_dependence(
-                    table, context.index, model, rq, context.search_for
-                )
-            else:
-                similarity_score = model.similarity_score(
-                    context.index, rq, context.query, context.search_for
-                )
-                dependence_score = model.dependence_score(
-                    context.index, rq, context.search_for
-                )
+            similarity_score = model.similarity_score(
+                index, rq, context.query, context.search_for
+            )
+            dependence_score = model.dependence_score(
+                index, rq, context.search_for
+            )
             score = (
                 model.alpha * similarity_score
                 + model.beta * dependence_score

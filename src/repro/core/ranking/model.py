@@ -10,7 +10,7 @@ guidelines (Table IX, variants RS1–RS4 versus the full model RS0).
 from __future__ import annotations
 
 from .dependence import dependence
-from .similarity import DEFAULT_DECAY, similarity
+from .similarity import DEFAULT_DECAY, G2_DOMAINS, similarity
 
 
 class RankingModel:
@@ -44,6 +44,8 @@ class RankingModel:
     ):
         if not 0.0 < decay < 1.0:
             raise ValueError(f"decay must lie in (0, 1), got {decay}")
+        if g2_domain not in G2_DOMAINS:
+            raise ValueError(f"unknown Guideline-2 domain {g2_domain!r}")
         self.alpha = alpha
         self.beta = beta
         self.decay = decay
@@ -54,7 +56,13 @@ class RankingModel:
         self.g2_domain = g2_domain
 
     # ------------------------------------------------------------------
-    def similarity_score(self, index, rq, original_keywords, search_for):
+    # Formula 10 is ``alpha * similarity_score + beta * dependence_score``,
+    # summed where candidates are ranked
+    # (:func:`repro.core.common.rank_candidates`).  ``memo`` is the
+    # :class:`~repro.core.ranking.memo.ScoreMemo` the statistics are
+    # read through; the index's own when omitted.
+    def similarity_score(self, index, rq, original_keywords, search_for,
+                         memo=None):
         """``rho(RQ, Q)`` after Guideline-4 decay (Formulas 2–6)."""
         return similarity(
             index,
@@ -67,39 +75,13 @@ class RankingModel:
             use_g2=self.use_g2,
             use_g3=self.use_g3,
             use_g4=self.use_g4,
+            memo=memo,
         )
 
-    def dependence_score(self, index, rq, search_for):
+    def dependence_score(self, index, rq, search_for, memo=None):
         """``Dep(RQ, Q)`` (Formulas 7–9)."""
-        return dependence(index, rq, search_for, use_g3=self.use_g3)
-
-    def rank(self, index, rq, original_keywords, search_for):
-        """Formula 10: the overall rank value of one refined query."""
-        score = 0.0
-        if self.alpha:
-            score += self.alpha * self.similarity_score(
-                index, rq, original_keywords, search_for
-            )
-        if self.beta:
-            score += self.beta * self.dependence_score(index, rq, search_for)
-        return score
-
-    def rank_all(self, index, rqs, original_keywords, search_for):
-        """Score and sort candidates, best first.
-
-        Ties (e.g. all-zero scores) fall back to ascending
-        dissimilarity, then keyword order, keeping results
-        deterministic.
-        """
-        scored = [
-            (
-                self.rank(index, rq, original_keywords, search_for),
-                rq,
-            )
-            for rq in rqs
-        ]
-        scored.sort(key=lambda item: (-item[0], item[1].dissimilarity, item[1].keywords))
-        return scored
+        return dependence(index, rq, search_for, use_g3=self.use_g3,
+                          memo=memo)
 
     def __repr__(self):
         flags = "".join(

@@ -29,16 +29,29 @@ from __future__ import annotations
 
 import math
 
+from .memo import score_memo
+
 #: Decay factor of Guideline 4; 0.8 is the paper's empirical choice.
 DEFAULT_DECAY = 0.8
 
+#: Formula 4's summation domains: the keywords of RQ (the consistent
+#: reading) or ``RQ △ Q`` (the literal formula).
+G2_DOMAINS = ("rq", "sym_diff")
 
-def importance(index, rq_keywords, node_type):
-    """Formula 2: accumulated normalized term frequency of RQ under T."""
-    g_t = index.distinct_keywords(node_type)
+
+def importance(index, rq_keywords, node_type, memo=None):
+    """Formula 2: accumulated normalized term frequency of RQ under T.
+
+    ``tf`` and ``G_T`` are read through ``memo``, the index's
+    :class:`~repro.core.ranking.memo.ScoreMemo` when omitted.
+    """
+    if memo is None:
+        memo = score_memo(index)
+    g_t = memo.g[node_type]
     if g_t == 0:
         return 0.0
-    return sum(index.tf(k, node_type) for k in rq_keywords) / g_t
+    tf = memo.tf
+    return sum(tf[k, node_type] for k in rq_keywords) / g_t
 
 
 def keyword_importance(index, keyword, node_type):
@@ -60,10 +73,9 @@ def keyword_importance(index, keyword, node_type):
 def _guideline2_domain(rq_keywords, original_keywords, domain):
     """The distinct keywords Formula 4 sums over, in sorted order.
 
-    Both consumers (:func:`similarity_for_type` and
-    ``kernels.scoring.batch_similarity``) add floats in the order this
-    returns, so it must not depend on ``PYTHONHASHSEED``: a set's
-    iteration order would move the score's last ulp between processes.
+    :func:`similarity_for_type` adds floats in the order this returns,
+    so it must not depend on ``PYTHONHASHSEED``: a set's iteration
+    order would move the score's last ulp between processes.
     """
     rq_set = set(rq_keywords)
     if domain == "rq":
@@ -81,16 +93,21 @@ def similarity_for_type(
     domain="rq",
     use_g1=True,
     use_g2=True,
+    memo=None,
 ):
     """Formula 4: per-type similarity ``rho(RQ, Q | T)``.
 
     ``use_g1`` / ``use_g2`` switch either multiplier to 1, producing
-    the RS1 / RS2 ablation variants of Section VIII-C.
+    the RS1 / RS2 ablation variants of Section VIII-C.  Formula-3
+    importances are read through ``memo`` (see :func:`importance`).
     """
-    first = importance(index, rq_keywords, node_type) if use_g1 else 1.0
+    if memo is None:
+        memo = score_memo(index)
+    first = importance(index, rq_keywords, node_type, memo) if use_g1 else 1.0
     if use_g2:
+        importance_of = memo.importance
         second = sum(
-            keyword_importance(index, k, node_type)
+            importance_of[k, node_type]
             for k in _guideline2_domain(rq_keywords, original_keywords, domain)
         )
     else:
@@ -109,6 +126,7 @@ def similarity(
     use_g2=True,
     use_g3=True,
     use_g4=True,
+    memo=None,
 ):
     """Formulas 5+6: the full similarity score of a refined query.
 
@@ -131,9 +149,14 @@ def similarity(
         Formula 5 is used.
     use_g4:
         When False, the dissimilarity decay is skipped (RS4).
+    memo:
+        The :class:`~repro.core.ranking.memo.ScoreMemo` the statistics
+        are read through; the index's own when omitted.
     """
     if not search_for:
         return 0.0
+    if memo is None:
+        memo = score_memo(index)
     candidates = search_for if use_g3 else search_for[:1]
     total = 0.0
     for candidate in candidates:
@@ -145,6 +168,7 @@ def similarity(
             domain=domain,
             use_g1=use_g1,
             use_g2=use_g2,
+            memo=memo,
         )
         total += candidate.confidence * per_type
     if use_g4:

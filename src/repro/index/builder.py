@@ -45,6 +45,9 @@ class DocumentIndex:
         self.version = 0
         #: Memoized Formula-1 search-for inference (repro.perf).
         self.search_for_cache = SearchForCache(self)
+        #: The ranking model's Formula 2-9 statistics memo
+        #: (repro.core.ranking.memo), built on the first score.
+        self.score_memo = None
 
     def freeze(self, path):
         """Write this index as a frozen single-file snapshot.
@@ -66,6 +69,7 @@ class DocumentIndex:
         self.version += 1
         self.frequency.clear_memo()
         self.search_for_cache.clear()
+        self.score_memo = None
         self.cooccurrence.invalidate()
 
     # Convenience passthroughs used throughout the engine -------------

@@ -15,10 +15,13 @@ operations over columnar views of the inverted lists:
 * :mod:`.lcp` — the merged-stream adjacent-LCP table that makes the
   stack route's LCA depth an indexed lookup (pure Python: the stack
   route is reference code, not a served path).
-* :mod:`.scoring` — batch candidate scoring: partition presence as a
-  merge-join over flat tables, Top-2K admission as one threshold
-  sweep, Formula 2-9 ranking over memoized lookup columns; the
-  short-list route's walk over the presence columns.
+* :mod:`.scoring` — batch candidate selection: partition presence as
+  a merge-join over flat tables, Top-2K admission as one threshold
+  sweep; the short-list route's walk over the presence columns.  Its
+  ``score_table`` / ``batch_similarity`` / ``batch_dependence`` are
+  not kernels: they delegate to the ranking model
+  (:mod:`repro.core.ranking`) and keep the names the wire benchmark
+  times scoring by.
 * :mod:`.bounds` — presence bounds memoized by block bitmask (the
   WAND-style skip pre-check).
 * :mod:`.backend` — compiled (cffi + cc) fast path selection with a
@@ -42,7 +45,6 @@ from .lcp import merged_lcp  # noqa: F401
 from .scoring import (  # noqa: F401
     MaskMemo,
     PreparedBeam,
-    ScoreTable,
     admission_sweep,
     batch_dependence,
     batch_similarity,
@@ -52,7 +54,6 @@ from .scoring import (  # noqa: F401
     score_table,
     sle_advance,
     sle_direct,
-    supported_model,
 )
 from .slca import (  # noqa: F401
     slca_columns,
@@ -66,7 +67,6 @@ __all__ = [
     "MaskMemo",
     "PreparedBeam",
     "PresenceBoundCache",
-    "ScoreTable",
     "admission_sweep",
     "backend_name",
     "batch_dependence",
@@ -85,5 +85,4 @@ __all__ = [
     "slca_columns",
     "slca_hits",
     "slca_ranges",
-    "supported_model",
 ]

@@ -1,12 +1,10 @@
-"""Vectorized Top-2K candidate scoring (the batch scoring kernels).
+"""Vectorized Top-2K candidate selection (the batch scoring kernels).
 
-The refinement hot path spends its time in three per-candidate /
+The refinement hot path spends its time in two per-candidate /
 per-partition Python loops: the short-list route's random-access
-probes (one ``pid_range`` dict hit per lane per partition), the
+probes (one ``pid_range`` dict hit per lane per partition) and the
 Top-2K admission pre-checks (``has_key`` / ``would_admit`` per beam
-candidate per partition), and the final ranking model's statistics
-lookups (``f_k^T`` / ``tf`` / co-occurrence store reads per keyword
-per candidate).  This module batches all three:
+candidate per partition).  This module batches both:
 
 * :func:`partition_presence` — one merge-join over flat partition
   tables (compiled when the backend is) producing every anchor
@@ -26,29 +24,25 @@ per candidate).  This module batches all three:
   passes is re-checked by ``insert`` itself, and one it rejects could
   never have been admitted (the threshold only tightens as the loop
   runs) — pruning is answer- and stats-identical.
-* :class:`ScoreTable` / :func:`batch_similarity` /
-  :func:`batch_dependence` — Formula 2–9 scoring over precomputed
-  ``f_k^T`` / ``tf`` / pairwise co-occurrence lookup columns, memoized
-  per index version.  The arithmetic replays the reference formulas
-  term for term (same association, same iteration order), so scores
-  are byte-identical floats; only the store lookups are batched away.
+
+It also keeps :func:`score_table` / :func:`batch_similarity` /
+:func:`batch_dependence`, the names the wire benchmark times the
+final ranking by; each delegates to the ranking model's formulas and
+the index's score memo (:mod:`repro.core.ranking.memo`), the one
+implementation of Formulas 2–9.
 
 Everything here follows the kernel contract: pure-Python semantics
-are the reference, the compiled path is a speedup behind
-``REPRO_NO_COMPILED_KERNELS=1``, and the ``kernel:batch_score``
-oracle comparison in ``verify-diff`` holds both to byte-identity.
+are the reference, and the compiled path is a speedup behind
+``REPRO_NO_COMPILED_KERNELS=1``.
 """
 
 from __future__ import annotations
 
 from array import array
-from weakref import WeakKeyDictionary
 
 from . import backend
 from .hits import HitRecord
 from .slca import slca_hits
-
-_MISS = object()
 
 #: Lanes one presence mask holds: a mask is one ``int64`` (lane 63 is
 #: the sign bit), on either backend.
@@ -435,150 +429,26 @@ def admission_sweep(prepared, sorted_list, query_key):
 
 
 # ----------------------------------------------------------------------
-# Batch Formula 2-9 scoring over precomputed lookup columns
+# Formula 2-9 scoring, kept by name for the wire benchmark
 # ----------------------------------------------------------------------
-class ScoreTable:
-    """Per-index memo of the ranking model's statistics lookups.
-
-    ``tf`` holds ``tf(k, T)``, ``ki`` the Formula-3 keyword importance
-    ``ln(1 + N_T / (1 + f_k^T))``, ``pair`` the Formula-7 association
-    confidences, and ``g`` the per-type ``G_T`` normalizers.  The
-    values are exactly what the reference formulas compute — caching a
-    float changes nothing — and the table self-invalidates by index
-    version, like every other derived cache.
-    """
-
-    __slots__ = ("version", "tf", "ki", "pair", "g")
-
-    def __init__(self, version):
-        self.version = version
-        self.tf = {}
-        self.ki = {}
-        self.pair = {}
-        self.g = {}
-
-
-_SCORE_TABLES = WeakKeyDictionary()
-
-
+# ``benchmarks/e2e/layers.py`` imports these three names to time
+# ``kernels.scoring_ns``.  Each delegates to the one implementation —
+# the ranking model's formulas over the index's score memo — so that
+# metric times exactly what ``/search`` runs.
 def score_table(index):
-    """The (possibly fresh) :class:`ScoreTable` for ``index``."""
-    version = getattr(index, "version", 0)
-    try:
-        table = _SCORE_TABLES.get(index)
-    except TypeError:
-        return ScoreTable(version)
-    if table is None or table.version != version:
-        table = ScoreTable(version)
-        try:
-            _SCORE_TABLES[index] = table
-        except TypeError:
-            pass
-    return table
+    """``index``'s :class:`~repro.core.ranking.memo.ScoreMemo`."""
+    from ..core.ranking.memo import score_memo
 
-
-def supported_model(model):
-    """True when the batch scorer can stand in for ``model``.
-
-    Only the stock :class:`~repro.core.ranking.model.RankingModel` is
-    replayed here; a subclass may override the scoring methods, so it
-    keeps the per-node path.
-    """
-    from ..core.ranking.model import RankingModel
-
-    return type(model) is RankingModel
+    return score_memo(index)
 
 
 def batch_similarity(table, index, model, rq, original_keywords, search_for):
-    """Formulas 2-6 over the lookup columns — byte-identical floats.
-
-    Term-for-term replay of :func:`repro.core.ranking.similarity.
-    similarity`: same summation order (the Guideline-2 domain comes
-    sorted from the one shared helper), same association, same
-    special cases; only the ``f_k^T`` / ``tf`` store reads go through
-    the memo columns.
-    """
-    from ..core.ranking.similarity import (
-        _guideline2_domain,
-        keyword_importance,
+    """``model.similarity_score`` read through the memo ``table``."""
+    return model.similarity_score(
+        index, rq, original_keywords, search_for, memo=table
     )
-
-    if not search_for:
-        return 0.0
-    candidates = search_for if model.use_g3 else search_for[:1]
-    tf_memo = table.tf
-    ki_memo = table.ki
-    g_memo = table.g
-    total = 0.0
-    for candidate in candidates:
-        node_type = candidate.node_type
-        if model.use_g1:
-            g_t = g_memo.get(node_type, _MISS)
-            if g_t is _MISS:
-                g_t = index.distinct_keywords(node_type)
-                g_memo[node_type] = g_t
-            if g_t == 0:
-                first = 0.0
-            else:
-                acc = 0
-                for k in rq.keywords:
-                    key = (k, node_type)
-                    value = tf_memo.get(key, _MISS)
-                    if value is _MISS:
-                        value = index.tf(k, node_type)
-                        tf_memo[key] = value
-                    acc += value
-                first = acc / g_t
-        else:
-            first = 1.0
-        if model.use_g2:
-            second = 0
-            for k in _guideline2_domain(
-                rq.keywords, original_keywords, model.g2_domain
-            ):
-                key = (k, node_type)
-                value = ki_memo.get(key, _MISS)
-                if value is _MISS:
-                    value = keyword_importance(index, k, node_type)
-                    ki_memo[key] = value
-                second += value
-        else:
-            second = 1.0
-        total += candidate.confidence * (first * second)
-    if model.use_g4:
-        total *= model.decay ** rq.dissimilarity
-    return total
 
 
 def batch_dependence(table, index, model, rq, search_for):
-    """Formulas 7-9 over the pair-confidence column — identical floats.
-
-    The pairwise co-occurrence reads are the expensive part (each is a
-    key-encoded store probe plus, on a cold pair, two ancestor-set
-    intersections); memoizing the confidence float per ``(ki, k, T)``
-    leaves the Formula-8 accumulation untouched.
-    """
-    if not search_for:
-        return 0.0
-    candidates = search_for if model.use_g3 else search_for[:1]
-    pair_memo = table.pair
-    keywords = list(dict.fromkeys(rq.keywords))
-    total = 0.0
-    for candidate in candidates:
-        node_type = candidate.node_type
-        if len(keywords) < 2:
-            total += candidate.confidence * 0.0
-            continue
-        acc = 0.0
-        for k in keywords:
-            for ki in keywords:
-                if ki == k:
-                    continue
-                key = (ki, k, node_type)
-                value = pair_memo.get(key, _MISS)
-                if value is _MISS:
-                    value = index.cooccurrence.confidence(ki, k, node_type)
-                    pair_memo[key] = value
-                acc += value
-        total += candidate.confidence * (acc / len(keywords))
-    return total
+    """``model.dependence_score`` read through the memo ``table``."""
+    return model.dependence_score(index, rq, search_for, memo=table)

@@ -44,20 +44,21 @@ path that must agree:
   partition view against a posting-by-posting regrouping, the
   mask-memoized presence bound against
   :class:`~repro.core.dp.MissingKeywordBound` over every presence
-  subset, the batch Formula 2-9 scorer against the per-node
-  ranking model's ``similarity_score`` / ``dependence_score`` (exact
-  float equality — the byte-identity contract), and —
-  ``kernel:meaningful-column`` — Definition 3.3 decided from the
-  posting's type-id column against
+  subset, and — ``kernel:meaningful-column`` — Definition 3.3 decided
+  from the posting's type-id column against
   :func:`~repro.slca.meaningful.is_meaningful` on the tree node's own
-  type, for every SLCA hit
-  over the same whole lists and shared partitions, on the built index,
-  its frozen snapshot, an updated index and the delta-chain top.  And —
+  type, for every SLCA hit over the same whole lists and shared
+  partitions, on the built index, its frozen snapshot, an updated
+  index and the delta-chain top.  And —
   ``kernel:sle-round`` — SLE run with the active backend and with the
   pure-Python one must give the same answer and the same ``ScanStats``;
   and ``kernel:codec`` — each query term's list written and decoded by
   the active codec and by the pure-Python one must give the same bytes
   and the same arrays as the list's own.
+
+* **Ranking layer** — ``ranking:memo``: every DP beam candidate's
+  Formula 2-9 scores read through the index's warm score memo must
+  equal, bit for bit, the scores read through a fresh one.
 
 * **Wire layer** — ``wire:labels``: for every route, under both
   backends, the labels ``encode_response`` sends — rendered from a
@@ -75,17 +76,16 @@ import os
 import tempfile
 
 from ..core.common import QueryContext
-from ..core.dp import MissingKeywordBound
+from ..core.dp import MissingKeywordBound, get_top_optimal_rqs
 from ..core.engine import XRefine
 from ..core.partition_refine import partition_refine
+from ..core.ranking.memo import ScoreMemo
+from ..core.ranking.model import full_model
 from ..core.short_list_eager import short_list_eager
 from ..core.stack_refine import stack_refine
 from ..kernels import backend as kernel_backend
 from ..kernels import (
     PresenceBoundCache,
-    ScoreTable,
-    batch_dependence,
-    batch_similarity,
     columns_for,
     merged_lcp,
     partition_view,
@@ -850,59 +850,6 @@ class DocumentOracle:
             expected_bounds, actual_bounds,
         )
 
-        # Batch Formula 2-9 scoring vs the per-node ranking model: the
-        # vectorized scorer promises byte-identical floats, so every DP
-        # beam candidate's (similarity, dependence) pair is recomputed
-        # through the reference ``model.*_score`` methods and compared
-        # with ``==`` — no tolerance.
-        from ..core.dp import get_top_optimal_rqs
-        from ..core.ranking.model import full_model
-
-        context = QueryContext(self.index, terms, rules)
-        present = {
-            keyword
-            for keyword in context.keyword_space
-            if len(context.lists[keyword]) > 0
-        }
-        candidates = (
-            get_top_optimal_rqs(
-                context.query, present, rules, max(2 * self.k, 2)
-            )
-            if present
-            else []
-        )
-        if candidates:
-            model = full_model()
-            table = ScoreTable(0)
-            expected_scores = [
-                (
-                    model.similarity_score(
-                        self.index, rq, context.query, context.search_for
-                    ),
-                    model.dependence_score(
-                        self.index, rq, context.search_for
-                    ),
-                )
-                for rq in candidates
-            ]
-            actual_scores = [
-                (
-                    batch_similarity(
-                        table, self.index, model, rq, context.query,
-                        context.search_for,
-                    ),
-                    batch_dependence(
-                        table, self.index, model, rq, context.search_for
-                    ),
-                )
-                for rq in candidates
-            ]
-            diff(
-                "kernel:batch_score",
-                "batch Formula 2-9 scoring != per-node ranking model",
-                expected_scores, actual_scores,
-            )
-
         # The posting codec: each term's list written, then opened and
         # decoded, by the C codec and by its Python twin — the same
         # bytes and the same arrays, which are the list's own.
@@ -1002,6 +949,59 @@ class DocumentOracle:
     # ------------------------------------------------------------------
     # Cache layer
     # ------------------------------------------------------------------
+    def check_ranking(self, query):
+        """Scores read through a warm memo must equal a fresh memo's.
+
+        ``ranking:memo`` — every DP beam candidate's (similarity,
+        dependence) pair is scored through the index's own score memo,
+        warm from the refinement layers, and again through a fresh
+        :class:`~repro.core.ranking.memo.ScoreMemo`, and compared with
+        ``==``: a memoized float that went stale, or a read keyed on
+        the wrong fields, shows here as a changed bit.
+        """
+        terms = query_terms(query)
+        if not terms:
+            return []
+        rules = self.engine.mine_rules(terms)
+        context = QueryContext(self.index, terms, rules)
+        present = {
+            keyword
+            for keyword in context.keyword_space
+            if len(context.lists[keyword]) > 0
+        }
+        if not present:
+            return []
+        candidates = get_top_optimal_rqs(
+            context.query, present, rules, max(2 * self.k, 2)
+        )
+        model = full_model()
+
+        def scores(memo):
+            return [
+                (
+                    model.similarity_score(
+                        self.index, rq, context.query, context.search_for,
+                        memo,
+                    ),
+                    model.dependence_score(
+                        self.index, rq, context.search_for, memo
+                    ),
+                )
+                for rq in candidates
+            ]
+
+        warm = scores(None)
+        fresh = scores(ScoreMemo(self.index))
+        if warm == fresh:
+            return []
+        return [
+            Divergence(
+                "ranking:memo",
+                "scores through the index's score memo != a fresh memo's",
+                self.spec, query, fresh, warm,
+            )
+        ]
+
     def check_cache_layers(self, query):
         """The cache stack must never change an answer.
 
@@ -1129,6 +1129,7 @@ class DocumentOracle:
             + self.check_chain(query)
             + self.check_cache_layers(query)
             + self.check_kernels(query)
+            + self.check_ranking(query)
             + self.check_wire(query)
         )
 

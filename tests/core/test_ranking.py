@@ -14,7 +14,10 @@ from repro.core.ranking import (
     keyword_importance,
     similarity_for_type,
 )
+from repro.core.common import QueryContext, rank_candidates
+from repro.core.ranking.memo import ScoreMemo, score_memo
 from repro.core.ranking.model import RankingModel
+from repro.lexicon.rules import RuleSet
 from repro.slca import infer_search_for
 
 T_INPROC = ("bib", "author", "publications", "inproceedings")
@@ -158,38 +161,90 @@ class TestDependence:
         assert same_area > cross
 
 
+def _rank(index, model, rqs, query=("online", "database")):
+    """``rank_candidates`` over ``rqs``, as a route hands them over."""
+    context = QueryContext(index, query, RuleSet())
+    return rank_candidates(
+        context, model, {rq.key: (rq, None) for rq in rqs}
+    )
+
+
 class TestFormula10:
     def test_alpha_beta_weighting(self, figure1_index):
-        search_for = infer_search_for(figure1_index, ["online", "database"])
         rq = RefinedQuery(("online", "database"), 2)
-        query = ("on", "line", "data", "base")
-        sim_only = RankingModel(alpha=1.0, beta=0.0)
-        dep_only = RankingModel(alpha=0.0, beta=1.0)
-        both = RankingModel(alpha=1.0, beta=1.0)
-        s = sim_only.rank(figure1_index, rq, query, search_for)
-        d = dep_only.rank(figure1_index, rq, query, search_for)
-        b = both.rank(figure1_index, rq, query, search_for)
-        assert b == pytest.approx(s + d)
+        (s,) = _rank(figure1_index, RankingModel(alpha=1.0, beta=0.0), [rq])
+        (d,) = _rank(figure1_index, RankingModel(alpha=0.0, beta=1.0), [rq])
+        (b,) = _rank(figure1_index, RankingModel(alpha=1.0, beta=1.0), [rq])
+        assert s.rank_score == s.similarity_score > 0
+        assert d.rank_score == d.dependence_score > 0
+        assert b.rank_score == pytest.approx(s.rank_score + d.rank_score)
 
-    def test_rank_all_sorted(self, figure1_index):
-        search_for = infer_search_for(figure1_index, ["online", "database"])
-        model = full_model()
+    def test_rank_candidates_sorted(self, figure1_index):
         rqs = [
-            RefinedQuery(("online", "database"), 2),
             RefinedQuery(("online",), 4),
             RefinedQuery(("database",), 4),
+            RefinedQuery(("online", "database"), 2),
         ]
-        ranked = model.rank_all(
-            figure1_index, rqs, ("on", "line", "data", "base"), search_for
-        )
-        scores = [score for score, _ in ranked]
+        ranked = _rank(figure1_index, full_model(), rqs)
+        scores = [r.rank_score for r in ranked]
         assert scores == sorted(scores, reverse=True)
+        assert ranked[0].rq.keywords == ("online", "database")
+
+    def test_subclass_override_is_honoured(self, figure1_index):
+        class Flat(RankingModel):
+            def similarity_score(self, index, rq, original_keywords,
+                                 search_for):
+                return 1.0
+
+        rq = RefinedQuery(("online", "database"), 2)
+        (stock,) = _rank(figure1_index, full_model(), [rq])
+        (flat,) = _rank(figure1_index, Flat(), [rq])
+        assert flat.similarity_score == 1.0
+        assert flat.dependence_score == stock.dependence_score
+        assert flat.rank_score == 1.0 + stock.dependence_score
 
     def test_invalid_decay(self):
         with pytest.raises(ValueError):
             RankingModel(decay=1.0)
         with pytest.raises(ValueError):
             RankingModel(decay=0.0)
+
+    def test_invalid_g2_domain(self):
+        # Rejected when the model is built, not by the first query
+        # that needs refinement.
+        with pytest.raises(ValueError, match="Guideline-2 domain"):
+            RankingModel(g2_domain="bogus")
+        assert RankingModel(g2_domain="sym_diff").g2_domain == "sym_diff"
+
+
+class TestScoreMemo:
+    def test_index_owns_one_memo_filled_by_default_scoring(self, dblp_index):
+        memo = score_memo(dblp_index)
+        assert score_memo(dblp_index) is memo is dblp_index.score_memo
+        search_for = infer_search_for(dblp_index, ["machine", "learning"])
+        rq = RefinedQuery(("machine", "learning"), 1)
+        full_model().dependence_score(dblp_index, rq, search_for)
+        t = search_for[0].node_type
+        assert ("machine", "learning", t) in memo.pair
+
+    def test_warm_memo_equals_fresh_memo(self, dblp_index):
+        search_for = infer_search_for(dblp_index, ["database", "query"])
+        model = RankingModel(g2_domain="sym_diff")
+        query = ("databse", "query", "xml")
+        for rq in (
+            RefinedQuery(("database", "query"), 1),
+            RefinedQuery(("database", "query", "xml"), 1),
+            RefinedQuery(("query", "query", "xml"), 2),
+        ):
+            scores = []
+            for memo in (None, None, ScoreMemo(dblp_index)):
+                scores.append((
+                    model.similarity_score(
+                        dblp_index, rq, query, search_for, memo
+                    ),
+                    model.dependence_score(dblp_index, rq, search_for, memo),
+                ))
+            assert scores[0] == scores[1] == scores[2]
 
 
 class TestVariants:

@@ -1,11 +1,11 @@
 """Batch scoring kernels must equal their sequential references.
 
-The scoring hot path has three batch kernels — partition presence,
-the Top-2K admission sweep, and the Formula 2-9 batch scorer.  Every
-parity test runs twice via the ``kernel_backend`` fixture: once under
-whatever backend import selected (skipped when compilation was
-unavailable) and once with the compiled library masked off, so the
-pure-Python fallback is exercised in-process regardless of the host.
+The scoring hot path has two batch kernels — partition presence and
+the Top-2K admission sweep.  Every parity test runs twice via the
+``kernel_backend`` fixture: once under whatever backend import
+selected (skipped when compilation was unavailable) and once with the
+compiled library masked off, so the pure-Python fallback is exercised
+in-process regardless of the host.
 """
 
 from __future__ import annotations
@@ -14,22 +14,12 @@ import pytest
 
 import repro.kernels.backend as backend_module
 from repro.core.candidates import RefinedQuery, RQSortedList
-from repro.core.common import QueryContext
-from repro.core.ranking.model import RankingModel, full_model
-from repro.index import build_document_index
-from repro.index.tokenize_text import query_terms
 from repro.kernels import (
     ListColumns,
-    ScoreTable,
     admission_sweep,
-    batch_dependence,
-    batch_similarity,
     partition_presence,
     prepare_beam,
-    supported_model,
 )
-from repro.lexicon.rules import RuleSet
-from repro.verify.generate import DocumentGenerator, QueryGenerator
 
 
 @pytest.fixture(params=["active", "pure-python"])
@@ -216,89 +206,3 @@ class TestAdmissionSweep:
         assert [
             (rq.keywords, rq.dissimilarity) for rq in swept_list
         ] == [(rq.keywords, rq.dissimilarity) for rq in reference]
-
-
-# ----------------------------------------------------------------------
-# Batch Formula 2-9 scoring vs the reference ranking model
-# ----------------------------------------------------------------------
-def _reference_scores(index, model, rq, context):
-    return (
-        model.similarity_score(index, rq, context.query,
-                               context.search_for),
-        model.dependence_score(index, rq, context.search_for),
-    )
-
-
-def _batch_scores(table, index, model, rq, context):
-    return (
-        batch_similarity(table, index, model, rq, context.query,
-                         context.search_for),
-        batch_dependence(table, index, model, rq, context.search_for),
-    )
-
-
-class TestBatchScoringParity:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_reference_model(self, seed, kernel_backend):
-        document = DocumentGenerator(seed=700 + seed)
-        queries = QueryGenerator(seed=800 + seed,
-                                 vocabulary=document.words)
-        index = build_document_index(document.tree())
-        model = full_model()
-        table = ScoreTable(getattr(index, "version", 0))
-        for query in queries.queries(6):
-            terms = query_terms(query)
-            if not terms:
-                continue
-            context = QueryContext(index, terms, RuleSet())
-            present = [k for k in context.keyword_space
-                       if len(context.lists[k]) > 0]
-            if not present:
-                continue
-            candidates = [
-                _rq(present[:r], r % 3) for r in range(1, len(present) + 1)
-            ]
-            for rq in candidates:
-                want = _reference_scores(index, model, rq, context)
-                # Cold memo (misses) and warm memo (hits) must agree
-                # byte for byte with the per-node reference.
-                assert _batch_scores(table, index, model, rq,
-                                     context) == want
-                assert _batch_scores(table, index, model, rq,
-                                     context) == want
-
-    def test_duplicate_keywords_in_the_candidate(self, kernel_backend):
-        document = DocumentGenerator(seed=910)
-        index = build_document_index(document.tree())
-        word = document.words[0]
-        other = document.words[1]
-        context = QueryContext(index, (word, other), RuleSet())
-        if not context.search_for:
-            pytest.skip("generator produced no scoreable corpus")
-        model = full_model()
-        table = ScoreTable(0)
-        # Formula 2's tf sum iterates keywords as given (duplicates
-        # count twice); Formula 8 deduplicates.  Both must replay.
-        for rq in (_rq((word, word), 1), _rq((word, word, other), 2)):
-            assert _batch_scores(
-                table, index, model, rq, context
-            ) == _reference_scores(index, model, rq, context)
-
-    def test_empty_search_for_scores_zero(self, kernel_backend):
-        document = DocumentGenerator(seed=911)
-        index = build_document_index(document.tree())
-        model = full_model()
-        table = ScoreTable(0)
-        rq = _rq(("anything",), 0)
-        assert batch_similarity(table, index, model, rq,
-                                ("anything",), []) == 0.0
-        assert batch_dependence(table, index, model, rq, []) == 0.0
-
-    def test_subclassed_model_keeps_the_reference_path(self):
-        assert supported_model(RankingModel())
-        assert supported_model(full_model())
-
-        class Custom(RankingModel):
-            pass
-
-        assert not supported_model(Custom())

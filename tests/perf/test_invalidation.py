@@ -8,6 +8,7 @@ with a cold engine over a document rebuilt from scratch.
 import pytest
 
 from repro import XRefine, build_document_index
+from repro.core.ranking.memo import score_memo
 from repro.index import append_partition, remove_partition
 from repro.xmltree import Dewey, parse, serialize
 
@@ -172,6 +173,19 @@ class TestIndexLevelCaches:
         assert len(index.search_for_cache) > 0
         append_partition(index, author_spec("alice", ["xml views"]))
         assert len(index.search_for_cache) == 0
+
+    def test_score_memo_dropped_and_rebuilt(self, engine):
+        index = engine.index
+        node_type = ("bib", "author", "publications", "article", "title")
+        memo = score_memo(index)
+        before = memo.tf["database", node_type]
+        append_partition(
+            index, author_spec("alice", ["database tuning database"])
+        )
+        assert index.score_memo is None
+        fresh = build_document_index(parse(serialize(index.tree)))
+        after = score_memo(index).tf["database", node_type]
+        assert after == fresh.tf("database", node_type) > before
 
     def test_frequency_memo_consistent_after_update(self, engine):
         index = engine.index

@@ -66,6 +66,38 @@ def test_merged_lcp_gives_one_lane_and_lcp_per_posting():
     assert len(lanes) == len(lcps) == total
 
 
+def test_scoring_names_time_the_formula_search_runs():
+    # _kernel_layer times kernels.scoring_ns as batch_similarity +
+    # batch_dependence over score_table(index), per response candidate:
+    # the same floats search() ranked with, from the same formulas.
+    index = build_document_index(generate_dblp(num_authors=20, seed=7))
+    engine = XRefine(index, cache_size=0)
+    model = engine.model
+    table = score_table(index)
+    assert table is score_table(index)
+    scored = 0
+    for terms in QUERIES:
+        response = engine.search(list(terms), k=2)
+        for candidate in response.candidates:
+            rq = candidate.rq
+            similarity = batch_similarity(
+                table, index, model, rq, response.query, response.search_for
+            )
+            dependence = batch_dependence(
+                table, index, model, rq, response.search_for
+            )
+            assert similarity == candidate.similarity_score == (
+                model.similarity_score(
+                    index, rq, response.query, response.search_for
+                )
+            )
+            assert dependence == candidate.dependence_score == (
+                model.dependence_score(index, rq, response.search_for)
+            )
+            scored += 1
+    assert scored
+
+
 class _Traced:
     """``layers._Traced``: delegates, counting the named methods."""
 
