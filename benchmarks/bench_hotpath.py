@@ -4,12 +4,13 @@ Scores the DP beam's Top-2K candidates of a small refinable/clean query
 pool through the ranking model's Formula 2-9 scores — the one
 implementation ``/search`` runs — and fails when one candidate costs
 more than ``SCORING_NS_PER_CANDIDATE_LIMIT``.  It exists for the
-``pure-python-kernels`` CI job: scoring that stops reading its
-statistics through the score memo under ``REPRO_NO_COMPILED_KERNELS=1``
-is the one hot-path regression no ``BENCHMARK.json`` workload can see,
-because every daemon the wire benchmark (``benchmarks/e2e/run.py``)
-boots runs the compiled backend.  Every latency, throughput, start-up and RSS
-number of the serving stack is measured and bounded there, not here.
+``pure-python-kernels`` CI job: a scoring slowdown under
+``REPRO_NO_COMPILED_KERNELS=1`` — scoring that stops reading its
+statistics through the score memo, say — is a hot-path regression no
+``BENCHMARK.json`` workload can see, because every daemon the wire
+benchmark (``benchmarks/e2e/run.py``) boots runs the compiled backend.
+Every latency, throughput, start-up and RSS number of the serving
+stack is measured and bounded there, not here.
 
 Self-contained: the limit is absolute and there is no committed
 baseline to compare with.
@@ -100,7 +101,7 @@ def bench_scoring(index, pool, k):
         jobs.append((context, candidates))
         candidates_total += len(candidates)
 
-    def run_batch_score():
+    def run_score():
         for context, candidates in jobs:
             memo = ScoreMemo(index)  # fresh: store misses are priced in
             for rq in candidates:
@@ -127,7 +128,7 @@ def bench_scoring(index, pool, k):
     }
     print("  scoring (ranking model + admission kernel):")
     for name, action in (
-        ("batch_score", run_batch_score),
+        ("score", run_score),
         ("admission_sweep", run_admission_sweep),
     ):
         action()  # warmup: keyword-importance / co-occurrence stores
@@ -144,10 +145,10 @@ def bench_scoring(index, pool, k):
             f"   {entry['ns_per_candidate']:8.1f} ns/candidate"
         )
     section["ns_per_candidate"] = (
-        section["primitives"]["batch_score"]["ns_per_candidate"]
+        section["primitives"]["score"]["ns_per_candidate"]
     )
     print(
-        f"    gate: batch_score {section['ns_per_candidate']:.0f} "
+        f"    gate: score {section['ns_per_candidate']:.0f} "
         f"ns/candidate (limit {SCORING_NS_PER_CANDIDATE_LIMIT})"
     )
     return section

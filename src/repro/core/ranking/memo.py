@@ -51,6 +51,7 @@ class ScoreMemo:
     __slots__ = ("tf", "g", "importance", "pair")
 
     def __init__(self, index):
+        # Imported here: both formula modules import this one.
         from .dependence import pair_confidence
         from .similarity import keyword_importance
 

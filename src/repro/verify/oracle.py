@@ -947,7 +947,7 @@ class DocumentOracle:
         return by_tree, by_column
 
     # ------------------------------------------------------------------
-    # Cache layer
+    # Ranking layer
     # ------------------------------------------------------------------
     def check_ranking(self, query):
         """Scores read through a warm memo must equal a fresh memo's.
@@ -1002,6 +1002,9 @@ class DocumentOracle:
             )
         ]
 
+    # ------------------------------------------------------------------
+    # Cache layer
+    # ------------------------------------------------------------------
     def check_cache_layers(self, query):
         """The cache stack must never change an answer.
 

@@ -8,13 +8,13 @@ import sys
 import pytest
 
 from repro.core import RefinedQuery, full_model, variant_without_guideline
+from repro.core.common import QueryContext, rank_candidates
 from repro.core.ranking import (
     dependence_for_type,
     importance,
     keyword_importance,
     similarity_for_type,
 )
-from repro.core.common import QueryContext, rank_candidates
 from repro.core.ranking.memo import ScoreMemo, score_memo
 from repro.core.ranking.model import RankingModel
 from repro.lexicon.rules import RuleSet
