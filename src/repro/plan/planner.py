@@ -16,6 +16,8 @@ remains here is the bookkeeping every route shares:
 
 from __future__ import annotations
 
+from ..core.dp import BeamMemo
+
 #: The three Section-VI refinement algorithms an evaluation can run.
 FIXED_ROUTES = ("partition", "sle", "stack")
 #: The route ``algorithm="auto"`` resolves to.
@@ -139,7 +141,7 @@ class QueryPlanner:
         if memos is None:
             if len(self._dp_memos) >= self.DP_MEMO_LIMIT:
                 self._dp_memos.clear()
-            memos = ({}, {}, {})
+            memos = ({}, BeamMemo(), {})
             self._dp_memos[identity] = memos
         return memos
 

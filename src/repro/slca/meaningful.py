@@ -20,6 +20,7 @@ meaningful SLCA.
 from __future__ import annotations
 
 import math
+from array import array
 
 from ..errors import QueryError
 
@@ -102,6 +103,29 @@ def is_meaningful(slca_dewey, slca_type, search_for_types):
         if slca_type[: len(candidate)] == candidate:
             return True
     return False
+
+
+#: ``need`` of a type no search-for type prefixes: no depth reaches it.
+NEVER_MEANINGFUL = (1 << 63) - 1
+
+
+def need_column(search_for_types, node_type_table):
+    """Definition 3.3 per interned type id, as an ``array('q')``.
+
+    A node at ``depth`` above a posting typed ``path`` has type
+    ``path[:depth]``, and is meaningful iff some search-for type
+    prefixes that — iff ``depth`` reaches the shortest search-for type
+    prefixing ``path``.  Entry ``type_id`` is that length
+    (:data:`NEVER_MEANINGFUL` when there is none); an ``int64``
+    column, so the compiled kernels read it in place.
+    """
+    return array("q", [
+        min(
+            (len(t) for t in search_for_types if path[: len(t)] == t),
+            default=NEVER_MEANINGFUL,
+        )
+        for path in node_type_table
+    ])
 
 
 def meaningful_slcas(index, slca_labels, search_for):

@@ -5,11 +5,12 @@ from array import array
 import pytest
 
 from repro.core import RefinedQuery
-from repro.core.common import _NEVER, QueryContext
+from repro.core.common import QueryContext
 from repro.core.result import RankedRefinement, RefinementResponse, ScanStats
 from repro.errors import QueryError
 from repro.kernels import HitRecord, ListColumns, columns_for, slca_hits
 from repro.lexicon import RuleMiner, RuleSet
+from repro.slca.meaningful import NEVER_MEANINGFUL as _NEVER
 from repro.xmltree import Dewey
 
 

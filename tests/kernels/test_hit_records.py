@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 import repro.kernels.backend as backend_module
 from repro import XRefine
-from repro.core.common import _NEVER, QueryContext
+from repro.core.common import QueryContext
 from repro.index import build_document_index
 from repro.index.tokenize_text import query_terms
 from repro.kernels import (
@@ -36,6 +36,7 @@ from repro.kernels import (
     partition_view,
     slca_hits,
 )
+from repro.slca.meaningful import NEVER_MEANINGFUL as _NEVER
 from repro.verify.generate import DocumentGenerator, QueryGenerator
 from repro.xmltree.dewey import Dewey
 

@@ -3,7 +3,7 @@
 from array import array
 
 import repro.verify.oracle as oracle_module
-from repro.core.common import _NEVER
+from repro.slca.meaningful import NEVER_MEANINGFUL as _NEVER
 from repro.verify.invariants import check_invariants
 from repro.verify.oracle import DocumentOracle, run_oracle
 
