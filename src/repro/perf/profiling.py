@@ -7,8 +7,11 @@ the three refinement routes bracket their coarse phases —
 * ``merge``  — the batch kernels (merged partition view, partition
   presence, SLCA completions) and the stack route's pure-Python
   merged-LCP sort,
-* ``admit``  — the per-partition / per-posting candidate loops (DP
-  beams, admission sweeps, skip bounds),
+* ``admit``  — candidate admission: Partition's and stack-refine's
+  per-partition / per-posting loops (DP beams, admission sweeps, skip
+  bounds), and SLE's step 1 outside its presence merges — the
+  ``sle_round`` kernel calls, the DP runs they call back for, the
+  ``C_potential`` stop between rounds and the ``sle_direct`` finish,
 * ``score``  — the final Formula 2-9 ranking pass,
 
 and the profile accumulates *exclusive* seconds per phase (a nested

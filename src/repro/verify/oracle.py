@@ -50,8 +50,9 @@ path that must agree:
   type, for every SLCA hit over the same whole lists and shared
   partitions, on the built index, its frozen snapshot, an updated
   index and the delta-chain top.  And —
-  ``kernel:sle-round`` — SLE run with the active backend and with the
-  pure-Python one must give the same answer and the same ``ScanStats``;
+  ``kernel:sle-round`` — SLE, whose step 1 is ``sle_round`` and
+  ``sle_direct``, run with the active backend and with the pure-Python
+  one must give the same answer and the same ``ScanStats``;
   and ``kernel:codec`` — each query term's list written and decoded by
   the active codec and by the pure-Python one must give the same bytes
   and the same arrays as the list's own.
@@ -876,9 +877,10 @@ class DocumentOracle:
             codecs[0] + [arrays for _, arrays in codecs[1]],
         )
 
-        # SLE's step-1 walk and direct finish run in C on the compiled
-        # backend and as Python twins on the other: the answer and every
-        # ScanStats counter must not depend on which.
+        # SLE's step-1 rounds (sle_round) and direct finish
+        # (sle_direct) run in C on the compiled backend and as Python
+        # twins on the other: the answer and every ScanStats counter
+        # must not depend on which.
         runs = []
         for lib in (active, None):
             kernel_backend.compiled = lib
