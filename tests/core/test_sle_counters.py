@@ -1,13 +1,12 @@
 """SLE's ``ScanStats`` are part of its contract — pinned to a golden file.
 
 ``sle_counters_golden.json`` was captured by ``capture_sle_counters.py``
-at the commit *before* step 1 learned to settle repeated presence masks
-arithmetically; the per-mask memo must reproduce the sequential loop's
+at the commit *before* step 1 left the plain per-partition loop; the
+kernel round (``repro.kernels.sle_round``) must reproduce that loop's
 counters exactly, not approximately.
 
 * **Eager index** (every list a resident ``ListColumns``, always the
-  batch presence path, where the memo applies): every field except
-  ``elapsed_seconds``.
+  batch presence path): every field except ``elapsed_seconds``.
 * **Frozen index**: the golden file's ``frozen`` entry pins
   ``partitions_visited``, ``dp_invocations``, ``slca_invocations`` and
   the answer — captured from a snapshot of 16-posting blocks, when a
@@ -61,8 +60,8 @@ def queries(index, golden):
 
 
 def test_memo_engages_on_this_workload(golden):
-    # The fixture must exercise what it pins: partitions far outnumber
-    # full evaluations' upper bound (DP runs at most twice each).
+    # The fixture must exercise what it pins: many partitions per query,
+    # some of them skipped.
     visited = sum(case["eager"]["partitions_visited"] for case in golden)
     skipped = sum(case["eager"]["partitions_skipped"] for case in golden)
     assert visited > 50 * len(golden)
