@@ -2,21 +2,15 @@
 
 Not paper tables; these keep the building blocks honest so regressions
 in the substrate do not masquerade as algorithmic effects in the
-figure benches: XML parsing, index construction, and the four SLCA
-baselines on identical inputs (the stack-slca /
-scan-slca baselines of Fig. 4 plus the two the paper cites).
+figure benches: XML parsing, index construction, and the stack-slca /
+scan-slca baselines of Fig. 4 on identical inputs.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.slca import (
-    indexed_lookup_slca,
-    multiway_slca,
-    scan_eager_slca,
-    stack_slca,
-)
+from repro.slca import scan_eager_slca, stack_slca
 from repro.xmltree import parse, serialize
 
 
@@ -52,8 +46,6 @@ def test_index_build(benchmark, dblp_tree):
     [
         ("stack", stack_slca),
         ("scan_eager", scan_eager_slca),
-        ("indexed_lookup", indexed_lookup_slca),
-        ("multiway", multiway_slca),
     ],
 )
 def test_slca_baselines(benchmark, slca_lists, name, algorithm):

@@ -13,12 +13,7 @@ document: a query that works, a query with mistakenly split keywords
 from __future__ import annotations
 
 from repro import XRefine
-from repro.slca import (
-    indexed_lookup_slca,
-    multiway_slca,
-    scan_eager_slca,
-    stack_slca,
-)
+from repro.slca import scan_eager_slca, stack_slca
 
 BIB_XML = """<bib>
  <author>
@@ -90,7 +85,7 @@ def main():
     show(engine, "database publication")
 
     # 4. A spelling error, plus plain SLCA search: the engine's own,
-    #    then the four label-list baselines of repro.slca.
+    #    then the two label-list baselines of repro.slca.
     show(engine, "skylne computation")
     print("\n>>> plain SLCA on 'database 2003':")
     labels = engine.slca_search("database 2003")
@@ -99,9 +94,7 @@ def main():
         engine.index.inverted_list(term).labels()
         for term in ("database", "2003")
     ]
-    for baseline in (
-        stack_slca, scan_eager_slca, indexed_lookup_slca, multiway_slca
-    ):
+    for baseline in (stack_slca, scan_eager_slca):
         labels = baseline(lists)
         print(f"    {baseline.__name__:>19}: {[str(d) for d in labels]}")
 

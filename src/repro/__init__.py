@@ -28,7 +28,8 @@ Subpackages
     Inverted lists, frequency/co-occurrence tables, one-pass builder,
     frozen snapshots and delta chains (the one on-disk format).
 ``repro.slca``
-    SLCA baselines and the meaningful-SLCA semantics.
+    The stack and scan SLCA baselines of Fig. 4, a brute-force
+    reference, and the meaningful-SLCA semantics.
 ``repro.lexicon``
     Refinement rules, rule mining, edit distance, stemmer, thesaurus.
 ``repro.datasets``

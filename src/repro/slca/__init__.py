@@ -1,19 +1,16 @@
 """SLCA substrate: baseline algorithms plus meaningful-SLCA semantics.
 
 Implements the SLCA machinery the paper builds on — the stack-based
-and (indexed-lookup / scan) eager algorithms of XKSearch [3] and the
-multiway skipping of [8] — together with the paper's own Section III-A
+and scan eager algorithms of XKSearch [3], the two Fig. 4 times, plus
+a brute-force reference — together with the paper's own Section III-A
 extensions: search-for node inference (Formula 1) and the meaningful
 SLCA test (Definitions 3.3 and 3.4).
 """
 
-from .elca import brute_force_elca, elca
-from .indexed_lookup import indexed_lookup_slca
 from .lca import (
     brute_force_slca,
     closest_match,
     label_components,
-    lca_candidate,
     merge_lists,
     remove_ancestors,
 )
@@ -27,22 +24,16 @@ from .meaningful import (
     meaningful_slcas,
     needs_refinement,
 )
-from .multiway import multiway_slca
 from .scan_eager import scan_eager_slca
 from .stack import stack_slca
 
 __all__ = [
     "stack_slca",
-    "elca",
-    "brute_force_elca",
     "scan_eager_slca",
-    "indexed_lookup_slca",
-    "multiway_slca",
     "brute_force_slca",
     "remove_ancestors",
     "closest_match",
     "label_components",
-    "lca_candidate",
     "merge_lists",
     "SearchForCandidate",
     "confidence",

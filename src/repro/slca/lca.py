@@ -41,7 +41,8 @@ def closest_match(sorted_components, target):
 
     Returns the element of the list whose LCA with ``target`` is
     deepest — the ``max(lm, rm)`` choice of XKSearch's Indexed Lookup
-    Eager.  ``None`` for an empty list.
+    Eager, by binary search.  ``None`` for an empty list.  Scan
+    Eager's forward matcher is held to it element for element.
     """
     if not sorted_components:
         return None
@@ -67,24 +68,6 @@ def _shared_prefix_len(a, b):
             break
         shared += 1
     return shared
-
-
-def lca_candidate(anchor, other_lists):
-    """LCA of ``anchor`` with its closest match from every other list.
-
-    All per-list LCAs are ancestors-or-self of ``anchor``, hence totally
-    ordered by depth; the candidate is the shallowest.  Returns ``None``
-    when some list is empty (no result can contain every keyword).
-    """
-    candidate = anchor
-    for components in other_lists:
-        match = closest_match(components, anchor)
-        if match is None:
-            return None
-        lca = anchor.lca(match)
-        if lca.depth < candidate.depth:
-            candidate = lca
-    return candidate
 
 
 def merge_lists(lists):

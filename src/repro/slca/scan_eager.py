@@ -1,10 +1,11 @@
 """Scan Eager SLCA (the `scan-slca` baseline of [3]).
 
-Like Indexed Lookup Eager it anchors on the shortest list, but the
-closest matches in the other lists are found by advancing forward
-pointers instead of binary searching — better when keyword frequencies
-are of similar magnitude, and the variant the paper's Partition and SLE
-algorithms delegate their per-partition SLCA computation to.
+Like XKSearch's Indexed Lookup Eager it anchors on the shortest list,
+but the closest matches in the other lists are found by advancing
+forward pointers instead of binary searching — better when keyword
+frequencies are of similar magnitude, and the variant the paper's
+Partition and SLE algorithms delegate their per-partition SLCA
+computation to.
 
 Each list pointer only ever moves forward, so a query costs one scan of
 every list: ``O(sum |Si|)`` plus the candidate filtering.

@@ -1,31 +1,7 @@
-"""Tests for engine extensions: ELCA containment, ranked results, eager
-build."""
+"""Tests for engine extensions: ranked results, eager build."""
 
 from repro.core.ranking import score_result
-from repro.index import build_document_index, query_terms
-from repro.slca import elca
-
-
-def _elca(engine, query):
-    return elca([
-        engine.index.inverted_list(term).labels()
-        for term in query_terms(query)
-    ])
-
-
-class TestELCAViaEngine:
-    """ELCA (a plain function of :mod:`repro.slca`) contains the
-    engine's SLCA answers."""
-
-    def test_elca_algorithm_available(self, figure1_engine):
-        slca = figure1_engine.slca_search("database 2003")
-        assert slca
-        assert set(slca) <= set(_elca(figure1_engine, "database 2003"))
-
-    def test_elca_superset_on_dblp(self, dblp_engine):
-        for query in ("database query", "machine learning"):
-            slca = dblp_engine.slca_search(query)
-            assert set(slca) <= set(_elca(dblp_engine, query))
+from repro.index import build_document_index
 
 
 class TestRankedResults:

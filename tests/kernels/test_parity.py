@@ -25,7 +25,11 @@ from repro.kernels import (
 )
 from repro.slca.scan_eager import scan_eager_slca
 from repro.verify.generate import DocumentGenerator, QueryGenerator
-from repro.verify.oracle import DocumentOracle, response_fingerprint
+from repro.verify.oracle import (
+    DocumentOracle,
+    response_fingerprint,
+    select,
+)
 from repro.xmltree.dewey import Dewey
 
 
@@ -90,7 +94,7 @@ class TestAdversarialCorpusParity:
                                  vocabulary=document.words)
         oracle = DocumentOracle(document.spec())
         for query in queries.queries(8):
-            assert oracle.check_kernels(query) == []
+            assert oracle.check(query, select("kernel")) == []
 
     @pytest.mark.parametrize("seed", range(3))
     def test_engine_results_identical_across_backends(

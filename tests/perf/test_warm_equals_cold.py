@@ -12,17 +12,9 @@ import pytest
 from repro import XRefine
 from repro.core.engine import ALGORITHMS
 from repro.index import query_terms
-from repro.slca import elca, remove_ancestors
 from repro.verify.oracle import SLCA_VARIANTS
 from repro.workload import ALL_KINDS, WorkloadGenerator
 
-#: Independent implementations over plain label lists (the oracle's
-#: registry).  ELCA is a superset semantics whose ancestor-pruned
-#: answers are the SLCAs.
-SLCA_REFERENCES = {
-    **SLCA_VARIANTS,
-    "elca": lambda lists: remove_ancestors(elca(lists)),
-}
 
 
 def response_fingerprint(response):
@@ -95,11 +87,11 @@ class TestRefinementAlgorithms:
 
 
 class TestSLCAAlgorithms:
-    @pytest.mark.parametrize("algorithm", sorted(SLCA_REFERENCES))
+    @pytest.mark.parametrize("algorithm", sorted(SLCA_VARIANTS))
     def test_warm_equals_cold(
         self, warm_engine, cold_engine, query_mix, algorithm
     ):
-        reference = SLCA_REFERENCES[algorithm]
+        reference = SLCA_VARIANTS[algorithm]
         for query in query_mix:
             first = warm_engine.slca_search(query)
             second = warm_engine.slca_search(query)

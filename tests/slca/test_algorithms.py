@@ -1,4 +1,4 @@
-"""All four SLCA algorithms vs brute force, plus known examples."""
+"""Both SLCA baselines vs brute force, plus known examples."""
 
 import random
 
@@ -6,20 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.slca import (
-    brute_force_slca,
-    indexed_lookup_slca,
-    multiway_slca,
-    scan_eager_slca,
-    stack_slca,
-)
+from repro.slca import brute_force_slca, scan_eager_slca, stack_slca
 from repro.xmltree import Dewey, parse
 
 ALGORITHMS = {
     "stack": stack_slca,
     "scan_eager": scan_eager_slca,
-    "indexed_lookup": indexed_lookup_slca,
-    "multiway": multiway_slca,
 }
 
 

@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.slca import closest_match, lca_candidate, merge_lists, remove_ancestors
+from repro.slca import closest_match, merge_lists, remove_ancestors
 from repro.xmltree import Dewey
 
 
@@ -63,24 +63,6 @@ class TestClosestMatch:
 
     def test_empty_list(self):
         assert closest_match([], Dewey.parse("0.1")) is None
-
-
-class TestLcaCandidate:
-    def test_contains_everything(self):
-        anchor = Dewey.parse("0.1.2")
-        others = [
-            sorted(l.components for l in labels("0.1.5")),
-            sorted(l.components for l in labels("0.0.1")),
-        ]
-        candidate = lca_candidate(anchor, others)
-        assert candidate == Dewey.parse("0")
-
-    def test_empty_other_list(self):
-        assert lca_candidate(Dewey.parse("0.1"), [[]]) is None
-
-    def test_no_others(self):
-        anchor = Dewey.parse("0.3")
-        assert lca_candidate(anchor, []) == anchor
 
 
 class TestMergeLists:

@@ -1,10 +1,10 @@
-"""Scan Eager's forward matcher must equal Indexed Lookup's bisect.
+"""Scan Eager's forward matcher must equal a binary-search reference.
 
 ``_ForwardMatcher.match`` (forward pointers, amortized O(1)) and
-``closest_match`` (binary search) implement the same "deepest LCA,
-ties to the left neighbor" contract.  If their tie-breaking ever
-drifts apart, Scan Eager and Indexed Lookup can anchor SLCA candidates
-on different witnesses and the higher layers stop agreeing — so the
+``closest_match`` (binary search, Indexed Lookup Eager's matcher)
+implement the same "deepest LCA, ties to the left neighbor" contract.
+If the forward matcher's tie-breaking drifts from it, Scan Eager
+anchors SLCA candidates on other witnesses than XKSearch's — so the
 equivalence is pinned here element-for-element, not just depth-for-
 depth.
 """
@@ -47,7 +47,7 @@ class TestMatcherAgreement:
                 bisected = closest_match(sorted_components, target)
                 assert str(forward) == str(bisected), (
                     f"trial {trial}: target {target} matched "
-                    f"{forward} (scan) vs {bisected} (indexed) over "
+                    f"{forward} (scan) vs {bisected} (bisect) over "
                     f"{[str(l) for l in labels]}"
                 )
 
