@@ -9,6 +9,7 @@ paper's human annotators.
 
 from .acronyms import ACRONYM_SCORE, DEFAULT_ACRONYMS, AcronymTable
 from .edit_distance import (
+    SpellingIndex,
     bounded_distance,
     levenshtein,
     spelling_candidates,
@@ -48,6 +49,7 @@ __all__ = [
     "within_distance",
     "bounded_distance",
     "spelling_candidates",
+    "SpellingIndex",
     "stem",
     "share_stem",
     "Thesaurus",

@@ -16,6 +16,8 @@ remains here is the bookkeeping every route shares:
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from ..core.dp import BeamMemo
 
 #: The three Section-VI refinement algorithms an evaluation can run.
@@ -105,7 +107,8 @@ class Calibration:
 class QueryPlanner:
     """Per-engine DP memos and route counters."""
 
-    #: Distinct (terms, rules, capacity) DP memo identities kept.
+    #: Distinct (terms, rules, capacity) DP memo identities kept; past
+    #: it the least recently used identity is dropped.
     DP_MEMO_LIMIT = 512
 
     __slots__ = ("index", "_dp_memos", "routed")
@@ -114,7 +117,7 @@ class QueryPlanner:
         # ``packed`` is accepted because benchmarks/e2e/layers.py passes
         # one; nothing reads it.
         self.index = index
-        self._dp_memos = {}
+        self._dp_memos = OrderedDict()
         #: Evaluations per route over the engine's lifetime.
         self.routed = dict.fromkeys(FIXED_ROUTES, 0)
 
@@ -139,10 +142,12 @@ class QueryPlanner:
         identity = (tuple(terms), rules.fingerprint(), capacity)
         memos = self._dp_memos.get(identity)
         if memos is None:
-            if len(self._dp_memos) >= self.DP_MEMO_LIMIT:
-                self._dp_memos.clear()
             memos = ({}, BeamMemo(), {})
             self._dp_memos[identity] = memos
+            if len(self._dp_memos) > self.DP_MEMO_LIMIT:
+                self._dp_memos.popitem(last=False)
+        else:
+            self._dp_memos.move_to_end(identity)
         return memos
 
     def plan(self, terms, rules, k, force=None):

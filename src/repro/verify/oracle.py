@@ -134,7 +134,10 @@ class Row:
     def check(self, memo):
         """This row's :class:`Divergence` on ``memo``'s query, or None."""
         pair = self.pair(memo)
-        if pair is None or _OPS[self.op](*pair):
+        if pair is None:
+            return None
+        memo.oracle.compared += 1
+        if _OPS[self.op](*pair):
             return None
         return Divergence(
             self.kind, self.detail, memo.oracle.spec, memo.query, *pair
@@ -191,6 +194,8 @@ class DocumentOracle:
         self._frozen_engine = None
         self._chain_state = _UNBUILT
         self._column_views = None
+        #: Comparisons made so far: rows whose ``pair`` applied.
+        self.compared = 0
 
     def check(self, query, rows=None):
         """``query``'s divergences over ``rows`` (default: every row)."""

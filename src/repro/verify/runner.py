@@ -20,7 +20,9 @@ from .shrink import shrink_divergence, write_fixture
 DEFAULT_QUERIES_PER_DOC = 4
 #: Divergence kinds shrunk+written per run (keeps worst case bounded).
 MAX_SHRINKS = 8
-#: Comparisons each query is counted for: one per row of the table.
+#: Rows each query is tried against: every row of the table.  A row
+#: that does not apply to a query (its ``pair`` is ``None``) compares
+#: nothing, so fewer comparisons are made than rows are tried.
 CHECKS_PER_QUERY = len(TABLE)
 
 
@@ -32,6 +34,7 @@ class VerifyReport:
         "documents",
         "queries",
         "checks",
+        "compared",
         "divergences",
         "fixtures",
         "elapsed_seconds",
@@ -41,7 +44,10 @@ class VerifyReport:
         self.seeds = 0
         self.documents = 0
         self.queries = 0
+        #: Rows tried: ``CHECKS_PER_QUERY`` for every query.
         self.checks = 0
+        #: Comparisons made: the tried rows that applied.
+        self.compared = 0
         self.divergences = []
         self.fixtures = []
         self.elapsed_seconds = 0.0
@@ -55,7 +61,8 @@ class VerifyReport:
         lines = [
             f"verify-diff: {status} — {self.seeds} seeds, "
             f"{self.documents} documents, {self.queries} queries, "
-            f"{self.checks} comparisons ({CHECKS_PER_QUERY} per query) "
+            f"{self.compared} comparisons made of {self.checks} rows "
+            f"tried ({CHECKS_PER_QUERY} per query) "
             f"in {self.elapsed_seconds:.1f}s"
         ]
         kinds = {}
@@ -74,6 +81,7 @@ def _check_document(oracle, queries, report):
         report.queries += 1
         report.checks += CHECKS_PER_QUERY
         found.extend(oracle.check(query))
+    report.compared += oracle.compared
     return found
 
 

@@ -3,8 +3,9 @@
 import io
 
 from repro.cli import main
-from repro.verify.oracle import Divergence
-from repro.verify.runner import VerifyReport, verify_diff
+from repro.verify.generate import DocumentGenerator, QueryGenerator
+from repro.verify.oracle import TABLE, Divergence, DocumentOracle, QueryMemo
+from repro.verify.runner import CHECKS_PER_QUERY, VerifyReport, verify_diff
 
 
 class TestVerifyDiff:
@@ -16,6 +17,30 @@ class TestVerifyDiff:
         assert report.queries == 6
         assert report.checks > 0
         assert "OK" in report.summary()
+
+    def test_counts_the_comparisons_made_not_the_rows_tried(self):
+        # Rows that do not apply to a query (an absent term, a document
+        # with one partition, ...) compare nothing and are not counted.
+        report = verify_diff(seeds=4, base_seed=0, shrink=False)
+        assert report.queries == 16
+        assert report.checks == 16 * CHECKS_PER_QUERY == 768
+        assert report.compared == 682
+        assert "682 comparisons made of 768 rows tried" in report.summary()
+
+    def test_compared_is_the_rows_whose_pair_applied(self):
+        spec = DocumentGenerator(0).spec()
+        oracle = DocumentOracle(spec)
+        vocabulary = list(oracle.index.inverted.keywords())
+        queries = QueryGenerator(0, vocabulary).queries(4)
+        applied = 0
+        for query in queries:
+            memo = QueryMemo(oracle, query)
+            if memo.terms:
+                applied += sum(row.pair(memo) is not None for row in TABLE)
+        assert oracle.compared == 0
+        for query in queries:
+            oracle.check(query)
+        assert oracle.compared == applied < len(queries) * len(TABLE)
 
     def test_sweep_is_deterministic(self):
         first = verify_diff(seeds=2, queries_per_doc=2)
