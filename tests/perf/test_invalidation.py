@@ -143,7 +143,38 @@ class TestAppendInvalidation:
         assert response.best.rq.key == frozenset({"skyline", "computation"})
 
 
+    def test_carried_spelling_index_sees_new_words(self, engine):
+        warm_up(engine)
+        engine.search("databse query")  # builds the spelling index
+        built = engine.miner.spelling_index()
+        append_partition(
+            engine.index, author_spec("alice", ["skyline computation"])
+        )
+        response = engine.search("skylne computation")
+        # The update's miner shares the arrays instead of rebuilding.
+        assert engine.miner.spelling_index()._hashes is built._hashes
+        assert response.best.rq.key == frozenset({"skyline", "computation"})
+        assert_matches_rebuild(engine)
+
+
 class TestRemoveInvalidation:
+    def test_carried_spelling_index_drops_removed_words(self, engine):
+        node = append_partition(
+            engine.index, author_spec("alice", ["skyline computation"])
+        )
+        query = "skylne computation"
+        assert "skyline" in engine.search(query).best.rq.key
+        remove_partition(engine.index, node.dewey)
+        warm = engine.search(query)
+        fresh = rebuilt_engine(engine.index)
+        assert [
+            (rule.lhs, rule.rhs, rule.ds) for rule in engine.mine_rules(query)
+        ] == [(rule.lhs, rule.rhs, rule.ds) for rule in fresh.mine_rules(query)]
+        assert all("skyline" not in r.rq.key for r in warm.refinements)
+        assert content_fingerprint(engine, warm) == content_fingerprint(
+            fresh, fresh.search(query)
+        )
+
     def test_warm_answers_equal_rebuild(self, engine):
         warm_up(engine)
         remove_partition(engine.index, Dewey((0, 0)))
