@@ -17,7 +17,7 @@ from .scaling import (
     scaled_series,
     scaled_subtree,
 )
-from .vocabulary import AREAS, all_title_terms, area_terms
+from .vocabulary import AREAS, area_terms
 
 __all__ = [
     "DBLPConfig",
@@ -33,5 +33,4 @@ __all__ = [
     "corpus_for_nodes",
     "AREAS",
     "area_terms",
-    "all_title_terms",
 ]

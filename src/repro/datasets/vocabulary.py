@@ -127,11 +127,3 @@ POSITIONS = [
 def area_terms(area):
     """Title terms of one area; raises KeyError for unknown areas."""
     return list(AREAS[area])
-
-
-def all_title_terms():
-    """Union of all area terms (deduplicated, sorted)."""
-    terms = set()
-    for words in AREAS.values():
-        terms.update(words)
-    return sorted(terms)

@@ -188,7 +188,7 @@ def build_document_index(tree, eager_cooccurrence_types=None):
     for node_type, distinct in distinct_per_type.items():
         statistics.set_distinct_keywords(node_type, distinct)
 
-    cooccurrence = CooccurrenceTable(inverted)
+    cooccurrence = CooccurrenceTable(inverted, frequency)
     if eager_cooccurrence_types:
         vocabulary = sorted(postings)
         cooccurrence.build_pairs(vocabulary, list(eager_cooccurrence_types))

@@ -5,68 +5,62 @@ contains *both* keywords — which Formula 7 turns into the association
 confidence ``C(ki => kj) = f_{ki,kj}^T / f_{ki}^T``.
 
 The paper materializes the full table at parse time and notes its
-worst-case O(K^2 * T) space.  This implementation is **lazy with
-memoization**: the first request for a pair ``(ki, kj, T)`` intersects
-the T-typed ancestor sets derived from the two inverted lists, then
-memoizes the answer.  The ranking model only ever asks about
-keywords of candidate refined queries under the handful of search-for
-types, so the lazy table stays tiny while returning exactly the counts
-an eager build would.  ``build_pairs`` eagerly fills the table for a
-vocabulary/type set when a fully materialized table is wanted (the
-paper's configuration).
+worst-case O(K^2 * T) space.  This implementation is **a lazy merge
+with memoized counts**: the first request for a pair ``(ki, kj, T)``
+makes one forward pass over the two inverted lists' key columns
+(:func:`~repro.kernels.ancestors.common_ancestors`) and memoizes the
+count — and nothing else: no ancestor set outlives the pass.  The
+ranking model only ever asks about keywords of candidate refined
+queries under the handful of search-for types, so the memo stays tiny
+while returning exactly the counts an eager build would; its bound is
+``|V|^2 * |T|`` however much traffic the index serves.  ``f_k^T`` is
+the frequent table's (:mod:`repro.index.frequency`).  ``build_pairs``
+eagerly fills the table for a vocabulary/type set when a fully
+materialized table is wanted (the paper's configuration).
 """
 
 from __future__ import annotations
+
+from ..kernels.ancestors import common_ancestors
 
 
 class CooccurrenceTable:
     """Pairwise keyword co-occurrence counts per node type."""
 
-    def __init__(self, inverted_index):
+    def __init__(self, inverted_index, frequency):
         self._inverted = inverted_index
+        self._frequency = frequency
         # (ki, kj, type_id) with ki <= kj -> f_{ki,kj}^T
         self._counts = {}
-        # keyword -> {node_type -> frozenset of T-typed ancestor deweys}
-        self._ancestor_cache = {}
-
-    # ------------------------------------------------------------------
-    def _ancestors(self, keyword, node_type):
-        """Dewey labels of T-typed nodes containing ``keyword``.
-
-        A posting at node v lies under a T-typed ancestor iff v's
-        prefix path starts with T; that ancestor's Dewey label is v's
-        label truncated to ``len(T)`` components.
-        """
-        per_keyword = self._ancestor_cache.setdefault(keyword, {})
-        cached = per_keyword.get(node_type)
-        if cached is not None:
-            return cached
-        frozen = frozenset(
-            self._inverted.get(keyword).ancestor_keys(node_type)
-        )
-        per_keyword[node_type] = frozen
-        return frozen
 
     # ------------------------------------------------------------------
     # Query API
     # ------------------------------------------------------------------
     def count(self, ki, kj, node_type):
-        """``f_{ki,kj}^T``: T-typed subtrees containing both keywords."""
+        """``f_{ki,kj}^T``: T-typed subtrees containing both keywords.
+
+        A pair with an absent keyword, or a type no node has, counts 0
+        and is not memoized: the memo holds indexed keywords only.
+        """
         if ki > kj:  # symmetric: canonicalize the keyword order
             ki, kj = kj, ki
-        key = (ki, kj, self._inverted._intern_type(node_type))
+        inverted = self._inverted
+        type_id = inverted._type_ids.get(node_type)
+        if type_id is None:
+            return 0
+        key = (ki, kj, type_id)
         value = self._counts.get(key)
         if value is None:
-            value = len(
-                self._ancestors(ki, node_type)
-                & self._ancestors(kj, node_type)
-            )
-            self._counts[key] = value
+            a = inverted.get(ki)
+            b = inverted.get(kj)
+            if not len(a) or not len(b):
+                return 0
+            value = self._counts[key] = common_ancestors(a, b, node_type)
         return value
 
     def containing_count(self, keyword, node_type):
-        """``f_k^T`` derived from the same ancestor sets (cross-check)."""
-        return len(self._ancestors(keyword, node_type))
+        """``f_k^T``, read from the frequent table."""
+        return self._frequency.xml_df(keyword, node_type)
 
     def confidence(self, ki, kj, node_type):
         """Formula 7: ``C(ki => kj) = f_{ki,kj}^T / f_{ki}^T``.
@@ -93,11 +87,6 @@ class CooccurrenceTable:
     def __len__(self):
         return len(self._counts)
 
-    def clear_cache(self):
-        """Drop the ancestor-set cache (memoized counts stay)."""
-        self._ancestor_cache.clear()
-
     def invalidate(self):
-        """Drop caches AND memoized counts (after an index update)."""
-        self._ancestor_cache.clear()
+        """Drop the memoized counts (after an index update)."""
         self._counts.clear()

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import struct
 
-from ..storage import CowKVStore, decode_key, encode_key
+from ..storage import CowKVStore, encode_key
 
 _VALUE = struct.Struct(">II")  # f_k^T, tf(k, T)
+_ABSENT = (0, 0)
 
 
 class FrequencyTable:
@@ -31,10 +32,11 @@ class FrequencyTable:
         self._type_ids = type_ids if type_ids is not None else {}
         self._type_table = type_table if type_table is not None else []
         self._pending = {}
-        # Hot-path memos over the store: (keyword, type) -> (df, tf)
-        # lookups and per-keyword prefix scans.  Cleared on any write.
+        # Hot-path memo over the store: keyword -> {node_type: (df, tf)},
+        # filled by one prefix scan per keyword.  An absent keyword's
+        # scan is empty and is not kept, so the memo holds indexed
+        # keywords only.  Cleared on any write.
         self._memo = {}
-        self._types_memo = {}
 
     def _intern(self, node_type):
         type_id = self._type_ids.get(node_type)
@@ -70,30 +72,35 @@ class FrequencyTable:
         raw = self._store.get(key)
         df, tf = _VALUE.unpack(raw) if raw is not None else (0, 0)
         self._store.put(key, _VALUE.pack(df + df_delta, tf + tf_delta))
-        self._memo.pop((keyword, node_type), None)
-        self._types_memo.pop(keyword, None)
+        self._memo.pop(keyword, None)
 
     def clear_memo(self):
-        """Drop the lookup memos (after any bulk store mutation)."""
+        """Drop the lookup memo (after any bulk store mutation)."""
         self._memo.clear()
-        self._types_memo.clear()
 
     # ------------------------------------------------------------------
     # Query API
     # ------------------------------------------------------------------
+    def _entries(self, keyword):
+        """``{node_type: (df, tf)}`` for one keyword, in store order
+        (shared: read, never write)."""
+        entries = self._memo.get(keyword)
+        if entries is None:
+            type_table = self._type_table
+            entries = {
+                # The type id is the key's last part: 8 big-endian bytes.
+                type_table[int.from_bytes(key[-8:], "big")]:
+                    _VALUE.unpack(raw)
+                for key, raw in self._store.scan_prefix(
+                    encode_key((keyword,))
+                )
+            }
+            if entries:
+                self._memo[keyword] = entries
+        return entries
+
     def _lookup(self, keyword, node_type):
-        memo_key = (keyword, node_type)
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            return cached
-        type_id = self._type_ids.get(node_type)
-        if type_id is None:
-            value = (0, 0)
-        else:
-            raw = self._store.get(encode_key((keyword, type_id)))
-            value = _VALUE.unpack(raw) if raw is not None else (0, 0)
-        self._memo[memo_key] = value
-        return value
+        return self._entries(keyword).get(node_type, _ABSENT)
 
     def xml_df(self, keyword, node_type):
         """``f_k^T``: T-typed nodes containing ``keyword`` in the subtree."""
@@ -104,22 +111,12 @@ class FrequencyTable:
         return self._lookup(keyword, node_type)[1]
 
     def types_for(self, keyword):
-        """All (node_type, f_k^T, tf) triples for one keyword.
-
-        The prefix scan is memoized per keyword; a fresh list is
-        returned each call so callers may mutate their copy.
-        """
-        cached = self._types_memo.get(keyword)
-        if cached is not None:
-            return list(cached)
-        prefix = encode_key((keyword,))
-        result = []
-        for key, raw in self._store.scan_prefix(prefix):
-            _, type_id = decode_key(key)
-            df, tf = _VALUE.unpack(raw)
-            result.append((self._type_table[type_id], df, tf))
-        self._types_memo[keyword] = tuple(result)
-        return result
+        """All (node_type, f_k^T, tf) triples for one keyword, in the
+        store's key order (a new list)."""
+        return [
+            (node_type, df, tf)
+            for node_type, (df, tf) in self._entries(keyword).items()
+        ]
 
     def __len__(self):
         return len(self._store) + len(self._pending)

@@ -529,7 +529,8 @@ def assemble_index(handle, base, deltas=(), pause=None):
         raise
 
     index = DocumentIndex(
-        tree, inverted, frequency, statistics, CooccurrenceTable(inverted)
+        tree, inverted, frequency, statistics,
+        CooccurrenceTable(inverted, frequency),
     )
     index.frozen_snapshot = handle
     # Mutations are logged so save_delta() can replay tree operations

@@ -209,6 +209,9 @@ class InvertedIndex:
         self._cache = {}
         self._type_table = []
         self._type_ids = {}
+        # The indexed keywords (a set) once keywords() has read them.
+        self._vocabulary = None
+        self._absent = InvertedList.open("", _EMPTY_PAYLOAD, self._type_table)
 
     # ------------------------------------------------------------------
     # Node-type interning
@@ -233,6 +236,8 @@ class InvertedIndex:
         payload = encode_posting_payload(keyword, keys, type_ids, counts)
         self._store.put(encode_key((keyword,)), payload)
         self._cache.pop(keyword, None)
+        if self._vocabulary is not None:
+            self._vocabulary.add(keyword)
 
     def add_postings(self, keyword, keys, node_types, counts):
         """Store the complete posting list for ``keyword``.
@@ -268,6 +273,8 @@ class InvertedIndex:
         if hi - lo == len(existing):
             self._store.delete(encode_key((keyword,)))
             self._cache.pop(keyword, None)
+            if self._vocabulary is not None:
+                self._vocabulary.discard(keyword)
             return
 
         def outside(column):
@@ -284,6 +291,9 @@ class InvertedIndex:
     # Query API
     # ------------------------------------------------------------------
     def __contains__(self, keyword):
+        vocabulary = self._vocabulary
+        if vocabulary is not None:
+            return keyword in vocabulary
         cached = self._cache.get(keyword)
         if cached is not None:
             return len(cached) > 0
@@ -295,20 +305,24 @@ class InvertedIndex:
         Every record opens the same way, wherever the store keeps it —
         a snapshot's mapped bytes, a delta layer, the overlay of a
         built or mutated index: :meth:`InvertedList.open` over a
-        zero-copy view of the payload.  An absent keyword's empty list
-        is cached like any other — out-of-vocabulary terms are normal
-        query input and a store miss costs two orders of magnitude more
-        than the cached answer.
+        zero-copy view of the payload, cached per keyword.  An absent
+        keyword gets the index's one shared empty list and leaves
+        nothing behind: out-of-vocabulary terms are normal query input,
+        and a cache entry per absent term would grow with the traffic.
+        Once :meth:`keywords` has been read (an engine's rule miner
+        reads it), telling a keyword absent is one set probe; before
+        that it is a store miss.
         """
         cached = self._cache.get(keyword)
         if cached is not None:
             return cached
+        vocabulary = self._vocabulary
+        if vocabulary is not None and keyword not in vocabulary:
+            return self._absent
         payload = self._store.view(encode_key((keyword,)))
-        opened = InvertedList.open(
-            keyword,
-            _EMPTY_PAYLOAD if payload is None else payload,
-            self._type_table,
-        )
+        if payload is None:
+            return self._absent
+        opened = InvertedList.open(keyword, payload, self._type_table)
         self._cache[keyword] = opened
         return opened
 
@@ -337,16 +351,24 @@ class InvertedIndex:
             for line in text.split("\n"):
                 self._intern_type(tuple(line.split("/")))
         self._cache.clear()
+        self._vocabulary = None
+        self._absent = InvertedList.open("", _EMPTY_PAYLOAD, self._type_table)
 
     def keywords(self):
-        """All indexed keywords, sorted."""
-        return [
-            keyword
-            for keyword in (
-                decode_key(key)[0] for key in self._store.keys()
-            )
-            if keyword != self._TYPES_KEY
-        ]
+        """All indexed keywords, sorted.
+
+        The first call reads them from the store's keys and keeps them
+        as a set, which every write keeps in step.
+        """
+        vocabulary = self._vocabulary
+        if vocabulary is None:
+            types_key = encode_key((self._TYPES_KEY,))
+            vocabulary = self._vocabulary = {
+                decode_key(key)[0]
+                for key in self._store.keys()
+                if key != types_key
+            }
+        return sorted(vocabulary)
 
     def vocabulary_size(self):
         total = len(self._store)

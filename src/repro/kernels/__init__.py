@@ -25,6 +25,8 @@ operations over columnar views of the inverted lists:
   times scoring by.
 * :mod:`.bounds` — presence bounds memoized by block bitmask (the
   WAND-style skip pre-check).
+* :mod:`.ancestors` — the co-occurrence count ``f_{ki,kj}^T`` of two
+  lists as one forward merge of their key columns.
 * :mod:`.backend` — compiled (cffi + cc) fast path selection with a
   pure-Python fallback; ``REPRO_NO_COMPILED_KERNELS=1`` forces the
   fallback.

@@ -48,7 +48,10 @@ buffers.  The crossings:
 * ``repro_decode_payload`` / ``repro_encode_run`` — a posting list's
   whole payload decoded into those arrays and its partition table, on
   the list's first read, and written at build time
-  (:mod:`repro.index.blocks` holds their Python twins).
+  (:mod:`repro.index.blocks` holds their Python twins);
+* ``repro_common_ancestors`` — the co-occurrence count ``f_{ki,kj}^T``
+  of two lists, one forward merge over their key columns
+  (:mod:`.ancestors` holds its Python twin).
 """
 
 from __future__ import annotations
@@ -112,6 +115,13 @@ int64_t repro_decode_payload(const uint8_t *body, int64_t nbytes,
 int64_t repro_encode_run(const int64_t *flat, const int64_t *offs,
                          const int64_t *tids, const int64_t *counts,
                          int64_t count, uint8_t *out, int64_t cap);
+int64_t repro_common_ancestors(const int64_t *a_flat, const int64_t *a_offs,
+                               const void *a_tids, int64_t a_width,
+                               int64_t a_count,
+                               const int64_t *b_flat, const int64_t *b_offs,
+                               const void *b_tids, int64_t b_width,
+                               int64_t b_count,
+                               const char *under, int64_t depth);
 """
 
 #: Every function declared above.
@@ -1028,6 +1038,49 @@ int64_t repro_encode_run(const int64_t *flat, const int64_t *offs,
         pos = put_uvarint(out, pos, (uint64_t)counts[i]);
     }
     return pos;
+}
+
+/* f_{ki,kj}^T: the distinct depth-component key prefixes that a posting
+ * of list a and a posting of list b share, counting only postings whose
+ * type id t has under[t] set (the node lies under a T-typed ancestor,
+ * T being depth components deep, so the prefix is that ancestor's key).
+ * Both lists are in document order, so their prefixes never decrease:
+ * one forward pass over the two, each common prefix counted once. */
+int64_t repro_common_ancestors(const int64_t *a_flat, const int64_t *a_offs,
+                               const void *a_tids, int64_t a_width,
+                               int64_t a_count,
+                               const int64_t *b_flat, const int64_t *b_offs,
+                               const void *b_tids, int64_t b_width,
+                               int64_t b_count,
+                               const char *under, int64_t depth)
+{
+    int64_t i = 0, j = 0, count = 0;
+    const int64_t *last = NULL;
+    for (;;) {
+        const int64_t *a_key, *b_key;
+        int cmp;
+        while (i < a_count && !under[type_id_at(a_tids, a_width, i)])
+            i++;
+        while (j < b_count && !under[type_id_at(b_tids, b_width, j)])
+            j++;
+        if (i >= a_count || j >= b_count)
+            return count;
+        a_key = a_flat + a_offs[i];
+        b_key = b_flat + b_offs[j];
+        cmp = key_cmp(a_key, depth, b_key, depth);
+        if (cmp < 0) {
+            i++;
+        } else if (cmp > 0) {
+            j++;
+        } else {
+            if (!last || key_cmp(last, depth, a_key, depth) != 0) {
+                count++;
+                last = a_key;
+            }
+            i++;
+            j++;
+        }
+    }
 }
 """
 

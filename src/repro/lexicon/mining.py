@@ -78,17 +78,22 @@ class RuleMiner:
         self.max_spelling = max_spelling
         self.edit_limit = edit_limit
         self._stem_groups = None
+        self._stem_of = None
         self._spelling = None
 
     # ------------------------------------------------------------------
     def _stems(self):
-        """Lazy map stem -> corpus words sharing it."""
+        """Lazy ``(stem -> corpus words sharing it, word -> its stem)``:
+        every vocabulary word is stemmed once per miner."""
         if self._stem_groups is None:
             groups = {}
+            stem_of = {}
             for word in self.vocabulary:
-                groups.setdefault(stem(word), set()).add(word)
+                word_stem = stem_of[word] = stem(word)
+                groups.setdefault(word_stem, set()).add(word)
             self._stem_groups = groups
-        return self._stem_groups
+            self._stem_of = stem_of
+        return self._stem_groups, self._stem_of
 
     def updated(self, vocabulary):
         """A miner over a changed ``vocabulary``, with this one's settings.
@@ -174,8 +179,16 @@ class RuleMiner:
                     yield acronym_rules(acronym, run, ds=ACRONYM_SCORE)[1]
 
     def stemming_rules(self, keyword):
-        """Substitutions into corpus words sharing the Porter stem."""
-        for word in sorted(self._stems().get(stem(keyword), ())):
+        """Substitutions into corpus words sharing the Porter stem.
+
+        A vocabulary keyword's stem is one dict read; any other keyword
+        is stemmed per call, so nothing here grows with the traffic.
+        """
+        groups, stem_of = self._stems()
+        keyword_stem = stem_of.get(keyword)
+        if keyword_stem is None:
+            keyword_stem = stem(keyword)
+        for word in sorted(groups.get(keyword_stem, ())):
             if word != keyword:
                 yield substitution_rule(keyword, word, ds=1)
 

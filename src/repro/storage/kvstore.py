@@ -50,8 +50,9 @@ class CowKVStore:
 
     Iteration (:meth:`items`, :meth:`keys`, :meth:`range`,
     :meth:`scan_prefix`) is in key byte order — the order snapshot
-    sections are written in.  The overlay's sorted key list is rebuilt
-    lazily, on the first ordered read after its key set changed.
+    sections are written in.  The overlay's sorted key list is built on
+    the first ordered read and kept in order by every write after it,
+    so reads between small updates never sort the whole overlay again.
 
     Invariant: a key never lives in both ``_deleted`` and the overlay.
     ``_shadowed`` counts base keys currently overridden by the overlay
@@ -73,7 +74,8 @@ class CowKVStore:
         key = _check_bytes("key", key)
         value = _check_bytes("value", value)
         if key not in self._overlay:
-            self._sorted_keys = None
+            if self._sorted_keys is not None:
+                bisect.insort(self._sorted_keys, key)
             if key in self._base:
                 self._deleted.discard(key)
                 self._shadowed += 1
@@ -83,7 +85,9 @@ class CowKVStore:
         """Remove ``key``; returns True when it existed."""
         key = _check_bytes("key", key)
         if self._overlay.pop(key, _MISSING) is not _MISSING:
-            self._sorted_keys = None
+            keys = self._sorted_keys
+            if keys is not None:
+                del keys[bisect.bisect_left(keys, key)]
             if key in self._base:
                 self._shadowed -= 1
                 self._deleted.add(key)

@@ -11,7 +11,7 @@ from .dewey import Dewey, descendant_range_key, lca_of_all
 from .parser import EVENT_END, EVENT_START, iterparse, parse, parse_file
 from .serialize import serialize, write_file
 from .validate import check_tree
-from .tree import XMLNode, XMLTree, build_node_type, type_display_name
+from .tree import XMLNode, XMLTree, build_node_type
 
 __all__ = [
     "build_tree",
@@ -29,5 +29,4 @@ __all__ = [
     "XMLNode",
     "XMLTree",
     "build_node_type",
-    "type_display_name",
 ]

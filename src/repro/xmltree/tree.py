@@ -233,13 +233,3 @@ class XMLTree:
 def build_node_type(parent_type, tag):
     """Extend a parent's node type (prefix path) with a child tag."""
     return parent_type + (tag,)
-
-
-def type_display_name(node_type):
-    """Human-readable name for a node type.
-
-    Following the paper's convention ("we use the tag name instead of
-    the prefix path to represent the node type"), the last tag of the
-    path is used.
-    """
-    return node_type[-1]

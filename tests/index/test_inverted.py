@@ -86,9 +86,10 @@ class TestInvertedIndex:
     def test_contains_is_not_changed_by_a_lookup(
         self, view, figure1_tree, tmp_path
     ):
-        """``get`` caches an absent keyword's empty list; membership
-        must keep answering from what the index holds — out-of-
-        vocabulary terms are this system's normal input."""
+        """``get`` answers an absent keyword with the index's one
+        shared empty list; membership must keep answering from what the
+        index holds — out-of-vocabulary terms are this system's normal
+        input."""
         index = build_document_index(figure1_tree)
         if view == "frozen":
             freeze_index(index, tmp_path / "figure1.frz")
@@ -96,7 +97,7 @@ class TestInvertedIndex:
         inverted = index.inverted
         assert "serach" not in inverted and "zzzq" not in inverted
         XRefine(index).search("xml serach zzzq")
-        assert inverted.get("zzzq") is inverted.get("zzzq")  # negative entry
+        assert inverted.get("zzzq") is inverted.get("serach")  # shared
         assert "serach" not in inverted and "zzzq" not in inverted
         assert "xml" in inverted
 
