@@ -1,4 +1,4 @@
-"""Scoring cost gate: ns per candidate of the ranking model.
+"""Hot-path cost gates: the ranking model per candidate, the DP per row.
 
 Scores the DP beam's Top-2K candidates of a small refinable/clean query
 pool through the ranking model's Formula 2-9 scores — the one
@@ -11,6 +11,13 @@ statistics through the score memo, say — is a hot-path regression no
 benchmark (``benchmarks/e2e/run.py``) boots runs the compiled backend.
 Every latency, throughput, start-up and RSS number of the serving
 stack is measured and bounded there, not here.
+
+It also prices one DP row — the Top-2K beam and the 1-beam probe of one
+presence mask, Section V's ``getOptimalRQ`` as short-list step 1 runs
+it — over the pool's presence masks, under the running backend.  Under
+the compiled backend a row past ``DP_ROW_US_LIMIT`` fails the run: the
+compiled DP costs about 2 us a row and the Python one about 45, so
+queries whose rules silently fall back to the Python DP show here.
 
 Self-contained: the limit is absolute and there is no committed
 baseline to compare with.
@@ -44,6 +51,18 @@ from repro.workload import WorkloadGenerator  # noqa: E402
 #: bench's beam sizes) to absorb CI-fleet speed spread while still
 #: catching scoring that bypasses the memo.
 SCORING_NS_PER_CANDIDATE_LIMIT = 50_000
+
+
+#: Ceiling on one DP row under the compiled backend, in us.  A row
+#: measured 1.2-2.5 us on a shared 2-vCPU host (4.6 with a test suite
+#: running beside it) — two calls into the library, each mostly the
+#: crossing (~1 us; a row the round kernel computes pays none) —
+#: against 44-51 us for the Python DP, so the ceiling sits well above
+#: the one and well below the other.
+DP_ROW_US_LIMIT = 10.0
+#: Presence masks a query contributes at most: every subset of its
+#: first eight lanes.
+DP_ROW_MASK_BITS = 8
 
 
 def build_query_pool(index, unique, seed):
@@ -154,6 +173,72 @@ def bench_scoring(index, pool, k):
     return section
 
 
+def bench_dp_rows(index, pool, k):
+    """us per DP row over the pool's presence masks.
+
+    A row is what short-list step 1 keeps per presence mask: the Top-2K
+    beam and the 1-beam probe.  Under the compiled backend a query whose
+    rules the compiled DP can run (a :class:`~repro.kernels.RuleTable`)
+    is timed through ``repro_dp_top`` over preallocated buffers; any
+    other query — every one under the pure-Python backend — through
+    :func:`~repro.core.dp.get_top_optimal_rqs`, as the route runs it.
+    """
+    from repro.core.common import QueryContext
+    from repro.core.dp import get_top_optimal_rqs
+    from repro.index.tokenize_text import query_terms
+    from repro.kernels import RuleTable, backend
+
+    lib = backend.compiled
+    engine = XRefine(index, cache_size=0)
+    capacity = max(2 * k, 2)
+    jobs = []
+    rows = 0
+    for query in pool:
+        terms = query_terms(query)
+        rules = engine.mine_rules(terms)
+        context = QueryContext(index, terms, rules)
+        lanes = tuple(sorted(set(context.keyword_space)))
+        masks = range(1 << min(len(lanes), DP_ROW_MASK_BITS))
+        table = RuleTable.build(context.query, rules, lanes) if lib else None
+        if table is None:
+            presents = [
+                {word for lane, word in enumerate(lanes) if mask >> lane & 1}
+                for mask in masks
+            ]
+            jobs.append((context.query, rules, presents))
+        else:
+            jobs.append((table, masks))
+        rows += len(masks)
+
+    def run_rows():
+        for job in jobs:
+            if len(job) == 3:
+                query, rules, presents = job
+                for present in presents:
+                    get_top_optimal_rqs(query, present, rules, capacity)
+                    get_top_optimal_rqs(query, present, rules, 1)
+                continue
+            table, masks = job
+            top = lib.lib.repro_dp_top
+            handle = table.handle(lib)
+            _, out = table.outputs(lib, capacity)
+            for mask in masks:
+                top(handle, mask, capacity, *out)
+                top(handle, mask, 1, *out)
+
+    run_rows()  # warm-up
+    best = min(_timed_pass(run_rows) for _ in range(3))
+    us_per_row = best * 1e6 / rows if rows else 0.0
+    compiled = sum(1 for job in jobs if len(job) == 2)
+    print(
+        f"  DP rows ({backend.backend_name()}): {rows} rows over "
+        f"{len(jobs)} queries ({compiled} through the compiled DP), "
+        f"{best * 1000:.2f} ms/pass, {us_per_row:.2f} us/row"
+        + (f" (limit {DP_ROW_US_LIMIT})" if lib else "")
+    )
+    return {"rows": rows, "us_per_row": us_per_row, "gated": lib is not None}
+
+
 def _timed_pass(action):
     began = time.perf_counter()
     action()
@@ -170,6 +255,8 @@ def run(args):
     )
     pool = build_query_pool(index, args.unique, args.seed)
     scoring = bench_scoring(index, pool, args.k)
+    dp_rows = bench_dp_rows(index, pool, args.k)
+    failed = 0
     if scoring["ns_per_candidate"] > SCORING_NS_PER_CANDIDATE_LIMIT:
         print(
             f"FAIL: scoring costs "
@@ -177,12 +264,25 @@ def run(args):
             f"the {SCORING_NS_PER_CANDIDATE_LIMIT} ns limit",
             file=sys.stderr,
         )
-        return 1
-    print(
-        f"OK: scoring {scoring['ns_per_candidate']:.0f} "
-        f"ns/candidate holds the {SCORING_NS_PER_CANDIDATE_LIMIT} ns limit"
-    )
-    return 0
+        failed = 1
+    else:
+        print(
+            f"OK: scoring {scoring['ns_per_candidate']:.0f} ns/candidate "
+            f"holds the {SCORING_NS_PER_CANDIDATE_LIMIT} ns limit"
+        )
+    if dp_rows["gated"] and dp_rows["us_per_row"] > DP_ROW_US_LIMIT:
+        print(
+            f"FAIL: a DP row costs {dp_rows['us_per_row']:.2f} us under the "
+            f"compiled backend, over the {DP_ROW_US_LIMIT} us limit",
+            file=sys.stderr,
+        )
+        failed = 1
+    elif dp_rows["gated"]:
+        print(
+            f"OK: a DP row costs {dp_rows['us_per_row']:.2f} us, within "
+            f"the {DP_ROW_US_LIMIT} us limit"
+        )
+    return failed
 
 
 def main(argv=None):

@@ -24,6 +24,17 @@ Complexity: ``O(|S| * beam * (1 + rules_per_suffix))`` cell work, i.e.
 the paper's ``O(|Q|^2 log |R|)`` for unit beams once rule lookup by
 last-LHS-keyword is O(1) (our :class:`~repro.lexicon.rules.RuleSet`
 pre-indexes instead of binary-searching).
+
+:func:`get_top_optimal_rqs` is the reference.  Short-list eager runs
+the same DP compiled (``repro_dp_top`` in :mod:`repro.kernels.backend`,
+over a :class:`~repro.kernels.scoring.RuleTable`): keyword sets as lane
+masks with lanes in keyword-string order, so the rank key's keyword
+tuple compares as a lane sequence, and each cost carrying whether it is
+a Python float, so a dissimilarity keeps its type.  This module's DP
+stays the path for a keyword space wider than one mask, for costs a
+double cannot add up as Python does, and under
+``REPRO_NO_COMPILED_KERNELS=1``; the ``kernel:dp-rows`` oracle row and
+``tests/kernels/test_dp_kernel.py`` hold the two equal.
 """
 
 from __future__ import annotations
@@ -38,8 +49,9 @@ class BeamMemo(dict):
 
     ``mask_rows`` holds the same identity's results in a reader's own
     layout: short-list eager keeps its per-presence-mask DP rows there
-    (:class:`~repro.kernels.scoring.MaskRows`), keyed by its lane
-    order, in place of beam and probe entries of its own.
+    (:class:`~repro.kernels.scoring.MaskRows`, with the identity's
+    compiled rule table), keyed by its lane order, in place of beam
+    and probe entries of its own.
     """
 
     __slots__ = ("mask_rows",)

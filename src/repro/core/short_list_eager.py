@@ -25,10 +25,16 @@ pre-screen, the partition-local SLCA of a partition holding all of
 ``Q``, the probe-minimum skip and the Top-2K admission of the DP beam
 (each new candidate checked for a meaningful partition-local match,
 "Issue 2"), with every ``ScanStats`` counter exactly what the plain
-per-partition loop reported.  The DP itself stays here: the kernel
-reads its results as rows per presence mask and calls back only for
-one the memos lack, and a query leaves the rows it grew in the beam
-memo for the next query of the same identity.  Once ``Q`` has an
+per-partition loop reported.  The kernel reads the DP's results as
+rows per presence mask, computes a row it lacks itself — Section V's
+DP compiled over the query's rule table
+(:class:`~repro.kernels.scoring.RuleTable`) — and returns to Python
+only to grow the rows; a query leaves the rows it grew in the beam
+memo for the next query of the same identity.  The ``C_potential``
+probe runs the same compiled DP.  Under the pure-Python backend, or
+for a keyword space wider than one presence mask, the round's twin
+asks :func:`~repro.core.dp.get_top_optimal_rqs` through the memos
+instead.  Once ``Q`` has an
 answer, one kernel call (:func:`~repro.kernels.sle_direct`) runs the
 SLCA of every remaining partition that holds all of ``Q``.
 
@@ -115,22 +121,23 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
         capacity, lanes, lane_columns, context.query,
         PresenceBoundCache(context.query, rules, lanes), context.need,
         rows=published.get(lanes) if published is not None else None,
+        rules=rules,
     )
 
     def probe_minimum(available):
-        """Memoized 1-beam DP: the least dSim achievable in ``available``."""
+        """Memoized 1-beam DP: the least dSim achievable in ``available``
+        (the compiled DP when it can run it)."""
         key = frozenset(available)
         probe = probe_memo.get(key)
         if probe is None:
-            probe = get_top_optimal_rqs(context.query, available, rules, 1)
-            probe_memo[key] = probe
+            probe = probe_memo[key] = walk.optimal_rqs(key, 1)
         return probe[0].dissimilarity if probe else float("inf")
 
     def dp(mask, beam):
-        """The DP result a round asks for: the Top-2K beam of the
-        keywords ``mask`` holds when ``beam``, else their probe
-        minimum.  A result the memos hold is reused; a new one is kept
-        by the walk's rows alone, which are the memo of per-mask
+        """The DP result the pure-Python round asks for: the Top-2K
+        beam of the keywords ``mask`` holds when ``beam``, else their
+        probe minimum.  A result the memos hold is reused; a new one is
+        kept by the walk's rows alone, which are the memo of per-mask
         results (published, they outlive the query)."""
         present = frozenset(lanes[lane] for lane in walk.lanes_in(mask))
         if not beam:
@@ -239,7 +246,7 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
                     break
 
     if walk.grown and published is not None:
-        published[lanes] = walk.rows
+        published[lanes] = walk.rows.trim()
     probes, dp_invocations, slca_invocations, skipped, visited = (
         walk.counters()
     )

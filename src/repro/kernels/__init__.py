@@ -48,6 +48,7 @@ from .lcp import merged_lcp  # noqa: F401
 from .scoring import (  # noqa: F401
     PreparedBeam,
     RoundState,
+    RuleTable,
     admission_sweep,
     batch_dependence,
     batch_similarity,
@@ -70,6 +71,7 @@ __all__ = [
     "PreparedBeam",
     "PresenceBoundCache",
     "RoundState",
+    "RuleTable",
     "admission_sweep",
     "backend_name",
     "batch_dependence",

@@ -37,8 +37,16 @@ buffers.  The crossings:
   masks and posting spans;
 * ``repro_sle_round`` — one short-list anchor round of step 1: the
   pre-screen, the partition-local SLCAs, the skip bounds and Top-2K
-  admission (one call per round; it returns early only for a DP result
-  its rows lack, and resumes where it stopped);
+  admission, with a DP row its rows lack computed in the call and
+  appended to them (one call per round; it returns early only when the
+  rows are full or not its own to add to — Python grows them
+  geometrically and it resumes where it stopped — or for an SLCA it
+  cannot run);
+* ``repro_dp_top`` — Section V's ``getOptimalRQ`` (Formula 11) over
+  lane masks, from one query's rule table
+  (:class:`~repro.kernels.scoring.RuleTable`): the Top-``limit``
+  refined queries of one presence mask, exactly what
+  :func:`~repro.core.dp.get_top_optimal_rqs`, its Python twin, returns;
 * ``repro_sle_direct`` — the short-list finish once Q has an answer:
   every remaining partition's SLCA and Definition 3.3 test in one call;
 * ``repro_render_labels`` — a result list's dotted labels, written
@@ -86,6 +94,36 @@ void repro_partition_presence(const int64_t *a_pids, int64_t a_count,
                               const int64_t **hi_arrs,
                               const int64_t *counts, int64_t nlanes,
                               int64_t *masks, int64_t *spans);
+struct repro_dp_rules {
+    int64_t nquery;
+    const int64_t *query;
+    const int64_t *pos_off;
+    const int64_t *pos_rule;
+    const int64_t *width;
+    const int64_t *rhs_off;
+    const int64_t *rhs;
+    const int64_t *rhs_mask;
+    const double *ds;
+    const int64_t *ds_float;
+    double deletion;
+    int64_t deletion_float;
+    int64_t seq_max;
+    int64_t max_rules;
+    int64_t entry_lanes;
+};
+struct repro_rows {
+    int64_t *masks;
+    double *probe;
+    int64_t *beam;
+    double *beam_dis;
+    int64_t *beam_masks;
+    int64_t *beam_how;
+    uint8_t *seq;
+    int64_t *n;
+};
+int64_t repro_dp_top(const struct repro_dp_rules *dp, int64_t present,
+                     int64_t limit, double *dis, int64_t *masks,
+                     int64_t *how, uint8_t *seq);
 int64_t repro_sle_round(const int64_t *masks, const int64_t *spans,
                         int64_t npart, int64_t nlanes, int64_t retired,
                         int64_t per_partition, int64_t query_mask,
@@ -93,10 +131,8 @@ int64_t repro_sle_round(const int64_t *masks, const int64_t *spans,
                         const double *lane_cost,
                         const int64_t **flats, const int64_t **offs,
                         const void **tids, const int64_t *tid_widths,
-                        const int64_t *need, const int64_t *row_masks,
-                        const double *row_probe, const int64_t *row_beam,
-                        int64_t nrows, const double *beam_dis,
-                        const int64_t *beam_masks, double *top_dis,
+                        const int64_t *need, struct repro_rows *rows,
+                        const struct repro_dp_rules *dp, double *top_dis,
                         int64_t *top_masks, int64_t *top_refs,
                         int64_t capacity, int64_t *state);
 int64_t repro_sle_direct(const int64_t **masks, const int64_t **spans,
@@ -131,6 +167,7 @@ _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* Lexicographic compare of two variable-length int64 Dewey keys. */
 static int key_cmp(const int64_t *a, int64_t alen,
@@ -567,11 +604,370 @@ static double presence_bound(const double *lane_cost, int64_t nlanes,
     return bound;
 }
 
+/* ---- getOptimalRQ (Section V, Formula 11) over lane masks ---- */
+
+/* One query's rules as the DP reads them (kernels/scoring.py's
+ * RuleTable builds it; lanes number the keyword space in keyword-string
+ * order).  query[0 .. nquery) are the query's lanes.  The rules whose
+ * LHS ends at position i (1-based) and equals the query's suffix there
+ * are pos_rule[pos_off[i - 1] .. pos_off[i]), in RuleSet order; rule r
+ * spans width[r] positions and writes the lanes rhs[rhs_off[r] ..
+ * rhs_off[r + 1]) (rhs_mask[r] as a set) at cost ds[r].  A cost carries
+ * whether it is a Python float (ds_float, deletion_float), so the
+ * dissimilarity keeps its type.  seq_max bounds a derivation's length
+ * (duplicates included), max_rules the rules at one position, and
+ * entry_lanes a refined query's distinct lanes. */
+struct repro_dp_rules {
+    int64_t nquery;
+    const int64_t *query;
+    const int64_t *pos_off;
+    const int64_t *pos_rule;
+    const int64_t *width;
+    const int64_t *rhs_off;
+    const int64_t *rhs;
+    const int64_t *rhs_mask;
+    const double *ds;
+    const int64_t *ds_float;
+    double deletion;
+    int64_t deletion_float;
+    int64_t seq_max;
+    int64_t max_rules;
+    int64_t entry_lanes;
+};
+
+/* A partial refinement: its cost, keyword set and derivation length;
+ * its lanes (derivation order, duplicates kept) are in the work's lane
+ * pool at slot * seq_max. */
+typedef struct {
+    double cost;
+    uint64_t mask;
+    int32_t len;
+    int32_t is_float;
+} dp_partial;
+
+/* A DP's scratch, one block grown on demand and reused across the DP
+ * runs of one kernel call.  Slots [0, (nquery + 1) * cell) hold the
+ * cells C[i] (cell slots each), the next ones the cell being built.
+ * The mask table finds a built candidate by keyword set: entry =
+ * stamp << 32 | (slot + 1), live only under the current stamp. */
+typedef struct {
+    void *block;
+    int64_t *table;
+    dp_partial *parts;
+    int64_t *counts;
+    int32_t *ranked;
+    uint8_t *lanes;
+    int64_t table_size, slots, nqueries, builds, lane_room;
+    int table_bits;
+    uint64_t stamp;
+} dp_work;
+
+static void dp_free(dp_work *w)
+{
+    free(w->block);
+}
+
+/* Room for a DP of the given cell size; 0, or -1 when out of memory. */
+static int dp_reserve(dp_work *w, const struct repro_dp_rules *dp,
+                      int64_t cell)
+{
+    int64_t build = cell * (2 + dp->max_rules);
+    int64_t slots = (dp->nquery + 1) * cell + build;
+    int64_t size = 16;
+    char *block;
+    while (size < 2 * build)
+        size <<= 1;
+    if (size <= w->table_size && slots <= w->slots
+            && dp->nquery + 1 <= w->nqueries && build <= w->builds
+            && slots * dp->seq_max <= w->lane_room)
+        return 0;
+    if (size < w->table_size)
+        size = w->table_size;
+    if (slots < w->slots)
+        slots = w->slots;
+    if (build < w->builds)
+        build = w->builds;
+    w->nqueries = dp->nquery + 1 > w->nqueries ? dp->nquery + 1
+                                                : w->nqueries;
+    w->lane_room = slots * dp->seq_max > w->lane_room
+        ? slots * dp->seq_max : w->lane_room;
+    free(w->block);
+    w->block = block = malloc(size * sizeof *w->table
+                              + slots * sizeof *w->parts
+                              + w->nqueries * sizeof *w->counts
+                              + build * sizeof *w->ranked + w->lane_room);
+    if (!block) {
+        memset(w, 0, sizeof *w);
+        return -1;
+    }
+    w->table = (int64_t *)block;
+    memset(w->table, 0, size * sizeof *w->table);
+    w->parts = (dp_partial *)(w->table + size);
+    w->counts = (int64_t *)(w->parts + slots);
+    w->ranked = (int32_t *)(w->counts + w->nqueries);
+    w->lanes = (uint8_t *)(w->ranked + build);
+    w->table_size = size;
+    w->slots = slots;
+    w->builds = build;
+    for (w->table_bits = 0; (int64_t)1 << w->table_bits < size;
+         w->table_bits++)
+        ;
+    w->stamp = 0;
+    return 0;
+}
+
+/* Whether slot a ranks before slot b: by cost, then the longer
+ * derivation, then its lanes (keyword-string order) — get_top_optimal_rqs'
+ * _rank_key. */
+static int dp_before(const dp_work *w, int64_t seq_max, int64_t a, int64_t b)
+{
+    const dp_partial *pa = w->parts + a, *pb = w->parts + b;
+    if (pa->cost != pb->cost)
+        return pa->cost < pb->cost;
+    if (pa->len != pb->len)
+        return pa->len > pb->len;
+    return memcmp(w->lanes + a * seq_max, w->lanes + b * seq_max,
+                  (size_t)pa->len) < 0;
+}
+
+/* The best keep slots of [first, first + count), best first, in
+ * w->ranked; the empty derivation only when with_empty.  Returns how
+ * many. */
+static int64_t dp_rank(dp_work *w, int64_t seq_max, int64_t first,
+                       int64_t count, int64_t keep, int with_empty)
+{
+    int32_t *ranked = w->ranked;
+    int64_t n = 0, s, p;
+    for (s = first; s < first + count; s++) {
+        if (!with_empty && !w->parts[s].len)
+            continue;
+        if (n == keep && !dp_before(w, seq_max, s, ranked[n - 1]))
+            continue;
+        p = n < keep ? n++ : keep - 1;
+        for (; p > 0 && dp_before(w, seq_max, s, ranked[p - 1]); p--)
+            ranked[p] = ranked[p - 1];
+        ranked[p] = (int32_t)s;
+    }
+    return n;
+}
+
+/* Offer the derivation of slot src extended by add[0 .. nadd) (lanes;
+ * add8 instead when not NULL) at cost to the cell being built at slots
+ * [base, base + *count): a keyword set met again keeps its place and
+ * takes the lower cost (at an equal cost, the earlier derivation). */
+static void dp_admit(dp_work *w, int64_t seq_max, int64_t base,
+                     int64_t *count, int64_t src, double cost, int is_float,
+                     uint64_t mask, const int64_t *add, const uint8_t *add8,
+                     int64_t nadd)
+{
+    uint64_t live = w->stamp << 32;
+    int64_t size = w->table_size, h, slot, j;
+    uint8_t *lanes;
+    h = (int64_t)((mask * 0x9E3779B97F4A7C15ULL) >> (64 - w->table_bits));
+    for (;; h = (h + 1) & (size - 1)) {
+        uint64_t entry = (uint64_t)w->table[h];
+        if ((entry & ~0xFFFFFFFFULL) != live) {
+            slot = base + (*count)++;
+            w->table[h] = (int64_t)(live | (uint64_t)(slot - base + 1));
+            break;
+        }
+        slot = base + (int64_t)(entry & 0xFFFFFFFFULL) - 1;
+        if (w->parts[slot].mask == mask) {
+            if (!(cost < w->parts[slot].cost))
+                return;
+            break;
+        }
+    }
+    w->parts[slot].cost = cost;
+    w->parts[slot].mask = mask;
+    w->parts[slot].len = w->parts[src].len + (int32_t)nadd;
+    w->parts[slot].is_float = is_float;
+    lanes = w->lanes + slot * seq_max;
+    memcpy(lanes, w->lanes + src * seq_max, (size_t)w->parts[src].len);
+    lanes += w->parts[src].len;
+    for (j = 0; j < nadd; j++)
+        lanes[j] = add8 ? add8[j] : (uint8_t)add[j];
+}
+
+/* get_top_optimal_rqs(query, present, rules, limit) on lane masks: the
+ * refined queries are the slots w->ranked[0 .. return), best first; -1
+ * when out of memory.  Every cell keeps its candidates in the order
+ * they were first offered (keep, delete, then the rules in order) and
+ * is cut to its 2 * limit best, in rank order, only when longer. */
+static int64_t dp_run(dp_work *w, const struct repro_dp_rules *dp,
+                      uint64_t present, int64_t limit)
+{
+    int64_t cell = 2 * limit, n = dp->nquery, seq_max = dp->seq_max;
+    int64_t base = (n + 1) * cell, i, j, k;
+    if (dp_reserve(w, dp, cell) < 0)
+        return -1;
+    w->parts[0].cost = 0;
+    w->parts[0].mask = 0;
+    w->parts[0].len = 0;
+    w->parts[0].is_float = 0;
+    w->counts[0] = 1;
+    for (i = 1; i <= n; i++) {
+        int64_t prev = (i - 1) * cell, count = 0, kept;
+        uint8_t lane = (uint8_t)dp->query[i - 1];
+        if (++w->stamp >> 31) {     /* stamps run out: clear the table */
+            memset(w->table, 0, w->table_size * sizeof *w->table);
+            w->stamp = 1;
+        }
+        /* Option 1: keep k_i when present. */
+        if (present >> lane & 1)
+            for (j = prev; j < prev + w->counts[i - 1]; j++)
+                dp_admit(w, seq_max, base, &count, j, w->parts[j].cost,
+                         w->parts[j].is_float,
+                         w->parts[j].mask | (uint64_t)1 << lane, NULL,
+                         &lane, 1);
+        /* Option 2: delete k_i. */
+        for (j = prev; j < prev + w->counts[i - 1]; j++)
+            dp_admit(w, seq_max, base, &count, j,
+                     w->parts[j].cost + dp->deletion,
+                     w->parts[j].is_float | (int)dp->deletion_float,
+                     w->parts[j].mask, NULL, NULL, 0);
+        /* Option 3: a rule whose LHS ends at i, every RHS lane present. */
+        for (k = dp->pos_off[i - 1]; k < dp->pos_off[i]; k++) {
+            int64_t r = dp->pos_rule[k], from;
+            uint64_t rhs_mask = (uint64_t)dp->rhs_mask[r];
+            if (rhs_mask & ~present)
+                continue;
+            from = (i - dp->width[r]) * cell;
+            for (j = from; j < from + w->counts[i - dp->width[r]]; j++)
+                dp_admit(w, seq_max, base, &count, j,
+                         w->parts[j].cost + dp->ds[r],
+                         w->parts[j].is_float | (int)dp->ds_float[r],
+                         w->parts[j].mask | rhs_mask,
+                         dp->rhs + dp->rhs_off[r], NULL,
+                         dp->rhs_off[r + 1] - dp->rhs_off[r]);
+        }
+        kept = count;
+        if (count > cell)
+            kept = dp_rank(w, seq_max, base, count, cell, 1);
+        for (j = 0; j < kept; j++) {
+            int64_t from = count > cell ? w->ranked[j] : base + j;
+            int64_t to = i * cell + j;
+            w->parts[to] = w->parts[from];
+            memcpy(w->lanes + to * seq_max, w->lanes + from * seq_max,
+                   (size_t)w->parts[from].len);
+        }
+        w->counts[i] = kept;
+    }
+    return dp_rank(w, seq_max, n * cell, w->counts[n], limit, 0);
+}
+
+/* Write slot s's refined query as entry e: its dissimilarity, keyword
+ * set, whether the dissimilarity is a float, and its lanes — derivation
+ * order, each once — at seq[*used ..), how[3e .. 3e + 2] = (lo, hi,
+ * float). */
+static void dp_emit(const dp_work *w, int64_t seq_max, int64_t s, int64_t e,
+                    double *dis, int64_t *masks, int64_t *how, uint8_t *seq,
+                    int64_t *used)
+{
+    const uint8_t *lanes = w->lanes + s * seq_max;
+    uint64_t seen = 0;
+    int32_t t;
+    dis[e] = w->parts[s].cost;
+    masks[e] = (int64_t)w->parts[s].mask;
+    how[3 * e] = *used;
+    for (t = 0; t < w->parts[s].len; t++)
+        if (!(seen >> lanes[t] & 1)) {
+            seen |= (uint64_t)1 << lanes[t];
+            seq[(*used)++] = lanes[t];
+        }
+    how[3 * e + 1] = *used;
+    how[3 * e + 2] = w->parts[s].is_float;
+}
+
+/* The Top-limit refined queries of the keywords present holds, best
+ * first: entry e is dis[e], masks[e] and the lanes seq[how[3e] ..
+ * how[3e + 1]) (how[3e + 2]: the dissimilarity is a float); seq holds
+ * limit * dp->entry_lanes.  Returns how many, or -1 when out of
+ * memory. */
+int64_t repro_dp_top(const struct repro_dp_rules *dp, int64_t present,
+                     int64_t limit, double *dis, int64_t *masks,
+                     int64_t *how, uint8_t *seq)
+{
+    dp_work w = {0};
+    int64_t count = dp_run(&w, dp, (uint64_t)present, limit), e, used = 0;
+    for (e = 0; e < count; e++)
+        dp_emit(&w, dp->seq_max, w.ranked[e], e, dis, masks, how, seq,
+                &used);
+    dp_free(&w);
+    return count;
+}
+
+/* Short-list step 1's DP rows (kernels/scoring.py's MaskRows): row r is
+ * presence mask masks[r] with its 1-beam probe minimum probe[r] and its
+ * Top-2K beam entries [beam[2r], beam[2r + 1]) (-1: not known yet).
+ * Entry e is beam_dis[e], beam_masks[e] and, for a row the kernel
+ * computed, the lanes seq[beam_how[3e] .. beam_how[3e + 1]) and whether
+ * the dissimilarity is a float, beam_how[3e + 2].  n[0 .. 2] count the
+ * rows, entries and lanes in use, n[3 .. 5] the room for each. */
+struct repro_rows {
+    int64_t *masks;
+    double *probe;
+    int64_t *beam;
+    double *beam_dis;
+    int64_t *beam_masks;
+    int64_t *beam_how;
+    uint8_t *seq;
+    int64_t *n;
+};
+
+/* mask's row, or n[0] when it has none; r is a guess. */
+static int64_t find_row(const struct repro_rows *rows, int64_t mask,
+                        int64_t r)
+{
+    int64_t nrows = rows->n[0];
+    if (r < nrows && rows->masks[r] == mask)
+        return r;
+    for (r = 0; r < nrows && rows->masks[r] != mask; r++)
+        ;
+    return r;
+}
+
 /* repro_sle_round's state slots (kernels/scoring.py names them too). */
 enum {
     S_POS, S_STEP, S_CAND, S_ANSWER, S_COUNT, S_PROBES, S_DP, S_SLCA,
-    S_SKIPPED, S_VISITED, S_MASK
+    S_SKIPPED, S_VISITED, S_MASK, S_OWNED
 };
+
+/* Fill mask's row (r; r == n[0] when it has none) with its probe
+ * minimum, or its beam of capacity entries when beam, from the DP over
+ * dp.  Returns 0, 2 when the rows are not the caller's own
+ * (state[S_OWNED]) or lack room, 5 when out of memory. */
+static int64_t fill_row(struct repro_rows *rows, int64_t r, int64_t mask,
+                        int beam, const struct repro_dp_rules *dp,
+                        int64_t capacity, const int64_t *state, dp_work *w)
+{
+    int64_t *n = rows->n, count, e;
+    if (!state[S_OWNED] || (r == n[0] && n[0] == n[3]))
+        return 2;
+    if (beam && (n[1] + capacity > n[4]
+                 || n[2] + capacity * dp->entry_lanes > n[5]))
+        return 2;
+    count = dp_run(w, dp, (uint64_t)mask, beam ? capacity : 1);
+    if (count < 0)
+        return 5;
+    if (r == n[0]) {
+        rows->masks[r] = mask;
+        rows->probe[r] = -1;
+        rows->beam[2 * r] = rows->beam[2 * r + 1] = -1;
+        n[0]++;
+    }
+    if (!beam) {
+        rows->probe[r] = count ? w->parts[w->ranked[0]].cost : INFINITY;
+        return 0;
+    }
+    rows->beam[2 * r] = n[1];
+    for (e = 0; e < count; e++)
+        dp_emit(w, dp->seq_max, w->ranked[e], n[1] + e, rows->beam_dis,
+                rows->beam_masks, rows->beam_how, rows->seq, &n[2]);
+    n[1] += count;
+    rows->beam[2 * r + 1] = n[1];
+    return 0;
+}
 
 /* Short-list step 1 over one anchor round, from partition state[S_POS]:
  * per unvisited partition (no lane of retired in its mask), the
@@ -580,21 +976,24 @@ enum {
  * counters in state[S_PROBES .. S_VISITED].
  *
  * The list is top_*[0 .. state[S_COUNT]), best first: a dissimilarity, a
- * lane mask (the key) and a beam ref.  Row r holds what the DP memos give
- * for presence mask row_masks[r]: the probe minimum row_probe[r] (-1 when
- * unknown) and the beam beam_*[row_beam[2r] .. row_beam[2r + 1]) (-1 when
- * unknown), whose entry b is beam ref b.  A candidate is admitted when it
- * is not the query (query_mask), is kept or would beat the list's worst,
- * and, when new, has a meaningful SLCA in the partition.
+ * lane mask (the key) and a beam ref, an entry of rows.  A candidate is
+ * admitted when it is not the query (query_mask), is kept or would beat
+ * the list's worst, and, when new, has a meaningful SLCA in the
+ * partition.  A DP result rows lack is computed over the rule table dp
+ * and added to them (fill_row) — when the rows are the caller's own
+ * (state[S_OWNED]) and have room.
  *
  * Returns 0 when the round is done.  Else state[S_POS] is a partition and
  * state[S_STEP] / state[S_CAND] the point in it where the call stopped:
  * 1 Q's SLCA there has meaningful hits (none of the partition's counters
- * is applied); 2 (3) it needs the probe minimum (beam) of mask
- * state[S_MASK]; 4 an SLCA over the lanes of state[S_MASK] computed a
- * depth of 0, and the caller puts whether it has meaningful hits in
- * state[S_ANSWER]; 5 a work column could not be allocated.  For 2-4 the
- * next call resumes at that point. */
+ * is applied); 2 a DP row is missing and the rows are not the caller's
+ * own or are full: the caller makes them its own with room for one more
+ * row of capacity entries; 3 (only when dp is NULL: the caller supplies
+ * the DP) the probe minimum (state[S_STEP] 2) or beam (3) of mask
+ * state[S_MASK] is missing; 4 an SLCA over the lanes of state[S_MASK]
+ * computed a depth of 0, and the caller puts whether it has meaningful
+ * hits in state[S_ANSWER]; 5 a work column could not be allocated.  For
+ * 2-4 the next call resumes at that point. */
 int64_t repro_sle_round(const int64_t *masks, const int64_t *spans,
                         int64_t npart, int64_t nlanes, int64_t retired,
                         int64_t per_partition, int64_t query_mask,
@@ -602,16 +1001,15 @@ int64_t repro_sle_round(const int64_t *masks, const int64_t *spans,
                         const double *lane_cost,
                         const int64_t **flats, const int64_t **offs,
                         const void **tids, const int64_t *tid_widths,
-                        const int64_t *need, const int64_t *row_masks,
-                        const double *row_probe, const int64_t *row_beam,
-                        int64_t nrows, const double *beam_dis,
-                        const int64_t *beam_masks, double *top_dis,
+                        const int64_t *need, struct repro_rows *rows,
+                        const struct repro_dp_rules *dp, double *top_dis,
                         int64_t *top_masks, int64_t *top_refs,
                         int64_t capacity, int64_t *state)
 {
     int64_t i = state[S_POS], step = state[S_STEP], n = state[S_COUNT];
     int64_t *work = 0, room = 0, status = 0, r = 0;
     int64_t lanes[64];
+    dp_work w = {0};
     for (; i < npart; i++, step = 0) {
         int64_t mask = masks[i], anchor, kept, j, hi, p, at;
         const int64_t *row = spans + i * nlanes * 2;
@@ -659,44 +1057,47 @@ int64_t repro_sle_round(const int64_t *masks, const int64_t *spans,
              * skip here: a partition that holds all of Q has bound 0,
              * and any other passed the pre-screen's same test.) */
             if (n == capacity) {
-                if (r >= nrows || row_masks[r] != mask)
-                    for (r = 0; r < nrows && row_masks[r] != mask; r++)
-                        ;
-                if (r == nrows || row_probe[r] < 0) {
-                    status = 2;
-                    state[S_MASK] = mask;
-                    step = 2;
-                    goto out;
+                r = find_row(rows, mask, r);
+                if (r == rows->n[0] || rows->probe[r] < 0) {
+                    status = dp ? fill_row(rows, r, mask, 0, dp, capacity,
+                                           state, &w)
+                                : 3;
+                    if (status) {
+                        state[S_MASK] = mask;
+                        step = 2;
+                        goto out;
+                    }
                 }
                 state[S_DP]++;
-                if (row_probe[r] > worst) {
+                if (rows->probe[r] > worst) {
                     state[S_SKIPPED]++;
                     continue;
                 }
             }
             /* fall through */
         case 3:
-            if (r >= nrows || row_masks[r] != mask)
-                for (r = 0; r < nrows && row_masks[r] != mask; r++)
-                    ;
-            if (r == nrows || row_beam[2 * r] < 0) {
-                status = 3;
-                state[S_MASK] = mask;
-                step = 3;
-                goto out;
+            r = find_row(rows, mask, r);
+            if (r == rows->n[0] || rows->beam[2 * r] < 0) {
+                status = dp ? fill_row(rows, r, mask, 1, dp, capacity,
+                                       state, &w)
+                            : 3;
+                if (status) {
+                    state[S_MASK] = mask;
+                    step = 3;
+                    goto out;
+                }
             }
             state[S_DP]++;
-            j = row_beam[2 * r];
+            j = rows->beam[2 * r];
             break;
         default:
-            for (r = 0; r < nrows && row_masks[r] != mask; r++)
-                ;
-            j = row_beam[2 * r] + state[S_CAND];
+            r = find_row(rows, mask, r);
+            j = rows->beam[2 * r] + state[S_CAND];
             answered = 1;
         }
-        for (hi = row_beam[2 * r + 1]; j < hi; j++) {
-            double dis = beam_dis[j];
-            int64_t key = beam_masks[j];
+        for (hi = rows->beam[2 * r + 1]; j < hi; j++) {
+            double dis = rows->beam_dis[j];
+            int64_t key = rows->beam_masks[j];
             if (key == query_mask)
                 continue;
             for (at = 0; at < n && top_masks[at] != key; at++)
@@ -719,7 +1120,7 @@ int64_t repro_sle_round(const int64_t *masks, const int64_t *spans,
                     if (kept < 0) {
                         status = kept == -1 ? 4 : 5;
                         state[S_MASK] = key;
-                        state[S_CAND] = j - row_beam[2 * r];
+                        state[S_CAND] = j - rows->beam[2 * r];
                         step = 4;
                         goto out;
                     }
@@ -754,6 +1155,7 @@ int64_t repro_sle_round(const int64_t *masks, const int64_t *spans,
     }
 out:
     free(work);
+    dp_free(&w);
     state[S_POS] = i;
     state[S_STEP] = step;
     state[S_COUNT] = n;

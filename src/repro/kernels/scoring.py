@@ -13,8 +13,10 @@ time:
   ref)`` entries in a :class:`RoundState` and the DP results it reads
   as per-mask rows (:class:`MaskRows`).  Lanes are in keyword-string
   order, so the list's content tie-break is a bit test on masks
-  (:func:`_order_less`).  One call per round; Python is called back
-  only for a DP result the rows lack.
+  (:func:`_order_less`).  One call per round; a DP row the rows lack is
+  computed in the call over the query's :class:`RuleTable` (Section
+  V's DP over lane masks, ``repro_dp_top``), and Python is called back
+  only to grow the rows.
 * :func:`sle_direct` — once ``Q`` has an answer, every remaining
   partition's SLCA and Definition 3.3 test in one pass.
 
@@ -46,6 +48,8 @@ from __future__ import annotations
 
 from array import array
 
+from ..core.candidates import RefinedQuery
+from ..core.dp import get_top_optimal_rqs
 from . import backend
 from .hits import HitRecord
 from .slca import slca_hits
@@ -138,12 +142,16 @@ def partition_presence(anchor_columns, lane_columns):
 #: ``repro_sle_round``'s state slots: where a crossing left off (the
 #: partition, the step in it, the beam cursor), the caller's answer to
 #: an SLCA the kernel could not run, the Top-2K list's size, the
-#: ``ScanStats`` counters and the mask a crossing is about.
+#: ``ScanStats`` counters, the mask a crossing is about, and whether the
+#: DP rows are the round's own to add to.
 (S_POS, S_STEP, S_CAND, S_ANSWER, S_COUNT, S_PROBES, S_DP, S_SLCA,
- S_SKIPPED, S_VISITED, S_MASK) = range(11)
+ S_SKIPPED, S_VISITED, S_MASK, S_OWNED) = range(12)
 
 #: ``repro_sle_round``'s statuses.
-_DONE, _QUERY_HIT, _NEED_PROBE, _NEED_BEAM, _ASK = range(5)
+_DONE, _QUERY_HIT, _NEED_ROOM, _NEED_ROW, _ASK = range(5)
+
+#: The largest cost the compiled DP adds up exactly in a double.
+_EXACT_COST = 1 << 40
 
 
 def _order_less(a_dis, a_mask, b_dis, b_mask):
@@ -169,25 +177,200 @@ def _order_less(a_dis, a_mask, b_dis, b_mask):
     return (a_mask & above) == 0
 
 
+def _cost_kind(cost):
+    """``1`` for a float cost, ``0`` for an int one, ``None`` for a
+    cost the compiled DP cannot add up as Python does."""
+    kind = type(cost)
+    if kind is int and cost < _EXACT_COST:
+        return 0
+    if kind is float and cost < _EXACT_COST:  # False for nan, too
+        return 1
+    return None
+
+
+class RuleTable:
+    """One query's rule set over its lanes, as the compiled
+    ``getOptimalRQ`` (``repro_dp_top``, and ``repro_sle_round`` for a
+    missing row) reads it.
+
+    Per query position ``i`` the rules of ``rules.rules_ending_with``
+    whose LHS is the query's suffix there, in that order; per rule its
+    width, RHS lanes in derivation order, RHS mask and ``ds``; and the
+    deletion cost.  A rule with an RHS keyword outside the lanes can
+    never apply (the present keywords are lanes) and is left out.
+    :meth:`build` returns ``None`` for costs that are neither ``int``
+    nor ``float`` below ``2**40``: a double would not add them up as
+    Python does, and :func:`~repro.core.dp.get_top_optimal_rqs` runs.
+    """
+
+    __slots__ = (
+        "lanes", "entry_lanes", "_ints", "_costs", "_starts", "_fields", "_c",
+    )
+
+    @classmethod
+    def build(cls, query, rules, lanes):
+        lane_of = {keyword: lane for lane, keyword in enumerate(lanes)}
+        deletion = _cost_kind(rules.deletion_cost)
+        if deletion is None or len(lanes) > PRESENCE_MASK_LANES:
+            return None
+        ids = {}
+        width = []
+        rhs_off = [0]
+        rhs = []
+        rhs_mask = []
+        ds = []
+        ds_float = []
+        pos_off = [0]
+        pos_rule = []
+        # longest[i]: the longest derivation of the prefix S[1..i].
+        longest = [0]
+        for i in range(1, len(query) + 1):
+            best = longest[i - 1] + 1
+            for rule in rules.rules_ending_with(query[i - 1]):
+                span = len(rule.lhs)
+                if span > i or tuple(query[i - span:i]) != rule.lhs:
+                    continue
+                if not all(keyword in lane_of for keyword in rule.rhs):
+                    continue
+                rid = ids.get(id(rule))
+                if rid is None:
+                    kind = _cost_kind(rule.ds)
+                    if kind is None:
+                        return None
+                    rid = ids[id(rule)] = len(width)
+                    width.append(span)
+                    mask = 0
+                    for keyword in rule.rhs:
+                        rhs.append(lane_of[keyword])
+                        mask |= 1 << lane_of[keyword]
+                    rhs_off.append(len(rhs))
+                    rhs_mask.append(_int64(mask))
+                    ds.append(rule.ds)
+                    ds_float.append(kind)
+                pos_rule.append(rid)
+                best = max(best, longest[i - span] + len(rule.rhs))
+            pos_off.append(len(pos_rule))
+            longest.append(best)
+        table = cls.__new__(cls)
+        table.lanes = tuple(lanes)
+        #: Distinct lanes one refined query can hold.
+        table.entry_lanes = min(longest[-1], len(lanes))
+        # The integer columns end to end in one array (each field of the
+        # struct points into it), the rule costs in another.
+        columns = (
+            [lane_of[keyword] for keyword in query], pos_off, pos_rule,
+            width, rhs_off, rhs, rhs_mask, ds_float,
+        )
+        table._ints = array("q")
+        starts = []
+        for column in columns:
+            starts.append(len(table._ints))
+            table._ints.extend(column)
+        table._costs = array("d", ds)
+        table._fields = (
+            len(query), float(rules.deletion_cost), deletion, longest[-1],
+            max((b - a for a, b in zip(pos_off, pos_off[1:])), default=0),
+            table.entry_lanes,
+        )
+        table._starts = tuple(starts)
+        table._c = None
+        return table
+
+    #: The struct's scalar fields, in ``_fields`` order, and its
+    #: integer-column fields, in ``_ints`` order.
+    _FIELDS = (
+        "nquery", "deletion", "deletion_float", "seq_max", "max_rules",
+        "entry_lanes",
+    )
+    _INT_FIELDS = (
+        "query", "pos_off", "pos_rule", "width", "rhs_off", "rhs",
+        "rhs_mask", "ds_float",
+    )
+
+    def handle(self, lib):
+        """The ``struct repro_dp_rules *`` over this table (memoized)."""
+        cached = self._c
+        if cached is None or cached[0] is not lib:
+            ints = lib.i64(self._ints)
+            costs = lib.ffi.from_buffer("double[]", self._costs)
+            struct = lib.ffi.new(
+                "struct repro_dp_rules *", dict(zip(self._FIELDS, self._fields))
+            )
+            for name, start in zip(self._INT_FIELDS, self._starts):
+                setattr(struct, name, ints + start)
+            struct.ds = costs
+            cached = self._c = (lib, struct, ints, costs)
+        return cached[1]
+
+    def refined(self, lanes, dis, is_float):
+        """The :class:`~repro.core.candidates.RefinedQuery` of an entry
+        the compiled DP wrote."""
+        names = self.lanes
+        return RefinedQuery(
+            tuple(names[lane] for lane in lanes),
+            dis if is_float else int(dis),
+        )
+
+    def outputs(self, lib, limit):
+        """``(arrays, casts)``: the buffers :meth:`top` writes ``limit``
+        refined queries to.  Not to be shared between threads."""
+        arrays = (
+            array("d", bytes(8 * limit)), array("q", bytes(8 * limit)),
+            array("q", bytes(24 * limit)),
+            array("B", bytes(limit * self.entry_lanes)),
+        )
+        ffi = lib.ffi
+        return arrays, (
+            ffi.from_buffer("double[]", arrays[0]), lib.i64(arrays[1]),
+            lib.i64(arrays[2]), ffi.from_buffer("uint8_t[]", arrays[3]),
+        )
+
+    def top(self, lib, mask, limit, out=None):
+        """``get_top_optimal_rqs(query, keywords of mask, rules,
+        limit)`` through the compiled DP, written to ``out`` (from
+        :meth:`outputs`; fresh buffers when ``None``)."""
+        arrays, casts = out if out is not None else self.outputs(lib, limit)
+        count = lib.lib.repro_dp_top(
+            self.handle(lib), _int64(mask), limit, *casts
+        )
+        if count < 0:
+            raise MemoryError("getOptimalRQ: no work space")
+        dis, _, how, seq = arrays
+        return [
+            self.refined(seq[how[3 * e]:how[3 * e + 1]], dis[e],
+                         how[3 * e + 2])
+            for e in range(count)
+        ]
+
+
 class MaskRows:
     """The DP results short-list step 1 holds, per presence mask.
 
     Row ``row_of[mask]`` holds the 1-beam probe minimum
     ``probe[row]`` (``-1`` until known) and the Top-2K beam
     ``beam_dis`` / ``beam_masks`` ``[beam[2 * row]:beam[2 * row + 1]]``
-    (``-1`` until known); beam ref ``b`` is ``rqs[b]``, the DP's own
-    :class:`~repro.core.candidates.RefinedQuery`.  The DP is a pure
-    function of the query, the rules, the beam width and the present
-    keywords, so rows outlive a query: published in the beam memo
+    (``-1`` until known).  Beam ref ``b`` is ``rqs[b]``: the DP's own
+    :class:`~repro.core.candidates.RefinedQuery` for a row Python
+    filled, ``None`` for one the compiled round computed until
+    :meth:`rq` reads it from the entry's lanes ``seq[beam_how[3 * b]:
+    beam_how[3 * b + 1]]`` and float flag ``beam_how[3 * b + 2]``.
+
+    The columns have spare room: ``n`` counts the rows, entries and
+    lanes in use, then the room for each, and :meth:`reserve` grows the
+    columns geometrically, so the compiled round re-reads them
+    ``O(log rows)`` times per query.  The DP is a pure function of the
+    query, the rules, the beam width and the present keywords, so rows
+    outlive a query: published in the beam memo
     (:class:`~repro.core.dp.BeamMemo`) under the lane order, they are
     the memo of step 1's per-mask results, read by later queries of the
     same DP-memo identity and never changed again — a
-    :class:`RoundState` copies them before adding a row.
+    :class:`RoundState` copies them before adding a row.  ``table``
+    (the identity's :class:`RuleTable`) rides along.
     """
 
     __slots__ = (
-        "row_of", "masks", "probe", "beam", "beam_dis", "beam_masks", "rqs",
-        "_c",
+        "row_of", "masks", "probe", "beam", "beam_dis", "beam_masks",
+        "beam_how", "seq", "n", "rqs", "table", "_c",
     )
 
     def __init__(self, narrow):
@@ -197,44 +380,116 @@ class MaskRows:
         self.beam = array("q")
         self.beam_dis = array("d")
         self.beam_masks = array("q") if narrow else []
+        self.beam_how = array("q")
+        self.seq = array("B")
+        self.n = array("q", bytes(48))
         self.rqs = []
+        self.table = None
         #: The casts ``repro_sle_round`` reads.  A cast pins its array's
-        #: size, so they are dropped before a row is added.
+        #: size, so they are dropped before the columns grow.
         self._c = None
 
     def copy(self):
-        rows = MaskRows.__new__(MaskRows)
-        rows.row_of = dict(self.row_of)
-        rows.masks = self.masks[:]
-        rows.probe = self.probe[:]
-        rows.beam = self.beam[:]
-        rows.beam_dis = self.beam_dis[:]
-        rows.beam_masks = self.beam_masks[:]
-        rows.rqs = self.rqs[:]
-        rows._c = None
-        return rows
+        """An unpublished copy, its columns cut to what is in use."""
+        copy = self.trim()
+        copy.row_of = dict(self.row_of)
+        copy.rqs = self.rqs[:]
+        return copy
+
+    def _groups(self):
+        """The columns per count — rows, entries, lanes — each with its
+        width (slots per row or entry)."""
+        return (
+            ((self.masks, 1), (self.probe, 1), (self.beam, 2)),
+            ((self.beam_dis, 1), (self.beam_masks, 1), (self.beam_how, 3)),
+            ((self.seq, 1),),
+        )
+
+    def reserve(self, rows, entries, lanes):
+        """Room for ``rows`` more rows, ``entries`` more beam entries and
+        ``lanes`` more entry lanes; a column that lacks it at least
+        doubles."""
+        n = self.n
+        for slot, (more, columns) in enumerate(
+            zip((rows, entries, lanes), self._groups())
+        ):
+            room = n[slot + 3]
+            if n[slot] + more <= room:
+                continue
+            self._c = None
+            grown = max(2 * room, n[slot] + more)
+            for column, width in columns:
+                column.extend([0] * ((grown - room) * width))
+            n[slot + 3] = grown
+
+    def trim(self):
+        """A copy without the columns' spare room, to publish: no query
+        adds to published rows again."""
+        rows, entries, lanes = self.n[:3]
+        trimmed = MaskRows.__new__(MaskRows)
+        trimmed.row_of = self.row_of
+        trimmed.masks = self.masks[:rows]
+        trimmed.probe = self.probe[:rows]
+        trimmed.beam = self.beam[:2 * rows]
+        trimmed.beam_dis = self.beam_dis[:entries]
+        trimmed.beam_masks = self.beam_masks[:entries]
+        trimmed.beam_how = self.beam_how[:3 * entries]
+        trimmed.seq = self.seq[:lanes]
+        trimmed.n = array("q", [rows, entries, lanes, rows, entries, lanes])
+        trimmed.rqs = self.rqs
+        trimmed.table = self.table
+        trimmed._c = None
+        return trimmed
 
     def row(self, mask):
         """``mask``'s row, added when missing."""
         row = self.row_of.get(mask)
         if row is None:
-            self._c = None
-            row = self.row_of[mask] = len(self.probe)
-            self.masks.append(mask)
-            self.probe.append(-1.0)
-            self.beam.extend((-1, -1))
+            self.reserve(1, 0, 0)
+            row = self.row_of[mask] = self.n[0]
+            self.masks[row] = mask
+            self.probe[row] = -1.0
+            self.beam[2 * row] = self.beam[2 * row + 1] = -1
+            self.n[0] = row + 1
         return row
 
+    def sync(self):
+        """Take in the rows and entries the compiled round added (each
+        time it returns done)."""
+        row_of = self.row_of
+        masks = self.masks
+        for row in range(len(row_of), self.n[0]):
+            row_of[masks[row]] = row
+        missing = self.n[1] - len(self.rqs)
+        if missing:
+            self.rqs += [None] * missing
+
+    def rq(self, ref):
+        """Beam ref ``ref``'s refined query."""
+        rq = self.rqs[ref]
+        if rq is None:
+            # Idempotent: a published set may be read by several threads.
+            how = self.beam_how
+            rq = self.rqs[ref] = self.table.refined(
+                self.seq[how[3 * ref]:how[3 * ref + 1]], self.beam_dis[ref],
+                how[3 * ref + 2],
+            )
+        return rq
+
     def handles(self, lib):
+        """The ``struct repro_rows *`` ``repro_sle_round`` reads and
+        adds to (memoized until the columns grow)."""
         cached = self._c
         if cached is None or cached[0] is not lib:
             ffi = lib.ffi
-            cached = self._c = (lib, (
+            keep = (
                 lib.i64(self.masks), ffi.from_buffer("double[]", self.probe),
-                lib.i64(self.beam), len(self.probe),
-                ffi.from_buffer("double[]", self.beam_dis),
-                lib.i64(self.beam_masks),
-            ))
+                lib.i64(self.beam), ffi.from_buffer("double[]", self.beam_dis),
+                lib.i64(self.beam_masks), lib.i64(self.beam_how),
+                ffi.from_buffer("uint8_t[]", self.seq), lib.i64(self.n),
+            )
+            struct = ffi.new("struct repro_rows *", keep)
+            cached = self._c = (lib, struct, keep)
         return cached[1]
 
 
@@ -253,28 +508,35 @@ class RoundState:
       set when given one);
     * the ``ScanStats`` counters (``state[S_PROBES:S_VISITED + 1]``).
 
-    Masks are ``int64`` (:func:`_int64`) when the lanes fit one presence
-    mask (``narrow``), Python ints otherwise; ``bound`` is the query's
+    Given ``rules``, the compiled round computes a DP row the rows lack
+    itself, over the query's :class:`RuleTable`; without them it asks
+    the caller's DP for it.  Masks are ``int64`` (:func:`_int64`) when
+    the lanes fit one presence mask (``narrow``), Python ints
+    otherwise; ``bound`` is the query's
     :class:`~repro.kernels.bounds.PresenceBoundCache` over ``lanes``.
     """
 
     __slots__ = (
-        "capacity", "lane_columns", "lane_of", "query_lanes", "query_mask",
-        "narrow", "bound", "need", "state", "top_dis", "top_masks",
-        "top_refs", "rows", "grown", "_c",
+        "capacity", "lanes", "lane_columns", "lane_of", "query",
+        "query_lanes", "query_mask", "narrow", "bound", "need", "rules",
+        "state", "top_dis", "top_masks", "top_refs", "rows", "grown", "_c",
+        "_out",
     )
 
     def __init__(self, capacity, lanes, lane_columns, query, bound, need,
-                 rows=None):
+                 rows=None, rules=None):
         self.capacity = capacity
+        self.lanes = tuple(lanes)
         self.lane_columns = lane_columns
         self.lane_of = {keyword: lane for lane, keyword in enumerate(lanes)}
+        self.query = tuple(query)
         self.query_lanes = [self.lane_of[keyword] for keyword in query]
         self.narrow = presence_ready(lane_columns)
         self.query_mask = self.mask_of(query)
         self.bound = bound
         self.need = need
-        self.state = array("q", bytes(8 * (S_MASK + 1)))
+        self.rules = rules
+        self.state = array("q", bytes(8 * (S_OWNED + 1)))
         self.top_dis = array("d", bytes(8 * capacity))
         self.top_masks = (array("q", bytes(8 * capacity)) if self.narrow
                           else [0] * capacity)
@@ -283,6 +545,8 @@ class RoundState:
         #: Whether ``rows`` is this state's own copy, with rows added.
         self.grown = False
         self._c = None
+        #: :meth:`optimal_rqs`' output buffers, this state's own.
+        self._out = None
 
     def mask_of(self, keywords):
         """The lane mask of a keyword set."""
@@ -309,31 +573,63 @@ class RoundState:
 
     def kept(self):
         """The kept refined queries, best first."""
-        rqs = self.rows.rqs
-        return [rqs[ref] for ref in self.top_refs[: self.state[S_COUNT]]]
+        rows = self.rows
+        return [rows.rq(ref) for ref in self.top_refs[: self.state[S_COUNT]]]
 
     def counters(self):
         """``(probes, dp_invocations, slca_invocations,
         partitions_skipped, partitions_visited)`` so far."""
         return tuple(self.state[S_PROBES:S_VISITED + 1])
 
-    def fill(self, mask, beam, value):
-        """Store a DP result in ``mask``'s row: the beam (a list of
-        refined queries) when ``beam``, else the probe minimum."""
+    def table(self):
+        """The query's :class:`RuleTable` (kept with the rows), or
+        ``None`` when the compiled DP cannot run it."""
+        if self.rules is None or not self.narrow:
+            return None
+        table = self.rows.table
+        if table is None:
+            table = RuleTable.build(self.query, self.rules, self.lanes)
+            # Idempotent: the table is a pure function of the rows'
+            # DP-memo identity.
+            self.rows.table = table
+        return table
+
+    def optimal_rqs(self, keywords, limit):
+        """``get_top_optimal_rqs(query, keywords, rules, limit)``,
+        through the compiled DP when it can run it."""
+        lib = backend.compiled
+        table = self.table() if lib is not None else None
+        if table is None:
+            return get_top_optimal_rqs(self.query, keywords, self.rules,
+                                       limit)
+        out = self._out
+        if out is None or out[0] != (lib, limit):
+            out = self._out = ((lib, limit), table.outputs(lib, limit))
+        return table.top(lib, self.mask_of(keywords), limit, out[1])
+
+    def own_rows(self):
+        """Make ``rows`` this state's own copy (before adding a row)."""
         if not self.grown:
             self.rows = self.rows.copy()
             self.grown = True
-        rows = self.rows
+            self.state[S_OWNED] = 1
+        return self.rows
+
+    def fill(self, mask, beam, value):
+        """Store a DP result in ``mask``'s row: the beam (a list of
+        refined queries) when ``beam``, else the probe minimum."""
+        rows = self.own_rows()
         row = rows.row(mask)
         if not beam:
             rows.probe[row] = value
             return
-        rows._c = None
-        lo = len(rows.rqs)
-        for rq in value:
-            rows.beam_dis.append(rq.dissimilarity)
-            rows.beam_masks.append(self.mask_of(rq.key))
+        rows.reserve(0, len(value), 0)
+        lo = rows.n[1]
+        for at, rq in enumerate(value, lo):
+            rows.beam_dis[at] = rq.dissimilarity
+            rows.beam_masks[at] = self.mask_of(rq.key)
         rows.rqs += value
+        rows.n[1] = len(rows.rqs)
         rows.beam[2 * row] = lo
         rows.beam[2 * row + 1] = len(rows.rqs)
 
@@ -350,7 +646,7 @@ class RoundState:
 
     def handles(self, lib):
         """The casts ``repro_sle_round`` reads that stay put for the
-        query: ``(query inputs, Top-2K list and state)``."""
+        query: ``(query inputs, rule table, Top-2K list and state)``."""
         cached = self._c
         if cached is None or cached[0] is not lib:
             ffi = lib.ffi
@@ -358,16 +654,17 @@ class RoundState:
                 -1.0 if cost is None else cost
                 for cost in self.bound.lane_cost
             ])
+            table = self.table()
             cached = self._c = (lib, (
                 lib.i64(array("q", self.query_lanes)), len(self.query_lanes),
                 ffi.from_buffer("double[]", lane_cost),
                 *_lane_tables(lib, self.lane_columns), lib.i64(self.need),
-            ), (
+            ), ffi.NULL if table is None else table.handle(lib), (
                 ffi.from_buffer("double[]", self.top_dis),
                 lib.i64(self.top_masks), lib.i64(self.top_refs),
                 self.capacity, lib.i64(self.state),
             ))
-        return cached[1], cached[2]
+        return cached[1:]
 
 
 def _lane_tables(lib, lane_columns):
@@ -413,16 +710,18 @@ def sle_round(walk, masks, spans, retired, per_partition, dp):
       meaningful SLCA in the partition (Issue 2) is inserted, evicting
       the worst entry or replacing its own worse-dissimilarity entry.
 
-    A DP result ``walk`` lacks is asked of ``dp(mask, beam)`` — the beam
-    when ``beam``, else the probe minimum — at the point the loop needs
-    it.  Returns the position of the first visited partition whose
-    ``Q``-covering SLCA has meaningful hits, with none of its counters
-    applied, or ``len(masks)``.
+    A DP result ``walk`` lacks is computed inside the compiled round
+    when the walk has a :class:`RuleTable` (:meth:`RoundState.table`);
+    otherwise — and on the pure-Python twin — it is asked of
+    ``dp(mask, beam)`` (the beam when ``beam``, else the probe minimum)
+    at the point the loop needs it.  Returns the position of the first
+    visited partition whose ``Q``-covering SLCA has meaningful hits,
+    with none of its counters applied, or ``len(masks)``.
     """
     lib = backend.compiled
     if lib is None or not walk.narrow:
         return _round_python(walk, masks, spans, retired, per_partition, dp)
-    query, top = walk.handles(lib)
+    query, table, top = walk.handles(lib)
     state = walk.state
     state[S_POS] = state[S_STEP] = 0
     masks_c = lib.i64(masks)
@@ -433,24 +732,35 @@ def sle_round(walk, masks, spans, retired, per_partition, dp):
     while True:
         status = call(
             masks_c, spans_c, len(masks), nlanes, retired, per_partition,
-            walk.query_mask, *query, *walk.rows.handles(lib), *top,
+            walk.query_mask, *query, walk.rows.handles(lib), table, *top,
         )
         if status == _DONE:
+            walk.rows.sync()
             return len(masks)
         if status == _QUERY_HIT:
+            walk.rows.sync()
             return state[S_POS]
         mask = state[S_MASK]
-        if status == _ASK:
+        if status == _NEED_ROOM:
+            # Room for as many rows again, each with a full beam: the
+            # column groups double together.  A first room of 32 rows
+            # holds most queries' rows (a DP-memo miss on the
+            # replay_mixed corpus computes ~18).
+            rows = walk.own_rows()
+            more = max(rows.n[0], 32)
+            entries = more * walk.capacity
+            rows.reserve(more, entries, entries * walk.table().entry_lanes)
+        elif status == _ASK:
             # A depth of 0: the per-node path raises the exact error, or
             # answers.
             lanes = (walk.query_lanes if mask == walk.query_mask
                      else walk.lanes_in(mask))
             state[S_ANSWER] = walk.any_hit(spans, state[S_POS], lanes)
-        elif status in (_NEED_PROBE, _NEED_BEAM):
-            beam = status == _NEED_BEAM
+        elif status == _NEED_ROW:
+            beam = state[S_STEP] == 3
             walk.fill(mask, beam, dp(mask, beam))
         else:
-            raise MemoryError("short-list round: no depth column")
+            raise MemoryError("short-list round: no work column")
 
 
 def _round_python(walk, masks, spans, retired, per_partition, dp):

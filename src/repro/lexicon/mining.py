@@ -79,20 +79,29 @@ class RuleMiner:
         self.edit_limit = edit_limit
         self._stem_groups = None
         self._stem_of = None
+        #: ``word -> stem`` of an earlier miner (:meth:`updated`): a
+        #: superset of words whose stems need no recomputing.
+        self._stem_carry = None
         self._spelling = None
 
     # ------------------------------------------------------------------
     def _stems(self):
         """Lazy ``(stem -> corpus words sharing it, word -> its stem)``:
-        every vocabulary word is stemmed once per miner."""
+        every vocabulary word is stemmed once per miner, or not at all
+        when an earlier miner's carried map has it."""
         if self._stem_groups is None:
+            carried = self._stem_carry or {}
             groups = {}
             stem_of = {}
             for word in self.vocabulary:
-                word_stem = stem_of[word] = stem(word)
+                word_stem = carried.get(word)
+                if word_stem is None:
+                    word_stem = stem(word)
+                stem_of[word] = word_stem
                 groups.setdefault(word_stem, set()).add(word)
             self._stem_groups = groups
             self._stem_of = stem_of
+            self._stem_carry = None
         return self._stem_groups, self._stem_of
 
     def updated(self, vocabulary):
@@ -100,7 +109,8 @@ class RuleMiner:
 
         Its spelling index, when this miner has built one, is carried
         over (:meth:`SpellingIndex.updated`) rather than rebuilt, so a
-        search after an index update pays no index build.
+        search after an index update pays no index build.  So are the
+        stems it knows: the new miner stems only the words they lack.
         """
         miner = RuleMiner(
             vocabulary,
@@ -112,6 +122,9 @@ class RuleMiner:
         )
         if self._spelling is not None:
             miner._spelling = self._spelling.updated(miner.vocabulary)
+        miner._stem_carry = (
+            self._stem_of if self._stem_of is not None else self._stem_carry
+        )
         return miner
 
     def spelling_index(self):

@@ -59,6 +59,7 @@ from ..index.tokenize_text import query_terms
 from ..kernels import backend as kernel_backend
 from ..kernels import (
     PresenceBoundCache,
+    RuleTable,
     columns_for,
     merged_lcp,
     partition_view,
@@ -717,6 +718,47 @@ def _sle_round(m):
     return runs[-1], runs[0]
 
 
+#: Presence masks the ``kernel:dp-rows`` row runs per query, at most.
+DP_ROW_MASK_BITS = 10
+
+
+def _dp_rows(m):
+    # Every presence mask of the keyword space's lanes, capped: past
+    # DP_ROW_MASK_BITS lanes the top enumerated bit brings every higher
+    # lane along.  Beams of the Top-2K width and 1-beam probes, with the
+    # dissimilarities' types, through the compiled DP (the twin itself
+    # under the pure-Python backend, as short-list step 1 runs it).
+    lib = kernel_backend.compiled
+    query = tuple(m.terms)
+    lanes = tuple(sorted(set(query) | m.rules.generated_keywords()))
+    table = RuleTable.build(query, m.rules, lanes) if lib else None
+    low = min(len(lanes), DP_ROW_MASK_BITS)
+    upper = (1 << len(lanes)) - (1 << low)
+    capacity = max(2 * m.oracle.k, 2)
+
+    def shown(rqs):
+        return [
+            (rq.keywords, rq.dissimilarity, type(rq.dissimilarity).__name__)
+            for rq in rqs
+        ]
+
+    expected = []
+    actual = []
+    for mask in range(1 << low):
+        if mask >> (low - 1) & 1:
+            mask |= upper
+        present = {
+            keyword for lane, keyword in enumerate(lanes) if mask >> lane & 1
+        }
+        for limit in (1, capacity):
+            twin = get_top_optimal_rqs(query, present, m.rules, limit)
+            expected.append(shown(twin))
+            actual.append(shown(
+                twin if table is None else table.top(lib, mask, limit)
+            ))
+    return expected, actual
+
+
 def _ranking_memo(m):
     index = m.oracle.index
     context = QueryContext(index, m.terms, m.rules)
@@ -941,6 +983,8 @@ TABLE = (
         "the pure-Python codec's and the list's own", _codec),
     Row("kernel:sle-round", "SLE's answer and ScanStats, compiled", "==",
         "pure-Python", _sle_round),
+    Row("kernel:dp-rows", "the compiled getOptimalRQ over every presence "
+        "mask", "==", "get_top_optimal_rqs", _dp_rows),
     # --- Ranking and the wire.
     Row("ranking:memo", "Formula 2-9 scores through the index's memo",
         "==", "a fresh ScoreMemo's", _ranking_memo),

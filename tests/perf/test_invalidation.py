@@ -157,6 +157,34 @@ class TestAppendInvalidation:
         assert_matches_rebuild(engine)
 
 
+    def test_update_stems_only_the_new_words(self, engine, monkeypatch):
+        import repro.lexicon.mining as mining
+
+        query = "query refinement"
+        engine.search(query)  # stems the vocabulary
+        before = set(engine.miner.vocabulary)
+        stem = mining.stem
+        stemmed = []
+
+        def counting(word):
+            stemmed.append(word)
+            return stem(word)
+
+        monkeypatch.setattr(mining, "stem", counting)
+        append_partition(
+            engine.index, author_spec("alice", ["refined queries"])
+        )
+        rules = engine.mine_rules(query)
+        new_words = set(engine.miner.vocabulary) - before
+        assert {"queries", "refined"} <= new_words
+        assert sorted(stemmed) == sorted(new_words)
+        assert {rule.rhs for rule in rules} >= {("queries",), ("refined",)}
+        fresh = rebuilt_engine(engine.index)
+        assert [
+            (rule.lhs, rule.rhs, rule.ds) for rule in rules
+        ] == [(rule.lhs, rule.rhs, rule.ds) for rule in fresh.mine_rules(query)]
+
+
 class TestRemoveInvalidation:
     def test_carried_spelling_index_drops_removed_words(self, engine):
         node = append_partition(

@@ -23,9 +23,9 @@ class TestVerifyDiff:
         # with one partition, ...) compare nothing and are not counted.
         report = verify_diff(seeds=4, base_seed=0, shrink=False)
         assert report.queries == 16
-        assert report.checks == 16 * CHECKS_PER_QUERY == 768
-        assert report.compared == 682
-        assert "682 comparisons made of 768 rows tried" in report.summary()
+        assert report.checks == 16 * CHECKS_PER_QUERY == 784
+        assert report.compared == 698
+        assert "698 comparisons made of 784 rows tried" in report.summary()
 
     def test_compared_is_the_rows_whose_pair_applied(self):
         spec = DocumentGenerator(0).spec()
