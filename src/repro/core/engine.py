@@ -24,14 +24,11 @@ Typical use::
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 
 from ..errors import QueryError
 from ..index.builder import build_document_index
 from ..index.tokenize_text import query_terms
 from ..kernels import columns_for, slca_columns
-from ..lexicon.mining import RuleMiner
-from ..perf.packed import PackedListStore
 from ..perf.result_cache import DEFAULT_CAPACITY, QueryResultCache
 from ..perf.subresult import (
     DEFAULT_SUBRESULT_CAPACITY,
@@ -51,50 +48,6 @@ from .stack_refine import stack_refine
 #: Algorithm 3 (SLE, :data:`~repro.plan.planner.AUTO_ROUTE`) for every
 #: query; answers are byte-identical to every fixed choice.
 ALGORITHMS = ("auto", "partition", "sle", "stack")
-
-
-class SwapWarmup:
-    """Pre-built per-generation state from :meth:`XRefine.prepare_swap`.
-
-    Carries everything the first post-flip evaluations would otherwise
-    build cold on the serving thread: the new vocabulary's rule miner
-    with pre-mined rule sets for the hot queries (``miner`` is ``None``
-    for engines with a caller-supplied miner, which is never replaced),
-    and the packed posting-list store with the hot keywords' columns
-    already decoded.  Opaque to callers — build it with
-    :meth:`~XRefine.prepare_swap` against the *same* index that is then
-    passed to :meth:`~XRefine.swap_index`.
-    """
-
-    __slots__ = ("miner", "rules_memo", "packed", "queries", "seen")
-
-    def __init__(self, miner, packed):
-        self.miner = miner
-        self.rules_memo = {}
-        self.packed = packed
-        #: Distinct query signatures successfully warmed.
-        self.queries = 0
-        #: Signatures already processed (dedup across prepare calls).
-        self.seen = set()
-
-    def seed_only(self):
-        """A miner+rules-only copy safe to retain across generations.
-
-        Drops the packed store (and with it any zero-copy views into
-        the generation's snapshot), so a cached seed never pins a
-        swapped-out mmap; :meth:`~XRefine.prepare_swap` reads only the
-        miner and its pre-mined rule sets from a ``seed``.
-        """
-        clone = SwapWarmup(self.miner, None)
-        clone.rules_memo.update(self.rules_memo)
-        return clone
-
-    def __repr__(self):
-        packed = len(self.packed) if self.packed is not None else "no"
-        return (
-            f"SwapWarmup({self.queries} queries, "
-            f"{packed} packed keywords)"
-        )
 
 
 def _validate_k(k):
@@ -126,10 +79,10 @@ class XRefine:
         once per model object — assign a new model rather than mutating
         one an engine already holds.
     miner:
-        Rule miner; constructed over the corpus vocabulary by default.
-        An auto-constructed miner is rebuilt whenever the index version
-        changes (partition appends/removals alter the vocabulary); a
-        caller-supplied miner is never replaced.
+        Rule miner; by default the index version's own
+        (``index.derived.miner``), which follows every partition
+        append/removal and snapshot swap.  A caller-supplied miner is
+        never replaced and its rule sets are not memoized.
     cache_size:
         Capacity of the query-result cache
         (:class:`~repro.perf.result_cache.QueryResultCache`); ``0``
@@ -150,10 +103,15 @@ class XRefine:
         ``0`` disables it explicitly.
     rules_memo_size:
         Distinct queries whose auto-mined rule sets stay memoized
-        (LRU); ``None`` keeps the engine default.  Size it at or above
-        the distinct-query working set when replaying large logs —
-        re-mining is the dominant repeated-miss cost.
+        (LRU) in the index's holder; ``None`` keeps its default.  The
+        limit follows the engine across updates and swaps.  Size it at
+        or above the distinct-query working set when replaying large
+        logs — re-mining is the dominant repeated-miss cost.
     """
+
+    #: Always ``None``: ``benchmarks/e2e/layers.py`` passes it to
+    #: ``QueryPlanner(packed=...)``, which reads nothing from it.
+    packed = None
 
     def __init__(self, index, model=None, miner=None,
                  cache_size=DEFAULT_CAPACITY, cache_policy="tinylfu",
@@ -161,14 +119,17 @@ class XRefine:
         self.index = index
         self.model = model if model is not None else full_model()
         self._model_key_memo = (None, None)
-        self._auto_miner = miner is None
+        #: The caller's miner; ``None`` serves the index version's own.
+        self._miner = miner
+        if rules_memo_size is not None and rules_memo_size < 1:
+            raise ValueError(
+                f"rules_memo_size must be >= 1, got {rules_memo_size}"
+            )
         if miner is None:
-            miner = RuleMiner(index.inverted.keywords())
-        self.miner = miner
-        self._miner_version = getattr(index, "version", 0)
-        #: Per-keyword partition counters for the swap warm-up
-        #: (repro.perf.packed).
-        self.packed = PackedListStore(index)
+            derived = index.derived
+            derived.miner  # reads the vocabulary now, not on a first query
+            if rules_memo_size is not None:
+                derived.rules.limit = rules_memo_size
         #: Complete-answer cache (repro.perf.result_cache).
         self.result_cache = QueryResultCache(cache_size, policy=cache_policy)
         #: Term-signature sub-result cache (repro.perf.subresult); tied
@@ -179,20 +140,7 @@ class XRefine:
                 DEFAULT_SUBRESULT_CAPACITY if cache_size > 0 else 0
             )
         self.subresult_cache = SubResultCache(subresult_size)
-        #: Auto-mined rule sets per query (pure function of the miner),
-        #: LRU-bounded — evicting one stale entry at a time instead of
-        #: the old wholesale clear, which re-mined the entire hot set
-        #: whenever the distinct-query universe exceeded the limit.
-        self._rules_memo = OrderedDict()
-        if rules_memo_size is not None and rules_memo_size < 1:
-            raise ValueError(
-                f"rules_memo_size must be >= 1, got {rules_memo_size}"
-            )
-        self._rules_memo_limit = (
-            rules_memo_size if rules_memo_size is not None
-            else self._RULES_MEMO_LIMIT
-        )
-        #: DP memos and route counters (repro.plan).
+        #: Route counters (repro.plan).
         self._planner = QueryPlanner(index)
 
     # ------------------------------------------------------------------
@@ -229,19 +177,12 @@ class XRefine:
     # ------------------------------------------------------------------
     # Hot-path plumbing (repro.perf)
     # ------------------------------------------------------------------
-    def _refresh_miner(self):
-        """Rebuild an auto-constructed miner after index updates.
-
-        The vocabulary the rules are mined from changes with every
-        partition append/remove; keeping the miner in lockstep with the
-        index version makes warm answers equal a from-scratch engine.
-        The new miner carries the old one's spelling index over, so the
-        first misspelt keyword after an update pays no index build.
-        """
-        version = getattr(self.index, "version", 0)
-        if self._auto_miner and version != self._miner_version:
-            self.miner = self.miner.updated(self.index.inverted.keywords())
-        self._miner_version = version
+    @property
+    def miner(self):
+        """The rule miner: the caller's, or the index version's own."""
+        if self._miner is not None:
+            return self._miner
+        return self.index.derived.miner
 
     def _model_key(self):
         """The model parameters that affect a query's answer.
@@ -280,10 +221,9 @@ class XRefine:
         )
 
     def clear_caches(self):
-        """Explicitly drop the engine-level caches (results + packed)."""
+        """Explicitly drop the engine-level result caches."""
         self.result_cache.clear()
         self.subresult_cache.clear()
-        self.packed.clear()
 
     def cache_stats(self):
         """Monitoring snapshot of every hot-path cache layer."""
@@ -291,7 +231,9 @@ class XRefine:
         return {
             "results": self.result_cache.stats(),
             "subresults": self.subresult_cache.stats(),
-            "packed_keywords": len(self.packed),
+            #: size / limit / hits / misses / evictions of the rules,
+            #: DP, search-for and need-column memos of the index version.
+            "memos": self.index.derived.stats(),
             "index_version": getattr(self.index, "version", 0),
             #: Document partitions resident as node objects.  Refinement
             #: search never reads the tree, so over a frozen snapshot
@@ -319,84 +261,54 @@ class XRefine:
     # ------------------------------------------------------------------
     # Snapshot hot-swap (repro.serve)
     # ------------------------------------------------------------------
-    def prepare_swap(self, new_index, queries=(), warmup=None, seed=None):
+    def prepare_swap(self, new_index, queries=(), seed=None):
         """Warm a generation about to swap in for a set of hot queries.
 
         The optional slow companion of :meth:`swap_index`.  The first
         post-flip occurrence of every query pays the new generation's
         cold costs on the serving thread — mining its rule set against
-        the fresh vocabulary (tens of milliseconds), decoding and
-        packing its posting lists, and re-inferring the search-for
-        statistics.  Run this on a background thread while the old
-        generation keeps serving — it only reads ``new_index`` (whose
-        memos are not yet shared with the serving path) plus the
-        immutable miner — then hand the result to
-        ``swap_index(new_index, warmup=...)``, which installs the
-        pre-built state atomically with the flip.
+        the fresh vocabulary (tens of milliseconds), decoding its
+        posting lists, and inferring the search-for statistics.  Run
+        this on a background thread while the old generation keeps
+        serving: it fills ``new_index.derived`` (not yet shared with
+        the serving path), which the flip then serves from.  Call it
+        again to warm more queries; returns how many of ``queries``
+        were warmed.
 
-        Pass a previous call's ``warmup`` back in to warm more queries
-        incrementally — the daemon mines its hot set in small chunks
-        with pauses between them, so the background mining never
-        monopolizes the interpreter against in-flight evaluations.
-
-        ``seed`` is an optional *earlier* generation's warmup (e.g. the
-        one installed the last time this snapshot was swapped in): when
-        its miner was built over exactly ``new_index``'s vocabulary —
-        mining depends on nothing else — the miner and every rule set
-        it already mined are reused instead of re-mined, so cycling
-        back to a recently served snapshot skips the dominant warmup
-        cost entirely.  A seed whose vocabulary differs is ignored; the
-        per-index state (packed columns, search-for and decode memos)
-        is always rebuilt against ``new_index``.
+        ``seed`` is an optional earlier generation's miner (it holds no
+        index): when it was built over exactly ``new_index``'s
+        vocabulary — mining depends on nothing else — it is adopted
+        instead of building a miner and its spelling index again.  A
+        seed whose vocabulary differs is ignored.
         """
-        if warmup is None:
-            miner = None
-            if self._auto_miner:
-                vocabulary = set(new_index.inverted.keywords())
-                if (
-                    seed is not None
-                    and seed.miner is not None
-                    and seed.miner.vocabulary == vocabulary
-                ):
-                    miner = seed.miner
-                else:
-                    miner = RuleMiner(vocabulary)
-                    # Built here, on the reload thread, so the first
-                    # post-flip misspelling pays no index build.
-                    miner.spelling_index()
-            warmup = SwapWarmup(miner=miner, packed=PackedListStore(new_index))
-            if seed is not None and miner is not None and miner is seed.miner:
-                warmup.rules_memo.update(seed.rules_memo)
-        packed = warmup.packed
+        if self._miner is not None:
+            mine = self._miner.mine
+        else:
+            derived = new_index.derived
+            if seed is not None:
+                derived.adopt(seed)
+            # Built here, on the reload thread, so the first post-flip
+            # misspelling pays no index build.
+            derived.miner.spelling_index()
+            mine = derived.mine
+        warmed = 0
         for query in queries:
             terms = tuple(query_terms(query))
-            if not terms or terms in warmup.seen:
+            if not terms:
                 continue
-            warmup.seen.add(terms)
-            if warmup.miner is not None:
-                cached = warmup.rules_memo.get(terms)
-                if cached is not None and cached[0] is warmup.miner:
-                    rules = cached[1]
-                else:
-                    rules = warmup.miner.mine(terms)
-                    if len(warmup.rules_memo) < self._RULES_MEMO_LIMIT:
-                        warmup.rules_memo[terms] = (warmup.miner, rules)
-            else:
-                rules = self.miner.mine(terms)
+            rules = mine(terms)
             try:
-                # Constructing the context decodes the keyword space's
-                # inverted lists (memoized on new_index) and populates
-                # its search-for memo — exactly the per-generation
-                # state the first evaluation would otherwise build.
+                # Opens the keyword space's lists (memoized on
+                # new_index) and fills its search-for memo.
                 context = QueryContext(new_index, terms, rules)
             except QueryError:
                 continue
-            for keyword in context.keyword_space:
-                packed.get(keyword).partition_count()
-            warmup.queries += 1
-        return warmup
+            for inverted in context.lists.values():
+                inverted.dewey_keys  # decodes the list and its key tuples
+            warmed += 1
+        return warmed
 
-    def swap_index(self, new_index, warmup=None):
+    def swap_index(self, new_index):
         """Atomically re-point this engine at a freshly loaded index.
 
         The zero-downtime reload primitive of the serving daemon
@@ -416,83 +328,47 @@ class XRefine:
         * The index reference flip and the result-cache purge happen
           under the result cache's lock, making them atomic with
           respect to every concurrent stamp check-and-return.
-        * The planner drops the DP memos built from the old
-          vocabulary's rule sets and keeps its route counters
-          (:meth:`~repro.plan.planner.QueryPlanner.on_index_swap`).
+        * Everything derived from the old index stays in its holder;
+          the engine serves ``new_index.derived``, filled by
+          :meth:`prepare_swap` or, with no warm-up, built on use from
+          the old miner (:meth:`~repro.lexicon.mining.RuleMiner.updated`).
+          The rules memo's limit carries over.
 
         The caller must ensure no query is *executing* on this engine
         during the flip (the daemon runs it on its single query thread,
         serialized behind in-flight requests); concurrent cache *reads*
         from other threads are safe.
-
-        ``warmup`` is an optional :meth:`prepare_swap` result built
-        against the same ``new_index``: the pre-constructed miner and
-        its pre-mined rule sets are installed with the flip, so hot
-        queries skip the first-mine cost on the new generation.
         """
         old_index = self.index
         if new_index is old_index:
             return old_index
         new_index.version = getattr(old_index, "version", 0) + 1
-        new_packed = (
-            warmup.packed
-            if warmup is not None and warmup.packed is not None
-            else PackedListStore(new_index)
-        )
+        new_index.derived.inherit(old_index.derived)
         with self.result_cache.lock:
             self.index = new_index
-            self.packed = new_packed
             self.result_cache.purge_other_versions(new_index.version)
             # Sub-results obey the same generation contract: purged
             # atomically with the flip so no old-generation SLCA list
             # can assemble a post-swap answer.
             self.subresult_cache.purge_other_versions(new_index.version)
-        # The auto-miner lags one _refresh_miner() call behind by
-        # design; dropping the memo here keeps no rule set mined from
-        # the old vocabulary reachable in the meantime.
-        self._rules_memo.clear()
-        if (
-            warmup is not None
-            and self._auto_miner
-            and warmup.miner is not None
-        ):
-            # A prepare_swap() result for this index: adopt its miner
-            # and pre-mined rule sets so the first post-flip queries
-            # skip the fresh-vocabulary mining cost entirely.
-            self.miner = warmup.miner
-            self._miner_version = new_index.version
-            self._rules_memo.update(warmup.rules_memo)
         self.planner.on_index_swap(new_index)
         return old_index
 
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    #: Distinct queries whose mined rules are memoized before reset.
-    _RULES_MEMO_LIMIT = 1024
-
     def mine_rules(self, query):
         """The pertinent rule set for a query (terms are normalized).
 
         Mining is deterministic for a fixed miner, so auto-mined rule
-        sets are memoized per query (the memo keys on miner identity —
-        a version rebuild starts fresh).  Treat the returned
-        :class:`~repro.lexicon.rules.RuleSet` as read-only.
+        sets are memoized per query in the index version's holder.
+        Treat the returned :class:`~repro.lexicon.rules.RuleSet` as
+        read-only.
         """
-        self._refresh_miner()
         terms = tuple(query_terms(query))
-        if not self._auto_miner:
-            return self.miner.mine(terms)
-        cached = self._rules_memo.get(terms)
-        if cached is not None and cached[0] is self.miner:
-            self._rules_memo.move_to_end(terms)
-            return cached[1]
-        rules = self.miner.mine(terms)
-        self._rules_memo[terms] = (self.miner, rules)
-        self._rules_memo.move_to_end(terms)
-        while len(self._rules_memo) > self._rules_memo_limit:
-            self._rules_memo.popitem(last=False)
-        return rules
+        if self._miner is not None:
+            return self._miner.mine(terms)
+        return self.index.derived.mine(terms)
 
     def search(self, query, k=1, algorithm="auto", rules=None,
                rank_results=False, explain=False):
@@ -730,8 +606,7 @@ class XRefine:
 
     def _execute_plan(self, plan, terms, rules, k):
         """Run the route ``plan`` names; every evaluation comes here."""
-        planner = self.planner
-        memos = planner.dp_memos(terms, rules, max(2 * k, 2))
+        memos = self.index.derived.dp_memos(terms, rules, max(2 * k, 2))
         route = plan.executed
         if route == "sle":
             response = short_list_eager(
@@ -748,15 +623,15 @@ class XRefine:
                 self.index, terms, rules=rules, model=self.model,
                 dp_memo=memos[2],
             )
-        planner.routed[route] += 1
+        self.planner.routed[route] += 1
         return response
 
     def search_many(self, queries, k=1, algorithm="auto",
                     rank_results=False):
         """Batch refinement search: one response per input query.
 
-        The hot-path batch API: per-keyword decoded lists (packed
-        arrays, inverted-list cache) are shared across the whole call,
+        The hot-path batch API: per-keyword decoded lists (the
+        inverted-list cache) are shared across the whole call,
         and duplicate queries are deduplicated *before dispatch* — each
         distinct normalized query is evaluated exactly once per batch
         even when the LRU result cache is disabled or thrashing.
@@ -774,7 +649,6 @@ class XRefine:
                 f"unknown refinement algorithm {algorithm!r}; "
                 f"expected one of {ALGORITHMS}"
             )
-        self._refresh_miner()
         responses = []
         batch = {}  # normalized terms -> response
         for query in queries:

@@ -8,10 +8,11 @@ two ancestor-set intersections.  The Top-2K candidates of one query
 share most of those reads, and the queries after it repeat them, so
 the formulas read every one through a :class:`ScoreMemo`.
 
-One memo belongs to each :class:`~repro.index.builder.DocumentIndex`
-(``index.score_memo``, built on the first score), keyed by
-``(keyword, T)``, ``T`` and ``(ki, k, T)``.  ``invalidate_caches()``
-drops it, so an update re-reads everything.  Caching a float changes
+One memo belongs to each index version: its
+:class:`~repro.index.derived.DerivedState` holds it (``index.score_memo``
+reads it), built on the first score and keyed by ``(keyword, T)``,
+``T`` and ``(ki, k, T)``.  An update replaces the holder, so it
+re-reads everything.  Caching a float changes
 no score: a fresh memo and a warm one give the same bits.
 """
 
@@ -63,7 +64,8 @@ class ScoreMemo:
 
 def score_memo(index):
     """``index``'s memo, built on first use."""
-    memo = index.score_memo
+    derived = index.derived
+    memo = derived.score_memo
     if memo is None:
-        memo = index.score_memo = ScoreMemo(index)
+        memo = derived.score_memo = ScoreMemo(index)
     return memo

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ..perf.stats_cache import SearchForCache
 from .cooccur import CooccurrenceTable
+from .derived import DerivedState
 from .frequency import FrequencyTable
 from .inverted import InvertedIndex
 from .statistics import StatisticsTable
@@ -40,14 +40,25 @@ class DocumentIndex:
         self.statistics = statistics
         self.cooccurrence = cooccurrence
         #: Monotonic content version.  Bumped by every index update so
-        #: that engine-level caches (query results, packed lists) can
-        #: detect staleness with one integer comparison.
+        #: that engine-level caches (query results) can detect staleness
+        #: with one integer comparison.
         self.version = 0
-        #: Memoized Formula-1 search-for inference (repro.perf).
-        self.search_for_cache = SearchForCache(self)
-        #: The ranking model's Formula 2-9 statistics memo
-        #: (repro.core.ranking.memo), built on the first score.
-        self.score_memo = None
+        self._derived = None
+
+    @property
+    def derived(self):
+        """This version's miner and memos (repro.index.derived)."""
+        if self._derived is None:
+            self._derived = DerivedState(self)
+        return self._derived
+
+    @property
+    def search_for_cache(self):
+        return self.derived.search_for
+
+    @property
+    def score_memo(self):
+        return self.derived.score_memo
 
     def freeze(self, path):
         """Write this index as a frozen single-file snapshot.
@@ -60,17 +71,16 @@ class DocumentIndex:
         return freeze_index(self, path)
 
     def invalidate_caches(self):
-        """Bump the version and drop every derived-statistics cache.
+        """Bump the version and drop everything derived from the old one.
 
         The single entry point index mutations must call; anything
         keyed on the old version (engine result caches) self-evicts on
         its next read.
         """
         self.version += 1
-        self.frequency.clear_memo()
-        self.search_for_cache.clear()
-        self.score_memo = None
         self.cooccurrence.invalidate()
+        if self._derived is not None:
+            self._derived = self._derived.updated(self)
 
     # Convenience passthroughs used throughout the engine -------------
     def inverted_list(self, keyword):

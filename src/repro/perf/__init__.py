@@ -4,13 +4,12 @@ Production keyword traffic is skewed and repetitive; this subpackage
 makes the repeat path cheap while leaving the paper's algorithms (and
 their one-scan guarantees for *cold* queries) untouched:
 
-``repro.perf.packed``
-    :class:`PackedPostings` / :class:`PackedListStore` — the swap
-    warm-up's per-keyword partition counter over the inverted list's
-    key column.
+``repro.perf.lru``
+    :class:`LRUMemo` — the bounded LRU, with hit / miss / eviction
+    counters, behind every traffic-keyed memo.
 ``repro.perf.stats_cache``
     :class:`SearchForCache` — memoized Formula-1 search-for inference,
-    owned by the document index next to the frequency-table memo.
+    held per index version by ``index.derived``.
 ``repro.perf.result_cache``
     :class:`QueryResultCache` — version-checked cache over complete
     query answers with W-TinyLFU frequency-gated admission (or plain
@@ -26,15 +25,14 @@ their one-scan guarantees for *cold* queries) untouched:
 """
 
 from .freq_sketch import CountMinSketch
-from .packed import PackedListStore, PackedPostings
+from .lru import LRUMemo
 from .result_cache import QueryResultCache
 from .stats_cache import SearchForCache
 from .subresult import SubResultCache, term_signature
 
 __all__ = [
     "CountMinSketch",
-    "PackedPostings",
-    "PackedListStore",
+    "LRUMemo",
     "QueryResultCache",
     "SearchForCache",
     "SubResultCache",

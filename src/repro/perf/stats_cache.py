@@ -12,15 +12,12 @@ parameters.
 It also memoizes the Definition 3.3 ``need`` column each query derives
 from its search-for types (:meth:`SearchForCache.need`).
 
-The cache is owned by the :class:`~repro.index.builder.DocumentIndex`
-and cleared by ``DocumentIndex.invalidate_caches()`` whenever a
-partition is appended or removed, together with the frequency-table
-memo (see :mod:`repro.index.frequency`).
+The cache belongs to the index version's
+:class:`~repro.index.derived.DerivedState`, so an index update, which
+replaces that holder, starts it empty.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 from ..slca.meaningful import (
     DEFAULT_COMPARABLE_FRACTION,
@@ -28,6 +25,7 @@ from ..slca.meaningful import (
     infer_search_for,
     need_column,
 )
+from .lru import LRUMemo
 
 #: Default number of memoized keyword multisets.
 DEFAULT_CAPACITY = 1024
@@ -36,16 +34,14 @@ DEFAULT_CAPACITY = 1024
 class SearchForCache:
     """LRU memo over :func:`infer_search_for` for one document index."""
 
-    __slots__ = ("_index", "maxsize", "_entries", "_needs", "hits", "misses")
+    __slots__ = ("_index", "entries", "needs")
 
     def __init__(self, index, maxsize=DEFAULT_CAPACITY):
         self._index = index
-        self.maxsize = maxsize
-        self._entries = OrderedDict()
+        #: Sorted keyword multiset + parameters -> search-for tuple.
+        self.entries = LRUMemo(maxsize)
         #: (search-for types, type-table length) -> need column.
-        self._needs = {}
-        self.hits = 0
-        self.misses = 0
+        self.needs = LRUMemo(maxsize)
 
     def infer(
         self,
@@ -67,12 +63,9 @@ class SearchForCache:
             comparable_fraction,
             max_candidates,
         )
-        cached = self._entries.get(key)
+        cached = self.entries.lookup(key)
         if cached is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
             return list(cached)
-        self.misses += 1
         value = infer_search_for(
             self._index,
             keywords,
@@ -80,10 +73,7 @@ class SearchForCache:
             comparable_fraction=comparable_fraction,
             max_candidates=max_candidates,
         )
-        if self.maxsize:
-            self._entries[key] = tuple(value)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+        self.entries.store(key, tuple(value))
         return value
 
     def need(self, search_for_types):
@@ -97,23 +87,17 @@ class SearchForCache:
         """
         table = self._index.inverted.node_type_table
         key = (tuple(search_for_types), len(table))
-        need = self._needs.get(key)
+        need = self.needs.lookup(key)
         if need is None:
             need = need_column(search_for_types, table)
-            if len(self._needs) >= self.maxsize:
-                self._needs.clear()
-            self._needs[key] = need
+            self.needs.store(key, need)
         return need
 
-    def clear(self):
-        self._entries.clear()
-        self._needs.clear()
-
     def __len__(self):
-        return len(self._entries)
+        return len(self.entries)
 
     def __repr__(self):
         return (
-            f"SearchForCache(size={len(self._entries)}, "
-            f"hits={self.hits}, misses={self.misses})"
+            f"SearchForCache(size={len(self.entries)}, "
+            f"needs={len(self.needs)})"
         )

@@ -7,18 +7,13 @@ p95 and mean over the wire benchmark's ``cold_large`` pool (DESIGN.md,
 "One route"), so there is no per-query decision left to make.  What
 remains here is the bookkeeping every route shares:
 
-* :class:`QueryPlanner` holds the per-engine refinement-DP memos and
-  counts how many evaluations ran each route;
+* :class:`QueryPlanner` counts how many evaluations ran each route;
 * :class:`QueryPlan` is the ``explain=True`` record: the requested
   algorithm, the route that answered, its elapsed time, and whether the
   answer came from the result cache.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
-
-from ..core.dp import BeamMemo
 
 #: The three Section-VI refinement algorithms an evaluation can run.
 FIXED_ROUTES = ("partition", "sle", "stack")
@@ -105,50 +100,27 @@ class Calibration:
 
 
 class QueryPlanner:
-    """Per-engine DP memos and route counters."""
+    """Per-engine route counters."""
 
-    #: Distinct (terms, rules, capacity) DP memo identities kept; past
-    #: it the least recently used identity is dropped.
-    DP_MEMO_LIMIT = 512
-
-    __slots__ = ("index", "_dp_memos", "routed")
+    __slots__ = ("index", "routed")
 
     def __init__(self, index, packed=None):
         # ``packed`` is accepted because benchmarks/e2e/layers.py passes
         # one; nothing reads it.
         self.index = index
-        self._dp_memos = OrderedDict()
         #: Evaluations per route over the engine's lifetime.
         self.routed = dict.fromkeys(FIXED_ROUTES, 0)
 
     def on_index_swap(self, index):
-        """Re-point the planner at a hot-swapped index.
-
-        Drops the DP memos (rule sets are mined from the old
-        vocabulary); the route counters are monitoring state for the
-        engine's lifetime and survive.
-        """
+        """Re-point the planner at a hot-swapped index; the route
+        counters are monitoring state for the engine's lifetime and
+        survive."""
         self.index = index
-        self._dp_memos.clear()
 
     def dp_memos(self, terms, rules, capacity):
-        """``(probe_memo, beam_memo, witness_memo)`` for one identity.
-
-        The refinement DP is a pure function of
-        ``(query, present keywords, rules, limit)`` — posting data never
-        enters it — so the memos survive index-version bumps and are
-        shared by every route the engine executes for this identity.
-        """
-        identity = (tuple(terms), rules.fingerprint(), capacity)
-        memos = self._dp_memos.get(identity)
-        if memos is None:
-            memos = ({}, BeamMemo(), {})
-            self._dp_memos[identity] = memos
-            if len(self._dp_memos) > self.DP_MEMO_LIMIT:
-                self._dp_memos.popitem(last=False)
-        else:
-            self._dp_memos.move_to_end(identity)
-        return memos
+        """The index holder's DP memos
+        (:meth:`~repro.index.derived.DerivedState.dp_memos`)."""
+        return self.index.derived.dp_memos(terms, rules, capacity)
 
     def plan(self, terms, rules, k, force=None):
         """The :class:`QueryPlan` for one query.
@@ -170,7 +142,7 @@ class QueryPlanner:
         """Monitoring snapshot for ``XRefine.cache_stats()``."""
         return {
             "routed": dict(self.routed),
-            "dp_memos": len(self._dp_memos),
+            "dp_memos": len(self.index.derived.dp),
             # Constant since ``auto`` became one route: there is no
             # fallback and no plan cache.  Kept as keys because readers
             # of /stats (the e2e benchmark among them) look them up.

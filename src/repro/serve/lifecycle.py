@@ -145,38 +145,36 @@ class SnapshotManager:
             pause = lambda: time.sleep(pause_seconds)  # noqa: E731
         return open_index_source(source, pause=pause)
 
-    def prepare(self, new_index, queries=(), warmup=None, seed=None):
-        """Pre-mine hot rule sets against the pending generation.
+    def prepare(self, new_index, queries=(), seed=None):
+        """Pre-warm the pending generation for hot queries (slow half).
 
         The second slow half of a reload (any thread, like
         :meth:`load`): the first post-flip evaluation of a query pays
         the new generation's cold costs — rule mining against the
-        fresh vocabulary, posting-list decode + packing, search-for
-        inference — so the daemon pre-builds that state for its
-        recently served query signatures here, off the serving path,
-        and hands the returned :class:`~repro.core.engine.SwapWarmup`
-        to :meth:`flip`, which installs it atomically.  Chain calls by
-        passing the previous return value as ``warmup`` to warm
-        incrementally; pass an earlier generation's warmup as ``seed``
-        to reuse its mined rule sets when the vocabulary matches
-        (cycling back to a recently served snapshot).
+        fresh vocabulary, posting-list decode, search-for inference —
+        so the daemon builds that state for its recently served query
+        signatures here, off the serving path, in ``new_index.derived``
+        (:meth:`repro.XRefine.prepare_swap`), which :meth:`flip` then
+        serves from.  Call it again to warm more queries.  ``seed`` is
+        an earlier generation's miner, adopted when its vocabulary
+        matches (cycling back to a recently served snapshot).  Returns
+        how many queries were warmed.
         """
-        return self.engine.prepare_swap(
-            new_index, queries, warmup=warmup, seed=seed
-        )
+        return self.engine.prepare_swap(new_index, queries, seed=seed)
 
-    def flip(self, new_index, source, warmup=None):
+    def flip(self, new_index, source, prewarmed=0):
         """Swap the engine onto ``new_index`` (fast half; query thread).
 
         Must run where no evaluation can be concurrently executing —
         the daemon queues it on its one query thread, which runs it
         after every evaluation queued before it (that *is* the
         drain).  The old generation is retired; its mmap closes when
-        the last already-admitted reader releases it.
+        the last already-admitted reader releases it.  ``prewarmed``
+        is the sum of :meth:`prepare`'s counts, reported back.
         """
         with self._lock:
             old = self._current
-            self.engine.swap_index(new_index, warmup=warmup)
+            self.engine.swap_index(new_index)
             self._current = SnapshotHandle(
                 new_index, source, old.generation + 1
             )
@@ -186,7 +184,7 @@ class SnapshotManager:
             "generation": self._current.generation,
             "source": source,
             "index_version": getattr(new_index, "version", 0),
-            "prewarmed": warmup.queries if warmup is not None else 0,
+            "prewarmed": prewarmed,
         }
 
     def close(self):

@@ -222,8 +222,8 @@ class RefineServer:
     #: Sleep between tree-decode chunks of the reload's snapshot open,
     #: so the load yields the interpreter to in-flight evaluations.
     LOAD_PAUSE_SECONDS = 0.005
-    #: Installed warmups remembered per snapshot path, so cycling back
-    #: to a recently served snapshot reuses its mined rule sets.
+    #: Miners remembered per snapshot path, so cycling back to a
+    #: recently served snapshot reuses its miner and spelling index.
     SWAP_SEED_LIMIT = 8
 
     def __init__(self, source, host="127.0.0.1", port=0, model=None,
@@ -247,11 +247,15 @@ class RefineServer:
         #: LRU set of recently served term tuples (event-loop only);
         #: /reload pre-mines these against the incoming snapshot.
         self._recent_terms = OrderedDict()
-        #: LRU of installed warmups keyed by snapshot path (event-loop
-        #: only).  A reload seeds its pre-warm from the target's last
-        #: warmup; vocabulary equality is checked in `prepare_swap`, so
-        #: a changed file behind the same path is never trusted.
-        self._swap_seeds = OrderedDict()
+        #: LRU of miners keyed by snapshot path (event-loop only), the
+        #: serving one included.  A reload seeds its pre-warm from the
+        #: target's miner; vocabulary equality is checked in
+        #: `prepare_swap`, so a changed file behind the same path is
+        #: never trusted.  A miner holds no index, so no seed pins a
+        #: retired generation's mmap.
+        self._swap_seeds = OrderedDict(
+            [(os.path.realpath(source), self.manager.engine.miner)]
+        )
         self.requests = 0
         self.errors = 0
         self.reloads = 0
@@ -522,31 +526,31 @@ class RefineServer:
         )
         # Still the slow half: pre-warm the recently served query
         # signatures against the new generation (rule mining, posting
-        # decode + packing, search-for inference), so their first
+        # decode, search-for inference), so their first
         # post-flip occurrence skips the cold costs on the query
         # thread.  Mined in small chunks with pauses between them —
         # mining is GIL-heavy, and an unbroken burst on the reload
         # thread would inflate concurrent requests' tail latency.
-        warmup = None
+        prewarmed = 0
         seed_key = os.path.realpath(source)
         seed = self._swap_seeds.get(seed_key)
         hot = list(self._recent_terms)
         for start in range(0, len(hot), self.PREWARM_CHUNK):
-            warmup = await self.loop.run_in_executor(
+            prewarmed += await self.loop.run_in_executor(
                 self._reload_pool, self.manager.prepare, new_index,
-                hot[start:start + self.PREWARM_CHUNK], warmup, seed,
+                hot[start:start + self.PREWARM_CHUNK], seed,
             )
             await asyncio.sleep(self.PREWARM_PAUSE_SECONDS)
         # Fast half on the query thread: FIFO behind every queued
         # evaluation (the drain), and nothing evaluates mid-flip.
         flip = await self.queue.run(
-            lambda: self.manager.flip(new_index, source, warmup)
+            lambda: self.manager.flip(new_index, source, prewarmed)
         )
-        if warmup is not None and warmup.miner is not None:
-            # Retain only miner + rules (never the packed store, which
-            # would pin the swapped-out generation's mmap).
+        if hot:
+            # The miner prepare built or adopted (an unprepared one is
+            # built on the query thread, so it is not read from here).
             self._swap_seeds.pop(seed_key, None)
-            self._swap_seeds[seed_key] = warmup.seed_only()
+            self._swap_seeds[seed_key] = new_index.derived.miner
             while len(self._swap_seeds) > self.SWAP_SEED_LIMIT:
                 self._swap_seeds.popitem(last=False)
         self.reloads += 1

@@ -1026,21 +1026,26 @@ def replay_cold_diff(index, samples, model=None, miner=None):
     (result cache, sub-result assembly, rules memo, DP memos).  A
     fresh cache-disabled engine over the same index re-evaluates each
     sampled query; any fingerprint difference means some cache layer
-    changed an answer during the replay.
+    changed an answer during the replay.  The memos live in
+    ``index.derived``, so the cold pass runs over a fresh holder and
+    reads none of the ones the replay filled.
     """
-    cold = XRefine(index, model=model, miner=miner, cache_size=0)
-    divergences = []
-    for query, k, algorithm, fingerprint in samples:
-        fresh = response_fingerprint(
-            cold.search(list(query), k=k, algorithm=algorithm)
+    replayed, index._derived = index._derived, None
+    try:
+        cold = XRefine(index, model=model, miner=miner, cache_size=0)
+        answers = [
+            response_fingerprint(cold.search(list(q), k=k, algorithm=a))
+            for q, k, a, _ in samples
+        ]
+    finally:
+        index._derived = replayed
+    return [
+        Divergence(
+            "replay:cold-diff",
+            f"replayed answer (k={k}, {algorithm}) differs "
+            "from a cold evaluation",
+            None, query, fresh, fingerprint,
         )
-        if fresh != fingerprint:
-            divergences.append(
-                Divergence(
-                    "replay:cold-diff",
-                    f"replayed answer (k={k}, {algorithm}) differs "
-                    "from a cold evaluation",
-                    None, query, fresh, fingerprint,
-                )
-            )
-    return divergences
+        for (query, k, algorithm, fingerprint), fresh in zip(samples, answers)
+        if fresh != fingerprint
+    ]

@@ -7,10 +7,6 @@ that mix words shorter than ``min_length`` with longer ones, contain
 the term itself or not, and reach beyond ASCII — and over vocabularies
 changed after the build, as an index update changes them, and words
 too long to index by their deletion variants.
-
-The second half pins the refinement-DP memo's eviction: the planner
-keeps its most recently used identities instead of forgetting all of
-them at once.
 """
 
 from __future__ import annotations
@@ -20,9 +16,8 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lexicon import RuleMiner, RuleSet, SpellingIndex, spelling_candidates
+from repro.lexicon import RuleMiner, SpellingIndex, spelling_candidates
 from repro.lexicon.edit_distance import bounded_distance, deletion_variants
-from repro.plan import QueryPlanner
 
 
 def scan_candidates(term, vocabulary, limit=2, min_length=4):
@@ -213,33 +208,3 @@ class TestMinerUsesTheIndex:
             else scan_candidates(keyword, vocabulary)[:3]
         )
         assert got == expected
-
-
-class TestDpMemoKeepsItsHotSet:
-    @staticmethod
-    def _memos(planner, position):
-        return planner.dp_memos((f"t{position}",), RuleSet(), 2)
-
-    def test_hot_identity_survives_a_full_limit_of_new_ones(self):
-        planner = QueryPlanner(index=None)
-        limit = QueryPlanner.DP_MEMO_LIMIT
-        assert limit == 512
-        hot = planner.dp_memos(("hot",), RuleSet(), 2)
-        for position in range(limit):
-            self._memos(planner, position)
-            # The hot identity is used between every two new ones.
-            assert planner.dp_memos(("hot",), RuleSet(), 2) is hot
-        assert planner.stats()["dp_memos"] == limit
-
-    def test_bounded_and_least_recent_goes_first(self):
-        planner = QueryPlanner(index=None)
-        limit = QueryPlanner.DP_MEMO_LIMIT
-        first = self._memos(planner, 0)
-        for position in range(1, 3 * limit):
-            newest = self._memos(planner, position)
-            assert planner.stats()["dp_memos"] <= limit
-        assert planner.stats()["dp_memos"] == limit
-        # Identity 0 was evicted: asking again builds fresh memos, and
-        # evicts the least recent identity, not the newest.
-        assert self._memos(planner, 0) is not first
-        assert self._memos(planner, 3 * limit - 1) is newest

@@ -79,8 +79,7 @@ def census(snapshot, searches):
     words = len(vocabulary)
     types = len(index.inverted.node_type_table)
     memo = index.score_memo
-    planner = engine.planner
-    search_for = index.search_for_cache
+    memos = index.derived.stats()
     sizes = {
         "inverted lists": (len(index.inverted._cache), words),
         "frequency memo": (len(index.frequency._memo), words),
@@ -91,12 +90,15 @@ def census(snapshot, searches):
         "score memo G_T": (len(memo.g), types),
         "score memo importance": (len(memo.importance), words * types),
         "score memo pair": (len(memo.pair), words * words * types),
-        "rules memo": (len(engine._rules_memo), RULES_BOUND),
-        "DP memos": (planner.stats()["dp_memos"], planner.DP_MEMO_LIMIT),
-        "search-for memo": (len(search_for), search_for.maxsize),
-        "search-for need columns": (
-            len(search_for._needs), search_for.maxsize
-        ),
+        **{
+            name: (memos[key]["size"], memos[key]["limit"])
+            for name, key in (
+                ("rules memo", "rules"),
+                ("DP memos", "dp"),
+                ("search-for memo", "search_for"),
+                ("search-for need columns", "need"),
+            )
+        },
         "result cache": (
             len(engine.result_cache), engine.result_cache.maxsize
         ),
@@ -110,6 +112,12 @@ def census(snapshot, searches):
 def test_memos_are_bounded_by_the_snapshot(snapshot):
     few = census(snapshot, 1_000)
     many = census(snapshot, 5_000)
+    assert [
+        many[name][1] for name in (
+            "rules memo", "DP memos", "search-for memo",
+            "search-for need columns",
+        )
+    ] == [RULES_BOUND, 512, 1024, 1024]
     for name, (size, bound) in many.items():
         assert size <= bound, (name, size, bound)
     assert {name: size for name, (size, _) in few.items()} == {

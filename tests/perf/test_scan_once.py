@@ -62,18 +62,3 @@ def test_engine_slca_equals_scan_over_label_lists(dblp_index, pool):
             [dblp_index.inverted_list(t).labels() for t in terms]
         )
         assert served == direct
-
-
-def test_one_scan_bound_holds_after_packing(dblp_index, pool):
-    """The one-scan bound also holds once the packed store has
-    materialized the query's keywords."""
-    engine = XRefine(dblp_index)
-    pool_query = pool[0]
-    for term in pool_query.query:
-        engine.packed.get(term)  # force-pack every query keyword
-    response = engine.search(pool_query.query, k=2, algorithm="partition")
-    assert response.stats.lists_opened > 0
-    rules = engine.mine_rules(pool_query.query)
-    context = QueryContext(dblp_index, pool_query.query, rules)
-    total_postings = sum(len(lst) for lst in context.lists.values())
-    assert response.stats.postings_scanned <= total_postings

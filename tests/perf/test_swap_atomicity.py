@@ -12,7 +12,9 @@ flips), and stamps the put with that captured version.
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -128,7 +130,7 @@ class TestStraddlingEvaluation:
 
 
 class TestPreparedSwap:
-    """``prepare_swap`` pre-builds exactly the state the flip installs."""
+    """``prepare_swap`` fills the new index's holder; the flip serves it."""
 
     def test_flip_adopts_the_prepared_miner_and_rules(self, corpus_pair):
         index_a, index_b = corpus_pair
@@ -136,24 +138,27 @@ class TestPreparedSwap:
         query = refinable_query(index_b)
         terms = tuple(query_terms(query))
 
-        warmup = engine.prepare_swap(index_b, [query])
-        assert warmup.queries == 1
-        assert warmup.miner is not engine.miner  # built for index_b
-        prepared_rules = warmup.rules_memo[terms][1]
+        assert engine.prepare_swap(index_b, [query]) == 1
+        prepared = index_b.derived
+        assert prepared.miner is not engine.miner  # built for index_b
+        prepared_rules = prepared.rules.lookup(terms)
+        assert prepared_rules is not None
 
-        engine.swap_index(index_b, warmup=warmup)
-        # The flip installed the pre-built miner, so the first post-swap
+        engine.swap_index(index_b)
+        # The flip serves the warmed holder, so the first post-swap
         # mine_rules is a memo hit on the prepared rule set — no
         # fresh-vocabulary mining on the serving path.
-        assert engine.miner is warmup.miner
+        assert engine.miner is prepared.miner
+        hits = prepared.rules.hits
         assert engine.mine_rules(query) is prepared_rules
+        assert prepared.rules.hits == hits + 1
 
     def test_prepared_swap_answers_match_a_fresh_engine(self, corpus_pair):
         index_a, index_b = corpus_pair
         engine = XRefine(index_a)
         query = refinable_query(index_b)
-        warmup = engine.prepare_swap(index_b, [query])
-        engine.swap_index(index_b, warmup=warmup)
+        engine.prepare_swap(index_b, [query])
+        engine.swap_index(index_b)
         fresh = XRefine(index_b, cache_size=0)
         assert response_fingerprint(
             engine.search(query, k=2)
@@ -165,64 +170,90 @@ class TestPreparedSwap:
         gen = WorkloadGenerator(index_b, seed=11)
         queries = [list(gen.refinable_query().query) for _ in range(3)]
 
-        warmup = engine.prepare_swap(index_b, queries[:1])
-        warmup = engine.prepare_swap(index_b, queries, warmup=warmup)
-        # Chained calls share one warmup: the repeat of queries[0] is
-        # deduplicated, distinct signatures accumulate.
+        engine.prepare_swap(index_b, queries[:1])
+        engine.prepare_swap(index_b, queries)
+        # Both calls warm one holder: the repeat of queries[0] is a
+        # rules-memo hit, and distinct signatures accumulate.
         distinct = {tuple(query_terms(q)) for q in queries}
-        assert warmup.queries == len(distinct)
-        assert warmup.seen == distinct
+        stats = index_b.derived.stats()["rules"]
+        assert stats["size"] == stats["misses"] == len(distinct)
+        assert stats["hits"] == len(queries) + 1 - len(distinct)
 
-    def test_seed_reuses_mined_rules_when_vocabulary_matches(
-        self, corpus_pair
-    ):
-        """Cycling back to a served snapshot skips re-mining."""
+    def test_seed_is_adopted_when_vocabulary_matches(self, corpus_pair):
+        """Cycling back to a served snapshot reuses its miner."""
         index_a, index_b = corpus_pair
         engine = XRefine(index_a)
         query = refinable_query(index_b)
-        terms = tuple(query_terms(query))
-        first = engine.prepare_swap(index_b, [query])
-        seed = first.seed_only()
-        assert seed.packed is None  # never pins the old generation
-        again = engine.prepare_swap(index_b, [query], seed=seed)
-        assert again.miner is first.miner
-        assert again.rules_memo[terms][1] is first.rules_memo[terms][1]
-        assert again.packed is not None  # per-index state is rebuilt
-        assert again.queries == 1
+        engine.prepare_swap(index_b, [query])
+        seed = index_b.derived.miner
+        # The same snapshot, loaded again: a new index, same vocabulary.
+        again = build_document_index(generate_dblp(num_authors=45, seed=8))
+        assert engine.prepare_swap(again, [query], seed=seed) == 1
+        assert again.derived.miner is seed
+        assert (
+            again.derived.miner.spelling_index()._hashes
+            is seed.spelling_index()._hashes
+        )
 
     def test_seed_with_different_vocabulary_is_ignored(self, corpus_pair):
         index_a, index_b = corpus_pair
         engine = XRefine(index_a)
-        seed = engine.prepare_swap(index_b, [refinable_query(index_b)])
-        warmup = engine.prepare_swap(
-            index_a, [refinable_query(index_a)], seed=seed.seed_only()
-        )
+        engine.prepare_swap(index_b, [refinable_query(index_b)])
+        seed = index_b.derived.miner
+        again = build_document_index(generate_dblp(num_authors=30, seed=7))
+        engine.prepare_swap(again, [refinable_query(again)], seed=seed)
         # index_a's vocabulary differs from index_b's: a reused miner
         # would mine against the wrong keyword set.
-        assert warmup.miner is not seed.miner
-        assert warmup.miner.vocabulary == set(index_a.inverted.keywords())
+        assert again.derived.miner is not seed
+        assert again.derived.miner.vocabulary == set(
+            again.inverted.keywords()
+        )
 
     def test_explicit_miner_is_left_untouched(self, corpus_pair):
         index_a, index_b = corpus_pair
         miner = RuleMiner(index_a.inverted.keywords())
         engine = XRefine(index_a, miner=miner)
         query = refinable_query(index_b)
-        warmup = engine.prepare_swap(index_b, [query])
+        assert engine.prepare_swap(index_b, [query]) == 1
         # Caller-supplied miners are the caller's contract: prepare
-        # builds no replacement and the flip must not install one.
-        assert warmup.miner is None
-        engine.swap_index(index_b, warmup=warmup)
+        # builds no replacement, the flip installs none, and their rule
+        # sets are never memoized.
+        engine.swap_index(index_b)
         assert engine.miner is miner
+        engine.mine_rules(query)
+        assert index_b.derived.stats()["rules"]["size"] == 0
 
     def test_swap_without_warmup_still_works(self, corpus_pair):
         index_a, index_b = corpus_pair
         engine = XRefine(index_a)
+        engine.search("databse query")  # builds the spelling index
+        built = engine.miner.spelling_index()
         engine.swap_index(index_b)
         query = refinable_query(index_b)
         fresh = XRefine(index_b, cache_size=0)
         assert response_fingerprint(
             engine.search(query, k=2)
         ) == response_fingerprint(fresh.search(query, k=2))
+        # The old miner was carried over (RuleMiner.updated), spelling
+        # index arrays included.
+        assert engine.miner.vocabulary == set(index_b.inverted.keywords())
+        assert engine.miner.spelling_index()._hashes is built._hashes
+
+    def test_seed_never_pins_a_retired_index(self, corpus_pair):
+        _, index_b = corpus_pair
+        # Built here: the fixture's own reference would pin it.
+        index_a = build_document_index(generate_dblp(num_authors=30, seed=7))
+        engine = XRefine(index_a)
+        seeds = [engine.miner]
+        engine.search(refinable_query(index_a), k=2)
+        engine.prepare_swap(index_b, [refinable_query(index_b)])
+        engine.swap_index(index_b)
+        seeds.append(index_b.derived.miner)
+        retired = weakref.ref(index_a)
+        del index_a
+        gc.collect()
+        assert retired() is None
+        assert all(seed is not None for seed in seeds)
 
 
 class TestCachedBodyProbe:

@@ -1,9 +1,10 @@
 """Planner state across snapshot hot-swaps.
 
-``on_index_swap`` drops what was derived from the old generation — the
-DP memos, keyed on rule sets mined from its vocabulary — and keeps the
-route counters, which are monitoring state for the engine's lifetime.
-A swapped engine must then answer exactly like a fresh one.
+A swap leaves what was derived from the old generation — the DP memos,
+keyed on rule sets mined from its vocabulary — in the old index's
+holder, serves the new index's, and keeps the route counters, which
+are monitoring state for the engine's lifetime.  A swapped engine must
+then answer exactly like a fresh one.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ class TestCorrectionReset:
         # Poison every memo the old generation built; none may survive
         # the swap, and the new generation answers like a fresh engine.
         poisoned = [
-            memo for memos in planner._dp_memos.values() for memo in memos
+            memo
+            for memos in index_a.derived.dp.values()
+            for memo in memos
         ]
         for memo in poisoned:
             for key in memo:
@@ -60,7 +63,7 @@ class TestCorrectionReset:
             engine.search(query, k=2)
         assert not any(
             memo is old
-            for memos in planner._dp_memos.values()
+            for memos in index_b.derived.dp.values()
             for memo in memos
             for old in poisoned
         )

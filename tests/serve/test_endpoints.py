@@ -84,6 +84,25 @@ class TestHappyPaths:
         assert after["fallbacks"] == 0
         assert after["plan_cache"] is None
 
+    def test_stats_memo_counters(self, client):
+        """``engine.memos`` tells a re-mining miss from a DP miss."""
+        query = "memo counter probe"
+        before = client.stats()["engine"]["memos"]
+        client.search(query, k=2)
+        client.search(query, k=2)  # a result-cache hit: no memo read
+        after = client.stats()["engine"]["memos"]
+        assert set(after) == {"rules", "dp", "search_for", "need"}
+        for memo in after.values():
+            assert set(memo) == {
+                "size", "limit", "hits", "misses", "evictions",
+            }
+        assert {name: memo["limit"] for name, memo in after.items()} == {
+            "rules": 1024, "dp": 512, "search_for": 1024, "need": 1024,
+        }
+        assert after["rules"]["misses"] == before["rules"]["misses"] + 1
+        assert after["rules"]["size"] == before["rules"]["size"] + 1
+        assert after["rules"]["hits"] == before["rules"]["hits"]
+
     def test_search_many(self, client):
         queries = [QUERY, "xml keyword", QUERY]
         body = client.search_many(queries, k=1)

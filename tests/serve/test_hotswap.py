@@ -194,6 +194,23 @@ class TestReloadUnderLoad:
             with daemon.client() as client:
                 assert client.reload(snap_b)["prewarmed"] == 0
 
+    def test_reload_back_adopts_the_served_miner(self, serve_snapshots):
+        """A→B→A: the reload to A is seeded with A's first miner."""
+        snap_a, snap_b = serve_snapshots
+        with BackgroundServer(snap_a) as daemon:
+            engine = daemon.server.manager.engine
+            first_miner = engine.miner
+            with daemon.client() as client:
+                before = client.search(QUERY, k=2)
+                client.reload(snap_b)
+                assert engine.miner is not first_miner
+                flip = client.reload(snap_a)
+                assert flip["generation"] == 2 and flip["prewarmed"] >= 1
+                assert engine.miner is first_miner
+                after = client.search(QUERY, k=2)
+                assert after["generation"] == 2
+                assert wire_answer(after) == wire_answer(before)
+
 
 class TestFailedReload:
     """Every refused source: typed 500, and the old generation serves on."""
