@@ -78,24 +78,21 @@ def build_query_pool(index, unique, seed):
 
 
 def bench_scoring(index, pool, k):
-    """Per-candidate cost of the ranking model + admission kernel.
+    """Per-candidate cost of the ranking model.
 
     Replays the hot path's final phase over the real corpus: for every
     pool query, the DP beam's Top-2K candidates are scored by the
     model's ``similarity_score`` + ``dependence_score`` through a
     *fresh* :class:`~repro.core.ranking.memo.ScoreMemo` per query — so
-    the numbers price the statistics-store misses, not just memo hits
-    — and swept by the vectorized admission kernel against a full
-    ``RQSortedList``.  Normalized per candidate and gated against
+    the numbers price the statistics-store misses, not just memo hits.
+    Normalized per candidate and gated against
     ``SCORING_NS_PER_CANDIDATE_LIMIT``.
     """
-    from repro.core.candidates import RQSortedList
     from repro.core.common import QueryContext
     from repro.core.dp import get_top_optimal_rqs
     from repro.core.ranking.memo import ScoreMemo
     from repro.core.ranking.model import full_model
     from repro.index.tokenize_text import query_terms
-    from repro.kernels import admission_sweep, prepare_beam
 
     engine = XRefine(index, cache_size=0)
     model = full_model()
@@ -131,44 +128,21 @@ def bench_scoring(index, pool, k):
                     index, rq, context.search_for, memo
                 )
 
-    def run_admission_sweep():
-        for context, candidates in jobs:
-            prepared = prepare_beam(candidates)
-            sorted_list = RQSortedList(capacity=max(2 * k, 2))
-            for rq in candidates:
-                sorted_list.insert(rq)
-            admission_sweep(prepared, sorted_list, context.query_key())
-
+    run_score()  # warmup: keyword-importance / co-occurrence stores
+    best = min(_timed_pass(run_score) for _ in range(3))
     section = {
         "queries": len(jobs),
         "candidates_per_pass": candidates_total,
         "limit_ns_per_candidate": SCORING_NS_PER_CANDIDATE_LIMIT,
-        "primitives": {},
+        "total_ms": best * 1000,
+        "ns_per_candidate": (
+            best * 1e9 / candidates_total if candidates_total else 0.0
+        ),
     }
-    print("  scoring (ranking model + admission kernel):")
-    for name, action in (
-        ("score", run_score),
-        ("admission_sweep", run_admission_sweep),
-    ):
-        action()  # warmup: keyword-importance / co-occurrence stores
-        best = min(_timed_pass(action) for _ in range(3))
-        entry = {
-            "total_ms": best * 1000,
-            "ns_per_candidate": (
-                best * 1e9 / candidates_total if candidates_total else 0.0
-            ),
-        }
-        section["primitives"][name] = entry
-        print(
-            f"    {name:<24} {entry['total_ms']:8.2f} ms/pass"
-            f"   {entry['ns_per_candidate']:8.1f} ns/candidate"
-        )
-    section["ns_per_candidate"] = (
-        section["primitives"]["score"]["ns_per_candidate"]
-    )
     print(
-        f"    gate: score {section['ns_per_candidate']:.0f} "
-        f"ns/candidate (limit {SCORING_NS_PER_CANDIDATE_LIMIT})"
+        f"  scoring (ranking model): {section['total_ms']:.2f} ms/pass, "
+        f"{section['ns_per_candidate']:.0f} ns/candidate "
+        f"(limit {SCORING_NS_PER_CANDIDATE_LIMIT})"
     )
     return section
 

@@ -76,11 +76,6 @@ class RQSortedList:
         self.capacity = capacity
         self._entries = []      # [(dissimilarity, key_order, RefinedQuery)]
         self._by_key = {}       # frozenset -> RefinedQuery
-        #: Bumped whenever the kept entries change (admit, evict,
-        #: improved-dissimilarity re-insert) and never otherwise: two
-        #: reads that agree bracket a span in which every query method
-        #: of the list answered the same.
-        self.mutations = 0
 
     @staticmethod
     def _key_order(refined_query):
@@ -110,26 +105,6 @@ class RQSortedList:
         if not self.is_full:
             return float("inf")
         return self._entries[-1][0]
-
-    def kth_dissimilarity(self, k):
-        """Dissimilarity of the k-th best entry (inf when fewer exist)."""
-        if len(self._entries) < k:
-            return float("inf")
-        return self._entries[k - 1][0]
-
-    def worst_order(self):
-        """``(dissimilarity, key order)`` of the worst kept entry.
-
-        The admission threshold as a comparable tuple — the batch
-        admission sweep (:mod:`repro.kernels.scoring`) compares whole
-        candidate columns against it.  Only meaningful when the list
-        is full (``None`` otherwise, like ``max_dissimilarity``'s
-        ``inf``).
-        """
-        if not self.is_full:
-            return None
-        worst_ds, worst_key, _ = self._entries[-1]
-        return (worst_ds, worst_key)
 
     def would_admit(self, refined_query):
         """True when :meth:`insert` could keep this candidate.
@@ -170,7 +145,6 @@ class RQSortedList:
         entry = (refined_query.dissimilarity, key_order, refined_query)
         bisect.insort(self._entries, entry)
         self._by_key[refined_query.key] = refined_query
-        self.mutations += 1
         while len(self._entries) > self.capacity:
             _, _, evicted = self._entries.pop()
             del self._by_key[evicted.key]
@@ -185,7 +159,6 @@ class RQSortedList:
             if self._entries[idx][2].key == refined_query.key:
                 del self._entries[idx]
                 del self._by_key[refined_query.key]
-                self.mutations += 1
                 return
             idx += 1
         raise RefinementError("RQSortedList internal inconsistency")

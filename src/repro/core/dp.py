@@ -248,6 +248,13 @@ def get_optimal_rq(query, available, rules):
     return top[0] if top else None
 
 
+def optimal_dissimilarity(query, available, rules):
+    """:func:`get_optimal_rq`'s dissimilarity, ``inf`` when there is
+    none: the number the shared 1-beam probe memo holds."""
+    top = get_top_optimal_rqs(query, available, rules, 1)
+    return top[0].dissimilarity if top else float("inf")
+
+
 def dissimilarity(query, refined, rules):
     """``dSim(Q, RQ)`` for a *given* refined keyword set (Definition 3.6).
 

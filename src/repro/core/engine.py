@@ -304,7 +304,7 @@ class XRefine:
             except QueryError:
                 continue
             for inverted in context.lists.values():
-                inverted.dewey_keys  # decodes the list and its key tuples
+                columns_for(inverted)  # decodes the list into its columns
             warmed += 1
         return warmed
 

@@ -2,18 +2,12 @@
 
 The document is processed as the ordered list of its partitions
 (Definition 6.1: the subtrees rooted at the children of the document
-root).  The partitions, and every keyword's posting range within each,
-come precomputed from the kernel layer's partition tables
-(:func:`repro.kernels.partition_view_masked` — binary-search jumps
-over the packed key columns, never a per-posting cursor walk, with
-each partition's presence mask and posting count precomputed by the
-same merge); the set ``T`` of locally present keywords feeds one
-``getTopOptimalRQs`` call, candidates pass the vectorized admission
-sweep (:func:`repro.kernels.admission_sweep`) before the exact
-per-candidate checks, and qualifying candidates are admitted to the
-Top-2K :class:`RQSortedList`; their SLCA results are computed *inside
-the partition* by the columnar scan-eager kernel (the orthogonality
-of Lemma 3).
+root), each with every keyword's posting range within it
+(:func:`repro.kernels.partition_view`).  The set ``T`` of locally
+present keywords feeds one ``getTopOptimalRQs`` call, and each
+candidate that could enter the Top-2K :class:`RQSortedList` has its
+SLCA results computed *inside the partition* by the columnar
+scan-eager kernel (the orthogonality of Lemma 3) before it is admitted.
 
 The three optimizations the paper credits the approach with are all
 implemented and observable in :class:`~repro.core.result.ScanStats`:
@@ -22,9 +16,7 @@ implemented and observable in :class:`~repro.core.result.ScanStats`:
    never happen — partitions never produce the root;
 2. a partition whose best local candidate cannot beat the current
    2K-th dissimilarity skips both the DP beam *and* the SLCA
-   computation (``partitions_skipped``) — the presence pre-check is
-   the block-max bound served from a per-mask memo
-   (:class:`repro.kernels.PresenceBoundCache`);
+   computation (``partitions_skipped``);
 3. within a partition, one DP call covers every RQ candidate no matter
    how many matches it has there (``dp_invocations``).
 """
@@ -33,19 +25,12 @@ from __future__ import annotations
 
 import time
 
-from ..kernels import (
-    HitRecord,
-    PresenceBoundCache,
-    admission_sweep,
-    columns_for,
-    partition_view_masked,
-    prepare_beam,
-)
+from ..kernels import HitRecord, PresenceBoundCache, columns_for, partition_view
 from ..lexicon.rules import RuleSet
 from ..perf.profiling import phase
 from .candidates import RQSortedList
 from .common import QueryContext, rank_candidates
-from .dp import get_top_optimal_rqs
+from .dp import get_top_optimal_rqs, optimal_dissimilarity
 from .result import RefinementResponse, ScanStats
 
 
@@ -59,10 +44,11 @@ def partition_refine(index, query, rules=None, model=None, k=1,
     ``skip_optimization=False`` disables the partition-pruning bound
     (optimization 2 of Section VI-B) for the ablation benchmark.
     ``dp_memos`` is an optional ``(probe_memo, beam_memo)`` pair of
-    dicts keyed on the present-keyword frozenset — the DP is a pure
-    function of ``(query, present, rules, limit)``, so the planner
-    shares them across calls; memoized hits still count in
-    ``stats.dp_invocations``.
+    dicts keyed on the present-keyword frozenset — the least
+    dissimilarity of the 1-beam DP (``inf`` when it finds none) and the
+    Top-2K beam.  The DP is a pure function of
+    ``(query, present, rules, limit)``, so the planner shares them
+    across calls; memoized hits still count in ``stats.dp_invocations``.
     """
     from .ranking.model import full_model
 
@@ -86,8 +72,8 @@ def partition_refine(index, query, rules=None, model=None, k=1,
     lane_columns = [columns[keyword] for keyword in lanes]
     presence_bound = PresenceBoundCache(context.query, rules, lanes)
 
-    # Presence questions become bitmask arithmetic against the view's
-    # per-partition mask: one bit per lane, set-inclusion as AND.
+    # Presence questions become bitmask arithmetic against each
+    # partition's lane mask: one bit per lane, set-inclusion as AND.
     bit_of_keyword = {
         keyword: 1 << lane for lane, keyword in enumerate(lanes)
     }
@@ -96,7 +82,6 @@ def partition_refine(index, query, rules=None, model=None, k=1,
         query_mask |= bit_of_keyword[keyword]
     present_of_mask = {}  # lane mask -> frozenset of present keywords
     key_masks = {}        # rq key -> lane mask
-    prepared_memo = {}    # present frozenset -> PreparedBeam
 
     def mask_of_key(key):
         cached = key_masks.get(key)
@@ -130,11 +115,15 @@ def partition_refine(index, query, rules=None, model=None, k=1,
     )
 
     with phase("merge"):
-        merged_view = partition_view_masked(lane_columns)
+        merged_view = partition_view(lane_columns)
     with phase("admit"):
-        for _partition_key, spans, mask, postings in merged_view:
+        for _partition_key, spans in merged_view:
             stats.partitions_visited += 1
-            stats.postings_scanned += postings
+            mask = 0
+            for lane, span in enumerate(spans):
+                if span is not None:
+                    mask |= 1 << lane
+                    stats.postings_scanned += span[1] - span[0]
             sublists = None  # keyword -> (ListColumns, lo, hi), on demand
 
             # Original-query check: Q has all keywords in this partition.
@@ -197,7 +186,6 @@ def partition_refine(index, query, rules=None, model=None, k=1,
                     if mask >> lane & 1
                 )
                 present_of_mask[mask] = present
-            present_key = present
             if skip_optimization and sorted_list.is_full:
                 # Presence pre-check: the memoized presence bound needs
                 # no DP at all; the strict comparison mirrors the probe's,
@@ -207,36 +195,28 @@ def partition_refine(index, query, rules=None, model=None, k=1,
                     stats.partitions_skipped += 1
                     continue
                 stats.dp_invocations += 1
-                probe = probe_memo.get(present_key)
-                if probe is None:
-                    probe = get_top_optimal_rqs(context.query, present, rules, 1)
-                    probe_memo[present_key] = probe
-                if not probe or probe[0].dissimilarity > threshold:
+                minimum = probe_memo.get(present)
+                if minimum is None:
+                    minimum = optimal_dissimilarity(
+                        context.query, present, rules
+                    )
+                    probe_memo[present] = minimum
+                if minimum > threshold:
                     accumulate_kept(frozenset())
                     stats.partitions_skipped += 1
                     continue
 
             stats.dp_invocations += 1
-            local_candidates = beam_memo.get(present_key)
+            local_candidates = beam_memo.get(present)
             if local_candidates is None:
                 local_candidates = get_top_optimal_rqs(
                     context.query, present, rules, sorted_list.capacity
                 )
-                beam_memo[present_key] = local_candidates
-            prepared = prepared_memo.get(present_key)
-            if prepared is None:
-                prepared = prepare_beam(local_candidates)
-                prepared_memo[present_key] = prepared
+                beam_memo[present] = local_candidates
             computed_keys = set()
-            # The vectorized admission sweep pre-filters the beam against
-            # the list's entry-time threshold; survivors re-run the exact
-            # per-candidate admission checks (the threshold only tightens
-            # within the loop, so the sweep is a sound superset — see
-            # kernels/scoring.py).
-            for index_in_beam in admission_sweep(
-                prepared, sorted_list, query_key
-            ):
-                rq = local_candidates[index_in_beam]
+            for rq in local_candidates:
+                if rq.key == query_key:
+                    continue
                 already_kept = sorted_list.has_key(rq.key)
                 if not already_kept and not sorted_list.would_admit(rq):
                     continue

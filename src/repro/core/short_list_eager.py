@@ -69,7 +69,7 @@ from ..kernels import (
 from ..lexicon.rules import RuleSet
 from ..perf.profiling import phase
 from .common import QueryContext, rank_candidates
-from .dp import get_top_optimal_rqs
+from .dp import get_top_optimal_rqs, optimal_dissimilarity
 from .result import RefinementResponse, ScanStats
 
 
@@ -128,10 +128,10 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
         """Memoized 1-beam DP: the least dSim achievable in ``available``
         (the compiled DP when it can run it)."""
         key = frozenset(available)
-        probe = probe_memo.get(key)
-        if probe is None:
-            probe = probe_memo[key] = walk.optimal_rqs(key, 1)
-        return probe[0].dissimilarity if probe else float("inf")
+        minimum = probe_memo.get(key)
+        if minimum is None:
+            minimum = probe_memo[key] = walk.probe_minimum(key)
+        return minimum
 
     def dp(mask, beam):
         """The DP result the pure-Python round asks for: the Top-2K
@@ -141,10 +141,10 @@ def short_list_eager(index, query, rules=None, model=None, k=1,
         results (published, they outlive the query)."""
         present = frozenset(lanes[lane] for lane in walk.lanes_in(mask))
         if not beam:
-            probe = probe_memo.get(present)
-            if probe is None:
-                probe = get_top_optimal_rqs(context.query, present, rules, 1)
-            return probe[0].dissimilarity if probe else float("inf")
+            minimum = probe_memo.get(present)
+            if minimum is None:
+                minimum = optimal_dissimilarity(context.query, present, rules)
+            return minimum
         candidates = beam_memo.get(present)
         if candidates is None:
             candidates = get_top_optimal_rqs(

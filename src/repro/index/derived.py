@@ -81,7 +81,10 @@ class DerivedState:
     def dp_memos(self, terms, rules, capacity):
         """``(probe_memo, beam_memo, witness_memo)`` for one identity.
 
-        The refinement DP is a pure function of
+        The probe memo maps a present-keyword frozenset to the least
+        dissimilarity of the 1-beam DP (``inf`` when there is none),
+        the beam memo (a :class:`~repro.core.dp.BeamMemo`) to the
+        Top-``capacity`` beam.  The refinement DP is a pure function of
         ``(query, present keywords, rules, limit)`` — posting data never
         enters it — so the memos survive index updates and are shared
         by every route evaluated for this identity.

@@ -17,8 +17,7 @@ operations over columnar views of the inverted lists:
   route is reference code, not a served path).
 * :mod:`.scoring` — the short-list route's step 1: partition presence
   as a merge-join over flat tables, then one round per anchor (Top-2K
-  admission included) and the direct finish; Partition's Top-2K
-  admission as one threshold sweep.  Its
+  admission included) and the direct finish.  Its
   ``score_table`` / ``batch_similarity`` / ``batch_dependence`` are
   not kernels: they delegate to the ranking model
   (:mod:`repro.core.ranking`) and keep the names the wire benchmark
@@ -42,18 +41,14 @@ from .columns import (  # noqa: F401
     ListColumns,
     columns_for,
     partition_view,
-    partition_view_masked,
 )
 from .lcp import merged_lcp  # noqa: F401
 from .scoring import (  # noqa: F401
-    PreparedBeam,
     RoundState,
     RuleTable,
-    admission_sweep,
     batch_dependence,
     batch_similarity,
     partition_presence,
-    prepare_beam,
     presence_ready,
     score_table,
     sle_direct,
@@ -68,11 +63,9 @@ from .slca import (  # noqa: F401
 __all__ = [
     "HitRecord",
     "ListColumns",
-    "PreparedBeam",
     "PresenceBoundCache",
     "RoundState",
     "RuleTable",
-    "admission_sweep",
     "backend_name",
     "batch_dependence",
     "batch_similarity",
@@ -81,8 +74,6 @@ __all__ = [
     "merged_lcp",
     "partition_presence",
     "partition_view",
-    "partition_view_masked",
-    "prepare_beam",
     "presence_ready",
     "score_table",
     "sle_direct",

@@ -157,37 +157,12 @@ def partition_view(columns):
     exactly the partitions a merged cursor scan would visit and the
     sublists it would slice, at per-partition-entry cost.
     """
-    return [
-        (pid, spans) for pid, spans, _mask, _n in
-        partition_view_masked(columns)
-    ]
-
-
-def partition_view_masked(columns):
-    """:func:`partition_view` plus per-partition presence summaries.
-
-    Returns ``[(pid, ranges, mask, postings), ...]`` where ``mask``
-    sets bit ``lane`` when ``ranges[lane]`` is present and ``postings``
-    is the total posting count across lanes — the two aggregates the
-    partition kernel previously recomputed per partition in Python,
-    now built during the same merge pass at no extra cost.
-    """
     lanes = len(columns)
     table = {}
     for lane, column in enumerate(columns):
-        starts = column.starts
-        ends = column.ends
-        bit = 1 << lane
-        for i, pid in enumerate(column.pids):
-            entry = table.get(pid)
-            if entry is None:
-                entry = table[pid] = [[None] * lanes, 0, 0]
-            lo = starts[i]
-            hi = ends[i]
-            entry[0][lane] = (lo, hi)
-            entry[1] |= bit
-            entry[2] += hi - lo
-    return [
-        (pid, spans, mask, postings)
-        for pid, (spans, mask, postings) in sorted(table.items())
-    ]
+        for pid, lo, hi in zip(column.pids, column.starts, column.ends):
+            spans = table.get(pid)
+            if spans is None:
+                spans = table[pid] = [None] * lanes
+            spans[lane] = (lo, hi)
+    return sorted(table.items())

@@ -1,4 +1,4 @@
-"""Short-list step 1's kernels, and Partition's batch Top-2K admission.
+"""Short-list step 1's kernels, plus the scoring names the wire benchmark reads.
 
 The short-list route's step 1 runs over columns, one anchor round at a
 time:
@@ -20,18 +20,7 @@ time:
 * :func:`sle_direct` — once ``Q`` has an answer, every remaining
   partition's SLCA and Definition 3.3 test in one pass.
 
-Partition keeps its own admission loop over an
-:class:`~repro.core.candidates.RQSortedList`, batched by
-:func:`prepare_beam` / :func:`admission_sweep`: the memoized DP beam's
-``(dissimilarity, content order)`` admission columns, compared against
-the list's bound in a single threshold sweep.  Ties must resolve in
-content order (the sorted keyword tuple), exactly the list's own total
-order, so the sweep is a *superset* pre-filter: a candidate it passes
-is re-checked by ``insert`` itself, and one it rejects could never have
-been admitted (the threshold only tightens as the loop runs) — pruning
-is answer- and stats-identical.
-
-It also keeps :func:`score_table` / :func:`batch_similarity` /
+The module also keeps :func:`score_table` / :func:`batch_similarity` /
 :func:`batch_dependence`, the names the wire benchmark times the
 final ranking by; each delegates to the ranking model's formulas and
 the index's score memo (:mod:`repro.core.ranking.memo`), the one
@@ -49,7 +38,7 @@ from __future__ import annotations
 from array import array
 
 from ..core.candidates import RefinedQuery
-from ..core.dp import get_top_optimal_rqs
+from ..core.dp import optimal_dissimilarity
 from . import backend
 from .hits import HitRecord
 from .slca import slca_hits
@@ -325,22 +314,37 @@ class RuleTable:
             lib.i64(arrays[2]), ffi.from_buffer("uint8_t[]", arrays[3]),
         )
 
-    def top(self, lib, mask, limit, out=None):
-        """``get_top_optimal_rqs(query, keywords of mask, rules,
-        limit)`` through the compiled DP, written to ``out`` (from
-        :meth:`outputs`; fresh buffers when ``None``)."""
-        arrays, casts = out if out is not None else self.outputs(lib, limit)
+    def _run(self, lib, mask, limit, casts):
+        """One ``repro_dp_top`` call; returns the entries written."""
         count = lib.lib.repro_dp_top(
             self.handle(lib), _int64(mask), limit, *casts
         )
         if count < 0:
             raise MemoryError("getOptimalRQ: no work space")
+        return count
+
+    def top(self, lib, mask, limit, out=None):
+        """``get_top_optimal_rqs(query, keywords of mask, rules,
+        limit)`` through the compiled DP, written to ``out`` (from
+        :meth:`outputs`; fresh buffers when ``None``)."""
+        arrays, casts = out if out is not None else self.outputs(lib, limit)
+        count = self._run(lib, mask, limit, casts)
         dis, _, how, seq = arrays
         return [
             self.refined(seq[how[3 * e]:how[3 * e + 1]], dis[e],
                          how[3 * e + 2])
             for e in range(count)
         ]
+
+    def minimum(self, lib, mask, out):
+        """The dissimilarity of :meth:`top`'s first entry at limit 1
+        (``inf`` when it writes none), ``int`` or ``float`` as the
+        entry's float flag says; ``out`` is :meth:`outputs` at limit 1."""
+        arrays, casts = out
+        if not self._run(lib, mask, 1, casts):
+            return float("inf")
+        dis = arrays[0][0]
+        return dis if arrays[2][2] else int(dis)
 
 
 class MaskRows:
@@ -545,7 +549,7 @@ class RoundState:
         #: Whether ``rows`` is this state's own copy, with rows added.
         self.grown = False
         self._c = None
-        #: :meth:`optimal_rqs`' output buffers, this state's own.
+        #: :meth:`probe_minimum`'s output buffers, this state's own.
         self._out = None
 
     def mask_of(self, keywords):
@@ -594,18 +598,18 @@ class RoundState:
             self.rows.table = table
         return table
 
-    def optimal_rqs(self, keywords, limit):
-        """``get_top_optimal_rqs(query, keywords, rules, limit)``,
-        through the compiled DP when it can run it."""
+    def probe_minimum(self, keywords):
+        """``optimal_dissimilarity(query, keywords, rules)``: one
+        compiled DP call at limit 1 when it can run it, building no
+        refined query."""
         lib = backend.compiled
         table = self.table() if lib is not None else None
         if table is None:
-            return get_top_optimal_rqs(self.query, keywords, self.rules,
-                                       limit)
+            return optimal_dissimilarity(self.query, keywords, self.rules)
         out = self._out
-        if out is None or out[0] != (lib, limit):
-            out = self._out = ((lib, limit), table.outputs(lib, limit))
-        return table.top(lib, self.mask_of(keywords), limit, out[1])
+        if out is None or out[0] is not lib:
+            out = self._out = (lib, table.outputs(lib, 1))
+        return table.minimum(lib, self.mask_of(keywords), out[1])
 
     def own_rows(self):
         """Make ``rows`` this state's own copy (before adding a row)."""
@@ -979,59 +983,6 @@ def _partition_hits(spans, base, query_lanes, lane_columns, need):
     for position, depth in zip(hits.positions, hits.depths):
         found += (lane, position, depth)
     return found
-
-
-# ----------------------------------------------------------------------
-# Vectorized admission sweep (the Top-2K threshold check)
-# ----------------------------------------------------------------------
-class PreparedBeam:
-    """Admission columns of one memoized DP beam.
-
-    Parallel to the candidate list: the set key and the
-    ``(dissimilarity, sorted keyword tuple)`` total-order tuple of
-    every candidate, precomputed once per distinct present-keyword set
-    instead of per partition visit.
-    """
-
-    __slots__ = ("rqs", "keys", "orders")
-
-    def __init__(self, candidates):
-        self.rqs = candidates
-        self.keys = [rq.key for rq in candidates]
-        self.orders = [
-            (rq.dissimilarity, tuple(sorted(rq.key))) for rq in candidates
-        ]
-
-
-def prepare_beam(candidates):
-    """Wrap a DP beam's candidates in their admission columns."""
-    return PreparedBeam(candidates)
-
-
-def admission_sweep(prepared, sorted_list, query_key):
-    """Beam indices the admission loop must still consider.
-
-    One pass comparing the beam's precomputed order tuples against the
-    list's worst kept entry.  The result is a superset of the
-    candidates the sequential loop would admit: the threshold only
-    tightens while the loop runs (inserts never raise the bound and
-    membership only grows among swept candidates), so a candidate
-    rejected against the entry state could never have passed later —
-    skipping it changes neither answers nor statistics.  Survivors are
-    re-checked per candidate, keeping ties resolved in content order
-    by ``insert`` itself.
-    """
-    keys = prepared.keys
-    if not sorted_list.is_full:
-        return [i for i, key in enumerate(keys) if key != query_key]
-    worst = sorted_list.worst_order()
-    orders = prepared.orders
-    has_key = sorted_list.has_key
-    return [
-        i
-        for i, key in enumerate(keys)
-        if key != query_key and (orders[i] < worst or has_key(key))
-    ]
 
 
 # ----------------------------------------------------------------------

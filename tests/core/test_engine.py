@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro import XRefine
+from repro import XRefine, build_document_index
+from repro.core.dp import get_top_optimal_rqs
+from repro.datasets import generate_dblp
 from repro.errors import QueryError
 from repro.lexicon import RuleSet
 from repro.verify.oracle import SLCA_VARIANTS
+from repro.workload import WorkloadGenerator
 
 
 class TestConstruction:
@@ -90,3 +93,30 @@ class TestMineRules:
         merged = {r.rhs for r in rules.all_rules()}
         assert ("online",) in merged
         assert ("database",) in merged
+
+
+class TestProbeMemo:
+    def test_probe_memo_holds_the_one_beam_minimum(self):
+        # SLE's C_potential probe and Partition's pruning probe share
+        # the 1-beam memo of a query's DP identity: each value is the
+        # least dissimilarity itself, int or float as the DP's is.
+        index = build_document_index(generate_dblp(num_authors=60, seed=3))
+        engine = XRefine(index, cache_size=0)
+        pool = WorkloadGenerator(index, seed=4).pool(refinable=12, clean=0)
+        checked = 0
+        for entry in pool:
+            terms = engine.normalize(list(entry.query))
+            rules = engine.mine_rules(terms)
+            for k in (1, 2):
+                for algorithm in ("sle", "partition"):
+                    engine.search(terms, k=k, algorithm=algorithm)
+                probe_memo = index.derived.dp_memos(terms, rules, 2 * k)[0]
+                for present, minimum in probe_memo.items():
+                    top = get_top_optimal_rqs(terms, present, rules, 1)
+                    expected = top[0].dissimilarity if top else float("inf")
+                    assert minimum == expected, (terms, present)
+                    assert (type(minimum) is int) == (
+                        type(expected) is int
+                    ), (terms, present)
+                    checked += 1
+        assert checked > 0

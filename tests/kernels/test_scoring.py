@@ -1,11 +1,9 @@
-"""Batch scoring kernels must equal their sequential references.
+"""Partition presence must equal its per-partition reference.
 
-The scoring hot path has two batch kernels — partition presence and
-the Top-2K admission sweep.  Every parity test runs twice via the
-``kernel_backend`` fixture: once under whatever backend import
-selected (skipped when compilation was unavailable) and once with the
-compiled library masked off, so the pure-Python fallback is exercised
-in-process regardless of the host.
+Every parity test runs twice via the ``kernel_backend`` fixture: once
+under whatever backend import selected (skipped when compilation was
+unavailable) and once with the compiled library masked off, so the
+pure-Python fallback is exercised in-process regardless of the host.
 """
 
 from __future__ import annotations
@@ -13,13 +11,7 @@ from __future__ import annotations
 import pytest
 
 import repro.kernels.backend as backend_module
-from repro.core.candidates import RefinedQuery, RQSortedList
-from repro.kernels import (
-    ListColumns,
-    admission_sweep,
-    partition_presence,
-    prepare_beam,
-)
+from repro.kernels import ListColumns, partition_presence
 
 
 @pytest.fixture(params=["active", "pure-python"])
@@ -112,97 +104,3 @@ class TestPartitionPresence:
         assert anchor.root_count == 1
         assert anchor.pids == [(0, 1), (0, 2)]
         _assert_presence_matches(anchor, [anchor, ListColumns([(0,)])])
-
-
-# ----------------------------------------------------------------------
-# Admission sweep vs the sequential pre-check loop
-# ----------------------------------------------------------------------
-def _rq(keywords, dissimilarity):
-    return RefinedQuery(tuple(keywords), dissimilarity)
-
-
-def _sequential_admission(candidates, sorted_list, query_key):
-    """The per-candidate loop the routes ran before the sweep."""
-    kept = []
-    for i, rq in enumerate(candidates):
-        if rq.key == query_key:
-            continue
-        if sorted_list.has_key(rq.key) or sorted_list.would_admit(rq):
-            kept.append(i)
-    return kept
-
-
-class TestAdmissionSweep:
-    def test_not_full_keeps_everything_but_the_query(self):
-        sorted_list = RQSortedList(4)
-        sorted_list.insert(_rq(("a", "b"), 0.5))
-        candidates = [_rq(("a", "b"), 0.5), _rq(("q",), 0.0),
-                      _rq(("c",), 9.0)]
-        swept = admission_sweep(
-            prepare_beam(candidates), sorted_list, frozenset(("q",))
-        )
-        assert swept == [0, 2]
-
-    def test_exactly_at_threshold_tie_is_rejected(self):
-        """A candidate equal to the worst kept order cannot enter."""
-        sorted_list = RQSortedList(2)
-        sorted_list.insert(_rq(("a",), 1.0))
-        sorted_list.insert(_rq(("b",), 2.0))  # worst: (2.0, ("b",))
-        candidates = [
-            _rq(("b",), 2.0),   # == worst, but key present: kept
-            _rq(("c",), 2.0),   # ties dissimilarity, loses on content
-            _rq(("aa",), 2.0),  # ties dissimilarity, wins on content
-            _rq(("d",), 1.5),   # strictly better
-            _rq(("e",), 3.0),   # strictly worse
-        ]
-        prepared = prepare_beam(candidates)
-        swept = admission_sweep(prepared, sorted_list, frozenset(("x",)))
-        assert swept == [0, 2, 3]
-        assert swept == _sequential_admission(
-            candidates, sorted_list, frozenset(("x",))
-        )
-
-    def test_matches_sequential_loop_on_entry_state(self):
-        sorted_list = RQSortedList(3)
-        for rq in (_rq(("a", "b"), 0.4), _rq(("c",), 1.2),
-                   _rq(("d", "e"), 1.2)):
-            sorted_list.insert(rq)
-        query_key = frozenset(("a", "b"))
-        candidates = [
-            _rq(("a", "b"), 0.4), _rq(("b", "a"), 9.0), _rq(("c",), 5.0),
-            _rq(("d", "e"), 1.2), _rq(("d", "a"), 1.2), _rq(("z",), 0.1),
-            _rq(("d", "f"), 1.2), _rq(("c", "c"), 1.2),
-        ]
-        prepared = prepare_beam(candidates)
-        assert admission_sweep(
-            prepared, sorted_list, query_key
-        ) == _sequential_admission(candidates, sorted_list, query_key)
-
-    def test_superset_of_the_looped_inserts(self):
-        """Replaying inserts over the swept indices reaches the same
-        final list as the fully sequential loop — the sweep may only
-        drop candidates the loop would also have rejected."""
-        candidates = [
-            _rq(("m", "n"), 2.0), _rq(("a",), 2.0), _rq(("b",), 2.0),
-            _rq(("a",), 1.0), _rq(("k", "l", "m"), 0.5), _rq(("b",), 2.0),
-            _rq(("z", "z2"), 4.0), _rq(("c",), 2.0),
-        ]
-        query_key = frozenset(("m", "n"))
-
-        reference = RQSortedList(2)
-        for rq in candidates:
-            if rq.key == query_key:
-                continue
-            if reference.has_key(rq.key) or reference.would_admit(rq):
-                reference.insert(rq)
-
-        swept_list = RQSortedList(2)
-        prepared = prepare_beam(candidates)
-        for i in admission_sweep(prepared, swept_list, query_key):
-            rq = candidates[i]
-            if swept_list.has_key(rq.key) or swept_list.would_admit(rq):
-                swept_list.insert(rq)
-
-        assert [
-            (rq.keywords, rq.dissimilarity) for rq in swept_list
-        ] == [(rq.keywords, rq.dissimilarity) for rq in reference]

@@ -37,10 +37,8 @@ from repro.kernels import (
     ListColumns,
     PresenceBoundCache,
     RoundState,
-    admission_sweep,
     columns_for,
     partition_presence,
-    prepare_beam,
     sle_direct,
     sle_round,
     slca_hits,
@@ -188,10 +186,9 @@ def _examine_round(case, dp, sorted_list, stats, masks, spans, retired,
                 continue
         stats["dp"] += 1
         local_candidates = dp.beam(present)
-        for index_in_beam in admission_sweep(
-            prepare_beam(local_candidates), sorted_list, query_key
-        ):
-            rq = local_candidates[index_in_beam]
+        for rq in local_candidates:
+            if rq.key == query_key:
+                continue
             already_kept = sorted_list.has_key(rq.key)
             if not already_kept and not sorted_list.would_admit(rq):
                 continue

@@ -19,8 +19,10 @@ import weakref
 import pytest
 
 from repro import XRefine, build_document_index
+from repro.core.common import QueryContext
 from repro.datasets import generate_dblp
 from repro.index.tokenize_text import query_terms
+from repro.kernels import backend
 from repro.lexicon.mining import RuleMiner
 from repro.perf.result_cache import QueryResultCache
 from repro.verify.oracle import response_fingerprint
@@ -163,6 +165,42 @@ class TestPreparedSwap:
         assert response_fingerprint(
             engine.search(query, k=2)
         ) == response_fingerprint(fresh.search(query, k=2))
+
+    @pytest.mark.skipif(
+        backend.compiled is None, reason="compiled kernels unavailable"
+    )
+    def test_prepare_decodes_columns_and_builds_no_key_tuples(
+        self, corpus_pair
+    ):
+        # The compiled decode fills the columns the routes read; the
+        # per-posting key tuples are left unbuilt.  The queries come
+        # from a second build of index_b's corpus: the generator reads
+        # the key tuples of the lists it samples.
+        index_a, index_b = corpus_pair
+        engine = XRefine(index_a)
+        twin = build_document_index(generate_dblp(num_authors=45, seed=8))
+        gen = WorkloadGenerator(twin, seed=13)
+        queries = [list(gen.refinable_query().query) for _ in range(4)]
+        assert engine.prepare_swap(index_b, queries) == len(queries)
+        warmed = [
+            inverted
+            for query in queries
+            for inverted in QueryContext(
+                index_b, tuple(query_terms(query)),
+                index_b.derived.mine(tuple(query_terms(query))),
+            ).lists.values()
+            if len(inverted)
+        ]
+        assert warmed
+        for inverted in warmed:
+            assert inverted._kernel_columns is not None, inverted.keyword
+            assert inverted._keys is None, inverted.keyword
+
+        engine.swap_index(index_b)
+        fresh = XRefine(twin, cache_size=0)
+        assert response_fingerprint(
+            engine.search(queries[0], k=2)
+        ) == response_fingerprint(fresh.search(queries[0], k=2))
 
     def test_incremental_prepare_dedups_and_accumulates(self, corpus_pair):
         index_a, index_b = corpus_pair
