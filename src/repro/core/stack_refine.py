@@ -188,17 +188,18 @@ def stack_refine(index, query, rules=None, model=None, dp_memo=None):
     with phase("merge"):
         lanes, lcps = merged_lcp(lane_columns)
     positions = [0] * len(lane_columns)
+    lane_offs = [column.flat_offs()[1] for column in lane_columns]
     previous_lane = 0
     previous_position = 0
     with phase("admit"):
         for lane, shared in zip(lanes, lcps):
             position = positions[lane]
-            key = lane_columns[lane].keys[position]
+            offs = lane_offs[lane]
             positions[lane] = position + 1
             stats.postings_scanned += 1
             while len(stack) > shared:
                 pop_entry(previous_lane, previous_position)
-            for _ in range(shared, len(key)):
+            for _ in range(shared, offs[position + 1] - offs[position]):
                 stack.append(_Entry())
             stack[-1].mask |= bit_of_lane[lane]
             previous_lane = lane

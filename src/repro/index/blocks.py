@@ -23,7 +23,8 @@ once — the CRC checked, then every posting turned into
 :class:`PostingArrays`, the flat arrays the scan kernels read.  Both
 run in C when the compiled kernels are (:mod:`repro.kernels.backend`);
 the Python loops here are the reference, byte for byte and array for
-array.
+array.  The arrays are a decoded list's one form on either backend: no
+key tuple outlives the decode.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import struct
 import zlib
 from array import array
-from bisect import bisect_left
 from collections import namedtuple
 from itertools import accumulate, chain
 
@@ -107,6 +107,13 @@ def encode_posting_payload(keyword, keys, type_ids, counts):
     return _encode_python(keyword, keys, type_ids, counts)
 
 
+def pack_keys(keys):
+    """``(flat, offs)`` ``int64`` arrays of a sequence of component
+    tuples, as :class:`PostingArrays` holds a key column."""
+    return (array("q", chain.from_iterable(keys)),
+            array("q", accumulate(map(len, keys), initial=0)))
+
+
 def _payload_crc(payload, body_start):
     """The CRC-32 of a payload: its count's bytes, then its body."""
     with memoryview(payload) as view:
@@ -119,8 +126,7 @@ def _encode_compiled(lib, keys, type_ids, counts):
     :func:`zlib.crc32`; ``None`` for input the Python encoder must
     judge (out of order, negative, or past the ``int64`` range)."""
     try:
-        flat = array("q", chain.from_iterable(keys))
-        offs = array("q", accumulate(map(len, keys), initial=0))
+        flat, offs = pack_keys(keys)
         tids = array("q", type_ids)
         occurrences = array("q", counts)
     except OverflowError:
@@ -198,29 +204,28 @@ def decode_header(keyword, payload):
 
 
 def decode_payload(keyword, payload, header, type_table):
-    """``(PostingArrays, keys)`` of one payload whose ``header`` is
+    """The :class:`PostingArrays` of one payload whose ``header`` is
     :func:`decode_header`'s.
 
     The CRC is checked first, then every posting is decoded — by
     ``repro_decode_payload`` when the compiled kernels are active, else
-    by the Python twin, which also returns the key tuples it built on
-    the way (``keys`` is ``None`` from C).  Either raises the same
-    :class:`IndexingError`, naming the keyword, for a payload that is
-    not what an encoder writes.
+    by the Python twin.  Either raises the same :class:`IndexingError`,
+    naming the keyword, for a payload that is not what an encoder
+    writes.
     """
     count, crc, body_start = header
     if _payload_crc(payload, body_start) != crc:
         raise IndexingError(f"posting list for {keyword!r} fails its checksum")
     code = type_id_typecode(type_table)
     if not count:
-        return _empty_arrays(code), []
+        return _empty_arrays(code)
     from ..kernels import backend
 
     lib = backend.compiled
     body = memoryview(payload)[body_start:]
     if lib is not None:
         return _decode_compiled(lib, keyword, body, count, len(type_table),
-                                code), None
+                                code)
     return _decode_python(keyword, body, count, len(type_table), code)
 
 
@@ -269,26 +274,26 @@ def _decode_compiled(lib, keyword, body, count, known_types, code):
 
 def _decode_python(keyword, body, count, known_types, code):
     """The reference decoder ``repro_decode_payload`` must match."""
-    keys = []
+    flat = array("q")
+    offs = array("q", [0])
     tids = array(code)
     counts = array("q")
-    fault = decode_posting_run(body, count, known_types, keys, tids, counts)
+    fault = decode_posting_run(body, count, known_types, flat, offs, tids,
+                               counts)
     if fault:
         raise _fault(keyword, fault)
-    flat = array("q", chain.from_iterable(keys))
-    offs = array("q", accumulate(map(len, keys), initial=0))
     return PostingArrays(flat, offs, tids, counts,
-                         *partition_table(keys)), keys
+                         *partition_table(flat, offs))
 
 
-def decode_posting_run(raw, count, known_types, keys, tids, counts):
+def decode_posting_run(raw, count, known_types, flat, offs, tids, counts):
     """Append the ``count`` delta-coded postings of a payload body to
-    the three (empty) columns.
+    the (empty) columns, ``offs`` holding just its leading 0.
 
     Returns 0, or the code of the first fault met (see ``_FAULTS``),
     checked in the order ``repro_decode_payload`` checks them.
     """
-    previous = ()
+    previous = []
     pos = 0
     try:
         for _ in range(count):
@@ -296,13 +301,12 @@ def decode_posting_run(raw, count, known_types, keys, tids, counts):
             if shared > len(previous):
                 return 2
             suffix_len, pos = decode_uvarint(raw, pos)
-            suffix = []
+            components = previous[:shared]
             for _ in range(suffix_len):
                 part, pos = decode_uvarint(raw, pos)
                 if part > _INT64_MAX:
                     return 7
-                suffix.append(part)
-            components = previous[:shared] + tuple(suffix)
+                components.append(part)
             if components <= previous:
                 return 3
             type_id, pos = decode_uvarint(raw, pos)
@@ -311,7 +315,8 @@ def decode_posting_run(raw, count, known_types, keys, tids, counts):
             occurrences, pos = decode_uvarint(raw, pos)
             if occurrences > _INT64_MAX:
                 return 7
-            keys.append(components)
+            flat.extend(components)
+            offs.append(len(flat))
             tids.append(type_id)
             counts.append(occurrences)
             previous = components
@@ -320,29 +325,28 @@ def decode_posting_run(raw, count, known_types, keys, tids, counts):
     return 5 if pos != len(raw) else 0
 
 
-def partition_table(keys):
+def partition_table(flat, offs):
     """``(pid_flat, starts, ends, root_count)`` of a document-ordered
-    key column, as :class:`PostingArrays` holds them.
+    ``(flat, offs)`` key column, as :class:`PostingArrays` holds them.
 
-    One bisect per partition jumps past it, so the walk never touches a
-    posting twice.
+    One pass over the keys, the walk ``repro_decode_payload`` makes.
     """
     pid_flat = array("q")
     starts = array("q")
     ends = array("q")
     root_count = 0
-    position = 0
-    size = len(keys)
-    while position < size:
-        key = keys[position]
-        if len(key) < 2:
+    first = second = None
+    for i in range(len(offs) - 1):
+        start = offs[i]
+        if offs[i + 1] - start < 2:
             # A root posting belongs to no partition (Def. 6.1).
             root_count += 1
-            position += 1
-            continue
-        end = bisect_left(keys, (key[0], key[1] + 1), position)
-        pid_flat.extend(key[:2])
-        starts.append(position)
-        ends.append(end)
-        position = end
+        elif flat[start] == first and flat[start + 1] == second:
+            ends[-1] = i + 1
+        else:
+            first = flat[start]
+            second = flat[start + 1]
+            pid_flat.extend((first, second))
+            starts.append(i)
+            ends.append(i + 1)
     return pid_flat, starts, ends, root_count

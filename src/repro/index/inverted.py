@@ -3,10 +3,12 @@
 For each keyword the index stores a document-ordered list of postings
 ``<DeweyID, prefixPath, count>`` — one per node whose tag name or value
 terms contain the keyword, ``count`` being the number of occurrences at
-that node.  The refinement algorithms read lists as component columns
-(:mod:`repro.kernels.columns`) and account for the paper's headline
-property — **each list is scanned at most once per query** (Theorems 1
-and 2) — in :class:`~repro.core.result.ScanStats`.
+that node.  A list is held only as the arrays of its one decode
+(:class:`~repro.index.blocks.PostingArrays`).  The refinement
+algorithms read them as columns (:mod:`repro.kernels.columns`) and
+account for the paper's headline property — **each list is scanned at
+most once per query** (Theorems 1 and 2) — in
+:class:`~repro.core.result.ScanStats`.
 """
 
 from __future__ import annotations
@@ -56,27 +58,27 @@ _EMPTY_PAYLOAD = _encode_python("", (), (), ())
 
 def key_tuples(flat, offs):
     """Key ``i`` of a ``(flat, offs)`` pair as a component tuple, for
-    every ``i``."""
+    every ``i`` — a new list, built for the caller and never kept."""
     return list(map(tuple, map(
         flat.__getitem__, map(slice, offs, islice(offs, 1, None))
     )))
 
 
 class InvertedList:
-    """Document-ordered postings for one keyword, held as columns.
+    """Document-ordered postings for one keyword, held as arrays.
 
     Opening a list reads its payload's count and CRC and nothing more;
     the first read of a column decodes the whole payload, once, into
     :class:`~repro.index.blocks.PostingArrays` (:meth:`arrays`) and
-    drops the payload.  The three columns — :attr:`dewey_keys`,
-    :attr:`type_ids`, :attr:`counts` — plus the :attr:`type_table` the
-    ids index are read from those arrays; the key tuples are built the
-    first time something asks for them.  A :class:`Posting` is a value
-    built when someone iterates or indexes the list, never stored.
+    drops the payload.  Those arrays are all the list keeps: key ``i``
+    is ``flat[offs[i]:offs[i + 1]]``; :attr:`type_ids` and :attr:`counts`
+    are two of them, over the :attr:`type_table` the ids index.  A key
+    tuple, a ``Dewey`` or a :class:`Posting` is built when read, never
+    stored.
     """
 
     __slots__ = ("keyword", "type_table", "_size", "_payload", "_header",
-                 "_arrays", "_keys", "_kernel_columns")
+                 "_arrays", "_kernel_columns")
 
     def __init__(self, keyword, payload, type_table):
         header = decode_header(keyword, payload)
@@ -87,7 +89,6 @@ class InvertedList:
         self._payload = payload
         self._header = header
         self._arrays = None
-        self._keys = None
         self._kernel_columns = None
 
     @classmethod
@@ -100,10 +101,9 @@ class InvertedList:
         first call decodes the payload."""
         arrays = self._arrays
         if arrays is None:
-            arrays, self._keys = decode_payload(
+            arrays = self._arrays = decode_payload(
                 self.keyword, self._payload, self._header, self.type_table
             )
-            self._arrays = arrays
             self._payload = self._header = None
         return arrays
 
@@ -114,15 +114,10 @@ class InvertedList:
 
     @property
     def dewey_keys(self):
-        """Each posting's Dewey component tuple (shared — treat as
-        immutable)."""
-        keys = self._keys
-        if keys is None:
-            arrays = self.arrays()
-            keys = self._keys
-            if keys is None:
-                keys = self._keys = key_tuples(arrays.flat, arrays.offs)
-        return keys
+        """Each posting's component tuple, built anew on every read: a
+        shim for the wire benchmark's kernel layer, its only reader."""
+        arrays = self.arrays()
+        return key_tuples(arrays.flat, arrays.offs)
 
     @property
     def type_ids(self):
@@ -139,9 +134,10 @@ class InvertedList:
         return self._size
 
     def __iter__(self):
+        arrays = self.arrays()
         type_table = self.type_table
         for components, type_id, count in zip(
-            self.dewey_keys, self.type_ids, self.counts
+            key_tuples(arrays.flat, arrays.offs), arrays.tids, arrays.counts
         ):
             yield Posting(
                 Dewey.from_trusted(components), type_table[type_id], count
@@ -150,46 +146,48 @@ class InvertedList:
     def __getitem__(self, idx):
         if isinstance(idx, slice):
             return [self[i] for i in range(*idx.indices(len(self)))]
+        i = range(self._size)[idx]
+        flat, offs, tids, counts = self.arrays()[:4]
         return Posting(
-            Dewey.from_trusted(self.dewey_keys[idx]),
-            self.type_table[self.type_ids[idx]],
-            self.counts[idx],
+            Dewey.from_trusted(tuple(flat[offs[i]:offs[i + 1]])),
+            self.type_table[tids[i]],
+            counts[i],
         )
 
     def labels(self):
         """The postings' Dewey labels, in document order (a new list)."""
-        return list(map(Dewey.from_trusted, self.dewey_keys))
+        arrays = self.arrays()
+        return list(map(Dewey.from_trusted,
+                        key_tuples(arrays.flat, arrays.offs)))
 
     def ancestor_keys(self, node_type):
         """Key of each posting's ``node_type``-typed ancestor-or-self.
 
         A posting at node v lies under a T-typed ancestor iff v's
         prefix path starts with T; that ancestor's key is v's truncated
-        to ``len(T)`` components.  Postings elsewhere are skipped; the
-        rest come in document order, repeats included.
+        to ``len(T)`` components, cut from the flat array.  Postings
+        elsewhere are skipped; the rest come in document order, repeats
+        included.
         """
         depth = len(node_type)
         # Decided once per interned type, not once per posting.
         under = [path[:depth] == node_type for path in self.type_table]
         arrays = self.arrays()
-        if self._keys is not None:
-            return [
-                components[:depth]
-                for components, type_id in zip(self._keys, arrays.tids)
-                if under[type_id]
-            ]
-        # Cut from the flat array: no key tuple is built for this.
         flat = arrays.flat
+        offs = arrays.offs
+        # Cut at the key's end, as ``components[:depth]`` would be.
         return [
-            tuple(flat[start:start + depth])
-            for start, type_id in zip(arrays.offs, arrays.tids)
+            tuple(flat[start:min(start + depth, end)])
+            for start, end, type_id in zip(offs, islice(offs, 1, None),
+                                           arrays.tids)
             if under[type_id]
         ]
 
     def range_indices(self, root_dewey):
         """Index range ``[lo, hi)`` of postings inside ``root_dewey``'s
         subtree."""
-        keys = self.dewey_keys
+        arrays = self.arrays()
+        keys = key_tuples(arrays.flat, arrays.offs)
         lo = bisect_left(keys, root_dewey.components)
         return lo, bisect_left(keys, descendant_range_key(root_dewey), lo)
 
@@ -251,12 +249,12 @@ class InvertedIndex:
 
     def append_postings(self, keyword, keys, node_types, counts):
         """Append postings that sort after every existing one."""
-        existing = self.get(keyword)
+        existing = self.get(keyword).arrays()
         type_ids = [self._intern_type(node_type) for node_type in node_types]
         self._put(
             keyword,
-            chain(existing.dewey_keys, keys),
-            chain(existing.type_ids, type_ids),
+            chain(key_tuples(existing.flat, existing.offs), keys),
+            chain(existing.tids, type_ids),
             chain(existing.counts, counts),
         )
 
@@ -280,11 +278,12 @@ class InvertedIndex:
         def outside(column):
             return chain(column[:lo], column[hi:])
 
+        arrays = existing.arrays()
         self._put(
             keyword,
-            outside(existing.dewey_keys),
-            outside(existing.type_ids),
-            outside(existing.counts),
+            outside(key_tuples(arrays.flat, arrays.offs)),
+            outside(arrays.tids),
+            outside(arrays.counts),
         )
 
     # ------------------------------------------------------------------

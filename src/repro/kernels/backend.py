@@ -1591,15 +1591,14 @@ def type_id_handle(lib, column):
 
 
 def pid_handles(lib, column):
-    """Cached ``(pid_flat, lo, hi)`` C pointers for a column's partition
-    table (:meth:`~repro.kernels.columns.ListColumns.pid_cols`),
-    memoized on the column (``_pc``) like :func:`column_handles`."""
+    """Cached ``(pid_flat, starts, ends)`` C pointers for a column's
+    partition table, memoized on the column (``_pc``) like
+    :func:`column_handles`."""
     cached = column._pc
-    if cached is not None and cached[0] is lib:
-        return cached[1]
-    pointers = tuple(lib.i64(array) for array in column.pid_cols())
-    column._pc = (lib, pointers)
-    return pointers
+    if cached is None or cached[0] is not lib:
+        cached = column._pc = (lib, lib.i64(column.pid_flat),
+                               lib.i64(column.starts), lib.i64(column.ends))
+    return cached[1:]
 
 
 #: The active compiled backend, or None for pure Python.  Selected once

@@ -1,28 +1,32 @@
 """Columnar views of posting lists (the kernels' data layout).
 
-A :class:`ListColumns` wraps one inverted list's document-ordered
-Dewey key column with the two derived structures every batch kernel
-needs:
+A :class:`ListColumns` is one inverted list's document-ordered keys as
+arrays, and nothing else:
 
+* **flat int64 arrays** — all components concatenated (``flat``) plus
+  an offset table (``offs``): key ``i`` is ``flat[offs[i]:offs[i +
+  1]]``, ``offs[i + 1] - offs[i]`` components long.  They are the
+  zero-copy operands of the compiled kernels and what every pure-Python
+  twin slices.
 * a **partition table** — partition ``i`` is the pid
   ``pid_flat[2i:2i + 2]`` with the half-open posting range
   ``[starts[i], ends[i])``, all three ``int64`` arrays.  It says which
   blocks (partitions) contain the keyword at all, and where their
   postings live, without touching a single posting.
-* **flat int64 arrays** — all components concatenated plus an offset
-  table — the zero-copy operands of the compiled kernels.
+* the **type-id column** ``tids`` — each posting's interned prefix-path
+  id, 2 B/posting — so a result that is still ``(slot, depth)`` over the
+  key column can be typed without its label: an ancestor-or-self at
+  ``depth`` of posting ``i`` has type ``type_table[tids[i]][:depth]``.
 
-Columns of an inverted list (:func:`columns_for`) take both straight
-from the list's one decode (:meth:`~repro.index.inverted.InvertedList.arrays`),
-along with its **type-id column** ``tids`` — each posting's interned
-prefix-path id, 2 B/posting — so a result that is still ``(slot,
-depth)`` over the key column can be typed without its label: an
-ancestor-or-self at ``depth`` of posting ``i`` has type
-``type_table[tids[i]][:depth]``.  Their key tuples, their pid tuples and
-the ``pid -> (lo, hi)`` map are built only when something reads them.
-Columns over a bare list of key tuples (``ListColumns(keys)``) build
-the same table with binary-search jumps, and their flat arrays on
-first use.
+Columns of an inverted list (:func:`columns_for`) take all of them
+straight from the list's one decode
+(:meth:`~repro.index.inverted.InvertedList.arrays`).  Columns over a bare
+list of key tuples (``ListColumns(keys)``) pack the keys into ``flat`` /
+``offs`` once, in the constructor, and run the decoder's partition walk
+(:func:`~repro.index.blocks.partition_table`) over them; after that the
+two differ only in where their arrays came from.  No column keeps a key
+tuple or a pid tuple: a reader that wants one cuts it from the arrays
+and drops it.
 
 Columns are cached on the :class:`~repro.index.inverted.InvertedList`
 itself (``_kernel_columns``); the index's decode cache keeps one list
@@ -39,96 +43,42 @@ per-posting cost.
 
 from __future__ import annotations
 
-from array import array
-
-from ..index.blocks import partition_table
+from ..index.blocks import pack_keys, partition_table
 
 
 class ListColumns:
-    """Partition table + flat component arrays for one key column."""
+    """Flat component arrays + partition table for one key column."""
 
-    __slots__ = ("_keys", "_owner", "tids", "size", "pid_flat", "starts",
-                 "ends", "root_count", "_pids", "_pid_range", "_flat",
-                 "_offs", "_c", "_pc")
+    __slots__ = ("tids", "size", "pid_flat", "starts", "ends", "root_count",
+                 "_flat", "_offs", "_c", "_pc")
 
     def __init__(self, keys, tids=None):
-        self._fill(keys, None, tids, len(keys), partition_table(keys),
-                   None, None)
+        flat, offs = pack_keys(keys)
+        self._fill(flat, offs, tids, partition_table(flat, offs))
 
     @classmethod
     def of_list(cls, inverted_list):
         """The columns of an inverted list, over its decoded arrays."""
         arrays = inverted_list.arrays()
         columns = cls.__new__(cls)
-        columns._fill(None, inverted_list, arrays.tids, len(arrays.offs) - 1,
-                      arrays[4:], arrays.flat, arrays.offs)
+        columns._fill(arrays.flat, arrays.offs, arrays.tids, arrays[4:])
         return columns
 
-    def _fill(self, keys, owner, tids, size, table, flat, offs):
-        self._keys = keys
-        self._owner = owner  # the InvertedList whose key tuples these are
-        #: Interned type id per key, or ``None`` for a bare key column.
-        self.tids = tids
-        self.size = size
-        self.pid_flat, self.starts, self.ends, self.root_count = table
-        self._pids = None
-        self._pid_range = None
+    def _fill(self, flat, offs, tids, table):
         self._flat = flat
         self._offs = offs
+        #: Interned type id per key, or ``None`` for a bare key column.
+        self.tids = tids
+        self.size = len(offs) - 1
+        self.pid_flat, self.starts, self.ends, self.root_count = table
         self._c = None
         self._pc = None
 
-    @property
-    def keys(self):
-        """Document-ordered component tuples (shared, read-only)."""
-        keys = self._keys
-        if keys is None:
-            keys = self._keys = self._owner.dewey_keys
-        return keys
-
-    @property
-    def pids(self):
-        """The partition ids, as ``(component, component)`` tuples."""
-        pids = self._pids
-        if pids is None:
-            flat = self.pid_flat
-            pids = self._pids = list(zip(flat[0::2], flat[1::2]))
-        return pids
-
-    @property
-    def pid_range(self):
-        """pid -> (lo, hi); the O(1) random-access probe (SLE)."""
-        ranges = self._pid_range
-        if ranges is None:
-            ranges = self._pid_range = dict(
-                zip(self.pids, zip(self.starts, self.ends))
-            )
-        return ranges
-
-    def pid_cols(self):
-        """``(pid_flat, starts, ends)``, the partition table as the
-        batch presence kernel merge-joins it."""
-        return self.pid_flat, self.starts, self.ends
-
     def flat_offs(self):
-        """``(flat, offs)`` int64 arrays for the compiled kernels.
-
-        ``flat`` concatenates every key's components; ``offs[i]`` is
-        key ``i``'s start within it (``size + 1`` entries).  Built on
-        first use and cached for the column's lifetime.
-        """
-        flat = self._flat
-        if flat is None:
-            flat = array("q")
-            offs = array("q", bytes(8 * (self.size + 1)))
-            position = 0
-            for i, key in enumerate(self.keys):
-                flat.extend(key)
-                position += len(key)
-                offs[i + 1] = position
-            self._flat = flat
-            self._offs = offs
-        return flat, self._offs
+        """``(flat, offs)``, the key column's ``int64`` arrays: ``flat``
+        concatenates every key's components; ``offs[i]`` is key ``i``'s
+        start within it (``size + 1`` entries)."""
+        return self._flat, self._offs
 
     def __len__(self):
         return self.size
@@ -160,7 +110,9 @@ def partition_view(columns):
     lanes = len(columns)
     table = {}
     for lane, column in enumerate(columns):
-        for pid, lo, hi in zip(column.pids, column.starts, column.ends):
+        pid_flat = column.pid_flat
+        pids = zip(pid_flat[0::2], pid_flat[1::2])
+        for pid, lo, hi in zip(pids, column.starts, column.ends):
             spans = table.get(pid)
             if spans is None:
                 spans = table[pid] = [None] * lanes

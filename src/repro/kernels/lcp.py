@@ -13,13 +13,16 @@ an indexed lookup.
 lane (list index) and the LCP against the previous merged label.
 Ties between lanes break toward the lowest lane, byte-identical to
 the strict-``<`` cursor merge it replaces.  The per-lane
-``(key, lane)`` runs are concatenated and Timsort's galloping merge
-sorts them (the runs are already sorted); one adjacent pass fills the
-LCP column.  This is the only implementation: stack-refine is
+``(key, lane)`` runs — key tuples cut from each column's ``(flat,
+offs)`` arrays for this call only — are concatenated and Timsort's
+galloping merge sorts them (the runs are already sorted); one adjacent
+pass fills the LCP column.  This is the only implementation: stack-refine is
 reference code, not a served path.
 """
 
 from __future__ import annotations
+
+from ..index.inverted import key_tuples
 
 
 def _lcp(a, b):
@@ -42,7 +45,7 @@ def merged_lcp(columns):
     """
     entries = []
     for lane, column in enumerate(columns):
-        entries.extend((key, lane) for key in column.keys)
+        entries.extend((key, lane) for key in key_tuples(*column.flat_offs()))
     # Sorting (key, lane) pairs both merges the runs and breaks key
     # ties toward the lowest lane in one go.
     entries.sort()

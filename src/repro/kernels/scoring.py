@@ -69,11 +69,12 @@ def partition_presence(anchor_columns, lane_columns):
     ``masks[i]`` sets bit ``lane`` when ``lane_columns[lane]`` has
     postings in the anchor's ``i``-th partition; ``spans[(i * nlanes +
     lane) * 2]`` / ``+ 1`` hold that lane's ``(lo, hi)`` posting range
-    (``-1`` when absent).  Exactly the masks and spans per-pid
-    ``pid_range`` probes produce, in one merge-join over the sorted
-    partition tables.  ``spans`` is an ``array('q')``; so is ``masks``
-    when the lanes fit one presence mask (:func:`presence_ready`), on
-    either backend, and a list of Python ints otherwise.
+    (``-1`` when absent).  Exactly the masks and spans a per-partition
+    lookup in each lane would produce, in one merge-join over the
+    sorted ``pid_flat`` tables.  ``spans`` is an ``array('q')``; so is
+    ``masks`` when the lanes fit one presence mask
+    (:func:`presence_ready`), on either backend, and a list of Python
+    ints otherwise.
     """
     npart = len(anchor_columns.starts)
     nlanes = len(lane_columns)
@@ -96,21 +97,25 @@ def partition_presence(anchor_columns, lane_columns):
         )
         return masks, spans
 
-    a_pids = anchor_columns.pids
+    a_pids = anchor_columns.pid_flat
     masks = array("q", bytes(8 * npart)) if narrow else [0] * npart
     spans = array("q", [-1]) * (2 * npart * nlanes)
     for lane, column in enumerate(lane_columns):
-        pids = column.pids
+        pids = column.pid_flat
         starts = column.starts
         ends = column.ends
         bit = _int64(1 << lane) if narrow else 1 << lane
         ai = 0
         li = 0
         na = npart
-        nl = len(pids)
+        nl = len(starts)
         while ai < na and li < nl:
-            a = a_pids[ai]
-            l = pids[li]
+            # Partition ids compare as (first, second) component pairs.
+            a = a_pids[2 * ai]
+            l = pids[2 * li]
+            if a == l:
+                a = a_pids[2 * ai + 1]
+                l = pids[2 * li + 1]
             if a < l:
                 ai += 1
             elif l < a:

@@ -26,7 +26,8 @@ refinement routes, Definition 3.3 read from the anchor's type-id
 column.  The compiled backend runs the folds, the filter and the
 meaningful test in one call (``repro_slca_hits``); the pure-Python
 twins are :func:`_fold_depths_python`, :func:`_emit_python` and a list
-comprehension.  What survives is returned as a
+comprehension, which cut each key they compare from the column's
+``(flat, offs)`` arrays and keep none.  What survives is returned as a
 :class:`~repro.kernels.hits.HitRecord` (:func:`slca_hits`): results
 that are still ``(position, depth)`` entries of the anchor's column,
 labelled only when read; :func:`slca_ranges` / :func:`slca_columns` are
@@ -57,17 +58,31 @@ def _lcp(a, b):
     return shared
 
 
-def _fold_depths_python(anchor_keys, a_lo, a_hi, keys, m_lo, m_hi, depths):
-    """Pure-Python twin of ``repro_slca_hits``' per-matcher fold."""
+def _key_at(column):
+    """Position -> key tuple of a column, cut from its flat arrays."""
+    flat, offs = column.flat_offs()
+
+    def key(i):
+        return tuple(flat[offs[i]:offs[i + 1]])
+
+    return key
+
+
+def _fold_depths_python(anchor_key, a_lo, a_hi, key, m_lo, m_hi, depths):
+    """Pure-Python twin of ``repro_slca_hits``' per-matcher fold.
+
+    ``anchor_key`` and ``key`` map a position of the anchor and of the
+    matcher column to its key tuple (:func:`_key_at`)."""
+    positions = range(m_hi)
     position = m_lo
     for i in range(a_lo, a_hi):
-        target = anchor_keys[i]
-        position = bisect_right(keys, target, position, m_hi)
+        target = anchor_key(i)
+        position = bisect_right(positions, target, position, m_hi, key=key)
         depth = 0
         if position > m_lo:
-            depth = _lcp(keys[position - 1], target)
+            depth = _lcp(key(position - 1), target)
         if position < m_hi:
-            ceil_depth = _lcp(keys[position], target)
+            ceil_depth = _lcp(key(position), target)
             if ceil_depth > depth:
                 depth = ceil_depth
         slot = i - a_lo
@@ -133,13 +148,14 @@ def slca_hits(column_ranges, need=None):
             return HitRecord((anchor_columns,), positions, depths)
         emitted = None
     else:
-        anchor_keys = anchor_columns.keys
-        depths = [len(anchor_keys[i]) for i in range(a_lo, a_hi)]
+        anchor_key = _key_at(anchor_columns)
+        a_offs = anchor_columns.flat_offs()[1]
+        depths = [a_offs[i + 1] - a_offs[i] for i in range(a_lo, a_hi)]
         for column, m_lo, m_hi in ranked[1:]:
             _fold_depths_python(
-                anchor_keys, a_lo, a_hi, column.keys, m_lo, m_hi, depths
+                anchor_key, a_lo, a_hi, _key_at(column), m_lo, m_hi, depths
             )
-        emitted = _emit_python(anchor_keys, a_lo, depths)
+        emitted = _emit_python(anchor_columns, a_lo, depths)
 
     if emitted is None:
         # Labels from different documents: re-run the classic per-node
@@ -148,16 +164,16 @@ def slca_hits(column_ranges, need=None):
         # answers are prefixes of anchor keys, like any hit.
         from ..slca.scan_eager import scan_eager_slca
 
-        labels = scan_eager_slca(
-            [
-                [Dewey.from_trusted(column.keys[i]) for i in range(lo, hi)]
-                for column, lo, hi in column_ranges
-            ]
-        )
-        anchor_keys = anchor_columns.keys
+        labels = scan_eager_slca([
+            list(map(Dewey.from_trusted, map(_key_at(column), range(lo, hi))))
+            for column, lo, hi in column_ranges
+        ])
+        anchor_key = _key_at(anchor_columns)
+        positions = range(a_hi)
         emitted = (
             [
-                bisect_left(anchor_keys, label.components, a_lo, a_hi) - a_lo
+                bisect_left(positions, label.components, a_lo, a_hi,
+                            key=anchor_key) - a_lo
                 for label in labels
             ],
             [len(label.components) for label in labels],
@@ -172,7 +188,7 @@ def slca_hits(column_ranges, need=None):
     return hits
 
 
-def _emit_python(anchor_keys, a_lo, depths):
+def _emit_python(anchor_columns, a_lo, depths):
     """Pure-Python twin of ``repro_slca_hits``' streaming filter.
 
     Anchor ``a_lo + slot``'s candidate is its first ``depths[slot]``
@@ -184,6 +200,7 @@ def _emit_python(anchor_keys, a_lo, depths):
     in document order as ``(slots, depths)``, or ``None`` when some
     depth is 0.
     """
+    flat, offs = anchor_columns.flat_offs()
     kept_slots = []
     kept_depths = []
     held = None
@@ -192,7 +209,8 @@ def _emit_python(anchor_keys, a_lo, depths):
     for slot, depth in enumerate(depths):
         if depth == 0:
             return None
-        candidate = anchor_keys[a_lo + slot][:depth]
+        start = offs[a_lo + slot]
+        candidate = flat[start:start + depth]
         if held is not None:
             if depth >= held_depth:
                 if candidate[:held_depth] == held:

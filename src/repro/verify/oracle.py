@@ -54,7 +54,7 @@ from ..index import (
 )
 from ..index.blocks import encode_posting_payload
 from ..index.builder import build_document_index
-from ..index.inverted import InvertedList
+from ..index.inverted import InvertedList, key_tuples
 from ..index.tokenize_text import query_terms
 from ..kernels import backend as kernel_backend
 from ..kernels import (
@@ -369,7 +369,7 @@ class QueryMemo:
         roots = []
         for lane, column in enumerate(self.columns):
             count = 0
-            for position, key in enumerate(column.keys):
+            for position, key in enumerate(key_tuples(*column.flat_offs())):
                 if len(key) < 2:
                     count += 1
                     continue
@@ -572,7 +572,7 @@ def _lcp_table(m):
     entries = sorted(
         (key, lane)
         for lane, column in enumerate(m.columns)
-        for key in column.keys
+        for key in key_tuples(*column.flat_offs())
     )
     lanes, lcps = [], []
     previous = ()
@@ -690,8 +690,10 @@ def _codec(m):
     def written():
         out = []
         for lst in m.lists:
+            arrays = lst.arrays()
             payload = encode_posting_payload(
-                lst.keyword, lst.dewey_keys, lst.type_ids, lst.counts
+                lst.keyword, key_tuples(arrays.flat, arrays.offs),
+                arrays.tids, arrays.counts,
             )
             out.append((payload, InvertedList.open(
                 lst.keyword, payload, lst.type_table

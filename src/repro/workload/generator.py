@@ -23,10 +23,11 @@ import random
 
 from ..errors import DatasetError
 from ..index.tokenize_text import extract_terms
+from ..kernels.columns import columns_for
+from ..kernels.slca import slca_columns
 from ..lexicon.acronyms import AcronymTable
 from ..lexicon.synonyms import Thesaurus
 from ..slca.meaningful import infer_search_for, meaningful_slcas
-from ..slca.scan_eager import scan_eager_slca
 from .corruption import ALL_KINDS, CORRUPTORS, OVERCONSTRAIN
 
 
@@ -136,7 +137,7 @@ class WorkloadGenerator:
         lists = [self.index.inverted_list(term) for term in terms]
         if not all(map(len, lists)):
             return []
-        slcas = scan_eager_slca([lst.labels() for lst in lists])
+        slcas = slca_columns(list(map(columns_for, lists)))
         if not slcas:
             return []
         search_for = infer_search_for(self.index, list(terms))

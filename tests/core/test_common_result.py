@@ -8,6 +8,7 @@ from repro.core import RefinedQuery
 from repro.core.common import QueryContext
 from repro.core.result import RankedRefinement, RefinementResponse, ScanStats
 from repro.errors import QueryError
+from repro.index.inverted import key_tuples
 from repro.kernels import HitRecord, ListColumns, columns_for, slca_hits
 from repro.lexicon import RuleMiner, RuleSet
 from repro.slca.meaningful import NEVER_MEANINGFUL as _NEVER
@@ -54,7 +55,7 @@ class TestQueryContext:
         inproc = Dewey((0, 0, 1, 0))
         columns = columns_for(context.lists["database"])
         slot = next(
-            i for i, key in enumerate(columns.keys)
+            i for i, key in enumerate(key_tuples(*columns.flat_offs()))
             if key[:4] == inproc.components
         )
         # The same posting seen from the root (depth 1) and from its

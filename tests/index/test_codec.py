@@ -9,7 +9,8 @@ a CRC-valid payload whose postings are not what an encoder writes — a
 shared prefix longer than the key before it, keys out of order — is
 refused by both, naming the keyword, and a count larger than the body
 can hold is refused when the list is opened, before either decoder
-allocates for it.
+allocates for it.  A bare key column (``ListColumns(keys)``) runs the
+decoder's partition walk over the same arrays.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.errors import IndexingError
 from repro.index import InvertedList
 from repro.index.blocks import encode_posting_payload
 from repro.index.inverted import key_tuples
+from repro.kernels import ListColumns
 from repro.storage import encode_uvarint
 
 COMPILED = backend_module.compiled
@@ -59,9 +61,7 @@ def on_both_backends(action):
 
 
 def decoded(payload, type_table):
-    lst = InvertedList.open("kw", payload, type_table)
-    arrays = lst.arrays()
-    return arrays, lst.dewey_keys
+    return InvertedList.open("kw", payload, type_table).arrays()
 
 
 components = st.one_of(st.integers(0, 3), st.integers(0, 1 << 40))
@@ -98,10 +98,10 @@ def test_compiled_codec_is_the_python_codec(rows, types, data):
     payload = encoded[0][1]
 
     (compiled, pure) = on_both_backends(lambda: decoded(payload, type_table))
-    assert compiled[1][0] == pure[1][0]
-    arrays = compiled[1][0]
+    assert compiled[1] == pure[1]
+    arrays = compiled[1]
     assert arrays.tids.typecode == ("H" if types <= 0x10000 else "I")
-    assert key_tuples(arrays.flat, arrays.offs) == keys == pure[1][1]
+    assert key_tuples(arrays.flat, arrays.offs) == keys
     assert list(arrays.tids) == tids and list(arrays.counts) == counts
 
     position = data.draw(st.integers(0, len(payload) - 1))
@@ -113,16 +113,53 @@ def test_compiled_codec_is_the_python_codec(rows, types, data):
         "trailing": payload + b"\x00",
     }
     for kind, raw in damaged.items():
-        outcomes = on_both_backends(lambda: decoded(raw, type_table)[0])
+        outcomes = on_both_backends(lambda: decoded(raw, type_table))
         assert outcomes[0] == outcomes[1], kind
         assert outcomes[0][0] == "error" or kind == "flipped"
     # An id the table does not hold.
     known = max(tids)
     outcomes = on_both_backends(
-        lambda: decoded(payload, type_table[:known])[0]
+        lambda: decoded(payload, type_table[:known])
     )
     assert outcomes[0] == outcomes[1] == (
         "error", "posting list for 'kw' names an unknown node type",
+    )
+
+
+# Keys of one or two components are common, so root keys (Def. 6.1:
+# shorter than two components) and partitions of one posting are too.
+walk_keys = st.one_of(
+    st.lists(
+        st.lists(st.integers(0, 3), min_size=1, max_size=4).map(tuple),
+        max_size=60, unique=True,
+    ).map(sorted),
+    # Every key in one partition.
+    st.lists(
+        st.lists(st.integers(0, 3), max_size=3).map(tuple),
+        min_size=1, max_size=30, unique=True,
+    ).map(lambda tails: sorted((2, 1) + tail for tail in tails)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=walk_keys)
+def test_bare_columns_and_list_columns_share_one_walk(keys):
+    """``ListColumns(keys)`` packs the keys and walks them as the
+    decoder does: the columns of the list the keys encode to hold the
+    same arrays, and the Python decoder's arrays are C's."""
+    payload = encode_posting_payload("kw", keys, [0] * len(keys),
+                                     [1] * len(keys))
+    outcomes = on_both_backends(lambda: decoded(payload, [("t",)]))
+    assert outcomes[0] == outcomes[1]
+    listed = ListColumns.of_list(InvertedList.open("kw", payload, [("t",)]))
+    bare = ListColumns(keys)
+    assert bare.flat_offs() == listed.flat_offs()
+    assert key_tuples(*bare.flat_offs()) == keys
+    for name in ("size", "pid_flat", "starts", "ends", "root_count"):
+        assert getattr(bare, name) == getattr(listed, name), name
+    assert bare.root_count == sum(len(key) < 2 for key in keys)
+    assert list(zip(bare.pid_flat[0::2], bare.pid_flat[1::2])) == sorted(
+        {key[:2] for key in keys if len(key) >= 2}
     )
 
 
@@ -157,7 +194,7 @@ def test_a_shared_prefix_longer_than_the_key_before_it_is_refused(
         IndexingError, match="posting list for 'kw' has a key sharing more "
         "components",
     ):
-        lst.dewey_keys
+        lst.arrays()
 
 
 def test_keys_out_of_order_are_refused(kernel_backend):

@@ -28,6 +28,7 @@ import repro.kernels.backend as backend_module
 from repro import XRefine
 from repro.core.common import QueryContext
 from repro.index import build_document_index
+from repro.index.inverted import key_tuples
 from repro.index.tokenize_text import query_terms
 from repro.kernels import (
     HitRecord,
@@ -84,7 +85,7 @@ def _records(draw, max_columns=3):
     ))
     lanes, positions, depths = array("q"), array("q"), array("q")
     for lane, position, depth in entries:
-        keys = columns[lane].keys
+        keys = key_tuples(*columns[lane].flat_offs())
         position %= len(keys)
         lanes.append(lane)
         positions.append(position)
@@ -95,9 +96,9 @@ def _records(draw, max_columns=3):
 
 def _reference_keys(record):
     lanes = record.lanes
+    keys = [key_tuples(*column.flat_offs()) for column in record.columns]
     return [
-        record.columns[lanes[j] if lanes is not None else 0]
-        .keys[position][:depth]
+        keys[lanes[j] if lanes is not None else 0][position][:depth]
         for j, (position, depth) in enumerate(
             zip(record.positions, record.depths)
         )

@@ -13,6 +13,7 @@ import pytest
 import repro.kernels.backend as backend_module
 from repro.core.dp import MissingKeywordBound
 from repro.index import build_document_index
+from repro.index.inverted import key_tuples
 from repro.index.tokenize_text import query_terms
 from repro.kernels import (
     ListColumns,
@@ -240,7 +241,9 @@ class TestMergedLcpEdgeCases:
                 for term in query_terms(query)
             ]
             lanes, lcps = merged_lcp(columns)
-            naive = _naive_merged_lcp([column.keys for column in columns])
+            naive = _naive_merged_lcp(
+                [key_tuples(*column.flat_offs()) for column in columns]
+            )
             assert (list(lanes), list(lcps)) == naive, query
 
     def test_empty_and_single_column(self, kernel_backend):

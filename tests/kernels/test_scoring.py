@@ -25,18 +25,30 @@ def kernel_backend(request, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Batch partition presence vs the per-pid pid_range probes
+# Batch partition presence vs per-pid probes
 # ----------------------------------------------------------------------
+def _pids(column):
+    """A column's partition ids as ``(component, component)`` tuples."""
+    pid_flat = column.pid_flat
+    return list(zip(pid_flat[0::2], pid_flat[1::2]))
+
+
+def _pid_range(column):
+    """pid -> ``(lo, hi)`` posting range of one column."""
+    return dict(zip(_pids(column), zip(column.starts, column.ends)))
+
+
 def _naive_presence(anchor_columns, lane_columns):
-    """The short-list route's original probe loop, verbatim."""
+    """The short-list route's original probe loop."""
     nlanes = len(lane_columns)
     masks = []
     spans = []
-    for pid in anchor_columns.pids:
+    ranges = [_pid_range(column) for column in lane_columns]
+    for pid in _pids(anchor_columns):
         mask = 0
         row = []
-        for lane, column in enumerate(lane_columns):
-            span = column.pid_range.get(pid)
+        for lane in range(nlanes):
+            span = ranges[lane].get(pid)
             if span is None:
                 row.extend((-1, -1))
             else:
@@ -72,7 +84,7 @@ class TestPartitionPresence:
         _assert_presence_matches(shared, lanes)
         masks, spans = partition_presence(shared, lanes)
         nlanes = len(lanes)
-        for i in range(len(shared.pids)):
+        for i in range(len(shared.starts)):
             # Both duplicate lanes see the partition identically.
             assert bool(masks[i] & 1) == bool(masks[i] & 4)
             base = i * nlanes * 2
@@ -84,9 +96,9 @@ class TestPartitionPresence:
         _assert_presence_matches(anchor, lanes)
         masks, spans = partition_presence(anchor, lanes)
         # Every anchor partition holds exactly one posting.
-        for i, pid in enumerate(anchor.pids):
+        for i, pid in enumerate(_pids(anchor)):
             lo, hi = spans[i * 4], spans[i * 4 + 1]
-            assert (lo, hi) == anchor.pid_range[pid]
+            assert (lo, hi) == _pid_range(anchor)[pid]
             assert hi - lo == 1
 
     def test_absent_and_empty_lanes(self, kernel_backend):
@@ -94,7 +106,7 @@ class TestPartitionPresence:
         lanes = [anchor, ListColumns([(9, 9, 9)]), ListColumns([])]
         _assert_presence_matches(anchor, lanes)
         masks, spans = partition_presence(anchor, lanes)
-        for i in range(len(anchor.pids)):
+        for i in range(len(anchor.starts)):
             assert masks[i] == 1  # only the anchor lane is present
             assert list(spans[i * 6 + 2:i * 6 + 6]) == [-1, -1, -1, -1]
 
@@ -102,5 +114,5 @@ class TestPartitionPresence:
         """Depth-0 labels belong to no partition (Definition 6.1)."""
         anchor = ListColumns([(0,), (0, 1), (0, 1, 2), (0, 2, 0)])
         assert anchor.root_count == 1
-        assert anchor.pids == [(0, 1), (0, 2)]
+        assert _pids(anchor) == [(0, 1), (0, 2)]
         _assert_presence_matches(anchor, [anchor, ListColumns([(0,)])])

@@ -83,8 +83,9 @@ def _python_hits(anchor, a_lo, a_hi, matchers):
     """``_fold_depths_python`` per matcher, then ``_emit_python``."""
     depths = [len(anchor[i]) for i in range(a_lo, a_hi)]
     for keys, m_lo, m_hi in matchers:
-        _fold_depths_python(anchor, a_lo, a_hi, keys, m_lo, m_hi, depths)
-    emitted = _emit_python(anchor, a_lo, depths)
+        _fold_depths_python(anchor.__getitem__, a_lo, a_hi, keys.__getitem__,
+                            m_lo, m_hi, depths)
+    emitted = _emit_python(ListColumns(anchor), a_lo, depths)
     return None if emitted is None else _pairs(emitted)
 
 
@@ -115,7 +116,7 @@ def _compiled_hits(lib, anchor, a_lo, a_hi, matchers):
 @given(_column_and_depths())
 def test_python_filter_equals_remove_ancestors(case):
     keys, a_lo, depths = case
-    emitted = _emit_python(keys, a_lo, depths)
+    emitted = _emit_python(ListColumns(keys), a_lo, depths)
     assert _spelled(keys, a_lo, emitted) == _reference(keys, a_lo, depths)
 
 
@@ -139,7 +140,7 @@ def test_compiled_filter_equals_python_filter(anchor_range, matchers):
 def test_depth_zero_reports_no_survivors(case, anchor_range, data):
     keys, a_lo, depths = case
     depths[data.draw(st.integers(0, len(depths) - 1))] = 0
-    assert _emit_python(keys, a_lo, depths) is None
+    assert _emit_python(ListColumns(keys), a_lo, depths) is None
     # A matcher under another root folds every anchor's depth to 0.
     anchor, lo, hi = anchor_range
     elsewhere = [((1,) + anchor[lo][1:],), 0, 1]

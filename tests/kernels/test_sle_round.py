@@ -32,6 +32,7 @@ from repro.core.dp import get_top_optimal_rqs
 from repro.core.short_list_eager import short_list_eager
 from repro.errors import DeweyError
 from repro.index import build_document_index
+from repro.index.inverted import key_tuples
 from repro.index.tokenize_text import query_terms
 from repro.kernels import (
     ListColumns,
@@ -663,6 +664,17 @@ def test_mask_order_is_content_order(entries, narrow):
 # ----------------------------------------------------------------------
 # sle_direct
 # ----------------------------------------------------------------------
+def _pids(column):
+    """A column's partition ids as ``(component, component)`` tuples."""
+    pid_flat = column.pid_flat
+    return list(zip(pid_flat[0::2], pid_flat[1::2]))
+
+
+def _pid_range(column):
+    """pid -> ``(lo, hi)`` posting range of one column."""
+    return dict(zip(_pids(column), zip(column.starts, column.ends)))
+
+
 def _probes_for(context, anchor):
     return sum(1 for keyword in context.keyword_space if keyword != anchor)
 
@@ -672,18 +684,19 @@ def _plain_finish(context, columns, earlier, anchors, start):
     partition ids: the loop ``sle_direct`` replaces."""
     visited = set()
     for keyword in earlier:
-        visited.update(columns[keyword].pids)
-    visited.update(columns[anchors[0]].pids[:start])
+        visited.update(_pids(columns[keyword]))
+    visited.update(_pids(columns[anchors[0]])[:start])
     found = []
     slca_invocations = probes = skipped = newly = 0
+    ranges = {term: _pid_range(columns[term]) for term in context.query}
     for keyword in anchors:
-        for pid in columns[keyword].pids:
+        for pid in _pids(columns[keyword]):
             if pid in visited:
                 continue
             visited.add(pid)
             newly += 1
             spans = [
-                columns[term].pid_range.get(pid) for term in context.query
+                ranges[term].get(pid) for term in context.query
             ]
             if None in spans:
                 skipped += 1
@@ -712,7 +725,7 @@ def _check_direct(engine, terms, rng):
     order = rng.sample(lanes, len(lanes))
     split = rng.randint(0, len(order) - 1)
     earlier, anchors = order[:split], order[split:]
-    start = rng.randint(0, len(columns[anchors[0]].pids))
+    start = rng.randint(0, len(columns[anchors[0]].starts))
 
     expected, counts = _plain_finish(
         context, columns, earlier, anchors, start
@@ -728,8 +741,9 @@ def _check_direct(engine, terms, rng):
         sum(1 << lane_of[term] for term in set(context.query)),
         lane_columns, context.need,
     )
+    lane_keys = [key_tuples(*column.flat_offs()) for column in lane_columns]
     keys = [
-        lane_columns[lane].keys[position][:depth]
+        lane_keys[lane][position][:depth]
         for lane, position, depth in zip(hits.lanes, hits.positions,
                                          hits.depths)
     ]

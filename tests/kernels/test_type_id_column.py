@@ -17,7 +17,7 @@ import pytest
 
 import repro.kernels.backend as backend_module
 from repro.index import freeze_index, load_frozen_index
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import InvertedIndex, key_tuples
 from repro.kernels import (
     HitRecord,
     ListColumns,
@@ -100,20 +100,19 @@ def test_labels_from_the_flat_array_equal_labels_from_the_keys(
     path = tmp_path / "dblp.frz"
     freeze_index(dblp_index, path)
     index = load_frozen_index(path)
-    keys = dblp_index.inverted_list("title").dewey_keys
+    built = dblp_index.inverted_list("title").arrays()
+    keys = key_tuples(built.flat, built.offs)
     columns = columns_for(index.inverted_list("title"))
     positions = list(range(0, columns.size, 3))
     depths = [1 + position % len(keys[position]) for position in positions]
     hits = HitRecord(
         [columns], array("q", positions), array("q", depths)
     )
-    # No key tuple is built: the hits are cut from the flat array.
+    # The hits are cut from the flat array.
     from_flat = hits.keys()
-    assert columns._keys is None
     assert from_flat == [
         keys[position][:depth] for position, depth in zip(positions, depths)
     ]
     assert hits.labels() == [".".join(map(str, key)) for key in from_flat]
-    assert columns._keys is None
-    assert columns.keys == keys
+    assert key_tuples(*columns.flat_offs()) == keys
     assert hits.keys() == from_flat

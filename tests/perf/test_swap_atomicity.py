@@ -172,10 +172,10 @@ class TestPreparedSwap:
     def test_prepare_decodes_columns_and_builds_no_key_tuples(
         self, corpus_pair
     ):
-        # The compiled decode fills the columns the routes read; the
-        # per-posting key tuples are left unbuilt.  The queries come
-        # from a second build of index_b's corpus: the generator reads
-        # the key tuples of the lists it samples.
+        # The compiled decode fills the columns the routes read, and a
+        # list keeps no key tuple beside them.  The queries come from a
+        # second build of index_b's corpus: the generator decodes the
+        # lists it samples.
         index_a, index_b = corpus_pair
         engine = XRefine(index_a)
         twin = build_document_index(generate_dblp(num_authors=45, seed=8))
@@ -194,7 +194,7 @@ class TestPreparedSwap:
         assert warmed
         for inverted in warmed:
             assert inverted._kernel_columns is not None, inverted.keyword
-            assert inverted._keys is None, inverted.keyword
+            assert not hasattr(inverted, "_keys"), inverted.keyword
 
         engine.swap_index(index_b)
         fresh = XRefine(twin, cache_size=0)
