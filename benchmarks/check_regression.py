@@ -1,16 +1,17 @@
-"""Traffic-replay gate: the cache admission policy's properties.
+"""Traffic-replay gate: the serving caches' properties under drift.
 
 Gates a traffic-replay report (``bench_replay.py --smoke --output ...``)
 against the committed baseline ``benchmarks/BENCH_replay.json``: the
-report's own internal gates must have passed (adaptive beats plain LRU
-at equal capacity on hit rate and sustained QPS, zero replay-vs-cold
-oracle diffs), and under every *drift* phase (each phase after the
-first re-permutes the popularity ranking) the adaptive hit rate must
+report's own internal gates must have passed (sustained QPS with the
+sub-result cache above QPS without it, sub-result hits > 0, zero
+replay-vs-cold oracle diffs and zero cross-configuration diffs), and
+under every *drift* phase (each phase after the first re-permutes the
+popularity ranking) the serving default's result-cache hit rate must
 stay within ``--replay-hit-slack`` of the baseline's same phase — the
-frequency sketch's aging, not a stale head, must be carrying the hit
-rate.
+LRU must follow the drifted head as well as it did when the baseline
+was recorded.
 
-These are properties of the admission policy that no ``BENCHMARK.json``
+These are properties of the cache layers that no ``BENCHMARK.json``
 metric states.  Latency, throughput, start-up and RSS of the serving
 stack are measured and bounded by ``benchmarks/e2e/run.py`` alone.
 
@@ -43,7 +44,7 @@ def check_replay(args):
     baseline = load_report(args.replay_baseline)
     current = load_report(args.report)
 
-    for name in ("config", "adaptive", "comparison", "oracle", "gates"):
+    for name in ("config", "subresults", "comparison", "oracle", "gates"):
         if name not in baseline or name not in current:
             print(f"malformed replay report: missing {name!r} section",
                   file=sys.stderr)
@@ -67,17 +68,18 @@ def check_replay(args):
         return 1
     comparison = current["comparison"]
     print(
-        f"replay: adaptive/LRU qps ratio x{comparison['qps_ratio']:.2f}, "
-        f"hit rate {comparison['hit_rate_lru']:.3f} -> "
-        f"{comparison['hit_rate_adaptive']:.3f}, oracle diffs "
+        f"replay: qps ratio with / without sub-results "
+        f"x{comparison['qps_ratio']:.2f}, hit rate "
+        f"{comparison['hit_rate']:.3f}, sub-result hit rate "
+        f"{comparison['subresult_hit_rate']:.3f}, oracle diffs "
         f"{current['oracle']['cold_divergences']}"
     )
 
     # Drift-phase hit-rate floor: every phase after the first serves a
     # re-permuted popularity head, so holding the baseline's hit rate
-    # there means admission stayed live through the drift.
-    baseline_phases = baseline["adaptive"]["phases"]
-    current_phases = current["adaptive"]["phases"]
+    # there means the cache followed the drift.
+    baseline_phases = baseline["subresults"]["phases"]
+    current_phases = current["subresults"]["phases"]
     if len(baseline_phases) != len(current_phases):
         print("replay phase count differs from the baseline — "
               "regenerate it", file=sys.stderr)
@@ -96,7 +98,7 @@ def check_replay(args):
             print(
                 f"FAIL: hit rate under drift phase "
                 f"{measured_phase['name']} fell below the baseline "
-                "floor — frequency aging is no longer tracking the "
+                "floor — the result cache is no longer tracking the "
                 "drifted head",
                 file=sys.stderr,
             )

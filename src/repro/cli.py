@@ -137,7 +137,6 @@ def _cmd_serve(args, out):
         host=args.host,
         port=args.port,
         cache_size=args.cache_size,
-        cache_policy=args.cache_policy,
         subresult_size=args.subresult_size,
         max_inflight=args.max_inflight,
         ready_callback=ready,
@@ -344,12 +343,7 @@ def build_parser():
     )
     serve.add_argument(
         "--cache-size", type=int, default=512,
-        help="query-result cache capacity (0 disables)",
-    )
-    serve.add_argument(
-        "--cache-policy", choices=("tinylfu", "lru"), default="tinylfu",
-        help="result-cache replacement policy (tinylfu = frequency-"
-        "gated admission; lru = plain recency)",
+        help="query-result LRU cache capacity (0 disables)",
     )
     serve.add_argument(
         "--subresult-size", type=int, default=None, metavar="N",

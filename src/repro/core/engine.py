@@ -89,11 +89,6 @@ class XRefine:
         disables result caching.  Cached answers are version-checked
         against the index, so partition updates can never serve stale
         results.
-    cache_policy:
-        Result-cache replacement policy: ``"tinylfu"`` (default,
-        W-TinyLFU frequency-gated admission — the sustained-throughput
-        winner under skewed traffic, see ``benchmarks/bench_replay.py``)
-        or ``"lru"`` (the plain recency baseline).
     subresult_size:
         Capacity of the term-signature sub-result cache
         (:class:`~repro.perf.subresult.SubResultCache`) that lets
@@ -114,8 +109,8 @@ class XRefine:
     packed = None
 
     def __init__(self, index, model=None, miner=None,
-                 cache_size=DEFAULT_CAPACITY, cache_policy="tinylfu",
-                 subresult_size=None, rules_memo_size=None):
+                 cache_size=DEFAULT_CAPACITY, subresult_size=None,
+                 rules_memo_size=None):
         self.index = index
         self.model = model if model is not None else full_model()
         self._model_key_memo = (None, None)
@@ -131,7 +126,7 @@ class XRefine:
             if rules_memo_size is not None:
                 derived.rules.limit = rules_memo_size
         #: Complete-answer cache (repro.perf.result_cache).
-        self.result_cache = QueryResultCache(cache_size, policy=cache_policy)
+        self.result_cache = QueryResultCache(cache_size)
         #: Term-signature sub-result cache (repro.perf.subresult); tied
         #: to result caching by default so cold-path measurements with
         #: ``cache_size=0`` stay genuinely cold.
@@ -229,7 +224,10 @@ class XRefine:
         """Monitoring snapshot of every hot-path cache layer."""
         tree = self.index.tree
         return {
-            "results": self.result_cache.stats(),
+            #: ``admission_rejects`` is always 0 (the cache admits
+            #: every entry); kept because ``benchmarks/e2e/layers.py``
+            #: reads it from ``/stats``.
+            "results": {**self.result_cache.stats(), "admission_rejects": 0},
             "subresults": self.subresult_cache.stats(),
             #: size / limit / hits / misses / evictions of the rules,
             #: DP, search-for and need-column memos of the index version.
@@ -442,11 +440,11 @@ class XRefine:
         — ``index.version`` read and cache probed under the cache lock
         that :meth:`swap_index` holds across its flip and purge, so a
         body of the previous generation is unreachable the moment the
-        flip completes.  It *counts* (hit counter, recency, frequency
-        sketch) only when it returns a body: on anything else — no
-        entry, a stale or expired one, a response the daemon has not
-        rendered yet — it leaves the cache untouched and the caller's
-        :meth:`search` makes the request's one counted lookup.
+        flip completes.  It *counts* (hit counter, recency) only when
+        it returns a body: on anything else — no entry, a stale one, a
+        response the daemon has not rendered yet — it leaves the cache
+        untouched and the caller's :meth:`search` makes the request's
+        one counted lookup.
         """
         cache = self.result_cache
         if not cache.enabled:
@@ -549,10 +547,11 @@ class XRefine:
         the depositor's (meaningfulness is relative to them — see
         :mod:`repro.perf.subresult`); the cache refuses to serve a
         mismatch and the query falls back to full evaluation.  Returns
-        ``None`` on any miss.
+        ``None`` on any miss, and counts each as one: an absent
+        signature before the query context is built for it.
         """
         signature = term_signature(terms)
-        if signature not in self.subresult_cache:
+        if self.subresult_cache.absent(signature):
             return None
         started = time.perf_counter()
         try:

@@ -14,8 +14,9 @@ components and their values, the interned node-type id and the
 occurrence count — all uvarints, so a posting takes at least four body
 bytes.
 
-:func:`encode_posting_payload` is the one encoder and
-:func:`decode_payload` the one decoder.  The opener,
+:func:`encode_posting_arrays` is the one encoder (over the packed
+key arrays; :func:`encode_posting_payload` packs component tuples for
+it) and :func:`decode_payload` the one decoder.  The opener,
 :meth:`repro.index.inverted.InvertedList.open`, reads the count and the
 CRC (:func:`decode_header`, which refuses a count the body cannot hold)
 and nothing else; the first read of a column decodes the whole list,
@@ -33,7 +34,7 @@ import struct
 import zlib
 from array import array
 from collections import namedtuple
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 
 from ..errors import IndexingError, KeyEncodingError
 from ..storage import decode_uvarint, encode_uvarint
@@ -88,23 +89,40 @@ def encode_posting_payload(keyword, keys, type_ids, counts):
     ``keys``, ``type_ids`` and ``counts`` are the three columns, as
     iterables of equal length.  The keys must be strictly ascending
     component tuples: document order is checked here, where every list
-    is written.
+    is written.  They are packed and handed to
+    :func:`encode_posting_arrays`; a component past the ``int64`` range
+    cannot be packed, and the Python encoder writes it as it is (the
+    decoders refuse it).
     """
+    keys = keys if isinstance(keys, list) else list(keys)
+    try:
+        flat, offs = pack_keys(keys)
+    except OverflowError:
+        return _encode_python(keyword, keys, type_ids, counts)
+    return encode_posting_arrays(keyword, flat, offs, type_ids, counts)
+
+
+def encode_posting_arrays(keyword, flat, offs, type_ids, counts):
+    """One keyword's postings as a payload, its key column packed as
+    ``int64`` ``(flat, offs)`` arrays (key ``i`` is
+    ``flat[offs[i]:offs[i + 1]]``) — how a list update merges them."""
     # Imported here: repro.kernels imports repro.core, which imports
     # this package.
     from ..kernels import backend
 
     lib = backend.compiled
     if lib is not None:
-        columns = [
+        # Lists, so the Python encoder can still read what the C
+        # encoder declined.
+        type_ids, counts = [
             column if isinstance(column, (list, array)) else list(column)
-            for column in (keys, type_ids, counts)
+            for column in (type_ids, counts)
         ]
-        payload = _encode_compiled(lib, *columns)
+        payload = _encode_compiled(lib, flat, offs, type_ids, counts)
         if payload is not None:
             return payload
-        keys, type_ids, counts = columns
-    return _encode_python(keyword, keys, type_ids, counts)
+    keys = map(flat.__getitem__, map(slice, offs, islice(offs, 1, None)))
+    return _encode_python(keyword, keys, type_ids, counts, flat[:0])
 
 
 def pack_keys(keys):
@@ -121,17 +139,16 @@ def _payload_crc(payload, body_start):
                           zlib.crc32(view[:body_start - _CRC.size]))
 
 
-def _encode_compiled(lib, keys, type_ids, counts):
+def _encode_compiled(lib, flat, offs, type_ids, counts):
     """``repro_encode_run`` over the columns, the CRC filled in with
     :func:`zlib.crc32`; ``None`` for input the Python encoder must
     judge (out of order, negative, or past the ``int64`` range)."""
     try:
-        flat, offs = pack_keys(keys)
         tids = array("q", type_ids)
         occurrences = array("q", counts)
     except OverflowError:
         return None
-    count = min(len(keys), len(tids), len(occurrences))
+    count = min(len(offs) - 1, len(tids), len(occurrences))
     capacity = 16 + 8 * count + 2 * len(flat)
     while True:
         out = bytearray(capacity)
@@ -150,10 +167,12 @@ def _encode_compiled(lib, keys, type_ids, counts):
     return bytes(out)
 
 
-def _encode_python(keyword, keys, type_ids, counts):
-    """The reference encoder ``repro_encode_run`` must match."""
+def _encode_python(keyword, keys, type_ids, counts, previous=()):
+    """The reference encoder ``repro_encode_run`` must match.
+
+    ``previous`` is the empty key, of the type the keys are (a tuple,
+    or an ``array`` slice), so the first key compares against it."""
     body = bytearray()
-    previous = ()
     count = 0
     for components, type_id, occurrences in zip(keys, type_ids, counts):
         if components <= previous:

@@ -13,6 +13,7 @@ most once per query** (Theorems 1 and 2) — in
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from itertools import chain, islice
 
@@ -22,7 +23,9 @@ from .blocks import (
     _encode_python,
     decode_header,
     decode_payload,
+    encode_posting_arrays,
     encode_posting_payload,
+    pack_keys,
 )
 
 
@@ -185,11 +188,20 @@ class InvertedList:
 
     def range_indices(self, root_dewey):
         """Index range ``[lo, hi)`` of postings inside ``root_dewey``'s
-        subtree."""
-        arrays = self.arrays()
-        keys = key_tuples(arrays.flat, arrays.offs)
-        lo = bisect_left(keys, root_dewey.components)
-        return lo, bisect_left(keys, descendant_range_key(root_dewey), lo)
+        subtree: two bisections over positions, each probe comparing one
+        key's ``flat`` slice."""
+        flat, offs = self.arrays()[:2]
+
+        def key(i):
+            return flat[offs[i]:offs[i + 1]]
+
+        positions = range(self._size)
+        lo = bisect_left(positions, array("q", root_dewey.components),
+                         key=key)
+        return lo, bisect_left(
+            positions, array("q", descendant_range_key(root_dewey)), lo,
+            key=key,
+        )
 
 
 class InvertedIndex:
@@ -230,8 +242,7 @@ class InvertedIndex:
     # ------------------------------------------------------------------
     # Build API
     # ------------------------------------------------------------------
-    def _put(self, keyword, keys, type_ids, counts):
-        payload = encode_posting_payload(keyword, keys, type_ids, counts)
+    def _put(self, keyword, payload):
         self._store.put(encode_key((keyword,)), payload)
         self._cache.pop(keyword, None)
         if self._vocabulary is not None:
@@ -245,18 +256,24 @@ class InvertedIndex:
         count.
         """
         type_ids = [self._intern_type(node_type) for node_type in node_types]
-        self._put(keyword, keys, type_ids, counts)
+        self._put(keyword,
+                  encode_posting_payload(keyword, keys, type_ids, counts))
 
     def append_postings(self, keyword, keys, node_types, counts):
-        """Append postings that sort after every existing one."""
-        existing = self.get(keyword).arrays()
-        type_ids = [self._intern_type(node_type) for node_type in node_types]
-        self._put(
+        """Append postings that sort after every existing one.
+
+        The existing list's arrays and the new keys, packed, are
+        concatenated as arrays and encoded from there."""
+        flat, offs, tids, occurrences = self.get(keyword).arrays()[:4]
+        new_flat, new_offs = pack_keys(keys)
+        base = len(flat)
+        self._put(keyword, encode_posting_arrays(
             keyword,
-            chain(key_tuples(existing.flat, existing.offs), keys),
-            chain(existing.tids, type_ids),
-            chain(existing.counts, counts),
-        )
+            flat + new_flat,
+            offs + array("q", [base + end for end in new_offs[1:]]),
+            array("q", chain(tids, map(self._intern_type, node_types))),
+            array("q", chain(occurrences, counts)),
+        ))
 
     def remove_postings_under(self, keyword, root_dewey):
         """Drop all postings inside one subtree (partition removal).
@@ -275,16 +292,15 @@ class InvertedIndex:
                 self._vocabulary.discard(keyword)
             return
 
-        def outside(column):
-            return chain(column[:lo], column[hi:])
-
-        arrays = existing.arrays()
-        self._put(
+        flat, offs, tids, occurrences = existing.arrays()[:4]
+        cut, end = offs[lo], offs[hi]
+        self._put(keyword, encode_posting_arrays(
             keyword,
-            outside(key_tuples(arrays.flat, arrays.offs)),
-            outside(arrays.tids),
-            outside(arrays.counts),
-        )
+            flat[:cut] + flat[end:],
+            offs[:lo] + array("q", [o - (end - cut) for o in offs[hi:]]),
+            tids[:lo] + tids[hi:],
+            occurrences[:lo] + occurrences[hi:],
+        ))
 
     # ------------------------------------------------------------------
     # Query API

@@ -11,27 +11,21 @@ their one-scan guarantees for *cold* queries) untouched:
     :class:`SearchForCache` — memoized Formula-1 search-for inference,
     held per index version by ``index.derived``.
 ``repro.perf.result_cache``
-    :class:`QueryResultCache` — version-checked cache over complete
-    query answers with W-TinyLFU frequency-gated admission (or plain
-    LRU), optional TTL, invalidated by the partition append/remove
-    entry points.
-``repro.perf.freq_sketch``
-    :class:`CountMinSketch` — the halving frequency sketch behind the
-    TinyLFU admission gate.
+    :class:`QueryResultCache` — a version-checked LRU over complete
+    query answers, invalidated by the partition append/remove entry
+    points and by snapshot swaps.
 ``repro.perf.subresult``
-    :class:`SubResultCache` — term-signature keyed meaningful-SLCA
-    lists, so reformulation chains reuse the refined queries' result
-    work instead of recomputing it from scratch.
+    :class:`SubResultCache` — the same LRU keyed by term signature,
+    holding meaningful-SLCA lists, so reformulation chains reuse the
+    refined queries' result work instead of evaluating them again.
 """
 
-from .freq_sketch import CountMinSketch
 from .lru import LRUMemo
 from .result_cache import QueryResultCache
 from .stats_cache import SearchForCache
 from .subresult import SubResultCache, term_signature
 
 __all__ = [
-    "CountMinSketch",
     "LRUMemo",
     "QueryResultCache",
     "SearchForCache",

@@ -1,36 +1,17 @@
-"""Invalidating result cache with frequency-aware (W-TinyLFU) admission.
+"""Invalidating LRU result cache, versioned against the index.
 
 Real keyword workloads are heavily skewed: a handful of queries make up
 most of the traffic.  :class:`QueryResultCache` keeps the complete
 answer of recently served queries keyed by the *normalized* query plus
 every parameter that can change the answer (``k``, algorithm, ranking
 weights), so a repeated query costs one dict lookup instead of a full
-inverted-list scan, DP beam and ranking pass.
-
-Two replacement policies are available:
-
-``policy="tinylfu"`` (default)
-    A W-TinyLFU-style design [Einziger et al., 2017].  New entries
-    land in a small LRU *window* (~1% of capacity).  When the window
-    overflows, its LRU entry becomes an admission *candidate* for the
-    segmented-LRU main region: it is admitted only while the main
-    region has free space, or when the Count-Min frequency sketch
-    (:class:`~repro.perf.freq_sketch.CountMinSketch`, fed one
-    increment per lookup) estimates the candidate to be requested more
-    often than the main region's next victim.  One-hit wonders — burst
-    noise, one-off session reformulations — therefore die in the tiny
-    window instead of flushing the popular head out of the main
-    region, which is what makes this policy beat plain LRU under
-    Zipf-with-noise traffic (see ``benchmarks/bench_replay.py``).  The
-    main region is a segmented LRU: entries enter *probation* (~20%)
-    and are promoted to *protected* (~80%) on re-reference, the
-    protected LRU demoting back to probation to make room.  Periodic
-    sketch halving keeps admission live after traffic drift.
-
-``policy="lru"``
-    The plain LRU the engine shipped with — the experimental baseline
-    the replay benchmark compares against, and the right choice when
-    the working set fits in the cache anyway.
+inverted-list scan, DP beam and ranking pass.  Replacement is plain
+LRU: a hit becomes the most recent entry, and a store past capacity
+evicts the least recent.  (A frequency-gated admission policy, a
+Count-Min sketch in front of a segmented main region, was measured
+against it on the drifting ``replay_mixed`` traffic and bought about
+one point of hit rate for a slower hit path; DESIGN.md has the
+numbers.)
 
 Staleness is handled by versioning, not by callback plumbing: every
 entry records the :class:`~repro.index.builder.DocumentIndex` version
@@ -57,168 +38,97 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-from .freq_sketch import CountMinSketch
-
 #: Default number of distinct (query, parameters) answers retained.
 DEFAULT_CAPACITY = 512
 
-#: Supported replacement policies.
-POLICIES = ("tinylfu", "lru")
-
-#: Window share of the total capacity under ``tinylfu`` (~1%).
-_WINDOW_SHARE = 100
-#: Protected share of the main region under ``tinylfu`` (4/5 = 80%).
-_PROTECTED_NUM, _PROTECTED_DEN = 4, 5
-
 
 class QueryResultCache:
-    """Version-checked result cache with pluggable admission policy.
+    """Version-checked LRU cache.
 
     Parameters
     ----------
     maxsize:
         Maximum number of entries; ``0`` disables the cache entirely
         (every :meth:`get` misses, :meth:`put` is a no-op).
-    policy:
-        ``"tinylfu"`` (default) or ``"lru"``; see the module docstring.
     """
 
     __slots__ = (
-        "maxsize", "policy",
-        "hits", "misses", "invalidations", "evictions",
-        "admission_rejects", "lock",
-        "_window", "_probation", "_protected",
-        "_window_cap", "_main_cap", "_protected_cap", "_sketch",
+        "maxsize", "hits", "misses", "invalidations", "evictions", "lock",
+        "_entries",
     )
 
-    def __init__(self, maxsize=DEFAULT_CAPACITY, policy="tinylfu"):
+    def __init__(self, maxsize=DEFAULT_CAPACITY):
         if maxsize < 0:
             raise ValueError(f"cache size must be >= 0, got {maxsize}")
-        if policy not in POLICIES:
-            raise ValueError(
-                f"unknown cache policy {policy!r}; expected one of {POLICIES}"
-            )
         self.maxsize = maxsize
-        self.policy = policy
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        #: Entries dropped to make room (capacity pressure), including
-        #: main-region victims displaced by an admitted candidate.
+        #: Entries dropped to make room (capacity pressure).
         self.evictions = 0
-        #: Window candidates the frequency gate refused to admit into
-        #: the main region (always 0 under ``policy="lru"``).
-        self.admission_rejects = 0
         #: Guards every operation; reentrant so callers may compose a
         #: version read + lookup (or an index flip + purge) atomically
         #: with ``with cache.lock:`` around the individual calls.
         self.lock = threading.RLock()
-        # Segments hold key -> (version, value).  "lru"
-        # uses only the window, with the full capacity.
-        self._window = OrderedDict()
-        self._probation = OrderedDict()
-        self._protected = OrderedDict()
-        if policy == "tinylfu" and maxsize > 0:
-            self._window_cap = max(1, maxsize // _WINDOW_SHARE)
-            self._main_cap = maxsize - self._window_cap
-            self._protected_cap = (
-                self._main_cap * _PROTECTED_NUM
-            ) // _PROTECTED_DEN
-            self._sketch = CountMinSketch(maxsize)
-        else:
-            self._window_cap = maxsize
-            self._main_cap = 0
-            self._protected_cap = 0
-            self._sketch = None
+        # key -> (version, value), least recent first.
+        self._entries = OrderedDict()
 
     @property
     def enabled(self):
         return self.maxsize > 0
 
     def __len__(self):
-        return len(self._window) + len(self._probation) + len(self._protected)
+        return len(self._entries)
 
     def __contains__(self, key):
-        return (
-            key in self._window
-            or key in self._probation
-            or key in self._protected
-        )
+        return key in self._entries
 
     # ------------------------------------------------------------------
-    def _find(self, key):
-        """The segment holding ``key`` plus its entry, or ``(None, None)``."""
-        entry = self._window.get(key)
-        if entry is not None:
-            return self._window, entry
-        entry = self._probation.get(key)
-        if entry is not None:
-            return self._probation, entry
-        entry = self._protected.get(key)
-        if entry is not None:
-            return self._protected, entry
-        return None, None
+    def _fresh(self, key, version):
+        """The value stored for ``key`` at ``version``, or ``None``.
+
+        Counts neither a hit nor a miss.  An entry computed against a
+        different index version is evicted (it is unreachable for good
+        — versions never repeat within one engine, including across
+        snapshot swaps).  Call under :attr:`lock`.
+        """
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        if entry[0] != version:
+            del self._entries[key]
+            self.invalidations += 1
+            return None
+        return entry[1]
 
     def get(self, key, version):
-        """The cached value for ``key`` at ``version``, or ``None``.
-
-        An entry computed against a different index version is evicted
-        (it is unreachable for good — versions never repeat within one
-        engine, including across snapshot swaps).
-        Every lookup — hit or miss — feeds the frequency sketch, so a
-        repeatedly requested key builds up the admission credit that
-        eventually lets it displace a main-region victim.
-        """
+        """The cached value for ``key`` at ``version``, or ``None``."""
         with self.lock:
-            if self._sketch is not None:
-                self._sketch.increment(key)
-            segment, entry = self._find(key)
-            if entry is None:
+            value = self._fresh(key, version)
+            if value is None:
                 self.misses += 1
                 return None
-            cached_version, value = entry
-            if cached_version != version:
-                del segment[key]
-                self.invalidations += 1
-                self.misses += 1
-                return None
-            self._touch(segment, key, entry)
+            self._entries.move_to_end(key)
             self.hits += 1
             return value
 
     def peek(self, key, version):
         """The value :meth:`get` would return, without the bookkeeping.
 
-        Counts nothing, feeds no sketch, bumps no recency and discards
-        nothing — for callers that must look at the value before they
-        decide whether this lookup is theirs to count (the daemon's
-        loop-side probe hands a miss to the query thread, whose
-        :meth:`get` is then the request's one counted lookup).
+        Counts nothing, bumps no recency and discards nothing — for
+        callers that must look at the value before they decide whether
+        this lookup is theirs to count (the daemon's loop-side probe
+        hands a miss to the query thread, whose :meth:`get` is then the
+        request's one counted lookup).
         """
         with self.lock:
-            _, entry = self._find(key)
-            if entry is None:
+            entry = self._entries.get(key)
+            if entry is None or entry[0] != version:
                 return None
-            cached_version, value = entry
-            if cached_version != version:
-                return None
-            return value
-
-    def _touch(self, segment, key, entry):
-        """Record a reference: LRU bump + segmented-LRU promotion."""
-        if segment is self._probation and self._protected_cap > 0:
-            # Re-referenced on probation: promote, demoting the
-            # protected LRU back to probation MRU when full.
-            del segment[key]
-            self._protected[key] = entry
-            while len(self._protected) > self._protected_cap:
-                demoted_key, demoted = self._protected.popitem(last=False)
-                self._probation[demoted_key] = demoted
-        else:
-            segment.move_to_end(key)
+            return entry[1]
 
     def put(self, key, value, version):
-        """Store ``value`` for ``key``, applying the admission policy.
+        """Store ``value`` for ``key`` as the most recent entry.
 
         ``version`` must be the index version the value was *computed
         against* (captured before evaluation began), not the version at
@@ -229,36 +139,12 @@ class QueryResultCache:
         if not self.maxsize:
             return
         with self.lock:
-            entry = (version, value)
-            segment, existing = self._find(key)
-            if existing is not None:
-                segment[key] = entry
-                self._touch(segment, key, entry)
-                return
-            self._window[key] = entry
-            while len(self._window) > self._window_cap:
-                candidate_key, candidate = self._window.popitem(last=False)
-                self._admit(candidate_key, candidate)
-
-    def _admit(self, key, entry):
-        """Window overflow: frequency-gated admission to the main region."""
-        if self._main_cap == 0:
-            # Pure-LRU degenerate shape (tiny maxsize): window IS the
-            # cache, overflow is a plain eviction.
-            self.evictions += 1
-            return
-        if len(self._probation) + len(self._protected) < self._main_cap:
-            self._probation[key] = entry
-            return
-        victims = self._probation if self._probation else self._protected
-        victim_key = next(iter(victims))
-        sketch = self._sketch
-        if sketch.estimate(key) > sketch.estimate(victim_key):
-            del victims[victim_key]
-            self.evictions += 1
-            self._probation[key] = entry
-        else:
-            self.admission_rejects += 1
+            entries = self._entries
+            entries[key] = (version, value)
+            entries.move_to_end(key)
+            while len(entries) > self.maxsize:
+                entries.popitem(last=False)
+                self.evictions += 1
 
     def purge_other_versions(self, version):
         """Drop every entry whose stamp differs from ``version``.
@@ -269,49 +155,36 @@ class QueryResultCache:
         number of entries dropped.
         """
         with self.lock:
-            dropped = 0
-            for segment in (self._window, self._probation, self._protected):
-                stale = [
-                    key
-                    for key, (cached_version, _) in segment.items()
-                    if cached_version != version
-                ]
-                for key in stale:
-                    del segment[key]
-                dropped += len(stale)
-            self.invalidations += dropped
-            return dropped
+            stale = [
+                key
+                for key, (cached_version, _) in self._entries.items()
+                if cached_version != version
+            ]
+            for key in stale:
+                del self._entries[key]
+            self.invalidations += len(stale)
+            return len(stale)
 
     def clear(self):
-        """Drop every entry (explicit invalidation) and frequency history."""
+        """Drop every entry (explicit invalidation)."""
         with self.lock:
-            dropped = len(self)
-            self._window.clear()
-            self._probation.clear()
-            self._protected.clear()
-            if self._sketch is not None:
-                self._sketch.clear()
-            self.invalidations += dropped
+            self.invalidations += len(self._entries)
+            self._entries.clear()
 
     def stats(self):
         """Counters for monitoring / the benchmark report."""
         with self.lock:
             return {
-                "size": len(self),
+                "size": len(self._entries),
                 "maxsize": self.maxsize,
-                "policy": self.policy,
                 "hits": self.hits,
                 "misses": self.misses,
                 "invalidations": self.invalidations,
                 "evictions": self.evictions,
-                "admission_rejects": self.admission_rejects,
-                "sketch": (
-                    self._sketch.stats() if self._sketch is not None else None
-                ),
             }
 
     def __repr__(self):
         return (
-            f"QueryResultCache({self.policy}, size={len(self)}/"
+            f"{type(self).__name__}(size={len(self._entries)}/"
             f"{self.maxsize}, hits={self.hits}, misses={self.misses})"
         )

@@ -31,8 +31,7 @@ never the un-fingerprinted intermediate candidate pool.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+from .result_cache import QueryResultCache
 
 #: Default number of term signatures retained (``XRefine`` passes this
 #: when result caching is enabled; 0 disables the layer).
@@ -44,41 +43,38 @@ def term_signature(terms):
     return tuple(sorted(set(terms)))
 
 
-class SubResultCache:
-    """Versioned LRU from term signature to a meaningful-SLCA list."""
+class SubResultCache(QueryResultCache):
+    """Versioned LRU from term signature to a meaningful-SLCA list.
 
-    __slots__ = (
-        "maxsize", "hits", "misses", "mismatches", "invalidations",
-        "evictions", "deposits", "lock", "_entries",
-    )
+    The result cache's LRU, storing ``(search_for_types, slcas)`` per
+    signature, with the search-for check on read and the empty-list
+    rule on deposit.
+    """
+
+    __slots__ = ("mismatches", "deposits")
 
     def __init__(self, maxsize=DEFAULT_SUBRESULT_CAPACITY):
-        if maxsize < 0:
-            raise ValueError(f"cache size must be >= 0, got {maxsize}")
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
+        super().__init__(maxsize)
         #: Lookups whose signature was present but filtered under
         #: different search-for types — unusable for this consumer.
         self.mismatches = 0
-        self.invalidations = 0
-        self.evictions = 0
         self.deposits = 0
-        self.lock = threading.RLock()
-        # signature -> (version, search_for_types, slcas tuple)
-        self._entries = OrderedDict()
-
-    @property
-    def enabled(self):
-        return self.maxsize > 0
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __contains__(self, signature):
-        return signature in self._entries
 
     # ------------------------------------------------------------------
+    def absent(self, signature):
+        """Whether no entry holds ``signature`` — counted as a miss.
+
+        The cheap first half of a lookup: a consumer that would have
+        to infer its search-for types before :meth:`get` can ask this
+        first, and an absent signature is then the request's one
+        counted miss.
+        """
+        with self.lock:
+            if signature in self._entries:
+                return False
+            self.misses += 1
+            return True
+
     def get(self, signature, version, search_for_types):
         """The deposited SLCA tuple, or ``None``.
 
@@ -89,23 +85,16 @@ class SubResultCache:
         use it.
         """
         with self.lock:
-            entry = self._entries.get(signature)
-            if entry is None:
-                self.misses += 1
-                return None
-            cached_version, cached_types, slcas = entry
-            if cached_version != version:
-                del self._entries[signature]
-                self.invalidations += 1
-                self.misses += 1
-                return None
-            if cached_types != search_for_types:
+            entry = self._fresh(signature, version)
+            if entry is not None and entry[0] != search_for_types:
                 self.mismatches += 1
+                entry = None
+            if entry is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(signature)
             self.hits += 1
-            return slcas
+            return entry[1]
 
     def put(self, signature, version, search_for_types, slcas):
         """Deposit a complete meaningful-SLCA list for a signature.
@@ -117,49 +106,14 @@ class SubResultCache:
         if not self.maxsize or not slcas:
             return
         with self.lock:
-            self._entries[signature] = (
-                version, tuple(search_for_types), tuple(slcas)
+            super().put(
+                signature, (tuple(search_for_types), tuple(slcas)), version
             )
-            self._entries.move_to_end(signature)
             self.deposits += 1
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def purge_other_versions(self, version):
-        """Drop entries from other index generations (swap/update path)."""
-        with self.lock:
-            stale = [
-                signature
-                for signature, (cached_version, _, _) in self._entries.items()
-                if cached_version != version
-            ]
-            for signature in stale:
-                del self._entries[signature]
-            self.invalidations += len(stale)
-            return len(stale)
-
-    def clear(self):
-        with self.lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self.invalidations += dropped
 
     def stats(self):
         with self.lock:
-            return {
-                "size": len(self._entries),
-                "maxsize": self.maxsize,
-                "hits": self.hits,
-                "misses": self.misses,
-                "mismatches": self.mismatches,
-                "invalidations": self.invalidations,
-                "evictions": self.evictions,
-                "deposits": self.deposits,
-            }
-
-    def __repr__(self):
-        return (
-            f"SubResultCache(size={len(self._entries)}/{self.maxsize}, "
-            f"hits={self.hits}, deposits={self.deposits})"
-        )
+            stats = super().stats()
+            stats["mismatches"] = self.mismatches
+            stats["deposits"] = self.deposits
+            return stats

@@ -8,13 +8,13 @@ random sampling does not:
 
 **Zipf term skew.**  Query popularity follows a power law
 (``zipf_s``): a small head dominates, a long tail trickles.  Ambiguous
-head queries dominating real logs is precisely the skew a
-frequency-aware cache exploits.
+head queries dominating real logs is precisely the skew a result
+cache exploits.
 
 **Temporal drift.**  Traffic comes in ``phases``; each phase draws its
 popularity ranking from a fresh permutation of the query universe, so
-yesterday's head is today's tail.  Drift is what separates a cache
-with frequency *aging* from one that trusts stale counts forever.
+yesterday's head is today's tail, and a cache must follow the new
+head rather than keep the old one.
 
 **Burst arrival.**  Inter-arrival gaps are Pareto (heavy-tailed,
 ``burst_alpha``), the standard self-similar traffic model: long quiet
@@ -173,8 +173,8 @@ def synthesize_traffic(
         ranking, so the hot head changes across phases.
     noise_share:
         Fraction of draws taken *uniformly* from the universe instead
-        of from the Zipf head — the one-hit-wonder noise floor that
-        separates frequency-gated admission from plain recency.
+        of from the Zipf head — the one-hit-wonder noise floor every
+        cache pays for.
     chain_probability:
         Probability that a corrupted-variant submission is followed,
         in the same session, by its clean intent (the rewrite).
@@ -377,10 +377,7 @@ def replay_traffic(
         latencies.sort()
         delta = {
             counter: result_after[counter] - result_before[counter]
-            for counter in (
-                "hits", "misses", "invalidations", "evictions",
-                "admission_rejects",
-            )
+            for counter in ("hits", "misses", "invalidations", "evictions")
         }
         lookups = delta["hits"] + delta["misses"]
         count = phase["end"] - phase["start"]

@@ -3,7 +3,8 @@
 ``encode_posting_payload`` and ``decode_payload`` run in C when the
 compiled kernels are active and as Python loops otherwise.  Held here:
 for random document-ordered columns the C encoder writes the Python
-encoder's bytes and the C decoder returns the Python decoder's arrays,
+encoder's bytes, from component tuples or from packed ``(flat, offs)``
+arrays, and the C decoder returns the Python decoder's arrays,
 a damaged payload fails with the same :class:`IndexingError` on both,
 a CRC-valid payload whose postings are not what an encoder writes — a
 shared prefix longer than the key before it, keys out of order — is
@@ -24,7 +25,11 @@ from hypothesis import strategies as st
 import repro.kernels.backend as backend_module
 from repro.errors import IndexingError
 from repro.index import InvertedList
-from repro.index.blocks import encode_posting_payload
+from repro.index.blocks import (
+    encode_posting_arrays,
+    encode_posting_payload,
+    pack_keys,
+)
 from repro.index.inverted import key_tuples
 from repro.kernels import ListColumns
 from repro.storage import encode_uvarint
@@ -96,6 +101,11 @@ def test_compiled_codec_is_the_python_codec(rows, types, data):
     )
     assert encoded[0] == encoded[1]
     payload = encoded[0][1]
+    # The update merges' entry over packed arrays writes the same bytes.
+    flat, offs = pack_keys(keys)
+    assert on_both_backends(
+        lambda: encode_posting_arrays("kw", flat, offs, tids, counts)
+    ) == encoded
 
     (compiled, pure) = on_both_backends(lambda: decoded(payload, type_table))
     assert compiled[1] == pure[1]

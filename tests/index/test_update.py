@@ -5,11 +5,15 @@ every statistic equals what a fresh one-pass build over the updated
 document would produce, and search behaves identically.
 """
 
+import hashlib
 import random
 
 import pytest
 
+import repro.index as index_module
+import repro.index.inverted as inverted_module
 from repro import XRefine
+from repro.datasets import generate_dblp
 from repro.errors import XMLError
 from repro.index import build_document_index
 from repro.xmltree import Dewey, parse, serialize
@@ -252,3 +256,45 @@ class TestRandomizedChurn:
         response = engine.search("skylne xml")
         assert response.needs_refinement
         assert response.best.rq.key == frozenset({"skyline", "xml"})
+
+
+class TestMergesOnArrays:
+    #: SHA-256 of the inverted store after the updates below, as the
+    #: merges wrote it when they went through key tuples.
+    STORE_DIGEST = (
+        "e05086caa408416eeb5b2279df4c266e9408597efe9ea045348ca8d1b4bbff76"
+    )
+
+    def test_updates_build_no_key_tuples_and_write_the_same_bytes(
+        self, monkeypatch
+    ):
+        """An append and two removals merge the touched lists as
+        ``(flat, offs, tids, counts)`` arrays, bisecting positions, and
+        store exactly the bytes the key-tuple merges stored."""
+        index = build_document_index(generate_dblp(num_authors=20, seed=3))
+        for keyword in list(index.inverted.keywords())[:50]:
+            index.inverted.get(keyword).arrays()
+        calls = []
+        real = inverted_module.key_tuples
+
+        def counting(flat, offs):
+            calls.append(len(offs) - 1)
+            return real(flat, offs)
+
+        monkeypatch.setattr(inverted_module, "key_tuples", counting)
+        index_module.append_partition(index, ("author", None, [
+            ("name", "zoe"),
+            ("publications", None, [
+                ("inproceedings", None,
+                 [("title", "xml keyword stream skyline")]),
+                ("article", None, [("title", "query refinement qzxnew")]),
+            ]),
+        ]))
+        index_module.remove_partition(index, Dewey((0, 3)))
+        index_module.remove_partition(index, Dewey((0, 7)))
+        assert calls == []
+        digest = hashlib.sha256()
+        for key, value in index.inverted._store.items():
+            digest.update(len(key).to_bytes(4, "little") + key)
+            digest.update(len(value).to_bytes(4, "little") + bytes(value))
+        assert digest.hexdigest() == self.STORE_DIGEST

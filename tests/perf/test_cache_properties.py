@@ -1,17 +1,17 @@
-"""Property tests: no interleaving of cache operations serves a wrong
-entry.
+"""Property test: the result cache is a plain LRU with version stamps.
 
-A model dict tracks, for every key, the exact ``(version, value)`` of
-its last ``put``.  Hypothesis drives random interleavings of ``put`` /
-``get`` / ``purge_other_versions`` over the W-TinyLFU cache (window +
-frequency-gated segmented main region + version stamps) and asserts the
-one contract all the machinery must preserve: a returned value is
-always the last one stored for that key, at the requested version.
-Returning ``None`` is always legal (eviction, admission rejection);
-returning anything stale never is.
+Hypothesis drives random interleavings of ``put`` / ``get`` / ``peek``
+/ ``purge_other_versions`` over :class:`QueryResultCache` and over a
+model built from a bare :class:`~collections.OrderedDict` — most recent
+last, a stale stamp dropped on read, the least recent entry evicted
+past capacity.  Every answer and every counter must match the model's
+exactly: the cache neither serves a superseded or stale value nor
+drops one the LRU would have kept.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +27,7 @@ operations = st.lists(
             st.integers(0, 2),       # version
         ),
         st.tuples(
-            st.just("get"),
+            st.sampled_from(["get", "peek"]),
             st.integers(0, 11),
             st.integers(0, 2),
         ),
@@ -38,63 +38,68 @@ operations = st.lists(
 )
 
 
+class ModelLRU:
+    """The reference: an ``OrderedDict`` of key -> (version, value)."""
+
+    def __init__(self, maxsize):
+        self.maxsize = maxsize
+        self.entries = OrderedDict()
+        self.hits = self.misses = self.invalidations = self.evictions = 0
+
+    def put(self, key, value, version):
+        self.entries[key] = (version, value)
+        self.entries.move_to_end(key)
+        if len(self.entries) > self.maxsize:
+            self.entries.popitem(last=False)
+            self.evictions += 1
+
+    def get(self, key, version):
+        entry = self.entries.get(key)
+        if entry is not None and entry[0] != version:
+            del self.entries[key]
+            self.invalidations += 1
+            entry = None
+        if entry is None:
+            self.misses += 1
+            return None
+        self.entries.move_to_end(key)
+        self.hits += 1
+        return entry[1]
+
+    def peek(self, key, version):
+        entry = self.entries.get(key)
+        return entry[1] if entry is not None and entry[0] == version else None
+
+    def purge(self, survivor):
+        stale = [k for k, (v, _) in self.entries.items() if v != survivor]
+        for key in stale:
+            del self.entries[key]
+        self.invalidations += len(stale)
+        return len(stale)
+
+
 @settings(max_examples=150, deadline=None)
 @given(ops=operations, maxsize=st.integers(1, 8))
 def test_interleavings_never_serve_stale(ops, maxsize):
     cache = QueryResultCache(maxsize=maxsize)
-    model = {}
+    model = ModelLRU(maxsize)
     for op in ops:
         if op[0] == "put":
             _, key, value, version = op
             cache.put(key, value, version)
-            model[key] = (version, value)
-        elif op[0] == "get":
+            model.put(key, value, version)
+        elif op[0] == "purge":
+            assert cache.purge_other_versions(op[1]) == model.purge(op[1])
+        else:
             _, key, version = op
-            served = cache.get(key, version)
-            if served is None:
-                continue
-            stored_version, stored_value = model[key]
-            assert served == stored_value, "served a superseded value"
-            assert stored_version == version, "served a stale version"
-        else:
-            survivor = op[1]
-            cache.purge_other_versions(survivor)
-            model = {
-                key: entry
-                for key, entry in model.items()
-                if entry[0] == survivor
-            }
-    # Closing sweep: whatever survived must still obey the contract.
-    for key, (version, value) in model.items():
-        served = cache.get(key, version)
-        if served is not None:
-            assert served == value
-
-
-@settings(max_examples=30, deadline=None)
-@given(ops=operations, hot=st.integers(1000, 1003))
-def test_admission_stays_live_after_any_history(ops, hot):
-    """After any operation history, a newly hot key wins admission.
-
-    The frequency sketch's halving must keep admission adaptive: no
-    matter what popularity history the interleaving built up, a key
-    requested persistently against background noise accumulates enough
-    estimated frequency to displace a victim — a sketch that saturated
-    or never aged would starve it forever.
-    """
-    cache = QueryResultCache(maxsize=8)
-    for op in ops:
-        if op[0] == "put":
-            cache.put(op[1], op[2], 0)
-        elif op[0] == "get":
-            cache.get(op[1], 0)
-        else:
-            cache.purge_other_versions(0)
-    for round_number in range(12 * cache.maxsize):
-        if cache.get(hot, 0) is None:
-            cache.put(hot, "payload", 0)
-        # One-hit-wonder noise competing for the same slots.
-        noise = ("noise", round_number)
-        cache.get(noise, 0)
-        cache.put(noise, round_number, 0)
-    assert cache.get(hot, 0) == "payload"
+            served = getattr(cache, op[0])(key, version)
+            assert served == getattr(model, op[0])(key, version)
+        assert list(cache._entries.items()) == list(model.entries.items())
+    assert cache.stats() == {
+        "size": len(model.entries),
+        "maxsize": maxsize,
+        "hits": model.hits,
+        "misses": model.misses,
+        "invalidations": model.invalidations,
+        "evictions": model.evictions,
+    }

@@ -87,6 +87,14 @@ class TestSubResultCache:
         assert cache.get(("b",), 1, self.TYPES) is not None
         assert len(cache) == 1
 
+    def test_absent_signature_counts_one_miss(self):
+        cache = SubResultCache(maxsize=8)
+        cache.put(("a",), 0, self.TYPES, ["0.1"])
+        assert cache.absent(("b",))
+        assert not cache.absent(("a",))  # present: get() counts it
+        assert cache.stats()["misses"] == 1
+        assert cache.stats()["hits"] == 0
+
     def test_zero_size_disables(self):
         cache = SubResultCache(maxsize=0)
         assert not cache.enabled
@@ -158,6 +166,30 @@ class TestEngineIntegration:
             cold.search(follow, k=2)
         )
 
+    def test_first_seen_query_counts_one_subresult_miss(
+        self, index, monkeypatch
+    ):
+        """Every result-cache miss the sub-result layer could answer is
+        counted as its hit or its miss, so hits / (hits + misses) is
+        the share of those misses answered by assembly.  An absent
+        signature is the miss, found before any query context is built
+        for it."""
+        import repro.core.engine as engine_module
+
+        built = []
+
+        class CountingContext(engine_module.QueryContext):
+            def __init__(self, *args, **kwargs):
+                built.append(args[1])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "QueryContext", CountingContext)
+        engine = XRefine(index)
+        engine.search(self.refinable_terms(index), k=2)
+        stats = engine.subresult_cache.stats()
+        assert (stats["hits"], stats["misses"]) == (0, 1)
+        assert built == []
+
     def test_subresult_size_zero_disables_assembly(self, index):
         engine = XRefine(index, subresult_size=0)
         engine.search(self.refinable_terms(index), k=2)
@@ -166,9 +198,9 @@ class TestEngineIntegration:
     def test_cache_stats_surface_every_layer(self, index):
         engine = XRefine(index)
         stats = engine.cache_stats()
-        assert "admission_rejects" in stats["results"]
+        # A constant the wire benchmark's /stats reader still expects.
+        assert stats["results"]["admission_rejects"] == 0
         assert "evictions" in stats["results"]
-        assert stats["results"]["policy"] == "tinylfu"
         assert set(stats["subresults"]) >= {
             "hits", "misses", "mismatches", "deposits", "evictions",
         }

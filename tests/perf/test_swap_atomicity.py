@@ -307,7 +307,7 @@ class TestCachedBodyProbe:
         def counted():
             stats = cache.stats()
             return (
-                stats["hits"], stats["misses"], stats["sketch"]["samples"]
+                stats["hits"], stats["misses"], stats["invalidations"]
             )
 
         # Nothing cached: the probe leaves every counter alone.
@@ -321,8 +321,8 @@ class TestCachedBodyProbe:
         # Rendered: exactly one counted lookup, a hit.
         response.wire_body = b"{}"
         assert engine.cached_body(terms, 2) == b"{}"
-        hits, misses, samples = after_search
-        assert counted() == (hits + 1, misses, samples + 1)
+        hits, misses, invalidations = after_search
+        assert counted() == (hits + 1, misses, invalidations)
         # A different k is a different entry.
         assert engine.cached_body(terms, 3) is None
 

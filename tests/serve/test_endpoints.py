@@ -524,7 +524,6 @@ def counters(stats):
     return {
         "lookups": results["hits"] + results["misses"],
         "hits": results["hits"],
-        "samples": results["sketch"]["samples"],
         "inline": stats["server"]["inline_hits"],
         "leaders": flights["leaders"],
         "coalesced": flights["coalesced"],
@@ -569,11 +568,8 @@ class TestInlineHits:
             for query in queries:
                 client.search(query, k=2)
             after = client.stats()
-        sketch = after["engine"]["results"]["sketch"]
-        assert sketch["samples"] < sketch["sample_limit"]  # no halving
         moved = delta(counters(before), counters(after))
         assert moved["lookups"] == len(queries)
-        assert moved["samples"] == len(queries)  # probe fed it once each
         assert moved["inline"] == 4  # every repeat
         assert (
             moved["inline"] + moved["leaders"] + moved["coalesced"]
