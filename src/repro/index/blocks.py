@@ -38,6 +38,7 @@ from itertools import accumulate, chain, islice
 
 from ..errors import IndexingError, KeyEncodingError
 from ..storage import decode_uvarint, encode_uvarint
+from ..xmltree.dewey import shared_prefix_length
 
 _CRC = struct.Struct("<I")
 
@@ -179,11 +180,7 @@ def _encode_python(keyword, keys, type_ids, counts, previous=()):
             raise IndexingError(
                 f"postings for {keyword!r} are not in document order"
             )
-        shared = 0
-        for a, b in zip(previous, components):
-            if a != b:
-                break
-            shared += 1
+        shared = shared_prefix_length(previous, components)
         body += encode_uvarint(shared)
         body += encode_uvarint(len(components) - shared)
         for part in components[shared:]:

@@ -1,4 +1,4 @@
-"""One-pass index construction (Section VII).
+"""Index construction (Section VII).
 
 :func:`build_document_index` walks the parsed tree once, in document
 order, and produces everything the search engine needs:
@@ -11,17 +11,24 @@ order, and produces everything the search engine needs:
 * the (lazy) co-occurrence table
   (:class:`~repro.index.cooccur.CooccurrenceTable`).
 
-``f_k^T`` counts *distinct* T-typed nodes containing ``k``.  Because a
-pre-order walk visits all nodes of one T-typed subtree contiguously,
-the pass (:func:`subtree_contribution`) needs only the last-counted
-T-ancestor per (keyword, type) — no per-subtree keyword sets — making
-it O(occurrences x depth).
+The walk (:func:`subtree_contribution`) only appends each node's
+postings to its keywords' ``(keys, node_types, counts)`` columns.  The
+frequent table then comes from each keyword's columns: ``tf(k, T)``
+sums the counts of the postings whose type extends ``T``, and
+``f_k^T`` — *distinct* T-typed nodes containing ``k`` — counts those
+postings whose key shares fewer than ``len(T)`` components with the
+key before it, the shared-prefix length the payload encoder writes
+(:func:`_keyword_statistics`).  That is one step per posting plus a few
+per ``(node_type, lcp, count)`` group, not one per occurrence and
+ancestor type.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 
+from ..xmltree.dewey import shared_prefix_length
 from .cooccur import CooccurrenceTable
 from .derived import DerivedState
 from .frequency import FrequencyTable
@@ -117,48 +124,67 @@ class DocumentIndex:
 def subtree_contribution(nodes):
     """What a document-ordered run of whole subtrees adds to the index.
 
-    The one per-node loop behind both the full build (every node of
-    the tree) and the incremental updates (one partition's nodes).
-    Returns ``(df, tf, postings, type_counts)``: ``f_k^T`` and
-    ``tf(k, T)`` per ``(keyword, node_type)`` pair, the posting columns
-    per keyword — ``(keys, node_types, counts)`` in document order, as
+    The one pass behind both the full build (every node of the tree)
+    and the incremental updates (one partition's nodes).  Returns
+    ``(df, tf, postings, type_counts)``: ``f_k^T`` and ``tf(k, T)`` per
+    ``(keyword, node_type)`` pair, the posting columns per keyword —
+    ``(keys, node_types, counts)`` in document order, as
     :meth:`~repro.index.inverted.InvertedIndex.add_postings` takes
     them — and the node count per type.
+
+    The node pass only fills the columns; both statistics then come
+    from each keyword's columns (:func:`_keyword_statistics`).
     """
-    df = Counter()
-    tf = Counter()
-    last_ancestor = {}  # (keyword, node_type) -> last counted ancestor
     postings = {}
     type_counts = Counter()
     for node in nodes:
         node_type = node.node_type
         type_counts[node_type] += 1
-        occurrences = Counter(node_keywords(node))
-        if not occurrences:
-            continue
-        components = node.dewey.components
-        prefixes = [
-            (node_type[:i], components[:i])
-            for i in range(1, len(node_type) + 1)
-        ]
-        for keyword, count in occurrences.items():
+        key = node.dewey.components
+        for keyword in node_keywords(node):
             columns = postings.get(keyword)
             if columns is None:
-                columns = postings[keyword] = ([], [], [])
-            columns[0].append(components)
-            columns[1].append(node_type)
-            columns[2].append(count)
-            for ancestor_type, ancestor_dewey in prefixes:
-                pair = (keyword, ancestor_type)
-                tf[pair] += count
-                if last_ancestor.get(pair) != ancestor_dewey:
-                    last_ancestor[pair] = ancestor_dewey
-                    df[pair] += 1
+                postings[keyword] = ([key], [node_type], [1])
+            elif columns[0][-1] is key:
+                # The keyword again, at the node it was last seen at.
+                columns[2][-1] += 1
+            else:
+                columns[0].append(key)
+                columns[1].append(node_type)
+                columns[2].append(1)
+    df = {}
+    tf = {}
+    for keyword, columns in postings.items():
+        _keyword_statistics(keyword, *columns, df, tf)
     return df, tf, postings, type_counts
 
 
+def _keyword_statistics(keyword, keys, node_types, counts, df, tf):
+    """Add one keyword's ``f_k^T`` and ``tf(k, T)`` to ``df`` and ``tf``.
+
+    Posting ``i`` lies in a T-typed ancestor iff ``T`` is a prefix of
+    its node type.  ``tf``: its count goes to every such ``T``.
+    ``f_k^T``: that ancestor is one no earlier posting lay in iff
+    ``len(T) > lcp(key[i - 1], key[i])`` (the first key is compared
+    with the empty one) — a pre-order visits a subtree contiguously, so
+    had an earlier posting lain in it, the one just before posting
+    ``i`` would too.  So the postings are counted per
+    ``(node_type, lcp, count)`` and each group is spread over the
+    type's prefixes at once.
+    """
+    shared = map(shared_prefix_length, chain(((),), keys), keys)
+    groups = Counter(zip(node_types, shared, counts))
+    for (node_type, lcp, count), size in groups.items():
+        occurrences = size * count
+        for depth in range(1, len(node_type) + 1):
+            pair = (keyword, node_type[:depth])
+            tf[pair] = tf.get(pair, 0) + occurrences
+            if depth > lcp:
+                df[pair] = df.get(pair, 0) + size
+
+
 def build_document_index(tree, eager_cooccurrence_types=None):
-    """Build the complete :class:`DocumentIndex` in one document-order pass.
+    """Build the complete :class:`DocumentIndex` from one document-order walk.
 
     Parameters
     ----------

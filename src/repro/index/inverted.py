@@ -234,6 +234,13 @@ class InvertedIndex:
             self._type_table.append(node_type)
         return type_id
 
+    def _type_id_column(self, node_types):
+        """The interned id of each node type in a column, each distinct
+        type interned once, in the order it first appears."""
+        ids = {node_type: self._intern_type(node_type)
+               for node_type in dict.fromkeys(node_types)}
+        return list(map(ids.__getitem__, node_types))
+
     @property
     def node_type_table(self):
         """All node types seen, indexed by their interned id."""
@@ -255,9 +262,9 @@ class InvertedIndex:
         its Dewey component tuple, its node type and its occurrence
         count.
         """
-        type_ids = [self._intern_type(node_type) for node_type in node_types]
-        self._put(keyword,
-                  encode_posting_payload(keyword, keys, type_ids, counts))
+        self._put(keyword, encode_posting_payload(
+            keyword, keys, self._type_id_column(node_types), counts
+        ))
 
     def append_postings(self, keyword, keys, node_types, counts):
         """Append postings that sort after every existing one.
@@ -271,7 +278,7 @@ class InvertedIndex:
             keyword,
             flat + new_flat,
             offs + array("q", [base + end for end in new_offs[1:]]),
-            array("q", chain(tids, map(self._intern_type, node_types))),
+            array("q", chain(tids, self._type_id_column(node_types))),
             array("q", chain(occurrences, counts)),
         ))
 

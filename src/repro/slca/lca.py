@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 
 from ..errors import QueryError
-from ..xmltree.dewey import Dewey
+from ..xmltree.dewey import Dewey, shared_prefix_length
 
 
 def label_components(labels):
@@ -54,20 +54,11 @@ def closest_match(sorted_components, target):
         return Dewey.from_trusted(right)
     if right is None:
         return Dewey.from_trusted(left)
-    left_depth = _shared_prefix_len(left, target_key)
-    right_depth = _shared_prefix_len(right, target_key)
+    left_depth = shared_prefix_length(left, target_key)
+    right_depth = shared_prefix_length(right, target_key)
     if left_depth >= right_depth:
         return Dewey.from_trusted(left)
     return Dewey.from_trusted(right)
-
-
-def _shared_prefix_len(a, b):
-    shared = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        shared += 1
-    return shared
 
 
 def merge_lists(lists):

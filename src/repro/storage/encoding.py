@@ -39,8 +39,14 @@ _TERMINATOR = b"\x00\x00"
 _ESCAPED_NUL = b"\x00\xff"
 
 
+#: The one-byte varints, 0 to 127: most values a snapshot writes.
+_ONE_BYTE_UVARINTS = tuple(bytes((value,)) for value in range(0x80))
+
+
 def encode_uvarint(value):
     """Encode a non-negative int as a LEB128 varint."""
+    if 0 <= value < 0x80:
+        return _ONE_BYTE_UVARINTS[value]
     if value < 0:
         raise KeyEncodingError(f"uvarint cannot encode negative {value}")
     out = bytearray()

@@ -88,10 +88,15 @@ class Dewey:
         return cls((0,))
 
     def child(self, ordinal):
-        """Label of this node's ``ordinal``-th child (0-based)."""
-        if ordinal < 0:
-            raise DeweyError(f"child ordinal must be >= 0, got {ordinal}")
-        return Dewey(self.components + (ordinal,))
+        """Label of this node's ``ordinal``-th child (0-based).
+
+        Only the ordinal is checked: this label's components already
+        were, when it was made.
+        """
+        if not isinstance(ordinal, int) or ordinal < 0:
+            raise DeweyError(f"child ordinal must be an int >= 0, got "
+                             f"{ordinal!r}")
+        return Dewey.from_trusted(self.components + (ordinal,))
 
     @property
     def parent(self):
@@ -124,12 +129,8 @@ class Dewey:
 
     def lca(self, other):
         """Lowest common ancestor: the longest common prefix."""
-        mine, theirs = self.components, other.components
-        shared = 0
-        for a, b in zip(mine, theirs):
-            if a != b:
-                break
-            shared += 1
+        mine = self.components
+        shared = shared_prefix_length(mine, other.components)
         if shared == 0:
             raise DeweyError(
                 f"labels {self} and {other} share no prefix; "
@@ -204,6 +205,17 @@ class Dewey:
 def _from_components(components):
     """Pickle helper: rebuild a label from its validated components."""
     return Dewey.from_trusted(components)
+
+
+def shared_prefix_length(a, b):
+    """How many leading components ``a`` and ``b`` share — the depth of
+    their LCA, for two labels' component sequences."""
+    shared = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        shared += 1
+    return shared
 
 
 def lca_of_all(labels):

@@ -116,9 +116,9 @@ class XMLTree:
     # Traversal
     # ------------------------------------------------------------------
     def iter_nodes(self):
-        """All nodes in document order."""
-        for components in self._ordered:
-            yield self._by_dewey[Dewey(components)]
+        """All nodes in document order: a pre-order walk, which visits
+        children in ordinal order, is the sorted order of the labels."""
+        return self.root.iter_subtree()
 
     def iter_subtree(self, dewey):
         """All nodes in the subtree rooted at ``dewey``, document order."""

@@ -1,29 +1,41 @@
-"""Cross-validation of the one-pass index builder against brute force.
+"""Cross-validation of the index builder against brute force.
 
 The builder computes ``f_k^T`` (distinct T-typed nodes containing k),
-``tf(k, T)``, ``N_T`` and ``G_T`` with a streaming trick; these tests
-recompute every statistic by brute-force subtree inspection on small
-documents (including randomized ones) and demand exact agreement.
+``tf(k, T)``, ``N_T`` and ``G_T`` from each keyword's posting columns;
+these tests recompute every statistic by brute-force subtree inspection
+on small documents (including generated ones) and demand exact
+agreement — for the whole document, and for one partition's nodes, the
+run the incremental updates hand the same pass.
 """
 
-import random
 from collections import Counter
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from repro.index import build_document_index, node_keywords
+from repro.index.builder import subtree_contribution
 from repro.xmltree import build_tree, parse
 
 
-def brute_stats(tree):
-    """(df, tf, n, g) maps computed the slow, obvious way."""
+def brute_stats(tree, run=None):
+    """(df, tf, n, g) maps computed the slow, obvious way.
+
+    ``run`` (a set of labels, default every node) restricts the
+    statistics to those nodes' keywords: a node outside it still counts
+    toward ``f_k^T`` and ``tf`` when its subtree holds run nodes.
+    """
     df = Counter()
     tf = Counter()
     n = Counter()
     vocab_per_type = {}
     for node in tree.iter_nodes():
-        n[node.node_type] += 1
+        if run is None or node.dewey in run:
+            n[node.node_type] += 1
         subtree_terms = []
         for descendant in tree.iter_subtree(node.dewey):
-            subtree_terms.extend(node_keywords(descendant))
+            if run is None or descendant.dewey in run:
+                subtree_terms.extend(node_keywords(descendant))
         counts = Counter(subtree_terms)
         for keyword, count in counts.items():
             df[(keyword, node.node_type)] += 1
@@ -84,6 +96,23 @@ class TestFigure1Statistics:
         assert figure1_index.xml_df("zebra", ("bib", "author")) == 0
 
 
+#: Few words and tags, so terms repeat within a node and across nodes,
+#: and one tag recurs at several depths (with the same and other paths).
+_TAGS = ("r", "s", "t")
+_TEXT = st.lists(
+    st.sampled_from(("ape", "bee", "cat") + _TAGS), max_size=4
+).map(" ".join)
+_LEAF = st.tuples(st.sampled_from(_TAGS), _TEXT)
+_SPECS = st.recursive(
+    _LEAF,
+    lambda children: st.tuples(
+        st.sampled_from(_TAGS), _TEXT, st.lists(children, min_size=1,
+                                                max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
 class TestBruteForceAgreement:
     def test_figure1(self, figure1_tree):
         assert_index_matches_brute(figure1_tree)
@@ -97,25 +126,39 @@ class TestBruteForceAgreement:
         )
         assert_index_matches_brute(tree)
 
-    def test_randomized_trees(self):
-        rng = random.Random(99)
-        words = ["ape", "bee", "cat", "dog", "elk"]
-        tags = ["r", "s", "t"]
+    @settings(max_examples=150, deadline=None)
+    @given(spec=_SPECS)
+    @example(spec=("r", ""))
+    @example(spec=("r", "ape ape r"))
+    @example(spec=("r", "", [("r", "r r", [("r", "r")]), ("s", "r")]))
+    def test_randomized_trees(self, spec):
+        assert_index_matches_brute(build_tree(spec))
 
-        def random_spec(depth):
-            tag = rng.choice(tags)
-            text = " ".join(
-                rng.choice(words) for _ in range(rng.randint(0, 3))
+    @settings(max_examples=150, deadline=None)
+    @given(spec=_SPECS)
+    @example(spec=("r", "", [("r", "r r", [("r", "r")]), ("s", "r")]))
+    def test_partition_contribution_matches_brute_force(self, spec):
+        """The update path: one partition's nodes, and nothing else."""
+        tree = build_tree(spec)
+        for partition in tree.partitions():
+            nodes = list(partition.iter_subtree())
+            df, tf, postings, type_counts = subtree_contribution(nodes)
+            expected_df, expected_tf, expected_n, _ = brute_stats(
+                tree, {node.dewey for node in nodes}
             )
-            if depth == 0 or rng.random() < 0.3:
-                return (tag, text or None)
-            children = [
-                random_spec(depth - 1) for _ in range(rng.randint(1, 3))
-            ]
-            return (tag, text or None, children)
-
-        for _ in range(15):
-            assert_index_matches_brute(build_tree(random_spec(3)))
+            assert df == expected_df
+            assert tf == expected_tf
+            assert type_counts == expected_n
+            expected_postings = {}
+            for node in nodes:
+                for keyword, count in Counter(node_keywords(node)).items():
+                    keys, node_types, counts = expected_postings.setdefault(
+                        keyword, ([], [], [])
+                    )
+                    keys.append(node.dewey.components)
+                    node_types.append(node.node_type)
+                    counts.append(count)
+            assert postings == expected_postings
 
 
 class TestInvertedLists:

@@ -75,6 +75,10 @@ class TestConstruction:
             Dewey.parse("0..1")
         with pytest.raises(DeweyError):
             Dewey((0,)).child(-1)
+        with pytest.raises(DeweyError):
+            Dewey((0,)).child(1.5)
+        with pytest.raises(DeweyError):
+            Dewey((0,)).child("1")
 
     def test_child_negative_rejected(self):
         with pytest.raises(DeweyError):
