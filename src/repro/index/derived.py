@@ -11,7 +11,7 @@ index and stems), the DP memos, and the rules memo's limit.
 
 from __future__ import annotations
 
-from ..lexicon.mining import RuleMiner
+from ..lexicon.mining import KEYWORD_RULES_LIMIT, RuleMiner
 from ..perf.lru import LRUMemo
 from ..perf.stats_cache import SearchForCache
 
@@ -108,9 +108,18 @@ class DerivedState:
         )
 
     def stats(self):
-        """``{size, limit, hits, misses, evictions}`` per bounded memo."""
+        """``{size, limit, hits, misses, evictions}`` per bounded memo.
+
+        ``keyword_rules`` is the miner's per-keyword memo; a miner not
+        built yet is not built for it, and counts as an empty memo.
+        """
+        miner = self._miner
         return {
             "rules": self.rules.stats(),
+            "keyword_rules": (
+                miner.keyword_rules if miner is not None
+                else LRUMemo(KEYWORD_RULES_LIMIT)
+            ).stats(),
             "dp": self.dp.stats(),
             "search_for": self.search_for.entries.stats(),
             "need": self.search_for.needs.stats(),

@@ -25,10 +25,24 @@ mining rules *relevant to a given query* from the corpus vocabulary
 Only rules whose RHS keywords all exist in the corpus are emitted —
 rules rewriting into absent keywords can never contribute a matching
 result, so carrying them would only widen ``KS`` for nothing.
+
+Only merging and acronym contraction read a keyword's neighbours.
+Every other rule a keyword gets depends on the keyword and the
+vocabulary alone, so a miner keeps them per keyword in a bounded LRU
+(:attr:`RuleMiner.keyword_rules`, :data:`KEYWORD_RULES_LIMIT` keywords):
+a query never seen before re-mines only the keywords that are new to
+the miner.  A miner's vocabulary never changes — an index update makes
+a new miner (:meth:`RuleMiner.updated`), which starts with an empty
+memo — so the memo needs no invalidation (the thesaurus and acronym
+table are fixed for a miner's life too).  The memo takes a lock, as a
+reload thread may warm a generation through the serving miner.
 """
 
 from __future__ import annotations
 
+import threading
+
+from ..perf.lru import LRUMemo
 from .acronyms import ACRONYM_SCORE, AcronymTable
 from .edit_distance import SpellingIndex
 from .rules import (
@@ -46,6 +60,10 @@ from .synonyms import Thesaurus
 DEFAULT_MAX_SPELLING = 3
 #: Minimum length of each fragment produced by a split rule.
 MIN_SPLIT_FRAGMENT = 2
+#: Distinct keywords whose own rules one miner keeps: room for the
+#: 1,170 keywords of the replay benchmark's 2,000-query universe, at
+#: about 0.3-0.5 KB each.
+KEYWORD_RULES_LIMIT = 2048
 
 
 class RuleMiner:
@@ -83,13 +101,19 @@ class RuleMiner:
         #: superset of words whose stems need no recomputing.
         self._stem_carry = None
         self._spelling = None
+        #: keyword -> (its split, spelling, synonym and acronym-expansion
+        #: rules, its stemming rules), both tuples in mining order.
+        self.keyword_rules = LRUMemo(KEYWORD_RULES_LIMIT)
+        self._keyword_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _stems(self):
         """Lazy ``(stem -> corpus words sharing it, word -> its stem)``:
         every vocabulary word is stemmed once per miner, or not at all
         when an earlier miner's carried map has it."""
-        if self._stem_groups is None:
+        # ``_stem_of`` is set last and tested first: a miner may be
+        # shared by two threads, and neither may see half the pair.
+        if self._stem_of is None:
             carried = self._stem_carry or {}
             groups = {}
             stem_of = {}
@@ -111,6 +135,8 @@ class RuleMiner:
         over (:meth:`SpellingIndex.updated`) rather than rebuilt, so a
         search after an index update pays no index build.  So are the
         stems it knows: the new miner stems only the words they lack.
+        Its per-keyword memo is not: spelling, split and synonym rules
+        read the vocabulary.
         """
         miner = RuleMiner(
             vocabulary,
@@ -176,26 +202,33 @@ class RuleMiner:
             if synonym in self.vocabulary:
                 yield substitution_rule(keyword, synonym, ds=score)
 
-    def acronym_rules_for(self, query, keyword):
-        """Acronym expansion of ``keyword`` and contraction of runs."""
+    def acronym_expansion_rules(self, keyword):
+        """Acronym expansion of ``keyword`` into corpus words."""
         expansion = self.acronyms.expand(keyword)
         if expansion is not None and self._in_corpus(expansion):
             yield acronym_rules(keyword, expansion, ds=ACRONYM_SCORE)[0]
-        # Contraction: a run of query keywords matching an expansion.
+
+    def acronym_contraction_rules(self, query):
+        """Contractions of runs of 2..3 adjacent query keywords into a
+        corpus acronym, grouped by the run's last keyword — each group
+        in (width, start) order."""
+        by_last = {}
         for width in (2, 3):
             for start in range(len(query) - width + 1):
                 run = tuple(query[start : start + width])
-                if run[-1] != keyword:
-                    continue
                 acronym = self.acronyms.contract(run)
                 if acronym is not None and acronym in self.vocabulary:
-                    yield acronym_rules(acronym, run, ds=ACRONYM_SCORE)[1]
+                    by_last.setdefault(run[-1], []).append(
+                        acronym_rules(acronym, run, ds=ACRONYM_SCORE)[1]
+                    )
+        return by_last
 
     def stemming_rules(self, keyword):
         """Substitutions into corpus words sharing the Porter stem.
 
         A vocabulary keyword's stem is one dict read; any other keyword
-        is stemmed per call, so nothing here grows with the traffic.
+        is stemmed per call, so nothing here grows with the traffic
+        (:meth:`mine` keeps the rules in its bounded per-keyword memo).
         """
         groups, stem_of = self._stems()
         keyword_stem = stem_of.get(keyword)
@@ -205,20 +238,42 @@ class RuleMiner:
             if word != keyword:
                 yield substitution_rule(keyword, word, ds=1)
 
+    def _keyword_parts(self, keyword):
+        """``keyword``'s own rules, mined on the first call: ``(split,
+        spelling, synonym and acronym-expansion rules, stemming
+        rules)``."""
+        with self._keyword_lock:
+            parts = self.keyword_rules.lookup(keyword)
+        if parts is None:
+            parts = (
+                (
+                    *self.split_rules(keyword),
+                    *self.spelling_rules(keyword),
+                    *self.synonym_rules(keyword),
+                    *self.acronym_expansion_rules(keyword),
+                ),
+                tuple(self.stemming_rules(keyword)),
+            )
+            with self._keyword_lock:
+                self.keyword_rules.store(keyword, parts)
+        return parts
+
     # ------------------------------------------------------------------
     def mine(self, query):
         """The pertinent :class:`RuleSet` for one keyword query.
 
         ``query`` is a sequence of normalized keywords (order matters
-        for merging/contraction rules).
+        for merging/contraction rules).  The rules come in one order:
+        the merges, then per keyword its own rules, the contractions
+        of runs ending with it, and its stemming rules.
         """
         query = list(query)
         rule_set = RuleSet(deletion_cost=self.deletion_cost)
         rule_set.extend(self.merging_rules(query))
+        contractions = self.acronym_contraction_rules(query)
         for keyword in query:
-            rule_set.extend(self.split_rules(keyword))
-            rule_set.extend(self.spelling_rules(keyword))
-            rule_set.extend(self.synonym_rules(keyword))
-            rule_set.extend(self.acronym_rules_for(query, keyword))
-            rule_set.extend(self.stemming_rules(keyword))
+            own, stemming = self._keyword_parts(keyword)
+            rule_set.extend(own)
+            rule_set.extend(contractions.get(keyword, ()))
+            rule_set.extend(stemming)
         return rule_set

@@ -119,14 +119,17 @@ class RuleSet:
             raise RuleError("deletion cost must be positive")
         self.deletion_cost = deletion_cost
         self._rules = []
+        #: The rules held, for the duplicate test.
+        self._seen = set()
         self._by_last_lhs = {}
         for rule in rules:
             self.add(rule)
 
     def add(self, rule):
         """Add one rule (duplicates are ignored)."""
-        if rule in self._rules:
+        if rule in self._seen:
             return
+        self._seen.add(rule)
         self._rules.append(rule)
         self._by_last_lhs.setdefault(rule.lhs[-1], []).append(rule)
 

@@ -47,11 +47,16 @@ class SearchForCandidate:
         )
 
 
+def _formula1(total_df, node_type, reduction):
+    return math.log(1 + total_df) * reduction ** len(node_type)
+
+
 def confidence(index, node_type, keywords, reduction=DEFAULT_REDUCTION):
     """Formula 1 for one node type."""
-    total_df = sum(index.xml_df(k, node_type) for k in keywords)
-    depth = len(node_type)
-    return math.log(1 + total_df) * reduction ** depth
+    return _formula1(
+        sum(index.xml_df(k, node_type) for k in keywords), node_type,
+        reduction,
+    )
 
 
 def infer_search_for(
@@ -70,16 +75,26 @@ def infer_search_for(
 
     Returns a list of :class:`SearchForCandidate`, best first; empty
     when no query keyword occurs in the document at all.
+
+    A type no keyword occurs under scores ``ln(1) = 0`` and is never
+    kept, so only the types of the keywords' frequency rows
+    (:meth:`~repro.index.frequency.FrequencyTable.types_for`) are
+    scored, each ``f_k^T`` summed in keyword order.
     """
     keywords = list(keywords)
     if not keywords:
         raise QueryError("cannot infer a search-for node for an empty query")
     root_type = index.tree.root.node_type
+    statistics = index.statistics
+    totals = {}
+    for keyword in keywords:
+        for node_type, df, _ in index.frequency.types_for(keyword):
+            totals[node_type] = totals.get(node_type, 0) + df
     scored = []
-    for node_type, stats in index.statistics.items():
-        if node_type == root_type:
+    for node_type, total_df in totals.items():
+        if node_type == root_type or node_type not in statistics:
             continue
-        score = confidence(index, node_type, keywords, reduction)
+        score = _formula1(total_df, node_type, reduction)
         if score > 0.0:
             scored.append(SearchForCandidate(node_type, score))
     if not scored:

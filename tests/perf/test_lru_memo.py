@@ -1,4 +1,5 @@
-"""The one bounded LRU behind the rules, DP, search-for and need memos.
+"""The one bounded LRU behind the rules, keyword-rules, DP, search-for
+and need memos.
 
 A hit makes its key the most recent and a put past the limit evicts
 the least recent key, so a hot key survives any number of new ones
@@ -12,7 +13,8 @@ from repro import XRefine, build_document_index
 from repro.datasets import generate_dblp
 from repro.index import append_partition
 from repro.index.derived import DP_LIMIT, RULES_LIMIT, DerivedState
-from repro.lexicon import RuleSet
+from repro.lexicon import RuleMiner, RuleSet
+from repro.lexicon.mining import KEYWORD_RULES_LIMIT
 from repro.perf import LRUMemo
 from repro.perf.stats_cache import DEFAULT_CAPACITY
 
@@ -96,7 +98,15 @@ def test_every_traffic_keyed_memo_is_the_one_class():
         "rules": RULES_LIMIT, "dp": DP_LIMIT,
         "search_for": DEFAULT_CAPACITY, "need": DEFAULT_CAPACITY,
     }
-    assert set(derived.stats()) == set(memos)
+    # The miner's per-keyword memo, reported before any miner exists
+    # (this holder has no index to build one from) as an empty one.
+    assert type(RuleMiner(()).keyword_rules) is LRUMemo
+    stats = derived.stats()
+    assert set(stats) == set(memos) | {"keyword_rules"}
+    assert stats["keyword_rules"] == {
+        "size": 0, "limit": KEYWORD_RULES_LIMIT,
+        "hits": 0, "misses": 0, "evictions": 0,
+    }
 
 
 def test_rules_memo_size_follows_updates_and_swaps():

@@ -5,8 +5,9 @@ out-of-vocabulary terms are normal input.  The census runs N searches,
 each one fixed vocabulary word plus one new absent keyword, over a
 frozen snapshot, and counts the entries of every memo a request can
 key: the index's list cache and frequency memo, the co-occurrence
-counts, the score memo, the rules memo, the DP memos, the search-for
-memo, and the result and sub-result caches.  Each must be within its
+counts, the score memo, the rules memo, the miner's per-keyword memo,
+the DP memos, the search-for memo, and the result and sub-result
+caches.  Each must be within its
 bound, and N = 1,000 and N = 5,000 must leave the same sizes: a memo
 that grows with the traffic rather than the snapshot shows as a
 difference.  Nothing here is timed.
@@ -28,6 +29,7 @@ import tracemalloc
 
 import pytest
 
+import repro.lexicon.mining as mining_module
 from repro import XRefine, build_document_index
 from repro.datasets import generate_dblp
 from repro.index import freeze_index, load_frozen_index
@@ -43,6 +45,9 @@ POOL_SIZE = 200
 #: The rules memo's default bound (1,024) exceeds the smaller N, so the
 #: census engine gets a smaller one: both runs then fill it.
 RULES_BOUND = 512
+#: The same for the miner's per-keyword memo (default 2,048), which has
+#: no constructor argument: the census lowers its module constant.
+KEYWORD_RULES_BOUND = 512
 FIXED_WORD = "xml"
 
 
@@ -94,6 +99,7 @@ def census(snapshot, searches):
             name: (memos[key]["size"], memos[key]["limit"])
             for name, key in (
                 ("rules memo", "rules"),
+                ("keyword rules memo", "keyword_rules"),
                 ("DP memos", "dp"),
                 ("search-for memo", "search_for"),
                 ("search-for need columns", "need"),
@@ -109,15 +115,18 @@ def census(snapshot, searches):
     return sizes
 
 
-def test_memos_are_bounded_by_the_snapshot(snapshot):
+def test_memos_are_bounded_by_the_snapshot(snapshot, monkeypatch):
+    monkeypatch.setattr(
+        mining_module, "KEYWORD_RULES_LIMIT", KEYWORD_RULES_BOUND
+    )
     few = census(snapshot, 1_000)
     many = census(snapshot, 5_000)
     assert [
         many[name][1] for name in (
-            "rules memo", "DP memos", "search-for memo",
-            "search-for need columns",
+            "rules memo", "keyword rules memo", "DP memos",
+            "search-for memo", "search-for need columns",
         )
-    ] == [RULES_BOUND, 512, 1024, 1024]
+    ] == [RULES_BOUND, KEYWORD_RULES_BOUND, 512, 1024, 1024]
     for name, (size, bound) in many.items():
         assert size <= bound, (name, size, bound)
     assert {name: size for name, (size, _) in few.items()} == {
