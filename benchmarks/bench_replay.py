@@ -84,7 +84,6 @@ FULL = {
     "noise_share": 0.25,
     "chain_probability": 0.5,
     "capacity": 512,
-    "rules_memo": 8192,
     "k": 1,
     "oracle_samples": 200,
 }
@@ -100,7 +99,6 @@ SMOKE = {
     "noise_share": 0.25,
     "chain_probability": 0.5,
     "capacity": 512,
-    "rules_memo": 8192,
     "k": 1,
     "oracle_samples": 100,
 }
@@ -112,12 +110,12 @@ def build_engine(index, config, subresults):
         index,
         cache_size=config["capacity"],
         subresult_size=None if subresults else 0,
-        rules_memo_size=config["rules_memo"],
     )
 
 
 def prime_rules(engine, traffic):
-    """Mine every unique query's rule set once, off the clock.
+    """Mine every unique query's rule set once, off the clock, which
+    fills the miner's per-keyword memo.
 
     First contact with a vocabulary pays rule mining — a cost both
     configurations share and neither cache can help with.  Priming it

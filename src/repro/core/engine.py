@@ -69,6 +69,11 @@ def _validate_k(k):
 class XRefine:
     """The automatic XML keyword query refinement engine.
 
+    Rules are mined by the index version's miner,
+    ``index.derived.miner``, which follows every partition
+    append/removal and snapshot swap; :meth:`search` also takes a
+    hand-written rule set.
+
     Parameters
     ----------
     index:
@@ -78,11 +83,6 @@ class XRefine:
         Its parameters are part of every result-cache key and are read
         once per model object — assign a new model rather than mutating
         one an engine already holds.
-    miner:
-        Rule miner; by default the index version's own
-        (``index.derived.miner``), which follows every partition
-        append/removal and snapshot swap.  A caller-supplied miner is
-        never replaced and its rule sets are not memoized.
     cache_size:
         Capacity of the query-result cache
         (:class:`~repro.perf.result_cache.QueryResultCache`); ``0``
@@ -96,35 +96,18 @@ class XRefine:
         lists.  ``None`` (default) ties it to result caching: the
         default capacity when ``cache_size > 0``, disabled otherwise;
         ``0`` disables it explicitly.
-    rules_memo_size:
-        Distinct queries whose auto-mined rule sets stay memoized
-        (LRU) in the index's holder; ``None`` keeps its default.  The
-        limit follows the engine across updates and swaps.  Size it at
-        or above the distinct-query working set when replaying large
-        logs — re-mining is the dominant repeated-miss cost.
     """
 
     #: Always ``None``: ``benchmarks/e2e/layers.py`` passes it to
     #: ``QueryPlanner(packed=...)``, which reads nothing from it.
     packed = None
 
-    def __init__(self, index, model=None, miner=None,
-                 cache_size=DEFAULT_CAPACITY, subresult_size=None,
-                 rules_memo_size=None):
+    def __init__(self, index, model=None, cache_size=DEFAULT_CAPACITY,
+                 subresult_size=None):
         self.index = index
         self.model = model if model is not None else full_model()
         self._model_key_memo = (None, None)
-        #: The caller's miner; ``None`` serves the index version's own.
-        self._miner = miner
-        if rules_memo_size is not None and rules_memo_size < 1:
-            raise ValueError(
-                f"rules_memo_size must be >= 1, got {rules_memo_size}"
-            )
-        if miner is None:
-            derived = index.derived
-            derived.miner  # reads the vocabulary now, not on a first query
-            if rules_memo_size is not None:
-                derived.rules.limit = rules_memo_size
+        index.derived.miner  # reads the vocabulary now, not on a first query
         #: Complete-answer cache (repro.perf.result_cache).
         self.result_cache = QueryResultCache(cache_size)
         #: Term-signature sub-result cache (repro.perf.subresult); tied
@@ -142,23 +125,23 @@ class XRefine:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def from_tree(cls, tree, model=None, miner=None):
+    def from_tree(cls, tree, model=None):
         """Build the engine (and all indexes) from a parsed tree."""
-        return cls(build_document_index(tree), model=model, miner=miner)
+        return cls(build_document_index(tree), model=model)
 
     @classmethod
-    def from_xml(cls, text, model=None, miner=None):
+    def from_xml(cls, text, model=None):
         """Build the engine from an XML document string."""
-        return cls.from_tree(parse(text), model=model, miner=miner)
+        return cls.from_tree(parse(text), model=model)
 
     @classmethod
-    def from_file(cls, path, model=None, miner=None):
+    def from_file(cls, path, model=None):
         """Build the engine from an XML file."""
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_xml(handle.read(), model=model, miner=miner)
+            return cls.from_xml(handle.read(), model=model)
 
     @classmethod
-    def from_frozen(cls, path, model=None, miner=None, **kwargs):
+    def from_frozen(cls, path, model=None, **kwargs):
         """Serve a frozen snapshot file (see :mod:`repro.index.frozen`).
 
         Posting lists stay on the memory-mapped snapshot and decode
@@ -167,16 +150,14 @@ class XRefine:
         """
         from ..index.frozen import load_frozen_index
 
-        return cls(load_frozen_index(path), model=model, miner=miner, **kwargs)
+        return cls(load_frozen_index(path), model=model, **kwargs)
 
     # ------------------------------------------------------------------
     # Hot-path plumbing (repro.perf)
     # ------------------------------------------------------------------
     @property
     def miner(self):
-        """The rule miner: the caller's, or the index version's own."""
-        if self._miner is not None:
-            return self._miner
+        """The index version's rule miner."""
         return self.index.derived.miner
 
     def _model_key(self):
@@ -229,8 +210,9 @@ class XRefine:
             #: reads it from ``/stats``.
             "results": {**self.result_cache.stats(), "admission_rejects": 0},
             "subresults": self.subresult_cache.stats(),
-            #: size / limit / hits / misses / evictions of the rules,
-            #: DP, search-for and need-column memos of the index version.
+            #: size / limit / hits / misses / evictions of the keyword-
+            #: rules, DP, search-for and need-column memos of the index
+            #: version.
             "memos": self.index.derived.stats(),
             "index_version": getattr(self.index, "version", 0),
             #: Document partitions resident as node objects.  Refinement
@@ -259,42 +241,36 @@ class XRefine:
     # ------------------------------------------------------------------
     # Snapshot hot-swap (repro.serve)
     # ------------------------------------------------------------------
-    def prepare_swap(self, new_index, queries=(), seed=None):
+    def prepare_swap(self, new_index, queries=()):
         """Warm a generation about to swap in for a set of hot queries.
 
         The optional slow companion of :meth:`swap_index`.  The first
         post-flip occurrence of every query pays the new generation's
-        cold costs on the serving thread — mining its rule set against
-        the fresh vocabulary (tens of milliseconds), decoding its
+        cold costs on the serving thread — a miner over the fresh
+        vocabulary (its stems, and a spelling index when the carried
+        one is too far out of date: 10–20 ms on the bundled corpora),
+        mining the rules of keywords that miner has not seen, decoding
         posting lists, and inferring the search-for statistics.  Run
         this on a background thread while the old generation keeps
         serving: it fills ``new_index.derived`` (not yet shared with
-        the serving path), which the flip then serves from.  Call it
-        again to warm more queries; returns how many of ``queries``
-        were warmed.
-
-        ``seed`` is an optional earlier generation's miner (it holds no
-        index): when it was built over exactly ``new_index``'s
-        vocabulary — mining depends on nothing else — it is adopted
-        instead of building a miner and its spelling index again.  A
-        seed whose vocabulary differs is ignored.
+        the serving path), which the flip then serves from.  Its miner
+        is the serving one updated
+        (:meth:`~repro.lexicon.mining.RuleMiner.updated`), as on an
+        unprepared swap.  Call it again to warm more queries; returns
+        how many of ``queries`` were warmed.
         """
-        if self._miner is not None:
-            mine = self._miner.mine
-        else:
-            derived = new_index.derived
-            if seed is not None:
-                derived.adopt(seed)
-            # Built here, on the reload thread, so the first post-flip
-            # misspelling pays no index build.
-            derived.miner.spelling_index()
-            mine = derived.mine
+        derived = new_index.derived
+        derived.inherit(self.index.derived)
+        miner = derived.miner
+        # Built here, on the reload thread, so the first post-flip
+        # misspelling pays no index build.
+        miner.spelling_index()
         warmed = 0
         for query in queries:
             terms = tuple(query_terms(query))
             if not terms:
                 continue
-            rules = mine(terms)
+            rules = miner.mine(terms)
             try:
                 # Opens the keyword space's lists (memoized on
                 # new_index) and fills its search-for memo.
@@ -328,9 +304,9 @@ class XRefine:
           respect to every concurrent stamp check-and-return.
         * Everything derived from the old index stays in its holder;
           the engine serves ``new_index.derived``, filled by
-          :meth:`prepare_swap` or, with no warm-up, built on use from
-          the old miner (:meth:`~repro.lexicon.mining.RuleMiner.updated`).
-          The rules memo's limit carries over.
+          :meth:`prepare_swap` or, with no warm-up, built on use.
+          Either way its miner is the old one updated
+          (:meth:`~repro.lexicon.mining.RuleMiner.updated`).
 
         The caller must ensure no query is *executing* on this engine
         during the flip (the daemon runs it on its single query thread,
@@ -356,17 +332,11 @@ class XRefine:
     # Search
     # ------------------------------------------------------------------
     def mine_rules(self, query):
-        """The pertinent rule set for a query (terms are normalized).
-
-        Mining is deterministic for a fixed miner, so auto-mined rule
-        sets are memoized per query in the index version's holder.
-        Treat the returned :class:`~repro.lexicon.rules.RuleSet` as
-        read-only.
-        """
-        terms = tuple(query_terms(query))
-        if self._miner is not None:
-            return self._miner.mine(terms)
-        return self.index.derived.mine(terms)
+        """The pertinent rule set for a query (terms are normalized),
+        mined by the index version's miner, which keeps each keyword's
+        own rules (:attr:`~repro.lexicon.mining.RuleMiner.keyword_rules`)
+        and mines only the merges and contractions per query."""
+        return self.index.derived.miner.mine(tuple(query_terms(query)))
 
     def search(self, query, k=1, algorithm="auto", rules=None,
                rank_results=False, explain=False):

@@ -60,10 +60,6 @@ class DocumentIndex:
         return self._derived
 
     @property
-    def search_for_cache(self):
-        return self.derived.search_for
-
-    @property
     def score_memo(self):
         return self.derived.score_memo
 

@@ -1,22 +1,21 @@
 """Everything derived from one index version, in one holder.
 
 ``index.derived`` is a :class:`DerivedState`, built on first use: the
-auto rule miner, the rules memo, the refinement-DP memos, the
-search-for memo (with its need columns) and the ranking model's score
-memo.  An index update replaces it with :meth:`DerivedState.updated`,
-which keeps only what does not depend on the version: the miner,
-through :meth:`~repro.lexicon.mining.RuleMiner.updated` (spelling
-index and stems), the DP memos, and the rules memo's limit.
+rule miner, the refinement-DP memos, the search-for memo (with its need
+columns) and the ranking model's score memo.  A new version gets its
+miner one way: from the version before it, through
+:meth:`~repro.lexicon.mining.RuleMiner.updated`, which keeps the
+spelling index and the stems.  An index update replaces the holder with
+:meth:`DerivedState.updated`, which also keeps the DP memos; a swapped-in
+index takes the serving miner through :meth:`DerivedState.inherit`.
 """
 
 from __future__ import annotations
 
-from ..lexicon.mining import KEYWORD_RULES_LIMIT, RuleMiner
+from ..lexicon.mining import KEYWORD_MEMO_LIMIT, RuleMiner
 from ..perf.lru import LRUMemo
 from ..perf.stats_cache import SearchForCache
 
-#: Distinct queries whose auto-mined rule sets are kept.
-RULES_LIMIT = 1024
 #: Distinct ``(terms, rules, capacity)`` DP memo identities kept.
 DP_LIMIT = 512
 
@@ -24,16 +23,14 @@ DP_LIMIT = 512
 class DerivedState:
     """The miner and memos of one index version."""
 
-    __slots__ = ("_index", "_miner", "_carry", "rules", "dp", "search_for",
+    __slots__ = ("_index", "_miner", "_carry", "dp", "search_for",
                  "score_memo")
 
-    def __init__(self, index, carry=None, rules_limit=RULES_LIMIT, dp=None):
+    def __init__(self, index, carry=None, dp=None):
         self._index = index
         self._miner = None
         #: An earlier version's miner, updated on first use.
         self._carry = carry
-        #: Query terms -> the auto miner's RuleSet.
-        self.rules = LRUMemo(rules_limit)
         #: (terms, rules.fingerprint(), capacity) -> DP memos.
         self.dp = dp if dp is not None else LRUMemo(DP_LIMIT)
         self.search_for = SearchForCache(index)
@@ -42,7 +39,7 @@ class DerivedState:
 
     @property
     def miner(self):
-        """The auto :class:`~repro.lexicon.mining.RuleMiner` over this
+        """The :class:`~repro.lexicon.mining.RuleMiner` over this
         version's vocabulary."""
         if self._miner is None:
             keywords = self._index.inverted.keywords()
@@ -54,29 +51,10 @@ class DerivedState:
             self._carry = None
         return self._miner
 
-    def adopt(self, miner):
-        """Serve ``miner`` if none is built yet and its vocabulary is
-        exactly this version's (mining reads nothing else)."""
-        if self._miner is None and miner.vocabulary == set(
-            self._index.inverted.keywords()
-        ):
-            self._miner = miner
-            self._carry = None
-
     def inherit(self, older):
-        """After a swap: ``older``'s rules limit and, if no miner is
-        built yet, its miner to update."""
-        self.rules.limit = older.rules.limit
+        """Take ``older``'s miner to update, if no miner is built yet."""
         if self._miner is None:
             self._carry = older._miner or older._carry
-
-    def mine(self, terms):
-        """The auto miner's rule set for ``terms``, memoized."""
-        rules = self.rules.lookup(terms)
-        if rules is None:
-            rules = self.miner.mine(terms)
-            self.rules.store(terms, rules)
-        return rules
 
     def dp_memos(self, terms, rules, capacity):
         """``(probe_memo, beam_memo, witness_memo)`` for one identity.
@@ -101,10 +79,7 @@ class DerivedState:
     def updated(self, index):
         """The holder for ``index``'s next version."""
         return DerivedState(
-            index,
-            carry=self._miner or self._carry,
-            rules_limit=self.rules.limit,
-            dp=self.dp,
+            index, carry=self._miner or self._carry, dp=self.dp
         )
 
     def stats(self):
@@ -115,10 +90,9 @@ class DerivedState:
         """
         miner = self._miner
         return {
-            "rules": self.rules.stats(),
             "keyword_rules": (
                 miner.keyword_rules if miner is not None
-                else LRUMemo(KEYWORD_RULES_LIMIT)
+                else LRUMemo(KEYWORD_MEMO_LIMIT)
             ).stats(),
             "dp": self.dp.stats(),
             "search_for": self.search_for.entries.stats(),

@@ -35,6 +35,9 @@ class AcronymTable:
     def __init__(self, table=None):
         self._expansions = {}
         self._contractions = {}
+        #: The last word of every expansion: a run of words ending in
+        #: any other word contracts to nothing.
+        self.last_words = set()
         for acronym, expansion in (
             table if table is not None else DEFAULT_ACRONYMS
         ).items():
@@ -46,6 +49,7 @@ class AcronymTable:
         expansion = tuple(word.lower() for word in expansion)
         self._expansions[acronym] = expansion
         self._contractions[expansion] = acronym
+        self.last_words.add(expansion[-1])
 
     def expand(self, acronym):
         """Expansion tuple for an acronym, or ``None``."""

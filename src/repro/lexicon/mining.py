@@ -29,13 +29,14 @@ result, so carrying them would only widen ``KS`` for nothing.
 Only merging and acronym contraction read a keyword's neighbours.
 Every other rule a keyword gets depends on the keyword and the
 vocabulary alone, so a miner keeps them per keyword in a bounded LRU
-(:attr:`RuleMiner.keyword_rules`, :data:`KEYWORD_RULES_LIMIT` keywords):
+(:attr:`RuleMiner.keyword_rules`, :data:`KEYWORD_MEMO_LIMIT` keywords):
 a query never seen before re-mines only the keywords that are new to
 the miner.  A miner's vocabulary never changes — an index update makes
 a new miner (:meth:`RuleMiner.updated`), which starts with an empty
 memo — so the memo needs no invalidation (the thesaurus and acronym
-table are fixed for a miner's life too).  The memo takes a lock, as a
-reload thread may warm a generation through the serving miner.
+table are fixed for a miner's life too).  The memo takes a lock, as
+every engine over one index version mines through that version's one
+miner, from whatever thread calls it.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ MIN_SPLIT_FRAGMENT = 2
 #: Distinct keywords whose own rules one miner keeps: room for the
 #: 1,170 keywords of the replay benchmark's 2,000-query universe, at
 #: about 0.3-0.5 KB each.
-KEYWORD_RULES_LIMIT = 2048
+KEYWORD_MEMO_LIMIT = 2048
 
 
 class RuleMiner:
@@ -103,7 +104,7 @@ class RuleMiner:
         self._spelling = None
         #: keyword -> (its split, spelling, synonym and acronym-expansion
         #: rules, its stemming rules), both tuples in mining order.
-        self.keyword_rules = LRUMemo(KEYWORD_RULES_LIMIT)
+        self.keyword_rules = LRUMemo(KEYWORD_MEMO_LIMIT)
         self._keyword_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -213,8 +214,11 @@ class RuleMiner:
         corpus acronym, grouped by the run's last keyword — each group
         in (width, start) order."""
         by_last = {}
+        last_words = self.acronyms.last_words
         for width in (2, 3):
             for start in range(len(query) - width + 1):
+                if query[start + width - 1].lower() not in last_words:
+                    continue
                 run = tuple(query[start : start + width])
                 acronym = self.acronyms.contract(run)
                 if acronym is not None and acronym in self.vocabulary:
@@ -268,12 +272,11 @@ class RuleMiner:
         of runs ending with it, and its stemming rules.
         """
         query = list(query)
-        rule_set = RuleSet(deletion_cost=self.deletion_cost)
-        rule_set.extend(self.merging_rules(query))
+        rules = list(self.merging_rules(query))
         contractions = self.acronym_contraction_rules(query)
         for keyword in query:
             own, stemming = self._keyword_parts(keyword)
-            rule_set.extend(own)
-            rule_set.extend(contractions.get(keyword, ()))
-            rule_set.extend(stemming)
-        return rule_set
+            rules += own
+            rules += contractions.get(keyword, ())
+            rules += stemming
+        return RuleSet(rules, deletion_cost=self.deletion_cost)

@@ -1,10 +1,10 @@
 """The bounded LRU behind every traffic-keyed memo.
 
-The rules memo, the miner's per-keyword memo, the refinement-DP memos,
-the search-for memo and its need columns are keyed by what requests
-bring, so each is bounded the same way and counts the same way:
-``/stats`` can tell a re-mining miss from a DP miss.  The class takes no
-lock: a memo two threads can reach is guarded by its owner.
+The miner's per-keyword memo, the refinement-DP memos, the search-for
+memo and its need columns are keyed by what requests bring, so each is
+bounded the same way and counts the same way: ``/stats`` can tell a
+re-mining miss from a DP miss.  The class takes no lock: a memo two
+threads can reach is guarded by its owner.
 """
 
 from __future__ import annotations

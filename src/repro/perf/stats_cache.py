@@ -1,13 +1,12 @@
 """Memoized search-for inference (Formula 1) for the serving hot path.
 
 Every query — refinement or plain SLCA — starts by inferring the
-search-for node types: one pass over *all* node types, each scoring a
-``f_k^T`` store lookup per query keyword.  Distinct queries over the
-same keyword multiset (the common case in a skewed log, and every
-candidate evaluation inside one query) repeat that work verbatim, so
-:class:`SearchForCache` memoizes :func:`repro.slca.meaningful.\
-infer_search_for` keyed on the keyword multiset plus the formula's
-parameters.
+search-for node types: it sums the ``f_k^T`` rows of its keywords and
+scores each node type they reach.  Distinct queries over the same
+keyword multiset (the common case in a skewed log) repeat that work
+verbatim, so :class:`SearchForCache` memoizes
+:func:`repro.slca.meaningful.infer_search_for` keyed on the keyword
+multiset; each :class:`~repro.core.common.QueryContext` reads it once.
 
 It also memoizes the Definition 3.3 ``need`` column each query derives
 from its search-for types (:meth:`SearchForCache.need`).
@@ -19,12 +18,7 @@ replaces that holder, starts it empty.
 
 from __future__ import annotations
 
-from ..slca.meaningful import (
-    DEFAULT_COMPARABLE_FRACTION,
-    DEFAULT_REDUCTION,
-    infer_search_for,
-    need_column,
-)
+from ..slca.meaningful import infer_search_for, need_column
 from .lru import LRUMemo
 
 #: Default number of memoized keyword multisets.
@@ -38,41 +32,25 @@ class SearchForCache:
 
     def __init__(self, index, maxsize=DEFAULT_CAPACITY):
         self._index = index
-        #: Sorted keyword multiset + parameters -> search-for tuple.
+        #: Sorted keyword multiset -> search-for tuple.
         self.entries = LRUMemo(maxsize)
         #: (search-for types, type-table length) -> need column.
         self.needs = LRUMemo(maxsize)
 
-    def infer(
-        self,
-        keywords,
-        reduction=DEFAULT_REDUCTION,
-        comparable_fraction=DEFAULT_COMPARABLE_FRACTION,
-        max_candidates=3,
-    ):
-        """Memoized ``T_for`` inference; same contract as the function.
+    def infer(self, keywords):
+        """Memoized ``T_for`` inference with the formula's defaults;
+        same contract as the function.
 
         Formula 1 only sums per-keyword statistics, so the result is
         order-insensitive and the key is the sorted keyword multiset.
         Returns a fresh list each call (callers stash it in responses).
         """
         keywords = list(keywords)
-        key = (
-            tuple(sorted(keywords)),
-            reduction,
-            comparable_fraction,
-            max_candidates,
-        )
+        key = tuple(sorted(keywords))
         cached = self.entries.lookup(key)
         if cached is not None:
             return list(cached)
-        value = infer_search_for(
-            self._index,
-            keywords,
-            reduction=reduction,
-            comparable_fraction=comparable_fraction,
-            max_candidates=max_candidates,
-        )
+        value = infer_search_for(self._index, keywords)
         self.entries.store(key, tuple(value))
         return value
 

@@ -145,7 +145,7 @@ class SnapshotManager:
             pause = lambda: time.sleep(pause_seconds)  # noqa: E731
         return open_index_source(source, pause=pause)
 
-    def prepare(self, new_index, queries=(), seed=None):
+    def prepare(self, new_index, queries=()):
         """Pre-warm the pending generation for hot queries (slow half).
 
         The second slow half of a reload (any thread, like
@@ -155,12 +155,10 @@ class SnapshotManager:
         so the daemon builds that state for its recently served query
         signatures here, off the serving path, in ``new_index.derived``
         (:meth:`repro.XRefine.prepare_swap`), which :meth:`flip` then
-        serves from.  Call it again to warm more queries.  ``seed`` is
-        an earlier generation's miner, adopted when its vocabulary
-        matches (cycling back to a recently served snapshot).  Returns
-        how many queries were warmed.
+        serves from.  Call it again to warm more queries.  Returns how
+        many queries were warmed.
         """
-        return self.engine.prepare_swap(new_index, queries, seed=seed)
+        return self.engine.prepare_swap(new_index, queries)
 
     def flip(self, new_index, source, prewarmed=0):
         """Swap the engine onto ``new_index`` (fast half; query thread).

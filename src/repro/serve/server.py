@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import asyncio
 import math
-import os.path
 import signal
 import threading
 import time
@@ -222,9 +221,6 @@ class RefineServer:
     #: Sleep between tree-decode chunks of the reload's snapshot open,
     #: so the load yields the interpreter to in-flight evaluations.
     LOAD_PAUSE_SECONDS = 0.005
-    #: Miners remembered per snapshot path, so cycling back to a
-    #: recently served snapshot reuses its miner and spelling index.
-    SWAP_SEED_LIMIT = 8
 
     def __init__(self, source, host="127.0.0.1", port=0, model=None,
                  cache_size=DEFAULT_CAPACITY,
@@ -246,15 +242,6 @@ class RefineServer:
         #: LRU set of recently served term tuples (event-loop only);
         #: /reload pre-mines these against the incoming snapshot.
         self._recent_terms = OrderedDict()
-        #: LRU of miners keyed by snapshot path (event-loop only), the
-        #: serving one included.  A reload seeds its pre-warm from the
-        #: target's miner; vocabulary equality is checked in
-        #: `prepare_swap`, so a changed file behind the same path is
-        #: never trusted.  A miner holds no index, so no seed pins a
-        #: retired generation's mmap.
-        self._swap_seeds = OrderedDict(
-            [(os.path.realpath(source), self.manager.engine.miner)]
-        )
         self.requests = 0
         self.errors = 0
         self.reloads = 0
@@ -531,13 +518,11 @@ class RefineServer:
         # mining is GIL-heavy, and an unbroken burst on the reload
         # thread would inflate concurrent requests' tail latency.
         prewarmed = 0
-        seed_key = os.path.realpath(source)
-        seed = self._swap_seeds.get(seed_key)
         hot = list(self._recent_terms)
         for start in range(0, len(hot), self.PREWARM_CHUNK):
             prewarmed += await self.loop.run_in_executor(
                 self._reload_pool, self.manager.prepare, new_index,
-                hot[start:start + self.PREWARM_CHUNK], seed,
+                hot[start:start + self.PREWARM_CHUNK],
             )
             await asyncio.sleep(self.PREWARM_PAUSE_SECONDS)
         # Fast half on the query thread: FIFO behind every queued
@@ -545,13 +530,6 @@ class RefineServer:
         flip = await self.queue.run(
             lambda: self.manager.flip(new_index, source, prewarmed)
         )
-        if hot:
-            # The miner prepare built or adopted (an unprepared one is
-            # built on the query thread, so it is not read from here).
-            self._swap_seeds.pop(seed_key, None)
-            self._swap_seeds[seed_key] = new_index.derived.miner
-            while len(self._swap_seeds) > self.SWAP_SEED_LIMIT:
-                self._swap_seeds.popitem(last=False)
         self.reloads += 1
         return {"ok": True, **flip}
 

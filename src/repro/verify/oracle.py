@@ -1019,13 +1019,14 @@ def select(group):
     )
 
 
-def replay_cold_diff(index, samples, model=None, miner=None):
+def replay_cold_diff(index, samples, model=None):
     """Diff replay-recorded answers against cold evaluation.
 
     ``samples`` is a :class:`~repro.workload.replay.ReplayReport`'s
     sample list — ``(query, k, algorithm, fingerprint)`` tuples
     recorded while the replay was served through the full cache stack
-    (result cache, sub-result assembly, rules memo, DP memos).  A
+    (result cache, sub-result assembly, the miner's per-keyword memo,
+    the DP and search-for memos).  A
     fresh cache-disabled engine over the same index re-evaluates each
     sampled query; any fingerprint difference means some cache layer
     changed an answer during the replay.  The memos live in
@@ -1034,7 +1035,7 @@ def replay_cold_diff(index, samples, model=None, miner=None):
     """
     replayed, index._derived = index._derived, None
     try:
-        cold = XRefine(index, model=model, miner=miner, cache_size=0)
+        cold = XRefine(index, model=model, cache_size=0)
         answers = [
             response_fingerprint(cold.search(list(q), k=k, algorithm=a))
             for q, k, a, _ in samples

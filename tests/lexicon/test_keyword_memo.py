@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lexicon import RuleMiner
-from repro.lexicon.mining import KEYWORD_RULES_LIMIT
+from repro.lexicon.mining import KEYWORD_MEMO_LIMIT
 from repro.perf import LRUMemo
 
 VOCAB = [
@@ -86,10 +86,10 @@ def test_evicting_memo_mines_what_a_fresh_miner_mines(sequence):
 
 def test_memo_is_bounded_and_counted():
     miner = RuleMiner(VOCAB)
-    assert miner.keyword_rules.limit == KEYWORD_RULES_LIMIT
+    assert miner.keyword_rules.limit == KEYWORD_MEMO_LIMIT
     miner.mine(["world", "wide", "web", "world"])
     assert miner.keyword_rules.stats() == {
-        "size": 3, "limit": KEYWORD_RULES_LIMIT,
+        "size": 3, "limit": KEYWORD_MEMO_LIMIT,
         "hits": 1, "misses": 3, "evictions": 0,
     }
     miner.mine(["web", "machin"])
@@ -105,7 +105,7 @@ def test_updated_miner_starts_with_an_empty_memo():
     updated = miner.updated(grown)
     assert updated.keyword_rules is not miner.keyword_rules
     assert updated.keyword_rules.stats() == {
-        "size": 0, "limit": KEYWORD_RULES_LIMIT,
+        "size": 0, "limit": KEYWORD_MEMO_LIMIT,
         "hits": 0, "misses": 0, "evictions": 0,
     }
     # The new vocabulary gives "machin" another spelling candidate;

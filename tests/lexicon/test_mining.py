@@ -114,6 +114,13 @@ class TestSynonymAndAcronymRules:
             r.lhs == ("world", "wide", "web") and r.rhs == ("www",)
             for r in rules
         )
+        # Runs are matched case-insensitively, as the table does.
+        rules = miner.mine(["World", "Wide", "Web"])
+        assert any(
+            r.lhs == ("World", "Wide", "Web") and r.rhs == ("www",)
+            for r in rules
+        )
+        assert not any(r.rhs == ("www",) for r in miner.mine(["wide", "world"]))
 
     def test_stemming_substitution(self, miner):
         rules = miner.mine(["match"])

@@ -73,3 +73,11 @@ class TestAcronymTable:
         table = AcronymTable({})
         table.add("tps", ("transactions", "per", "second"))
         assert table.contract(("transactions", "per", "second")) == "tps"
+
+    def test_last_words_hold_every_expansion_end(self):
+        table = AcronymTable()
+        table.add("TPS", ("Transactions", "Per", "Second"))
+        assert table.last_words == {
+            expansion[-1] for _, expansion in table.items()
+        }
+        assert "second" in table.last_words

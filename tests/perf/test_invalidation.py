@@ -228,10 +228,10 @@ class TestRemoveInvalidation:
 class TestIndexLevelCaches:
     def test_search_for_cache_cleared(self, engine):
         index = engine.index
-        index.search_for_cache.infer(["xml", "search"])
-        assert len(index.search_for_cache) > 0
+        index.derived.search_for.infer(["xml", "search"])
+        assert len(index.derived.search_for) > 0
         append_partition(index, author_spec("alice", ["xml views"]))
-        assert len(index.search_for_cache) == 0
+        assert len(index.derived.search_for) == 0
 
     def test_score_memo_dropped_and_rebuilt(self, engine):
         index = engine.index

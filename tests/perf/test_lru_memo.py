@@ -1,5 +1,5 @@
-"""The one bounded LRU behind the rules, keyword-rules, DP, search-for
-and need memos.
+"""The one bounded LRU behind the keyword-rules, DP, search-for and
+need memos.
 
 A hit makes its key the most recent and a put past the limit evicts
 the least recent key, so a hot key survives any number of new ones
@@ -12,9 +12,9 @@ from __future__ import annotations
 from repro import XRefine, build_document_index
 from repro.datasets import generate_dblp
 from repro.index import append_partition
-from repro.index.derived import DP_LIMIT, RULES_LIMIT, DerivedState
+from repro.index.derived import DP_LIMIT, DerivedState
 from repro.lexicon import RuleMiner, RuleSet
-from repro.lexicon.mining import KEYWORD_RULES_LIMIT
+from repro.lexicon.mining import KEYWORD_MEMO_LIMIT
 from repro.perf import LRUMemo
 from repro.perf.stats_cache import DEFAULT_CAPACITY
 
@@ -88,14 +88,13 @@ def test_dp_memos_evict_the_least_recent_identity():
 def test_every_traffic_keyed_memo_is_the_one_class():
     derived = DerivedState(index=None)
     memos = {
-        "rules": derived.rules,
         "dp": derived.dp,
         "search_for": derived.search_for.entries,
         "need": derived.search_for.needs,
     }
     assert all(type(memo) is LRUMemo for memo in memos.values())
     assert {name: memo.limit for name, memo in memos.items()} == {
-        "rules": RULES_LIMIT, "dp": DP_LIMIT,
+        "dp": DP_LIMIT,
         "search_for": DEFAULT_CAPACITY, "need": DEFAULT_CAPACITY,
     }
     # The miner's per-keyword memo, reported before any miner exists
@@ -104,22 +103,21 @@ def test_every_traffic_keyed_memo_is_the_one_class():
     stats = derived.stats()
     assert set(stats) == set(memos) | {"keyword_rules"}
     assert stats["keyword_rules"] == {
-        "size": 0, "limit": KEYWORD_RULES_LIMIT,
+        "size": 0, "limit": KEYWORD_MEMO_LIMIT,
         "hits": 0, "misses": 0, "evictions": 0,
     }
 
 
-def test_rules_memo_size_follows_updates_and_swaps():
+def test_updates_keep_the_dp_memos_and_swaps_do_not():
     index = build_document_index(generate_dblp(num_authors=20, seed=7))
-    engine = XRefine(index, rules_memo_size=8)
-    assert index.derived.rules.limit == 8
+    engine = XRefine(index)
     engine.search("databse systems")
     dp = index.derived.dp
+    miner = engine.miner
     append_partition(index, ("author", None, [("name", "ada")]))
-    # The update's holder keeps the limit and the DP memos, nothing else.
-    assert index.derived.rules.limit == 8 and len(index.derived.rules) == 0
+    # The update's holder keeps the DP memos and updates the miner.
     assert index.derived.dp is dp
+    assert engine.miner is not miner
     other = build_document_index(generate_dblp(num_authors=25, seed=8))
     engine.swap_index(other)
-    assert other.derived.rules.limit == 8
     assert other.derived.dp is not dp

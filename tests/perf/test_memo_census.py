@@ -5,12 +5,11 @@ out-of-vocabulary terms are normal input.  The census runs N searches,
 each one fixed vocabulary word plus one new absent keyword, over a
 frozen snapshot, and counts the entries of every memo a request can
 key: the index's list cache and frequency memo, the co-occurrence
-counts, the score memo, the rules memo, the miner's per-keyword memo,
-the DP memos, the search-for memo, and the result and sub-result
-caches.  Each must be within its
-bound, and N = 1,000 and N = 5,000 must leave the same sizes: a memo
-that grows with the traffic rather than the snapshot shows as a
-difference.  Nothing here is timed.
+counts, the score memo, the miner's per-keyword memo, the DP memos,
+the search-for memo, and the result and sub-result caches.  Each must
+be within its bound, and N = 1,000 and N = 5,000 must leave the same
+sizes: a memo that grows with the traffic rather than the snapshot
+shows as a difference.  Nothing here is timed.
 
 The same module checks the co-occurrence table by allocation site:
 after the pool the wire benchmark serves (200 queries of
@@ -42,11 +41,9 @@ SMALL_SEED = 7
 POOL_SEED = 23
 POOL_SIZE = 200
 
-#: The rules memo's default bound (1,024) exceeds the smaller N, so the
-#: census engine gets a smaller one: both runs then fill it.
-RULES_BOUND = 512
-#: The same for the miner's per-keyword memo (default 2,048), which has
-#: no constructor argument: the census lowers its module constant.
+#: The miner's per-keyword memo's default bound (2,048) exceeds the
+#: smaller N, so the census lowers its module constant: both runs then
+#: fill it.
 KEYWORD_RULES_BOUND = 512
 FIXED_WORD = "xml"
 
@@ -74,7 +71,7 @@ def _absent(n):
 def census(snapshot, searches):
     """Each request-keyed memo's ``(size, bound)`` after ``searches``."""
     index = load_frozen_index(snapshot)
-    engine = XRefine(index, rules_memo_size=RULES_BOUND)
+    engine = XRefine(index)
     vocabulary = index.inverted.keywords()
     assert FIXED_WORD in vocabulary
     for n in range(searches):
@@ -98,7 +95,6 @@ def census(snapshot, searches):
         **{
             name: (memos[key]["size"], memos[key]["limit"])
             for name, key in (
-                ("rules memo", "rules"),
                 ("keyword rules memo", "keyword_rules"),
                 ("DP memos", "dp"),
                 ("search-for memo", "search_for"),
@@ -117,16 +113,16 @@ def census(snapshot, searches):
 
 def test_memos_are_bounded_by_the_snapshot(snapshot, monkeypatch):
     monkeypatch.setattr(
-        mining_module, "KEYWORD_RULES_LIMIT", KEYWORD_RULES_BOUND
+        mining_module, "KEYWORD_MEMO_LIMIT", KEYWORD_RULES_BOUND
     )
     few = census(snapshot, 1_000)
     many = census(snapshot, 5_000)
     assert [
         many[name][1] for name in (
-            "rules memo", "keyword rules memo", "DP memos",
+            "keyword rules memo", "DP memos",
             "search-for memo", "search-for need columns",
         )
-    ] == [RULES_BOUND, KEYWORD_RULES_BOUND, 512, 1024, 1024]
+    ] == [KEYWORD_RULES_BOUND, 512, 1024, 1024]
     for name, (size, bound) in many.items():
         assert size <= bound, (name, size, bound)
     assert {name: size for name, (size, _) in few.items()} == {

@@ -141,19 +141,20 @@ class TestPreparedSwap:
         terms = tuple(query_terms(query))
 
         assert engine.prepare_swap(index_b, [query]) == 1
-        prepared = index_b.derived
-        assert prepared.miner is not engine.miner  # built for index_b
-        prepared_rules = prepared.rules.lookup(terms)
-        assert prepared_rules is not None
+        miner = index_b.derived.miner
+        assert miner is not engine.miner  # built for index_b
+        assert len(miner.keyword_rules) == len(set(terms))
 
         engine.swap_index(index_b)
         # The flip serves the warmed holder, so the first post-swap
-        # mine_rules is a memo hit on the prepared rule set — no
-        # fresh-vocabulary mining on the serving path.
-        assert engine.miner is prepared.miner
-        hits = prepared.rules.hits
-        assert engine.mine_rules(query) is prepared_rules
-        assert prepared.rules.hits == hits + 1
+        # mine_rules reads every keyword's rules from the prepared
+        # miner's memo: no keyword is mined on the serving path.
+        assert engine.miner is miner
+        before = miner.keyword_rules.stats()
+        engine.mine_rules(query)
+        after = miner.keyword_rules.stats()
+        assert after["misses"] == before["misses"]
+        assert after["hits"] == before["hits"] + len(terms)
 
     def test_prepared_swap_answers_match_a_fresh_engine(self, corpus_pair):
         index_a, index_b = corpus_pair
@@ -187,7 +188,7 @@ class TestPreparedSwap:
             for query in queries
             for inverted in QueryContext(
                 index_b, tuple(query_terms(query)),
-                index_b.derived.mine(tuple(query_terms(query))),
+                index_b.derived.miner.mine(tuple(query_terms(query))),
             ).lists.values()
             if len(inverted)
         ]
@@ -210,56 +211,59 @@ class TestPreparedSwap:
 
         engine.prepare_swap(index_b, queries[:1])
         engine.prepare_swap(index_b, queries)
-        # Both calls warm one holder: the repeat of queries[0] is a
-        # rules-memo hit, and distinct signatures accumulate.
-        distinct = {tuple(query_terms(q)) for q in queries}
-        stats = index_b.derived.stats()["rules"]
-        assert stats["size"] == stats["misses"] == len(distinct)
-        assert stats["hits"] == len(queries) + 1 - len(distinct)
+        # Both calls warm one miner: the repeat of queries[0] reads its
+        # keywords from the miner's memo, and distinct keywords
+        # accumulate.
+        keywords = [
+            term for query in queries[:1] + queries
+            for term in query_terms(query)
+        ]
+        stats = index_b.derived.stats()["keyword_rules"]
+        assert stats["size"] == stats["misses"] == len(set(keywords))
+        assert stats["hits"] == len(keywords) - len(set(keywords))
 
-    def test_seed_is_adopted_when_vocabulary_matches(self, corpus_pair):
-        """Cycling back to a served snapshot reuses its miner."""
+    def test_prepared_miner_shares_the_serving_spelling_arrays(
+        self, corpus_pair
+    ):
+        """A prepared swap updates the serving miner, as an unprepared
+        one does: its spelling index shares the serving arrays."""
         index_a, index_b = corpus_pair
-        engine = XRefine(index_a)
-        query = refinable_query(index_b)
-        engine.prepare_swap(index_b, [query])
-        seed = index_b.derived.miner
-        # The same snapshot, loaded again: a new index, same vocabulary.
-        again = build_document_index(generate_dblp(num_authors=45, seed=8))
-        assert engine.prepare_swap(again, [query], seed=seed) == 1
-        assert again.derived.miner is seed
-        assert (
-            again.derived.miner.spelling_index()._hashes
-            is seed.spelling_index()._hashes
-        )
-
-    def test_seed_with_different_vocabulary_is_ignored(self, corpus_pair):
-        index_a, index_b = corpus_pair
-        engine = XRefine(index_a)
-        engine.prepare_swap(index_b, [refinable_query(index_b)])
-        seed = index_b.derived.miner
+        # The same snapshot loaded again (a new index, same vocabulary),
+        # and a changed one.
         again = build_document_index(generate_dblp(num_authors=30, seed=7))
-        engine.prepare_swap(again, [refinable_query(again)], seed=seed)
-        # index_a's vocabulary differs from index_b's: a reused miner
-        # would mine against the wrong keyword set.
-        assert again.derived.miner is not seed
-        assert again.derived.miner.vocabulary == set(
-            again.inverted.keywords()
-        )
+        for target in (again, index_b):
+            engine = XRefine(index_a)
+            engine.search("databse query")  # builds the spelling index
+            built = engine.miner.spelling_index()
+            assert engine.prepare_swap(target, [refinable_query(target)]) == 1
+            prepared = target.derived.miner
+            assert prepared is not engine.miner
+            assert prepared.vocabulary == set(target.inverted.keywords())
+            assert prepared.spelling_index()._hashes is built._hashes
+            engine.swap_index(target)
+            assert engine.miner is prepared
 
-    def test_explicit_miner_is_left_untouched(self, corpus_pair):
+    def test_prepared_miner_mines_what_a_fresh_miner_mines(
+        self, corpus_pair
+    ):
         index_a, index_b = corpus_pair
-        miner = RuleMiner(index_a.inverted.keywords())
-        engine = XRefine(index_a, miner=miner)
-        query = refinable_query(index_b)
-        assert engine.prepare_swap(index_b, [query]) == 1
-        # Caller-supplied miners are the caller's contract: prepare
-        # builds no replacement, the flip installs none, and their rule
-        # sets are never memoized.
-        engine.swap_index(index_b)
-        assert engine.miner is miner
-        engine.mine_rules(query)
-        assert index_b.derived.stats()["rules"]["size"] == 0
+        engine = XRefine(index_a)
+        # The serving miner has a spelling index, stems and a warm memo.
+        engine.search("databse systems", k=2)
+        gen = WorkloadGenerator(index_b, seed=11)
+        queries = [list(gen.refinable_query().query) for _ in range(8)]
+        queries += [
+            ["databse", "systems"], ["on", "line", "data", "base"],
+            list(index_a.inverted.keywords())[:3],
+        ]
+        assert engine.prepare_swap(index_b, queries) == len(queries)
+        prepared = index_b.derived.miner
+        fresh = RuleMiner(index_b.inverted.keywords())
+        for query in queries:
+            terms = tuple(query_terms(query))
+            assert prepared.mine(terms).fingerprint() == (
+                fresh.mine(terms).fingerprint()
+            ), terms
 
     def test_swap_without_warmup_still_works(self, corpus_pair):
         index_a, index_b = corpus_pair
@@ -282,16 +286,18 @@ class TestPreparedSwap:
         # Built here: the fixture's own reference would pin it.
         index_a = build_document_index(generate_dblp(num_authors=30, seed=7))
         engine = XRefine(index_a)
-        seeds = [engine.miner]
+        miners = [engine.miner]
         engine.search(refinable_query(index_a), k=2)
         engine.prepare_swap(index_b, [refinable_query(index_b)])
         engine.swap_index(index_b)
-        seeds.append(index_b.derived.miner)
+        miners.append(index_b.derived.miner)
+        # The retired generation's miner seeded the new one; neither
+        # holds an index, so the old generation can go.
         retired = weakref.ref(index_a)
         del index_a
         gc.collect()
         assert retired() is None
-        assert all(seed is not None for seed in seeds)
+        assert all(miner is not None for miner in miners)
 
 
 class TestCachedBodyProbe:

@@ -194,8 +194,11 @@ class TestReloadUnderLoad:
             with daemon.client() as client:
                 assert client.reload(snap_b)["prewarmed"] == 0
 
-    def test_reload_back_adopts_the_served_miner(self, serve_snapshots):
-        """A→B→A: the reload to A is seeded with A's first miner."""
+    def test_reload_back_prewarms_and_answers_as_before(
+        self, serve_snapshots
+    ):
+        """A→B→A: each reload's miner is the serving one updated, and
+        the way back answers on the wire as A did at first."""
         snap_a, snap_b = serve_snapshots
         with BackgroundServer(snap_a) as daemon:
             engine = daemon.server.manager.engine
@@ -206,7 +209,7 @@ class TestReloadUnderLoad:
                 assert engine.miner is not first_miner
                 flip = client.reload(snap_a)
                 assert flip["generation"] == 2 and flip["prewarmed"] >= 1
-                assert engine.miner is first_miner
+                assert engine.miner.vocabulary == first_miner.vocabulary
                 after = client.search(QUERY, k=2)
                 assert after["generation"] == 2
                 assert wire_answer(after) == wire_answer(before)
